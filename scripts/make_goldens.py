@@ -1,4 +1,4 @@
-"""Regenerate the versioned golden fixtures under tests/golden/.
+"""Regenerate, or check, the versioned golden fixtures under tests/golden/.
 
 Two families:
   * circuit_<variant>_d3_r1.txt  -- one-round circuit text dumps
@@ -7,11 +7,18 @@ Two families:
     site, p = p_leak = p_init_leak = 1e-3); matches the CLI defaults of
     ``toricleak scan``.
 
-Run from the repository root: python3 scripts/make_goldens.py [--which all]
+Run from the repository root:
+  python3 scripts/make_goldens.py [--which all]          # rewrite fixtures
+  python3 scripts/make_goldens.py --check [--which all]  # diff, write nothing
+
+``--check`` rebuilds every selected fixture in memory, prints a unified diff
+for each one that differs from its file, and exits 1 on any mismatch.
 """
 from __future__ import annotations
 
 import argparse
+import difflib
+import sys
 from pathlib import Path
 
 from toricleak.circuits import VARIANTS, build_program, program_to_text
@@ -24,32 +31,57 @@ from toricleak.sim import compile_program
 GOLDEN = Path(__file__).resolve().parent.parent / "tests" / "golden"
 
 
-def circuits() -> None:
-    for variant in VARIANTS:
-        path = GOLDEN / f"circuit_{variant}_d3_r1.txt"
-        path.write_text(program_to_text(build_program(variant, 3, 1)))
-        print("wrote", path)
+def circuits() -> dict[Path, str]:
+    return {
+        GOLDEN / f"circuit_{variant}_d3_r1.txt": program_to_text(build_program(variant, 3, 1))
+        for variant in VARIANTS
+    }
 
 
-def scans() -> None:
+def scans() -> dict[Path, str]:
     noise = NoiseModel(p=SCAN_P, r=SCAN_R, p_init_leak=SCAN_INIT_LEAK)
+    out = {}
     for variant in VARIANTS:
         compiled = compile_program(build_program(variant, 3, 3), noise)
         verdict = scan(compiled, decoder=Decoder(compiled.lattice), max_faults=1)
-        path = GOLDEN / f"scan_{variant}_d3.txt"
-        path.write_text(verdict_to_text(compiled, verdict))
-        print("wrote", path)
+        out[GOLDEN / f"scan_{variant}_d3.txt"] = verdict_to_text(compiled, verdict)
+    return out
 
 
-def main() -> None:
+def check(fixtures: dict[Path, str]) -> int:
+    mismatched = 0
+    for path, text in fixtures.items():
+        on_disk = path.read_text() if path.exists() else ""
+        if on_disk == text:
+            print("same   ", path.name)
+            continue
+        mismatched += 1
+        print("DIFFERS", path.name)
+        sys.stdout.writelines(difflib.unified_diff(
+            on_disk.splitlines(keepends=True), text.splitlines(keepends=True),
+            fromfile=f"tests/golden/{path.name}", tofile="rebuilt"))
+    print(f"{mismatched} of {len(fixtures)} fixtures differ")
+    return 1 if mismatched else 0
+
+
+def main() -> int:
     ap = argparse.ArgumentParser()
     ap.add_argument("--which", choices=("circuits", "scans", "all"), default="all")
+    ap.add_argument("--check", action="store_true",
+                    help="diff rebuilt fixtures against tests/golden/ and write nothing")
     args = ap.parse_args()
+    fixtures: dict[Path, str] = {}
     if args.which in ("circuits", "all"):
-        circuits()
+        fixtures.update(circuits())
     if args.which in ("scans", "all"):
-        scans()
+        fixtures.update(scans())
+    if args.check:
+        return check(fixtures)
+    for path, text in fixtures.items():
+        path.write_text(text)
+        print("wrote", path)
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

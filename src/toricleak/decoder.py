@@ -3,7 +3,7 @@
 Detection events are differences of consecutive syndrome rounds (round -1 is
 the all-zero baseline; the last row is the noiseless readout round).  Events
 of each check type are matched in spacetime with weight = torus Manhattan
-distance + time separation, exactly: a bitmask dynamic program for up to 16
+distance + time separation, exactly: a bitmask dynamic program for up to 10
 defects, an exact blossom matching (networkx) beyond that.  Matched pairs are
 repaired along deterministic shortest torus paths, rows before columns,
 wrapping toward the shorter side (odd distance leaves no axis ties).
@@ -37,34 +37,47 @@ def _pair_weight(lat: ToricLattice, a: tuple[int, int], b: tuple[int, int]) -> i
     return lat.torus_distance(a[1], b[1]) + abs(a[0] - b[0])
 
 
-def _match_dp(w: np.ndarray) -> list[tuple[int, int]]:
-    """Exact minimum-weight perfect matching by subset DP (deterministic)."""
-    n = w.shape[0]
-    full = (1 << n) - 1
+def _subset_dp(w: list[list[int]]) -> list[int]:
+    """Minimum-weight perfect matchings of every even subset, as a choice table.
+
+    ``choice[mask]`` is the partner of the pivot — the lowest set bit — in
+    the matching chosen for the cells in ``mask``.  Partners are tried in
+    ascending order and only a strictly lower weight replaces the incumbent,
+    so ties go to the lowest partner.
+    """
+    n = len(w)
     INF = 1 << 60
-    dp = np.full(1 << n, INF, dtype=np.int64)
-    choice = np.zeros(1 << n, dtype=np.int64)
+    dp = [INF] * (1 << n)
+    choice = [0] * (1 << n)
     dp[0] = 0
-    for mask in range(1, full + 1):
-        if bin(mask).count("1") % 2:
+    for mask in range(1, 1 << n):
+        if mask.bit_count() & 1:
             continue
-        i = (mask & -mask).bit_length() - 1
-        rest = mask ^ (1 << i)
+        low = mask & -mask
+        rest = mask ^ low
+        wi = w[low.bit_length() - 1]
         best, best_j = INF, -1
-        j_bits = rest
-        while j_bits:
-            j = (j_bits & -j_bits).bit_length() - 1
-            j_bits &= j_bits - 1
-            cand = dp[mask ^ (1 << i) ^ (1 << j)] + w[i, j]
+        bits = rest
+        while bits:
+            bit = bits & -bits
+            bits ^= bit
+            j = bit.bit_length() - 1
+            cand = dp[rest ^ bit] + wi[j]
             if cand < best:
                 best, best_j = cand, j
         dp[mask] = best
         choice[mask] = best_j
+    return choice
+
+
+def _match_dp(w: np.ndarray) -> list[tuple[int, int]]:
+    """Exact minimum-weight perfect matching by subset DP (deterministic)."""
+    choice = _subset_dp(w.tolist())
     pairs = []
-    mask = full
+    mask = (1 << w.shape[0]) - 1
     while mask:
         i = (mask & -mask).bit_length() - 1
-        j = int(choice[mask])
+        j = choice[mask]
         pairs.append((i, j))
         mask ^= (1 << i) | (1 << j)
     return pairs

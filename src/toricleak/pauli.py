@@ -4,8 +4,8 @@ Paulis are phase-free and encoded as (x, z) bit pairs: I=(0,0), X=(1,0),
 Z=(0,1), Y=(1,1).  An error frame over n qubits is a pair of uint8 bit
 vectors (xbits, zbits); composing frames is element-wise XOR.  Clifford
 gates act on frames by conjugation, implemented as bit manipulations that
-work on any array whose last axis indexes qubits (so the same rules serve
-the scalar and the batched simulator).
+work on any array whose last axis indexes qubits, so the same rules act on
+one frame or on a batch of frames.
 """
 
 from __future__ import annotations
@@ -31,6 +31,7 @@ PAULI2_ERRORS = tuple(
     for a in (PAULI_I, PAULI_X, PAULI_Y, PAULI_Z)
     for b in (PAULI_I, PAULI_X, PAULI_Y, PAULI_Z)
 )[1:]  # drop II
+PAULI4 = (PAULI_I,) + PAULI1_ERRORS  # uniform partner draw alphabet
 
 
 def pauli_mul(a: tuple[int, int], b: tuple[int, int]) -> tuple[int, int]:
@@ -77,17 +78,18 @@ class Frame:
 
 # --- Clifford conjugation rules -------------------------------------------
 # Each rule mutates (x, z) in place; the last axis indexes qubits so the same
-# code handles a single frame (1-D) or a batch of frames (2-D).
+# code handles a single frame (1-D) or a batch of frames (2-D).  A ``mask``
+# (0/1 or bool, one entry per frame) limits a rule to the frames it selects;
+# swaps are XOR exchanges, so masked and unmasked rules share one code path.
 
 
 def propagate_h(x: np.ndarray, z: np.ndarray, q: int, mask: np.ndarray | None = None) -> None:
     """H on qubit q swaps the X and Z components (Y is fixed)."""
-    if mask is None:
-        x[..., q], z[..., q] = z[..., q].copy(), x[..., q].copy()
-    else:
-        xq = x[..., q].copy()
-        x[..., q] = np.where(mask, z[..., q], x[..., q])
-        z[..., q] = np.where(mask, xq, z[..., q])
+    diff = x[..., q] ^ z[..., q]
+    if mask is not None:
+        diff &= mask
+    x[..., q] ^= diff
+    z[..., q] ^= diff
 
 
 def propagate_cnot(
@@ -108,14 +110,12 @@ def propagate_swap(
     x: np.ndarray, z: np.ndarray, a: int, b: int, mask: np.ndarray | None = None
 ) -> None:
     """SWAP exchanges both components between qubits a and b."""
-    if mask is None:
-        x[..., a], x[..., b] = x[..., b].copy(), x[..., a].copy()
-        z[..., a], z[..., b] = z[..., b].copy(), z[..., a].copy()
-    else:
-        for bits in (x, z):
-            va = bits[..., a].copy()
-            bits[..., a] = np.where(mask, bits[..., b], bits[..., a])
-            bits[..., b] = np.where(mask, va, bits[..., b])
+    for bits in (x, z):
+        diff = bits[..., a] ^ bits[..., b]
+        if mask is not None:
+            diff &= mask
+        bits[..., a] ^= diff
+        bits[..., b] ^= diff
 
 
 # --- Deterministic random streams -----------------------------------------

@@ -17,16 +17,16 @@ Worst-case leak semantics are evaluated exactly.  The leak trajectory is
 fixed by the location alone (outcome choices never create or move leaks),
 so the consequence slots are a fixed list and the map from outcome choices
 to (detection events, readout frame) is GF(2)-linear.  Unit effects per
-choice are measured by scripted replays of the scalar executor, reduced to
-a basis, and the whole span is enumerated.  Because CNOT never mixes X and
-Z frame sectors and every effect lands on a single check type, the span
-factorizes into an X-error side (star events + data X frame) and a Z-error
-side (plaquette events + data Z frame) that the decoder also treats
-independently, so each side is enumerated on its own.  Within one side the
-failure verdict only depends on the event cells hit and the two logical
-parities of the frame, which keeps ranks small; matchings for all event
-subsets come from one subset dynamic program whose tie-breaking is
-order-isomorphic to the production matcher.
+choice are measured by noise-free scripted replays, many specs to one
+executor batch, reduced to a basis, and the whole span is enumerated.
+Because CNOT never mixes X and Z frame sectors and every effect lands on a
+single check type, the span factorizes into an X-error side (star events +
+data X frame) and a Z-error side (plaquette events + data Z frame) that the
+decoder also treats independently, so each side is enumerated on its own.
+Within one side the failure verdict only depends on the event cells hit and
+the two logical parities of the frame, which keeps ranks small; matchings
+for all event subsets come from the production matcher's subset dynamic
+program, so pivot and tie-break agree with it.
 
 Pair scanning (``max_faults=2``) composes cached Pauli-spec effects, which
 is exact by frame linearity; leak specs take part only singly because their
@@ -36,11 +36,13 @@ worst-case assignment already spans multi-error combinations.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import cache
+from itertools import chain
 
 import numpy as np
 
 from .circuits import CNOT, H, IDLE, MEAS_X, MEAS_Z, PREP_X, PREP_Z, SWAP
-from .decoder import Decoder, extract_events, match_defects, path_edges
+from .decoder import Decoder, _subset_dp, extract_events_batch, match_defects, path_edges
 from .lattice import ToricLattice
 from .pauli import (
     PAULI1_ERRORS,
@@ -51,12 +53,14 @@ from .pauli import (
     PAULI_Z,
 )
 from .sim import CompiledProgram, Script, run_shot
+from .vector import execute
 
 SPAN_BUDGET_BITS = 16  # max basis rank enumerated exhaustively per side
 CELL_CAP = 16  # max event cells covered by one subset DP
 SAMPLE_COUNT = 4096  # assignments drawn when a span exceeds the budget
 PAIR_CAP = 1200  # max single-fault specs admitted into pair scanning
 _SMALL_WITNESS = 10  # prefer witnesses within the production DP range
+_CHUNK_ROWS = 64  # scripted replays per executor batch
 
 
 @dataclass(frozen=True)
@@ -228,6 +232,11 @@ def script_for(compiled: CompiledProgram, spec: FaultSpec) -> Script:
     return script
 
 
+def _chunks(items: list, size: int):
+    for start in range(0, len(items), size):
+        yield items[start : start + size]
+
+
 def leak_consequences(compiled: CompiledProgram, spec: FaultSpec):
     """Baseline replay of a leak spec plus its downstream consequence slots."""
     if spec.kind != "leak":
@@ -239,14 +248,19 @@ def leak_consequences(compiled: CompiledProgram, spec: FaultSpec):
     return base, tuple(trace)
 
 
-def replay_spec(compiled: CompiledProgram, decoder: Decoder, spec: FaultSpec):
-    """Run a fully specified spec and decode it (other noise off)."""
+def _check_assignment(compiled: CompiledProgram, spec: FaultSpec) -> None:
+    """Reject assignment slots that the spec's leak does not open up."""
     if spec.kind == "leak" and spec.assignment:
         _, slots = leak_consequences(compiled, spec)
         valid = set(slots)
         for slot, _ in spec.assignment:
             if slot not in valid:
                 raise ValueError(f"assignment slot {slot!r} is not downstream of the leak")
+
+
+def replay_spec(compiled: CompiledProgram, decoder: Decoder, spec: FaultSpec):
+    """Run a fully specified spec and decode it (other noise off)."""
+    _check_assignment(compiled, spec)
     res = run_shot(compiled, script=script_for(compiled, spec))
     return res, decoder.decode(res.syndromes, res.data_x, res.data_z)
 
@@ -272,53 +286,39 @@ def _gf2_basis(vecs: list[tuple[int, int]]) -> list[tuple[int, int]]:
     return basis
 
 
+def _logical_sets(lat: ToricLattice, check_type: int) -> tuple[frozenset, frozenset]:
+    logicals = lat.z_logicals if check_type == 0 else lat.x_logicals
+    return frozenset(logicals[0]), frozenset(logicals[1])
+
+
+def _path_parity(lat: ToricLattice, check_type: int, sets, s1: int, s2: int) -> int:
+    """The two logical-crossing parities of the repair path between two sites."""
+    path = path_edges(lat, check_type, s1, s2)
+    return (sum(e in sets[0] for e in path) & 1) | ((sum(e in sets[1] for e in path) & 1) << 1)
+
+
 class _PairMatcher:
     """Minimum-weight matchings for every even subset of fixed event cells.
 
-    One subset DP serves all assignments of a leak location.  The pivot and
-    tie-break rules mirror the production matcher on its shared range, and
-    the walk returns only what the verdict needs: the two logical-crossing
-    parities of the correction.
+    One subset DP serves all assignments of a leak location.  It is the
+    production matcher's DP, so pivot and tie-break agree on their shared
+    range, and the walk returns only what the verdict needs: the two
+    logical-crossing parities of the correction.
     """
 
     def __init__(self, lat: ToricLattice, check_type: int, cells: list[tuple[int, int]]):
         self.cells = cells
         n = len(cells)
-        logicals = lat.z_logicals if check_type == 0 else lat.x_logicals
-        sets = (frozenset(logicals[0]), frozenset(logicals[1]))
-        w = np.zeros((n, n), dtype=np.int64)
-        pairpar = np.zeros((n, n), dtype=np.int64)
+        sets = _logical_sets(lat, check_type)
+        w = [[0] * n for _ in range(n)]
+        pairpar = [[0] * n for _ in range(n)]
         for i in range(n):
             for j in range(i + 1, n):
                 (t1, s1), (t2, s2) = cells[i], cells[j]
-                w[i, j] = w[j, i] = lat.torus_distance(s1, s2) + abs(t1 - t2)
-                path = path_edges(lat, check_type, s1, s2)
-                par = (sum(e in sets[0] for e in path) & 1) | (
-                    (sum(e in sets[1] for e in path) & 1) << 1
-                )
-                pairpar[i, j] = pairpar[j, i] = par
+                w[i][j] = w[j][i] = lat.torus_distance(s1, s2) + abs(t1 - t2)
+                pairpar[i][j] = pairpar[j][i] = _path_parity(lat, check_type, sets, s1, s2)
         self._pairpar = pairpar
-        INF = 1 << 60
-        size = 1 << n
-        dp = np.full(size, INF, dtype=np.int64)
-        choice = np.zeros(size, dtype=np.int64)
-        dp[0] = 0
-        for mask in range(1, size):
-            if bin(mask).count("1") % 2:
-                continue
-            i = (mask & -mask).bit_length() - 1
-            rest = mask ^ (1 << i)
-            best, best_j = INF, -1
-            j_bits = rest
-            while j_bits:
-                j = (j_bits & -j_bits).bit_length() - 1
-                j_bits &= j_bits - 1
-                cand = dp[mask ^ (1 << i) ^ (1 << j)] + w[i, j]
-                if cand < best:
-                    best, best_j = cand, j
-            dp[mask] = best
-            choice[mask] = best_j
-        self._choice = choice
+        self._choice = _subset_dp(w)
         self._memo: dict[int, int] = {0: 0}
 
     def match_parities(self, mask: int) -> int:
@@ -331,11 +331,21 @@ class _PairMatcher:
         m = mask
         while m:
             i = (m & -m).bit_length() - 1
-            j = int(self._choice[m])
-            par ^= int(self._pairpar[i, j])
+            j = self._choice[m]
+            par ^= self._pairpar[i][j]
             m ^= (1 << i) | (1 << j)
         self._memo[mask] = par
         return par
+
+
+def _direct_parities(lat: ToricLattice, check_type: int, cells, mask: int) -> int:
+    """Correction parities via the production matcher, for oversized spans."""
+    defects = tuple(cells[j] for j in range(len(cells)) if mask >> j & 1)
+    sets = _logical_sets(lat, check_type)
+    par = 0
+    for a, b in match_defects(lat, defects):
+        par ^= _path_parity(lat, check_type, sets, a[1], b[1])
+    return par
 
 
 @dataclass
@@ -351,30 +361,34 @@ class _SpanProblem:
         n0, n1 = len(self.cells[0]), len(self.cells[1])
         return vec & ((1 << n0) - 1), (vec >> n0) & ((1 << n1) - 1), vec >> (n0 + n1)
 
+    def matcher(self, lat: ToricLattice, span_budget_bits: int, cell_cap: int):
+        """``(matchpar, exact)``: correction parities per (check type, event
+        mask), from the subset DP when the span is small enough to enumerate,
+        else from the production matcher for sampled points."""
+        if len(self.basis) <= span_budget_bits and max(map(len, self.cells)) <= cell_cap:
+            matchers = (_PairMatcher(lat, 0, self.cells[0]), _PairMatcher(lat, 1, self.cells[1]))
+            return (lambda ct, mask: matchers[ct].match_parities(mask)), True
+        return cache(lambda ct, mask: _direct_parities(lat, ct, self.cells[ct], mask)), False
 
-def _direct_parities(lat: ToricLattice, check_type: int, cells, mask: int) -> int:
-    """Correction parities via the production matcher, for oversized spans."""
-    defects = tuple(cells[j] for j in range(len(cells)) if mask >> j & 1)
-    logicals = lat.z_logicals if check_type == 0 else lat.x_logicals
-    sets = (frozenset(logicals[0]), frozenset(logicals[1]))
-    par = 0
-    for a, b in match_defects(lat, defects):
-        path = path_edges(lat, check_type, a[1], b[1])
-        par ^= (sum(e in sets[0] for e in path) & 1) | (
-            (sum(e in sets[1] for e in path) & 1) << 1
-        )
-    return par
+    def judged(self, vec: int, matchpar) -> tuple[int, int, int]:
+        """Event masks and judge parities of the span point ``vec``."""
+        m0, m1, par = self.split(vec)
+        m0 ^= self.base_masks[0]
+        m1 ^= self.base_masks[1]
+        par ^= self.base_par ^ (matchpar(0, m0) & 0b0011) ^ ((matchpar(1, m1) << 2) & 0b1100)
+        return m0, m1, par
 
 
-def _effect_parts(lat: ToricLattice, res, base_events, base_fx, base_fz):
-    events = extract_events(res.syndromes) ^ base_events
-    fx = res.data_x ^ base_fx
-    fz = res.data_z ^ base_fz
+def _effect_parts(lat: ToricLattice, events, fx, fz) -> list[tuple[list, list, int]]:
+    """Per row: star and plaquette event cells, sorted (t, site), and the four
+    logical parities of the frame."""
     par = lat.logical_parities(fx, fz)
-    cells0 = list(zip(*(a.tolist() for a in np.nonzero(events[:, 0, :]))))
-    cells1 = list(zip(*(a.tolist() for a in np.nonzero(events[:, 1, :]))))
-    par4 = int(par[0]) | int(par[1]) << 1 | int(par[2]) << 2 | int(par[3]) << 3
-    return cells0, cells1, par4
+    par4 = (par[:, 0] | par[:, 1] << 1 | par[:, 2] << 2 | par[:, 3] << 3).tolist()
+    parts = [([], [], p) for p in par4]
+    for ct in (0, 1):
+        for row, t, site in zip(*(a.tolist() for a in np.nonzero(events[:, :, ct, :]))):
+            parts[row][ct].append((t, site))
+    return parts
 
 
 def _pack(cells, index0, index1, par4) -> int:
@@ -388,37 +402,72 @@ def _pack(cells, index0, index1, par4) -> int:
     return vec | par4 << (n0 + n1)
 
 
-def _leak_problems(
-    compiled: CompiledProgram, spec: FaultSpec
-) -> tuple[list, list[tuple], bool, list[_SpanProblem]]:
-    """Shared setup: consequence slots, unit-effect generators and the GF(2)
-    span problems (one per check-type side when factorizable, else joint)."""
-    lat = compiled.lattice
-    base, slots = leak_consequences(compiled, spec)
-    base_events = extract_events(base.syndromes)
-
-    generators: list[tuple] = []  # (slot, choice)
+def _unit_generators(slots: list[tuple]) -> list[tuple]:
+    """One (slot, choice) per unit outcome choice of each consequence slot."""
+    generators = []
     for slot in slots:
         if slot[0] == "pair":
-            generators.append((slot, "X"))
-            generators.append((slot, "Z"))
+            generators += [(slot, "X"), (slot, "Z")]
         elif slot[0] == "measbit":
             generators.append((slot, 1))
         else:  # readout erasure
-            generators.append((slot, "x"))
-            generators.append((slot, "z"))
+            generators += [(slot, "x"), (slot, "z")]
+    return generators
 
-    zero_events = np.zeros_like(base_events)
-    zero_fx = np.zeros_like(base.data_x)
-    effects = []
-    for gen in generators:
-        res = run_shot(
-            compiled, script=script_for(compiled, replace(spec, assignment=(gen,)))
-        )
-        effects.append(_effect_parts(lat, res, base_events, base.data_x, base.data_z))
-    base_parts = _effect_parts(lat, base, zero_events, zero_fx, zero_fx)
 
-    # split into per-check-type sides when every generator is single-sided
+def _packed(sizes: list[int], cap: int):
+    """Runs of consecutive indices whose sizes sum to at most ``cap``; an
+    item larger than ``cap`` runs alone."""
+    run, total = [], 0
+    for k, size in enumerate(sizes):
+        if run and total + size > cap:
+            yield run
+            run, total = [], 0
+        run.append(k)
+        total += size
+    if run:
+        yield run
+
+
+def _leak_setups(compiled: CompiledProgram, specs: list[FaultSpec]):
+    """Per leak spec: ``(spec, slots, generators, factorized, problems)``.
+
+    The baselines of ``_CHUNK_ROWS`` specs share one replay batch; their
+    unit-effect generators are then replayed a few whole specs at a time, in
+    batches of about ``_CHUNK_ROWS`` rows.
+    """
+    lat = compiled.lattice
+    for group in _chunks(specs, _CHUNK_ROWS):
+        if any(spec.kind != "leak" for spec in group):
+            raise ValueError("consequence slots exist only for leak specs")
+        traces: list[list] = [[] for _ in group]
+        scripts = [script_for(compiled, replace(spec, assignment=())) for spec in group]
+        base = execute(compiled, len(group), scripts=scripts, traces=traces)
+        base_events = extract_events_batch(base.syndromes)
+        base_parts = _effect_parts(lat, base_events, base.data_x, base.data_z)
+        generators = [_unit_generators(trace) for trace in traces]
+        for members in _packed([len(gens) for gens in generators], _CHUNK_ROWS):
+            chunk = [(k, gen) for k in members for gen in generators[k]]
+            owner = [k for k, _ in chunk]
+            scripts = [script_for(compiled, replace(group[k], assignment=(gen,))) for k, gen in chunk]
+            effects = execute(compiled, len(chunk), scripts=scripts)
+            unit_parts = _effect_parts(
+                lat,
+                extract_events_batch(effects.syndromes) ^ base_events[owner],
+                effects.data_x ^ base.data_x[owner],
+                effects.data_z ^ base.data_z[owner],
+            )
+            first = 0
+            for k in members:
+                parts = unit_parts[first : first + len(generators[k])]
+                first += len(generators[k])
+                yield (group[k], tuple(traces[k]), generators[k]) + _span_problems(parts, base_parts[k])
+
+
+def _span_problems(effects: list, base_parts) -> tuple[bool, list[_SpanProblem]]:
+    """GF(2) span problems of one leak: one per check-type side when every
+    unit effect is single-sided (``factorized``), else one joint problem."""
+
     def side_of(parts) -> int:
         star = bool(parts[0]) or parts[2] & 0b0011
         plaq = bool(parts[1]) or parts[2] & 0b1100
@@ -427,14 +476,11 @@ def _leak_problems(
     sides = [side_of(parts) for parts in effects]
     factorized = all(s != 3 for s in sides)
 
-    def build_problem(members: list[int], with_base: bool) -> _SpanProblem:
-        cell_sets: tuple[set, set] = (set(), set())
+    def build_problem(members: list[int]) -> _SpanProblem:
+        cell_sets: tuple[set, set] = (set(base_parts[0]), set(base_parts[1]))
         for gi in members:
             cell_sets[0].update(effects[gi][0])
             cell_sets[1].update(effects[gi][1])
-        if with_base:
-            cell_sets[0].update(base_parts[0])
-            cell_sets[1].update(base_parts[1])
         cells0, cells1 = sorted(cell_sets[0]), sorted(cell_sets[1])
         index0 = {cell: i for i, cell in enumerate(cells0)}
         index1 = {cell: i for i, cell in enumerate(cells1)}
@@ -443,7 +489,7 @@ def _leak_problems(
             vec = _pack(effects[gi], index0, index1, effects[gi][2])
             vecs.append((vec, 1 << gi))
         n0, n1 = len(cells0), len(cells1)
-        base_vec = _pack(base_parts, index0, index1, 0) if with_base else 0
+        base_vec = _pack(base_parts, index0, index1, 0)
         return _SpanProblem(
             cells=(cells0, cells1),
             base_masks=(base_vec & ((1 << n0) - 1), (base_vec >> n0) & ((1 << n1) - 1)),
@@ -454,10 +500,31 @@ def _leak_problems(
     if factorized:
         star_members = [i for i, s in enumerate(sides) if s == 1]
         plaq_members = [i for i, s in enumerate(sides) if s == 2]
-        problems = [build_problem(star_members, True), build_problem(plaq_members, True)]
-    else:
-        problems = [build_problem(list(range(len(effects))), True)]
-    return slots, generators, factorized, problems
+        return True, [build_problem(star_members), build_problem(plaq_members)]
+    return False, [build_problem(list(range(len(effects))))]
+
+
+def _span_points(prob: _SpanProblem, exhaustive: bool, sample_count: int, seed: list[int]):
+    """``(vector, provenance)`` of span points: every nonzero point in
+    Gray-code order, or ``sample_count`` random basis combinations."""
+    basis = prob.basis
+    acc_vec = acc_prov = 0
+    if exhaustive:
+        for k in range(1, 1 << len(basis)):
+            j = (k & -k).bit_length() - 1
+            acc_vec ^= basis[j][0]
+            acc_prov ^= basis[j][1]
+            yield acc_vec, acc_prov
+        return
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    for _ in range(sample_count):
+        bits = rng.integers(0, 2, size=len(basis))
+        acc_vec = acc_prov = 0
+        for j in range(len(basis)):
+            if bits[j]:
+                acc_vec ^= basis[j][0]
+                acc_prov ^= basis[j][1]
+        yield acc_vec, acc_prov
 
 
 def analyze_leak(
@@ -468,46 +535,32 @@ def analyze_leak(
     sample_count: int = SAMPLE_COUNT,
 ) -> LeakAnalysis:
     """Worst-case verdict for one leak location, exact unless flagged."""
-    lat = compiled.lattice
-    slots, generators, factorized, problems = _leak_problems(compiled, spec)
+    setup = next(_leak_setups(compiled, [spec]))
+    return _judge_leak(compiled.lattice, setup, span_budget_bits, cell_cap, sample_count)
 
+
+def _judge_leak(
+    lat: ToricLattice,
+    setup: tuple,
+    span_budget_bits: int = SPAN_BUDGET_BITS,
+    cell_cap: int = CELL_CAP,
+    sample_count: int = SAMPLE_COUNT,
+) -> LeakAnalysis:
+    """``analyze_leak``'s verdict, from one of ``_leak_setups``' results."""
+    spec, slots, generators, factorized, problems = setup
     failed = False
     witness_prov: int | None = None
     witness_defects = 1 << 30
     exhaustive = True
 
     for prob in problems:
-        rank = len(prob.basis)
-        n0, n1 = len(prob.cells[0]), len(prob.cells[1])
-        use_dp = rank <= span_budget_bits and n0 <= cell_cap and n1 <= cell_cap
-        if use_dp:
-            matchers = (
-                _PairMatcher(lat, 0, prob.cells[0]),
-                _PairMatcher(lat, 1, prob.cells[1]),
-            )
-
-            def matchpar(ct: int, mask: int) -> int:
-                return matchers[ct].match_parities(mask)
-
-        else:
-            exhaustive = False
-            memo: dict[tuple[int, int], int] = {}
-
-            def matchpar(ct: int, mask: int) -> int:
-                key = (ct, mask)
-                hit = memo.get(key)
-                if hit is None:
-                    hit = memo[key] = _direct_parities(lat, ct, prob.cells[ct], mask)
-                return hit
+        matchpar, use_dp = prob.matcher(lat, span_budget_bits, cell_cap)
+        exhaustive &= use_dp
+        seed = [spec.gate_index, spec.victim, len(prob.basis)]
 
         def judge(acc_vec: int, acc_prov: int) -> None:
             nonlocal failed, witness_prov, witness_defects
-            m0, m1, par = prob.split(acc_vec)
-            m0 ^= prob.base_masks[0]
-            m1 ^= prob.base_masks[1]
-            par ^= prob.base_par
-            par ^= matchpar(0, m0) & 0b0011
-            par ^= (matchpar(1, m1) << 2) & 0b1100
+            m0, m1, par = prob.judged(acc_vec, matchpar)
             if par:
                 failed = True
                 n_def = m0.bit_count() + m1.bit_count()
@@ -516,29 +569,10 @@ def analyze_leak(
                     witness_prov = acc_prov
 
         judge(0, 0)
-        if use_dp:
-            acc_vec = acc_prov = 0
-            for k in range(1, 1 << rank):
-                j = (k & -k).bit_length() - 1
-                acc_vec ^= prob.basis[j][0]
-                acc_prov ^= prob.basis[j][1]
-                judge(acc_vec, acc_prov)
-                if failed and witness_defects <= _SMALL_WITNESS:
-                    break
-        else:
-            rng = np.random.default_rng(
-                np.random.SeedSequence([spec.gate_index, spec.victim, rank])
-            )
-            for _ in range(sample_count):
-                bits = rng.integers(0, 2, size=rank)
-                acc_vec = acc_prov = 0
-                for j in range(rank):
-                    if bits[j]:
-                        acc_vec ^= prob.basis[j][0]
-                        acc_prov ^= prob.basis[j][1]
-                judge(acc_vec, acc_prov)
-                if failed and witness_defects <= _SMALL_WITNESS:
-                    break
+        for acc_vec, acc_prov in _span_points(prob, use_dp, sample_count, seed):
+            judge(acc_vec, acc_prov)
+            if failed and witness_defects <= _SMALL_WITNESS:
+                break
         if failed and witness_defects <= _SMALL_WITNESS:
             break
 
@@ -551,18 +585,11 @@ def analyze_leak(
                 merged[slot] = _merge_choice(merged.get(slot), choice)
         witness = replace(spec, assignment=tuple(sorted(merged.items())))
 
-    star_rank = plaq_rank = 0
-    if factorized:
-        star_rank = len(problems[0].basis)
-        plaq_rank = len(problems[1].basis)
-    else:
-        star_rank = plaq_rank = len(problems[0].basis)
-
     return LeakAnalysis(
         spec=spec,
         slots=slots,
-        rank_star=star_rank,
-        rank_plaq=plaq_rank,
+        rank_star=len(problems[0].basis),
+        rank_plaq=len(problems[-1].basis),  # the joint problem serves both sides
         exhaustive=exhaustive,
         failed=failed,
         witness=witness,
@@ -597,71 +624,22 @@ def leak_failure_fraction(
     an over-budget side falls back to a sampled estimate with exact=False.
     """
     lat = compiled.lattice
-    _, _, factorized, problems = _leak_problems(compiled, spec)
+    _, _, _, factorized, problems = next(_leak_setups(compiled, [spec]))
 
     exact = True
     survive = 1.0
     for pi, prob in enumerate(problems):
-        if factorized:
-            par_mask = 0b0011 if pi == 0 else 0b1100
-        else:
-            par_mask = 0b1111
-        rank = len(prob.basis)
-        n0, n1 = len(prob.cells[0]), len(prob.cells[1])
-        use_dp = rank <= span_budget_bits and n0 <= cell_cap and n1 <= cell_cap
+        par_mask = (0b0011, 0b1100)[pi] if factorized else 0b1111
+        matchpar, use_dp = prob.matcher(lat, span_budget_bits, cell_cap)
+        exact &= use_dp
+        seed = [spec.gate_index, spec.victim, len(prob.basis), 1]
+        points = _span_points(prob, use_dp, sample_count, seed)
         if use_dp:
-            matchers = (
-                _PairMatcher(lat, 0, prob.cells[0]),
-                _PairMatcher(lat, 1, prob.cells[1]),
-            )
-
-            def matchpar(ct: int, mask: int) -> int:
-                return matchers[ct].match_parities(mask)
-
-        else:
-            exact = False
-            memo: dict[tuple[int, int], int] = {}
-
-            def matchpar(ct: int, mask: int) -> int:
-                key = (ct, mask)
-                hit = memo.get(key)
-                if hit is None:
-                    hit = memo[key] = _direct_parities(lat, ct, prob.cells[ct], mask)
-                return hit
-
-        def judged_par(acc_vec: int) -> int:
-            m0, m1, par = prob.split(acc_vec)
-            m0 ^= prob.base_masks[0]
-            m1 ^= prob.base_masks[1]
-            par ^= prob.base_par
-            par ^= matchpar(0, m0) & 0b0011
-            par ^= (matchpar(1, m1) << 2) & 0b1100
-            return par
-
-        failing = 0
-        if use_dp:
-            total = 1 << rank
-            acc_vec = 0
-            if judged_par(0) & par_mask:
-                failing += 1
-            for k in range(1, total):
-                j = (k & -k).bit_length() - 1
-                acc_vec ^= prob.basis[j][0]
-                if judged_par(acc_vec) & par_mask:
-                    failing += 1
-        else:
-            total = sample_count
-            rng = np.random.default_rng(
-                np.random.SeedSequence([spec.gate_index, spec.victim, rank, 1])
-            )
-            for _ in range(sample_count):
-                bits = rng.integers(0, 2, size=rank)
-                acc_vec = 0
-                for j in range(rank):
-                    if bits[j]:
-                        acc_vec ^= prob.basis[j][0]
-                if judged_par(acc_vec) & par_mask:
-                    failing += 1
+            points = chain([(0, 0)], points)
+        failing = sum(
+            bool(prob.judged(acc_vec, matchpar)[2] & par_mask) for acc_vec, _ in points
+        )
+        total = 1 << len(prob.basis) if use_dp else sample_count
         survive *= 1.0 - failing / total
     return 1.0 - survive, exact
 
@@ -695,32 +673,31 @@ def scan(
 
     pauli_failures: list[FaultSpec] = []
     cached = []
-    for spec in pauli_specs:
-        res = run_shot(compiled, script=script_for(compiled, spec))
-        if decoder.decode(res.syndromes, res.data_x, res.data_z).failure:
-            pauli_failures.append(spec)
+    for group in _chunks(pauli_specs, _CHUNK_ROWS):
+        res = execute(compiled, len(group), scripts=[script_for(compiled, s) for s in group])
+        judge = decoder.judge_batch(res.syndromes, res.data_x, res.data_z)
+        pauli_failures += [spec for spec, bits in zip(group, judge) if bits.any()]
         if max_faults == 2:
             cached.append((res.syndromes, res.data_x, res.data_z))
 
     leak_failures: list[LeakAnalysis] = []
     sampled: list[FaultSpec] = []
-    for spec in leak_specs:
-        analysis = analyze_leak(compiled, spec, span_budget_bits=span_budget_bits)
+    for setup in _leak_setups(compiled, leak_specs):
+        analysis = _judge_leak(compiled.lattice, setup, span_budget_bits=span_budget_bits)
         if analysis.failed:
             leak_failures.append(analysis)
         if not analysis.exhaustive:
-            sampled.append(spec)
+            sampled.append(setup[0])
 
     pair_failures: list[tuple[FaultSpec, FaultSpec]] = []
     n_pairs = 0
-    if max_faults == 2:
-        for i in range(len(pauli_specs)):
-            si, xi, zi = cached[i]
-            for j in range(i + 1, len(pauli_specs)):
-                sj, xj, zj = cached[j]
-                n_pairs += 1
-                if decoder.decode(si ^ sj, xi ^ xj, zi ^ zj).failure:
-                    pair_failures.append((pauli_specs[i], pauli_specs[j]))
+    if max_faults == 2 and cached:
+        syn, fx, fz = (np.concatenate(arrays) for arrays in zip(*cached))
+        for i in range(len(pauli_specs) - 1):
+            judge = decoder.judge_batch(syn[i] ^ syn[i + 1 :], fx[i] ^ fx[i + 1 :], fz[i] ^ fz[i + 1 :])
+            n_pairs += len(judge)
+            for j in i + 1 + np.flatnonzero(judge.any(axis=1)):
+                pair_failures.append((pauli_specs[i], pauli_specs[j]))
 
     program = compiled.program
     return ScanVerdict(
@@ -881,82 +858,6 @@ def residual_frames_to_weight(lat: ToricLattice, data_x, data_z) -> ResidualWeig
 
 def residual_weight(compiled: CompiledProgram, spec: FaultSpec) -> ResidualWeight:
     """Residual data error left at readout by a fully specified spec."""
-    if spec.kind == "leak" and spec.assignment:
-        _, slots = leak_consequences(compiled, spec)
-        valid = set(slots)
-        for slot, _ in spec.assignment:
-            if slot not in valid:
-                raise ValueError(f"assignment slot {slot!r} is not downstream of the leak")
+    _check_assignment(compiled, spec)
     res = run_shot(compiled, script=script_for(compiled, spec))
     return residual_frames_to_weight(compiled.lattice, res.data_x, res.data_z)
-
-
-@dataclass
-class ResidualExtremes:
-    """Worst cases over all outcome assignments of one leak location."""
-
-    max_raw: int  # most qubits carrying any error, before reduction
-    max_reduced_x: int
-    max_reduced_z: int
-    always_single_error: bool  # every assignment reduces to one qubit or none
-
-
-def leak_residual_extremes(
-    compiled: CompiledProgram, spec: FaultSpec, budget_bits: int = 12
-) -> ResidualExtremes:
-    """Enumerate the (small) span of readout frames a leak can leave behind."""
-    lat = compiled.lattice
-    base, slots = leak_consequences(compiled, spec)
-    vec_pairs = []
-    for slot in slots:
-        choices = (
-            ("X", "Z")
-            if slot[0] == "pair"
-            else ((1,) if slot[0] == "measbit" else ("x", "z"))
-        )
-        for choice in choices:
-            res = run_shot(
-                compiled,
-                script=script_for(compiled, replace(spec, assignment=((slot, choice),))),
-            )
-            fx = _frame_int(res.data_x ^ base.data_x)
-            fz = _frame_int(res.data_z ^ base.data_z)
-            if fx or fz:
-                vec_pairs.append((fx, fz))
-    base_fx, base_fz = _frame_int(base.data_x), _frame_int(base.data_z)
-    width = 2 * lat.n_data
-    basis = _gf2_basis([(fx | fz << lat.n_data, 0) for fx, fz in vec_pairs])
-    rank = len(basis)
-    if rank > budget_bits:
-        raise ValueError(f"frame span rank {rank} exceeds budget {budget_bits}")
-    mask_lo = (1 << lat.n_data) - 1
-    max_raw = 0
-    max_rx = max_rz = 0
-    always_single = True
-    acc = base_fx | base_fz << lat.n_data
-    for k in range(1 << rank):
-        if k:
-            j = (k & -k).bit_length() - 1
-            acc ^= basis[j][0]
-        fx, fz = acc & mask_lo, acc >> lat.n_data
-        max_raw = max(max_raw, (fx | fz).bit_count())
-        rx, reps_x = _reduce(lat, fx, 0)
-        rz, reps_z = _reduce(lat, fz, 1)
-        max_rx, max_rz = max(max_rx, rx), max(max_rz, rz)
-        if always_single:
-            always_single = _joint_single(rx, reps_x, rz, reps_z)
-    return ResidualExtremes(
-        max_raw=max_raw,
-        max_reduced_x=max_rx,
-        max_reduced_z=max_rz,
-        always_single_error=always_single,
-    )
-
-
-def _joint_single(rx: int, reps_x: list[int], rz: int, reps_z: list[int]) -> bool:
-    """Can both residuals be reduced onto at most one common qubit?"""
-    if rx > 1 or rz > 1:
-        return False
-    if rx == 0 or rz == 0:
-        return True
-    return any(x == z for x in reps_x for z in reps_z)

@@ -1,16 +1,11 @@
-"""Scalar shot executor: Pauli-frame propagation with leakage tracking.
-
-The simulator never touches amplitudes.  Each qubit carries two frame bits
-(x, z) relative to the ideal circuit plus a leak flag.  Measured bits are the
-ideal reference (always 0) XORed with the frame, so syndrome records start
-from the all-zero baseline and detection events are differences of
-consecutive rounds.
+"""Compiled circuits, scripted fault injections and the one-shot entry point.
 
 ``compile_program`` fixes a static draw-slot layout: every gate owns a fixed
 span of the shot's uniform stream, and the final data readout owns two slots
-per edge.  ``run_shot`` then resolves a full shot from one uniform vector, or
-— when given no uniforms — resolves every draw to its null outcome so that
-scripted fault injections replay deterministically.
+per edge.  The executor itself lives in :mod:`toricleak.vector`; ``run_shot``
+is a one-row call of it that resolves a full shot from one uniform vector,
+or — when given no uniforms — resolves every draw to its null outcome so
+that scripted fault injections replay deterministically.
 """
 
 from __future__ import annotations
@@ -32,16 +27,7 @@ from .circuits import (
     FaultLocation,
 )
 from .noise import NoiseModel
-from .pauli import (
-    PAULI1_ERRORS,
-    PAULI2_ERRORS,
-    PAULI_I,
-    PAULI_X,
-    PAULI_Z,
-    propagate_cnot,
-    propagate_h,
-    propagate_swap,
-)
+from .vector import execute
 
 DRAWS_PER_KIND = {
     PREP_Z: 2,
@@ -53,7 +39,6 @@ DRAWS_PER_KIND = {
     MEAS_X: 2,
     IDLE: 2,
 }
-PAULI4 = (PAULI_I,) + PAULI1_ERRORS  # uniform partner draw alphabet
 
 
 @dataclass(frozen=True)
@@ -156,11 +141,6 @@ def find_gates(
     return out
 
 
-def _sub_decode(u: float, prob: float, n: int) -> int:
-    """Index in [0, n) from a uniform known to be below ``prob``."""
-    return min(int(u / prob * n), n - 1)
-
-
 def run_shot(
     compiled: CompiledProgram,
     uniforms: np.ndarray | None = None,
@@ -169,177 +149,18 @@ def run_shot(
     initial_z: np.ndarray | None = None,
     trace: list | None = None,
 ) -> ShotResult:
-    """Execute one shot.
+    """Execute one shot: a one-row call of :func:`toricleak.vector.execute`.
 
-    ``trace``, when given a list, collects the stochastic consequence slots a
-    leak opens up: ``("pair", gate, partner_position)`` for each two-qubit
-    gate with exactly one leaked participant, ``("measbit", gate)`` for each
-    junk measurement under the random_bit policy, and ``("readout", edge)``
-    for each leaked final data carrier.
+    ``trace``, when given a list, collects the consequence slots a leak
+    opens up, as ``execute`` describes them.
     """
-    program = compiled.program
-    lat = program.lattice
-    noise = compiled.noise
-    n = lat.n_qubits
-    n_sites = lat.d * lat.d
-
-    x = np.zeros(n, dtype=np.uint8)
-    z = np.zeros(n, dtype=np.uint8)
-    if initial_x is not None:
-        x[: len(initial_x)] |= np.asarray(initial_x, dtype=np.uint8)
-    if initial_z is not None:
-        z[: len(initial_z)] |= np.asarray(initial_z, dtype=np.uint8)
-    leak = np.zeros(n, dtype=bool)
-    syndromes = np.zeros((program.n_rounds + 1, 2, n_sites), dtype=np.uint8)
-
-    stochastic = uniforms is not None
-    if stochastic and len(uniforms) != compiled.n_draws:
-        raise ValueError(f"need {compiled.n_draws} uniform draws, got {len(uniforms)}")
-    script = script or Script()
-
-    def apply_pauli(q: int, pauli) -> None:
-        x[q] ^= pauli[0]
-        z[q] ^= pauli[1]
-
-    for gi, g in enumerate(compiled.gates):
-        q0, q1 = g.q0, g.q1
-        if g.kind in (PREP_Z, PREP_X):
-            x[q0] = 0
-            z[q0] = 0
-            leak[q0] = False
-            if stochastic:
-                u_err, u_leak = uniforms[g.draw_offset : g.draw_offset + 2]
-                if u_err < noise.p:
-                    apply_pauli(q0, PAULI_X if g.kind == PREP_Z else PAULI_Z)
-                if g.leak_victims and u_leak < g.leak_prob:
-                    leak[q0] = True
-        elif g.kind == H:
-            if not leak[q0]:
-                propagate_h(x, z, q0)
-                if stochastic:
-                    u_dep, u_leak = uniforms[g.draw_offset : g.draw_offset + 2]
-                    if u_dep < noise.p:
-                        apply_pauli(q0, PAULI1_ERRORS[_sub_decode(u_dep, noise.p, 3)])
-                    if g.leak_victims and u_leak < g.leak_prob:
-                        leak[q0] = True
-        elif g.kind == CNOT:
-            lk0, lk1 = leak[q0], leak[q1]
-            if lk0 and lk1:
-                pass
-            elif lk0 or lk1:
-                partner = q1 if lk0 else q0
-                if trace is not None:
-                    trace.append(("pair", gi, 1 if lk0 else 0))
-                if stochastic:
-                    u_pair = uniforms[g.draw_offset + 2]
-                    apply_pauli(partner, PAULI4[min(int(u_pair * 4), 3)])
-            else:
-                propagate_cnot(x, z, q0, q1)
-                if stochastic:
-                    u_dep, u_leak = uniforms[g.draw_offset : g.draw_offset + 2]
-                    if u_dep < noise.p:
-                        pair = PAULI2_ERRORS[_sub_decode(u_dep, noise.p, 15)]
-                        apply_pauli(q0, pair[0])
-                        apply_pauli(q1, pair[1])
-                    if g.leak_victims and u_leak < g.leak_prob:
-                        pos = g.leak_victims[
-                            _sub_decode(u_leak, g.leak_prob, len(g.leak_victims))
-                        ]
-                        leak[(q0, q1)[pos]] = True
-        elif g.kind == SWAP:
-            lk0, lk1 = leak[q0], leak[q1]
-            if lk0 and lk1:
-                pass
-            elif lk0 or lk1:
-                partner = q1 if lk0 else q0  # exchange blocked; partner scrambled
-                if trace is not None:
-                    trace.append(("pair", gi, 1 if lk0 else 0))
-                if stochastic:
-                    u_pair = uniforms[g.draw_offset + 2]
-                    apply_pauli(partner, PAULI4[min(int(u_pair * 4), 3)])
-            else:
-                propagate_swap(x, z, q0, q1)
-                if stochastic:
-                    u_dep, u_leak = uniforms[g.draw_offset : g.draw_offset + 2]
-                    if u_dep < noise.p:
-                        pair = PAULI2_ERRORS[_sub_decode(u_dep, noise.p, 15)]
-                        apply_pauli(q0, pair[0])
-                        apply_pauli(q1, pair[1])
-                    if g.leak_victims and u_leak < g.leak_prob:
-                        pos = g.leak_victims[
-                            _sub_decode(u_leak, g.leak_prob, len(g.leak_victims))
-                        ]
-                        leak[(q0, q1)[pos]] = True
-        elif g.kind in (MEAS_Z, MEAS_X):
-            if leak[q0]:
-                if noise.leaked_meas == "fixed_one":
-                    bit = 1
-                else:
-                    if trace is not None:
-                        trace.append(("measbit", gi))
-                    bit = int(uniforms[g.draw_offset + 1] < 0.5) if stochastic else 0
-            else:
-                bit = int(x[q0] if g.kind == MEAS_Z else z[q0])
-                if stochastic and uniforms[g.draw_offset] < noise.meas_flip:
-                    bit ^= 1
-            if gi in script.meas_flips:
-                bit ^= 1
-            syndromes[g.round_index, g.check_type, g.check_site] ^= bit
-            # measure-and-reset: the measured qubit is reinitialized, which
-            # clears both its Pauli frame and any leakage before reuse
-            x[q0] = 0
-            z[q0] = 0
-            leak[q0] = False
-        elif g.kind == IDLE:
-            if not leak[q0] and stochastic:
-                u_dep = uniforms[g.draw_offset]
-                if u_dep < noise.p_idle:
-                    apply_pauli(q0, PAULI1_ERRORS[_sub_decode(u_dep, noise.p_idle, 3)])
-        else:  # pragma: no cover - builders only emit the kinds above
-            raise ValueError(f"unknown gate kind {g.kind}")
-
-        # scripted injections land after the gate's resolved action
-        if (gi, 0) in script.leaks:
-            leak[q0] = True
-        if (gi, 1) in script.leaks:
-            if q1 < 0:
-                raise ValueError(f"gate {gi} has no second qubit to leak")
-            leak[q1] = True
-        if gi in script.paulis:
-            touched = (q0,) if q1 < 0 else (q0, q1)
-            for q, pauli in zip(touched, script.paulis[gi]):
-                if pauli != PAULI_I:
-                    apply_pauli(q, pauli)
-
-    # final transversal readout of the data carriers
-    carrier = program.final_data_carrier
-    data_x = np.zeros(lat.n_data, dtype=np.uint8)
-    data_z = np.zeros(lat.n_data, dtype=np.uint8)
-    for e in range(lat.n_data):
-        q = carrier[e]
-        if leak[q]:
-            if trace is not None:
-                trace.append(("readout", e))
-            if stochastic:
-                u1, u2 = uniforms[compiled.readout_offset + 2 * e : compiled.readout_offset + 2 * e + 2]
-                data_x[e] = u1 < 0.5
-                data_z[e] = u2 < 0.5
-        else:
-            data_x[e] = x[q]
-            data_z[e] = z[q]
-        if e in script.readout_flips:
-            dx, dz = script.readout_flips[e]
-            data_x[e] ^= dx
-            data_z[e] ^= dz
-
-    z_syn, x_syn = lat.syndrome_of(data_x, data_z)
-    syndromes[program.n_rounds, 0] = z_syn
-    syndromes[program.n_rounds, 1] = x_syn
-
+    if uniforms is not None:
+        if len(uniforms) != compiled.n_draws:
+            raise ValueError(f"need {compiled.n_draws} uniform draws, got {len(uniforms)}")
+        uniforms = np.asarray(uniforms, dtype=np.float64)[None, :]
+    scripts = None if script is None else [script]
+    traces = None if trace is None else [trace]
+    res = execute(compiled, 1, uniforms, scripts, initial_x, initial_z, traces)
     return ShotResult(
-        syndromes=syndromes,
-        data_x=data_x,
-        data_z=data_z,
-        logical_parities=lat.logical_parities(data_x, data_z),
-        leak_final=leak,
+        res.syndromes[0], res.data_x[0], res.data_z[0], res.logical_parities[0], res.leak_final[0]
     )

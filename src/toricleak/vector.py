@@ -1,19 +1,32 @@
-"""Vectorized batch executor, bit-identical to the scalar one.
+"""Shot executor: Pauli-frame propagation with leakage tracking, many shots at once.
 
-Shots form the leading axis; the per-gate resolution order, draw-slot layout
-and sub-decode arithmetic mirror :mod:`toricleak.sim` exactly, so running a
-batch and running its shots one at a time produce identical results.
+The simulator never touches amplitudes.  Each qubit carries two frame bits
+(x, z) relative to the ideal circuit plus a leak flag, and shots (rows) form
+the leading axis of every array.  Measured bits are the ideal reference
+(always 0) XORed with the frame, so syndrome records start from the all-zero
+baseline and detection events are differences of consecutive rounds.
+
+``execute`` resolves a batch gate by gate.  Given a matrix of uniform draws,
+every row resolves its stochastic events from the static draw-slot layout of
+:func:`toricleak.sim.compile_program`; given none, every draw resolves to its
+null outcome, so per-row scripted fault injections replay deterministically.
+``run_batch`` is the Monte-Carlo entry point and
+:func:`toricleak.sim.run_shot` is a one-row call of ``execute``.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
 from .circuits import CNOT, H, IDLE, MEAS_X, MEAS_Z, PREP_X, PREP_Z, SWAP
-from .pauli import PAULI2_ERRORS, batch_uniforms, propagate_cnot, propagate_h, propagate_swap
-from .sim import PAULI4, CompiledProgram
+from .pauli import PAULI2_ERRORS, PAULI4, batch_uniforms, propagate_cnot, propagate_h, propagate_swap
+
+if TYPE_CHECKING:
+    from .sim import CompiledProgram, Script
 
 # component tables for vectorized sub-decodes
 _X3 = np.array([1, 1, 0], dtype=np.uint8)  # X, Y, Z
@@ -41,59 +54,127 @@ def run_batch(
     shot_start: int,
     n_shots: int,
 ) -> BatchResult:
+    """Monte-Carlo shots ``shot_start ..`` of the deterministic per-shot streams."""
+    U = batch_uniforms(master_seed, shot_start, n_shots, compiled.n_draws)
+    return execute(compiled, n_shots, uniforms=U)
+
+
+def _index_scripts(compiled: CompiledProgram, scripts: Sequence[Script | None]):
+    """Per-row injections regrouped by where they land, as (row, ...) lists."""
+    leaks, paulis, meas_flips = defaultdict(list), defaultdict(list), defaultdict(list)
+    readout_flips = []
+    for row, script in enumerate(scripts):
+        if script is None:
+            continue
+        for gi, pos in script.leaks:
+            g = compiled.gates[gi]
+            if pos == 1 and g.q1 < 0:
+                raise ValueError(f"gate {gi} has no second qubit to leak")
+            if pos in (0, 1):
+                leaks[gi].append((row, (g.q0, g.q1)[pos]))
+        for gi, per_qubit in script.paulis.items():
+            g = compiled.gates[gi]
+            touched = (g.q0,) if g.q1 < 0 else (g.q0, g.q1)
+            for q, (px, pz) in zip(touched, per_qubit):
+                paulis[gi].append((row, q, px, pz))
+        for gi in script.meas_flips:
+            meas_flips[gi].append(row)
+        for e, (dx, dz) in script.readout_flips.items():
+            readout_flips.append((row, e, dx, dz))
+    return leaks, paulis, meas_flips, readout_flips
+
+
+def execute(
+    compiled: CompiledProgram,
+    n_rows: int,
+    uniforms: np.ndarray | None = None,
+    scripts: Sequence[Script | None] | None = None,
+    initial_x: np.ndarray | None = None,
+    initial_z: np.ndarray | None = None,
+    traces: list[list] | None = None,
+) -> BatchResult:
+    """Execute ``n_rows`` shots side by side.
+
+    ``uniforms`` holds one draw row per shot; without it every draw takes its
+    null outcome.  ``scripts`` gives each row its own injections, which land
+    after their gate's resolved action.  ``initial_x``/``initial_z`` seed the
+    frames of the leading qubits.  ``traces``, when given one list per row,
+    collects the stochastic consequence slots a leak opens up:
+    ``("pair", gate, partner_position)`` for each two-qubit gate with exactly
+    one leaked participant, ``("measbit", gate)`` for each junk measurement
+    under the random_bit policy, and ``("readout", edge)`` for each leaked
+    final data carrier — in gate order, then in ascending edge order.
+    """
     program = compiled.program
     lat = program.lattice
     noise = compiled.noise
     n_sites = lat.d * lat.d
+    U = uniforms
+    stochastic = U is not None
 
-    U = batch_uniforms(master_seed, shot_start, n_shots, compiled.n_draws)
-    x = np.zeros((n_shots, lat.n_qubits), dtype=np.uint8)
+    x = np.zeros((n_rows, lat.n_qubits), dtype=np.uint8)
     z = np.zeros_like(x)
-    leak = np.zeros((n_shots, lat.n_qubits), dtype=np.uint8)
-    syndromes = np.zeros((n_shots, program.n_rounds + 1, 2, n_sites), dtype=np.uint8)
+    if initial_x is not None:
+        x[:, : np.shape(initial_x)[-1]] |= np.asarray(initial_x, dtype=np.uint8)
+    if initial_z is not None:
+        z[:, : np.shape(initial_z)[-1]] |= np.asarray(initial_z, dtype=np.uint8)
+    leak = np.zeros((n_rows, lat.n_qubits), dtype=np.uint8)
+    syndromes = np.zeros((n_rows, program.n_rounds + 1, 2, n_sites), dtype=np.uint8)
+    scripted = scripts is not None
+    if scripted:
+        leak_at, pauli_at, flip_at, readout_at = _index_scripts(compiled, scripts)
+    # without draws or scripted leaks nothing ever leaks, and no gate needs a mask
+    leaky = stochastic or (scripted and bool(leak_at))
+    if traces is not None:
+        # per (row, gate): 1/2 = pair slot at partner position 0/1, 3 = junk measurement
+        slot_codes = np.zeros((n_rows, len(compiled.gates)), dtype=np.uint8)
 
-    for g in compiled.gates:
+    for gi, g in enumerate(compiled.gates):
         q0, q1, off = g.q0, g.q1, g.draw_offset
         if g.kind in (PREP_Z, PREP_X):
             x[:, q0] = 0
             z[:, q0] = 0
             leak[:, q0] = 0
-            if noise.p > 0:
+            if stochastic and noise.p > 0:
                 flip = (U[:, off] < noise.p).astype(np.uint8)
                 if g.kind == PREP_Z:
                     x[:, q0] ^= flip
                 else:
                     z[:, q0] ^= flip
-            if g.leak_victims and g.leak_prob > 0:
+            if stochastic and g.leak_victims and g.leak_prob > 0:
                 leak[:, q0] = (U[:, off + 1] < g.leak_prob).astype(np.uint8)
         elif g.kind == H:
-            active = 1 - leak[:, q0]
+            active = 1 - leak[:, q0] if leaky else None
             propagate_h(x, z, q0, mask=active)
-            if noise.p > 0:
+            if stochastic and noise.p > 0:
                 u = U[:, off]
                 sel = active & (u < noise.p)
                 idx = np.minimum((u / noise.p * 3).astype(np.int64), 2)
                 x[:, q0] ^= sel & _X3[idx]
                 z[:, q0] ^= sel & _Z3[idx]
-            if g.leak_victims and g.leak_prob > 0:
+            if stochastic and g.leak_victims and g.leak_prob > 0:
                 leak[:, q0] |= active & (U[:, off + 1] < g.leak_prob)
         elif g.kind in (CNOT, SWAP):
             lk0, lk1 = leak[:, q0], leak[:, q1]
-            neither = (1 - lk0) & (1 - lk1)
+            neither = (1 - lk0) & (1 - lk1) if leaky else None
             if g.kind == CNOT:
                 propagate_cnot(x, z, q0, q1, mask=neither)
             else:
                 propagate_swap(x, z, q0, q1, mask=neither)
-            # a single leaked participant scrambles its partner
-            u_pair = U[:, off + 2]
-            idx4 = np.minimum((u_pair * 4).astype(np.int64), 3)
-            only0 = lk0 & (1 - lk1)
-            only1 = lk1 & (1 - lk0)
-            x[:, q1] ^= only0 & _X4[idx4]
-            z[:, q1] ^= only0 & _Z4[idx4]
-            x[:, q0] ^= only1 & _X4[idx4]
-            z[:, q0] ^= only1 & _Z4[idx4]
-            if noise.p > 0:
+            if leaky and (stochastic or traces is not None):
+                only0 = lk0 & (1 - lk1)
+                only1 = lk1 & (1 - lk0)
+                if traces is not None:
+                    slot_codes[:, gi] = (only0 << 1) | only1
+            if stochastic:
+                # a single leaked participant scrambles its partner
+                u_pair = U[:, off + 2]
+                idx4 = np.minimum((u_pair * 4).astype(np.int64), 3)
+                x[:, q1] ^= only0 & _X4[idx4]
+                z[:, q1] ^= only0 & _Z4[idx4]
+                x[:, q0] ^= only1 & _X4[idx4]
+                z[:, q0] ^= only1 & _Z4[idx4]
+            if stochastic and noise.p > 0:
                 u = U[:, off]
                 sel = neither & (u < noise.p)
                 idx = np.minimum((u / noise.p * 15).astype(np.int64), 14)
@@ -101,7 +182,7 @@ def run_batch(
                 z[:, q0] ^= sel & _Z15A[idx]
                 x[:, q1] ^= sel & _X15B[idx]
                 z[:, q1] ^= sel & _Z15B[idx]
-            if g.leak_victims and g.leak_prob > 0:
+            if stochastic and g.leak_victims and g.leak_prob > 0:
                 u = U[:, off + 1]
                 hit = neither & (u < g.leak_prob)
                 nv = len(g.leak_victims)
@@ -109,36 +190,65 @@ def run_batch(
                 for j, pos in enumerate(g.leak_victims):
                     leak[:, (q0, q1)[pos]] |= hit & (vic == j)
         elif g.kind in (MEAS_Z, MEAS_X):
-            lk = leak[:, q0].astype(bool)
-            if noise.leaked_meas == "fixed_one":
-                junk = np.ones(n_shots, dtype=np.uint8)
-            else:
-                junk = (U[:, off + 1] < 0.5).astype(np.uint8)
             clean = (x[:, q0] if g.kind == MEAS_Z else z[:, q0]).copy()
-            if noise.meas_flip > 0:
+            if stochastic and noise.meas_flip > 0:
                 clean ^= (U[:, off] < noise.meas_flip).astype(np.uint8)
-            bit = np.where(lk, junk, clean)
+            bit = clean
+            if leaky:
+                lk = leak[:, q0].astype(bool)
+                if noise.leaked_meas == "fixed_one":
+                    junk = np.uint8(1)
+                else:
+                    if traces is not None:
+                        slot_codes[:, gi] = lk * np.uint8(3)
+                    junk = (U[:, off + 1] < 0.5).astype(np.uint8) if stochastic else np.uint8(0)
+                bit = np.where(lk, junk, clean)
+            if scripted:
+                for row in flip_at.get(gi, ()):
+                    bit[row] ^= 1
             syndromes[:, g.round_index, g.check_type, g.check_site] ^= bit
             # measure-and-reset clears the frame and any leakage before reuse
             x[:, q0] = 0
             z[:, q0] = 0
             leak[:, q0] = 0
         elif g.kind == IDLE:
-            if noise.p_idle > 0:
+            if stochastic and noise.p_idle > 0:
                 u = U[:, off]
                 sel = (1 - leak[:, q0]) & (u < noise.p_idle)
                 idx = np.minimum((u / noise.p_idle * 3).astype(np.int64), 2)
                 x[:, q0] ^= sel & _X3[idx]
                 z[:, q0] ^= sel & _Z3[idx]
-        else:  # pragma: no cover
+        else:  # pragma: no cover - build_program emits only the kinds above
             raise ValueError(f"unknown gate kind {g.kind}")
 
+        if scripted:
+            for row, q in leak_at.get(gi, ()):
+                leak[row, q] = 1
+            for row, q, px, pz in pauli_at.get(gi, ()):
+                x[row, q] ^= px
+                z[row, q] ^= pz
+
+    # final transversal readout of the data carriers
     carrier = program.final_data_carrier
-    ro = compiled.readout_offset
-    U_read = U[:, ro : ro + 2 * lat.n_data].reshape(n_shots, lat.n_data, 2)
     leak_c = leak[:, carrier].astype(bool)
-    data_x = np.where(leak_c, (U_read[:, :, 0] < 0.5).astype(np.uint8), x[:, carrier])
-    data_z = np.where(leak_c, (U_read[:, :, 1] < 0.5).astype(np.uint8), z[:, carrier])
+    junk_x = junk_z = np.uint8(0)
+    if stochastic:
+        ro = compiled.readout_offset
+        U_read = U[:, ro : ro + 2 * lat.n_data].reshape(n_rows, lat.n_data, 2)
+        junk_x = (U_read[:, :, 0] < 0.5).astype(np.uint8)
+        junk_z = (U_read[:, :, 1] < 0.5).astype(np.uint8)
+    data_x = np.where(leak_c, junk_x, x[:, carrier])
+    data_z = np.where(leak_c, junk_z, z[:, carrier])
+    if traces is not None:
+        for row, gi in zip(*(a.tolist() for a in np.nonzero(slot_codes))):
+            code = int(slot_codes[row, gi])
+            traces[row].append(("measbit", gi) if code == 3 else ("pair", gi, code - 1))
+        for row, e in zip(*(a.tolist() for a in np.nonzero(leak_c))):
+            traces[row].append(("readout", e))
+    if scripted:
+        for row, e, dx, dz in readout_at:
+            data_x[row, e] ^= dx
+            data_z[row, e] ^= dz
 
     z_syn, x_syn = lat.syndrome_of(data_x, data_z)
     syndromes[:, program.n_rounds, 0] = z_syn

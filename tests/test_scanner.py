@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from toricleak import scanner
 from toricleak.circuits import VARIANTS, build_program
 from toricleak.decoder import Decoder
 from toricleak.noise import NoiseModel
@@ -218,3 +219,18 @@ def test_pair_scan_is_deterministic_and_flags_uncorrectable_pairs():
     assert [tuple(p) for p in first.pair_failures] == \
         [tuple(p) for p in again.pair_failures]
     assert first.pauli_failures == []
+
+
+def test_scan_does_not_depend_on_replay_chunk_size(monkeypatch):
+    """Replays are batched internally; every batch size gives the same verdict."""
+    compiled = _compiled("standard", rounds=2)
+    universe = enumerate_fault_universe(compiled)[::5]
+    dec = Decoder(compiled.lattice)
+    reference = scan(compiled, universe=universe, decoder=dec)
+    assert reference.leak_failures and reference.n_pauli_specs > 64
+    for rows in (1, 7, 1000):
+        monkeypatch.setattr(scanner, "_CHUNK_ROWS", rows)
+        verdict = scan(compiled, universe=universe, decoder=dec)
+        assert verdict.pauli_failures == reference.pauli_failures
+        assert verdict.leak_failures == reference.leak_failures
+        assert verdict_to_text(compiled, verdict) == verdict_to_text(compiled, reference)

@@ -1,4 +1,4 @@
-"""Behavioral tests for the scalar shot executor."""
+"""Behavioral tests for single shots run through ``run_shot``."""
 
 from __future__ import annotations
 

@@ -1,15 +1,22 @@
-"""The batch executor must reproduce the scalar executor bit for bit."""
+"""Batched shots must equal the same shots run alone and a gate-by-gate reference."""
 
 from __future__ import annotations
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from toricleak.circuits import build_program
+from toricleak.circuits import VARIANTS, build_program
 from toricleak.noise import NoiseModel
 from toricleak.pauli import shot_uniforms
-from toricleak.sim import compile_program, run_shot
-from toricleak.vector import run_batch
+from toricleak.scanner import enumerate_fault_universe, leak_consequences, script_for
+from toricleak.sim import Script, compile_program, run_shot
+from toricleak.vector import execute, run_batch
+
+from scalar_reference import reference_shot
+
+RESULT_FIELDS = ("syndromes", "data_x", "data_z", "logical_parities", "leak_final")
 
 CASES = [
     ("standard", 3, 2, NoiseModel(p=0.1, r=2.0)),
@@ -57,3 +64,114 @@ def test_batch_shapes():
     assert batch.data_x.shape == (5, 18)
     assert batch.logical_parities.shape == (5, 4)
     assert batch.leak_final.shape == (5, 54)
+
+
+def _mixed_scripts(compiled, n_each=10, seed=3):
+    """Pauli, bare-leak and assigned-leak scripts, plus a row with none."""
+    rng = np.random.default_rng(seed)
+    universe = enumerate_fault_universe(compiled)
+    paulis = [s for s in universe if s.kind != "leak"]
+    leaks = [s for s in universe if s.kind == "leak"]
+    specs = [paulis[i] for i in rng.choice(len(paulis), n_each, replace=False)]
+    for i in rng.choice(len(leaks), n_each, replace=False):
+        spec = leaks[i]
+        _, slots = leak_consequences(compiled, spec)
+        choices = {"pair": "XYZ", "measbit": (1,), "readout": "xyz"}
+        assignment = tuple(
+            (slot, choices[slot[0]][rng.integers(len(choices[slot[0]]))]) for slot in slots[::2]
+        )
+        specs += [spec, replace(spec, assignment=assignment)]
+    rng.shuffle(specs)
+    return [script_for(compiled, spec) for spec in specs] + [None]
+
+
+@pytest.mark.parametrize("variant", ["standard", "swap_lrc", "mixed_lrc"])
+@pytest.mark.parametrize("leaked_meas", ["random_bit", "fixed_one"])
+def test_scripted_batch_rows_match_single_replays(variant, leaked_meas):
+    noise = NoiseModel(p=1e-3, r=1.0, p_init_leak=1e-3, leaked_meas=leaked_meas)
+    compiled = compile_program(build_program(variant, 3, 2), noise)
+    scripts = _mixed_scripts(compiled)
+    traces = [[] for _ in scripts]
+    batch = execute(compiled, len(scripts), scripts=scripts, traces=traces)
+    assert any(traces) and not all(traces)
+    for row, script in enumerate(scripts):
+        trace = []
+        alone = run_shot(compiled, script=script, trace=trace)
+        for name in RESULT_FIELDS:
+            np.testing.assert_array_equal(
+                getattr(batch, name)[row], getattr(alone, name), err_msg=f"row {row} {name}"
+            )
+        assert traces[row] == trace
+
+
+def test_scripted_batches_do_not_depend_on_chunk_boundaries():
+    compiled = compile_program(build_program("swap_lrc", 3, 2), NoiseModel(p=1e-3, r=1.0))
+    scripts = _mixed_scripts(compiled, seed=11)
+    whole_traces = [[] for _ in scripts]
+    whole = execute(compiled, len(scripts), scripts=scripts, traces=whole_traces)
+    for cut in (1, 9, len(scripts) - 2):
+        parts, traces = [], [[] for _ in scripts]
+        for lo, hi in ((0, cut), (cut, len(scripts))):
+            parts.append(execute(compiled, hi - lo, scripts=scripts[lo:hi], traces=traces[lo:hi]))
+        for name in RESULT_FIELDS:
+            merged = np.concatenate([getattr(part, name) for part in parts])
+            np.testing.assert_array_equal(merged, getattr(whole, name), err_msg=f"cut {cut}")
+        assert traces == whole_traces
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+@pytest.mark.parametrize("leaked_meas", ["random_bit", "fixed_one"])
+def test_batch_traces_match_leak_consequences(variant, leaked_meas):
+    noise = NoiseModel(p=1e-3, r=1.0, p_init_leak=1e-3, leaked_meas=leaked_meas)
+    compiled = compile_program(build_program(variant, 3, 2), noise)
+    leaks = [s for s in enumerate_fault_universe(compiled) if s.kind == "leak"][::3]
+    traces = [[] for _ in leaks]
+    batch = execute(compiled, len(leaks), scripts=[script_for(compiled, s) for s in leaks],
+                    traces=traces)
+    kinds = set()
+    for row, spec in enumerate(leaks):
+        base, slots = leak_consequences(compiled, spec)
+        assert tuple(traces[row]) == slots
+        np.testing.assert_array_equal(batch.syndromes[row], base.syndromes)
+        np.testing.assert_array_equal(batch.leak_final[row], base.leak_final)
+        kinds.update(slot[0] for slot in slots)
+    # junk measurement bits are consequence slots only under random_bit
+    assert ("measbit" in kinds) == (leaked_meas == "random_bit")
+    assert "pair" in kinds
+
+
+def _random_script(compiled, rng):
+    paulis = [(0, 0), (1, 0), (0, 1), (1, 1)]
+    script = Script()
+    for _ in range(rng.integers(0, 3)):
+        gi = int(rng.integers(len(compiled.gates)))
+        script.leaks.add((gi, int(rng.integers(2)) if compiled.gates[gi].q1 >= 0 else 0))
+    for _ in range(rng.integers(0, 4)):
+        gi = int(rng.integers(len(compiled.gates)))
+        width = 2 if compiled.gates[gi].q1 >= 0 else 1
+        script.paulis[gi] = tuple(paulis[k] for k in rng.integers(4, size=width))
+    script.meas_flips.update(int(g) for g in rng.integers(len(compiled.gates), size=2))
+    script.readout_flips[int(rng.integers(compiled.lattice.n_data))] = paulis[rng.integers(4)]
+    return script
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+@pytest.mark.parametrize("leaked_meas", ["random_bit", "fixed_one"])
+def test_execute_matches_gate_by_gate_reference(variant, leaked_meas):
+    """Stochastic and noise-free rows, with scripts and traces, against an
+    independent per-gate executor."""
+    noise = NoiseModel(p=0.05, r=2.0, p_init_leak=0.05, meas_flip=0.05, leaked_meas=leaked_meas)
+    compiled = compile_program(build_program(variant, 3, 2), noise)
+    rng = np.random.default_rng(17)
+    scripts = [_random_script(compiled, rng) for _ in range(16)]
+    draws = np.stack([shot_uniforms(5, shot, compiled.n_draws) for shot in range(len(scripts))])
+    for uniforms in (draws, None):
+        traces = [[] for _ in scripts]
+        batch = execute(compiled, len(scripts), uniforms=uniforms, scripts=scripts, traces=traces)
+        for row, script in enumerate(scripts):
+            ref = reference_shot(compiled, None if uniforms is None else uniforms[row], script)
+            got = (batch.syndromes[row], batch.data_x[row], batch.data_z[row],
+                   batch.leak_final[row])
+            for name, a, b in zip(("syndromes", "data_x", "data_z", "leak_final"), got, ref):
+                np.testing.assert_array_equal(a, b, err_msg=f"row {row} {name}")
+            assert traces[row] == ref[4]
