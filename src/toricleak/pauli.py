@@ -10,8 +10,6 @@ one frame or on a batch of frames.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 # Canonical single-qubit Paulis in (x, z) encoding.
@@ -32,48 +30,6 @@ PAULI2_ERRORS = tuple(
     for b in (PAULI_I, PAULI_X, PAULI_Y, PAULI_Z)
 )[1:]  # drop II
 PAULI4 = (PAULI_I,) + PAULI1_ERRORS  # uniform partner draw alphabet
-
-
-def pauli_mul(a: tuple[int, int], b: tuple[int, int]) -> tuple[int, int]:
-    """Phase-free product of two Paulis: component-wise XOR."""
-    return (a[0] ^ b[0], a[1] ^ b[1])
-
-
-def commutes(a: tuple[int, int], b: tuple[int, int]) -> bool:
-    """True iff the two Paulis commute (symplectic product is even)."""
-    return (a[0] * b[1] + a[1] * b[0]) % 2 == 0
-
-
-@dataclass
-class Frame:
-    """Bit-packed X/Z error record over all physical qubits of a lattice.
-
-    ``x[q]`` / ``z[q]`` are the X and Z components of the accumulated error
-    on qubit q.  Phases are never tracked.
-    """
-
-    x: np.ndarray
-    z: np.ndarray
-
-    @classmethod
-    def zeros(cls, n_qubits: int) -> "Frame":
-        return cls(np.zeros(n_qubits, dtype=np.uint8), np.zeros(n_qubits, dtype=np.uint8))
-
-    def copy(self) -> "Frame":
-        return Frame(self.x.copy(), self.z.copy())
-
-    def xor(self, other: "Frame") -> "Frame":
-        return Frame(self.x ^ other.x, self.z ^ other.z)
-
-    def pauli_at(self, q: int) -> tuple[int, int]:
-        return (int(self.x[q]), int(self.z[q]))
-
-    def set_pauli(self, q: int, p: tuple[int, int]) -> None:
-        self.x[q] ^= p[0]
-        self.z[q] ^= p[1]
-
-    def weight(self) -> int:
-        return int(np.count_nonzero(self.x | self.z))
 
 
 # --- Clifford conjugation rules -------------------------------------------

@@ -28,6 +28,13 @@ the two logical parities of the frame, which keeps ranks small; matchings
 for all event subsets come from the production matcher's subset dynamic
 program, so pivot and tie-break agree with it.
 
+One judge serves both questions asked of a leak: ``_failing_points`` yields
+the failing bit of each span point of a side.  ``scan`` fails the spec at
+its first failing point; ``leak_failure_fraction`` counts them.  A side
+over ``SPAN_BUDGET_BITS`` or ``CELL_CAP`` is judged on ``SAMPLE_COUNT``
+seeded random points by the production decoder instead, and the spec is
+reported as sampled rather than exact.
+
 Pair scanning (``max_faults=2``) composes cached Pauli-spec effects, which
 is exact by frame linearity; leak specs take part only singly because their
 worst-case assignment already spans multi-error combinations.
@@ -37,12 +44,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from functools import cache
-from itertools import chain
 
 import numpy as np
 
 from .circuits import CNOT, H, IDLE, MEAS_X, MEAS_Z, PREP_X, PREP_Z, SWAP
-from .decoder import Decoder, _subset_dp, extract_events_batch, match_defects, path_edges
+from .decoder import Decoder, _subset_dp, extract_events_batch, path_edges
 from .lattice import ToricLattice
 from .pauli import (
     PAULI1_ERRORS,
@@ -55,12 +61,14 @@ from .pauli import (
 from .sim import CompiledProgram, Script, run_shot
 from .vector import execute
 
+# read at call time, so tests can patch them
 SPAN_BUDGET_BITS = 16  # max basis rank enumerated exhaustively per side
 CELL_CAP = 16  # max event cells covered by one subset DP
 SAMPLE_COUNT = 4096  # assignments drawn when a span exceeds the budget
 PAIR_CAP = 1200  # max single-fault specs admitted into pair scanning
-_SMALL_WITNESS = 10  # prefer witnesses within the production DP range
 _CHUNK_ROWS = 64  # scripted replays per executor batch
+# valid outcome choices per consequence-slot tag
+_CHOICES = {"pair": ("X", "Y", "Z"), "measbit": (0, 1), "readout": ("x", "y", "z")}
 
 
 @dataclass(frozen=True)
@@ -68,10 +76,12 @@ class FaultSpec:
     """One element of the fault universe.
 
     ``assignment`` fixes the downstream stochastic outcomes of a leak spec:
-    a tuple of ``(slot, choice)`` pairs where slots are the executor's
-    consequence slots (``("pair", gate, position)``, ``("measbit", gate)``,
-    ``("readout", edge)``) and choices are a Pauli name, the bit 1, or an
-    erasure component "x"/"z"/"y".  An empty assignment means "enumerate".
+    a tuple of ``(slot, choice)`` pairs, each slot at most once, where slots
+    are the executor's consequence slots and choices are the slot's
+    outcome: a partner Pauli "X"/"Y"/"Z" for ``("pair", gate, position)``,
+    a junk bit 0/1 for ``("measbit", gate)``, and an erasure component
+    "x"/"y"/"z" for ``("readout", edge)``.  A slot left out takes the null
+    outcome; an empty assignment means "enumerate".
     """
 
     kind: str  # "pauli" | "meas_flip" | "leak"
@@ -95,17 +105,6 @@ class SpecLocation:
 
 
 @dataclass
-class LeakAnalysis:
-    spec: FaultSpec
-    slots: tuple
-    rank_star: int
-    rank_plaq: int
-    exhaustive: bool
-    failed: bool
-    witness: FaultSpec | None  # failing spec with its assignment filled in
-
-
-@dataclass
 class ScanVerdict:
     variant: str
     d: int
@@ -114,10 +113,10 @@ class ScanVerdict:
     n_pauli_specs: int
     n_leak_specs: int
     pauli_failures: list[FaultSpec]
-    leak_failures: list[LeakAnalysis]
+    leak_failures: list[FaultSpec]
     pair_failures: list[tuple[FaultSpec, FaultSpec]] = field(default_factory=list)
     n_pairs: int = 0
-    sampled: list[FaultSpec] = field(default_factory=list)
+    sampled: list[FaultSpec] = field(default_factory=list)  # some side over budget
 
     @property
     def distance_preserving(self) -> bool:
@@ -126,10 +125,6 @@ class ScanVerdict:
     @property
     def exhaustive(self) -> bool:
         return not self.sampled
-
-    @property
-    def failing_leak_specs(self) -> list[FaultSpec]:
-        return [a.spec for a in self.leak_failures]
 
 
 # ---------------------------------------------------------------------------
@@ -249,13 +244,19 @@ def leak_consequences(compiled: CompiledProgram, spec: FaultSpec):
 
 
 def _check_assignment(compiled: CompiledProgram, spec: FaultSpec) -> None:
-    """Reject assignment slots that the spec's leak does not open up."""
+    """Reject assignments with a slot that the spec's leak does not open up,
+    a slot listed twice, or a choice outside its slot's outcomes."""
     if spec.kind == "leak" and spec.assignment:
         _, slots = leak_consequences(compiled, spec)
+        listed = [slot for slot, _ in spec.assignment]
+        if len(set(listed)) < len(listed):
+            raise ValueError("an assignment slot is listed twice")
         valid = set(slots)
-        for slot, _ in spec.assignment:
+        for slot, choice in spec.assignment:
             if slot not in valid:
                 raise ValueError(f"assignment slot {slot!r} is not downstream of the leak")
+            if choice not in _CHOICES[slot[0]]:
+                raise ValueError(f"choice {choice!r} is not an outcome of slot {slot!r}")
 
 
 def replay_spec(compiled: CompiledProgram, decoder: Decoder, spec: FaultSpec):
@@ -269,21 +270,18 @@ def replay_spec(compiled: CompiledProgram, decoder: Decoder, spec: FaultSpec):
 # GF(2) spans of leak consequences
 
 
-def _gf2_basis(vecs: list[tuple[int, int]]) -> list[tuple[int, int]]:
-    """Row-reduce (vector, provenance) pairs; provenance tracks generators."""
-    by_lead: dict[int, tuple[int, int]] = {}
-    basis: list[tuple[int, int]] = []
-    for v, p in vecs:
+def _gf2_basis(vecs: list[int]) -> list[int]:
+    """Row-reduce GF(2) vectors to a basis of their span, in insertion order."""
+    by_lead: dict[int, int] = {}
+    for v in vecs:
         while v:
             lead = v.bit_length() - 1
             hit = by_lead.get(lead)
             if hit is None:
-                by_lead[lead] = (v, p)
-                basis.append((v, p))
+                by_lead[lead] = v
                 break
-            v ^= hit[0]
-            p ^= hit[1]
-    return basis
+            v ^= hit
+    return list(by_lead.values())
 
 
 def _logical_sets(lat: ToricLattice, check_type: int) -> tuple[frozenset, frozenset]:
@@ -338,16 +336,6 @@ class _PairMatcher:
         return par
 
 
-def _direct_parities(lat: ToricLattice, check_type: int, cells, mask: int) -> int:
-    """Correction parities via the production matcher, for oversized spans."""
-    defects = tuple(cells[j] for j in range(len(cells)) if mask >> j & 1)
-    sets = _logical_sets(lat, check_type)
-    par = 0
-    for a, b in match_defects(lat, defects):
-        par ^= _path_parity(lat, check_type, sets, a[1], b[1])
-    return par
-
-
 @dataclass
 class _SpanProblem:
     """One independently enumerable side of a leak location's span."""
@@ -355,28 +343,39 @@ class _SpanProblem:
     cells: tuple[list, list]  # event cells per check type, sorted (t, site)
     base_masks: tuple[int, int]
     base_par: int  # 4 judge-parity bits
-    basis: list[tuple[int, int]]
+    basis: list[int]
+    par_mask: int  # the judge-parity bits this side decides
 
-    def split(self, vec: int) -> tuple[int, int, int]:
-        n0, n1 = len(self.cells[0]), len(self.cells[1])
-        return vec & ((1 << n0) - 1), (vec >> n0) & ((1 << n1) - 1), vec >> (n0 + n1)
+    @property
+    def exact(self) -> bool:
+        """True when the side is small enough to enumerate exhaustively."""
+        return len(self.basis) <= SPAN_BUDGET_BITS and max(map(len, self.cells)) <= CELL_CAP
 
-    def matcher(self, lat: ToricLattice, span_budget_bits: int, cell_cap: int):
-        """``(matchpar, exact)``: correction parities per (check type, event
-        mask), from the subset DP when the span is small enough to enumerate,
-        else from the production matcher for sampled points."""
-        if len(self.basis) <= span_budget_bits and max(map(len, self.cells)) <= cell_cap:
+    def matcher(self, decoder: Decoder):
+        """Correction parities per (check type, event mask): from the subset
+        DP when the side is exact, else from the production decoder."""
+        lat = decoder.lat
+        if self.exact:
             matchers = (_PairMatcher(lat, 0, self.cells[0]), _PairMatcher(lat, 1, self.cells[1]))
-            return (lambda ct, mask: matchers[ct].match_parities(mask)), True
-        return cache(lambda ct, mask: _direct_parities(lat, ct, self.cells[ct], mask)), False
+            return lambda ct, mask: matchers[ct].match_parities(mask)
 
-    def judged(self, vec: int, matchpar) -> tuple[int, int, int]:
-        """Event masks and judge parities of the span point ``vec``."""
-        m0, m1, par = self.split(vec)
-        m0 ^= self.base_masks[0]
-        m1 ^= self.base_masks[1]
-        par ^= self.base_par ^ (matchpar(0, m0) & 0b0011) ^ ((matchpar(1, m1) << 2) & 0b1100)
-        return m0, m1, par
+        @cache  # one parity read per distinct mask; the decoder caches corrections
+        def matchpar(ct: int, mask: int) -> int:
+            cells = self.cells[ct]
+            flips = decoder.correction(ct, tuple(cells[j] for j in range(len(cells)) if mask >> j & 1))
+            par = lat.logical_parities(flips, flips)  # bits 0-1 read X flips, 2-3 Z flips
+            return int(par[2 * ct]) | int(par[2 * ct + 1]) << 1
+
+        return matchpar
+
+    def failing(self, vec: int, matchpar) -> bool:
+        """Whether the span point ``vec`` fails this side's judge bits."""
+        n0, n1 = len(self.cells[0]), len(self.cells[1])
+        m0 = (vec & ((1 << n0) - 1)) ^ self.base_masks[0]
+        m1 = ((vec >> n0) & ((1 << n1) - 1)) ^ self.base_masks[1]
+        par = (vec >> (n0 + n1)) ^ self.base_par
+        par ^= (matchpar(0, m0) & 0b0011) ^ ((matchpar(1, m1) << 2) & 0b1100)
+        return bool(par & self.par_mask)
 
 
 def _effect_parts(lat: ToricLattice, events, fx, fz) -> list[tuple[list, list, int]]:
@@ -430,7 +429,7 @@ def _packed(sizes: list[int], cap: int):
 
 
 def _leak_setups(compiled: CompiledProgram, specs: list[FaultSpec]):
-    """Per leak spec: ``(spec, slots, generators, factorized, problems)``.
+    """Per leak spec: ``(spec, problems)``, the span sides of its consequences.
 
     The baselines of ``_CHUNK_ROWS`` specs share one replay batch; their
     unit-effect generators are then replayed a few whole specs at a time, in
@@ -461,12 +460,12 @@ def _leak_setups(compiled: CompiledProgram, specs: list[FaultSpec]):
             for k in members:
                 parts = unit_parts[first : first + len(generators[k])]
                 first += len(generators[k])
-                yield (group[k], tuple(traces[k]), generators[k]) + _span_problems(parts, base_parts[k])
+                yield group[k], _span_problems(parts, base_parts[k])
 
 
-def _span_problems(effects: list, base_parts) -> tuple[bool, list[_SpanProblem]]:
+def _span_problems(effects: list, base_parts) -> list[_SpanProblem]:
     """GF(2) span problems of one leak: one per check-type side when every
-    unit effect is single-sided (``factorized``), else one joint problem."""
+    unit effect is single-sided, else one joint problem."""
 
     def side_of(parts) -> int:
         star = bool(parts[0]) or parts[2] & 0b0011
@@ -474,9 +473,8 @@ def _span_problems(effects: list, base_parts) -> tuple[bool, list[_SpanProblem]]
         return (1 if star else 0) | (2 if plaq else 0)
 
     sides = [side_of(parts) for parts in effects]
-    factorized = all(s != 3 for s in sides)
 
-    def build_problem(members: list[int]) -> _SpanProblem:
+    def build_problem(members: list[int], par_mask: int) -> _SpanProblem:
         cell_sets: tuple[set, set] = (set(base_parts[0]), set(base_parts[1]))
         for gi in members:
             cell_sets[0].update(effects[gi][0])
@@ -484,135 +482,51 @@ def _span_problems(effects: list, base_parts) -> tuple[bool, list[_SpanProblem]]
         cells0, cells1 = sorted(cell_sets[0]), sorted(cell_sets[1])
         index0 = {cell: i for i, cell in enumerate(cells0)}
         index1 = {cell: i for i, cell in enumerate(cells1)}
-        vecs = []
-        for gi in members:
-            vec = _pack(effects[gi], index0, index1, effects[gi][2])
-            vecs.append((vec, 1 << gi))
         n0, n1 = len(cells0), len(cells1)
         base_vec = _pack(base_parts, index0, index1, 0)
         return _SpanProblem(
             cells=(cells0, cells1),
             base_masks=(base_vec & ((1 << n0) - 1), (base_vec >> n0) & ((1 << n1) - 1)),
             base_par=base_parts[2],
-            basis=_gf2_basis(vecs),
+            basis=_gf2_basis([_pack(effects[gi], index0, index1, effects[gi][2]) for gi in members]),
+            par_mask=par_mask,
         )
 
-    if factorized:
-        star_members = [i for i, s in enumerate(sides) if s == 1]
-        plaq_members = [i for i, s in enumerate(sides) if s == 2]
-        return True, [build_problem(star_members), build_problem(plaq_members)]
-    return False, [build_problem(list(range(len(effects))))]
+    if all(s != 3 for s in sides):
+        return [
+            build_problem([i for i, s in enumerate(sides) if s == 1], 0b0011),
+            build_problem([i for i, s in enumerate(sides) if s == 2], 0b1100),
+        ]
+    return [build_problem(list(range(len(effects))), 0b1111)]
 
 
-def _span_points(prob: _SpanProblem, exhaustive: bool, sample_count: int, seed: list[int]):
-    """``(vector, provenance)`` of span points: every nonzero point in
-    Gray-code order, or ``sample_count`` random basis combinations."""
+def _failing_points(decoder: Decoder, spec: FaultSpec, prob: _SpanProblem):
+    """The one leak judge: the failing bit of each span point of one side.
+
+    An exact side yields the zero point and then every other point in
+    Gray-code order; an over-budget side yields ``SAMPLE_COUNT`` random basis
+    combinations, seeded by the spec and the side's rank.
+    """
+    matchpar = prob.matcher(decoder)
     basis = prob.basis
-    acc_vec = acc_prov = 0
-    if exhaustive:
+    if prob.exact:
+        vec = 0
+        yield prob.failing(vec, matchpar)
         for k in range(1, 1 << len(basis)):
-            j = (k & -k).bit_length() - 1
-            acc_vec ^= basis[j][0]
-            acc_prov ^= basis[j][1]
-            yield acc_vec, acc_prov
+            vec ^= basis[(k & -k).bit_length() - 1]
+            yield prob.failing(vec, matchpar)
         return
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
-    for _ in range(sample_count):
+    rng = np.random.default_rng(np.random.SeedSequence([spec.gate_index, spec.victim, len(basis), 1]))
+    for _ in range(SAMPLE_COUNT):
         bits = rng.integers(0, 2, size=len(basis))
-        acc_vec = acc_prov = 0
+        vec = 0
         for j in range(len(basis)):
             if bits[j]:
-                acc_vec ^= basis[j][0]
-                acc_prov ^= basis[j][1]
-        yield acc_vec, acc_prov
+                vec ^= basis[j]
+        yield prob.failing(vec, matchpar)
 
 
-def analyze_leak(
-    compiled: CompiledProgram,
-    spec: FaultSpec,
-    span_budget_bits: int = SPAN_BUDGET_BITS,
-    cell_cap: int = CELL_CAP,
-    sample_count: int = SAMPLE_COUNT,
-) -> LeakAnalysis:
-    """Worst-case verdict for one leak location, exact unless flagged."""
-    setup = next(_leak_setups(compiled, [spec]))
-    return _judge_leak(compiled.lattice, setup, span_budget_bits, cell_cap, sample_count)
-
-
-def _judge_leak(
-    lat: ToricLattice,
-    setup: tuple,
-    span_budget_bits: int = SPAN_BUDGET_BITS,
-    cell_cap: int = CELL_CAP,
-    sample_count: int = SAMPLE_COUNT,
-) -> LeakAnalysis:
-    """``analyze_leak``'s verdict, from one of ``_leak_setups``' results."""
-    spec, slots, generators, factorized, problems = setup
-    failed = False
-    witness_prov: int | None = None
-    witness_defects = 1 << 30
-    exhaustive = True
-
-    for prob in problems:
-        matchpar, use_dp = prob.matcher(lat, span_budget_bits, cell_cap)
-        exhaustive &= use_dp
-        seed = [spec.gate_index, spec.victim, len(prob.basis)]
-
-        def judge(acc_vec: int, acc_prov: int) -> None:
-            nonlocal failed, witness_prov, witness_defects
-            m0, m1, par = prob.judged(acc_vec, matchpar)
-            if par:
-                failed = True
-                n_def = m0.bit_count() + m1.bit_count()
-                if n_def < witness_defects:
-                    witness_defects = n_def
-                    witness_prov = acc_prov
-
-        judge(0, 0)
-        for acc_vec, acc_prov in _span_points(prob, use_dp, sample_count, seed):
-            judge(acc_vec, acc_prov)
-            if failed and witness_defects <= _SMALL_WITNESS:
-                break
-        if failed and witness_defects <= _SMALL_WITNESS:
-            break
-
-    witness = None
-    if witness_prov is not None:
-        merged: dict = {}
-        for i, gen in enumerate(generators):
-            if witness_prov >> i & 1:
-                slot, choice = gen
-                merged[slot] = _merge_choice(merged.get(slot), choice)
-        witness = replace(spec, assignment=tuple(sorted(merged.items())))
-
-    return LeakAnalysis(
-        spec=spec,
-        slots=slots,
-        rank_star=len(problems[0].basis),
-        rank_plaq=len(problems[-1].basis),  # the joint problem serves both sides
-        exhaustive=exhaustive,
-        failed=failed,
-        witness=witness,
-    )
-
-
-def _merge_choice(current, choice):
-    if current is None:
-        return choice
-    if {current, choice} == {"X", "Z"}:
-        return "Y"
-    if {current, choice} == {"x", "z"}:
-        return "y"
-    raise ValueError(f"cannot merge outcome choices {current!r} and {choice!r}")
-
-
-def leak_failure_fraction(
-    compiled: CompiledProgram,
-    spec: FaultSpec,
-    span_budget_bits: int = SPAN_BUDGET_BITS,
-    cell_cap: int = CELL_CAP,
-    sample_count: int = SAMPLE_COUNT,
-) -> tuple[float, bool]:
+def leak_failure_fraction(compiled: CompiledProgram, spec: FaultSpec) -> tuple[float, bool]:
     """Exact P(logical failure | this leak fires) under uniform draws.
 
     Every consequence draw resolves to independent uniform bits (a partner
@@ -623,25 +537,13 @@ def leak_failure_fraction(
     combining as 1 - (1-q_star)(1-q_plaq).  Returns ``(fraction, exact)``;
     an over-budget side falls back to a sampled estimate with exact=False.
     """
-    lat = compiled.lattice
-    _, _, _, factorized, problems = next(_leak_setups(compiled, [spec]))
-
-    exact = True
+    _, problems = next(_leak_setups(compiled, [spec]))
+    decoder = Decoder(compiled.lattice)
     survive = 1.0
-    for pi, prob in enumerate(problems):
-        par_mask = (0b0011, 0b1100)[pi] if factorized else 0b1111
-        matchpar, use_dp = prob.matcher(lat, span_budget_bits, cell_cap)
-        exact &= use_dp
-        seed = [spec.gate_index, spec.victim, len(prob.basis), 1]
-        points = _span_points(prob, use_dp, sample_count, seed)
-        if use_dp:
-            points = chain([(0, 0)], points)
-        failing = sum(
-            bool(prob.judged(acc_vec, matchpar)[2] & par_mask) for acc_vec, _ in points
-        )
-        total = 1 << len(prob.basis) if use_dp else sample_count
-        survive *= 1.0 - failing / total
-    return 1.0 - survive, exact
+    for prob in problems:
+        bits = list(_failing_points(decoder, spec, prob))
+        survive *= 1.0 - sum(bits) / len(bits)
+    return 1.0 - survive, all(prob.exact for prob in problems)
 
 
 # ---------------------------------------------------------------------------
@@ -653,8 +555,6 @@ def scan(
     universe: list[FaultSpec] | None = None,
     decoder: Decoder | None = None,
     max_faults: int = 1,
-    pair_cap: int = PAIR_CAP,
-    span_budget_bits: int = SPAN_BUDGET_BITS,
 ) -> ScanVerdict:
     """Judge every spec in the universe with all other noise off."""
     if max_faults not in (1, 2):
@@ -665,9 +565,9 @@ def scan(
 
     pauli_specs = [s for s in universe if s.kind in ("pauli", "meas_flip")]
     leak_specs = [s for s in universe if s.kind == "leak"]
-    if max_faults == 2 and len(pauli_specs) > pair_cap:
+    if max_faults == 2 and len(pauli_specs) > PAIR_CAP:
         raise ValueError(
-            f"pair scanning capped at {pair_cap} single-fault specs, "
+            f"pair scanning capped at {PAIR_CAP} single-fault specs, "
             f"got {len(pauli_specs)}; pass a restricted universe"
         )
 
@@ -680,14 +580,13 @@ def scan(
         if max_faults == 2:
             cached.append((res.syndromes, res.data_x, res.data_z))
 
-    leak_failures: list[LeakAnalysis] = []
+    leak_failures: list[FaultSpec] = []
     sampled: list[FaultSpec] = []
-    for setup in _leak_setups(compiled, leak_specs):
-        analysis = _judge_leak(compiled.lattice, setup, span_budget_bits=span_budget_bits)
-        if analysis.failed:
-            leak_failures.append(analysis)
-        if not analysis.exhaustive:
-            sampled.append(setup[0])
+    for spec, problems in _leak_setups(compiled, leak_specs):
+        if any(any(_failing_points(decoder, spec, prob)) for prob in problems):
+            leak_failures.append(spec)
+        if not all(prob.exact for prob in problems):
+            sampled.append(spec)
 
     pair_failures: list[tuple[FaultSpec, FaultSpec]] = []
     n_pairs = 0
@@ -730,7 +629,7 @@ def verdict_to_text(compiled: CompiledProgram, verdict: ScanVerdict) -> str:
         f"leak_failing={len(verdict.leak_failures)}",
     ]
     groups: dict[tuple, list[int]] = {}
-    for spec in verdict.pauli_failures + verdict.failing_leak_specs:
+    for spec in verdict.pauli_failures + verdict.leak_failures:
         loc = spec_location(compiled, spec)
         key = (loc.fault, loc.kind, loc.ordinal, loc.role, loc.phase)
         groups.setdefault(key, []).append(loc.round)

@@ -191,7 +191,7 @@ def test_criterion_08a_standard_failing_leaks_sit_at_known_locations():
                        p_init_leak=1e-3)
     compiled, verdict = _scan("standard", noise)
     assert verdict.exhaustive
-    failing = verdict.failing_leak_specs
+    failing = verdict.leak_failures
     assert len(failing) == 135, f"{len(failing)} failing leak specs"
     for spec in failing:
         loc = spec_location(compiled, spec)

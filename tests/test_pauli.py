@@ -12,10 +12,7 @@ from toricleak.pauli import (
     PAULI1_ERRORS,
     PAULI2_ERRORS,
     PAULI_BY_NAME,
-    Frame,
     batch_uniforms,
-    commutes,
-    pauli_mul,
     propagate_cnot,
     propagate_h,
     propagate_swap,
@@ -84,16 +81,15 @@ def _identify_pauli(mat: np.ndarray, n: int) -> str:
     raise AssertionError("conjugation result is not a Pauli")
 
 
-def _frame_from_labels(labels: str) -> Frame:
-    f = Frame.zeros(len(labels))
-    for q, c in enumerate(labels):
-        f.set_pauli(q, PAULI_BY_NAME[c])
-    return f
+def _frame_from_labels(labels: str) -> tuple[np.ndarray, np.ndarray]:
+    """The (x, z) bit vectors of a Pauli string."""
+    x, z = zip(*(PAULI_BY_NAME[c] for c in labels))
+    return np.array(x, dtype=np.uint8), np.array(z, dtype=np.uint8)
 
 
-def _labels_from_frame(f: Frame) -> str:
+def _labels_from_frame(x: np.ndarray, z: np.ndarray) -> str:
     names = {(0, 0): "I", (1, 0): "X", (1, 1): "Y", (0, 1): "Z"}
-    return "".join(names[f.pauli_at(q)] for q in range(len(f.x)))
+    return "".join(names[int(a), int(b)] for a, b in zip(x, z))
 
 
 _GATES = [
@@ -118,27 +114,14 @@ def test_propagation_matches_unitary_conjugation(name, gate, qubits):
     for labels in itertools.product("IXYZ", repeat=n):
         labels = "".join(labels)
         expected = _identify_pauli(u @ _pauli_matrix(labels) @ u.conj().T, n)
-        f = _frame_from_labels(labels)
+        x, z = _frame_from_labels(labels)
         if name == "H":
-            propagate_h(f.x, f.z, qubits[0])
+            propagate_h(x, z, qubits[0])
         elif name == "CNOT":
-            propagate_cnot(f.x, f.z, qubits[0], qubits[1])
+            propagate_cnot(x, z, qubits[0], qubits[1])
         else:
-            propagate_swap(f.x, f.z, qubits[0], qubits[1])
-        assert _labels_from_frame(f) == expected, f"{name}{qubits} on {labels}"
-
-
-def test_pauli_mul_examples():
-    X, Z, Y, I = PAULI_BY_NAME["X"], PAULI_BY_NAME["Z"], PAULI_BY_NAME["Y"], PAULI_BY_NAME["I"]
-    assert pauli_mul(X, X) == I
-    assert pauli_mul(X, Z) == Y
-    assert pauli_mul(I, Y) == Y
-
-
-def test_commutation():
-    X, Z, Y, I = PAULI_BY_NAME["X"], PAULI_BY_NAME["Z"], PAULI_BY_NAME["Y"], PAULI_BY_NAME["I"]
-    assert commutes(I, X) and commutes(X, X) and commutes(Y, Y)
-    assert not commutes(X, Z) and not commutes(X, Y) and not commutes(Y, Z)
+            propagate_swap(x, z, qubits[0], qubits[1])
+        assert _labels_from_frame(x, z) == expected, f"{name}{qubits} on {labels}"
 
 
 def test_error_orders():
@@ -148,9 +131,9 @@ def test_error_orders():
 
 
 def test_cnot_rejects_equal_qubits():
-    f = Frame.zeros(2)
+    x, z = np.zeros(2, dtype=np.uint8), np.zeros(2, dtype=np.uint8)
     with pytest.raises(ValueError):
-        propagate_cnot(f.x, f.z, 1, 1)
+        propagate_cnot(x, z, 1, 1)
 
 
 @given(st.integers(2, 6), st.data())

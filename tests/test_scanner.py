@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
@@ -234,3 +235,59 @@ def test_scan_does_not_depend_on_replay_chunk_size(monkeypatch):
         assert verdict.pauli_failures == reference.pauli_failures
         assert verdict.leak_failures == reference.leak_failures
         assert verdict_to_text(compiled, verdict) == verdict_to_text(compiled, reference)
+
+
+@pytest.mark.parametrize("case", ["exhaustive", "sampled"])
+def test_scan_verdict_agrees_with_failure_fraction(case, monkeypatch):
+    """The scan fails a leak spec exactly when its failure fraction is
+    positive, on exact spans and on spans forced over the budget."""
+    if case == "exhaustive":
+        compiled, verdict = _doc_scan("standard")
+        specs = [s for s in enumerate_fault_universe(compiled) if s.kind == "leak"][::3]
+    else:
+        monkeypatch.setattr(scanner, "SPAN_BUDGET_BITS", 3)
+        compiled = _compiled("standard", rounds=2)
+        specs = [s for s in enumerate_fault_universe(compiled) if s.kind == "leak"][::5]
+        verdict = scan(compiled, universe=specs, decoder=Decoder(compiled.lattice))
+        assert verdict.sampled
+        assert "exhaustive=0" in verdict_to_text(compiled, verdict).splitlines()
+    failing, sampled = set(verdict.leak_failures), set(verdict.sampled)
+    for spec in specs:
+        fraction, exact = leak_failure_fraction(compiled, spec)
+        assert exact == (spec not in sampled)
+        assert (spec in failing) == (fraction > 0), spec
+
+
+def _leak_slot(compiled, tag):
+    """The first leak spec with a consequence slot of kind ``tag``, and that slot."""
+    for spec in enumerate_fault_universe(compiled):
+        if spec.kind == "leak":
+            slot = next((s for s in leak_consequences(compiled, spec)[1] if s[0] == tag), None)
+            if slot is not None:
+                return spec, slot
+    raise AssertionError(f"no leak spec opens a {tag} slot")
+
+
+_VALID_CHOICE = {"pair": "Y", "measbit": 1, "readout": "y"}
+
+
+@pytest.mark.parametrize("tag,choices", [
+    ("pair", ["x"]), ("pair", ["W"]), ("pair", ["I"]), ("pair", ["X", "Z"]),
+    ("measbit", [2]), ("measbit", ["1"]),
+    ("readout", ["q"]), ("readout", ["Y"]), ("readout", ["x", "z"]),
+], ids=["pair-x", "pair-W", "pair-I", "pair-twice", "measbit-2", "measbit-str",
+        "readout-q", "readout-Y", "readout-twice"])
+def test_bad_assignments_are_rejected(tag, choices):
+    """A choice outside its slot's outcomes, or a slot listed twice, is an
+    error rather than a silent replay."""
+    compiled = _compiled("standard")
+    spec, slot = _leak_slot(compiled, tag)
+    bad = replace(spec, assignment=tuple((slot, c) for c in choices))
+    with pytest.raises(ValueError):
+        replay_spec(compiled, Decoder(compiled.lattice), bad)
+    with pytest.raises(ValueError):
+        residual_weight(compiled, bad)
+    good = replace(spec, assignment=((slot, _VALID_CHOICE[tag]),))
+    replay_spec(compiled, Decoder(compiled.lattice), good)
+    residual_weight(compiled, good)
+
