@@ -1,15 +1,21 @@
 """Regenerate, or check, the versioned golden fixtures under tests/golden/.
 
-Two families:
+Three families:
   * circuit_<variant>_d3_r1.txt  -- one-round circuit text dumps
   * scan_<variant>_d3.txt        -- single-fault scan reports at d=3,
     rounds=3, with the documentary policy (two-sided leakage at every
     site, p = p_leak = p_init_leak = 1e-3); matches the CLI defaults of
     ``toricleak scan``.
+  * sweep_mixed_lrc_d3_seed7.csv -- a Monte-Carlo sweep CSV (mixed_lrc,
+    d=3, four p, 2500 shots each, master seed 7), which pins the decoder's
+    verdicts on stochastic shots; only ``--which all`` builds it.
 
-Run from the repository root:
+Run from any directory:
   python3 scripts/make_goldens.py [--which all]          # rewrite fixtures
   python3 scripts/make_goldens.py --check [--which all]  # diff, write nothing
+
+The package is imported from ``src/`` of this checkout, so no install is
+needed.
 
 ``--check`` rebuilds every selected fixture in memory, prints a unified diff
 for each one that differs from its file, and exits 1 on any mismatch.
@@ -21,14 +27,20 @@ import difflib
 import sys
 from pathlib import Path
 
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+
 from toricleak.circuits import VARIANTS, build_program, program_to_text
 from toricleak.cli import SCAN_INIT_LEAK, SCAN_P, SCAN_R
 from toricleak.decoder import Decoder
+from toricleak.experiments import ExperimentConfig, rows_to_csv, run_sweep
 from toricleak.noise import NoiseModel
 from toricleak.scanner import scan, verdict_to_text
 from toricleak.sim import compile_program
 
-GOLDEN = Path(__file__).resolve().parent.parent / "tests" / "golden"
+GOLDEN = ROOT / "tests" / "golden"
+SWEEP = ExperimentConfig(variant="mixed_lrc", d=(3,), p=(1e-3, 2e-3, 3e-3, 5e-3), r=1.0,
+                         shots=2500, master_seed=7)
 
 
 def circuits() -> dict[Path, str]:
@@ -46,6 +58,10 @@ def scans() -> dict[Path, str]:
         verdict = scan(compiled, decoder=Decoder(compiled.lattice), max_faults=1)
         out[GOLDEN / f"scan_{variant}_d3.txt"] = verdict_to_text(compiled, verdict)
     return out
+
+
+def sweeps() -> dict[Path, str]:
+    return {GOLDEN / "sweep_mixed_lrc_d3_seed7.csv": rows_to_csv(run_sweep(SWEEP, workers=1))}
 
 
 def check(fixtures: dict[Path, str]) -> int:
@@ -75,6 +91,8 @@ def main() -> int:
         fixtures.update(circuits())
     if args.which in ("scans", "all"):
         fixtures.update(scans())
+    if args.which == "all":
+        fixtures.update(sweeps())
     if args.check:
         return check(fixtures)
     for path, text in fixtures.items():

@@ -7,30 +7,17 @@ distance + time separation, exactly: a bitmask dynamic program for up to 10
 defects, an exact blossom matching (networkx) beyond that.  Matched pairs are
 repaired along deterministic shortest torus paths, rows before columns,
 wrapping toward the shorter side (odd distance leaves no axis ties).
+The decoder returns verdicts, not corrections: ``Decoder.parities`` is the
+one crossing-parity rule that the Monte-Carlo judge and the scanner read.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from .lattice import ToricLattice
 
 _DP_LIMIT = 10  # subset DP below, blossom matching above
-
-
-def extract_events(syndromes: np.ndarray) -> np.ndarray:
-    """XOR of consecutive syndrome rows, starting from the zero baseline."""
-    events = syndromes.copy()
-    events[1:] ^= syndromes[:-1]
-    return events
-
-
-def event_defects(events: np.ndarray, check_type: int) -> tuple[tuple[int, int], ...]:
-    """Sorted (t, site) defects of one check type."""
-    times, sites = np.nonzero(events[:, check_type, :])
-    return tuple(sorted(zip(times.tolist(), sites.tolist())))
 
 
 def _pair_weight(lat: ToricLattice, a: tuple[int, int], b: tuple[int, int]) -> int:
@@ -152,63 +139,62 @@ def path_edges(lat: ToricLattice, check_type: int, s1: int, s2: int) -> list[int
     return edges
 
 
-@dataclass
-class DecodeOutcome:
-    judge: np.ndarray  # 4 parity bits of the corrected readout frame
-    corrected_x: np.ndarray
-    corrected_z: np.ndarray
-
-    @property
-    def failure(self) -> bool:
-        return bool(self.judge.any())
-
-
 class Decoder:
-    """Caches spatial corrections per defect configuration."""
+    """Judges shots by the logical-crossing parities of their matchings.
+
+    A correction flips a logical parity exactly when an odd number of its
+    repair paths cross that logical's support, so a shot's verdict is its raw
+    readout parities XOR those crossings; no correction frame is built.
+    """
 
     def __init__(self, lat: ToricLattice):
         self.lat = lat
+        # star repairs flip X frames, read by the Z logicals; plaquette repairs Z, by X
+        self._crossed = tuple(tuple(map(frozenset, ls)) for ls in (lat.z_logicals, lat.x_logicals))
+        self._pair_cache: dict = {}
         self._cache: dict = {}
 
-    def correction(self, check_type: int, defects: tuple[tuple[int, int], ...]) -> np.ndarray:
+    def pair_parity(self, check_type: int, s1: int, s2: int) -> int:
+        """The two logical-crossing parities of the repair path between two sites."""
+        key = (check_type, s1, s2)
+        if key not in self._pair_cache:
+            path = path_edges(self.lat, check_type, s1, s2)
+            self._pair_cache[key] = sum((sum(e in support for e in path) & 1) << bit
+                                        for bit, support in enumerate(self._crossed[check_type]))
+        return self._pair_cache[key]
+
+    def parities(self, check_type: int, defects: tuple[tuple[int, int], ...]) -> int:
+        """Crossing parities of the matching of one check type's sorted (t, site)
+        defects: judge bits 0-1 for stars, 2-3 for plaquettes."""
         key = (check_type, defects)
         hit = self._cache.get(key)
-        if hit is not None:
-            return hit
-        flips = np.zeros(self.lat.n_data, dtype=np.uint8)
-        for a, b in match_defects(self.lat, defects):
-            for e in path_edges(self.lat, check_type, a[1], b[1]):
-                flips[e] ^= 1
-        self._cache[key] = flips
-        return flips
-
-    def decode(self, syndromes: np.ndarray, data_x: np.ndarray, data_z: np.ndarray) -> DecodeOutcome:
-        events = extract_events(syndromes)
-        corrected_x = data_x ^ self.correction(0, event_defects(events, 0))
-        corrected_z = data_z ^ self.correction(1, event_defects(events, 1))
-        return DecodeOutcome(
-            judge=self.lat.logical_parities(corrected_x, corrected_z),
-            corrected_x=corrected_x,
-            corrected_z=corrected_z,
-        )
+        if hit is None:
+            hit = 0
+            for a, b in match_defects(self.lat, defects):
+                hit ^= self.pair_parity(check_type, a[1], b[1])
+            self._cache[key] = hit
+        return hit
 
     def judge_batch(self, syndromes: np.ndarray, data_x: np.ndarray, data_z: np.ndarray) -> np.ndarray:
-        """Per-shot judge bits for a stacked batch."""
-        n_shots = syndromes.shape[0]
-        out = np.zeros((n_shots, 4), dtype=np.uint8)
-        # shots with no events need no matching: the raw frame already has
-        # zero syndrome and its parities are the verdict
-        has_events = extract_events_batch(syndromes).any(axis=(1, 2, 3))
-        raw = self.lat.logical_parities(data_x, data_z)
-        for shot in range(n_shots):
-            if has_events[shot]:
-                out[shot] = self.decode(syndromes[shot], data_x[shot], data_z[shot]).judge
-            else:
-                out[shot] = raw[shot]
-        return out
+        """Per-shot judge bits (X_L1, X_L2, Z_L1, Z_L2) for a stacked batch."""
+        judge = self.lat.logical_parities(data_x, data_z)
+        # defects in (shot, check type, t, site) order: each (shot, check
+        # type) is one contiguous run, already sorted by (t, site)
+        events = extract_events_batch(syndromes).transpose(0, 2, 1, 3)
+        shots, types, times, sites = np.nonzero(events)
+        starts = np.flatnonzero(np.diff(shots * 2 + types, prepend=-1))
+        bounds = np.append(starts, len(shots)).tolist()
+        cells = list(zip(times.tolist(), sites.tolist()))
+        run_shots, run_types = shots[starts], types[starts]
+        runs = zip(run_types.tolist(), bounds, bounds[1:])
+        par = np.array([self.parities(ct, tuple(cells[a:b])) for ct, a, b in runs], dtype=np.uint8)
+        judge[run_shots, 2 * run_types] ^= par & 1
+        judge[run_shots, 2 * run_types + 1] ^= par >> 1
+        return judge
 
 
 def extract_events_batch(syndromes: np.ndarray) -> np.ndarray:
+    """Per shot, the XOR of consecutive syndrome rows from the zero baseline."""
     events = syndromes.copy()
     events[:, 1:] ^= syndromes[:, :-1]
     return events

@@ -423,9 +423,11 @@ def fit_report(fits: list[FitResult]) -> str:
 
 
 def compare_variants(rows_a: list[SweepRow], rows_b: list[SweepRow]) -> str:
-    """Per-p ordering report; significance = disjoint 95% Wilson intervals."""
+    """Per-p ordering of two one-series tables; significance = disjoint 95% Wilson intervals."""
     by_p_a = {r.p: r for r in rows_a}
     by_p_b = {r.p: r for r in rows_b}
+    if len(by_p_a) < len(rows_a) or len(by_p_b) < len(rows_b):
+        raise ConfigError("a compared table has more than one row per p")
     if sorted(by_p_a) != sorted(by_p_b):
         raise ConfigError("compared tables have mismatched p grids")
     name_a = rows_a[0].variant if rows_a else "a"

@@ -26,13 +26,14 @@ decoder also treats independently, so each side is enumerated on its own.
 Within one side the failure verdict only depends on the event cells hit and
 the two logical parities of the frame, which keeps ranks small; matchings
 for all event subsets come from the production matcher's subset dynamic
-program, so pivot and tie-break agree with it.
+program, so pivot and tie-break agree with it, and each matching is judged
+by the decoder's own rule, the XOR of ``Decoder.pair_parity`` over its pairs.
 
 One judge serves both questions asked of a leak: ``_failing_points`` yields
 the failing bit of each span point of a side.  ``scan`` fails the spec at
 its first failing point; ``leak_failure_fraction`` counts them.  A side
 over ``SPAN_BUDGET_BITS`` or ``CELL_CAP`` is judged on ``SAMPLE_COUNT``
-seeded random points by the production decoder instead, and the spec is
+seeded random points by ``Decoder.parities`` instead, and the spec is
 reported as sampled rather than exact.
 
 Pair scanning (``max_faults=2``) composes cached Pauli-spec effects, which
@@ -43,12 +44,11 @@ worst-case assignment already spans multi-error combinations.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from functools import cache
 
 import numpy as np
 
 from .circuits import CNOT, H, IDLE, MEAS_X, MEAS_Z, PREP_X, PREP_Z, SWAP
-from .decoder import Decoder, _subset_dp, extract_events_batch, path_edges
+from .decoder import Decoder, _pair_weight, _subset_dp, extract_events_batch
 from .lattice import ToricLattice
 from .pauli import (
     PAULI1_ERRORS,
@@ -244,9 +244,12 @@ def leak_consequences(compiled: CompiledProgram, spec: FaultSpec):
 
 
 def _check_assignment(compiled: CompiledProgram, spec: FaultSpec) -> None:
-    """Reject assignments with a slot that the spec's leak does not open up,
-    a slot listed twice, or a choice outside its slot's outcomes."""
-    if spec.kind == "leak" and spec.assignment:
+    """Reject assignments on a non-leak spec, with a slot that the spec's
+    leak does not open up, a slot listed twice, or a choice outside its
+    slot's outcomes."""
+    if spec.assignment and spec.kind != "leak":
+        raise ValueError(f"a {spec.kind} spec takes no assignment")
+    if spec.assignment:
         _, slots = leak_consequences(compiled, spec)
         listed = [slot for slot, _ in spec.assignment]
         if len(set(listed)) < len(listed):
@@ -260,10 +263,11 @@ def _check_assignment(compiled: CompiledProgram, spec: FaultSpec) -> None:
 
 
 def replay_spec(compiled: CompiledProgram, decoder: Decoder, spec: FaultSpec):
-    """Run a fully specified spec and decode it (other noise off)."""
+    """Run a fully specified spec (other noise off); return the shot and its
+    4 judge bits."""
     _check_assignment(compiled, spec)
     res = run_shot(compiled, script=script_for(compiled, spec))
-    return res, decoder.decode(res.syndromes, res.data_x, res.data_z)
+    return res, decoder.judge_batch(res.syndromes[None], res.data_x[None], res.data_z[None])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -284,39 +288,19 @@ def _gf2_basis(vecs: list[int]) -> list[int]:
     return list(by_lead.values())
 
 
-def _logical_sets(lat: ToricLattice, check_type: int) -> tuple[frozenset, frozenset]:
-    logicals = lat.z_logicals if check_type == 0 else lat.x_logicals
-    return frozenset(logicals[0]), frozenset(logicals[1])
-
-
-def _path_parity(lat: ToricLattice, check_type: int, sets, s1: int, s2: int) -> int:
-    """The two logical-crossing parities of the repair path between two sites."""
-    path = path_edges(lat, check_type, s1, s2)
-    return (sum(e in sets[0] for e in path) & 1) | ((sum(e in sets[1] for e in path) & 1) << 1)
-
-
 class _PairMatcher:
     """Minimum-weight matchings for every even subset of fixed event cells.
 
     One subset DP serves all assignments of a leak location.  It is the
     production matcher's DP, so pivot and tie-break agree on their shared
-    range, and the walk returns only what the verdict needs: the two
-    logical-crossing parities of the correction.
+    range, and the walk returns the decoder's verdict rule: the XOR of
+    ``Decoder.pair_parity`` over the matched pairs.
     """
 
-    def __init__(self, lat: ToricLattice, check_type: int, cells: list[tuple[int, int]]):
-        self.cells = cells
-        n = len(cells)
-        sets = _logical_sets(lat, check_type)
-        w = [[0] * n for _ in range(n)]
-        pairpar = [[0] * n for _ in range(n)]
-        for i in range(n):
-            for j in range(i + 1, n):
-                (t1, s1), (t2, s2) = cells[i], cells[j]
-                w[i][j] = w[j][i] = lat.torus_distance(s1, s2) + abs(t1 - t2)
-                pairpar[i][j] = pairpar[j][i] = _path_parity(lat, check_type, sets, s1, s2)
-        self._pairpar = pairpar
-        self._choice = _subset_dp(w)
+    def __init__(self, decoder: Decoder, check_type: int, cells: list[tuple[int, int]]):
+        self._choice = _subset_dp([[_pair_weight(decoder.lat, a, b) for b in cells] for a in cells])
+        # read as [pivot][partner], the pivot the lower index, as the decoder orders pairs
+        self._pairpar = [[decoder.pair_parity(check_type, a, b) for _, b in cells] for _, a in cells]
         self._memo: dict[int, int] = {0: 0}
 
     def match_parities(self, mask: int) -> int:
@@ -353,20 +337,12 @@ class _SpanProblem:
 
     def matcher(self, decoder: Decoder):
         """Correction parities per (check type, event mask): from the subset
-        DP when the side is exact, else from the production decoder."""
-        lat = decoder.lat
+        DP when the side is exact, else from ``Decoder.parities``."""
         if self.exact:
-            matchers = (_PairMatcher(lat, 0, self.cells[0]), _PairMatcher(lat, 1, self.cells[1]))
+            matchers = [_PairMatcher(decoder, ct, cells) for ct, cells in enumerate(self.cells)]
             return lambda ct, mask: matchers[ct].match_parities(mask)
-
-        @cache  # one parity read per distinct mask; the decoder caches corrections
-        def matchpar(ct: int, mask: int) -> int:
-            cells = self.cells[ct]
-            flips = decoder.correction(ct, tuple(cells[j] for j in range(len(cells)) if mask >> j & 1))
-            par = lat.logical_parities(flips, flips)  # bits 0-1 read X flips, 2-3 Z flips
-            return int(par[2 * ct]) | int(par[2 * ct + 1]) << 1
-
-        return matchpar
+        return lambda ct, mask: decoder.parities(
+            ct, tuple(c for j, c in enumerate(self.cells[ct]) if mask >> j & 1))
 
     def failing(self, vec: int, matchpar) -> bool:
         """Whether the span point ``vec`` fails this side's judge bits."""

@@ -111,6 +111,18 @@ def test_compare_mismatched_grids_is_exit_2(tmp_path):
     assert main(["compare", str(a), str(b)]) == 2
 
 
+def test_compare_table_with_two_distances_is_exit_2(tmp_path, capsys):
+    a = _quadratic_csv(tmp_path, "a.csv")
+    rows = [SweepRow("standard", d, d, p, 1.0, "two_sided", "all", 0.0,
+                     10**7, round(0.5 * p**2 * 10**7), 0)
+            for d in (3, 5) for p in (0.01, 0.02, 0.04, 0.08)]
+    b = tmp_path / "b.csv"
+    b.write_text(rows_to_csv(rows))
+    assert main(["compare", str(a), str(b)]) == 2
+    assert main(["compare", str(b), str(a)]) == 2
+    assert "config error" in capsys.readouterr().err
+
+
 def test_plot_data_writes_series_files(tmp_path, capsys):
     csv = _quadratic_csv(tmp_path)
     assert main(["plot-data", str(csv), "--out", str(tmp_path / "fig")]) == 0

@@ -1,4 +1,10 @@
-"""Decoder tests: exact matching oracle, correction soundness, hook physics."""
+"""Decoder tests: exact matching oracle, correction soundness, hook physics.
+
+The decoder judges shots from the logical-crossing parities of its matched
+pairs.  The tests keep the frame route as its reference: build each shot's
+correction frame from ``match_defects`` and ``path_edges``, apply it, and
+read the logical parities of the corrected frame.
+"""
 
 from __future__ import annotations
 
@@ -8,8 +14,6 @@ import pytest
 from toricleak.circuits import build_program
 from toricleak.decoder import (
     Decoder,
-    event_defects,
-    extract_events,
     extract_events_batch,
     match_defects,
     matching_weight,
@@ -20,7 +24,32 @@ from toricleak.decoder import (
 from toricleak.lattice import build_lattice
 from toricleak.noise import NULL_NOISE, NoiseModel
 from toricleak.sim import compile_program, run_shot
-from toricleak.vector import run_batch
+from toricleak.vector import execute, run_batch
+
+
+def _defects(events: np.ndarray, check_type: int) -> tuple[tuple[int, int], ...]:
+    """Sorted (t, site) defects of one check type in one shot's events."""
+    times, sites = np.nonzero(events[:, check_type, :])
+    return tuple(zip(times.tolist(), sites.tolist()))
+
+
+def _reference_frames(lat, syndromes, data_x, data_z):
+    """The frame route, per shot: corrected X and Z frames and their 4 judge
+    bits, from ``match_defects`` pairs repaired along ``path_edges``."""
+    corrected_x, corrected_z = data_x.copy(), data_z.copy()
+    for shot, events in enumerate(extract_events_batch(syndromes)):
+        for check_type, frame in ((0, corrected_x[shot]), (1, corrected_z[shot])):
+            for a, b in match_defects(lat, _defects(events, check_type)):
+                for e in path_edges(lat, check_type, a[1], b[1]):
+                    frame[e] ^= 1
+    return corrected_x, corrected_z, lat.logical_parities(corrected_x, corrected_z)
+
+
+def _judge_frames(compiled, frames_x=None, frames_z=None):
+    """Judge bits of noiseless shots seeded with one data frame per row."""
+    n_rows = len(frames_x if frames_x is not None else frames_z)
+    res = execute(compiled, n_rows, initial_x=frames_x, initial_z=frames_z)
+    return Decoder(compiled.lattice).judge_batch(res.syndromes, res.data_x, res.data_z)
 
 
 def _brute_min_weight(w: np.ndarray) -> int:
@@ -50,10 +79,10 @@ def test_extract_events_static_and_flipped():
     syn = np.zeros((4, 2, 9), dtype=np.uint8)
     syn[:, 0, 3] = 1  # defect present from round 0 on
     syn[1, 1, 5] = 1  # one-round blip: a measurement error
-    ev = extract_events(syn)
+    ev = extract_events_batch(syn[None])[0]
     assert ev[0, 0, 3] == 1 and not ev[1:, 0, 3].any()
     assert ev[1, 1, 5] == 1 and ev[2, 1, 5] == 1 and ev[0, 1, 5] == 0
-    assert event_defects(ev, 1) == ((1, 5), (2, 5))
+    assert _defects(ev, 1) == ((1, 5), (2, 5))
 
 
 @pytest.mark.parametrize(
@@ -141,28 +170,19 @@ def test_path_edges_flip_exactly_the_endpoints(d):
 @pytest.mark.parametrize("d", [3, 5])
 def test_every_single_data_error_is_corrected(d):
     compiled = compile_program(build_program("standard", d, 2), NULL_NOISE)
-    decoder = Decoder(compiled.lattice)
-    n_data = compiled.lattice.n_data
-    for e in range(n_data):
-        for as_x in (True, False):
-            frame = np.zeros(n_data, dtype=np.uint8)
-            frame[e] = 1
-            res = run_shot(compiled, initial_x=frame if as_x else None, initial_z=None if as_x else frame)
-            outcome = decoder.decode(res.syndromes, res.data_x, res.data_z)
-            assert not outcome.failure, (e, as_x)
+    singles = np.eye(compiled.lattice.n_data, dtype=np.uint8)
+    assert not _judge_frames(compiled, frames_x=singles).any()
+    assert not _judge_frames(compiled, frames_z=singles).any()
 
 
 def test_every_weight2_error_is_corrected_at_d5():
     compiled = compile_program(build_program("standard", 5, 2), NULL_NOISE)
-    decoder = Decoder(compiled.lattice)
     n_data = compiled.lattice.n_data
-    for e1 in range(n_data):
-        for e2 in range(e1 + 1, n_data):
-            frame = np.zeros(n_data, dtype=np.uint8)
-            frame[e1] = frame[e2] = 1
-            res = run_shot(compiled, initial_x=frame)
-            outcome = decoder.decode(res.syndromes, res.data_x, res.data_z)
-            assert not outcome.failure, (e1, e2)
+    e1, e2 = np.triu_indices(n_data, k=1)
+    frames = np.zeros((len(e1), n_data), dtype=np.uint8)
+    frames[np.arange(len(e1)), e1] = frames[np.arange(len(e1)), e2] = 1
+    failing = _judge_frames(compiled, frames_x=frames).any(axis=1)
+    assert not failing.any(), [(e1[k], e2[k]) for k in np.flatnonzero(failing)]
 
 
 def test_undetectable_logical_error_is_judged():
@@ -174,20 +194,51 @@ def test_undetectable_logical_error_is_judged():
         frame[lat.h(0, c)] = 1  # a full horizontal X logical: zero syndrome
     res = run_shot(compiled, initial_x=frame)
     assert not res.syndromes.any()
-    outcome = decoder.decode(res.syndromes, res.data_x, res.data_z)
-    np.testing.assert_array_equal(outcome.judge, [1, 0, 0, 0])
-    assert outcome.failure
+    judge = decoder.judge_batch(res.syndromes[None], res.data_x[None], res.data_z[None])[0]
+    np.testing.assert_array_equal(judge, [1, 0, 0, 0])
+    assert judge.any()
 
 
 def test_judge_batch_matches_per_shot_decode_and_handles_quiet_shots():
     noise = NoiseModel(p=0.04, r=1.0)
     compiled = compile_program(build_program("swap_lrc", 3, 3), noise)
-    decoder = Decoder(compiled.lattice)
+    lat = compiled.lattice
+    decoder = Decoder(lat)
     batch = run_batch(compiled, 77, 0, 150)
-    judges = decoder.judge_batch(batch.syndromes, batch.data_x, batch.data_z)
-    for shot in range(150):
-        ref = decoder.decode(batch.syndromes[shot], batch.data_x[shot], batch.data_z[shot])
-        np.testing.assert_array_equal(judges[shot], ref.judge)
+    # two event-free shots: a clean frame and an undetectable X logical
+    quiet_x = np.zeros((2, lat.n_data), dtype=np.uint8)
+    quiet_x[1, [lat.h(0, c) for c in range(3)]] = 1
+    syndromes = np.concatenate([batch.syndromes, np.zeros_like(batch.syndromes[:2])])
+    data_x = np.concatenate([batch.data_x, quiet_x])
+    data_z = np.concatenate([batch.data_z, np.zeros_like(quiet_x)])
+    judges = decoder.judge_batch(syndromes, data_x, data_z)
+    np.testing.assert_array_equal(judges[150:], [[0, 0, 0, 0], [1, 0, 0, 0]])
+    for shot in range(152):
+        one = slice(shot, shot + 1)
+        _, _, ref = _reference_frames(lat, syndromes[one], data_x[one], data_z[one])
+        np.testing.assert_array_equal(judges[shot], ref[0])
+
+
+@pytest.mark.parametrize(
+    "variant,d,noise,n_shots",
+    [
+        ("mixed_lrc", 3, NoiseModel(p=0.02, r=2.0, p_init_leak=0.02), 200),
+        ("standard", 5, NoiseModel(p=0.006, r=1.0), 60),
+    ],
+    ids=["d3", "d5"],
+)
+def test_judge_batch_equals_reference_frame_route(variant, d, noise, n_shots):
+    """Crossing parities and corrected frames give the same verdict bit for
+    bit, on both matcher routes (d=5 shots exceed the DP's 10 defects)."""
+    compiled = compile_program(build_program(variant, d, d), noise)
+    batch = run_batch(compiled, 2025, 0, n_shots)
+    judges = Decoder(compiled.lattice).judge_batch(batch.syndromes, batch.data_x, batch.data_z)
+    _, _, ref = _reference_frames(compiled.lattice, batch.syndromes, batch.data_x, batch.data_z)
+    np.testing.assert_array_equal(judges, ref)
+    assert ref.any(axis=1).any() and not ref.any(axis=1).all()
+    if d == 5:
+        defects = extract_events_batch(batch.syndromes).sum(axis=(1, 3))
+        assert (defects > 10).any()
 
 
 @pytest.mark.parametrize(
@@ -199,22 +250,23 @@ def test_judge_batch_matches_per_shot_decode_and_handles_quiet_shots():
 )
 def test_corrected_frame_has_zero_syndrome(variant, noise):
     compiled = compile_program(build_program(variant, 3, 3), noise)
-    decoder = Decoder(compiled.lattice)
     batch = run_batch(compiled, 13, 0, 120)
+    corrected_x, corrected_z, _ = _reference_frames(
+        compiled.lattice, batch.syndromes, batch.data_x, batch.data_z)
     for shot in range(120):
-        outcome = decoder.decode(batch.syndromes[shot], batch.data_x[shot], batch.data_z[shot])
-        z_syn, x_syn = compiled.lattice.syndrome_of(outcome.corrected_x, outcome.corrected_z)
+        z_syn, x_syn = compiled.lattice.syndrome_of(corrected_x[shot], corrected_z[shot])
         assert not z_syn.any() and not x_syn.any()
 
 
 def test_pure_measurement_error_needs_no_data_correction():
     lat = build_lattice(3)
     decoder = Decoder(lat)
-    syn = np.zeros((4, 2, 9), dtype=np.uint8)
-    syn[1, 0, 4] = 1  # single-round blip
-    outcome = decoder.decode(syn, np.zeros(18, dtype=np.uint8), np.zeros(18, dtype=np.uint8))
-    assert not outcome.corrected_x.any() and not outcome.corrected_z.any()
-    assert not outcome.failure
+    syn = np.zeros((1, 4, 2, 9), dtype=np.uint8)
+    syn[0, 1, 0, 4] = 1  # single-round blip
+    frames = np.zeros((1, 18), dtype=np.uint8)
+    corrected_x, corrected_z, _ = _reference_frames(lat, syn, frames, frames)
+    assert not corrected_x.any() and not corrected_z.any()
+    assert not decoder.judge_batch(syn, frames, frames).any()
 
 
 def test_collinear_adjacent_pair_wraps_into_a_logical_at_d3_only():
@@ -223,12 +275,9 @@ def test_collinear_adjacent_pair_wraps_into_a_logical_at_d3_only():
     for d, expect_failure in [(3, True), (5, False)]:
         compiled = compile_program(build_program("standard", d, 2), NULL_NOISE)
         lat = compiled.lattice
-        decoder = Decoder(lat)
-        frame = np.zeros(lat.n_data, dtype=np.uint8)
-        frame[lat.h(0, 0)] = frame[lat.h(0, 1)] = 1
-        res = run_shot(compiled, initial_x=frame)
-        outcome = decoder.decode(res.syndromes, res.data_x, res.data_z)
-        assert outcome.failure == expect_failure, d
+        frame = np.zeros((1, lat.n_data), dtype=np.uint8)
+        frame[0, lat.h(0, 0)] = frame[0, lat.h(0, 1)] = 1
+        assert _judge_frames(compiled, frames_x=frame)[0].any() == expect_failure, d
 
 
 def test_decode_is_deterministic_across_decoder_instances():

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,6 +26,8 @@ from toricleak.experiments import (
     serialize_config,
     wilson_interval,
 )
+
+GOLDEN = Path(__file__).parent / "golden"
 
 BASE_CONFIG = """toricleak-config v1
 variant = standard
@@ -225,6 +228,15 @@ def test_smaller_distance_fails_more_without_leakage():
 # --- tables, comparisons, plot data ----------------------------------------
 
 
+def test_sweep_reproduces_golden_csv():
+    """Frozen Monte-Carlo verdicts: 10,000 mixed_lrc d=3 shots at seed 7,
+    rebuilt byte for byte (``scripts/make_goldens.py`` writes the file)."""
+    config = ExperimentConfig(variant="mixed_lrc", d=(3,), p=(1e-3, 2e-3, 3e-3, 5e-3),
+                              r=1.0, shots=2500, master_seed=7)
+    golden = (GOLDEN / "sweep_mixed_lrc_d3_seed7.csv").read_text()
+    assert rows_to_csv(run_sweep(config)) == golden
+
+
 def test_csv_round_trip_is_lossless():
     rows = run_sweep(_cfg(p=(2e-3, 4e-3), shots=1000, p_init_leak="r*p"))
     text = rows_to_csv(rows)
@@ -250,6 +262,17 @@ def test_compare_identical_runs_ties_everywhere():
 def test_compare_rejects_mismatched_grids():
     with pytest.raises(ConfigError, match="mismatched"):
         compare_variants([_fake_row(0.01, 100, 1)], [_fake_row(0.02, 100, 1)])
+
+
+@pytest.mark.parametrize("side", ["a", "b"])
+def test_compare_rejects_tables_with_repeated_p(side):
+    """Rows of several distances share a p; comparing them by p alone would
+    keep only the last row of each p, so such a table is an error."""
+    single = [_fake_row(0.01, 10_000, 100)]
+    mixed = [_fake_row(0.01, 10_000, 500, d=3), _fake_row(0.01, 10_000, 50, d=5)]
+    a, b = (mixed, single) if side == "a" else (single, mixed)
+    with pytest.raises(ConfigError, match="more than one row"):
+        compare_variants(a, b)
 
 
 def test_compare_flags_disjoint_intervals():

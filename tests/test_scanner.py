@@ -175,10 +175,10 @@ def test_fraction_matches_manual_assignment_enumeration():
         for mbits in product((0, 1), repeat=len(meas_slots)):
             assign = tuple((s, c) for s, c in zip(pair_slots, combo) if c != "I")
             assign += tuple((s, 1) for s, b in zip(meas_slots, mbits) if b)
-            _, outcome = replay_spec(compiled, dec, FaultSpec(
+            _, judge = replay_spec(compiled, dec, FaultSpec(
                 kind="leak", gate_index=gi, victim=1, assignment=assign))
             n_tot += 1
-            n_fail += outcome.failure
+            n_fail += bool(judge.any())
     q, exact = leak_failure_fraction(compiled, spec0)
     assert exact
     assert Fraction(n_fail, n_tot) == Fraction(q).limit_denominator(1 << 20)
@@ -275,19 +275,25 @@ _VALID_CHOICE = {"pair": "Y", "measbit": 1, "readout": "y"}
     ("pair", ["x"]), ("pair", ["W"]), ("pair", ["I"]), ("pair", ["X", "Z"]),
     ("measbit", [2]), ("measbit", ["1"]),
     ("readout", ["q"]), ("readout", ["Y"]), ("readout", ["x", "z"]),
+    ("pauli", ["Y"]), ("meas_flip", ["Y"]),
 ], ids=["pair-x", "pair-W", "pair-I", "pair-twice", "measbit-2", "measbit-str",
-        "readout-q", "readout-Y", "readout-twice"])
+        "readout-q", "readout-Y", "readout-twice", "pauli-assigned", "meas_flip-assigned"])
 def test_bad_assignments_are_rejected(tag, choices):
-    """A choice outside its slot's outcomes, or a slot listed twice, is an
-    error rather than a silent replay."""
+    """A choice outside its slot's outcomes, a slot listed twice, or any
+    assignment on a spec without a leak is an error rather than a silent
+    replay."""
     compiled = _compiled("standard")
-    spec, slot = _leak_slot(compiled, tag)
-    bad = replace(spec, assignment=tuple((slot, c) for c in choices))
+    if tag in ("pauli", "meas_flip"):  # a valid leak choice on a leak-free spec
+        _, slot = _leak_slot(compiled, "pair")
+        good = next(s for s in enumerate_fault_universe(compiled) if s.kind == tag)
+        bad = replace(good, assignment=tuple((slot, c) for c in choices))
+    else:
+        spec, slot = _leak_slot(compiled, tag)
+        bad = replace(spec, assignment=tuple((slot, c) for c in choices))
+        good = replace(spec, assignment=((slot, _VALID_CHOICE[tag]),))
     with pytest.raises(ValueError):
         replay_spec(compiled, Decoder(compiled.lattice), bad)
     with pytest.raises(ValueError):
         residual_weight(compiled, bad)
-    good = replace(spec, assignment=((slot, _VALID_CHOICE[tag]),))
     replay_spec(compiled, Decoder(compiled.lattice), good)
     residual_weight(compiled, good)
-
