@@ -42,7 +42,6 @@ CNOT = "CNOT"
 SWAP = "SWAP"
 MEAS_Z = "MeasZ"
 MEAS_X = "MeasX"
-IDLE = "Idle"
 
 ROLE_DATA = "data"
 ROLE_ZANC = "ancillaZ"
@@ -354,53 +353,6 @@ def build_program(
     )
 
 
-# --- structural validation -------------------------------------------------
-
-
-def validate_program(program: CircuitProgram) -> None:
-    """Assert the structural invariants every variant must satisfy."""
-    for r, gates in enumerate(program.rounds):
-        by_step: dict[int, set[int]] = {}
-        prepped: set[int] = set()
-        for g in gates:
-            used = by_step.setdefault(g.step, set())
-            for q in g.qubits:
-                if q in used:
-                    raise AssertionError(
-                        f"round {r} step {g.step}: qubit {q} used twice"
-                    )
-                used.add(q)
-            if g.kind in (PREP_Z, PREP_X):
-                prepped.add(g.qubits[0])
-            if g.kind == SWAP:
-                # a swap before measurement moves the prepared state along
-                if g.qubits[0] in prepped or g.qubits[1] in prepped:
-                    prepped.update(g.qubits)
-            if g.kind in (MEAS_Z, MEAS_X) and g.qubits[0] not in prepped:
-                raise AssertionError(
-                    f"round {r}: measurement of unprepared qubit {g.qubits[0]}"
-                )
-
-
-def gate_counts(program: CircuitProgram, round_index: int = 0) -> dict[str, int]:
-    counts: dict[str, int] = {}
-    for g in program.rounds[round_index]:
-        counts[g.kind] = counts.get(g.kind, 0) + 1
-    return counts
-
-
-def x_check_single_qubit_gates(program: CircuitProgram, round_index: int = 0) -> int:
-    """Single-qubit gates belonging to one X-check circuit (uniform over sites)."""
-    per_site: dict[int, int] = {}
-    for g in program.rounds[round_index]:
-        if g.kind == H and g.label.check is not None and g.label.check[0] == "X":
-            per_site[g.label.check[1]] = per_site.get(g.label.check[1], 0) + 1
-    values = set(per_site.values()) or {0}
-    if len(values) != 1:
-        raise AssertionError(f"nonuniform X-check single-qubit counts: {per_site}")
-    return values.pop()
-
-
 # --- versioned text form ---------------------------------------------------
 
 
@@ -427,35 +379,3 @@ def program_to_text(program: CircuitProgram) -> str:
                 )
             )
     return "\n".join(lines) + "\n"
-
-
-def parse_program_text(text: str) -> dict:
-    """Parse the emitted text back into a plain structure (for round-trips)."""
-    lines = text.strip().split("\n")
-    head = lines[0].split()
-    if head[0] != "toricleak-circuit" or head[1] != "v1":
-        raise ValueError("not a toricleak-circuit v1 file")
-    meta = dict(kv.split("=") for kv in head[2:])
-    out = {"variant": meta["variant"], "d": int(meta["d"]), "rounds": []}
-    current: list[dict] | None = None
-    for ln in lines[1:]:
-        parts = ln.split()
-        if parts[0] == "round":
-            current = []
-            out["rounds"].append(current)
-        else:
-            fields = dict(kv.split("=", 1) for kv in parts[2:])
-            current.append(
-                {
-                    "index": int(parts[1]),
-                    "step": int(fields["step"]),
-                    "kind": fields["kind"],
-                    "qubits": tuple(int(q) for q in fields["qubits"].split(",")),
-                    "ordinal": int(fields["ordinal"]),
-                    "roles": tuple(fields["roles"].split(",")),
-                    "check": None
-                    if fields["check"] == "-"
-                    else (fields["check"].split(":")[0], int(fields["check"].split(":")[1])),
-                }
-            )
-    return out

@@ -110,8 +110,17 @@ def _read_rows(path: str):
         raise ConfigError(f"cannot read table {path!r}: {exc}") from exc
 
 
+def _build(variant: str, d: int, rounds: int):
+    """``build_program``, whose every refusal (distance, rounds) is a
+    configuration error."""
+    try:
+        return build_program(variant, d, rounds)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+
+
 def _cmd_emit(args) -> int:
-    program = build_program(args.variant, args.d, args.rounds)
+    program = _build(args.variant, args.d, args.rounds)
     _write(program_to_text(program), args.out)
     return 0
 
@@ -141,7 +150,7 @@ def _cmd_scan(args) -> int:
                            p_init_leak=config.init_leak_at(config.p[0]))
     else:
         noise = NoiseModel(p=SCAN_P, r=SCAN_R, p_init_leak=SCAN_INIT_LEAK)
-    compiled = compile_program(build_program(args.variant, args.d, rounds), noise)
+    compiled = compile_program(_build(args.variant, args.d, rounds), noise)
     verdict = scan(compiled, decoder=Decoder(compiled.lattice),
                    max_faults=args.max_faults)
     _write(verdict_to_text(compiled, verdict), args.out)

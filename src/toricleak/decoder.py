@@ -100,12 +100,6 @@ def match_defects(
     return [(defects[i], defects[j]) for i, j in pairs]
 
 
-def matching_weight(
-    lat: ToricLattice, pairs: list[tuple[tuple[int, int], tuple[int, int]]]
-) -> int:
-    return sum(_pair_weight(lat, a, b) for a, b in pairs)
-
-
 def path_edges(lat: ToricLattice, check_type: int, s1: int, s2: int) -> list[int]:
     """Shortest torus path between two same-type check sites, as edge ids.
 

@@ -167,21 +167,6 @@ def parse_config(text: str) -> ExperimentConfig:
     return ExperimentConfig(**fields)
 
 
-def serialize_config(config: ExperimentConfig) -> str:
-    """Canonical text form; parse_config round-trips it exactly."""
-    out = [CONFIG_VERSION]
-    for key in ExperimentConfig.__dataclass_fields__:
-        value = getattr(config, key)
-        if value is None:
-            continue
-        if key in _LIST_KEYS:
-            sep = ", ".join(_fmt(v) for v in value)
-            out.append(f"{key} = {sep}")
-        else:
-            out.append(f"{key} = {_fmt(value)}")
-    return "\n".join(out) + "\n"
-
-
 def _fmt(value) -> str:
     # repr of a float is its shortest exact decimal form, so every text
     # format round-trips losslessly

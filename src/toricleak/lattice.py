@@ -123,22 +123,6 @@ class ToricLattice:
         dc = abs(ca - cb)
         return min(dr, self.d - dr) + min(dc, self.d - dc)
 
-    # -- serialization -----------------------------------------------------
-    def to_text(self) -> str:
-        lines = [f"toricleak-lattice v1 d={self.d} spares={int(self.with_spares)}"]
-        for q in sorted(self.coordinates):
-            r, c, subtype = self.coordinates[q]
-            lines.append(f"site {q} {subtype} {r} {c}")
-        for s in range(self.d**2):
-            lines.append("zcheck %d %s" % (s, ",".join(map(str, self.z_support[s]))))
-        for s in range(self.d**2):
-            lines.append("xcheck %d %s" % (s, ",".join(map(str, self.x_support[s]))))
-        for i, sup in enumerate(self.x_logicals):
-            lines.append("xlogical %d %s" % (i + 1, ",".join(map(str, sup))))
-        for i, sup in enumerate(self.z_logicals):
-            lines.append("zlogical %d %s" % (i + 1, ",".join(map(str, sup))))
-        return "\n".join(lines) + "\n"
-
 
 def build_lattice(d: int, with_spares: bool = False) -> ToricLattice:
     """Construct the distance-d toric lattice (d odd, ≥ 3)."""

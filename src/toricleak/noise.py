@@ -49,7 +49,6 @@ class NoiseModel:
     p_init_leak: float = 0.0
     meas_flip: float | None = None
     leaked_meas: str = "random_bit"
-    p_idle: float = 0.0
 
     def __post_init__(self):
         if self.meas_flip is None:
@@ -59,7 +58,7 @@ class NoiseModel:
         if self.leaked_meas not in LEAKED_MEAS_POLICIES:
             raise ValueError(f"leaked_meas must be one of {LEAKED_MEAS_POLICIES}")
         _parse_site_filter(self.site_filter)
-        for name in ("p", "p_init_leak", "meas_flip", "p_idle"):
+        for name in ("p", "p_init_leak", "meas_flip"):
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:
                 raise ValueError(f"{name}={value} outside [0, 1]")
@@ -82,7 +81,7 @@ class NoiseModel:
             candidates = (0,) if one_sided else (0, 1)
         elif kind == SWAP:
             candidates = () if one_sided else (0, 1)
-        else:  # measurement and idle locations do not leak
+        else:  # measurement locations do not leak
             return ()
         if not candidates:
             return ()

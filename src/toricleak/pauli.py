@@ -10,6 +10,8 @@ one frame or on a batch of frames.
 
 from __future__ import annotations
 
+import mmap
+
 import numpy as np
 
 # Canonical single-qubit Paulis in (x, z) encoding.
@@ -89,8 +91,17 @@ def shot_uniforms(master_seed: int, shot_index: int, n_draws: int) -> np.ndarray
 
 
 def batch_uniforms(master_seed: int, shot_start: int, n_shots: int, n_draws: int) -> np.ndarray:
-    """Stacked per-shot draw rows, bit-identical to ``shot_uniforms`` per row."""
-    out = np.empty((n_shots, n_draws), dtype=np.float64)
+    """Stacked per-shot draw rows, bit-identical to ``shot_uniforms`` per row.
+
+    The matrix lives in its own anonymous memory mapping, so freeing it
+    unmaps its pages.  A heap block of that size would stay with the process
+    after each batch, and the allocations made between batches would split
+    it, so the next batch's matrix could grow the heap again: a sweep's peak
+    memory would then depend on heap layout alone.
+    """
+    mapping = mmap.mmap(-1, max(8 * n_shots * n_draws, 1))
+    out = np.frombuffer(mapping, dtype=np.float64, count=n_shots * n_draws)
+    out = out.reshape(n_shots, n_draws)
     for i in range(n_shots):
         out[i] = shot_uniforms(master_seed, shot_start + i, n_draws)
     return out

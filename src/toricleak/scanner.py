@@ -19,15 +19,17 @@ so the consequence slots are a fixed list and the map from outcome choices
 to (detection events, readout frame) is GF(2)-linear.  Unit effects per
 choice are measured by noise-free scripted replays, many specs to one
 executor batch, reduced to a basis, and the whole span is enumerated.
-Because CNOT never mixes X and Z frame sectors and every effect lands on a
-single check type, the span factorizes into an X-error side (star events +
-data X frame) and a Z-error side (plaquette events + data Z frame) that the
-decoder also treats independently, so each side is enumerated on its own.
-Within one side the failure verdict only depends on the event cells hit and
-the two logical parities of the frame, which keeps ranks small; matchings
-for all event subsets come from the production matcher's subset dynamic
-program, so pivot and tie-break agree with it, and each matching is judged
-by the decoder's own rule, the XOR of ``Decoder.pair_parity`` over its pairs.
+The code is CSS and CNOT never mixes X and Z frame sectors, so every unit
+effect lands on one check type (``_span_sides`` raises ``ValueError`` if
+one does not).  The span therefore splits into a star side (star events +
+the two judge bits of the data X frame) and a plaquette side (plaquette
+events + the Z frame's two), which the decoder also judges independently.
+A side holds only its own check type's event cells, so a span point is
+that type's event bits followed by its two judge bits, which keeps ranks
+small.  Matchings for all event subsets come from the production matcher's
+subset dynamic program, so pivot and tie-break agree with it, and each
+matching is judged by the decoder's own rule, the XOR of
+``Decoder.pair_parity`` over its pairs.
 
 One judge serves both questions asked of a leak: ``_failing_points`` yields
 the failing bit of each span point of a side.  ``scan`` fails the spec at
@@ -39,6 +41,9 @@ reported as sampled rather than exact.
 Pair scanning (``max_faults=2``) composes cached Pauli-spec effects, which
 is exact by frame linearity; leak specs take part only singly because their
 worst-case assignment already spans multi-error combinations.
+
+Every verdict is a judge-bit verdict: the scanner does no residual-weight
+analysis of the data error a replay leaves behind.
 """
 
 from __future__ import annotations
@@ -47,8 +52,9 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .circuits import CNOT, H, IDLE, MEAS_X, MEAS_Z, PREP_X, PREP_Z, SWAP
+from .circuits import CNOT, H, MEAS_X, MEAS_Z, PREP_X, PREP_Z, SWAP
 from .decoder import Decoder, _pair_weight, _subset_dp, extract_events_batch
+from .experiments import ConfigError
 from .lattice import ToricLattice
 from .pauli import (
     PAULI1_ERRORS,
@@ -146,9 +152,6 @@ def enumerate_fault_universe(compiled: CompiledProgram) -> list[FaultSpec]:
                 specs.append(FaultSpec("pauli", gi, paulis=pair))
         elif g.kind in (MEAS_Z, MEAS_X):
             specs.append(FaultSpec("meas_flip", gi))
-        elif g.kind == IDLE and compiled.noise.p_idle > 0:
-            for p in PAULI1_ERRORS:
-                specs.append(FaultSpec("pauli", gi, paulis=(p,)))
     for gi, g in enumerate(compiled.gates):
         if g.leak_prob > 0:
             for pos in g.leak_victims:
@@ -243,30 +246,50 @@ def leak_consequences(compiled: CompiledProgram, spec: FaultSpec):
     return base, tuple(trace)
 
 
+def _program_slots(compiled: CompiledProgram) -> set[tuple]:
+    """Every consequence slot that some leak of the program could open."""
+    slots = {("readout", e) for e in range(compiled.lattice.n_data)}
+    for gi, g in enumerate(compiled.gates):
+        if g.q1 >= 0:
+            slots |= {("pair", gi, 0), ("pair", gi, 1)}
+        elif g.kind in (MEAS_Z, MEAS_X):
+            slots.add(("measbit", gi))
+    return slots
+
+
 def _check_assignment(compiled: CompiledProgram, spec: FaultSpec) -> None:
-    """Reject assignments on a non-leak spec, with a slot that the spec's
-    leak does not open up, a slot listed twice, or a choice outside its
-    slot's outcomes."""
-    if spec.assignment and spec.kind != "leak":
+    """Reject, before any replay, an assignment on a non-leak spec, a slot
+    listed twice or absent from the program, or a choice outside its slot's
+    outcomes."""
+    if not spec.assignment:
+        return
+    if spec.kind != "leak":
         raise ValueError(f"a {spec.kind} spec takes no assignment")
-    if spec.assignment:
-        _, slots = leak_consequences(compiled, spec)
-        listed = [slot for slot, _ in spec.assignment]
-        if len(set(listed)) < len(listed):
-            raise ValueError("an assignment slot is listed twice")
-        valid = set(slots)
-        for slot, choice in spec.assignment:
-            if slot not in valid:
-                raise ValueError(f"assignment slot {slot!r} is not downstream of the leak")
-            if choice not in _CHOICES[slot[0]]:
-                raise ValueError(f"choice {choice!r} is not an outcome of slot {slot!r}")
+    listed = [slot for slot, _ in spec.assignment]
+    if len(set(listed)) < len(listed):
+        raise ValueError("an assignment slot is listed twice")
+    known = _program_slots(compiled)
+    for slot, choice in spec.assignment:
+        if slot not in known:
+            raise ValueError(f"assignment slot {slot!r} is not in the program")
+        if choice not in _CHOICES[slot[0]]:
+            raise ValueError(f"choice {choice!r} is not an outcome of slot {slot!r}")
 
 
 def replay_spec(compiled: CompiledProgram, decoder: Decoder, spec: FaultSpec):
     """Run a fully specified spec (other noise off); return the shot and its
-    4 judge bits."""
+    4 judge bits.
+
+    Outcome choices never move a leak, so the replay's own trace lists the
+    slots the leak opens up, and every assigned slot must be among them.
+    """
     _check_assignment(compiled, spec)
-    res = run_shot(compiled, script=script_for(compiled, spec))
+    trace: list = []
+    res = run_shot(compiled, script=script_for(compiled, spec), trace=trace)
+    opened = set(trace)
+    for slot, _ in spec.assignment:
+        if slot not in opened:
+            raise ValueError(f"assignment slot {slot!r} is not downstream of the leak")
     return res, decoder.judge_batch(res.syndromes[None], res.data_x[None], res.data_z[None])[0]
 
 
@@ -321,60 +344,47 @@ class _PairMatcher:
 
 
 @dataclass
-class _SpanProblem:
-    """One independently enumerable side of a leak location's span."""
+class _SpanSide:
+    """One check type's side of a leak location's span.
 
-    cells: tuple[list, list]  # event cells per check type, sorted (t, site)
-    base_masks: tuple[int, int]
-    base_par: int  # 4 judge-parity bits
+    A point is that type's event bits, in ``cells`` order, followed by its
+    two judge bits; ``base`` is the baseline replay's point.
+    """
+
+    check_type: int
+    cells: list  # sorted (t, site)
+    base: int
     basis: list[int]
-    par_mask: int  # the judge-parity bits this side decides
 
     @property
     def exact(self) -> bool:
         """True when the side is small enough to enumerate exhaustively."""
-        return len(self.basis) <= SPAN_BUDGET_BITS and max(map(len, self.cells)) <= CELL_CAP
+        return len(self.basis) <= SPAN_BUDGET_BITS and len(self.cells) <= CELL_CAP
 
     def matcher(self, decoder: Decoder):
-        """Correction parities per (check type, event mask): from the subset
-        DP when the side is exact, else from ``Decoder.parities``."""
+        """Correction parities per event mask: from the subset DP when the
+        side is exact, else from ``Decoder.parities``."""
         if self.exact:
-            matchers = [_PairMatcher(decoder, ct, cells) for ct, cells in enumerate(self.cells)]
-            return lambda ct, mask: matchers[ct].match_parities(mask)
-        return lambda ct, mask: decoder.parities(
-            ct, tuple(c for j, c in enumerate(self.cells[ct]) if mask >> j & 1))
+            return _PairMatcher(decoder, self.check_type, self.cells).match_parities
+        return lambda mask: decoder.parities(
+            self.check_type, tuple(c for j, c in enumerate(self.cells) if mask >> j & 1))
 
     def failing(self, vec: int, matchpar) -> bool:
         """Whether the span point ``vec`` fails this side's judge bits."""
-        n0, n1 = len(self.cells[0]), len(self.cells[1])
-        m0 = (vec & ((1 << n0) - 1)) ^ self.base_masks[0]
-        m1 = ((vec >> n0) & ((1 << n1) - 1)) ^ self.base_masks[1]
-        par = (vec >> (n0 + n1)) ^ self.base_par
-        par ^= (matchpar(0, m0) & 0b0011) ^ ((matchpar(1, m1) << 2) & 0b1100)
-        return bool(par & self.par_mask)
+        vec ^= self.base
+        n = len(self.cells)
+        return (vec >> n) != matchpar(vec & ((1 << n) - 1))
 
 
-def _effect_parts(lat: ToricLattice, events, fx, fz) -> list[tuple[list, list, int]]:
-    """Per row: star and plaquette event cells, sorted (t, site), and the four
-    logical parities of the frame."""
-    par = lat.logical_parities(fx, fz)
-    par4 = (par[:, 0] | par[:, 1] << 1 | par[:, 2] << 2 | par[:, 3] << 3).tolist()
-    parts = [([], [], p) for p in par4]
+def _effect_parts(lat: ToricLattice, events, fx, fz) -> list[tuple]:
+    """Per row and check type: the event cells, sorted (t, site), and the two
+    judge bits of the frame."""
+    par = lat.logical_parities(fx, fz).tolist()
+    parts = [tuple(([], p[2 * ct] | p[2 * ct + 1] << 1) for ct in (0, 1)) for p in par]
     for ct in (0, 1):
         for row, t, site in zip(*(a.tolist() for a in np.nonzero(events[:, :, ct, :]))):
-            parts[row][ct].append((t, site))
+            parts[row][ct][0].append((t, site))
     return parts
-
-
-def _pack(cells, index0, index1, par4) -> int:
-    cells0, cells1, _ = cells
-    n0, n1 = len(index0), len(index1)
-    vec = 0
-    for cell in cells0:
-        vec |= 1 << index0[cell]
-    for cell in cells1:
-        vec |= 1 << (n0 + index1[cell])
-    return vec | par4 << (n0 + n1)
 
 
 def _unit_generators(slots: list[tuple]) -> list[tuple]:
@@ -405,7 +415,7 @@ def _packed(sizes: list[int], cap: int):
 
 
 def _leak_setups(compiled: CompiledProgram, specs: list[FaultSpec]):
-    """Per leak spec: ``(spec, problems)``, the span sides of its consequences.
+    """Per leak spec: ``(spec, sides)``, the span sides of its consequences.
 
     The baselines of ``_CHUNK_ROWS`` specs share one replay batch; their
     unit-effect generators are then replayed a few whole specs at a time, in
@@ -436,61 +446,48 @@ def _leak_setups(compiled: CompiledProgram, specs: list[FaultSpec]):
             for k in members:
                 parts = unit_parts[first : first + len(generators[k])]
                 first += len(generators[k])
-                yield group[k], _span_problems(parts, base_parts[k])
+                yield group[k], _span_sides(parts, base_parts[k])
 
 
-def _span_problems(effects: list, base_parts) -> list[_SpanProblem]:
-    """GF(2) span problems of one leak: one per check-type side when every
-    unit effect is single-sided, else one joint problem."""
-
-    def side_of(parts) -> int:
-        star = bool(parts[0]) or parts[2] & 0b0011
-        plaq = bool(parts[1]) or parts[2] & 0b1100
-        return (1 if star else 0) | (2 if plaq else 0)
-
-    sides = [side_of(parts) for parts in effects]
-
-    def build_problem(members: list[int], par_mask: int) -> _SpanProblem:
-        cell_sets: tuple[set, set] = (set(base_parts[0]), set(base_parts[1]))
-        for gi in members:
-            cell_sets[0].update(effects[gi][0])
-            cell_sets[1].update(effects[gi][1])
-        cells0, cells1 = sorted(cell_sets[0]), sorted(cell_sets[1])
-        index0 = {cell: i for i, cell in enumerate(cells0)}
-        index1 = {cell: i for i, cell in enumerate(cells1)}
-        n0, n1 = len(cells0), len(cells1)
-        base_vec = _pack(base_parts, index0, index1, 0)
-        return _SpanProblem(
-            cells=(cells0, cells1),
-            base_masks=(base_vec & ((1 << n0) - 1), (base_vec >> n0) & ((1 << n1) - 1)),
-            base_par=base_parts[2],
-            basis=_gf2_basis([_pack(effects[gi], index0, index1, effects[gi][2]) for gi in members]),
-            par_mask=par_mask,
-        )
-
-    if all(s != 3 for s in sides):
-        return [
-            build_problem([i for i, s in enumerate(sides) if s == 1], 0b0011),
-            build_problem([i for i, s in enumerate(sides) if s == 2], 0b1100),
-        ]
-    return [build_problem(list(range(len(effects))), 0b1111)]
+def _span_sides(effects: list, base: tuple) -> list[_SpanSide]:
+    """The star side and then the plaquette side of one leak's span, from the
+    ``_effect_parts`` of its unit effects and of its baseline."""
+    if any(all(cells or par for cells, par in parts) for parts in effects):
+        raise ValueError("a unit effect touches both check types")
+    sides = []
+    for ct, (base_cells, _) in enumerate(base):
+        cells = sorted(set(base_cells).union(*(parts[ct][0] for parts in effects)))
+        index = {cell: i for i, cell in enumerate(cells)}
+        basis = _gf2_basis([_point(parts[ct], index) for parts in effects])
+        sides.append(_SpanSide(ct, cells, _point(base[ct], index), basis))
+    return sides
 
 
-def _failing_points(decoder: Decoder, spec: FaultSpec, prob: _SpanProblem):
+def _point(part: tuple, index: dict) -> int:
+    """A part's span point on its side: event bits by ``index``, then its
+    two judge bits."""
+    cells, par = part
+    vec = par << len(index)
+    for cell in cells:
+        vec |= 1 << index[cell]
+    return vec
+
+
+def _failing_points(decoder: Decoder, spec: FaultSpec, side: _SpanSide):
     """The one leak judge: the failing bit of each span point of one side.
 
     An exact side yields the zero point and then every other point in
     Gray-code order; an over-budget side yields ``SAMPLE_COUNT`` random basis
     combinations, seeded by the spec and the side's rank.
     """
-    matchpar = prob.matcher(decoder)
-    basis = prob.basis
-    if prob.exact:
+    matchpar = side.matcher(decoder)
+    basis = side.basis
+    if side.exact:
         vec = 0
-        yield prob.failing(vec, matchpar)
+        yield side.failing(vec, matchpar)
         for k in range(1, 1 << len(basis)):
             vec ^= basis[(k & -k).bit_length() - 1]
-            yield prob.failing(vec, matchpar)
+            yield side.failing(vec, matchpar)
         return
     rng = np.random.default_rng(np.random.SeedSequence([spec.gate_index, spec.victim, len(basis), 1]))
     for _ in range(SAMPLE_COUNT):
@@ -499,7 +496,7 @@ def _failing_points(decoder: Decoder, spec: FaultSpec, prob: _SpanProblem):
         for j in range(len(basis)):
             if bits[j]:
                 vec ^= basis[j]
-        yield prob.failing(vec, matchpar)
+        yield side.failing(vec, matchpar)
 
 
 def leak_failure_fraction(compiled: CompiledProgram, spec: FaultSpec) -> tuple[float, bool]:
@@ -513,13 +510,13 @@ def leak_failure_fraction(compiled: CompiledProgram, spec: FaultSpec) -> tuple[f
     combining as 1 - (1-q_star)(1-q_plaq).  Returns ``(fraction, exact)``;
     an over-budget side falls back to a sampled estimate with exact=False.
     """
-    _, problems = next(_leak_setups(compiled, [spec]))
+    _, sides = next(_leak_setups(compiled, [spec]))
     decoder = Decoder(compiled.lattice)
     survive = 1.0
-    for prob in problems:
-        bits = list(_failing_points(decoder, spec, prob))
+    for side in sides:
+        bits = list(_failing_points(decoder, spec, side))
         survive *= 1.0 - sum(bits) / len(bits)
-    return 1.0 - survive, all(prob.exact for prob in problems)
+    return 1.0 - survive, all(side.exact for side in sides)
 
 
 # ---------------------------------------------------------------------------
@@ -542,7 +539,7 @@ def scan(
     pauli_specs = [s for s in universe if s.kind in ("pauli", "meas_flip")]
     leak_specs = [s for s in universe if s.kind == "leak"]
     if max_faults == 2 and len(pauli_specs) > PAIR_CAP:
-        raise ValueError(
+        raise ConfigError(
             f"pair scanning capped at {PAIR_CAP} single-fault specs, "
             f"got {len(pauli_specs)}; pass a restricted universe"
         )
@@ -558,10 +555,10 @@ def scan(
 
     leak_failures: list[FaultSpec] = []
     sampled: list[FaultSpec] = []
-    for spec, problems in _leak_setups(compiled, leak_specs):
-        if any(any(_failing_points(decoder, spec, prob)) for prob in problems):
+    for spec, sides in _leak_setups(compiled, leak_specs):
+        if any(any(_failing_points(decoder, spec, side)) for side in sides):
             leak_failures.append(spec)
-        if not all(prob.exact for prob in problems):
+        if not all(side.exact for side in sides):
             sampled.append(spec)
 
     pair_failures: list[tuple[FaultSpec, FaultSpec]] = []
@@ -624,115 +621,3 @@ def verdict_to_text(compiled: CompiledProgram, verdict: ScanVerdict) -> str:
     lines.append(f"distance_preserving={int(verdict.distance_preserving)}")
     lines.append(f"exhaustive={int(verdict.exhaustive)}")
     return "\n".join(lines) + "\n"
-
-
-# ---------------------------------------------------------------------------
-# residual error chains
-
-
-@dataclass
-class ResidualWeight:
-    """Raw and stabilizer-reduced weight of a spec's residual data error."""
-
-    raw_x: int
-    raw_z: int
-    reduced_x: int
-    reduced_z: int
-    joint: int  # min qubits carrying any error over simultaneous coset choices
-    aligned_x: bool  # some minimal X representative sits inside a logical line
-    aligned_z: bool
-    support_x: tuple[int, ...]
-    support_z: tuple[int, ...]
-
-
-def _frame_int(bits: np.ndarray) -> int:
-    out = 0
-    for e in np.nonzero(bits)[0]:
-        out |= 1 << int(e)
-    return out
-
-
-_COSET_CACHE: dict[tuple[int, int], list[int]] = {}
-
-
-def _coset_masks(lat: ToricLattice, check_type: int) -> list[int]:
-    """All stabilizer products that multiply onto a frame of one error type."""
-    if lat.d != 3:
-        raise NotImplementedError("exhaustive coset search is provided for d=3")
-    key = (lat.d, check_type)
-    hit = _COSET_CACHE.get(key)
-    if hit is not None:
-        return hit
-    support = lat.x_support if check_type == 0 else lat.z_support
-    rows = []
-    for s in range(lat.d**2):
-        m = 0
-        for e in support[s]:
-            m |= 1 << int(e)
-        rows.append(m)
-    masks = [0]
-    for row in rows:
-        masks += [m ^ row for m in masks]
-    _COSET_CACHE[key] = masks
-    return masks
-
-
-def _logical_line_masks(lat: ToricLattice, check_type: int) -> list[int]:
-    d = lat.d
-    lines = []
-    if check_type == 0:  # X errors: loops parallel to the X logicals
-        for r in range(d):
-            lines.append(sum(1 << lat.h(r, c) for c in range(d)))
-        for c in range(d):
-            lines.append(sum(1 << lat.v(r, c) for r in range(d)))
-    else:  # Z errors: loops parallel to the Z logicals
-        for c in range(d):
-            lines.append(sum(1 << lat.h(r, c) for r in range(d)))
-        for r in range(d):
-            lines.append(sum(1 << lat.v(r, c) for c in range(d)))
-    return lines
-
-
-def _reduce(lat: ToricLattice, frame: int, check_type: int) -> tuple[int, list[int]]:
-    best = frame.bit_count()
-    reps = [frame]
-    for mask in _coset_masks(lat, check_type):
-        cand = frame ^ mask
-        w = cand.bit_count()
-        if w < best:
-            best, reps = w, [cand]
-        elif w == best and cand not in reps:
-            reps.append(cand)
-    return best, reps
-
-
-def _aligned(reps: list[int], lines: list[int]) -> bool:
-    return any(rep and rep & ~line == 0 for rep in reps for line in lines)
-
-
-def residual_frames_to_weight(lat: ToricLattice, data_x, data_z) -> ResidualWeight:
-    fx, fz = _frame_int(data_x), _frame_int(data_z)
-    reduced_x, reps_x = _reduce(lat, fx, 0)
-    reduced_z, reps_z = _reduce(lat, fz, 1)
-    masks_x, masks_z = _coset_masks(lat, 0), _coset_masks(lat, 1)
-    joint = min(
-        ((fx ^ mx) | (fz ^ mz)).bit_count() for mx in masks_x for mz in masks_z
-    )
-    return ResidualWeight(
-        raw_x=fx.bit_count(),
-        raw_z=fz.bit_count(),
-        reduced_x=reduced_x,
-        reduced_z=reduced_z,
-        joint=joint,
-        aligned_x=_aligned(reps_x, _logical_line_masks(lat, 0)),
-        aligned_z=_aligned(reps_z, _logical_line_masks(lat, 1)),
-        support_x=tuple(int(e) for e in np.nonzero(data_x)[0]),
-        support_z=tuple(int(e) for e in np.nonzero(data_z)[0]),
-    )
-
-
-def residual_weight(compiled: CompiledProgram, spec: FaultSpec) -> ResidualWeight:
-    """Residual data error left at readout by a fully specified spec."""
-    _check_assignment(compiled, spec)
-    res = run_shot(compiled, script=script_for(compiled, spec))
-    return residual_frames_to_weight(compiled.lattice, res.data_x, res.data_z)

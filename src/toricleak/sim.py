@@ -17,7 +17,6 @@ import numpy as np
 from .circuits import (
     CNOT,
     H,
-    IDLE,
     MEAS_X,
     MEAS_Z,
     PREP_X,
@@ -37,7 +36,6 @@ DRAWS_PER_KIND = {
     SWAP: 3,
     MEAS_Z: 2,
     MEAS_X: 2,
-    IDLE: 2,
 }
 
 
@@ -117,28 +115,6 @@ def compile_program(program: CircuitProgram, noise: NoiseModel) -> CompiledProgr
     readout_offset = offset
     n_draws = offset + 2 * program.lattice.n_data
     return CompiledProgram(program, noise, gates, n_draws, readout_offset)
-
-
-def find_gates(
-    compiled: CompiledProgram,
-    kind: str | None = None,
-    round_index: int | None = None,
-    check: tuple[str, int] | None = None,
-    ordinal: int | None = None,
-) -> list[int]:
-    """Global indices of gates matching all the given criteria."""
-    out = []
-    for gi, g in enumerate(compiled.gates):
-        if kind is not None and g.kind != kind:
-            continue
-        if round_index is not None and g.round_index != round_index:
-            continue
-        if check is not None and g.label.check != check:
-            continue
-        if ordinal is not None and g.label.cnot_ordinal != ordinal:
-            continue
-        out.append(gi)
-    return out
 
 
 def run_shot(

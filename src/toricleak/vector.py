@@ -22,7 +22,7 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from .circuits import CNOT, H, IDLE, MEAS_X, MEAS_Z, PREP_X, PREP_Z, SWAP
+from .circuits import CNOT, H, MEAS_X, MEAS_Z, PREP_X, PREP_Z, SWAP
 from .pauli import PAULI2_ERRORS, PAULI4, batch_uniforms, propagate_cnot, propagate_h, propagate_swap
 
 if TYPE_CHECKING:
@@ -211,13 +211,6 @@ def execute(
             x[:, q0] = 0
             z[:, q0] = 0
             leak[:, q0] = 0
-        elif g.kind == IDLE:
-            if stochastic and noise.p_idle > 0:
-                u = U[:, off]
-                sel = (1 - leak[:, q0]) & (u < noise.p_idle)
-                idx = np.minimum((u / noise.p_idle * 3).astype(np.int64), 2)
-                x[:, q0] ^= sel & _X3[idx]
-                z[:, q0] ^= sel & _Z3[idx]
         else:  # pragma: no cover - build_program emits only the kinds above
             raise ValueError(f"unknown gate kind {g.kind}")
 

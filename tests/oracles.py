@@ -1,0 +1,274 @@
+"""Test-side oracles: structural checks, text forms and residual-weight analysis.
+
+None of this is on a production path.  The tests use it to check circuits,
+lattices, configs and matchings, and to measure the residual data error a
+fully specified fault leaves at readout.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+import numpy as np
+
+from toricleak.circuits import H, MEAS_X, MEAS_Z, PREP_X, PREP_Z, SWAP, CircuitProgram
+from toricleak.decoder import Decoder, _pair_weight
+from toricleak.experiments import _LIST_KEYS, CONFIG_VERSION, ExperimentConfig, _fmt
+from toricleak.lattice import ToricLattice
+from toricleak.scanner import FaultSpec, replay_spec
+from toricleak.sim import CompiledProgram
+
+
+# ---------------------------------------------------------------------------
+# circuits and compiled programs
+
+
+def validate_program(program: CircuitProgram) -> None:
+    """Assert the structural invariants every variant must satisfy."""
+    for r, gates in enumerate(program.rounds):
+        by_step: dict[int, set[int]] = {}
+        prepped: set[int] = set()
+        for g in gates:
+            used = by_step.setdefault(g.step, set())
+            for q in g.qubits:
+                if q in used:
+                    raise AssertionError(
+                        f"round {r} step {g.step}: qubit {q} used twice"
+                    )
+                used.add(q)
+            if g.kind in (PREP_Z, PREP_X):
+                prepped.add(g.qubits[0])
+            if g.kind == SWAP:
+                # a swap before measurement moves the prepared state along
+                if g.qubits[0] in prepped or g.qubits[1] in prepped:
+                    prepped.update(g.qubits)
+            if g.kind in (MEAS_Z, MEAS_X) and g.qubits[0] not in prepped:
+                raise AssertionError(
+                    f"round {r}: measurement of unprepared qubit {g.qubits[0]}"
+                )
+
+
+def gate_counts(program: CircuitProgram, round_index: int = 0) -> dict[str, int]:
+    counts: dict[str, int] = {}
+    for g in program.rounds[round_index]:
+        counts[g.kind] = counts.get(g.kind, 0) + 1
+    return counts
+
+
+def x_check_single_qubit_gates(program: CircuitProgram, round_index: int = 0) -> int:
+    """Single-qubit gates belonging to one X-check circuit (uniform over sites)."""
+    per_site: dict[int, int] = {}
+    for g in program.rounds[round_index]:
+        if g.kind == H and g.label.check is not None and g.label.check[0] == "X":
+            per_site[g.label.check[1]] = per_site.get(g.label.check[1], 0) + 1
+    values = set(per_site.values()) or {0}
+    if len(values) != 1:
+        raise AssertionError(f"nonuniform X-check single-qubit counts: {per_site}")
+    return values.pop()
+
+
+def parse_program_text(text: str) -> dict:
+    """Parse the emitted text back into a plain structure (for round-trips)."""
+    lines = text.strip().split("\n")
+    head = lines[0].split()
+    if head[0] != "toricleak-circuit" or head[1] != "v1":
+        raise ValueError("not a toricleak-circuit v1 file")
+    meta = dict(kv.split("=") for kv in head[2:])
+    out = {"variant": meta["variant"], "d": int(meta["d"]), "rounds": []}
+    current: list[dict] | None = None
+    for ln in lines[1:]:
+        parts = ln.split()
+        if parts[0] == "round":
+            current = []
+            out["rounds"].append(current)
+        else:
+            fields = dict(kv.split("=", 1) for kv in parts[2:])
+            current.append(
+                {
+                    "index": int(parts[1]),
+                    "step": int(fields["step"]),
+                    "kind": fields["kind"],
+                    "qubits": tuple(int(q) for q in fields["qubits"].split(",")),
+                    "ordinal": int(fields["ordinal"]),
+                    "roles": tuple(fields["roles"].split(",")),
+                    "check": None
+                    if fields["check"] == "-"
+                    else (fields["check"].split(":")[0], int(fields["check"].split(":")[1])),
+                }
+            )
+    return out
+
+
+def find_gates(
+    compiled: CompiledProgram,
+    kind: str | None = None,
+    round_index: int | None = None,
+    check: tuple[str, int] | None = None,
+    ordinal: int | None = None,
+) -> list[int]:
+    """Global indices of gates matching all the given criteria."""
+    out = []
+    for gi, g in enumerate(compiled.gates):
+        if kind is not None and g.kind != kind:
+            continue
+        if round_index is not None and g.round_index != round_index:
+            continue
+        if check is not None and g.label.check != check:
+            continue
+        if ordinal is not None and g.label.cnot_ordinal != ordinal:
+            continue
+        out.append(gi)
+    return out
+
+
+# ---------------------------------------------------------------------------
+# lattice, decoder and config text
+
+
+def lattice_to_text(lat: ToricLattice) -> str:
+    """Versioned text form of the lattice: sites, check supports, logicals."""
+    lines = [f"toricleak-lattice v1 d={lat.d} spares={int(lat.with_spares)}"]
+    for q in sorted(lat.coordinates):
+        r, c, subtype = lat.coordinates[q]
+        lines.append(f"site {q} {subtype} {r} {c}")
+    for s in range(lat.d**2):
+        lines.append("zcheck %d %s" % (s, ",".join(map(str, lat.z_support[s]))))
+    for s in range(lat.d**2):
+        lines.append("xcheck %d %s" % (s, ",".join(map(str, lat.x_support[s]))))
+    for i, sup in enumerate(lat.x_logicals):
+        lines.append("xlogical %d %s" % (i + 1, ",".join(map(str, sup))))
+    for i, sup in enumerate(lat.z_logicals):
+        lines.append("zlogical %d %s" % (i + 1, ",".join(map(str, sup))))
+    return "\n".join(lines) + "\n"
+
+
+def matching_weight(
+    lat: ToricLattice, pairs: list[tuple[tuple[int, int], tuple[int, int]]]
+) -> int:
+    return sum(_pair_weight(lat, a, b) for a, b in pairs)
+
+
+def serialize_config(config: ExperimentConfig) -> str:
+    """Canonical text form; parse_config round-trips it exactly."""
+    out = [CONFIG_VERSION]
+    for key in ExperimentConfig.__dataclass_fields__:
+        value = getattr(config, key)
+        if value is None:
+            continue
+        if key in _LIST_KEYS:
+            sep = ", ".join(_fmt(v) for v in value)
+            out.append(f"{key} = {sep}")
+        else:
+            out.append(f"{key} = {_fmt(value)}")
+    return "\n".join(out) + "\n"
+
+
+# ---------------------------------------------------------------------------
+# residual error chains
+
+
+@dataclass
+class ResidualWeight:
+    """Raw and stabilizer-reduced weight of a spec's residual data error."""
+
+    raw_x: int
+    raw_z: int
+    reduced_x: int
+    reduced_z: int
+    joint: int  # min qubits carrying any error over simultaneous coset choices
+    aligned_x: bool  # some minimal X representative sits inside a logical line
+    aligned_z: bool
+    support_x: tuple[int, ...]
+    support_z: tuple[int, ...]
+
+
+def _frame_int(bits: np.ndarray) -> int:
+    out = 0
+    for e in np.nonzero(bits)[0]:
+        out |= 1 << int(e)
+    return out
+
+
+_COSET_CACHE: dict[tuple[int, int], list[int]] = {}
+
+
+def _coset_masks(lat: ToricLattice, check_type: int) -> list[int]:
+    """All stabilizer products that multiply onto a frame of one error type."""
+    if lat.d != 3:
+        raise NotImplementedError("exhaustive coset search is provided for d=3")
+    key = (lat.d, check_type)
+    hit = _COSET_CACHE.get(key)
+    if hit is not None:
+        return hit
+    support = lat.x_support if check_type == 0 else lat.z_support
+    rows = []
+    for s in range(lat.d**2):
+        m = 0
+        for e in support[s]:
+            m |= 1 << int(e)
+        rows.append(m)
+    masks = [0]
+    for row in rows:
+        masks += [m ^ row for m in masks]
+    _COSET_CACHE[key] = masks
+    return masks
+
+
+def _logical_line_masks(lat: ToricLattice, check_type: int) -> list[int]:
+    d = lat.d
+    lines = []
+    if check_type == 0:  # X errors: loops parallel to the X logicals
+        for r in range(d):
+            lines.append(sum(1 << lat.h(r, c) for c in range(d)))
+        for c in range(d):
+            lines.append(sum(1 << lat.v(r, c) for r in range(d)))
+    else:  # Z errors: loops parallel to the Z logicals
+        for c in range(d):
+            lines.append(sum(1 << lat.h(r, c) for r in range(d)))
+        for r in range(d):
+            lines.append(sum(1 << lat.v(r, c) for c in range(d)))
+    return lines
+
+
+def _reduce(lat: ToricLattice, frame: int, check_type: int) -> tuple[int, list[int]]:
+    best = frame.bit_count()
+    reps = [frame]
+    for mask in _coset_masks(lat, check_type):
+        cand = frame ^ mask
+        w = cand.bit_count()
+        if w < best:
+            best, reps = w, [cand]
+        elif w == best and cand not in reps:
+            reps.append(cand)
+    return best, reps
+
+
+def _aligned(reps: list[int], lines: list[int]) -> bool:
+    return any(rep and rep & ~line == 0 for rep in reps for line in lines)
+
+
+def residual_frames_to_weight(lat: ToricLattice, data_x, data_z) -> ResidualWeight:
+    fx, fz = _frame_int(data_x), _frame_int(data_z)
+    reduced_x, reps_x = _reduce(lat, fx, 0)
+    reduced_z, reps_z = _reduce(lat, fz, 1)
+    masks_x, masks_z = _coset_masks(lat, 0), _coset_masks(lat, 1)
+    joint = min(
+        ((fx ^ mx) | (fz ^ mz)).bit_count() for mx in masks_x for mz in masks_z
+    )
+    return ResidualWeight(
+        raw_x=fx.bit_count(),
+        raw_z=fz.bit_count(),
+        reduced_x=reduced_x,
+        reduced_z=reduced_z,
+        joint=joint,
+        aligned_x=_aligned(reps_x, _logical_line_masks(lat, 0)),
+        aligned_z=_aligned(reps_z, _logical_line_masks(lat, 1)),
+        support_x=tuple(int(e) for e in np.nonzero(data_x)[0]),
+        support_z=tuple(int(e) for e in np.nonzero(data_z)[0]),
+    )
+
+
+def residual_weight(compiled: CompiledProgram, spec: FaultSpec) -> ResidualWeight:
+    """Residual data error left at readout by a fully specified spec."""
+    res, _ = replay_spec(compiled, Decoder(compiled.lattice), spec)
+    return residual_frames_to_weight(compiled.lattice, res.data_x, res.data_z)

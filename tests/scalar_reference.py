@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from toricleak.circuits import CNOT, H, IDLE, MEAS_X, MEAS_Z, PREP_X, PREP_Z, SWAP
+from toricleak.circuits import CNOT, H, MEAS_X, MEAS_Z, PREP_X, PREP_Z, SWAP
 from toricleak.pauli import PAULI1_ERRORS, PAULI2_ERRORS, PAULI4, PAULI_X, PAULI_Z
 
 
@@ -80,9 +80,6 @@ def reference_shot(compiled, uniforms=None, script=None):
             syndromes[g.round_index, g.check_type, g.check_site] ^= bit
             x[q0] = z[q0] = 0
             leak[q0] = False
-        elif g.kind == IDLE:
-            if not leak[q0] and u is not None and u[off] < noise.p_idle:
-                flip(q0, PAULI1_ERRORS[_sub(u[off], noise.p_idle, 3)])
         if script is not None:
             touched = (q0,) if q1 < 0 else (q0, q1)
             for pos, q in enumerate(touched):

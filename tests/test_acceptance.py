@@ -19,7 +19,8 @@ import pytest
 
 import test_decoder
 import test_pauli
-from toricleak.circuits import build_program, x_check_single_qubit_gates
+from oracles import residual_weight, x_check_single_qubit_gates
+from toricleak.circuits import build_program
 from toricleak.decoder import Decoder
 from toricleak.experiments import (
     ExperimentConfig,
@@ -34,7 +35,6 @@ from toricleak.scanner import (
     enumerate_fault_universe,
     leak_consequences,
     leak_failure_fraction,
-    residual_weight,
     scan,
     spec_location,
 )

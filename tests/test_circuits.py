@@ -7,6 +7,7 @@ import pathlib
 import numpy as np
 import pytest
 
+from oracles import gate_counts, parse_program_text, validate_program, x_check_single_qubit_gates
 from toricleak.circuits import (
     CNOT,
     H,
@@ -17,12 +18,8 @@ from toricleak.circuits import (
     FaultLocation,
     GateOp,
     build_program,
-    gate_counts,
-    parse_program_text,
     partner_edges,
     program_to_text,
-    validate_program,
-    x_check_single_qubit_gates,
 )
 from toricleak.lattice import build_lattice
 

@@ -74,6 +74,21 @@ def test_run_missing_config_file_is_exit_2(tmp_path):
     assert main(["run", "--config", str(tmp_path / "absent.cfg")]) == 2
 
 
+@pytest.mark.parametrize("argv", [
+    "emit --variant standard --d 4",
+    "emit --variant standard --d 3 --rounds 0",
+    "scan --variant standard --d 4",
+    "scan --variant standard --d 3 --rounds 0",
+    "scan --variant standard --d 3 --max-faults 2",  # 3,510 Pauli specs > PAIR_CAP
+])
+def test_bad_emit_and_scan_inputs_are_exit_2(argv, capsys):
+    assert main(argv.split()) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("config error: ")
+    assert captured.err.count("\n") == 1
+
+
 def test_fit_reports_slope(tmp_path, capsys):
     csv = _quadratic_csv(tmp_path)
     assert main(["fit", str(csv)]) == 0

@@ -11,12 +11,12 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from oracles import matching_weight
 from toricleak.circuits import build_program
 from toricleak.decoder import (
     Decoder,
     extract_events_batch,
     match_defects,
-    matching_weight,
     path_edges,
     _match_blossom,
     _match_dp,

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import serialize_config
 from toricleak.experiments import (
     BATCH_SHOTS,
     ConfigError,
@@ -23,7 +24,6 @@ from toricleak.experiments import (
     parse_config,
     rows_to_csv,
     run_sweep,
-    serialize_config,
     wilson_interval,
 )
 

@@ -1,4 +1,4 @@
-"""Fault-universe, scan-report and residual-weight behavior."""
+"""Fault-universe, span-side, scan-report and residual-weight behavior."""
 
 from __future__ import annotations
 
@@ -8,9 +8,11 @@ from functools import lru_cache
 from itertools import product
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from toricleak import scanner
+from oracles import residual_weight
+from toricleak import scanner, sim
 from toricleak.circuits import VARIANTS, build_program
 from toricleak.decoder import Decoder
 from toricleak.noise import NoiseModel
@@ -20,12 +22,13 @@ from toricleak.scanner import (
     leak_consequences,
     leak_failure_fraction,
     replay_spec,
-    residual_weight,
     scan,
+    script_for,
     spec_location,
     verdict_to_text,
 )
-from toricleak.sim import compile_program
+from toricleak.sim import compile_program, run_shot
+from toricleak.vector import execute
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -297,3 +300,77 @@ def test_bad_assignments_are_rejected(tag, choices):
         residual_weight(compiled, bad)
     replay_spec(compiled, Decoder(compiled.lattice), good)
     residual_weight(compiled, good)
+
+
+def test_assigned_replay_runs_the_executor_once(monkeypatch):
+    """An assigned replay checks its slots against its own trace instead of
+    replaying the baseline first."""
+    compiled = _compiled("standard")
+    spec, slot = _leak_slot(compiled, "pair")
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args[1])
+        return execute(*args, **kwargs)
+
+    monkeypatch.setattr(sim, "execute", counting)
+    monkeypatch.setattr(scanner, "execute", counting)
+    replay_spec(compiled, Decoder(compiled.lattice), replace(spec, assignment=((slot, "Y"),)))
+    assert calls == [1]
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_outcome_choices_never_move_a_leak(variant):
+    """What the one-replay check rests on: a randomly assigned replay opens
+    exactly the consequence slots of its baseline."""
+    compiled = _compiled(variant, rounds=1)
+    rng = np.random.default_rng(5)
+    for spec in [s for s in enumerate_fault_universe(compiled) if s.kind == "leak"][::4]:
+        _, slots = leak_consequences(compiled, spec)
+        choices = [scanner._CHOICES[slot[0]] for slot in slots]
+        assignment = tuple((slot, c[rng.integers(len(c))]) for slot, c in zip(slots, choices))
+        trace = []
+        run_shot(compiled, script=script_for(compiled, replace(spec, assignment=assignment)),
+                 trace=trace)
+        assert tuple(trace) == slots, spec
+
+
+def test_span_sides_reject_a_unit_effect_on_both_check_types():
+    base = (([(0, 3)], 1), ([], 0))
+    star = (([(0, 1), (1, 1)], 0), ([], 0))
+    plaq_parity = (([], 0), ([], 2))
+    sides = scanner._span_sides([star, plaq_parity], base)
+    assert [side.check_type for side in sides] == [0, 1]
+    assert sides[0].cells == [(0, 1), (0, 3), (1, 1)] and sides[1].cells == []
+    assert sides[0].base == 0b1010 and sides[0].basis == [0b101]
+    assert sides[1].base == 0 and sides[1].basis == [0b10]
+    for both in [(([(0, 1)], 0), ([(0, 2)], 0)), (([], 1), ([(0, 2), (1, 2)], 0))]:
+        with pytest.raises(ValueError):
+            scanner._span_sides([star, both], base)
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_control_only_leaks_split_into_star_and_plaquette_sides(variant):
+    """The golden scans cover two_sided leakage; every control_only leak
+    spec splits into one star and one plaquette side as well."""
+    noise = NoiseModel(p=1e-3, r=1.0, p_init_leak=1e-3, side_policy="control_only")
+    compiled = _compiled(variant, noise, rounds=1)
+    leaks = [s for s in enumerate_fault_universe(compiled) if s.kind == "leak"]
+    assert leaks
+    for _, sides in scanner._leak_setups(compiled, leaks):
+        assert [side.check_type for side in sides] == [0, 1]
+
+
+def test_assignment_slots_outside_the_program_are_rejected():
+    """A slot naming no two-qubit gate position, measurement or data edge is
+    a ValueError before any replay, never an IndexError from the executor."""
+    compiled = _compiled("standard")
+    spec, _ = _leak_slot(compiled, "pair")
+    single = next(gi for gi, g in enumerate(compiled.gates) if g.kind == "H")
+    cnot = next(gi for gi, g in enumerate(compiled.gates) if g.kind == "CNOT")
+    for slot, choice in [(("pair", len(compiled.gates), 0), "X"), (("pair", single, 1), "X"),
+                         (("pair", cnot, 2), "X"), (("measbit", cnot), 1),
+                         (("readout", compiled.lattice.n_data), "x"), (("swap", cnot), "X")]:
+        with pytest.raises(ValueError):
+            replay_spec(compiled, Decoder(compiled.lattice),
+                        replace(spec, assignment=((slot, choice),)))

@@ -5,10 +5,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from oracles import find_gates
 from toricleak.circuits import CNOT, MEAS_Z, PREP_Z, SWAP, VARIANTS, build_program
 from toricleak.noise import NULL_NOISE, NoiseModel
 from toricleak.pauli import shot_uniforms
-from toricleak.sim import Script, compile_program, find_gates, run_shot
+from toricleak.sim import Script, compile_program, run_shot
 
 
 def _compiled(variant="standard", d=3, rounds=3, noise=NULL_NOISE):
