@@ -3,12 +3,13 @@
 Detection events are differences of consecutive syndrome rounds (round -1 is
 the all-zero baseline; the last row is the noiseless readout round).  Events
 of each check type are matched in spacetime with weight = torus Manhattan
-distance + time separation, exactly: a bitmask dynamic program for up to 10
-defects, an exact blossom matching (networkx) beyond that.  Matched pairs are
-repaired along deterministic shortest torus paths, rows before columns,
+distance + time separation, exactly: a memoised top-down subset DP for up to
+10 defects, an exact blossom matching (networkx) beyond that.  Matched pairs
+are repaired along deterministic shortest torus paths, rows before columns,
 wrapping toward the shorter side (odd distance leaves no axis ties).
-The decoder returns verdicts, not corrections: ``Decoder.parities`` is the
-one crossing-parity rule that the Monte-Carlo judge and the scanner read.
+The decoder is the one matcher and returns verdicts, not corrections:
+``Decoder.parities`` is the crossing-parity rule that the Monte-Carlo judge
+and the scanner both read.
 """
 
 from __future__ import annotations
@@ -17,57 +18,7 @@ import numpy as np
 
 from .lattice import ToricLattice
 
-_DP_LIMIT = 10  # subset DP below, blossom matching above
-
-
-def _pair_weight(lat: ToricLattice, a: tuple[int, int], b: tuple[int, int]) -> int:
-    return lat.torus_distance(a[1], b[1]) + abs(a[0] - b[0])
-
-
-def _subset_dp(w: list[list[int]]) -> list[int]:
-    """Minimum-weight perfect matchings of every even subset, as a choice table.
-
-    ``choice[mask]`` is the partner of the pivot — the lowest set bit — in
-    the matching chosen for the cells in ``mask``.  Partners are tried in
-    ascending order and only a strictly lower weight replaces the incumbent,
-    so ties go to the lowest partner.
-    """
-    n = len(w)
-    INF = 1 << 60
-    dp = [INF] * (1 << n)
-    choice = [0] * (1 << n)
-    dp[0] = 0
-    for mask in range(1, 1 << n):
-        if mask.bit_count() & 1:
-            continue
-        low = mask & -mask
-        rest = mask ^ low
-        wi = w[low.bit_length() - 1]
-        best, best_j = INF, -1
-        bits = rest
-        while bits:
-            bit = bits & -bits
-            bits ^= bit
-            j = bit.bit_length() - 1
-            cand = dp[rest ^ bit] + wi[j]
-            if cand < best:
-                best, best_j = cand, j
-        dp[mask] = best
-        choice[mask] = best_j
-    return choice
-
-
-def _match_dp(w: np.ndarray) -> list[tuple[int, int]]:
-    """Exact minimum-weight perfect matching by subset DP (deterministic)."""
-    choice = _subset_dp(w.tolist())
-    pairs = []
-    mask = (1 << w.shape[0]) - 1
-    while mask:
-        i = (mask & -mask).bit_length() - 1
-        j = choice[mask]
-        pairs.append((i, j))
-        mask ^= (1 << i) | (1 << j)
-    return pairs
+_DP_LIMIT = 10  # top-down subset DP up to here, blossom matching above
 
 
 def _match_blossom(w: np.ndarray) -> list[tuple[int, int]]:
@@ -81,23 +32,6 @@ def _match_blossom(w: np.ndarray) -> list[tuple[int, int]]:
             graph.add_edge(i, j, weight=-int(w[i, j]))
     matching = nx.max_weight_matching(graph, maxcardinality=True)
     return [tuple(sorted(edge)) for edge in sorted(map(sorted, matching))]
-
-
-def match_defects(
-    lat: ToricLattice, defects: tuple[tuple[int, int], ...]
-) -> list[tuple[tuple[int, int], tuple[int, int]]]:
-    """Exact minimum-weight perfect matching of spacetime defects."""
-    n = len(defects)
-    if n % 2:
-        raise ValueError("odd number of defects cannot be matched")
-    if n == 0:
-        return []
-    w = np.zeros((n, n), dtype=np.int64)
-    for i in range(n):
-        for j in range(i + 1, n):
-            w[i, j] = w[j, i] = _pair_weight(lat, defects[i], defects[j])
-    pairs = _match_dp(w) if n <= _DP_LIMIT else _match_blossom(w)
-    return [(defects[i], defects[j]) for i, j in pairs]
 
 
 def path_edges(lat: ToricLattice, check_type: int, s1: int, s2: int) -> list[int]:
@@ -145,28 +79,85 @@ class Decoder:
         self.lat = lat
         # star repairs flip X frames, read by the Z logicals; plaquette repairs Z, by X
         self._crossed = tuple(tuple(map(frozenset, ls)) for ls in (lat.z_logicals, lat.x_logicals))
-        self._pair_cache: dict = {}
+        # [check type][s1][s2] -> (torus distance, crossing parities), filled on first use
+        self._pairs = [[[None] * lat.d**2 for _ in range(lat.d**2)] for _ in (0, 1)]
         self._cache: dict = {}
 
-    def pair_parity(self, check_type: int, s1: int, s2: int) -> int:
-        """The two logical-crossing parities of the repair path between two sites."""
-        key = (check_type, s1, s2)
-        if key not in self._pair_cache:
+    def _pair(self, check_type: int, s1: int, s2: int) -> tuple[int, int]:
+        """Torus distance and the two logical-crossing parities of the repair
+        path from ``s1`` to ``s2``."""
+        row = self._pairs[check_type][s1]
+        hit = row[s2]
+        if hit is None:
             path = path_edges(self.lat, check_type, s1, s2)
-            self._pair_cache[key] = sum((sum(e in support for e in path) & 1) << bit
-                                        for bit, support in enumerate(self._crossed[check_type]))
-        return self._pair_cache[key]
+            par = sum((sum(e in support for e in path) & 1) << bit
+                      for bit, support in enumerate(self._crossed[check_type]))
+            hit = row[s2] = (len(path), par)
+        return hit
 
-    def parities(self, check_type: int, defects: tuple[tuple[int, int], ...]) -> int:
+    def matching(self, check_type: int, defects: tuple[tuple[int, int], ...],
+                 memo: dict | None = None) -> tuple[int, int]:
+        """Weight and crossing parities of the minimum-weight perfect matching
+        of one check type's sorted (t, site) defects, a pair weighing its
+        torus distance plus its time separation.
+
+        Up to ``_DP_LIMIT`` defects a top-down subset DP decides: the first
+        defect is the pivot, its partners are tried in order, and only a
+        strictly lower weight replaces the incumbent.  Larger sets go to
+        blossom matching.  ``memo`` keeps the matchings of defect tuples
+        across the calls that share it (by default, one call); it is a cache
+        scope and never changes a result.
+        """
+        if len(defects) % 2:
+            raise ValueError("odd number of defects cannot be matched")
+        scope = ({} if memo is None else memo).setdefault(check_type, {(): (0, 0)})
+        hit = scope.get(defects)
+        if hit is None:
+            if len(defects) <= _DP_LIMIT:
+                hit = self._subset_match(check_type, defects, scope)
+            else:
+                hit = scope[defects] = self._blossom(check_type, defects)
+        return hit
+
+    def _subset_match(self, check_type: int, defects: tuple, scope: dict) -> tuple[int, int]:
+        """The DP step for a tuple missing from ``scope``; fills ``scope``."""
+        (t0, s0), rest = defects[0], defects[1:]
+        row = self._pairs[check_type][s0]
+        best = None
+        for k, (t, s) in enumerate(rest):
+            sub = rest[:k] + rest[k + 1 :]
+            weight, sub_par = scope.get(sub) or self._subset_match(check_type, sub, scope)
+            dist, par = row[s] or self._pair(check_type, s0, s)
+            weight += dist + abs(t - t0)
+            if best is None or weight < best[0]:
+                best = (weight, sub_par ^ par)
+        scope[defects] = best
+        return best
+
+    def _blossom(self, check_type: int, defects: tuple) -> tuple[int, int]:
+        n = len(defects)
+        w = np.zeros((n, n), dtype=np.int64)
+        for i, (t1, s1) in enumerate(defects):
+            for j in range(i + 1, n):
+                t2, s2 = defects[j]
+                w[i, j] = w[j, i] = self._pair(check_type, s1, s2)[0] + abs(t1 - t2)
+        weight = par = 0
+        for i, j in _match_blossom(w):  # i < j: the earlier defect leads its path
+            weight += int(w[i, j])
+            par ^= self._pair(check_type, defects[i][1], defects[j][1])[1]
+        return weight, par
+
+    def parities(self, check_type: int, defects: tuple[tuple[int, int], ...],
+                 memo: dict | None = None) -> int:
         """Crossing parities of the matching of one check type's sorted (t, site)
-        defects: judge bits 0-1 for stars, 2-3 for plaquettes."""
+        defects: judge bits 0-1 for stars, 2-3 for plaquettes.  A call
+        without ``memo`` is also cached decoder-wide."""
+        if memo is not None:
+            return self.matching(check_type, defects, memo)[1]
         key = (check_type, defects)
         hit = self._cache.get(key)
         if hit is None:
-            hit = 0
-            for a, b in match_defects(self.lat, defects):
-                hit ^= self.pair_parity(check_type, a[1], b[1])
-            self._cache[key] = hit
+            hit = self._cache[key] = self.matching(check_type, defects)[1]
         return hit
 
     def judge_batch(self, syndromes: np.ndarray, data_x: np.ndarray, data_z: np.ndarray) -> np.ndarray:

@@ -111,10 +111,11 @@ class ExperimentConfig:
             raise ConfigError("max_shots: must be >= 1")
         if not 0 <= self.master_seed < 2**64:
             raise ConfigError("master_seed: must fit in an unsigned 64-bit int")
-        # eager policy validation via the noise model's own checks
+        # eager validation of every grid point via the noise model's own checks
         try:
-            NoiseModel(p=self.p[0], r=self.r, side_policy=self.side_policy,
-                       site_filter=self.site_filter)
+            for p in self.p:
+                NoiseModel(p=p, r=self.r, side_policy=self.side_policy,
+                           site_filter=self.site_filter, p_init_leak=self.init_leak_at(p))
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
 

@@ -58,12 +58,12 @@ class NoiseModel:
         if self.leaked_meas not in LEAKED_MEAS_POLICIES:
             raise ValueError(f"leaked_meas must be one of {LEAKED_MEAS_POLICIES}")
         _parse_site_filter(self.site_filter)
-        for name in ("p", "p_init_leak", "meas_flip"):
+        if self.r < 0:
+            raise ValueError("r must be >= 0")
+        for name in ("p", "p_leak", "p_init_leak", "meas_flip"):
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:
                 raise ValueError(f"{name}={value} outside [0, 1]")
-        if self.r < 0:
-            raise ValueError("r must be >= 0")
 
     @property
     def p_leak(self) -> float:

@@ -26,17 +26,17 @@ the two judge bits of the data X frame) and a plaquette side (plaquette
 events + the Z frame's two), which the decoder also judges independently.
 A side holds only its own check type's event cells, so a span point is
 that type's event bits followed by its two judge bits, which keeps ranks
-small.  Matchings for all event subsets come from the production matcher's
-subset dynamic program, so pivot and tie-break agree with it, and each
-matching is judged by the decoder's own rule, the XOR of
-``Decoder.pair_parity`` over its pairs.
+small.  Every point is judged by the production matcher itself,
+``Decoder.parities`` on the point's events, with one sub-matching memo per
+side, so a verdict is exact with respect to the decoder that the Monte-Carlo
+path runs.
 
 One judge serves both questions asked of a leak: ``_failing_points`` yields
 the failing bit of each span point of a side.  ``scan`` fails the spec at
-its first failing point; ``leak_failure_fraction`` counts them.  A side
-over ``SPAN_BUDGET_BITS`` or ``CELL_CAP`` is judged on ``SAMPLE_COUNT``
-seeded random points by ``Decoder.parities`` instead, and the spec is
-reported as sampled rather than exact.
+its first failing point; ``leak_failure_fractions`` counts them.  A side
+whose rank exceeds ``SPAN_BUDGET_BITS`` is judged on ``SAMPLE_COUNT``
+seeded random points instead, and the spec is reported as sampled rather
+than exact.
 
 Pair scanning (``max_faults=2``) composes cached Pauli-spec effects, which
 is exact by frame linearity; leak specs take part only singly because their
@@ -53,7 +53,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .circuits import CNOT, H, MEAS_X, MEAS_Z, PREP_X, PREP_Z, SWAP
-from .decoder import Decoder, _pair_weight, _subset_dp, extract_events_batch
+from .decoder import Decoder, extract_events_batch
 from .experiments import ConfigError
 from .lattice import ToricLattice
 from .pauli import (
@@ -69,7 +69,6 @@ from .vector import execute
 
 # read at call time, so tests can patch them
 SPAN_BUDGET_BITS = 16  # max basis rank enumerated exhaustively per side
-CELL_CAP = 16  # max event cells covered by one subset DP
 SAMPLE_COUNT = 4096  # assignments drawn when a span exceeds the budget
 PAIR_CAP = 1200  # max single-fault specs admitted into pair scanning
 _CHUNK_ROWS = 64  # scripted replays per executor batch
@@ -311,38 +310,6 @@ def _gf2_basis(vecs: list[int]) -> list[int]:
     return list(by_lead.values())
 
 
-class _PairMatcher:
-    """Minimum-weight matchings for every even subset of fixed event cells.
-
-    One subset DP serves all assignments of a leak location.  It is the
-    production matcher's DP, so pivot and tie-break agree on their shared
-    range, and the walk returns the decoder's verdict rule: the XOR of
-    ``Decoder.pair_parity`` over the matched pairs.
-    """
-
-    def __init__(self, decoder: Decoder, check_type: int, cells: list[tuple[int, int]]):
-        self._choice = _subset_dp([[_pair_weight(decoder.lat, a, b) for b in cells] for a in cells])
-        # read as [pivot][partner], the pivot the lower index, as the decoder orders pairs
-        self._pairpar = [[decoder.pair_parity(check_type, a, b) for _, b in cells] for _, a in cells]
-        self._memo: dict[int, int] = {0: 0}
-
-    def match_parities(self, mask: int) -> int:
-        hit = self._memo.get(mask)
-        if hit is not None:
-            return hit
-        if mask.bit_count() % 2:
-            raise ValueError("odd defect parity cannot arise from a Pauli frame")
-        par = 0
-        m = mask
-        while m:
-            i = (m & -m).bit_length() - 1
-            j = self._choice[m]
-            par ^= self._pairpar[i][j]
-            m ^= (1 << i) | (1 << j)
-        self._memo[mask] = par
-        return par
-
-
 @dataclass
 class _SpanSide:
     """One check type's side of a leak location's span.
@@ -359,21 +326,13 @@ class _SpanSide:
     @property
     def exact(self) -> bool:
         """True when the side is small enough to enumerate exhaustively."""
-        return len(self.basis) <= SPAN_BUDGET_BITS and len(self.cells) <= CELL_CAP
+        return len(self.basis) <= SPAN_BUDGET_BITS
 
-    def matcher(self, decoder: Decoder):
-        """Correction parities per event mask: from the subset DP when the
-        side is exact, else from ``Decoder.parities``."""
-        if self.exact:
-            return _PairMatcher(decoder, self.check_type, self.cells).match_parities
-        return lambda mask: decoder.parities(
-            self.check_type, tuple(c for j, c in enumerate(self.cells) if mask >> j & 1))
-
-    def failing(self, vec: int, matchpar) -> bool:
+    def failing(self, decoder: Decoder, vec: int, memo: dict) -> bool:
         """Whether the span point ``vec`` fails this side's judge bits."""
         vec ^= self.base
-        n = len(self.cells)
-        return (vec >> n) != matchpar(vec & ((1 << n) - 1))
+        defects = tuple([c for j, c in enumerate(self.cells) if vec >> j & 1])
+        return (vec >> len(self.cells)) != decoder.parities(self.check_type, defects, memo)
 
 
 def _effect_parts(lat: ToricLattice, events, fx, fz) -> list[tuple]:
@@ -478,16 +437,17 @@ def _failing_points(decoder: Decoder, spec: FaultSpec, side: _SpanSide):
 
     An exact side yields the zero point and then every other point in
     Gray-code order; an over-budget side yields ``SAMPLE_COUNT`` random basis
-    combinations, seeded by the spec and the side's rank.
+    combinations, seeded by the spec and the side's rank.  The side's points
+    share one sub-matching memo.
     """
-    matchpar = side.matcher(decoder)
+    memo: dict = {}
     basis = side.basis
     if side.exact:
         vec = 0
-        yield side.failing(vec, matchpar)
+        yield side.failing(decoder, vec, memo)
         for k in range(1, 1 << len(basis)):
             vec ^= basis[(k & -k).bit_length() - 1]
-            yield side.failing(vec, matchpar)
+            yield side.failing(decoder, vec, memo)
         return
     rng = np.random.default_rng(np.random.SeedSequence([spec.gate_index, spec.victim, len(basis), 1]))
     for _ in range(SAMPLE_COUNT):
@@ -496,27 +456,32 @@ def _failing_points(decoder: Decoder, spec: FaultSpec, side: _SpanSide):
         for j in range(len(basis)):
             if bits[j]:
                 vec ^= basis[j]
-        yield side.failing(vec, matchpar)
+        yield side.failing(decoder, vec, memo)
 
 
-def leak_failure_fraction(compiled: CompiledProgram, spec: FaultSpec) -> tuple[float, bool]:
-    """Exact P(logical failure | this leak fires) under uniform draws.
+def leak_failure_fractions(
+    compiled: CompiledProgram, specs: list[FaultSpec]
+) -> list[tuple[float, bool]]:
+    """Per leak spec, exact P(logical failure | this leak fires) under uniform draws.
 
     Every consequence draw resolves to independent uniform bits (a partner
     Pauli is two bits, a junk measurement one, a readout erasure two), and
     the map from draw choices to the judged effect is GF(2)-linear, so the
     effect is uniform over the span with equal fibers.  The failing fraction
     is therefore (#failing span points) / 2^rank, with independent sides
-    combining as 1 - (1-q_star)(1-q_plaq).  Returns ``(fraction, exact)``;
-    an over-budget side falls back to a sampled estimate with exact=False.
+    combining as 1 - (1-q_star)(1-q_plaq).  Each spec gives
+    ``(fraction, exact)``; an over-budget side falls back to a sampled
+    estimate with exact=False.
     """
-    _, sides = next(_leak_setups(compiled, [spec]))
     decoder = Decoder(compiled.lattice)
-    survive = 1.0
-    for side in sides:
-        bits = list(_failing_points(decoder, spec, side))
-        survive *= 1.0 - sum(bits) / len(bits)
-    return 1.0 - survive, all(side.exact for side in sides)
+    out = []
+    for spec, sides in _leak_setups(compiled, specs):
+        survive = 1.0
+        for side in sides:
+            bits = list(_failing_points(decoder, spec, side))
+            survive *= 1.0 - sum(bits) / len(bits)
+        out.append((1.0 - survive, all(side.exact for side in sides)))
+    return out
 
 
 # ---------------------------------------------------------------------------

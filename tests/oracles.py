@@ -1,8 +1,11 @@
-"""Test-side oracles: structural checks, text forms and residual-weight analysis.
+"""Test-side oracles: structural checks, text forms, a reference matcher and
+residual-weight analysis.
 
 None of this is on a production path.  The tests use it to check circuits,
 lattices, configs and matchings, and to measure the residual data error a
-fully specified fault leaves at readout.
+fully specified fault leaves at readout.  The reference matcher is a
+bottom-up subset DP over every even subset, independent of the decoder's
+top-down one, with the blossom route above ``_DP_LIMIT`` defects.
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from toricleak.circuits import H, MEAS_X, MEAS_Z, PREP_X, PREP_Z, SWAP, CircuitProgram
-from toricleak.decoder import Decoder, _pair_weight
+from toricleak.decoder import _DP_LIMIT, Decoder, _match_blossom, path_edges
 from toricleak.experiments import _LIST_KEYS, CONFIG_VERSION, ExperimentConfig, _fmt
 from toricleak.lattice import ToricLattice
 from toricleak.scanner import FaultSpec, replay_spec
@@ -122,7 +125,7 @@ def find_gates(
 
 
 # ---------------------------------------------------------------------------
-# lattice, decoder and config text
+# lattice and config text
 
 
 def lattice_to_text(lat: ToricLattice) -> str:
@@ -142,12 +145,6 @@ def lattice_to_text(lat: ToricLattice) -> str:
     return "\n".join(lines) + "\n"
 
 
-def matching_weight(
-    lat: ToricLattice, pairs: list[tuple[tuple[int, int], tuple[int, int]]]
-) -> int:
-    return sum(_pair_weight(lat, a, b) for a, b in pairs)
-
-
 def serialize_config(config: ExperimentConfig) -> str:
     """Canonical text form; parse_config round-trips it exactly."""
     out = [CONFIG_VERSION]
@@ -161,6 +158,104 @@ def serialize_config(config: ExperimentConfig) -> str:
         else:
             out.append(f"{key} = {_fmt(value)}")
     return "\n".join(out) + "\n"
+
+
+# ---------------------------------------------------------------------------
+# reference matcher
+
+
+def _pair_weight(lat: ToricLattice, a: tuple[int, int], b: tuple[int, int]) -> int:
+    return lat.torus_distance(a[1], b[1]) + abs(a[0] - b[0])
+
+
+def _subset_dp(w: list[list[int]]) -> list[int]:
+    """Minimum-weight perfect matchings of every even subset, as a choice table.
+
+    ``choice[mask]`` is the partner of the pivot — the lowest set bit — in
+    the matching chosen for the cells in ``mask``.  Partners are tried in
+    ascending order and only a strictly lower weight replaces the incumbent,
+    so ties go to the lowest partner.
+    """
+    n = len(w)
+    INF = 1 << 60
+    dp = [INF] * (1 << n)
+    choice = [0] * (1 << n)
+    dp[0] = 0
+    for mask in range(1, 1 << n):
+        if mask.bit_count() & 1:
+            continue
+        low = mask & -mask
+        rest = mask ^ low
+        wi = w[low.bit_length() - 1]
+        best, best_j = INF, -1
+        bits = rest
+        while bits:
+            bit = bits & -bits
+            bits ^= bit
+            j = bit.bit_length() - 1
+            cand = dp[rest ^ bit] + wi[j]
+            if cand < best:
+                best, best_j = cand, j
+        dp[mask] = best
+        choice[mask] = best_j
+    return choice
+
+
+def _match_dp(w: np.ndarray) -> list[tuple[int, int]]:
+    """Exact minimum-weight perfect matching by subset DP (deterministic)."""
+    choice = _subset_dp(w.tolist())
+    pairs = []
+    mask = (1 << w.shape[0]) - 1
+    while mask:
+        i = (mask & -mask).bit_length() - 1
+        j = choice[mask]
+        pairs.append((i, j))
+        mask ^= (1 << i) | (1 << j)
+    return pairs
+
+
+def weight_matrix(lat: ToricLattice, defects: tuple[tuple[int, int], ...]) -> np.ndarray:
+    """Spacetime pair weights of defects: torus distance plus time separation."""
+    n = len(defects)
+    w = np.zeros((n, n), dtype=np.int64)
+    for i in range(n):
+        for j in range(i + 1, n):
+            w[i, j] = w[j, i] = _pair_weight(lat, defects[i], defects[j])
+    return w
+
+
+def random_defects(rng, d: int, max_t: int, n: int) -> tuple[tuple[int, int], ...]:
+    """``n`` distinct sorted (t, site) defects with t in [0, max_t]."""
+    chosen = set()
+    while len(chosen) < n:
+        chosen.add((int(rng.integers(0, max_t + 1)), int(rng.integers(0, d * d))))
+    return tuple(sorted(chosen))
+
+
+def match_defects(
+    lat: ToricLattice, defects: tuple[tuple[int, int], ...]
+) -> list[tuple[tuple[int, int], tuple[int, int]]]:
+    """Exact minimum-weight perfect matching of spacetime defects."""
+    n = len(defects)
+    if n % 2:
+        raise ValueError("odd number of defects cannot be matched")
+    if n == 0:
+        return []
+    w = weight_matrix(lat, defects)
+    pairs = _match_dp(w) if n <= _DP_LIMIT else _match_blossom(w)
+    return [(defects[i], defects[j]) for i, j in pairs]
+
+
+def crossing_parities(lat: ToricLattice, check_type: int, pairs) -> int:
+    """Logical-crossing parities of matched pairs, read from the frame their
+    repair paths flip: bits 0-1 of the judge for stars, 2-3 for plaquettes."""
+    frame = np.zeros(lat.n_data, dtype=np.uint8)
+    for a, b in pairs:
+        for e in path_edges(lat, check_type, a[1], b[1]):
+            frame[e] ^= 1
+    zero = np.zeros_like(frame)
+    bits = lat.logical_parities(frame, zero) if check_type == 0 else lat.logical_parities(zero, frame)
+    return int(bits[2 * check_type]) | int(bits[2 * check_type + 1]) << 1
 
 
 # ---------------------------------------------------------------------------

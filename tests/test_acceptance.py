@@ -34,7 +34,7 @@ from toricleak.scanner import (
     FaultSpec,
     enumerate_fault_universe,
     leak_consequences,
-    leak_failure_fraction,
+    leak_failure_fractions,
     scan,
     spec_location,
 )
@@ -77,10 +77,8 @@ def _first_order_coefficient(compiled):
     (rate / p) * P(failure | the leak fires), every span enumerated."""
     p = compiled.noise.p
     a1 = 0.0
-    for spec in enumerate_fault_universe(compiled):
-        if spec.kind != "leak":
-            continue
-        fraction, exact = leak_failure_fraction(compiled, spec)
+    specs = [spec for spec in enumerate_fault_universe(compiled) if spec.kind == "leak"]
+    for spec, (fraction, exact) in zip(specs, leak_failure_fractions(compiled, specs)):
         assert exact, spec
         gate = compiled.gates[spec.gate_index]
         a1 += fraction * gate.leak_prob / len(gate.leak_victims) / p

@@ -62,6 +62,8 @@ def test_run_is_identical_across_worker_flag(tmp_path):
     "toricleak-config v2\nvariant = standard\nshots = 1\n",
     GOOD_CONFIG + "mystery = 4\n",
     GOOD_CONFIG.replace("variant = standard", "variant = nope"),
+    GOOD_CONFIG.replace("p = 0.05", "p = 0.2\nr = 10"),
+    GOOD_CONFIG.replace("p = 0.05", "p = 0.1, 0.2\nr = 6\np_init_leak = r*p"),
 ])
 def test_run_rejects_bad_configs_with_exit_2(tmp_path, text, capsys):
     cfg = tmp_path / "bad.cfg"

@@ -2,8 +2,9 @@
 
 The decoder judges shots from the logical-crossing parities of its matched
 pairs.  The tests keep the frame route as its reference: build each shot's
-correction frame from ``match_defects`` and ``path_edges``, apply it, and
-read the logical parities of the corrected frame.
+correction frame from the reference matcher's pairs (``oracles.match_defects``)
+and ``path_edges``, apply it, and read the logical parities of the corrected
+frame.
 """
 
 from __future__ import annotations
@@ -11,16 +12,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from oracles import matching_weight
+from oracles import _match_dp, crossing_parities, match_defects, random_defects, weight_matrix
 from toricleak.circuits import build_program
-from toricleak.decoder import (
-    Decoder,
-    extract_events_batch,
-    match_defects,
-    path_edges,
-    _match_blossom,
-    _match_dp,
-)
+from toricleak.decoder import Decoder, _match_blossom, extract_events_batch, path_edges
 from toricleak.lattice import build_lattice
 from toricleak.noise import NULL_NOISE, NoiseModel
 from toricleak.sim import compile_program, run_shot
@@ -35,7 +29,7 @@ def _defects(events: np.ndarray, check_type: int) -> tuple[tuple[int, int], ...]
 
 def _reference_frames(lat, syndromes, data_x, data_z):
     """The frame route, per shot: corrected X and Z frames and their 4 judge
-    bits, from ``match_defects`` pairs repaired along ``path_edges``."""
+    bits, from reference-matcher pairs repaired along ``path_edges``."""
     corrected_x, corrected_z = data_x.copy(), data_z.copy()
     for shot, events in enumerate(extract_events_batch(syndromes)):
         for check_type, frame in ((0, corrected_x[shot]), (1, corrected_z[shot])):
@@ -68,13 +62,6 @@ def _brute_min_weight(w: np.ndarray) -> int:
     return rec(idx)
 
 
-def _random_defects(rng, d, max_t, n):
-    chosen = set()
-    while len(chosen) < n:
-        chosen.add((int(rng.integers(0, max_t + 1)), int(rng.integers(0, d * d))))
-    return tuple(sorted(chosen))
-
-
 def test_extract_events_static_and_flipped():
     syn = np.zeros((4, 2, 9), dtype=np.uint8)
     syn[:, 0, 3] = 1  # defect present from round 0 on
@@ -102,22 +89,22 @@ def test_detection_event_parity_is_even(variant, noise):
 
 
 def test_exact_matching_against_brute_force_oracle():
-    """1000 random spacetime defect sets of up to 10 defects."""
+    """1000 random spacetime defect sets of up to 10 defects: the decoder's
+    matching weight is the brute-force minimum, and its crossing parities are
+    those of the reference subset DP's pairs (same pivot, same tie-break)."""
     rng = np.random.default_rng(2024)
-    lat3, lat5 = build_lattice(3), build_lattice(5)
+    decoders = {d: Decoder(build_lattice(d)) for d in (3, 5)}
     for trial in range(1000):
-        lat = lat5 if trial % 2 else lat3
+        decoder = decoders[5 if trial % 2 else 3]
+        lat, check_type = decoder.lat, trial // 2 % 2
         n = int(rng.choice([2, 4, 6, 8, 10]))
-        defects = _random_defects(rng, lat.d, 4, n)
-        w = np.zeros((n, n), dtype=np.int64)
-        for i in range(n):
-            for j in range(i + 1, n):
-                w[i, j] = w[j, i] = lat.torus_distance(defects[i][1], defects[j][1]) + abs(
-                    defects[i][0] - defects[j][0]
-                )
-        pairs = match_defects(lat, defects)
-        got = matching_weight(lat, pairs)
-        assert got == _brute_min_weight(w), f"trial {trial}: {defects}"
+        defects = random_defects(rng, lat.d, 4, n)
+        w = weight_matrix(lat, defects)
+        weight, parities = decoder.matching(check_type, defects)
+        assert weight == _brute_min_weight(w), f"trial {trial}: {defects}"
+        pairs = [(defects[i], defects[j]) for i, j in _match_dp(w)]
+        assert parities == crossing_parities(lat, check_type, pairs), f"trial {trial}: {defects}"
+        assert decoder.parities(check_type, defects) == parities
 
 
 def test_blossom_route_agrees_with_dp_route():
@@ -125,22 +112,16 @@ def test_blossom_route_agrees_with_dp_route():
     lat = build_lattice(5)
     for _ in range(25):
         n = int(rng.choice([8, 12, 14]))
-        defects = _random_defects(rng, 5, 5, n)
-        w = np.zeros((n, n), dtype=np.int64)
-        for i in range(n):
-            for j in range(i + 1, n):
-                w[i, j] = w[j, i] = lat.torus_distance(defects[i][1], defects[j][1]) + abs(
-                    defects[i][0] - defects[j][0]
-                )
+        w = weight_matrix(lat, random_defects(rng, 5, 5, n))
         weight_dp = sum(w[i, j] for i, j in _match_dp(w))
         weight_nx = sum(w[i, j] for i, j in _match_blossom(w))
         assert weight_dp == weight_nx
 
 
 def test_match_rejects_odd_defects():
-    lat = build_lattice(3)
+    decoder = Decoder(build_lattice(3))
     with pytest.raises(ValueError, match="odd"):
-        match_defects(lat, ((0, 0),))
+        decoder.parities(0, ((0, 0),))
 
 
 @pytest.mark.parametrize("d", [3, 5])

@@ -11,16 +11,17 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from oracles import residual_weight
+from oracles import _match_dp, crossing_parities, random_defects, residual_weight, weight_matrix
 from toricleak import scanner, sim
 from toricleak.circuits import VARIANTS, build_program
 from toricleak.decoder import Decoder
+from toricleak.lattice import build_lattice
 from toricleak.noise import NoiseModel
 from toricleak.scanner import (
     FaultSpec,
     enumerate_fault_universe,
     leak_consequences,
-    leak_failure_fraction,
+    leak_failure_fractions,
     replay_spec,
     scan,
     script_for,
@@ -120,7 +121,7 @@ def test_exact_hook_fractions_standard(kind, ordinal, role, rnd, want):
             continue
         loc = spec_location(compiled, spec)
         if (loc.kind, loc.ordinal, loc.role, loc.round) == (kind, ordinal, role, rnd):
-            q, exact = leak_failure_fraction(compiled, spec)
+            [(q, exact)] = leak_failure_fractions(compiled, [spec])
             assert exact
             assert Fraction(q).limit_denominator(1 << 20) == want
             return
@@ -132,17 +133,15 @@ def test_swap_reduction_leaves_only_first_cnot_data_hooks():
     the round boundary, so only first-CNOT data leaks (and the swap carry
     itself) can still defeat the matcher."""
     compiled = _compiled("swap_lrc")
-    fractions = {}
+    specs = {}
     for spec in enumerate_fault_universe(compiled):
         if spec.kind != "leak":
             continue
         loc = spec_location(compiled, spec)
         if loc.role != "data" or loc.kind != "CNOT":
             continue
-        key = (loc.ordinal, loc.round)
-        if key in fractions:
-            continue
-        fractions[key] = leak_failure_fraction(compiled, spec)
+        specs.setdefault((loc.ordinal, loc.round), spec)
+    fractions = dict(zip(specs, leak_failure_fractions(compiled, list(specs.values()))))
     for (ordinal, rnd), (q, exact) in fractions.items():
         assert exact
         if ordinal == 1:
@@ -155,8 +154,8 @@ def test_swap_carry_promotion_fraction():
     """A leak seated at the swap itself rides into the next round's ancilla."""
     compiled = _compiled("swap_lrc")
     gi = _first_gate(compiled, kind="SWAP", round_index=0)
-    q, exact = leak_failure_fraction(compiled, FaultSpec(kind="leak", gate_index=gi,
-                                                         victim=0))
+    [(q, exact)] = leak_failure_fractions(compiled, [FaultSpec(kind="leak", gate_index=gi,
+                                                               victim=0)])
     assert exact
     assert Fraction(q).limit_denominator(1 << 20) == Fraction(1, 32)
 
@@ -182,7 +181,7 @@ def test_fraction_matches_manual_assignment_enumeration():
                 kind="leak", gate_index=gi, victim=1, assignment=assign))
             n_tot += 1
             n_fail += bool(judge.any())
-    q, exact = leak_failure_fraction(compiled, spec0)
+    [(q, exact)] = leak_failure_fractions(compiled, [spec0])
     assert exact
     assert Fraction(n_fail, n_tot) == Fraction(q).limit_denominator(1 << 20)
 
@@ -255,10 +254,54 @@ def test_scan_verdict_agrees_with_failure_fraction(case, monkeypatch):
         assert verdict.sampled
         assert "exhaustive=0" in verdict_to_text(compiled, verdict).splitlines()
     failing, sampled = set(verdict.leak_failures), set(verdict.sampled)
-    for spec in specs:
-        fraction, exact = leak_failure_fraction(compiled, spec)
+    for spec, (fraction, exact) in zip(specs, leak_failure_fractions(compiled, specs)):
         assert exact == (spec not in sampled)
         assert (spec in failing) == (fraction > 0), spec
+
+
+def _gray_points(side):
+    """Every point of an exact side in ``_failing_points`` order."""
+    for k in range(1 << len(side.basis)):
+        gray, vec = k ^ (k >> 1), side.base
+        for j, vector in enumerate(side.basis):
+            if gray >> j & 1:
+                vec ^= vector
+        yield vec
+
+
+def test_span_points_follow_the_production_matcher_above_ten_defects():
+    """Span points are judged by ``Decoder.parities``, also on a 12-defect
+    set where its blossom route and the reference subset DP break a tie
+    into different crossing parities; sharing one memo across a side's
+    points gives the bits of a fresh decoder per point."""
+    lat = build_lattice(3)
+    decoder = Decoder(lat)
+    spec = FaultSpec(kind="leak", gate_index=0, victim=0)
+    rng = np.random.default_rng(12)
+    for _ in range(200):
+        defects = random_defects(rng, 3, 4, 12)
+        w = weight_matrix(lat, defects)
+        reference = crossing_parities(lat, 0, [(defects[i], defects[j]) for i, j in _match_dp(w)])
+        if reference != decoder.parities(0, defects):
+            break
+    else:
+        raise AssertionError("no 12-defect set splits the two matchers")
+    n, production = len(defects), decoder.parities(0, defects)
+    for judge in range(4):
+        side = scanner._SpanSide(0, list(defects), 0, [judge << n | ((1 << n) - 1)])
+        assert list(scanner._failing_points(decoder, spec, side)) == [False, judge != production]
+
+    cells = list(random_defects(rng, 3, 4, 14))
+    even = [m for m in rng.integers(0, 1 << 14, size=40).tolist() if m.bit_count() % 2 == 0]
+    base = (1 << 12) - 1  # twelve events, so the walk crosses the DP limit both ways
+    side = scanner._SpanSide(1, cells, base, [int(rng.integers(4)) << 14 | m for m in even[:6]])
+    points = list(_gray_points(side))
+    counts = [(vec & (1 << 14) - 1).bit_count() for vec in points]
+    assert min(counts) <= 10 < max(counts)
+    want = [(vec >> 14) != Decoder(lat).parities(1, tuple(c for j, c in enumerate(cells)
+                                                            if vec >> j & 1))
+            for vec in points]
+    assert list(scanner._failing_points(decoder, spec, side)) == want
 
 
 def _leak_slot(compiled, tag):

@@ -300,5 +300,7 @@ def test_noise_model_validation():
         NoiseModel(p=0.1, site_filter="cnot_ordinal:7")
     with pytest.raises(ValueError, match="outside"):
         NoiseModel(p=1.5)
+    with pytest.raises(ValueError, match="p_leak"):
+        NoiseModel(p=0.2, r=10)
     with pytest.raises(ValueError, match="leaked_meas"):
         NoiseModel(p=0.1, leaked_meas="zeros")
