@@ -5,35 +5,42 @@ into integer timesteps (moments).  Gates address *physical* qubit ids; role
 maps record which physical qubit carries which role (data edge, check
 ancilla, spare) in each round, so role-exchanging variants stay decodable.
 
-Variants
---------
-standard        static roles; per round: prep, (H on X-ancillas), 4 CNOT
-                layers, (H), measure.
-swap_lrc        standard plus an end-of-round SWAP between every check ancilla
-                and its designated N data neighbour (period 1: every round).
-swap_alt        swap_lrc with period 2: swaps only in odd rounds (0-indexed),
-                i.e. the circuit alternates standard/swap starting standard.
+Every variant runs the same round schedule, with Z checks before X checks in
+each moment:
+
+    prep, (H on X ancillas), CNOT layers k = 1..4, (H), measure, (SWAP)
+
+The k-th CNOT of a check touches the k-th edge of its support (``Z_ORDER`` /
+``X_ORDER``).  An X ancilla is turned to the X basis before its first CNOT
+unless that CNOT is reversed, and turned back before measurement if an odd
+number of H gates has acted on it by then.  ``_SCHEDULES`` states how each
+variant departs from ``standard``:
+
+standard        static roles; no departures.
+swap_lrc        an end-of-round SWAP between every check ancilla and its
+                designated N data neighbour, every round.
+swap_alt        the end-of-round SWAP only in odd rounds (0-indexed), so the
+                circuit alternates standard/swap starting standard.
 gate_biased     swap_lrc with every X-check CNOT reversed (data becomes the
-                control) via H conjugation; leftover H·H identity pairs on the
-                ancilla are kept only at the junctions after CNOTs 2-4, adding
-                exactly 12 single-qubit gates per X-check circuit.
-gate_biased_opt only the 1st and 2nd X-check CNOTs are reversed, adding
-                exactly 4 single-qubit gates per X-check circuit.
-mixed_lrc       doubled ancillas: a freshly prepared spare is swapped in for
-                each check ancilla between the 2nd and 3rd CNOT, and the
-                end-of-round SWAP is retained; the three physical qubits per
-                check rotate through (active, fresh, data-partner) roles.
+                control) via H conjugation on the data; leftover H·H identity
+                pairs on the ancilla stay at the junctions after CNOTs 2-4,
+                adding exactly 12 single-qubit gates per X-check circuit.
+gate_biased_opt only the 1st and 2nd X-check CNOTs are reversed, with one H on
+                the ancilla after the 2nd, adding exactly 4 single-qubit gates
+                per X-check circuit.
+mixed_lrc       swap_lrc with doubled ancillas: a freshly prepared spare is
+                swapped in for each check ancilla between the 2nd and 3rd
+                CNOT, so the three physical qubits per check rotate through
+                (active, fresh, data-partner) roles.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import ToricLattice, X_ORDER, Z_ORDER, build_lattice
-
-VARIANTS = ("standard", "swap_lrc", "swap_alt", "gate_biased", "gate_biased_opt", "mixed_lrc")
+from .lattice import X, Z, ToricLattice, build_lattice
 
 PREP_Z = "PrepZ"
 PREP_X = "PrepX"
@@ -47,6 +54,27 @@ ROLE_DATA = "data"
 ROLE_ZANC = "ancillaZ"
 ROLE_XANC = "ancillaX"
 ROLE_SPARE = "spare"
+
+
+@dataclass(frozen=True)
+class _Schedule:
+    """How one variant's round departs from the standard round."""
+
+    reversed_x: tuple[int, ...] = ()  # X-check CNOT ordinals reversed by H on the data
+    ancilla_h: tuple[int, ...] = (0, 0, 0, 0)  # H gates on each X ancilla after layer k
+    spare_swap: bool = False  # swap a fresh spare in for each ancilla after layer 2
+    swap_period: int = 0  # end-of-round SWAP in rounds r with r % period == period - 1
+
+
+_SCHEDULES = {
+    "standard": _Schedule(),
+    "swap_lrc": _Schedule(swap_period=1),
+    "swap_alt": _Schedule(swap_period=2),
+    "gate_biased": _Schedule((1, 2, 3, 4), (0, 2, 2, 2), swap_period=1),
+    "gate_biased_opt": _Schedule((1, 2), (0, 1, 0, 0), swap_period=1),
+    "mixed_lrc": _Schedule(spare_swap=True, swap_period=1),
+}
+VARIANTS = tuple(_SCHEDULES)
 
 
 @dataclass(frozen=True)
@@ -80,12 +108,6 @@ class CircuitProgram:
     role_maps: list[dict[int, str]]
     data_carriers: list[np.ndarray]  # per round: edge id -> physical qubit
     final_data_carrier: np.ndarray  # after the last round's swaps
-    z_order: tuple[str, ...] = Z_ORDER
-    x_order: tuple[str, ...] = X_ORDER
-
-    @property
-    def n_qubits(self) -> int:
-        return self.lattice.n_qubits
 
     def all_gates(self):
         for r, gates in enumerate(self.rounds):
@@ -95,15 +117,7 @@ class CircuitProgram:
 
 def partner_edges(lat: ToricLattice) -> tuple[np.ndarray, np.ndarray]:
     """Designated SWAP-LRC partner (the N neighbour) for each Z and X check."""
-    z_partner = np.array([lat.z_support[s][0] for s in range(lat.d**2)])
-    x_partner = np.array([lat.x_support[s][0] for s in range(lat.d**2)])
-    return z_partner, x_partner
-
-
-def _order_permutation(canonical: tuple[str, ...], requested: tuple[str, ...]) -> list[int]:
-    if sorted(requested) != sorted(canonical):
-        raise ValueError(f"order must permute {canonical}, got {requested}")
-    return [canonical.index(dirn) for dirn in requested]
+    return lat.z_support[:, 0].copy(), lat.x_support[:, 0].copy()
 
 
 class _RoundBuilder:
@@ -114,230 +128,101 @@ class _RoundBuilder:
         self.gates: list[GateOp] = []
         self.step = 0
 
-    def add(self, kind, qubits, roles, ordinal=0, check=None):
-        label = FaultLocation(
-            round=self.r,
-            gate_index=len(self.gates),
-            kind=kind,
-            cnot_ordinal=ordinal,
-            roles=tuple(roles),
-            check=check,
-        )
-        self.gates.append(GateOp(kind, tuple(int(q) for q in qubits), self.step, label))
+    def layer(self, kind, check_type, qubits, roles, ordinal=0):
+        """One gate per check site; ``qubits`` holds one per-site column per operand."""
+        roles = tuple(roles)
+        for s, qs in enumerate(zip(*qubits)):
+            label = FaultLocation(self.r, len(self.gates), kind, ordinal, roles, (check_type, s))
+            self.gates.append(GateOp(kind, tuple(int(q) for q in qs), self.step, label))
 
     def next_moment(self):
         self.step += 1
 
 
-def build_program(
-    variant: str,
-    d: int,
-    n_rounds: int,
-    z_order: tuple[str, ...] = Z_ORDER,
-    x_order: tuple[str, ...] = X_ORDER,
-) -> CircuitProgram:
+def build_program(variant: str, d: int, n_rounds: int) -> CircuitProgram:
     """Build any of the six variants for ``n_rounds`` syndrome rounds."""
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
     if n_rounds < 1:
         raise ValueError("n_rounds must be >= 1")
-    lat = build_lattice(d, with_spares=(variant == "mixed_lrc"))
-    zperm = _order_permutation(Z_ORDER, tuple(z_order))
-    xperm = _order_permutation(X_ORDER, tuple(x_order))
-    n_sites = d * d
+    sched = _SCHEDULES[variant]
+    lat = build_lattice(d, with_spares=sched.spare_swap)
+    sites = np.arange(d * d)
+    checks = (Z, X)
+    anc_role = {Z: ROLE_ZANC, X: ROLE_XANC}
+    support = {Z: lat.z_support, X: lat.x_support}
+    partner = dict(zip(checks, partner_edges(lat)))
+    anc = {Z: lat.z_ancilla(sites), X: lat.x_ancilla(sites)}
+    spare = {Z: lat.z_spare(sites), X: lat.x_spare(sites)} if sched.spare_swap else {}
+    h_first = 1 not in sched.reversed_x
+    h_last = (h_first + sum(sched.ancilla_h)) % 2 == 1
 
-    # carrier state, updated between rounds
-    edge_carrier = np.arange(lat.n_data)
-    z_anc = np.array([lat.z_ancilla(s) for s in range(n_sites)])
-    x_anc = np.array([lat.x_ancilla(s) for s in range(n_sites)])
-    if variant == "mixed_lrc":
-        z_fresh = np.array([lat.z_spare(s) for s in range(n_sites)])
-        x_fresh = np.array([lat.x_spare(s) for s in range(n_sites)])
-    z_partner, x_partner = partner_edges(lat)
-
+    carrier = np.arange(lat.n_data)  # edge id -> physical qubit, updated by swaps
     rounds: list[list[GateOp]] = []
     role_maps: list[dict[int, str]] = []
     data_carriers: list[np.ndarray] = []
 
     for r in range(n_rounds):
         rb = _RoundBuilder(r)
-        role_map = {int(edge_carrier[e]): ROLE_DATA for e in range(lat.n_data)}
-        for s in range(n_sites):
-            role_map[int(z_anc[s])] = ROLE_ZANC
-            role_map[int(x_anc[s])] = ROLE_XANC
-            if variant == "mixed_lrc":
-                role_map[int(z_fresh[s])] = ROLE_SPARE
-                role_map[int(x_fresh[s])] = ROLE_SPARE
+        role_map = dict.fromkeys(carrier.tolist(), ROLE_DATA)
+        for t in checks:
+            role_map.update(dict.fromkeys(anc[t].tolist(), anc_role[t]))
+        for t in spare:
+            role_map.update(dict.fromkeys(spare[t].tolist(), ROLE_SPARE))
         role_maps.append(role_map)
-        data_carriers.append(edge_carrier.copy())
+        data_carriers.append(carrier.copy())
 
-        def z_data(s, ordinal):  # data carrier for a Z-check's k-th CNOT
-            return edge_carrier[lat.z_support[s][zperm[ordinal - 1]]]
+        def x_ancilla_h():
+            rb.layer(H, X, [anc[X]], [ROLE_XANC])
+            rb.next_moment()
 
-        def x_data(s, ordinal):
-            return edge_carrier[lat.x_support[s][xperm[ordinal - 1]]]
+        for t in checks:
+            rb.layer(PREP_Z, t, [anc[t]], [anc_role[t]])
+        for t in spare:
+            rb.layer(PREP_Z, t, [spare[t]], [ROLE_SPARE])
+        rb.next_moment()
+        if h_first:
+            x_ancilla_h()
 
-        # --- moment 0: preparation ---------------------------------------
-        for s in range(n_sites):
-            rb.add(PREP_Z, [z_anc[s]], [ROLE_ZANC], check=("Z", s))
-        for s in range(n_sites):
-            rb.add(PREP_Z, [x_anc[s]], [ROLE_XANC], check=("X", s))
-        if variant == "mixed_lrc":
-            for s in range(n_sites):
-                rb.add(PREP_Z, [z_fresh[s]], [ROLE_SPARE], check=("Z", s))
-            for s in range(n_sites):
-                rb.add(PREP_Z, [x_fresh[s]], [ROLE_SPARE], check=("X", s))
+        for k in (1, 2, 3, 4):
+            data = {t: carrier[support[t][:, k - 1]] for t in checks}
+            biased = k in sched.reversed_x
+            if biased:
+                rb.layer(H, X, [data[X]], [ROLE_DATA])
+                rb.next_moment()
+            for t in checks:
+                cols = [data[t], anc[t]]
+                roles = [ROLE_DATA, anc_role[t]]
+                if t == X and not biased:  # the ancilla controls
+                    cols.reverse()
+                    roles.reverse()
+                rb.layer(CNOT, t, cols, roles, k)
+            rb.next_moment()
+            if biased:
+                rb.layer(H, X, [data[X]], [ROLE_DATA])
+                rb.next_moment()
+            for _ in range(sched.ancilla_h[k - 1]):
+                x_ancilla_h()
+            if spare and k == 2:
+                for t in checks:
+                    rb.layer(SWAP, t, [anc[t], spare[t]], [anc_role[t], ROLE_SPARE])
+                rb.next_moment()
+                for t in checks:  # the fresh qubit now carries the check
+                    anc[t], spare[t] = spare[t], anc[t]
+
+        if h_last:
+            x_ancilla_h()
+        for t in checks:
+            rb.layer(MEAS_Z, t, [anc[t]], [anc_role[t]])
         rb.next_moment()
 
-        # --- basis change on X ancillas (not in gate-biased variants) -----
-        if variant not in ("gate_biased", "gate_biased_opt"):
-            for s in range(n_sites):
-                rb.add(H, [x_anc[s]], [ROLE_XANC], check=("X", s))
+        period = sched.swap_period
+        if period and r % period == period - 1:
+            for t in checks:
+                rb.layer(SWAP, t, [anc[t], carrier[partner[t]]], [anc_role[t], ROLE_DATA])
             rb.next_moment()
-
-        # --- 4 CNOT layers ------------------------------------------------
-        def z_cnot_layer(k):
-            for s in range(n_sites):
-                rb.add(
-                    CNOT,
-                    [z_data(s, k), z_anc[s]],
-                    [ROLE_DATA, ROLE_ZANC],
-                    ordinal=k,
-                    check=("Z", s),
-                )
-
-        if variant in ("standard", "swap_lrc", "swap_alt"):
-            for k in (1, 2, 3, 4):
-                z_cnot_layer(k)
-                for s in range(n_sites):
-                    rb.add(
-                        CNOT,
-                        [x_anc[s], x_data(s, k)],
-                        [ROLE_XANC, ROLE_DATA],
-                        ordinal=k,
-                        check=("X", s),
-                    )
-                rb.next_moment()
-        elif variant in ("gate_biased", "gate_biased_opt"):
-            reversed_ordinals = (1, 2, 3, 4) if variant == "gate_biased" else (1, 2)
-            for k in (1, 2, 3, 4):
-                if k in reversed_ordinals:
-                    for s in range(n_sites):
-                        rb.add(H, [x_data(s, k)], [ROLE_DATA], check=("X", s))
-                    rb.next_moment()
-                    z_cnot_layer(k)
-                    for s in range(n_sites):
-                        rb.add(
-                            CNOT,
-                            [x_data(s, k), x_anc[s]],
-                            [ROLE_DATA, ROLE_XANC],
-                            ordinal=k,
-                            check=("X", s),
-                        )
-                    rb.next_moment()
-                    for s in range(n_sites):
-                        rb.add(H, [x_data(s, k)], [ROLE_DATA], check=("X", s))
-                    rb.next_moment()
-                else:
-                    z_cnot_layer(k)
-                    for s in range(n_sites):
-                        rb.add(
-                            CNOT,
-                            [x_anc[s], x_data(s, k)],
-                            [ROLE_XANC, ROLE_DATA],
-                            ordinal=k,
-                            check=("X", s),
-                        )
-                    rb.next_moment()
-                # leftover identity pairs / basis change on the ancilla
-                if variant == "gate_biased" and k in (2, 3, 4):
-                    for _ in range(2):
-                        for s in range(n_sites):
-                            rb.add(H, [x_anc[s]], [ROLE_XANC], check=("X", s))
-                        rb.next_moment()
-                if variant == "gate_biased_opt" and k == 2:
-                    for s in range(n_sites):
-                        rb.add(H, [x_anc[s]], [ROLE_XANC], check=("X", s))
-                    rb.next_moment()
-        else:  # mixed_lrc
-            for k in (1, 2):
-                z_cnot_layer(k)
-                for s in range(n_sites):
-                    rb.add(
-                        CNOT,
-                        [x_anc[s], x_data(s, k)],
-                        [ROLE_XANC, ROLE_DATA],
-                        ordinal=k,
-                        check=("X", s),
-                    )
-                rb.next_moment()
-            # mid-circuit ancilla replacement between the 2nd and 3rd CNOT
-            for s in range(n_sites):
-                rb.add(SWAP, [z_anc[s], z_fresh[s]], [ROLE_ZANC, ROLE_SPARE], check=("Z", s))
-            for s in range(n_sites):
-                rb.add(SWAP, [x_anc[s], x_fresh[s]], [ROLE_XANC, ROLE_SPARE], check=("X", s))
-            rb.next_moment()
-            z_anc, z_fresh = z_fresh, z_anc  # the fresh qubit now carries the check
-            x_anc, x_fresh = x_fresh, x_anc
-
-            def z_data2(s, k):
-                return edge_carrier[lat.z_support[s][zperm[k - 1]]]
-
-            for k in (3, 4):
-                for s in range(n_sites):
-                    rb.add(
-                        CNOT,
-                        [z_data2(s, k), z_anc[s]],
-                        [ROLE_DATA, ROLE_ZANC],
-                        ordinal=k,
-                        check=("Z", s),
-                    )
-                for s in range(n_sites):
-                    rb.add(
-                        CNOT,
-                        [x_anc[s], edge_carrier[lat.x_support[s][xperm[k - 1]]]],
-                        [ROLE_XANC, ROLE_DATA],
-                        ordinal=k,
-                        check=("X", s),
-                    )
-                rb.next_moment()
-
-        # --- basis change back and measurement ----------------------------
-        if variant != "gate_biased":  # full gb measures right after its last H pair
-            for s in range(n_sites):
-                rb.add(H, [x_anc[s]], [ROLE_XANC], check=("X", s))
-            rb.next_moment()
-        for s in range(n_sites):
-            rb.add(MEAS_Z, [z_anc[s]], [ROLE_ZANC], check=("Z", s))
-        for s in range(n_sites):
-            rb.add(MEAS_Z, [x_anc[s]], [ROLE_XANC], check=("X", s))
-        rb.next_moment()
-
-        # --- end-of-round SWAP LRC ---------------------------------------
-        swap_now = variant in ("swap_lrc", "gate_biased", "gate_biased_opt", "mixed_lrc") or (
-            variant == "swap_alt" and r % 2 == 1
-        )
-        if swap_now:
-            for s in range(n_sites):
-                rb.add(
-                    SWAP,
-                    [z_anc[s], edge_carrier[z_partner[s]]],
-                    [ROLE_ZANC, ROLE_DATA],
-                    check=("Z", s),
-                )
-            for s in range(n_sites):
-                rb.add(
-                    SWAP,
-                    [x_anc[s], edge_carrier[x_partner[s]]],
-                    [ROLE_XANC, ROLE_DATA],
-                    check=("X", s),
-                )
-            rb.next_moment()
-            # roles follow the physical exchanges
-            for s in range(n_sites):
-                z_anc[s], edge_carrier[z_partner[s]] = edge_carrier[z_partner[s]], z_anc[s]
-                x_anc[s], edge_carrier[x_partner[s]] = edge_carrier[x_partner[s]], x_anc[s]
-
+            for t in checks:  # roles follow the physical exchanges
+                anc[t], carrier[partner[t]] = carrier[partner[t]], anc[t]
         rounds.append(rb.gates)
 
     return CircuitProgram(
@@ -347,9 +232,7 @@ def build_program(
         rounds=rounds,
         role_maps=role_maps,
         data_carriers=data_carriers,
-        final_data_carrier=edge_carrier.copy(),
-        z_order=tuple(z_order),
-        x_order=tuple(x_order),
+        final_data_carrier=carrier.copy(),
     )
 
 

@@ -9,6 +9,7 @@ Exit codes: 0 success, 2 configuration error, 3 insufficient data.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from dataclasses import replace
 
@@ -28,7 +29,7 @@ from .experiments import (
     run_sweep,
 )
 from .noise import NoiseModel
-from .scanner import scan, verdict_to_text
+from .scanner import PAIR_CAP, scan, verdict_to_text
 from .sim import compile_program
 
 # defaults reproduced by the versioned golden scan reports
@@ -63,7 +64,10 @@ def _parser() -> argparse.ArgumentParser:
     sc.add_argument("--variant", required=True, choices=VARIANTS)
     sc.add_argument("--d", type=int, required=True)
     sc.add_argument("--rounds", type=int, help="default: d")
-    sc.add_argument("--max-faults", type=int, choices=(1, 2), default=1)
+    sc.add_argument("--max-faults", type=int, choices=(1, 2), default=1,
+                    help="2 also judges every pair of Pauli faults; refused when "
+                         f"the circuit has more than {PAIR_CAP} Pauli specs (at d=3, "
+                         "only standard and swap_alt at --rounds 1 fit)")
     sc.add_argument("--config", metavar="PATH",
                     help="take the leakage policy from this config file")
     _add_common(sc)
@@ -89,9 +93,12 @@ def _parser() -> argparse.ArgumentParser:
 def _write(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(out, "w") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {out!r}: {exc}") from exc
 
 
 def _read_config(path: str) -> ExperimentConfig:
@@ -135,8 +142,11 @@ def _cmd_run(args) -> int:
         config = replace(config, d=(args.d,))
     if args.workers < 1:
         raise ConfigError("--workers must be >= 1")
+    out = args.out if args.out is not None else config.out
+    if out is not None and not os.path.isdir(os.path.dirname(os.path.abspath(out))):
+        raise ConfigError(f"cannot write {out!r}: no such directory")  # before the sweep
     rows = run_sweep(config, workers=args.workers)
-    _write(rows_to_csv(rows), args.out if args.out is not None else config.out)
+    _write(rows_to_csv(rows), out)
     return 0
 
 
@@ -177,7 +187,11 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_plot_data(args) -> int:
-    paths = emit_plot_data(_read_rows(args.csv), args.out)
+    rows = _read_rows(args.csv)
+    try:
+        paths = emit_plot_data(rows, args.out)
+    except OSError as exc:
+        raise ConfigError(f"cannot write plot data {args.out!r}: {exc}") from exc
     sys.stdout.write("\n".join(paths) + "\n")
     return 0
 

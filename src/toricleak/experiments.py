@@ -11,8 +11,8 @@ The logical error rate of a distance-d memory follows ``P_L = A * p**s``
 with ``s = ceil(d/2)`` when every single fault is correctable and a
 degraded exponent when leakage introduces critical single-fault
 locations; ``fit_exponent`` estimates ``s`` by variance-weighted least
-squares on log-log points, using only points with at least 100 failures
-and ``P_L < 0.3`` (below saturation).
+squares on log-log points, using only points with ``p > 0`` (a log-log
+point exists), at least 100 failures and ``P_L < 0.3`` (below saturation).
 """
 from __future__ import annotations
 
@@ -331,12 +331,15 @@ def csv_to_rows(text: str) -> list[SweepRow]:
         f = ln.split(",")
         if len(f) != len(TABLE_COLUMNS):
             raise ConfigError(f"malformed CSV row: {ln!r}")
-        rows.append(SweepRow(
-            variant=f[0], d=int(f[1]), rounds=int(f[2]), p=float(f[3]),
-            r=float(f[4]), side_policy=f[5], site_filter=f[6],
-            p_init_leak=float(f[7]), shots=int(f[8]), failures=int(f[9]),
-            master_seed=int(f[13]),
-        ))
+        try:
+            rows.append(SweepRow(
+                variant=f[0], d=int(f[1]), rounds=int(f[2]), p=float(f[3]),
+                r=float(f[4]), side_policy=f[5], site_filter=f[6],
+                p_init_leak=float(f[7]), shots=int(f[8]), failures=int(f[9]),
+                master_seed=int(f[13]),
+            ))
+        except ValueError as exc:
+            raise ConfigError(f"malformed CSV row: {ln!r} ({exc})") from exc
     return rows
 
 
@@ -357,7 +360,7 @@ class FitResult:
 
 def _qualifying(rows: list[SweepRow]) -> list[SweepRow]:
     return [r for r in rows
-            if r.failures >= FIT_MIN_FAILURES and r.p_logical < FIT_MAX_RATE]
+            if r.p > 0 and r.failures >= FIT_MIN_FAILURES and r.p_logical < FIT_MAX_RATE]
 
 
 def fit_exponent(rows: list[SweepRow], variant: str | None = None,
@@ -374,7 +377,7 @@ def fit_exponent(rows: list[SweepRow], variant: str | None = None,
     if len(pts) < MIN_FIT_POINTS:
         raise InsufficientData(
             f"{len(pts)} qualifying points "
-            f"(need >= {MIN_FIT_POINTS}: failures >= {FIT_MIN_FAILURES} "
+            f"(need >= {MIN_FIT_POINTS}: p > 0, failures >= {FIT_MIN_FAILURES} "
             f"and P_L < {FIT_MAX_RATE})")
     xs = np.array([math.log(r.p) for r in pts])
     ys = np.array([math.log(r.p_logical) for r in pts])

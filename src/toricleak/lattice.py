@@ -5,7 +5,7 @@ boundaries: h(r,c) is the horizontal edge from vertex (r,c) to (r,c+1) and
 v(r,c) the vertical edge from (r,c) to (r+1,c).  Z-type checks sit on
 vertices (star of 4 edges), X-type checks on plaquettes (boundary of 4
 edges).  Check supports are stored in a fixed neighbour order
-N/W/E/S (Z) and N/E/W/S (X), which is also the default CNOT schedule.
+N/W/E/S (Z) and N/E/W/S (X), which is also the CNOT schedule.
 
 Physical qubit ids: edges 0..2d²-1, Z-ancillas 2d²..3d²-1, X-ancillas
 3d²..4d²-1, and (with spares) Z-spares 4d²..5d²-1, X-spares 5d²..6d²-1.
@@ -20,7 +20,7 @@ import numpy as np
 Z = "Z"
 X = "X"
 
-# Neighbour orders double as the default CNOT schedule (one CNOT layer per
+# Neighbour orders double as the CNOT schedule (one CNOT layer per
 # position).  The orders interleave so that no data qubit is touched twice
 # in one layer.
 Z_ORDER = ("N", "W", "E", "S")
@@ -74,9 +74,6 @@ class ToricLattice:
     def site(self, r: int, c: int) -> int:
         return (r % self.d) * self.d + (c % self.d)
 
-    def site_coords(self, site: int) -> tuple[int, int]:
-        return divmod(site, self.d)
-
     def support(self, check_type: str, site: int) -> np.ndarray:
         return self.z_support[site] if check_type == Z else self.x_support[site]
 
@@ -113,15 +110,6 @@ class ToricLattice:
             axis=-1,
         )
         return bits
-
-    # -- decoder metric ----------------------------------------------------
-    def torus_distance(self, site_a: int, site_b: int) -> int:
-        """Min over periodic images of |Δrow| + |Δcol| between two check sites."""
-        ra, ca = self.site_coords(site_a)
-        rb, cb = self.site_coords(site_b)
-        dr = abs(ra - rb)
-        dc = abs(ca - cb)
-        return min(dr, self.d - dr) + min(dc, self.d - dc)
 
 
 def build_lattice(d: int, with_spares: bool = False) -> ToricLattice:

@@ -114,5 +114,3 @@ def _parse_site_filter(site_filter: str) -> tuple[str, int]:
         return "cnot_ordinal", ordinal
     raise ValueError(f"unrecognized site_filter {site_filter!r}")
 
-
-NULL_NOISE = NoiseModel(p=0.0)

@@ -1,5 +1,5 @@
-"""Test-side oracles: structural checks, text forms, a reference matcher and
-residual-weight analysis.
+"""Test-side oracles: structural checks, text forms, a zero-noise model, the
+torus metric, a reference matcher and residual-weight analysis.
 
 None of this is on a production path.  The tests use it to check circuits,
 lattices, configs and matchings, and to measure the residual data error a
@@ -18,8 +18,12 @@ from toricleak.circuits import H, MEAS_X, MEAS_Z, PREP_X, PREP_Z, SWAP, CircuitP
 from toricleak.decoder import _DP_LIMIT, Decoder, _match_blossom, path_edges
 from toricleak.experiments import _LIST_KEYS, CONFIG_VERSION, ExperimentConfig, _fmt
 from toricleak.lattice import ToricLattice
+from toricleak.noise import NoiseModel
 from toricleak.scanner import FaultSpec, replay_spec
 from toricleak.sim import CompiledProgram
+
+
+NULL_NOISE = NoiseModel(p=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -164,8 +168,17 @@ def serialize_config(config: ExperimentConfig) -> str:
 # reference matcher
 
 
+def torus_distance(lat: ToricLattice, site_a: int, site_b: int) -> int:
+    """Min over periodic images of |Δrow| + |Δcol| between two check sites."""
+    ra, ca = divmod(site_a, lat.d)
+    rb, cb = divmod(site_b, lat.d)
+    dr = abs(ra - rb)
+    dc = abs(ca - cb)
+    return min(dr, lat.d - dr) + min(dc, lat.d - dc)
+
+
 def _pair_weight(lat: ToricLattice, a: tuple[int, int], b: tuple[int, int]) -> int:
-    return lat.torus_distance(a[1], b[1]) + abs(a[0] - b[0])
+    return torus_distance(lat, a[1], b[1]) + abs(a[0] - b[0])
 
 
 def _subset_dp(w: list[list[int]]) -> list[int]:

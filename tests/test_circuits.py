@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import pathlib
 
 import numpy as np
@@ -161,19 +162,6 @@ def test_mixed_lrc_measures_the_swapped_in_qubit():
     assert mid_swaps[("X", 4)] == lat.x_spare(4)
 
 
-def test_configurable_support_order():
-    program = build_program("standard", 3, 1, z_order=("S", "E", "W", "N"))
-    lat = program.lattice
-    for g in program.rounds[0]:
-        if g.kind == CNOT and g.label.check == ("Z", 0):
-            if g.label.cnot_ordinal == 1:
-                assert g.qubits[0] == lat.z_support[0][3]  # S first
-            if g.label.cnot_ordinal == 4:
-                assert g.qubits[0] == lat.z_support[0][0]  # N last
-    with pytest.raises(ValueError, match="order must permute"):
-        build_program("standard", 3, 1, z_order=("N", "N", "E", "S"))
-
-
 def test_unknown_variant_and_bad_rounds_raise():
     with pytest.raises(ValueError, match="unknown variant"):
         build_program("fancy", 3, 1)
@@ -205,3 +193,33 @@ def test_emitted_text_matches_golden(variant):
     program = build_program(variant, 3, 1)
     golden = (GOLDEN / f"circuit_{variant}_d3_r1.txt").read_text()
     assert program_to_text(program) == golden
+
+
+# sha256 of ``program_to_text`` for multi-round builds: these cover swap_alt's
+# alternation, mixed_lrc's three-round rotation and d=5, which the d=3
+# one-round goldens above do not.
+MULTI_ROUND_SHA256 = {
+    (3, 3): {
+        "standard": "dc15b6eaee4b63e126203ec32dcf067641790042ebf76eee337df02a7644c502",
+        "swap_lrc": "ee65011100a19d2a16a7d62cf727b0bf6262e0cf3c03e0f75e668c358a6d24c7",
+        "swap_alt": "953b53bf5be30d560c4838c18fd42cdd81c8b1d70bd0cb414dc31b43c49d686d",
+        "gate_biased": "c6502b72b3532403a347a6c568ea7c8dd5f50dabe7ecea990779b7a04fda302e",
+        "gate_biased_opt": "76c9fed013fc9840ea942d3ed42ba76b54a3da81f2024a3ee7c4fd4bd7c292f5",
+        "mixed_lrc": "92231500612587e455c30ee795f2a121ec72b278eac8eb0b263eee7fe304bb54",
+    },
+    (5, 2): {
+        "standard": "f9302cc7b4f7e73e7066e517193a329980a6244d2df04eba06eda7353d881651",
+        "swap_lrc": "cceb54e6aedce97791bd9ad418aa4927abb6d6c1511530e90d5f2a5519972788",
+        "swap_alt": "fa1964d571e8040b5788697a51878c0b70925a59e30b5283fcc615fe1fb9f4df",
+        "gate_biased": "3551fdf8e793d17f6c39bc0630fb36d8db2cf93cf01c9e4ff1f71b580bff925c",
+        "gate_biased_opt": "f16d3f8fd493182c3a9b4d06b5fc52762e9eb5af691a21856c7b40b2bdde817a",
+        "mixed_lrc": "b609953acc736ba4f1e76f167d9ba2899cce45975b588a75532a1f0999a0b98c",
+    },
+}
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+@pytest.mark.parametrize("d, rounds", sorted(MULTI_ROUND_SHA256))
+def test_multi_round_text_is_pinned(variant, d, rounds):
+    text = program_to_text(build_program(variant, d, rounds))
+    assert hashlib.sha256(text.encode()).hexdigest() == MULTI_ROUND_SHA256[d, rounds][variant]

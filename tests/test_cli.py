@@ -140,6 +140,49 @@ def test_compare_table_with_two_distances_is_exit_2(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+def test_fit_ignores_a_p_zero_row(tmp_path, capsys):
+    csv = _quadratic_csv(tmp_path)
+    zero = SweepRow("standard", 3, 3, 0.0, 1.0, "two_sided", "all", 1e-3,
+                    10**5, 200, 0)  # failures from preparation leakage alone
+    lines = csv.read_text().splitlines()
+    csv.write_text("\n".join(lines + rows_to_csv([zero]).splitlines()[1:]) + "\n")
+    assert main(["fit", str(csv)]) == 0
+    assert "points=4 window=0.01..0.08" in capsys.readouterr().out
+
+    csv.write_text("\n".join(lines[:3] + rows_to_csv([zero]).splitlines()[1:]) + "\n")
+    assert main(["fit", str(csv)]) == 3  # 2 good points remain
+    assert main(["plot-data", str(csv), "--out", str(tmp_path / "fig")]) == 0
+
+
+def test_non_numeric_csv_field_is_exit_2(tmp_path, capsys):
+    csv = _quadratic_csv(tmp_path)
+    lines = csv.read_text().splitlines()
+    lines[2] = lines[2].replace("standard,3,", "standard,three,", 1)
+    csv.write_text("\n".join(lines) + "\n")
+    assert main(["fit", str(csv)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: malformed CSV row: 'standard,three,")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["emit", "plot-data", "run"])
+def test_unwritable_output_is_exit_2(tmp_path, capsys, command):
+    missing = str(tmp_path / "absent" / "out")
+    if command == "emit":
+        argv = ["emit", "--variant", "standard", "--d", "3", "--out", missing]
+    elif command == "plot-data":
+        argv = ["plot-data", str(_quadratic_csv(tmp_path)), "--out", missing]
+    else:
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(GOOD_CONFIG)
+        argv = ["run", "--config", str(cfg), "--out", missing]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("config error: cannot write ")
+    assert captured.err.count("\n") == 1
+
+
 def test_plot_data_writes_series_files(tmp_path, capsys):
     csv = _quadratic_csv(tmp_path)
     assert main(["plot-data", str(csv), "--out", str(tmp_path / "fig")]) == 0

@@ -12,11 +12,19 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from oracles import _match_dp, crossing_parities, match_defects, random_defects, weight_matrix
+from oracles import (
+    NULL_NOISE,
+    _match_dp,
+    crossing_parities,
+    match_defects,
+    random_defects,
+    torus_distance,
+    weight_matrix,
+)
 from toricleak.circuits import build_program
 from toricleak.decoder import Decoder, _match_blossom, extract_events_batch, path_edges
 from toricleak.lattice import build_lattice
-from toricleak.noise import NULL_NOISE, NoiseModel
+from toricleak.noise import NoiseModel
 from toricleak.sim import compile_program, run_shot
 from toricleak.vector import execute, run_batch
 
@@ -143,8 +151,8 @@ def test_path_edges_flip_exactly_the_endpoints(d):
             expected[s1] ^= 1
             expected[s2] ^= 1
             np.testing.assert_array_equal(syn, expected)
-            assert len(path_edges(lat, check_type, int(s1), int(s2))) == lat.torus_distance(
-                int(s1), int(s2)
+            assert len(path_edges(lat, check_type, int(s1), int(s2))) == torus_distance(
+                lat, int(s1), int(s2)
             )
 
 
