@@ -1,9 +1,11 @@
 """Gate programs for one memory experiment: six syndrome-extraction variants.
 
 A program is a list of rounds; each round is a list of :class:`GateOp` grouped
-into integer timesteps (moments).  Gates address *physical* qubit ids; role
-maps record which physical qubit carries which role (data edge, check
-ancilla, spare) in each round, so role-exchanging variants stay decodable.
+into integer timesteps (moments).  Gates address *physical* qubit ids, and
+each gate's label records the role (data edge, check ancilla, spare) of every
+qubit it touches.  Role-exchanging variants move states between physical
+qubits; ``final_data_carrier`` says which qubit holds each data edge at
+readout, so they stay decodable.
 
 Every variant runs the same round schedule, with Z checks before X checks in
 each moment:
@@ -43,12 +45,10 @@ import numpy as np
 from .lattice import X, Z, ToricLattice, build_lattice
 
 PREP_Z = "PrepZ"
-PREP_X = "PrepX"
 H = "H"
 CNOT = "CNOT"
 SWAP = "SWAP"
 MEAS_Z = "MeasZ"
-MEAS_X = "MeasX"
 
 ROLE_DATA = "data"
 ROLE_ZANC = "ancillaZ"
@@ -86,7 +86,7 @@ class FaultLocation:
     kind: str
     cnot_ordinal: int  # 0 unless this is one of a check's 4 CNOTs
     roles: tuple[str, ...]  # role of each touched qubit at this gate
-    check: tuple[str, int] | None  # owning check (type, site) if any
+    check: tuple[str, int]  # owning check (type, site)
 
 
 @dataclass(frozen=True)
@@ -99,15 +99,13 @@ class GateOp:
 
 @dataclass
 class CircuitProgram:
-    """Timestep-ordered gate program with per-round role bookkeeping."""
+    """Timestep-ordered gate program of ``n_rounds`` syndrome rounds."""
 
     variant: str
     lattice: ToricLattice
     n_rounds: int
     rounds: list[list[GateOp]]
-    role_maps: list[dict[int, str]]
-    data_carriers: list[np.ndarray]  # per round: edge id -> physical qubit
-    final_data_carrier: np.ndarray  # after the last round's swaps
+    final_data_carrier: np.ndarray  # edge id -> physical qubit, after the last round's swaps
 
     def all_gates(self):
         for r, gates in enumerate(self.rounds):
@@ -159,18 +157,9 @@ def build_program(variant: str, d: int, n_rounds: int) -> CircuitProgram:
 
     carrier = np.arange(lat.n_data)  # edge id -> physical qubit, updated by swaps
     rounds: list[list[GateOp]] = []
-    role_maps: list[dict[int, str]] = []
-    data_carriers: list[np.ndarray] = []
 
     for r in range(n_rounds):
         rb = _RoundBuilder(r)
-        role_map = dict.fromkeys(carrier.tolist(), ROLE_DATA)
-        for t in checks:
-            role_map.update(dict.fromkeys(anc[t].tolist(), anc_role[t]))
-        for t in spare:
-            role_map.update(dict.fromkeys(spare[t].tolist(), ROLE_SPARE))
-        role_maps.append(role_map)
-        data_carriers.append(carrier.copy())
 
         def x_ancilla_h():
             rb.layer(H, X, [anc[X]], [ROLE_XANC])
@@ -230,8 +219,6 @@ def build_program(variant: str, d: int, n_rounds: int) -> CircuitProgram:
         lattice=lat,
         n_rounds=n_rounds,
         rounds=rounds,
-        role_maps=role_maps,
-        data_carriers=data_carriers,
         final_data_carrier=carrier.copy(),
     )
 
@@ -248,7 +235,6 @@ def program_to_text(program: CircuitProgram) -> str:
     for r, gates in enumerate(program.rounds):
         lines.append(f"round {r}")
         for g in gates:
-            check = "-" if g.label.check is None else "%s:%d" % g.label.check
             lines.append(
                 "gate %d step=%d kind=%s qubits=%s ordinal=%d roles=%s check=%s"
                 % (
@@ -258,7 +244,7 @@ def program_to_text(program: CircuitProgram) -> str:
                     ",".join(map(str, g.qubits)),
                     g.label.cnot_ordinal,
                     ",".join(g.label.roles),
-                    check,
+                    "%s:%d" % g.label.check,
                 )
             )
     return "\n".join(lines) + "\n"

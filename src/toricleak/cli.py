@@ -154,10 +154,15 @@ def _cmd_scan(args) -> int:
     rounds = args.rounds if args.rounds is not None else args.d
     if args.config is not None:
         config = _read_config(args.config)
-        noise = NoiseModel(p=config.p[0], r=config.r,
+        # the universe depends only on which rates are nonzero, which every
+        # grid point with p > 0 shares
+        p = next((p for p in config.p if p > 0), None)
+        if p is None:
+            raise ConfigError("scan --config needs a grid point with p > 0")
+        noise = NoiseModel(p=p, r=config.r,
                            side_policy=config.side_policy,
                            site_filter=config.site_filter,
-                           p_init_leak=config.init_leak_at(config.p[0]))
+                           p_init_leak=config.init_leak_at(p))
     else:
         noise = NoiseModel(p=SCAN_P, r=SCAN_R, p_init_leak=SCAN_INIT_LEAK)
     compiled = compile_program(_build(args.variant, args.d, rounds), noise)

@@ -170,11 +170,11 @@ class Decoder:
         starts = np.flatnonzero(np.diff(shots * 2 + types, prepend=-1))
         bounds = np.append(starts, len(shots)).tolist()
         cells = list(zip(times.tolist(), sites.tolist()))
-        run_shots, run_types = shots[starts], types[starts]
-        runs = zip(run_types.tolist(), bounds, bounds[1:])
+        shot_of_run, type_of_run = shots[starts], types[starts]
+        runs = zip(type_of_run.tolist(), bounds, bounds[1:])
         par = np.array([self.parities(ct, tuple(cells[a:b])) for ct, a, b in runs], dtype=np.uint8)
-        judge[run_shots, 2 * run_types] ^= par & 1
-        judge[run_shots, 2 * run_types + 1] ^= par >> 1
+        judge[shot_of_run, 2 * type_of_run] ^= par & 1
+        judge[shot_of_run, 2 * type_of_run + 1] ^= par >> 1
         return judge
 
 

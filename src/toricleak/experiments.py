@@ -17,6 +17,7 @@ point exists), at least 100 failures and ``P_L < 0.3`` (below saturation).
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from functools import lru_cache
@@ -251,9 +252,15 @@ def _chunks(start: int, n: int, workers: int) -> list[tuple[int, int]]:
 
 def run_sweep(config: ExperimentConfig, workers: int = 1,
               progress=None) -> list[SweepRow]:
-    """Run every (d, p) leg of the sweep; deterministic for fixed seed."""
+    """Run every (d, p) leg of the sweep; deterministic for fixed seed.
+
+    The shots of each batch split into ``workers`` parts; the pool that runs
+    them holds at most one process per CPU.
+    """
     rows = []
-    pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
+    pool = None
+    if workers > 1:
+        pool = ProcessPoolExecutor(max_workers=min(workers, os.cpu_count() or 1))
     try:
         for d in config.d:
             rounds = config.rounds if config.rounds is not None else d

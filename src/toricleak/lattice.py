@@ -13,7 +13,7 @@ Physical qubit ids: edges 0..2d²-1, Z-ancillas 2d²..3d²-1, X-ancillas
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -44,7 +44,6 @@ class ToricLattice:
     x_support: np.ndarray
     x_logicals: tuple[tuple[int, ...], tuple[int, ...]]
     z_logicals: tuple[tuple[int, ...], tuple[int, ...]]
-    coordinates: dict[int, tuple[int, int, str]] = field(repr=False)
 
     # -- id helpers --------------------------------------------------------
     def h(self, r: int, c: int) -> int:
@@ -70,12 +69,6 @@ class ToricLattice:
         if not self.with_spares:
             raise ValueError("lattice built without spares")
         return 5 * self.d**2 + site
-
-    def site(self, r: int, c: int) -> int:
-        return (r % self.d) * self.d + (c % self.d)
-
-    def support(self, check_type: str, site: int) -> np.ndarray:
-        return self.z_support[site] if check_type == Z else self.x_support[site]
 
     # -- syndromes and parities -------------------------------------------
     def syndrome_of(self, x_bits: np.ndarray, z_bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -128,7 +121,6 @@ def build_lattice(d: int, with_spares: bool = False) -> ToricLattice:
 
     z_support = np.zeros((dd, 4), dtype=np.int64)
     x_support = np.zeros((dd, 4), dtype=np.int64)
-    coords: dict[int, tuple[int, int, str]] = {}
     for r in range(d):
         for c in range(d):
             s = r * d + c
@@ -136,13 +128,6 @@ def build_lattice(d: int, with_spares: bool = False) -> ToricLattice:
             z_support[s] = (v(r - 1, c), h(r, c - 1), h(r, c), v(r, c))
             # plaquette at (r,c), order N E W S
             x_support[s] = (h(r, c), v(r, c + 1), v(r, c), h(r + 1, c))
-            coords[h(r, c)] = (r, c, "edge_h")
-            coords[v(r, c)] = (r, c, "edge_v")
-            coords[2 * dd + s] = (r, c, "zcheck")
-            coords[3 * dd + s] = (r, c, "xcheck")
-            if with_spares:
-                coords[4 * dd + s] = (r, c, "zspare")
-                coords[5 * dd + s] = (r, c, "xspare")
 
     x_logicals = (
         tuple(h(0, c) for c in range(d)),  # horizontal loop of h-edges
@@ -161,5 +146,4 @@ def build_lattice(d: int, with_spares: bool = False) -> ToricLattice:
         x_support=x_support,
         x_logicals=x_logicals,
         z_logicals=z_logicals,
-        coordinates=coords,
     )

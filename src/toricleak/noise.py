@@ -14,9 +14,10 @@ Leakage semantics
   a two-qubit gate with exactly one leaked participant skips its ideal action
   and instead applies a uniformly random Pauli to the unleaked partner.
   A SWAP with a leaked participant therefore *fails to exchange* the states.
-* Measuring a leaked qubit returns a junk bit per ``leaked_meas`` policy.
-  Mid-circuit measurement is measure-and-reset: the qubit is reinitialized
-  afterwards, so measurement clears leakage just like a preparation does.
+* A measurement outcome flips with probability ``p``.  Measuring a leaked
+  qubit returns a fair coin instead.  Mid-circuit measurement is
+  measure-and-reset: the qubit is reinitialized afterwards, so measurement
+  clears leakage just like a preparation does.
 * At final data readout a leaked carrier is an erasure: both frame bits are
   replaced by fair coin flips.
 
@@ -33,10 +34,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .circuits import CNOT, H, PREP_X, PREP_Z, SWAP, FaultLocation
+from .circuits import CNOT, H, PREP_Z, SWAP, FaultLocation
 
 SIDE_POLICIES = ("two_sided", "control_only")
-LEAKED_MEAS_POLICIES = ("random_bit", "fixed_one")
 ANCILLA_ROLES = frozenset({"ancillaZ", "ancillaX", "spare"})
 
 
@@ -47,20 +47,14 @@ class NoiseModel:
     side_policy: str = "two_sided"
     site_filter: str = "all"
     p_init_leak: float = 0.0
-    meas_flip: float | None = None
-    leaked_meas: str = "random_bit"
 
     def __post_init__(self):
-        if self.meas_flip is None:
-            object.__setattr__(self, "meas_flip", self.p)
         if self.side_policy not in SIDE_POLICIES:
             raise ValueError(f"side_policy must be one of {SIDE_POLICIES}")
-        if self.leaked_meas not in LEAKED_MEAS_POLICIES:
-            raise ValueError(f"leaked_meas must be one of {LEAKED_MEAS_POLICIES}")
         _parse_site_filter(self.site_filter)
         if self.r < 0:
             raise ValueError("r must be >= 0")
-        for name in ("p", "p_leak", "p_init_leak", "meas_flip"):
+        for name in ("p", "p_leak", "p_init_leak"):
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:
                 raise ValueError(f"{name}={value} outside [0, 1]")
@@ -73,7 +67,7 @@ class NoiseModel:
         """Positions within the gate eligible to receive the leak."""
         kind = label.kind
         one_sided = self.side_policy == "control_only"
-        if kind in (PREP_Z, PREP_X, H):
+        if kind in (PREP_Z, H):
             # the one-sided mechanism is intrinsic to two-qubit gates; under
             # control_only the single-qubit locations carry no leakage
             candidates = () if one_sided and kind == H else (0,)
@@ -97,7 +91,7 @@ class NoiseModel:
         return candidates
 
     def leak_prob(self, label: FaultLocation) -> float:
-        if label.kind in (PREP_Z, PREP_X):
+        if label.kind == PREP_Z:
             return self.p_init_leak
         if label.kind in (H, CNOT, SWAP):
             return self.p_leak

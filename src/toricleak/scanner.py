@@ -52,19 +52,12 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .circuits import CNOT, H, MEAS_X, MEAS_Z, PREP_X, PREP_Z, SWAP
+from .circuits import CNOT, H, MEAS_Z, PREP_Z, SWAP
 from .decoder import Decoder, extract_events_batch
 from .experiments import ConfigError
 from .lattice import ToricLattice
-from .pauli import (
-    PAULI1_ERRORS,
-    PAULI2_ERRORS,
-    PAULI_BY_NAME,
-    PAULI_I,
-    PAULI_X,
-    PAULI_Z,
-)
-from .sim import CompiledProgram, Script, run_shot
+from .pauli import PAULI1_ERRORS, PAULI2_ERRORS, PAULI_BY_NAME, PAULI_I, PAULI_X
+from .sim import CompiledProgram, Script
 from .vector import execute
 
 # read at call time, so tests can patch them
@@ -72,8 +65,6 @@ SPAN_BUDGET_BITS = 16  # max basis rank enumerated exhaustively per side
 SAMPLE_COUNT = 4096  # assignments drawn when a span exceeds the budget
 PAIR_CAP = 1200  # max single-fault specs admitted into pair scanning
 _CHUNK_ROWS = 64  # scripted replays per executor batch
-# valid outcome choices per consequence-slot tag
-_CHOICES = {"pair": ("X", "Y", "Z"), "measbit": (0, 1), "readout": ("x", "y", "z")}
 
 
 @dataclass(frozen=True)
@@ -106,7 +97,7 @@ class SpecLocation:
     ordinal: int
     role: str
     phase: str  # H gates: pre/mid/post relative to the round's CNOT block
-    check: tuple[str, int] | None
+    check: tuple[str, int]
 
 
 @dataclass
@@ -140,16 +131,15 @@ def enumerate_fault_universe(compiled: CompiledProgram) -> list[FaultSpec]:
     """Deterministic list of all single-fault specs for this program/policy."""
     specs: list[FaultSpec] = []
     for gi, g in enumerate(compiled.gates):
-        if g.kind in (PREP_Z, PREP_X):
-            flip = PAULI_X if g.kind == PREP_Z else PAULI_Z
-            specs.append(FaultSpec("pauli", gi, paulis=(flip,)))
+        if g.kind == PREP_Z:
+            specs.append(FaultSpec("pauli", gi, paulis=(PAULI_X,)))
         elif g.kind == H:
             for p in PAULI1_ERRORS:
                 specs.append(FaultSpec("pauli", gi, paulis=(p,)))
         elif g.kind in (CNOT, SWAP):
             for pair in PAULI2_ERRORS:
                 specs.append(FaultSpec("pauli", gi, paulis=pair))
-        elif g.kind in (MEAS_Z, MEAS_X):
+        elif g.kind == MEAS_Z:
             specs.append(FaultSpec("meas_flip", gi))
     for gi, g in enumerate(compiled.gates):
         if g.leak_prob > 0:
@@ -232,64 +222,6 @@ def script_for(compiled: CompiledProgram, spec: FaultSpec) -> Script:
 def _chunks(items: list, size: int):
     for start in range(0, len(items), size):
         yield items[start : start + size]
-
-
-def leak_consequences(compiled: CompiledProgram, spec: FaultSpec):
-    """Baseline replay of a leak spec plus its downstream consequence slots."""
-    if spec.kind != "leak":
-        raise ValueError("consequence slots exist only for leak specs")
-    trace: list = []
-    base = run_shot(
-        compiled, script=script_for(compiled, replace(spec, assignment=())), trace=trace
-    )
-    return base, tuple(trace)
-
-
-def _program_slots(compiled: CompiledProgram) -> set[tuple]:
-    """Every consequence slot that some leak of the program could open."""
-    slots = {("readout", e) for e in range(compiled.lattice.n_data)}
-    for gi, g in enumerate(compiled.gates):
-        if g.q1 >= 0:
-            slots |= {("pair", gi, 0), ("pair", gi, 1)}
-        elif g.kind in (MEAS_Z, MEAS_X):
-            slots.add(("measbit", gi))
-    return slots
-
-
-def _check_assignment(compiled: CompiledProgram, spec: FaultSpec) -> None:
-    """Reject, before any replay, an assignment on a non-leak spec, a slot
-    listed twice or absent from the program, or a choice outside its slot's
-    outcomes."""
-    if not spec.assignment:
-        return
-    if spec.kind != "leak":
-        raise ValueError(f"a {spec.kind} spec takes no assignment")
-    listed = [slot for slot, _ in spec.assignment]
-    if len(set(listed)) < len(listed):
-        raise ValueError("an assignment slot is listed twice")
-    known = _program_slots(compiled)
-    for slot, choice in spec.assignment:
-        if slot not in known:
-            raise ValueError(f"assignment slot {slot!r} is not in the program")
-        if choice not in _CHOICES[slot[0]]:
-            raise ValueError(f"choice {choice!r} is not an outcome of slot {slot!r}")
-
-
-def replay_spec(compiled: CompiledProgram, decoder: Decoder, spec: FaultSpec):
-    """Run a fully specified spec (other noise off); return the shot and its
-    4 judge bits.
-
-    Outcome choices never move a leak, so the replay's own trace lists the
-    slots the leak opens up, and every assigned slot must be among them.
-    """
-    _check_assignment(compiled, spec)
-    trace: list = []
-    res = run_shot(compiled, script=script_for(compiled, spec), trace=trace)
-    opened = set(trace)
-    for slot, _ in spec.assignment:
-        if slot not in opened:
-            raise ValueError(f"assignment slot {slot!r} is not downstream of the leak")
-    return res, decoder.judge_batch(res.syndromes[None], res.data_x[None], res.data_z[None])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -561,7 +493,7 @@ def verdict_to_text(compiled: CompiledProgram, verdict: ScanVerdict) -> str:
         f"max_faults={verdict.max_faults}",
         f"policy side_policy={noise.side_policy} site_filter={noise.site_filter} "
         f"init_leak={'on' if noise.p_init_leak > 0 else 'off'} "
-        f"leaked_meas={noise.leaked_meas}",
+        "leaked_meas=random_bit",
         f"universe pauli={verdict.n_pauli_specs} leak={verdict.n_leak_specs}",
         f"pauli_failing={len(verdict.pauli_failures)}",
         f"leak_failing={len(verdict.leak_failures)}",

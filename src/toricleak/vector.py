@@ -10,8 +10,8 @@ baseline and detection events are differences of consecutive rounds.
 every row resolves its stochastic events from the static draw-slot layout of
 :func:`toricleak.sim.compile_program`; given none, every draw resolves to its
 null outcome, so per-row scripted fault injections replay deterministically.
-``run_batch`` is the Monte-Carlo entry point and
-:func:`toricleak.sim.run_shot` is a one-row call of ``execute``.
+``run_batch`` is the Monte-Carlo entry point; the scanner calls ``execute``
+directly for its scripted replays.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from .circuits import CNOT, H, MEAS_X, MEAS_Z, PREP_X, PREP_Z, SWAP
+from .circuits import CNOT, H, MEAS_Z, PREP_Z, SWAP
 from .pauli import PAULI2_ERRORS, PAULI4, batch_uniforms, propagate_cnot, propagate_h, propagate_swap
 
 if TYPE_CHECKING:
@@ -101,8 +101,8 @@ def execute(
     frames of the leading qubits.  ``traces``, when given one list per row,
     collects the stochastic consequence slots a leak opens up:
     ``("pair", gate, partner_position)`` for each two-qubit gate with exactly
-    one leaked participant, ``("measbit", gate)`` for each junk measurement
-    under the random_bit policy, and ``("readout", edge)`` for each leaked
+    one leaked participant, ``("measbit", gate)`` for each measurement of a
+    leaked qubit, and ``("readout", edge)`` for each leaked
     final data carrier — in gate order, then in ascending edge order.
     """
     program = compiled.program
@@ -131,16 +131,12 @@ def execute(
 
     for gi, g in enumerate(compiled.gates):
         q0, q1, off = g.q0, g.q1, g.draw_offset
-        if g.kind in (PREP_Z, PREP_X):
+        if g.kind == PREP_Z:
             x[:, q0] = 0
             z[:, q0] = 0
             leak[:, q0] = 0
             if stochastic and noise.p > 0:
-                flip = (U[:, off] < noise.p).astype(np.uint8)
-                if g.kind == PREP_Z:
-                    x[:, q0] ^= flip
-                else:
-                    z[:, q0] ^= flip
+                x[:, q0] ^= (U[:, off] < noise.p).astype(np.uint8)
             if stochastic and g.leak_victims and g.leak_prob > 0:
                 leak[:, q0] = (U[:, off + 1] < g.leak_prob).astype(np.uint8)
         elif g.kind == H:
@@ -189,20 +185,16 @@ def execute(
                 vic = np.minimum((u / g.leak_prob * nv).astype(np.int64), nv - 1)
                 for j, pos in enumerate(g.leak_victims):
                     leak[:, (q0, q1)[pos]] |= hit & (vic == j)
-        elif g.kind in (MEAS_Z, MEAS_X):
-            clean = (x[:, q0] if g.kind == MEAS_Z else z[:, q0]).copy()
-            if stochastic and noise.meas_flip > 0:
-                clean ^= (U[:, off] < noise.meas_flip).astype(np.uint8)
-            bit = clean
+        elif g.kind == MEAS_Z:
+            bit = x[:, q0].copy()
+            if stochastic and noise.p > 0:
+                bit ^= (U[:, off] < noise.p).astype(np.uint8)
             if leaky:
                 lk = leak[:, q0].astype(bool)
-                if noise.leaked_meas == "fixed_one":
-                    junk = np.uint8(1)
-                else:
-                    if traces is not None:
-                        slot_codes[:, gi] = lk * np.uint8(3)
-                    junk = (U[:, off + 1] < 0.5).astype(np.uint8) if stochastic else np.uint8(0)
-                bit = np.where(lk, junk, clean)
+                if traces is not None:
+                    slot_codes[:, gi] = lk * np.uint8(3)
+                junk = (U[:, off + 1] < 0.5).astype(np.uint8) if stochastic else np.uint8(0)
+                bit = np.where(lk, junk, bit)
             if scripted:
                 for row in flip_at.get(gi, ()):
                     bit[row] ^= 1

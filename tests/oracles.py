@@ -1,26 +1,29 @@
-"""Test-side oracles: structural checks, text forms, a zero-noise model, the
-torus metric, a reference matcher and residual-weight analysis.
+"""Test-side oracles: structural checks, text forms, a zero-noise model,
+lattice coordinates, one-shot and scripted replays, the torus metric, a
+reference matcher and residual-weight analysis.
 
 None of this is on a production path.  The tests use it to check circuits,
-lattices, configs and matchings, and to measure the residual data error a
-fully specified fault leaves at readout.  The reference matcher is a
-bottom-up subset DP over every even subset, independent of the decoder's
-top-down one, with the blossom route above ``_DP_LIMIT`` defects.
+lattices, configs and matchings, to replay single shots and fully specified
+faults, and to measure the residual data error such a fault leaves at
+readout.  The reference matcher is a bottom-up subset DP over every even
+subset, independent of the decoder's top-down one, with the blossom route
+above ``_DP_LIMIT`` defects.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from toricleak.circuits import H, MEAS_X, MEAS_Z, PREP_X, PREP_Z, SWAP, CircuitProgram
+from toricleak.circuits import H, MEAS_Z, PREP_Z, SWAP, CircuitProgram
 from toricleak.decoder import _DP_LIMIT, Decoder, _match_blossom, path_edges
 from toricleak.experiments import _LIST_KEYS, CONFIG_VERSION, ExperimentConfig, _fmt
-from toricleak.lattice import ToricLattice
+from toricleak.lattice import Z, ToricLattice
 from toricleak.noise import NoiseModel
-from toricleak.scanner import FaultSpec, replay_spec
-from toricleak.sim import CompiledProgram
+from toricleak.scanner import FaultSpec, script_for
+from toricleak.sim import CompiledProgram, Script
+from toricleak.vector import execute
 
 
 NULL_NOISE = NoiseModel(p=0.0)
@@ -43,13 +46,13 @@ def validate_program(program: CircuitProgram) -> None:
                         f"round {r} step {g.step}: qubit {q} used twice"
                     )
                 used.add(q)
-            if g.kind in (PREP_Z, PREP_X):
+            if g.kind == PREP_Z:
                 prepped.add(g.qubits[0])
             if g.kind == SWAP:
                 # a swap before measurement moves the prepared state along
                 if g.qubits[0] in prepped or g.qubits[1] in prepped:
                     prepped.update(g.qubits)
-            if g.kind in (MEAS_Z, MEAS_X) and g.qubits[0] not in prepped:
+            if g.kind == MEAS_Z and g.qubits[0] not in prepped:
                 raise AssertionError(
                     f"round {r}: measurement of unprepared qubit {g.qubits[0]}"
                 )
@@ -66,7 +69,7 @@ def x_check_single_qubit_gates(program: CircuitProgram, round_index: int = 0) ->
     """Single-qubit gates belonging to one X-check circuit (uniform over sites)."""
     per_site: dict[int, int] = {}
     for g in program.rounds[round_index]:
-        if g.kind == H and g.label.check is not None and g.label.check[0] == "X":
+        if g.kind == H and g.label.check[0] == "X":
             per_site[g.label.check[1]] = per_site.get(g.label.check[1], 0) + 1
     values = set(per_site.values()) or {0}
     if len(values) != 1:
@@ -98,9 +101,7 @@ def parse_program_text(text: str) -> dict:
                     "qubits": tuple(int(q) for q in fields["qubits"].split(",")),
                     "ordinal": int(fields["ordinal"]),
                     "roles": tuple(fields["roles"].split(",")),
-                    "check": None
-                    if fields["check"] == "-"
-                    else (fields["check"].split(":")[0], int(fields["check"].split(":")[1])),
+                    "check": (fields["check"].split(":")[0], int(fields["check"].split(":")[1])),
                 }
             )
     return out
@@ -132,11 +133,40 @@ def find_gates(
 # lattice and config text
 
 
+def site(lat: ToricLattice, r: int, c: int) -> int:
+    """Check site at row ``r``, column ``c`` (wrapped)."""
+    return (r % lat.d) * lat.d + (c % lat.d)
+
+
+def support(lat: ToricLattice, check_type: str, site: int) -> np.ndarray:
+    """Data edges of a check, in its CNOT order."""
+    return lat.z_support[site] if check_type == Z else lat.x_support[site]
+
+
+def coordinates(lat: ToricLattice) -> dict[int, tuple[int, int, str]]:
+    """Physical qubit id -> (row, column, subtype)."""
+    d = lat.d
+    dd = d * d
+    coords: dict[int, tuple[int, int, str]] = {}
+    for r in range(d):
+        for c in range(d):
+            s = r * d + c
+            coords[lat.h(r, c)] = (r, c, "edge_h")
+            coords[lat.v(r, c)] = (r, c, "edge_v")
+            coords[2 * dd + s] = (r, c, "zcheck")
+            coords[3 * dd + s] = (r, c, "xcheck")
+            if lat.with_spares:
+                coords[4 * dd + s] = (r, c, "zspare")
+                coords[5 * dd + s] = (r, c, "xspare")
+    return coords
+
+
 def lattice_to_text(lat: ToricLattice) -> str:
     """Versioned text form of the lattice: sites, check supports, logicals."""
     lines = [f"toricleak-lattice v1 d={lat.d} spares={int(lat.with_spares)}"]
-    for q in sorted(lat.coordinates):
-        r, c, subtype = lat.coordinates[q]
+    coords = coordinates(lat)
+    for q in sorted(coords):
+        r, c, subtype = coords[q]
         lines.append(f"site {q} {subtype} {r} {c}")
     for s in range(lat.d**2):
         lines.append("zcheck %d %s" % (s, ",".join(map(str, lat.z_support[s]))))
@@ -162,6 +192,110 @@ def serialize_config(config: ExperimentConfig) -> str:
         else:
             out.append(f"{key} = {_fmt(value)}")
     return "\n".join(out) + "\n"
+
+
+# ---------------------------------------------------------------------------
+# one-shot and scripted replays
+
+
+@dataclass
+class ShotResult:
+    syndromes: np.ndarray  # (n_rounds + 1, 2, d*d); last row is the perfect readout round
+    data_x: np.ndarray  # readout-consistent frame, indexed by edge
+    data_z: np.ndarray
+    logical_parities: np.ndarray  # (4,) pre-correction parities of the readout frame
+    leak_final: np.ndarray  # per physical qubit
+
+    @property
+    def n_rounds(self) -> int:
+        return self.syndromes.shape[0] - 1
+
+
+def run_shot(
+    compiled: CompiledProgram,
+    uniforms: np.ndarray | None = None,
+    script: Script | None = None,
+    initial_x: np.ndarray | None = None,
+    initial_z: np.ndarray | None = None,
+    trace: list | None = None,
+) -> ShotResult:
+    """Execute one shot: a one-row call of :func:`toricleak.vector.execute`.
+
+    ``trace``, when given a list, collects the consequence slots a leak
+    opens up, as ``execute`` describes them.
+    """
+    if uniforms is not None:
+        if len(uniforms) != compiled.n_draws:
+            raise ValueError(f"need {compiled.n_draws} uniform draws, got {len(uniforms)}")
+        uniforms = np.asarray(uniforms, dtype=np.float64)[None, :]
+    scripts = None if script is None else [script]
+    traces = None if trace is None else [trace]
+    res = execute(compiled, 1, uniforms, scripts, initial_x, initial_z, traces)
+    return ShotResult(
+        res.syndromes[0], res.data_x[0], res.data_z[0], res.logical_parities[0], res.leak_final[0]
+    )
+
+
+# valid outcome choices per consequence-slot tag
+_CHOICES = {"pair": ("X", "Y", "Z"), "measbit": (0, 1), "readout": ("x", "y", "z")}
+
+
+def leak_consequences(compiled: CompiledProgram, spec: FaultSpec):
+    """Baseline replay of a leak spec plus its downstream consequence slots."""
+    if spec.kind != "leak":
+        raise ValueError("consequence slots exist only for leak specs")
+    trace: list = []
+    base = run_shot(
+        compiled, script=script_for(compiled, replace(spec, assignment=())), trace=trace
+    )
+    return base, tuple(trace)
+
+
+def _program_slots(compiled: CompiledProgram) -> set[tuple]:
+    """Every consequence slot that some leak of the program could open."""
+    slots = {("readout", e) for e in range(compiled.lattice.n_data)}
+    for gi, g in enumerate(compiled.gates):
+        if g.q1 >= 0:
+            slots |= {("pair", gi, 0), ("pair", gi, 1)}
+        elif g.kind == MEAS_Z:
+            slots.add(("measbit", gi))
+    return slots
+
+
+def _check_assignment(compiled: CompiledProgram, spec: FaultSpec) -> None:
+    """Reject, before any replay, an assignment on a non-leak spec, a slot
+    listed twice or absent from the program, or a choice outside its slot's
+    outcomes."""
+    if not spec.assignment:
+        return
+    if spec.kind != "leak":
+        raise ValueError(f"a {spec.kind} spec takes no assignment")
+    listed = [slot for slot, _ in spec.assignment]
+    if len(set(listed)) < len(listed):
+        raise ValueError("an assignment slot is listed twice")
+    known = _program_slots(compiled)
+    for slot, choice in spec.assignment:
+        if slot not in known:
+            raise ValueError(f"assignment slot {slot!r} is not in the program")
+        if choice not in _CHOICES[slot[0]]:
+            raise ValueError(f"choice {choice!r} is not an outcome of slot {slot!r}")
+
+
+def replay_spec(compiled: CompiledProgram, decoder: Decoder, spec: FaultSpec):
+    """Run a fully specified spec (other noise off); return the shot and its
+    4 judge bits.
+
+    Outcome choices never move a leak, so the replay's own trace lists the
+    slots the leak opens up, and every assigned slot must be among them.
+    """
+    _check_assignment(compiled, spec)
+    trace: list = []
+    res = run_shot(compiled, script=script_for(compiled, spec), trace=trace)
+    opened = set(trace)
+    for slot, _ in spec.assignment:
+        if slot not in opened:
+            raise ValueError(f"assignment slot {slot!r} is not downstream of the leak")
+    return res, decoder.judge_batch(res.syndromes[None], res.data_x[None], res.data_z[None])[0]
 
 
 # ---------------------------------------------------------------------------

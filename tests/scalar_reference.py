@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from toricleak.circuits import CNOT, H, MEAS_X, MEAS_Z, PREP_X, PREP_Z, SWAP
-from toricleak.pauli import PAULI1_ERRORS, PAULI2_ERRORS, PAULI4, PAULI_X, PAULI_Z
+from toricleak.circuits import CNOT, H, MEAS_Z, PREP_Z, SWAP
+from toricleak.pauli import PAULI1_ERRORS, PAULI2_ERRORS, PAULI4, PAULI_X
 
 
 def _sub(u: float, prob: float, n: int) -> int:
@@ -34,11 +34,11 @@ def reference_shot(compiled, uniforms=None, script=None):
 
     for gi, g in enumerate(compiled.gates):
         q0, q1, off = g.q0, g.q1, g.draw_offset
-        if g.kind in (PREP_Z, PREP_X):
+        if g.kind == PREP_Z:
             x[q0] = z[q0] = 0
             leak[q0] = False
             if u is not None and u[off] < noise.p:
-                flip(q0, PAULI_X if g.kind == PREP_Z else PAULI_Z)
+                flip(q0, PAULI_X)
             if u is not None and g.leak_victims and u[off + 1] < g.leak_prob:
                 leak[q0] = True
         elif g.kind == H:
@@ -66,12 +66,9 @@ def reference_shot(compiled, uniforms=None, script=None):
                 if u is not None and g.leak_victims and u[off + 1] < g.leak_prob:
                     pos = g.leak_victims[_sub(u[off + 1], g.leak_prob, len(g.leak_victims))]
                     leak[(q0, q1)[pos]] = True
-        elif g.kind in (MEAS_Z, MEAS_X):
+        elif g.kind == MEAS_Z:
             if not leak[q0]:
-                bit = x[q0] if g.kind == MEAS_Z else z[q0]
-                bit ^= int(u is not None and u[off] < noise.meas_flip)
-            elif noise.leaked_meas == "fixed_one":
-                bit = 1
+                bit = x[q0] ^ int(u is not None and u[off] < noise.p)
             else:
                 trace.append(("measbit", gi))
                 bit = int(u is not None and u[off + 1] < 0.5)

@@ -19,7 +19,7 @@ import pytest
 
 import test_decoder
 import test_pauli
-from oracles import residual_weight, x_check_single_qubit_gates
+from oracles import leak_consequences, residual_weight, support, x_check_single_qubit_gates
 from toricleak.circuits import build_program
 from toricleak.decoder import Decoder
 from toricleak.experiments import (
@@ -33,7 +33,6 @@ from toricleak.noise import NoiseModel
 from toricleak.scanner import (
     FaultSpec,
     enumerate_fault_universe,
-    leak_consequences,
     leak_failure_fractions,
     scan,
     spec_location,
@@ -193,7 +192,7 @@ def test_criterion_08a_standard_failing_leaks_sit_at_known_locations():
     assert len(failing) == 135, f"{len(failing)} failing leak specs"
     for spec in failing:
         loc = spec_location(compiled, spec)
-        at_init = loc.kind in ("PrepZ", "PrepX")
+        at_init = loc.kind == "PrepZ"
         at_first_h = loc.kind == "H" and loc.role == "ancillaX" and loc.phase == "pre"
         at_first_cnot = loc.kind == "CNOT" and loc.ordinal == 1
         assert at_init or at_first_h or at_first_cnot, loc
@@ -229,8 +228,7 @@ def test_criterion_09_hook_spreads_to_four_errors_with_aligned_pair():
         kind="leak", gate_index=gi, victim=0,
         assignment=tuple(zip(pair_slots, "XYYX"))))
     assert rw.raw_x == 4, rw
-    support = set(compiled.lattice.support("X", loc.check[1]).tolist())
-    assert set(rw.support_x) == support
+    assert set(rw.support_x) == set(support(compiled.lattice, "X", loc.check[1]).tolist())
     assert rw.reduced_z == 2 and rw.aligned_z, rw
 
 

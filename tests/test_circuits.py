@@ -107,43 +107,48 @@ def test_partner_edges_form_perfect_pairing():
 
 def test_collision_detection_catches_reuse():
     program = build_program("standard", 3, 1)
-    bad = GateOp(H, (0,), 0, FaultLocation(0, 99, H, 0, ("data",), None))
+    bad = GateOp(H, (0,), 0, FaultLocation(0, 99, H, 0, ("data",), ("X", 0)))
     program.rounds[0].append(bad)
     program.rounds[0].append(bad)
     with pytest.raises(AssertionError, match="used twice"):
         validate_program(program)
 
 
+def _touched(program, r):
+    """Which qubit each check's MeasZ and each of its CNOTs touches in round ``r``."""
+    return {(g.kind, g.label.check, g.label.cnot_ordinal): g.qubits
+            for g in program.rounds[r] if g.kind in (MEAS_Z, CNOT)}
+
+
 def test_swap_lrc_roles_follow_swaps():
     program = build_program("swap_lrc", 3, 3)
-    lat = program.lattice
-    z_partner, x_partner = partner_edges(lat)
     for r in range(2):
-        for s in range(9):
-            # whoever was the check ancilla is the partner edge's data carrier next round
-            anc_before = [q for q, role in program.role_maps[r].items() if role == "ancillaZ"]
-            carrier_after = program.data_carriers[r + 1]
-            assert set(anc_before) == {int(carrier_after[e]) for e in z_partner}
-    # and the exchange is an involution: round 2 carriers equal round 0's
-    np.testing.assert_array_equal(program.data_carriers[2], program.data_carriers[0])
-    assert program.role_maps[2] == program.role_maps[0]
+        before, after = _touched(program, r), _touched(program, r + 1)
+        for t, data_pos in (("Z", 0), ("X", 1)):
+            for s in range(9):
+                # whoever measured the check is the partner edge's data carrier
+                # next round; the partner (N) is the check's 1st CNOT
+                measured = before[MEAS_Z, (t, s), 0]
+                assert after[CNOT, (t, s), 1][data_pos] == measured[0]
+    # and the exchange is an involution: round 2 touches round 0's qubits
+    assert _touched(program, 2) == _touched(program, 0)
 
 
 def test_swap_alt_holds_roles_in_even_rounds():
     program = build_program("swap_alt", 3, 4)
-    np.testing.assert_array_equal(program.data_carriers[1], program.data_carriers[0])
-    assert not np.array_equal(program.data_carriers[2], program.data_carriers[1])
-    np.testing.assert_array_equal(program.data_carriers[3], program.data_carriers[2])
+    assert _touched(program, 1) == _touched(program, 0)
+    assert _touched(program, 2) != _touched(program, 1)
+    assert _touched(program, 3) == _touched(program, 2)
 
 
 def test_mixed_lrc_rotation_has_period_three():
     program = build_program("mixed_lrc", 3, 7)
-    assert not np.array_equal(program.data_carriers[1], program.data_carriers[0])
-    assert not np.array_equal(program.data_carriers[2], program.data_carriers[0])
-    np.testing.assert_array_equal(program.data_carriers[3], program.data_carriers[0])
-    np.testing.assert_array_equal(program.data_carriers[6], program.data_carriers[0])
-    assert program.role_maps[3] == program.role_maps[0]
-    assert program.role_maps[4] == program.role_maps[1]
+    rounds = [_touched(program, r) for r in range(7)]
+    assert rounds[1] != rounds[0]
+    assert rounds[2] != rounds[0]
+    assert rounds[3] == rounds[0]
+    assert rounds[4] == rounds[1]
+    assert rounds[6] == rounds[0]
 
 
 def test_mixed_lrc_measures_the_swapped_in_qubit():

@@ -197,3 +197,28 @@ def test_scan_cli_matches_golden(tmp_path):
     assert main(["scan", "--variant", "mixed_lrc", "--d", "3",
                  "--out", str(out)]) == 0
     assert out.read_text() == (GOLDEN / "scan_mixed_lrc_d3.txt").read_text()
+
+
+def _scan_config(tmp_path, p_grid):
+    cfg = tmp_path / "scan.cfg"
+    cfg.write_text(f"toricleak-config v1\nvariant = standard\np = {p_grid}\nshots = 10\n")
+    return cfg
+
+
+def test_scan_config_takes_its_policy_from_a_nonzero_grid_point(tmp_path):
+    """A grid that starts at p = 0 scans the same gate leaks as its first
+    point with p > 0, not an empty leak universe."""
+    reports = []
+    for grid in ("0, 0.001", "0.001"):
+        out = tmp_path / "scan.txt"
+        assert main(["scan", "--variant", "standard", "--d", "3",
+                     "--config", str(_scan_config(tmp_path, grid)), "--out", str(out)]) == 0
+        reports.append(out.read_text())
+    assert reports[0] == reports[1]
+    assert "leak=486" in reports[0].split() and "leak_failing=243" in reports[0].split()
+
+
+def test_scan_config_without_a_nonzero_rate_is_exit_2(tmp_path, capsys):
+    cfg = _scan_config(tmp_path, "0")
+    assert main(["scan", "--variant", "standard", "--d", "3", "--config", str(cfg)]) == 2
+    assert "p > 0" in capsys.readouterr().err

@@ -18,6 +18,7 @@ from oracles import (
     crossing_parities,
     match_defects,
     random_defects,
+    run_shot,
     torus_distance,
     weight_matrix,
 )
@@ -25,7 +26,7 @@ from toricleak.circuits import build_program
 from toricleak.decoder import Decoder, _match_blossom, extract_events_batch, path_edges
 from toricleak.lattice import build_lattice
 from toricleak.noise import NoiseModel
-from toricleak.sim import compile_program, run_shot
+from toricleak.sim import compile_program
 from toricleak.vector import execute, run_batch
 
 

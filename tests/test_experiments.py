@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import os
 from pathlib import Path
 
 import numpy as np
@@ -11,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import serialize_config
+from toricleak import experiments
 from toricleak.experiments import (
     BATCH_SHOTS,
     ConfigError,
@@ -216,6 +218,28 @@ def test_sweep_is_deterministic_across_worker_counts():
     cfg = _cfg(p=(3e-3, 5e-3), shots=4000)
     assert rows_to_csv(run_sweep(cfg, workers=1)) == \
         rows_to_csv(run_sweep(cfg, workers=3))
+
+
+def test_sweep_pool_holds_at_most_one_process_per_cpu(monkeypatch):
+    """``workers`` above the CPU count still splits every batch that many
+    ways, but the pool is capped, so no idle interpreters are forked."""
+    pools = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+        def shutdown(self):
+            pass
+
+    monkeypatch.setattr(experiments, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    cfg = _cfg(p=(3e-3, 5e-3), shots=4000)
+    assert rows_to_csv(run_sweep(cfg, workers=5000)) == rows_to_csv(run_sweep(cfg, workers=1))
+    assert pools == [2]
 
 
 def test_smaller_distance_fails_more_without_leakage():

@@ -3,12 +3,22 @@
 A module that imports a sibling's private name shares that sibling's
 internals, which is how a second copy of a decision (such as the matcher)
 grows.  Public names are the only way across a module boundary.
+
+Two shape checks keep ``src/`` to what production runs: the draw layout
+knows exactly the gate kinds the circuits emit, and the noise model has no
+field that a config cannot set.
 """
 
 from __future__ import annotations
 
 import ast
+import dataclasses
 from pathlib import Path
+
+from toricleak.circuits import VARIANTS, build_program
+from toricleak.experiments import ExperimentConfig
+from toricleak.noise import NoiseModel
+from toricleak.sim import DRAWS_PER_KIND
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "toricleak"
 
@@ -26,3 +36,17 @@ def test_no_module_imports_a_private_name_from_a_sibling():
             offenders += [f"{path.name}: {node.module}.{alias.name}"
                           for alias in node.names if alias.name.startswith("_")]
     assert not offenders, offenders
+
+
+def test_draw_layout_covers_exactly_the_emitted_gate_kinds():
+    """The executor and the draw layout handle the kinds the circuits emit,
+    and no other."""
+    emitted = {g.kind for variant in VARIANTS for _, g in build_program(variant, 3, 3).all_gates()}
+    assert set(DRAWS_PER_KIND) == emitted
+
+
+def test_every_noise_knob_is_a_config_field():
+    """A noise field that no config can set is a knob only tests turn."""
+    config_fields = {f.name for f in dataclasses.fields(ExperimentConfig)}
+    noise_fields = {f.name for f in dataclasses.fields(NoiseModel)}
+    assert noise_fields <= config_fields, noise_fields - config_fields

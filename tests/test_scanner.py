@@ -11,8 +11,19 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from oracles import _match_dp, crossing_parities, random_defects, residual_weight, weight_matrix
-from toricleak import scanner, sim
+import oracles
+from oracles import (
+    _match_dp,
+    crossing_parities,
+    leak_consequences,
+    random_defects,
+    replay_spec,
+    residual_weight,
+    run_shot,
+    support,
+    weight_matrix,
+)
+from toricleak import scanner
 from toricleak.circuits import VARIANTS, build_program
 from toricleak.decoder import Decoder
 from toricleak.lattice import build_lattice
@@ -20,15 +31,13 @@ from toricleak.noise import NoiseModel
 from toricleak.scanner import (
     FaultSpec,
     enumerate_fault_universe,
-    leak_consequences,
     leak_failure_fractions,
-    replay_spec,
     scan,
     script_for,
     spec_location,
     verdict_to_text,
 )
-from toricleak.sim import compile_program, run_shot
+from toricleak.sim import compile_program
 from toricleak.vector import execute
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -39,8 +48,7 @@ DOC_NOISE = NoiseModel(p=1e-3, r=1.0, p_init_leak=1e-3)
 # independent arithmetic: Pauli spec multiplicity per gate kind
 # (prep: one flip of the prepared basis; H: 3 Paulis; two-qubit: 15
 # nonidentity pairs; measurement: one outcome flip)
-SPECS_PER_KIND = {"PrepZ": 1, "PrepX": 1, "H": 3, "CNOT": 15, "SWAP": 15,
-                  "MeasZ": 1, "MeasX": 1}
+SPECS_PER_KIND = {"PrepZ": 1, "H": 3, "CNOT": 15, "SWAP": 15, "MeasZ": 1}
 
 
 def _compiled(variant, noise=DOC_NOISE, d=3, rounds=3):
@@ -205,7 +213,7 @@ def test_hook_spreads_four_x_and_reduces_to_aligned_pair():
     rw = residual_weight(compiled, FaultSpec(kind="leak", gate_index=gi,
                                              victim=0, assignment=assign))
     assert rw.raw_x == 4
-    assert set(rw.support_x) == set(lat.support("X", loc.check[1]).tolist())
+    assert set(rw.support_x) == set(support(lat, "X", loc.check[1]).tolist())
     assert rw.reduced_x == 0  # the X spray is the measured stabilizer itself
     assert rw.reduced_z == 2 and rw.aligned_z
     assert rw.joint == 2
@@ -356,7 +364,7 @@ def test_assigned_replay_runs_the_executor_once(monkeypatch):
         calls.append(args[1])
         return execute(*args, **kwargs)
 
-    monkeypatch.setattr(sim, "execute", counting)
+    monkeypatch.setattr(oracles, "execute", counting)
     monkeypatch.setattr(scanner, "execute", counting)
     replay_spec(compiled, Decoder(compiled.lattice), replace(spec, assignment=((slot, "Y"),)))
     assert calls == [1]
@@ -370,7 +378,7 @@ def test_outcome_choices_never_move_a_leak(variant):
     rng = np.random.default_rng(5)
     for spec in [s for s in enumerate_fault_universe(compiled) if s.kind == "leak"][::4]:
         _, slots = leak_consequences(compiled, spec)
-        choices = [scanner._CHOICES[slot[0]] for slot in slots]
+        choices = [oracles._CHOICES[slot[0]] for slot in slots]
         assignment = tuple((slot, c[rng.integers(len(c))]) for slot, c in zip(slots, choices))
         trace = []
         run_shot(compiled, script=script_for(compiled, replace(spec, assignment=assignment)),
