@@ -140,8 +140,6 @@ def _cmd_run(args) -> int:
         config = replace(config, variant=args.variant)
     if args.d is not None:
         config = replace(config, d=(args.d,))
-    if args.workers < 1:
-        raise ConfigError("--workers must be >= 1")
     out = args.out if args.out is not None else config.out
     if out is not None and not os.path.isdir(os.path.dirname(os.path.abspath(out))):
         raise ConfigError(f"cannot write {out!r}: no such directory")  # before the sweep

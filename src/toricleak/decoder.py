@@ -4,9 +4,10 @@ Detection events are differences of consecutive syndrome rounds (round -1 is
 the all-zero baseline; the last row is the noiseless readout round).  Events
 of each check type are matched in spacetime with weight = torus Manhattan
 distance + time separation, exactly: a memoised top-down subset DP for up to
-10 defects, an exact blossom matching (networkx) beyond that.  Matched pairs
-are repaired along deterministic shortest torus paths, rows before columns,
-wrapping toward the shorter side (odd distance leaves no axis ties).
+10 defects, an exact blossom matching (``blossom``, a port of NetworkX's)
+beyond that.  Matched pairs are repaired along deterministic shortest torus
+paths, rows before columns, wrapping toward the shorter side (odd distance
+leaves no axis ties).
 The decoder is the one matcher and returns verdicts, not corrections:
 ``Decoder.parities`` is the crossing-parity rule that the Monte-Carlo judge
 and the scanner both read.
@@ -16,22 +17,10 @@ from __future__ import annotations
 
 import numpy as np
 
+from .blossom import min_weight_perfect_matching
 from .lattice import ToricLattice
 
 _DP_LIMIT = 10  # top-down subset DP up to here, blossom matching above
-
-
-def _match_blossom(w: np.ndarray) -> list[tuple[int, int]]:
-    import networkx as nx
-
-    n = w.shape[0]
-    graph = nx.Graph()
-    graph.add_nodes_from(range(n))
-    for i in range(n):
-        for j in range(i + 1, n):
-            graph.add_edge(i, j, weight=-int(w[i, j]))
-    matching = nx.max_weight_matching(graph, maxcardinality=True)
-    return [tuple(sorted(edge)) for edge in sorted(map(sorted, matching))]
 
 
 def path_edges(lat: ToricLattice, check_type: int, s1: int, s2: int) -> list[int]:
@@ -135,16 +124,19 @@ class Decoder:
         return best
 
     def _blossom(self, check_type: int, defects: tuple) -> tuple[int, int]:
+        pairs = self._pairs[check_type]
         n = len(defects)
-        w = np.zeros((n, n), dtype=np.int64)
+        w = [[0] * n for _ in range(n)]
         for i, (t1, s1) in enumerate(defects):
+            row = pairs[s1]
             for j in range(i + 1, n):
                 t2, s2 = defects[j]
-                w[i, j] = w[j, i] = self._pair(check_type, s1, s2)[0] + abs(t1 - t2)
+                w[i][j] = w[j][i] = (row[s2] or self._pair(check_type, s1, s2))[0] + abs(t1 - t2)
         weight = par = 0
-        for i, j in _match_blossom(w):  # i < j: the earlier defect leads its path
-            weight += int(w[i, j])
-            par ^= self._pair(check_type, defects[i][1], defects[j][1])[1]
+        for i, j in enumerate(min_weight_perfect_matching(w)):
+            if i < j:  # the earlier defect leads its path
+                weight += w[i][j]
+                par ^= pairs[defects[i][1]][defects[j][1]][1]
         return weight, par
 
     def parities(self, check_type: int, defects: tuple[tuple[int, int], ...],

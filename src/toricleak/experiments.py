@@ -257,6 +257,8 @@ def run_sweep(config: ExperimentConfig, workers: int = 1,
     The shots of each batch split into ``workers`` parts; the pool that runs
     them holds at most one process per CPU.
     """
+    if workers < 1:
+        raise ConfigError("workers: must be >= 1")
     rows = []
     pool = None
     if workers > 1:

@@ -6,18 +6,20 @@ None of this is on a production path.  The tests use it to check circuits,
 lattices, configs and matchings, to replay single shots and fully specified
 faults, and to measure the residual data error such a fault leaves at
 readout.  The reference matcher is a bottom-up subset DP over every even
-subset, independent of the decoder's top-down one, with the blossom route
-above ``_DP_LIMIT`` defects.
+subset, independent of the decoder's top-down one, with networkx's blossom
+matching above ``_DP_LIMIT`` defects, the oracle for the decoder's port of
+it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
+import networkx as nx
 import numpy as np
 
 from toricleak.circuits import H, MEAS_Z, PREP_Z, SWAP, CircuitProgram
-from toricleak.decoder import _DP_LIMIT, Decoder, _match_blossom, path_edges
+from toricleak.decoder import _DP_LIMIT, Decoder, path_edges
 from toricleak.experiments import _LIST_KEYS, CONFIG_VERSION, ExperimentConfig, _fmt
 from toricleak.lattice import Z, ToricLattice
 from toricleak.noise import NoiseModel
@@ -359,6 +361,20 @@ def _match_dp(w: np.ndarray) -> list[tuple[int, int]]:
         pairs.append((i, j))
         mask ^= (1 << i) | (1 << j)
     return pairs
+
+
+def _match_blossom(w) -> list[tuple[int, int]]:
+    """networkx's exact matching of the complete graph on pair weights ``w``
+    (a square int matrix), built as the decoder once built it: nodes in
+    order, edges ``(i, j)`` for ``i < j`` weighing ``-w[i][j]``."""
+    n = len(w)
+    graph = nx.Graph()
+    graph.add_nodes_from(range(n))
+    for i in range(n):
+        for j in range(i + 1, n):
+            graph.add_edge(i, j, weight=-int(w[i][j]))
+    matching = nx.max_weight_matching(graph, maxcardinality=True)
+    return sorted(tuple(sorted(edge)) for edge in matching)
 
 
 def weight_matrix(lat: ToricLattice, defects: tuple[tuple[int, int], ...]) -> np.ndarray:

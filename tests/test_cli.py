@@ -58,6 +58,13 @@ def test_run_is_identical_across_worker_flag(tmp_path):
     assert a.read_text() == b.read_text()
 
 
+def test_run_rejects_a_zero_worker_count_with_exit_2(tmp_path, capsys):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(GOOD_CONFIG)
+    assert main(["run", "--config", str(cfg), "--workers", "0"]) == 2
+    assert "workers" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("text", [
     "toricleak-config v2\nvariant = standard\nshots = 1\n",
     GOOD_CONFIG + "mystery = 4\n",

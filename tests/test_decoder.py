@@ -22,8 +22,9 @@ from oracles import (
     torus_distance,
     weight_matrix,
 )
+from toricleak.blossom import min_weight_perfect_matching
 from toricleak.circuits import build_program
-from toricleak.decoder import Decoder, _match_blossom, extract_events_batch, path_edges
+from toricleak.decoder import Decoder, extract_events_batch, path_edges
 from toricleak.lattice import build_lattice
 from toricleak.noise import NoiseModel
 from toricleak.sim import compile_program
@@ -123,8 +124,8 @@ def test_blossom_route_agrees_with_dp_route():
         n = int(rng.choice([8, 12, 14]))
         w = weight_matrix(lat, random_defects(rng, 5, 5, n))
         weight_dp = sum(w[i, j] for i, j in _match_dp(w))
-        weight_nx = sum(w[i, j] for i, j in _match_blossom(w))
-        assert weight_dp == weight_nx
+        mate = min_weight_perfect_matching(w.tolist())
+        assert weight_dp == sum(w[i, j] for i, j in enumerate(mate) if i < j)
 
 
 def test_match_rejects_odd_defects():

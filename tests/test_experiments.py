@@ -238,8 +238,16 @@ def test_sweep_pool_holds_at_most_one_process_per_cpu(monkeypatch):
     monkeypatch.setattr(experiments, "ProcessPoolExecutor", InlinePool)
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     cfg = _cfg(p=(3e-3, 5e-3), shots=4000)
-    assert rows_to_csv(run_sweep(cfg, workers=5000)) == rows_to_csv(run_sweep(cfg, workers=1))
+    assert rows_to_csv(run_sweep(cfg, workers=8)) == rows_to_csv(run_sweep(cfg, workers=1))
     assert pools == [2]
+
+
+@pytest.mark.parametrize("workers", [0, -1])
+def test_sweep_rejects_a_worker_count_below_one(workers):
+    """No count below 1 runs: 0 would split nothing, and -1 would report the
+    full budget with no shot run."""
+    with pytest.raises(ConfigError, match="workers"):
+        run_sweep(_cfg(shots=500), workers=workers)
 
 
 def test_smaller_distance_fails_more_without_leakage():

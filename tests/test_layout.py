@@ -4,9 +4,10 @@ A module that imports a sibling's private name shares that sibling's
 internals, which is how a second copy of a decision (such as the matcher)
 grows.  Public names are the only way across a module boundary.
 
-Two shape checks keep ``src/`` to what production runs: the draw layout
-knows exactly the gate kinds the circuits emit, and the noise model has no
-field that a config cannot set.
+Three shape checks keep ``src/`` to what production runs: the draw layout
+knows exactly the gate kinds the circuits emit, the noise model has no
+field that a config cannot set, and networkx, the blossom port's test
+oracle, is no runtime dependency.
 """
 
 from __future__ import annotations
@@ -36,6 +37,21 @@ def test_no_module_imports_a_private_name_from_a_sibling():
             offenders += [f"{path.name}: {node.module}.{alias.name}"
                           for alias in node.names if alias.name.startswith("_")]
     assert not offenders, offenders
+
+
+def test_no_module_imports_networkx():
+    """networkx is a test extra: the matcher is ``blossom``, its port."""
+    importers = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module or ""]
+            else:
+                continue
+            importers += [path.name for name in names if name.split(".")[0] == "networkx"]
+    assert not importers, importers
 
 
 def test_draw_layout_covers_exactly_the_emitted_gate_kinds():
