@@ -6,6 +6,9 @@ Three families:
     rounds=3, with the documentary policy (two-sided leakage at every
     site, p = p_leak = p_init_leak = 1e-3); matches the CLI defaults of
     ``toricleak scan``.
+  * scan_standard_d3_r1_pairs.txt -- a fault-pair scan report
+    (``max_faults=2``) of standard d=3, one round, same policy, which pins
+    the pair verdicts.
   * sweep_mixed_lrc_d3_seed7.csv -- a Monte-Carlo sweep CSV (mixed_lrc,
     d=3, four p, 2500 shots each, master seed 7), which pins the decoder's
     verdicts on stochastic shots; only ``--which all`` builds it.
@@ -57,6 +60,9 @@ def scans() -> dict[Path, str]:
         compiled = compile_program(build_program(variant, 3, 3), noise)
         verdict = scan(compiled, decoder=Decoder(compiled.lattice), max_faults=1)
         out[GOLDEN / f"scan_{variant}_d3.txt"] = verdict_to_text(compiled, verdict)
+    compiled = compile_program(build_program("standard", 3, 1), noise)
+    verdict = scan(compiled, decoder=Decoder(compiled.lattice), max_faults=2)
+    out[GOLDEN / "scan_standard_d3_r1_pairs.txt"] = verdict_to_text(compiled, verdict)
     return out
 
 

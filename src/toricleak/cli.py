@@ -157,10 +157,7 @@ def _cmd_scan(args) -> int:
         p = next((p for p in config.p if p > 0), None)
         if p is None:
             raise ConfigError("scan --config needs a grid point with p > 0")
-        noise = NoiseModel(p=p, r=config.r,
-                           side_policy=config.side_policy,
-                           site_filter=config.site_filter,
-                           p_init_leak=config.init_leak_at(p))
+        noise = config.noise_at(p)
     else:
         noise = NoiseModel(p=SCAN_P, r=SCAN_R, p_init_leak=SCAN_INIT_LEAK)
     compiled = compile_program(_build(args.variant, args.d, rounds), noise)

@@ -1,16 +1,20 @@
 """Spacetime minimum-weight perfect matching decoder for the torus.
 
 Detection events are differences of consecutive syndrome rounds (round -1 is
-the all-zero baseline; the last row is the noiseless readout round).  Events
-of each check type are matched in spacetime with weight = torus Manhattan
-distance + time separation, exactly: a memoised top-down subset DP for up to
-10 defects, an exact blossom matching (``blossom``, a port of NetworkX's)
-beyond that.  Matched pairs are repaired along deterministic shortest torus
-paths, rows before columns, wrapping toward the shorter side (odd distance
-leaves no axis ties).
-The decoder is the one matcher and returns verdicts, not corrections:
-``Decoder.parities`` is the crossing-parity rule that the Monte-Carlo judge
-and the scanner both read.
+the all-zero baseline; the last row is the noiseless readout round).  One
+check type's events are one int, its defect mask: bit ``t * d*d + site`` is
+the event of the check at ``site`` in round ``t``, so ascending bits are
+ascending ``(t, site)``.  Events of each check type are matched in spacetime
+with weight = torus Manhattan distance + time separation, exactly: a
+memoised top-down subset DP on sub-masks for up to 10 defects, an exact
+blossom matching (``blossom``, a port of NetworkX's) of the mask's cells in
+bit order beyond that.  Matched pairs are repaired along deterministic
+shortest torus paths, rows before columns, wrapping toward the shorter side
+(odd distance leaves no axis ties).
+The decoder is the one matcher and returns verdicts, not corrections: the
+crossing parities of ``Decoder.matching`` are the rule that the Monte-Carlo
+judge and the scanner both read.  The decoder keeps no matching cache; a
+memo belongs to the caller that passes it.
 """
 
 from __future__ import annotations
@@ -70,7 +74,7 @@ class Decoder:
         self._crossed = tuple(tuple(map(frozenset, ls)) for ls in (lat.z_logicals, lat.x_logicals))
         # [check type][s1][s2] -> (torus distance, crossing parities), filled on first use
         self._pairs = [[[None] * lat.d**2 for _ in range(lat.d**2)] for _ in (0, 1)]
-        self._cache: dict = {}
+        self._sites = lat.d**2
 
     def _pair(self, check_type: int, s1: int, s2: int) -> tuple[int, int]:
         """Torus distance and the two logical-crossing parities of the repair
@@ -84,89 +88,84 @@ class Decoder:
             hit = row[s2] = (len(path), par)
         return hit
 
-    def matching(self, check_type: int, defects: tuple[tuple[int, int], ...],
-                 memo: dict | None = None) -> tuple[int, int]:
+    def matching(self, check_type: int, mask: int, memo: dict | None = None) -> tuple[int, int]:
         """Weight and crossing parities of the minimum-weight perfect matching
-        of one check type's sorted (t, site) defects, a pair weighing its
-        torus distance plus its time separation.
+        of one check type's defect mask, a pair weighing its torus distance
+        plus its time separation; bits 0-1 of the parities are the check
+        type's two judge bits.
 
-        Up to ``_DP_LIMIT`` defects a top-down subset DP decides: the first
-        defect is the pivot, its partners are tried in order, and only a
-        strictly lower weight replaces the incumbent.  Larger sets go to
-        blossom matching.  ``memo`` keeps the matchings of defect tuples
+        Up to ``_DP_LIMIT`` defects a top-down subset DP decides: the lowest
+        defect is the pivot, its partners are tried in ascending bit order,
+        and only a strictly lower weight replaces the incumbent.  Larger
+        sets go to blossom matching.  ``memo`` keeps the matchings of masks
         across the calls that share it (by default, one call); it is a cache
         scope and never changes a result.
         """
-        if len(defects) % 2:
+        n = mask.bit_count()
+        if n % 2:
             raise ValueError("odd number of defects cannot be matched")
-        scope = ({} if memo is None else memo).setdefault(check_type, {(): (0, 0)})
-        hit = scope.get(defects)
+        scope = ({} if memo is None else memo).setdefault(check_type, {0: (0, 0)})
+        hit = scope.get(mask)
         if hit is None:
-            if len(defects) <= _DP_LIMIT:
-                hit = self._subset_match(check_type, defects, scope)
+            if n <= _DP_LIMIT:
+                hit = self._subset_match(check_type, mask, scope)
             else:
-                hit = scope[defects] = self._blossom(check_type, defects)
+                hit = scope[mask] = self._blossom(check_type, mask)
         return hit
 
-    def _subset_match(self, check_type: int, defects: tuple, scope: dict) -> tuple[int, int]:
-        """The DP step for a tuple missing from ``scope``; fills ``scope``."""
-        (t0, s0), rest = defects[0], defects[1:]
+    def _subset_match(self, check_type: int, mask: int, scope: dict) -> tuple[int, int]:
+        """The DP step for a mask missing from ``scope``; fills ``scope``."""
+        low = mask & -mask
+        rest = bits = mask ^ low
+        t0, s0 = divmod(low.bit_length() - 1, self._sites)
         row = self._pairs[check_type][s0]
         best = None
-        for k, (t, s) in enumerate(rest):
-            sub = rest[:k] + rest[k + 1 :]
+        while bits:
+            bit = bits & -bits
+            bits ^= bit
+            t, s = divmod(bit.bit_length() - 1, self._sites)
+            sub = rest ^ bit
             weight, sub_par = scope.get(sub) or self._subset_match(check_type, sub, scope)
             dist, par = row[s] or self._pair(check_type, s0, s)
             weight += dist + abs(t - t0)
             if best is None or weight < best[0]:
                 best = (weight, sub_par ^ par)
-        scope[defects] = best
+        scope[mask] = best
         return best
 
-    def _blossom(self, check_type: int, defects: tuple) -> tuple[int, int]:
+    def _blossom(self, check_type: int, mask: int) -> tuple[int, int]:
         pairs = self._pairs[check_type]
-        n = len(defects)
+        times, sites = [], []
+        while mask:
+            low = mask & -mask
+            mask ^= low
+            t, s = divmod(low.bit_length() - 1, self._sites)
+            times.append(t)
+            sites.append(s)
+        n = len(sites)
         w = [[0] * n for _ in range(n)]
-        for i, (t1, s1) in enumerate(defects):
+        for i, (t1, s1) in enumerate(zip(times, sites)):
             row = pairs[s1]
             for j in range(i + 1, n):
-                t2, s2 = defects[j]
-                w[i][j] = w[j][i] = (row[s2] or self._pair(check_type, s1, s2))[0] + abs(t1 - t2)
+                s2 = sites[j]
+                w[i][j] = w[j][i] = (row[s2] or self._pair(check_type, s1, s2))[0] + abs(t1 - times[j])
         weight = par = 0
         for i, j in enumerate(min_weight_perfect_matching(w)):
             if i < j:  # the earlier defect leads its path
                 weight += w[i][j]
-                par ^= pairs[defects[i][1]][defects[j][1]][1]
+                par ^= pairs[sites[i]][sites[j]][1]
         return weight, par
 
-    def parities(self, check_type: int, defects: tuple[tuple[int, int], ...],
-                 memo: dict | None = None) -> int:
-        """Crossing parities of the matching of one check type's sorted (t, site)
-        defects: judge bits 0-1 for stars, 2-3 for plaquettes.  A call
-        without ``memo`` is also cached decoder-wide."""
-        if memo is not None:
-            return self.matching(check_type, defects, memo)[1]
-        key = (check_type, defects)
-        hit = self._cache.get(key)
-        if hit is None:
-            hit = self._cache[key] = self.matching(check_type, defects)[1]
-        return hit
-
     def judge_batch(self, syndromes: np.ndarray, data_x: np.ndarray, data_z: np.ndarray) -> np.ndarray:
-        """Per-shot judge bits (X_L1, X_L2, Z_L1, Z_L2) for a stacked batch."""
+        """Per-shot judge bits (X_L1, X_L2, Z_L1, Z_L2) for a stacked batch;
+        the batch's matchings share one memo."""
         judge = self.lat.logical_parities(data_x, data_z)
-        # defects in (shot, check type, t, site) order: each (shot, check
-        # type) is one contiguous run, already sorted by (t, site)
-        events = extract_events_batch(syndromes).transpose(0, 2, 1, 3)
-        shots, types, times, sites = np.nonzero(events)
-        starts = np.flatnonzero(np.diff(shots * 2 + types, prepend=-1))
-        bounds = np.append(starts, len(shots)).tolist()
-        cells = list(zip(times.tolist(), sites.tolist()))
-        shot_of_run, type_of_run = shots[starts], types[starts]
-        runs = zip(type_of_run.tolist(), bounds, bounds[1:])
-        par = np.array([self.parities(ct, tuple(cells[a:b])) for ct, a, b in runs], dtype=np.uint8)
-        judge[shot_of_run, 2 * type_of_run] ^= par & 1
-        judge[shot_of_run, 2 * type_of_run + 1] ^= par >> 1
+        memo: dict = {}
+        par = np.array([[self.matching(ct, mask, memo)[1] if mask else 0
+                         for ct, mask in enumerate(masks)]
+                        for masks in event_masks(syndromes)], dtype=np.uint8).reshape(-1, 2)
+        judge[:, 0::2] ^= par & 1
+        judge[:, 1::2] ^= par >> 1
         return judge
 
 
@@ -175,3 +174,14 @@ def extract_events_batch(syndromes: np.ndarray) -> np.ndarray:
     events = syndromes.copy()
     events[:, 1:] ^= syndromes[:, :-1]
     return events
+
+
+def event_masks(syndromes: np.ndarray) -> list[tuple[int, int]]:
+    """Per shot, the star and the plaquette defect masks of its events."""
+    shots, times, types, sites = syndromes.shape
+    events = extract_events_batch(syndromes).transpose(0, 2, 1, 3)
+    packed = np.packbits(events.reshape(shots * types, times * sites), axis=-1, bitorder="little")
+    size = packed.shape[1]
+    blob = packed.tobytes()
+    masks = iter([int.from_bytes(blob[k : k + size], "little") for k in range(0, len(blob), size)])
+    return list(zip(masks, masks))

@@ -115,8 +115,7 @@ class ExperimentConfig:
         # eager validation of every grid point via the noise model's own checks
         try:
             for p in self.p:
-                NoiseModel(p=p, r=self.r, side_policy=self.side_policy,
-                           site_filter=self.site_filter, p_init_leak=self.init_leak_at(p))
+                self.noise_at(p)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
 
@@ -124,6 +123,11 @@ class ExperimentConfig:
         if self.p_init_leak == "r*p":
             return self.r * p
         return float(self.p_init_leak)
+
+    def noise_at(self, p: float) -> NoiseModel:
+        """The noise model of grid point ``p``."""
+        return NoiseModel(p=p, r=self.r, side_policy=self.side_policy,
+                          site_filter=self.site_filter, p_init_leak=self.init_leak_at(p))
 
 
 _INT_KEYS = {"rounds", "shots", "target_failures", "max_shots", "master_seed"}
@@ -220,17 +224,15 @@ class SweepRow:
 
 
 @lru_cache(maxsize=32)
-def _compiled_leg(leg: tuple):
-    variant, d, rounds, p, r, side_policy, site_filter, p_init_leak = leg
-    noise = NoiseModel(p=p, r=r, side_policy=side_policy,
-                       site_filter=site_filter, p_init_leak=p_init_leak)
+def _compiled_leg(variant: str, d: int, rounds: int, noise: NoiseModel):
     compiled = compile_program(build_program(variant, d, rounds), noise)
     return compiled, Decoder(compiled.program.lattice)
 
 
 def _count_failures(leg: tuple, master_seed: int, start: int,
                     n_shots: int) -> tuple[int, tuple[int, int, int, int]]:
-    compiled, decoder = _compiled_leg(leg)
+    """Failures in one part of a batch of ``leg`` = (variant, d, rounds, noise)."""
+    compiled, decoder = _compiled_leg(*leg)
     res = run_batch(compiled, master_seed, start, n_shots)
     judge = decoder.judge_batch(res.syndromes, res.data_x, res.data_z)
     per_logical = tuple(int(c) for c in judge.sum(axis=0))
@@ -267,9 +269,7 @@ def run_sweep(config: ExperimentConfig, workers: int = 1,
         for d in config.d:
             rounds = config.rounds if config.rounds is not None else d
             for p in config.p:
-                leg = (config.variant, d, rounds, p, config.r,
-                       config.side_policy, config.site_filter,
-                       config.init_leak_at(p))
+                leg = (config.variant, d, rounds, config.noise_at(p))
                 budget = config.shots if config.shots is not None else config.max_shots
                 shots = failures = 0
                 by_logical = [0, 0, 0, 0]

@@ -24,23 +24,27 @@ effect lands on one check type (``_span_sides`` raises ``ValueError`` if
 one does not).  The span therefore splits into a star side (star events +
 the two judge bits of the data X frame) and a plaquette side (plaquette
 events + the Z frame's two), which the decoder also judges independently.
-A side holds only its own check type's event cells, so a span point is
-that type's event bits followed by its two judge bits, which keeps ranks
-small.  Every point is judged by the production matcher itself,
-``Decoder.parities`` on the point's events, with one sub-matching memo per
-side, so a verdict is exact with respect to the decoder that the Monte-Carlo
-path runs.
+A span point is one int: the check type's defect mask over the program's
+``(rounds+1)·d²`` event cells, bit ``t·d² + site`` as in
+``decoder.event_masks``, with the two judge bits above it.  Every point is
+judged by the production matcher itself, ``Decoder.matching`` on the
+point's mask, with one sub-matching memo per side, so a verdict is exact
+with respect to the decoder that the Monte-Carlo path runs.
 
-One judge serves both questions asked of a leak: ``_failing_points`` yields
-the failing bit of each span point of a side.  ``scan`` fails the spec at
-its first failing point; ``leak_failure_fractions`` counts them.  A side
-whose rank exceeds ``SPAN_BUDGET_BITS`` is judged on ``SAMPLE_COUNT``
-seeded random points instead, and the spec is reported as sampled rather
-than exact.
+Every spec goes through the same pipeline (``_spec_sides``): a Pauli or
+``meas_flip`` spec opens no consequence slots, so its sides have rank 0
+and their only point is the replay's own.  One judge, ``_failing_points``,
+yields the failing bit of each span point of a side.  ``scan`` fails the
+spec at its first failing point; ``leak_failure_fractions`` counts them.
+A side whose rank exceeds ``SPAN_BUDGET_BITS`` is judged on
+``SAMPLE_COUNT`` seeded random points instead, and the spec is reported as
+sampled rather than exact.
 
-Pair scanning (``max_faults=2``) composes cached Pauli-spec effects, which
-is exact by frame linearity; leak specs take part only singly because their
-worst-case assignment already spans multi-error combinations.
+Pair scanning (``max_faults=2``) judges each pair of Pauli specs at the
+XOR of their two rank-0 points, which is exact by frame linearity, under
+one memo for the whole pair scan; leak specs take part only singly
+because their worst-case assignment already spans multi-error
+combinations.
 
 Every verdict is a judge-bit verdict: the scanner does no residual-weight
 analysis of the data error a replay leaves behind.
@@ -53,7 +57,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .circuits import CNOT, H, MEAS_Z, PREP_Z, SWAP
-from .decoder import Decoder, extract_events_batch
+from .decoder import Decoder, event_masks
 from .experiments import ConfigError
 from .lattice import ToricLattice
 from .pauli import PAULI1_ERRORS, PAULI2_ERRORS, PAULI_BY_NAME, PAULI_I, PAULI_X
@@ -244,14 +248,15 @@ def _gf2_basis(vecs: list[int]) -> list[int]:
 
 @dataclass
 class _SpanSide:
-    """One check type's side of a leak location's span.
+    """One check type's side of a spec's span.
 
-    A point is that type's event bits, in ``cells`` order, followed by its
-    two judge bits; ``base`` is the baseline replay's point.
+    A point is that type's defect mask over the program's ``width`` event
+    cells (``decoder.event_masks``), with its two judge bits above them;
+    ``base`` is the baseline replay's point.
     """
 
     check_type: int
-    cells: list  # sorted (t, site)
+    width: int
     base: int
     basis: list[int]
 
@@ -263,19 +268,16 @@ class _SpanSide:
     def failing(self, decoder: Decoder, vec: int, memo: dict) -> bool:
         """Whether the span point ``vec`` fails this side's judge bits."""
         vec ^= self.base
-        defects = tuple([c for j, c in enumerate(self.cells) if vec >> j & 1])
-        return (vec >> len(self.cells)) != decoder.parities(self.check_type, defects, memo)
+        judge = vec >> self.width
+        return judge != decoder.matching(self.check_type, vec ^ judge << self.width, memo)[1]
 
 
-def _effect_parts(lat: ToricLattice, events, fx, fz) -> list[tuple]:
-    """Per row and check type: the event cells, sorted (t, site), and the two
-    judge bits of the frame."""
-    par = lat.logical_parities(fx, fz).tolist()
-    parts = [tuple(([], p[2 * ct] | p[2 * ct + 1] << 1) for ct in (0, 1)) for p in par]
-    for ct in (0, 1):
-        for row, t, site in zip(*(a.tolist() for a in np.nonzero(events[:, :, ct, :]))):
-            parts[row][ct][0].append((t, site))
-    return parts
+def _points(lat: ToricLattice, width: int, res) -> list[list[int]]:
+    """Per replay row: its star point and its plaquette point."""
+    judge = lat.logical_parities(res.data_x, res.data_z).tolist()
+    return [[mask | (bits[2 * ct] | bits[2 * ct + 1] << 1) << width
+             for ct, mask in enumerate(masks)]
+            for masks, bits in zip(event_masks(res.syndromes), judge)]
 
 
 def _unit_generators(slots: list[tuple]) -> list[tuple]:
@@ -291,81 +293,42 @@ def _unit_generators(slots: list[tuple]) -> list[tuple]:
     return generators
 
 
-def _packed(sizes: list[int], cap: int):
-    """Runs of consecutive indices whose sizes sum to at most ``cap``; an
-    item larger than ``cap`` runs alone."""
-    run, total = [], 0
-    for k, size in enumerate(sizes):
-        if run and total + size > cap:
-            yield run
-            run, total = [], 0
-        run.append(k)
-        total += size
-    if run:
-        yield run
+def _spec_sides(compiled: CompiledProgram, specs: list[FaultSpec]):
+    """Per spec: ``(spec, sides)``, the span sides of its consequences.
 
-
-def _leak_setups(compiled: CompiledProgram, specs: list[FaultSpec]):
-    """Per leak spec: ``(spec, sides)``, the span sides of its consequences.
-
-    The baselines of ``_CHUNK_ROWS`` specs share one replay batch; their
-    unit-effect generators are then replayed a few whole specs at a time, in
-    batches of about ``_CHUNK_ROWS`` rows.
+    The baselines of ``_CHUNK_ROWS`` specs share one replay batch; the
+    unit-effect generators of their consequence slots are then replayed in
+    batches of ``_CHUNK_ROWS`` rows.  A spec without slots (every Pauli and
+    ``meas_flip`` spec) gets rank-0 sides.
     """
     lat = compiled.lattice
+    width = (compiled.program.n_rounds + 1) * lat.d**2
     for group in _chunks(specs, _CHUNK_ROWS):
-        if any(spec.kind != "leak" for spec in group):
-            raise ValueError("consequence slots exist only for leak specs")
         traces: list[list] = [[] for _ in group]
         scripts = [script_for(compiled, replace(spec, assignment=())) for spec in group]
-        base = execute(compiled, len(group), scripts=scripts, traces=traces)
-        base_events = extract_events_batch(base.syndromes)
-        base_parts = _effect_parts(lat, base_events, base.data_x, base.data_z)
-        generators = [_unit_generators(trace) for trace in traces]
-        for members in _packed([len(gens) for gens in generators], _CHUNK_ROWS):
-            chunk = [(k, gen) for k in members for gen in generators[k]]
-            owner = [k for k, _ in chunk]
+        base = _points(lat, width, execute(compiled, len(group), scripts=scripts, traces=traces))
+        units = [(k, gen) for k, trace in enumerate(traces) for gen in _unit_generators(trace)]
+        effects: list[list] = [[] for _ in group]
+        for chunk in _chunks(units, _CHUNK_ROWS):
             scripts = [script_for(compiled, replace(group[k], assignment=(gen,))) for k, gen in chunk]
-            effects = execute(compiled, len(chunk), scripts=scripts)
-            unit_parts = _effect_parts(
-                lat,
-                extract_events_batch(effects.syndromes) ^ base_events[owner],
-                effects.data_x ^ base.data_x[owner],
-                effects.data_z ^ base.data_z[owner],
-            )
-            first = 0
-            for k in members:
-                parts = unit_parts[first : first + len(generators[k])]
-                first += len(generators[k])
-                yield group[k], _span_sides(parts, base_parts[k])
+            points = _points(lat, width, execute(compiled, len(chunk), scripts=scripts))
+            for (k, _), unit in zip(chunk, points):
+                effects[k].append([p ^ q for p, q in zip(unit, base[k])])
+        for spec, spec_base, spec_effects in zip(group, base, effects):
+            yield spec, _span_sides(spec_effects, spec_base, width)
 
 
-def _span_sides(effects: list, base: tuple) -> list[_SpanSide]:
-    """The star side and then the plaquette side of one leak's span, from the
-    ``_effect_parts`` of its unit effects and of its baseline."""
-    if any(all(cells or par for cells, par in parts) for parts in effects):
+def _span_sides(effects: list, base: list[int], width: int) -> list[_SpanSide]:
+    """The star side and then the plaquette side of one spec's span, from
+    the star and plaquette points of its unit effects and of its baseline."""
+    if any(all(unit) for unit in effects):
         raise ValueError("a unit effect touches both check types")
-    sides = []
-    for ct, (base_cells, _) in enumerate(base):
-        cells = sorted(set(base_cells).union(*(parts[ct][0] for parts in effects)))
-        index = {cell: i for i, cell in enumerate(cells)}
-        basis = _gf2_basis([_point(parts[ct], index) for parts in effects])
-        sides.append(_SpanSide(ct, cells, _point(base[ct], index), basis))
-    return sides
-
-
-def _point(part: tuple, index: dict) -> int:
-    """A part's span point on its side: event bits by ``index``, then its
-    two judge bits."""
-    cells, par = part
-    vec = par << len(index)
-    for cell in cells:
-        vec |= 1 << index[cell]
-    return vec
+    return [_SpanSide(ct, width, base[ct], _gf2_basis([unit[ct] for unit in effects]))
+            for ct in (0, 1)]
 
 
 def _failing_points(decoder: Decoder, spec: FaultSpec, side: _SpanSide):
-    """The one leak judge: the failing bit of each span point of one side.
+    """The one judge: the failing bit of each span point of one side.
 
     An exact side yields the zero point and then every other point in
     Gray-code order; an over-budget side yields ``SAMPLE_COUNT`` random basis
@@ -394,7 +357,7 @@ def _failing_points(decoder: Decoder, spec: FaultSpec, side: _SpanSide):
 def leak_failure_fractions(
     compiled: CompiledProgram, specs: list[FaultSpec]
 ) -> list[tuple[float, bool]]:
-    """Per leak spec, exact P(logical failure | this leak fires) under uniform draws.
+    """Per spec, exact P(logical failure | this fault fires) under uniform draws.
 
     Every consequence draw resolves to independent uniform bits (a partner
     Pauli is two bits, a junk measurement one, a readout erasure two), and
@@ -403,11 +366,12 @@ def leak_failure_fractions(
     is therefore (#failing span points) / 2^rank, with independent sides
     combining as 1 - (1-q_star)(1-q_plaq).  Each spec gives
     ``(fraction, exact)``; an over-budget side falls back to a sampled
-    estimate with exact=False.
+    estimate with exact=False.  A Pauli or ``meas_flip`` spec has rank-0
+    sides, so its fraction is exactly 0 or 1.
     """
     decoder = Decoder(compiled.lattice)
     out = []
-    for spec, sides in _leak_setups(compiled, specs):
+    for spec, sides in _spec_sides(compiled, specs):
         survive = 1.0
         for side in sides:
             bits = list(_failing_points(decoder, spec, side))
@@ -442,31 +406,25 @@ def scan(
         )
 
     pauli_failures: list[FaultSpec] = []
-    cached = []
-    for group in _chunks(pauli_specs, _CHUNK_ROWS):
-        res = execute(compiled, len(group), scripts=[script_for(compiled, s) for s in group])
-        judge = decoder.judge_batch(res.syndromes, res.data_x, res.data_z)
-        pauli_failures += [spec for spec, bits in zip(group, judge) if bits.any()]
-        if max_faults == 2:
-            cached.append((res.syndromes, res.data_x, res.data_z))
-
     leak_failures: list[FaultSpec] = []
     sampled: list[FaultSpec] = []
-    for spec, sides in _leak_setups(compiled, leak_specs):
+    paired = []  # (spec, sides) of every Pauli spec, for the pair scan
+    for spec, sides in _spec_sides(compiled, pauli_specs + leak_specs):
         if any(any(_failing_points(decoder, spec, side)) for side in sides):
-            leak_failures.append(spec)
+            (leak_failures if spec.kind == "leak" else pauli_failures).append(spec)
         if not all(side.exact for side in sides):
             sampled.append(spec)
+        if max_faults == 2 and spec.kind != "leak":
+            paired.append((spec, sides))
 
+    # a pair's point is the XOR of its two rank-0 points (frame linearity)
     pair_failures: list[tuple[FaultSpec, FaultSpec]] = []
-    n_pairs = 0
-    if max_faults == 2 and cached:
-        syn, fx, fz = (np.concatenate(arrays) for arrays in zip(*cached))
-        for i in range(len(pauli_specs) - 1):
-            judge = decoder.judge_batch(syn[i] ^ syn[i + 1 :], fx[i] ^ fx[i + 1 :], fz[i] ^ fz[i + 1 :])
-            n_pairs += len(judge)
-            for j in i + 1 + np.flatnonzero(judge.any(axis=1)):
-                pair_failures.append((pauli_specs[i], pauli_specs[j]))
+    memo: dict = {}
+    for i, (spec, sides) in enumerate(paired):
+        for other, other_sides in paired[i + 1 :]:
+            if any(side.failing(decoder, o.base, memo) for side, o in zip(sides, other_sides)):
+                pair_failures.append((spec, other))
+    n_pairs = len(paired) * (len(paired) - 1) // 2
 
     program = compiled.program
     return ScanVerdict(

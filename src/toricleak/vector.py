@@ -44,7 +44,6 @@ class BatchResult:
     syndromes: np.ndarray  # (shots, rounds + 1, 2, d*d)
     data_x: np.ndarray  # (shots, n_data)
     data_z: np.ndarray
-    logical_parities: np.ndarray  # (shots, 4)
     leak_final: np.ndarray  # (shots, n_qubits)
 
 
@@ -68,10 +67,9 @@ def _index_scripts(compiled: CompiledProgram, scripts: Sequence[Script | None]):
             continue
         for gi, pos in script.leaks:
             g = compiled.gates[gi]
-            if pos == 1 and g.q1 < 0:
-                raise ValueError(f"gate {gi} has no second qubit to leak")
-            if pos in (0, 1):
-                leaks[gi].append((row, (g.q0, g.q1)[pos]))
+            if pos not in (0, 1) or (pos == 1 and g.q1 < 0):
+                raise ValueError(f"gate {gi} has no qubit at position {pos} to leak")
+            leaks[gi].append((row, (g.q0, g.q1)[pos]))
         for gi, per_qubit in script.paulis.items():
             g = compiled.gates[gi]
             touched = (g.q0,) if g.q1 < 0 else (g.q0, g.q1)
@@ -243,6 +241,5 @@ def execute(
         syndromes=syndromes,
         data_x=data_x,
         data_z=data_z,
-        logical_parities=lat.logical_parities(data_x, data_z),
         leak_final=leak.astype(bool),
     )

@@ -234,7 +234,11 @@ def run_shot(
     traces = None if trace is None else [trace]
     res = execute(compiled, 1, uniforms, scripts, initial_x, initial_z, traces)
     return ShotResult(
-        res.syndromes[0], res.data_x[0], res.data_z[0], res.logical_parities[0], res.leak_final[0]
+        res.syndromes[0],
+        res.data_x[0],
+        res.data_z[0],
+        compiled.lattice.logical_parities(res.data_x, res.data_z)[0],
+        res.leak_final[0],
     )
 
 
@@ -393,6 +397,14 @@ def random_defects(rng, d: int, max_t: int, n: int) -> tuple[tuple[int, int], ..
     while len(chosen) < n:
         chosen.add((int(rng.integers(0, max_t + 1)), int(rng.integers(0, d * d))))
     return tuple(sorted(chosen))
+
+
+def defect_mask(lat: ToricLattice, defects) -> int:
+    """The decoder's defect mask of (t, site) defects: bit ``t * d*d + site``."""
+    mask = 0
+    for t, s in defects:
+        mask |= 1 << (t * lat.d**2 + s)
+    return mask
 
 
 def match_defects(

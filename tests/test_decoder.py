@@ -16,6 +16,7 @@ from oracles import (
     NULL_NOISE,
     _match_dp,
     crossing_parities,
+    defect_mask,
     match_defects,
     random_defects,
     run_shot,
@@ -104,17 +105,18 @@ def test_exact_matching_against_brute_force_oracle():
     those of the reference subset DP's pairs (same pivot, same tie-break)."""
     rng = np.random.default_rng(2024)
     decoders = {d: Decoder(build_lattice(d)) for d in (3, 5)}
+    memos = {3: {}, 5: {}}
     for trial in range(1000):
         decoder = decoders[5 if trial % 2 else 3]
         lat, check_type = decoder.lat, trial // 2 % 2
         n = int(rng.choice([2, 4, 6, 8, 10]))
         defects = random_defects(rng, lat.d, 4, n)
         w = weight_matrix(lat, defects)
-        weight, parities = decoder.matching(check_type, defects)
+        weight, parities = decoder.matching(check_type, defect_mask(lat, defects))
         assert weight == _brute_min_weight(w), f"trial {trial}: {defects}"
         pairs = [(defects[i], defects[j]) for i, j in _match_dp(w)]
         assert parities == crossing_parities(lat, check_type, pairs), f"trial {trial}: {defects}"
-        assert decoder.parities(check_type, defects) == parities
+        assert decoder.matching(check_type, defect_mask(lat, defects), memos[lat.d])[1] == parities
 
 
 def test_blossom_route_agrees_with_dp_route():
@@ -131,7 +133,7 @@ def test_blossom_route_agrees_with_dp_route():
 def test_match_rejects_odd_defects():
     decoder = Decoder(build_lattice(3))
     with pytest.raises(ValueError, match="odd"):
-        decoder.parities(0, ((0, 0),))
+        decoder.matching(0, defect_mask(decoder.lat, ((0, 0),)))
 
 
 @pytest.mark.parametrize("d", [3, 5])

@@ -260,6 +260,21 @@ def test_smaller_distance_fails_more_without_leakage():
 # --- tables, comparisons, plot data ----------------------------------------
 
 
+def test_sweep_legs_are_keyed_on_the_config_noise_model():
+    """A grid point becomes its noise model in ``noise_at`` alone, and the
+    sweep compiles each leg for exactly that model."""
+    config = ExperimentConfig(variant="standard", d=(3,), rounds=1, p=(1e-3, 2e-3), r=2.0,
+                              p_init_leak="r*p", shots=20)
+    experiments._compiled_leg.cache_clear()
+    run_sweep(config)
+    for p in config.p:
+        noise = config.noise_at(p)
+        assert (noise.p, noise.r, noise.p_init_leak) == (p, 2.0, 2.0 * p)
+        compiled, _ = experiments._compiled_leg("standard", 3, 1, noise)
+        assert compiled.noise == noise
+    assert experiments._compiled_leg.cache_info().hits == len(config.p)
+
+
 def test_sweep_reproduces_golden_csv():
     """Frozen Monte-Carlo verdicts: 10,000 mixed_lrc d=3 shots at seed 7,
     rebuilt byte for byte (``scripts/make_goldens.py`` writes the file)."""

@@ -7,7 +7,8 @@ grows.  Public names are the only way across a module boundary.
 Three shape checks keep ``src/`` to what production runs: the draw layout
 knows exactly the gate kinds the circuits emit, the noise model has no
 field that a config cannot set, and networkx, the blossom port's test
-oracle, is no runtime dependency.
+oracle, is no runtime dependency.  One more keeps the scanner to one judge:
+it judges span points, never replayed batches.
 """
 
 from __future__ import annotations
@@ -66,3 +67,12 @@ def test_every_noise_knob_is_a_config_field():
     config_fields = {f.name for f in dataclasses.fields(ExperimentConfig)}
     noise_fields = {f.name for f in dataclasses.fields(NoiseModel)}
     assert noise_fields <= config_fields, noise_fields - config_fields
+
+
+def test_the_scanner_judges_span_points_only():
+    """Every spec and every pair is judged at span points by
+    ``Decoder.matching``: the scanner makes no ``judge_batch`` call."""
+    tree = ast.parse((SRC / "scanner.py").read_text())
+    calls = [node.lineno for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and node.attr == "judge_batch"]
+    assert not calls, calls

@@ -15,6 +15,7 @@ import oracles
 from oracles import (
     _match_dp,
     crossing_parities,
+    defect_mask,
     leak_consequences,
     random_defects,
     replay_spec,
@@ -267,6 +268,74 @@ def test_scan_verdict_agrees_with_failure_fraction(case, monkeypatch):
         assert (spec in failing) == (fraction > 0), spec
 
 
+@pytest.mark.parametrize("victim", [-1, 2])
+def test_a_leak_spec_needs_its_victim_on_the_gate(victim):
+    """A victim position outside the gate's qubits is an error, never a
+    fault-free replay that passes."""
+    compiled = _compiled("standard")
+    for gi in (0, _first_gate(compiled, kind="CNOT")):
+        spec = FaultSpec("leak", gi, victim=victim)
+        with pytest.raises(ValueError, match="position"):
+            scan(compiled, universe=[spec])
+        with pytest.raises(ValueError, match="position"):
+            leak_failure_fractions(compiled, [spec])
+
+
+class _MisjudgingStars(Decoder):
+    """The production matcher, with the parities of every nonempty star
+    matching flipped."""
+
+    def matching(self, check_type, mask, memo=None):
+        weight, par = super().matching(check_type, mask, memo)
+        return weight, par ^ (check_type == 0 and mask != 0)
+
+
+@pytest.mark.parametrize("decoder", [Decoder, _MisjudgingStars])
+def test_pauli_spec_fractions_are_exactly_zero_or_one(decoder, monkeypatch):
+    """A Pauli or meas_flip spec is a rank-0 span: its failure fraction is
+    exactly 0 or 1, and 1 exactly for the specs the scan fails.  No single
+    Pauli fault fails the production decoder at d=3, so a decoder that
+    misjudges star matchings supplies failing specs."""
+    monkeypatch.setattr(scanner, "Decoder", decoder)
+    compiled = _compiled("standard", rounds=1)
+    specs = [s for s in enumerate_fault_universe(compiled) if s.kind != "leak"][::5]
+    verdict = scan(compiled, universe=specs)
+    fractions = leak_failure_fractions(compiled, specs)
+    assert all(exact and q in (0.0, 1.0) for q, exact in fractions)
+    assert [s for s, (q, _) in zip(specs, fractions) if q == 1.0] == verdict.pauli_failures
+    assert bool(verdict.pauli_failures) == (decoder is _MisjudgingStars)
+    assert len(verdict.pauli_failures) < len(specs)
+
+
+def _joint_script(compiled, a, b):
+    """One script carrying both Pauli (or meas_flip) specs; two Paulis on
+    one gate multiply."""
+    script, other = script_for(compiled, a), script_for(compiled, b)
+    for gi, paulis in other.paulis.items():
+        mine = script.paulis.get(gi, ((0, 0),) * len(paulis))
+        script.paulis[gi] = tuple((x1 ^ x2, z1 ^ z2) for (x1, z1), (x2, z2) in zip(mine, paulis))
+    script.meas_flips ^= other.meas_flips
+    return script
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_pair_verdicts_equal_joint_replays(variant):
+    """A pair is judged at the XOR of its two rank-0 span points; that
+    verdict equals the production judge of one replay carrying both faults."""
+    compiled = _compiled(variant, rounds=1)
+    paulis = [s for s in enumerate_fault_universe(compiled) if s.kind != "leak"]
+    rng = np.random.default_rng(41)
+    sample = [paulis[i] for i in sorted(rng.choice(len(paulis), 40, replace=False).tolist())]
+    verdict = scan(compiled, universe=sample, max_faults=2)
+    pairs = [(a, b) for i, a in enumerate(sample) for b in sample[i + 1 :]]
+    scripts = [_joint_script(compiled, a, b) for a, b in pairs]
+    res = execute(compiled, len(scripts), scripts=scripts)
+    judge = Decoder(compiled.lattice).judge_batch(res.syndromes, res.data_x, res.data_z)
+    failing = [pair for pair, bits in zip(pairs, judge) if bits.any()]
+    assert verdict.n_pairs == len(pairs)
+    assert failing and failing == verdict.pair_failures
+
+
 def _gray_points(side):
     """Every point of an exact side in ``_failing_points`` order."""
     for k in range(1 << len(side.basis)):
@@ -278,37 +347,41 @@ def _gray_points(side):
 
 
 def test_span_points_follow_the_production_matcher_above_ten_defects():
-    """Span points are judged by ``Decoder.parities``, also on a 12-defect
+    """Span points are judged by ``Decoder.matching``, also on a 12-defect
     set where its blossom route and the reference subset DP break a tie
     into different crossing parities; sharing one memo across a side's
     points gives the bits of a fresh decoder per point."""
     lat = build_lattice(3)
     decoder = Decoder(lat)
     spec = FaultSpec(kind="leak", gate_index=0, victim=0)
+    width = 5 * lat.d**2  # event cells of rounds 0-4
     rng = np.random.default_rng(12)
     for _ in range(200):
         defects = random_defects(rng, 3, 4, 12)
         w = weight_matrix(lat, defects)
         reference = crossing_parities(lat, 0, [(defects[i], defects[j]) for i, j in _match_dp(w)])
-        if reference != decoder.parities(0, defects):
+        if reference != decoder.matching(0, defect_mask(lat, defects))[1]:
             break
     else:
         raise AssertionError("no 12-defect set splits the two matchers")
-    n, production = len(defects), decoder.parities(0, defects)
+    production = decoder.matching(0, defect_mask(lat, defects))[1]
     for judge in range(4):
-        side = scanner._SpanSide(0, list(defects), 0, [judge << n | ((1 << n) - 1)])
+        side = scanner._SpanSide(0, width, 0, [judge << width | defect_mask(lat, defects)])
         assert list(scanner._failing_points(decoder, spec, side)) == [False, judge != production]
 
     cells = list(random_defects(rng, 3, 4, 14))
     even = [m for m in rng.integers(0, 1 << 14, size=40).tolist() if m.bit_count() % 2 == 0]
-    base = (1 << 12) - 1  # twelve events, so the walk crosses the DP limit both ways
-    side = scanner._SpanSide(1, cells, base, [int(rng.integers(4)) << 14 | m for m in even[:6]])
+
+    def spread(m):
+        """The defect mask of the cells that ``m`` selects."""
+        return defect_mask(lat, [c for j, c in enumerate(cells) if m >> j & 1])
+
+    base = spread((1 << 12) - 1)  # twelve events, so the walk crosses the DP limit both ways
+    side = scanner._SpanSide(1, width, base, [int(rng.integers(4)) << width | spread(m) for m in even[:6]])
     points = list(_gray_points(side))
-    counts = [(vec & (1 << 14) - 1).bit_count() for vec in points]
+    counts = [(vec & (1 << width) - 1).bit_count() for vec in points]
     assert min(counts) <= 10 < max(counts)
-    want = [(vec >> 14) != Decoder(lat).parities(1, tuple(c for j, c in enumerate(cells)
-                                                            if vec >> j & 1))
-            for vec in points]
+    want = [(vec >> width) != Decoder(lat).matching(1, vec & (1 << width) - 1)[1] for vec in points]
     assert list(scanner._failing_points(decoder, spec, side)) == want
 
 
@@ -387,17 +460,22 @@ def test_outcome_choices_never_move_a_leak(variant):
 
 
 def test_span_sides_reject_a_unit_effect_on_both_check_types():
-    base = (([(0, 3)], 1), ([], 0))
-    star = (([(0, 1), (1, 1)], 0), ([], 0))
-    plaq_parity = (([], 0), ([], 2))
-    sides = scanner._span_sides([star, plaq_parity], base)
+    lat = build_lattice(3)
+    width = 2 * lat.d**2
+
+    def point(cells, judge):
+        return defect_mask(lat, cells) | judge << width
+
+    base = [point([(0, 3)], 1), point([], 0)]
+    star = [point([(0, 1), (1, 1)], 0), 0]
+    plaq_parity = [0, point([], 2)]
+    sides = scanner._span_sides([star, plaq_parity], base, width)
     assert [side.check_type for side in sides] == [0, 1]
-    assert sides[0].cells == [(0, 1), (0, 3), (1, 1)] and sides[1].cells == []
-    assert sides[0].base == 0b1010 and sides[0].basis == [0b101]
-    assert sides[1].base == 0 and sides[1].basis == [0b10]
-    for both in [(([(0, 1)], 0), ([(0, 2)], 0)), (([], 1), ([(0, 2), (1, 2)], 0))]:
+    assert sides[0].base == point([(0, 3)], 1) and sides[0].basis == [point([(0, 1), (1, 1)], 0)]
+    assert sides[1].base == 0 and sides[1].basis == [point([], 2)]
+    for both in [[point([(0, 1)], 0), point([(0, 2)], 0)], [point([], 1), point([(0, 2), (1, 2)], 0)]]:
         with pytest.raises(ValueError):
-            scanner._span_sides([star, both], base)
+            scanner._span_sides([star, both], base, width)
 
 
 @pytest.mark.parametrize("variant", VARIANTS)
@@ -408,7 +486,7 @@ def test_control_only_leaks_split_into_star_and_plaquette_sides(variant):
     compiled = _compiled(variant, noise, rounds=1)
     leaks = [s for s in enumerate_fault_universe(compiled) if s.kind == "leak"]
     assert leaks
-    for _, sides in scanner._leak_setups(compiled, leaks):
+    for _, sides in scanner._spec_sides(compiled, leaks):
         assert [side.check_type for side in sides] == [0, 1]
 
 

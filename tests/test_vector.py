@@ -17,7 +17,7 @@ from toricleak.vector import execute, run_batch
 
 from scalar_reference import reference_shot
 
-RESULT_FIELDS = ("syndromes", "data_x", "data_z", "logical_parities", "leak_final")
+RESULT_FIELDS = ("syndromes", "data_x", "data_z", "leak_final")
 
 # The scripted-replay tests run one noise model each, labelled as the scan
 # report labels it: a leaked measurement reads out a fair coin ("random_bit").
@@ -48,7 +48,6 @@ def test_batch_matches_scalar_bitwise(variant, d, rounds, noise):
         np.testing.assert_array_equal(batch.syndromes[shot], ref.syndromes, err_msg=f"shot {shot}")
         np.testing.assert_array_equal(batch.data_x[shot], ref.data_x)
         np.testing.assert_array_equal(batch.data_z[shot], ref.data_z)
-        np.testing.assert_array_equal(batch.logical_parities[shot], ref.logical_parities)
         np.testing.assert_array_equal(batch.leak_final[shot], ref.leak_final)
 
 
@@ -68,7 +67,6 @@ def test_batch_shapes():
     batch = run_batch(compiled, 1, 0, 5)
     assert batch.syndromes.shape == (5, 3, 2, 9)
     assert batch.data_x.shape == (5, 18)
-    assert batch.logical_parities.shape == (5, 4)
     assert batch.leak_final.shape == (5, 54)
 
 
