@@ -156,6 +156,10 @@ def spec_location(compiled: CompiledProgram, spec: FaultSpec) -> SpecLocation:
     g = compiled.gates[spec.gate_index]
     label = g.label
     if spec.kind == "leak":
+        if not 0 <= spec.victim < len(label.roles):
+            raise ValueError(
+                f"gate {spec.gate_index} has no qubit at position {spec.victim} to leak"
+            )
         role = label.roles[spec.victim]
     else:
         role = "+".join(label.roles)

@@ -1,14 +1,14 @@
 """Test-side oracles: structural checks, text forms, a zero-noise model,
-lattice coordinates, one-shot and scripted replays, the torus metric, a
-reference matcher and residual-weight analysis.
+lattice coordinates, the per-shot reference draws, one-shot and scripted
+replays, the torus metric, a reference matcher and residual-weight analysis.
 
 None of this is on a production path.  The tests use it to check circuits,
-lattices, configs and matchings, to replay single shots and fully specified
-faults, and to measure the residual data error such a fault leaves at
-readout.  The reference matcher is a bottom-up subset DP over every even
-subset, independent of the decoder's top-down one, with networkx's blossom
-matching above ``_DP_LIMIT`` defects, the oracle for the decoder's port of
-it.
+lattices, configs, matchings and the batch draws, to replay single shots and
+fully specified faults, and to measure the residual data error such a fault
+leaves at readout.  The reference matcher is a bottom-up subset DP over
+every even subset, independent of the decoder's top-down one, with
+networkx's blossom matching above ``_DP_LIMIT`` defects, the oracle for the
+decoder's port of it.
 """
 
 from __future__ import annotations
@@ -198,6 +198,13 @@ def serialize_config(config: ExperimentConfig) -> str:
 
 # ---------------------------------------------------------------------------
 # one-shot and scripted replays
+
+
+def shot_uniforms(master_seed: int, shot_index: int, n_draws: int) -> np.ndarray:
+    """One shot's uniform draws, from numpy's own seeding objects: the
+    reference that every row of ``pauli.batch_uniforms`` must equal."""
+    gen = np.random.Generator(np.random.PCG64(np.random.SeedSequence([master_seed, shot_index])))
+    return gen.random(n_draws)
 
 
 @dataclass

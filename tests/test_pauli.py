@@ -1,4 +1,5 @@
-"""Frame-propagation rules checked against brute-force unitary conjugation."""
+"""Frame-propagation rules checked against brute-force unitary conjugation,
+and the batch draws checked against numpy's own seeding objects."""
 
 from __future__ import annotations
 
@@ -8,15 +9,17 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from oracles import shot_uniforms
 from toricleak.pauli import (
     PAULI1_ERRORS,
     PAULI2_ERRORS,
     PAULI_BY_NAME,
+    _pcg64_states,
+    _seed_states,
     batch_uniforms,
     propagate_cnot,
     propagate_h,
     propagate_swap,
-    shot_uniforms,
 )
 
 # --- independent oracle: explicit matrices --------------------------------
@@ -207,3 +210,63 @@ def test_shot_stream_reproducible_and_independent():
     batch = batch_uniforms(12345, 7, 2, 100)
     assert np.array_equal(batch[0], a)
     assert np.array_equal(batch[1], c)
+
+
+# --- batch seeding against numpy's SeedSequence and PCG64 -----------------
+# These tests restate numpy's seeding: if a numpy release changes it, they
+# fail here before any frozen-seed output drifts.
+
+EDGE_SEEDS = [0, 7, 2**32 - 1, 2**32, 2**63, 2**64 - 1]
+# (shot_start, n_shots): small indices, indices past 2**32, a batch that
+# straddles 2**32, and one that straddles 2**64 (a five-word entropy)
+SHOT_RANGES = [(0, 5), (2**32 + 11, 3), (2**40, 2), (2**32 - 3, 6), (2**64 - 2, 4)]
+
+
+def _assert_numpy_seeding(master_seed, shot_start, n_shots):
+    seeds = _seed_states(master_seed, shot_start, n_shots)
+    assert seeds.shape == (n_shots, 4) and seeds.dtype == np.uint64
+    for i, row, (state, inc) in zip(range(shot_start, shot_start + n_shots), seeds,
+                                    _pcg64_states(seeds)):
+        sequence = np.random.SeedSequence([master_seed, i])
+        np.testing.assert_array_equal(row, sequence.generate_state(4, np.uint64))
+        expected = np.random.PCG64(sequence).state["state"]
+        assert (state, inc) == (expected["state"], expected["inc"]), i
+
+
+@pytest.mark.parametrize("master_seed", EDGE_SEEDS)
+@pytest.mark.parametrize("shot_start,n_shots", SHOT_RANGES)
+def test_seeded_states_equal_numpy_seeding(master_seed, shot_start, n_shots):
+    _assert_numpy_seeding(master_seed, shot_start, n_shots)
+
+
+@given(st.integers(0, 2**64 - 1), st.integers(0, 2**64 - 1), st.integers(1, 3))
+def test_seeded_states_equal_numpy_seeding_for_any_seed(master_seed, shot_start, n_shots):
+    _assert_numpy_seeding(master_seed, shot_start, n_shots)
+
+
+@pytest.mark.parametrize(
+    "master_seed,shot_start,n_shots,n_draws",
+    [(7, 0, 300, 37), (2**64 - 1, 2**32 - 3, 6, 1440), (2**32, 2**33, 129, 5), (12345, 7, 1, 1)],
+)
+def test_batches_equal_stacked_reference_rows(master_seed, shot_start, n_shots, n_draws):
+    """Row i is shot ``shot_start + i``'s stream, bit for bit, stored
+    column-major; 300 and 129 shots span several of the drawing's row blocks."""
+    batch = batch_uniforms(master_seed, shot_start, n_shots, n_draws)
+    assert batch.shape == (n_shots, n_draws) and batch.flags.f_contiguous
+    rows = [shot_uniforms(master_seed, shot_start + i, n_draws) for i in range(n_shots)]
+    np.testing.assert_array_equal(batch.view(np.uint64), np.stack(rows).view(np.uint64))
+
+
+@pytest.mark.parametrize("n_shots,n_draws", [(0, 40), (5, 0), (0, 0)])
+def test_empty_batches(n_shots, n_draws):
+    batch = batch_uniforms(3, 10, n_shots, n_draws)
+    assert batch.shape == (n_shots, n_draws) and batch.flags.f_contiguous
+    assert batch.dtype == np.float64
+
+
+def test_negative_seeds_and_indices_are_rejected():
+    for master_seed, shot_start in ((-1, 0), (0, -2)):
+        with pytest.raises(ValueError, match="non-negative"):
+            batch_uniforms(master_seed, shot_start, 3, 4)
+        with pytest.raises(ValueError, match="non-negative"):
+            np.random.SeedSequence([master_seed, shot_start])

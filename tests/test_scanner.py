@@ -271,7 +271,7 @@ def test_scan_verdict_agrees_with_failure_fraction(case, monkeypatch):
 @pytest.mark.parametrize("victim", [-1, 2])
 def test_a_leak_spec_needs_its_victim_on_the_gate(victim):
     """A victim position outside the gate's qubits is an error, never a
-    fault-free replay that passes."""
+    fault-free replay that passes nor another qubit's reported role."""
     compiled = _compiled("standard")
     for gi in (0, _first_gate(compiled, kind="CNOT")):
         spec = FaultSpec("leak", gi, victim=victim)
@@ -279,6 +279,8 @@ def test_a_leak_spec_needs_its_victim_on_the_gate(victim):
             scan(compiled, universe=[spec])
         with pytest.raises(ValueError, match="position"):
             leak_failure_fractions(compiled, [spec])
+        with pytest.raises(ValueError, match=f"gate {gi} has no qubit at position {victim}"):
+            spec_location(compiled, spec)
 
 
 class _MisjudgingStars(Decoder):

@@ -5,10 +5,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from oracles import NULL_NOISE, find_gates, run_shot, site
+from oracles import NULL_NOISE, find_gates, run_shot, shot_uniforms, site
 from toricleak.circuits import CNOT, MEAS_Z, PREP_Z, SWAP, VARIANTS, build_program
 from toricleak.noise import NoiseModel
-from toricleak.pauli import shot_uniforms
 from toricleak.sim import Script, compile_program
 
 

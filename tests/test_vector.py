@@ -7,10 +7,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from oracles import leak_consequences, run_shot
+from oracles import leak_consequences, run_shot, shot_uniforms
 from toricleak.circuits import VARIANTS, build_program
 from toricleak.noise import NoiseModel
-from toricleak.pauli import shot_uniforms
+from toricleak.pauli import batch_uniforms
 from toricleak.scanner import enumerate_fault_universe, script_for
 from toricleak.sim import Script, compile_program
 from toricleak.vector import execute, run_batch
@@ -49,6 +49,23 @@ def test_batch_matches_scalar_bitwise(variant, d, rounds, noise):
         np.testing.assert_array_equal(batch.data_x[shot], ref.data_x)
         np.testing.assert_array_equal(batch.data_z[shot], ref.data_z)
         np.testing.assert_array_equal(batch.leak_final[shot], ref.leak_final)
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_draw_layout_does_not_change_results(variant):
+    """The executor reads the same draws alike from a row-major matrix and
+    from ``batch_uniforms``' column-major one."""
+    compiled = compile_program(build_program(variant, 3, 2), REFERENCE_NOISE)
+    draws = batch_uniforms(31, 0, 64, compiled.n_draws)
+    assert draws.flags.f_contiguous
+    rows_major = np.ascontiguousarray(draws)
+    assert rows_major.flags.c_contiguous and not rows_major.flags.f_contiguous
+    by_rows = execute(compiled, 64, uniforms=rows_major)
+    by_columns = execute(compiled, 64, uniforms=draws)
+    assert by_rows.leak_final.any()
+    for name in RESULT_FIELDS:
+        np.testing.assert_array_equal(getattr(by_columns, name), getattr(by_rows, name),
+                                      err_msg=name)
 
 
 def test_batch_rows_independent_of_chunking():
