@@ -20,15 +20,19 @@ Run from any directory:
 The package is imported from ``src/`` of this checkout, so no install is
 needed.
 
-``--check`` rebuilds every selected fixture in memory, prints a unified diff
-for each one that differs from its file, and exits 1 on any mismatch.
+``--check`` rebuilds every selected fixture in memory, prints each one's
+build seconds beside ``same`` or ``DIFFERS``, prints a unified diff for each
+one that differs from its file, and exits 1 on any mismatch.
 """
 from __future__ import annotations
 
 import argparse
 import difflib
 import sys
+import time
+from functools import partial
 from pathlib import Path
+from typing import Callable
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
@@ -46,43 +50,55 @@ SWEEP = ExperimentConfig(variant="mixed_lrc", d=(3,), p=(1e-3, 2e-3, 3e-3, 5e-3)
                          shots=2500, master_seed=7)
 
 
-def circuits() -> dict[Path, str]:
+def circuits() -> dict[Path, Callable[[], str]]:
     return {
-        GOLDEN / f"circuit_{variant}_d3_r1.txt": program_to_text(build_program(variant, 3, 1))
+        GOLDEN / f"circuit_{variant}_d3_r1.txt": partial(_circuit, variant)
         for variant in VARIANTS
     }
 
 
-def scans() -> dict[Path, str]:
-    noise = NoiseModel(p=SCAN_P, r=SCAN_R, p_init_leak=SCAN_INIT_LEAK)
-    out = {}
-    for variant in VARIANTS:
-        compiled = compile_program(build_program(variant, 3, 3), noise)
-        verdict = scan(compiled, decoder=Decoder(compiled.lattice), max_faults=1)
-        out[GOLDEN / f"scan_{variant}_d3.txt"] = verdict_to_text(compiled, verdict)
-    compiled = compile_program(build_program("standard", 3, 1), noise)
-    verdict = scan(compiled, decoder=Decoder(compiled.lattice), max_faults=2)
-    out[GOLDEN / "scan_standard_d3_r1_pairs.txt"] = verdict_to_text(compiled, verdict)
+def _circuit(variant: str) -> str:
+    return program_to_text(build_program(variant, 3, 1))
+
+
+def scans() -> dict[Path, Callable[[], str]]:
+    out = {GOLDEN / f"scan_{variant}_d3.txt": partial(_scan, variant, 3, 1) for variant in VARIANTS}
+    out[GOLDEN / "scan_standard_d3_r1_pairs.txt"] = partial(_scan, "standard", 1, 2)
     return out
 
 
-def sweeps() -> dict[Path, str]:
-    return {GOLDEN / "sweep_mixed_lrc_d3_seed7.csv": rows_to_csv(run_sweep(SWEEP, workers=1))}
+def _scan(variant: str, rounds: int, max_faults: int) -> str:
+    noise = NoiseModel(p=SCAN_P, r=SCAN_R, p_init_leak=SCAN_INIT_LEAK)
+    compiled = compile_program(build_program(variant, 3, rounds), noise)
+    verdict = scan(compiled, decoder=Decoder(compiled.lattice), max_faults=max_faults)
+    return verdict_to_text(compiled, verdict)
 
 
-def check(fixtures: dict[Path, str]) -> int:
+def sweeps() -> dict[Path, Callable[[], str]]:
+    return {GOLDEN / "sweep_mixed_lrc_d3_seed7.csv": lambda: rows_to_csv(run_sweep(SWEEP, workers=1))}
+
+
+def build(builders: dict[Path, Callable[[], str]]):
+    """Yield ``(path, text, seconds)`` per fixture, building one at a time."""
+    for path, make in builders.items():
+        start = time.perf_counter()
+        text = make()
+        yield path, text, time.perf_counter() - start
+
+
+def check(builders: dict[Path, Callable[[], str]]) -> int:
     mismatched = 0
-    for path, text in fixtures.items():
+    for path, text, seconds in build(builders):
         on_disk = path.read_text() if path.exists() else ""
         if on_disk == text:
-            print("same   ", path.name)
+            print(f"same    {seconds:7.2f} s  {path.name}")
             continue
         mismatched += 1
-        print("DIFFERS", path.name)
+        print(f"DIFFERS {seconds:7.2f} s  {path.name}")
         sys.stdout.writelines(difflib.unified_diff(
             on_disk.splitlines(keepends=True), text.splitlines(keepends=True),
             fromfile=f"tests/golden/{path.name}", tofile="rebuilt"))
-    print(f"{mismatched} of {len(fixtures)} fixtures differ")
+    print(f"{mismatched} of {len(builders)} fixtures differ")
     return 1 if mismatched else 0
 
 
@@ -92,7 +108,7 @@ def main() -> int:
     ap.add_argument("--check", action="store_true",
                     help="diff rebuilt fixtures against tests/golden/ and write nothing")
     args = ap.parse_args()
-    fixtures: dict[Path, str] = {}
+    fixtures: dict[Path, Callable[[], str]] = {}
     if args.which in ("circuits", "all"):
         fixtures.update(circuits())
     if args.which in ("scans", "all"):
@@ -101,9 +117,9 @@ def main() -> int:
         fixtures.update(sweeps())
     if args.check:
         return check(fixtures)
-    for path, text in fixtures.items():
+    for path, text, seconds in build(fixtures):
         path.write_text(text)
-        print("wrote", path)
+        print(f"wrote {seconds:7.2f} s  {path}")
     return 0
 
 

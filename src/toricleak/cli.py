@@ -101,6 +101,12 @@ def _write(text: str, out: str | None) -> None:
         raise ConfigError(f"cannot write {out!r}: {exc}") from exc
 
 
+def _check_out_dir(out: str | None) -> None:
+    """Refuse an output path whose directory is missing, before any work."""
+    if out is not None and not os.path.isdir(os.path.dirname(os.path.abspath(out))):
+        raise ConfigError(f"cannot write {out!r}: no such directory")
+
+
 def _read_config(path: str) -> ExperimentConfig:
     try:
         with open(path) as fh:
@@ -141,14 +147,14 @@ def _cmd_run(args) -> int:
     if args.d is not None:
         config = replace(config, d=(args.d,))
     out = args.out if args.out is not None else config.out
-    if out is not None and not os.path.isdir(os.path.dirname(os.path.abspath(out))):
-        raise ConfigError(f"cannot write {out!r}: no such directory")  # before the sweep
+    _check_out_dir(out)  # before the sweep
     rows = run_sweep(config, workers=args.workers)
     _write(rows_to_csv(rows), out)
     return 0
 
 
 def _cmd_scan(args) -> int:
+    _check_out_dir(args.out)  # before the scan
     rounds = args.rounds if args.rounds is not None else args.d
     if args.config is not None:
         config = _read_config(args.config)

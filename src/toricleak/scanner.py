@@ -17,8 +17,9 @@ Worst-case leak semantics are evaluated exactly.  The leak trajectory is
 fixed by the location alone (outcome choices never create or move leaks),
 so the consequence slots are a fixed list and the map from outcome choices
 to (detection events, readout frame) is GF(2)-linear.  Unit effects per
-choice are measured by noise-free scripted replays, many specs to one
-executor batch, reduced to a basis, and the whole span is enumerated.
+choice are measured by noise-free scripted replays, up to ``_CHUNK_ROWS``
+(256) rows per executor batch, reduced to a basis, and the whole span is
+enumerated.
 The code is CSS and CNOT never mixes X and Z frame sectors, so every unit
 effect lands on one check type (``_span_sides`` raises ``ValueError`` if
 one does not).  The span therefore splits into a star side (star events +
@@ -33,9 +34,14 @@ with respect to the decoder that the Monte-Carlo path runs.
 
 Every spec goes through the same pipeline (``_spec_sides``): a Pauli or
 ``meas_flip`` spec opens no consequence slots, so its sides have rank 0
-and their only point is the replay's own.  One judge, ``_failing_points``,
-yields the failing bit of each span point of a side.  ``scan`` fails the
-spec at its first failing point; ``leak_failure_fractions`` counts them.
+and their only point is that of its own replay.  That point is composed,
+not replayed: a noise-free, leak-free replay is GF(2)-linear in the
+injected frame and the fault-free point is 0, so the point is the XOR of
+the points of its single-qubit units (an X or Z at one gate position, or
+one measurement flip), each replayed once per call.  One judge,
+``_failing_points``, yields the failing bit of each span point of a side.
+``scan`` fails the spec at its first failing point;
+``leak_failure_fractions`` counts them.
 A side whose rank exceeds ``SPAN_BUDGET_BITS`` is judged on
 ``SAMPLE_COUNT`` seeded random points instead, and the spec is reported as
 sampled rather than exact.
@@ -52,7 +58,8 @@ analysis of the data error a replay leaves behind.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+from itertools import islice
 
 import numpy as np
 
@@ -60,7 +67,7 @@ from .circuits import CNOT, H, MEAS_Z, PREP_Z, SWAP
 from .decoder import Decoder, event_masks
 from .experiments import ConfigError
 from .lattice import ToricLattice
-from .pauli import PAULI1_ERRORS, PAULI2_ERRORS, PAULI_BY_NAME, PAULI_I, PAULI_X
+from .pauli import PAULI1_ERRORS, PAULI2_ERRORS, PAULI_BY_NAME, PAULI_I, PAULI_X, PAULI_Z
 from .sim import CompiledProgram, Script
 from .vector import execute
 
@@ -68,7 +75,7 @@ from .vector import execute
 SPAN_BUDGET_BITS = 16  # max basis rank enumerated exhaustively per side
 SAMPLE_COUNT = 4096  # assignments drawn when a span exceeds the budget
 PAIR_CAP = 1200  # max single-fault specs admitted into pair scanning
-_CHUNK_ROWS = 64  # scripted replays per executor batch
+_CHUNK_ROWS = 256  # scripted replays per executor batch
 
 
 @dataclass(frozen=True)
@@ -120,6 +127,9 @@ class ScanVerdict:
 
     @property
     def distance_preserving(self) -> bool:
+        """No failing single fault: no Pauli and no leak spec fails.  Pair
+        failures do not count, so this is the distance claim only where one
+        fault suffices to break it (d=3)."""
         return not self.pauli_failures and not self.leak_failures
 
     @property
@@ -227,9 +237,11 @@ def script_for(compiled: CompiledProgram, spec: FaultSpec) -> Script:
     return script
 
 
-def _chunks(items: list, size: int):
-    for start in range(0, len(items), size):
-        yield items[start : start + size]
+def _chunks(items, size: int):
+    """Lists of up to ``size`` consecutive items of any iterable."""
+    it = iter(items)
+    while chunk := list(islice(it, size)):
+        yield chunk
 
 
 # ---------------------------------------------------------------------------
@@ -297,29 +309,75 @@ def _unit_generators(slots: list[tuple]) -> list[tuple]:
     return generators
 
 
-def _spec_sides(compiled: CompiledProgram, specs: list[FaultSpec]):
-    """Per spec: ``(spec, sides)``, the span sides of its consequences.
+def _pauli_units(spec: FaultSpec) -> list[tuple]:
+    """``(kind, gate, paulis)`` of each single-qubit unit whose points XOR to
+    a Pauli or ``meas_flip`` spec's point: an X or a Z at one gate position
+    per component of its Paulis, or the measurement flip itself."""
+    if spec.kind == "meas_flip":
+        return [("meas_flip", spec.gate_index, ())]
+    n = len(spec.paulis)
+    return [("pauli", spec.gate_index, tuple(unit if j == pos else PAULI_I for j in range(n)))
+            for pos, pauli in enumerate(spec.paulis)
+            for unit, bit in zip((PAULI_X, PAULI_Z), pauli) if bit]
 
-    The baselines of ``_CHUNK_ROWS`` specs share one replay batch; the
-    unit-effect generators of their consequence slots are then replayed in
-    batches of ``_CHUNK_ROWS`` rows.  A spec without slots (every Pauli and
-    ``meas_flip`` spec) gets rank-0 sides.
+
+def _spec_sides(compiled: CompiledProgram, specs: list[FaultSpec]):
+    """Per spec, in order: ``(spec, sides)``, the span sides of its consequences.
+
+    A Pauli or ``meas_flip`` spec opens no consequence slots, so its sides
+    have rank 0.  Their base is composed, not replayed: a noise-free,
+    leak-free replay is GF(2)-linear in the injected frame (events, final
+    syndrome and judge bits alike) and the fault-free point is 0, so a
+    two-qubit Pauli is the XOR of its two single-qubit parts and Y is X xor
+    Z.  Each distinct unit of ``_pauli_units`` is replayed once up front,
+    as the ``FaultSpec`` its key spells, and a spec's base is the XOR of its
+    units' points.  A leak spec's trajectory is its own, so it keeps its
+    baseline replay and one replay per unit-effect generator
+    (``_leak_sides``).  Replays run ``_CHUNK_ROWS`` rows per executor batch.
     """
     lat = compiled.lattice
     width = (compiled.program.n_rounds + 1) * lat.d**2
+    units = dict.fromkeys(u for spec in specs if spec.kind != "leak" for u in _pauli_units(spec))
+    points = {}
+    for chunk in _chunks(units, _CHUNK_ROWS):
+        scripts = [script_for(compiled, FaultSpec(*unit)) for unit in chunk]
+        points.update(zip(chunk, _points(lat, width, execute(compiled, len(chunk), scripts=scripts))))
+    leak_sides = _leak_sides(compiled, [spec for spec in specs if spec.kind == "leak"], width)
+    for spec in specs:
+        if spec.kind == "leak":
+            yield spec, next(leak_sides)
+            continue
+        base = [0, 0]
+        for unit in _pauli_units(spec):
+            base = [b ^ p for b, p in zip(base, points[unit])]
+        yield spec, _span_sides([], base, width)
+
+
+def _leak_sides(compiled: CompiledProgram, specs: list[FaultSpec], width: int):
+    """Per leak spec, in order: its span sides.
+
+    The baselines of ``_CHUNK_ROWS`` specs share one replay batch; the
+    unit-effect generators of their consequence slots are then replayed in
+    batches of ``_CHUNK_ROWS`` rows.  A spec's own assignment is ignored.
+    """
+    lat = compiled.lattice
+
+    def leak(spec: FaultSpec, assignment: tuple = ()) -> FaultSpec:
+        return FaultSpec("leak", spec.gate_index, victim=spec.victim, assignment=assignment)
+
     for group in _chunks(specs, _CHUNK_ROWS):
         traces: list[list] = [[] for _ in group]
-        scripts = [script_for(compiled, replace(spec, assignment=())) for spec in group]
+        scripts = [script_for(compiled, leak(spec)) for spec in group]
         base = _points(lat, width, execute(compiled, len(group), scripts=scripts, traces=traces))
-        units = [(k, gen) for k, trace in enumerate(traces) for gen in _unit_generators(trace)]
+        units = ((k, gen) for k, trace in enumerate(traces) for gen in _unit_generators(trace))
         effects: list[list] = [[] for _ in group]
         for chunk in _chunks(units, _CHUNK_ROWS):
-            scripts = [script_for(compiled, replace(group[k], assignment=(gen,))) for k, gen in chunk]
+            scripts = [script_for(compiled, leak(group[k], (gen,))) for k, gen in chunk]
             points = _points(lat, width, execute(compiled, len(chunk), scripts=scripts))
             for (k, _), unit in zip(chunk, points):
                 effects[k].append([p ^ q for p, q in zip(unit, base[k])])
-        for spec, spec_base, spec_effects in zip(group, base, effects):
-            yield spec, _span_sides(spec_effects, spec_base, width)
+        for spec_base, spec_effects in zip(base, effects):
+            yield _span_sides(spec_effects, spec_base, width)
 
 
 def _span_sides(effects: list, base: list[int], width: int) -> list[_SpanSide]:

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from toricleak import cli
 from toricleak.cli import main
 from toricleak.experiments import TABLE_COLUMNS, SweepRow, rows_to_csv
 
@@ -172,18 +173,25 @@ def test_non_numeric_csv_field_is_exit_2(tmp_path, capsys):
     assert err.count("\n") == 1
 
 
-@pytest.mark.parametrize("command", ["emit", "plot-data", "run"])
-def test_unwritable_output_is_exit_2(tmp_path, capsys, command):
+@pytest.mark.parametrize("command", ["emit", "plot-data", "run", "scan"])
+def test_unwritable_output_is_exit_2(tmp_path, capsys, monkeypatch, command):
+    """A missing output directory is refused, and a scan is refused before
+    it runs."""
     missing = str(tmp_path / "absent" / "out")
+    scans = []
+    monkeypatch.setattr(cli, "scan", lambda *args, **kwargs: scans.append(args))
     if command == "emit":
         argv = ["emit", "--variant", "standard", "--d", "3", "--out", missing]
     elif command == "plot-data":
         argv = ["plot-data", str(_quadratic_csv(tmp_path)), "--out", missing]
+    elif command == "scan":
+        argv = ["scan", "--variant", "standard", "--d", "3", "--out", missing]
     else:
         cfg = tmp_path / "c.cfg"
         cfg.write_text(GOOD_CONFIG)
         argv = ["run", "--config", str(cfg), "--out", missing]
     assert main(argv) == 2
+    assert scans == []
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("config error: cannot write ")

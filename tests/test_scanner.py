@@ -234,18 +234,47 @@ def test_pair_scan_is_deterministic_and_flags_uncorrectable_pairs():
 
 
 def test_scan_does_not_depend_on_replay_chunk_size(monkeypatch):
-    """Replays are batched internally; every batch size gives the same verdict."""
+    """Replays are batched internally; every batch size gives the same scan
+    verdict, the same failure fractions and the same pair verdicts."""
     compiled = _compiled("standard", rounds=2)
     universe = enumerate_fault_universe(compiled)[::5]
+    mixed = universe[::-1]  # leak specs first, then Pauli specs
+    pair_compiled = _compiled("standard", rounds=1)
+    pair_universe = [s for s in enumerate_fault_universe(pair_compiled) if s.kind != "leak"][::9]
     dec = Decoder(compiled.lattice)
     reference = scan(compiled, universe=universe, decoder=dec)
-    assert reference.leak_failures and reference.n_pauli_specs > 64
-    for rows in (1, 7, 1000):
+    fractions = leak_failure_fractions(compiled, mixed)
+    pairs = scan(pair_compiled, universe=pair_universe, decoder=dec, max_faults=2)
+    assert reference.leak_failures and reference.n_pauli_specs > 256
+    assert pairs.pair_failures and any(q > 0 for q, _ in fractions)
+    for rows in (1, 7, 256, 1000):
         monkeypatch.setattr(scanner, "_CHUNK_ROWS", rows)
         verdict = scan(compiled, universe=universe, decoder=dec)
         assert verdict.pauli_failures == reference.pauli_failures
         assert verdict.leak_failures == reference.leak_failures
         assert verdict_to_text(compiled, verdict) == verdict_to_text(compiled, reference)
+        assert leak_failure_fractions(compiled, mixed) == fractions
+        again = scan(pair_compiled, universe=pair_universe, decoder=dec, max_faults=2)
+        assert again.pair_failures == pairs.pair_failures
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_composed_pauli_points_equal_their_own_replays(variant):
+    """A Pauli or meas_flip spec's rank-0 point is composed from the replays
+    of its single-qubit units; it equals the point of the spec's own
+    ``script_for`` replay bit for bit, for every such spec at one round and
+    a slice at three."""
+    for rounds, step in ((1, 1), (3, 7)):
+        compiled = _compiled(variant, rounds=rounds)
+        specs = [s for s in enumerate_fault_universe(compiled) if s.kind != "leak"][::step]
+        width = (rounds + 1) * compiled.lattice.d**2
+        res = execute(compiled, len(specs), scripts=[script_for(compiled, s) for s in specs])
+        own = scanner._points(compiled.lattice, width, res)
+        yielded = list(scanner._spec_sides(compiled, specs))
+        assert [spec for spec, _ in yielded] == specs
+        assert all(side.basis == [] for _, sides in yielded for side in sides)
+        assert [[side.base for side in sides] for _, sides in yielded] == own
+        assert sum(map(any, own)) > len(specs) // 2
 
 
 @pytest.mark.parametrize("case", ["exhaustive", "sampled"])
