@@ -16,6 +16,7 @@ Three families:
 Run from any directory:
   python3 scripts/make_goldens.py [--which all]          # rewrite fixtures
   python3 scripts/make_goldens.py --check [--which all]  # diff, write nothing
+  python3 scripts/make_goldens.py --check-reference      # diff the benchmark's CSVs
 
 The package is imported from ``src/`` of this checkout, so no install is
 needed.
@@ -23,11 +24,18 @@ needed.
 ``--check`` rebuilds every selected fixture in memory, prints each one's
 build seconds beside ``same`` or ``DIFFERS``, prints a unified diff for each
 one that differs from its file, and exits 1 on any mismatch.
+
+``--check-reference`` rebuilds every frozen sweep CSV of the benchmark
+(each workload's config at each master seed in ``perfbench/reference.json``,
+32 seeds of ``sweep_d3`` and ``sweep_d5`` today), compares them with the
+file, which it only reads, prints each workload's time and how many differ,
+and exits 1 on any difference.  It takes one to two minutes.
 """
 from __future__ import annotations
 
 import argparse
 import difflib
+import json
 import sys
 import time
 from functools import partial
@@ -46,6 +54,7 @@ from toricleak.scanner import scan, verdict_to_text
 from toricleak.sim import compile_program
 
 GOLDEN = ROOT / "tests" / "golden"
+REFERENCE = ROOT / "perfbench" / "reference.json"
 SWEEP = ExperimentConfig(variant="mixed_lrc", d=(3,), p=(1e-3, 2e-3, 3e-3, 5e-3), r=1.0,
                          shots=2500, master_seed=7)
 
@@ -102,12 +111,33 @@ def check(builders: dict[Path, Callable[[], str]]) -> int:
     return 1 if mismatched else 0
 
 
+def check_reference() -> int:
+    differing = total = 0
+    for workload, table in json.loads(REFERENCE.read_text()).items():
+        fields = {k: tuple(v) if isinstance(v, list) else v for k, v in table.pop("config").items()}
+        start, bad = time.perf_counter(), []
+        for seed, csv in table.items():
+            config = ExperimentConfig(**fields, master_seed=int(seed))
+            if rows_to_csv(run_sweep(config, workers=1)) != csv:
+                bad.append(seed)
+        print(f"{workload}: {len(bad)} of {len(table)} differ {time.perf_counter() - start:7.2f} s"
+              + (f"  (seeds {', '.join(bad)})" if bad else ""))
+        differing += len(bad)
+        total += len(table)
+    print(f"{differing} of {total} reference CSVs differ")
+    return 1 if differing else 0
+
+
 def main() -> int:
     ap = argparse.ArgumentParser()
     ap.add_argument("--which", choices=("circuits", "scans", "all"), default="all")
     ap.add_argument("--check", action="store_true",
                     help="diff rebuilt fixtures against tests/golden/ and write nothing")
+    ap.add_argument("--check-reference", action="store_true",
+                    help="diff rebuilt sweep CSVs against perfbench/reference.json")
     args = ap.parse_args()
+    if args.check_reference:
+        return check_reference()
     fixtures: dict[Path, Callable[[], str]] = {}
     if args.which in ("circuits", "all"):
         fixtures.update(circuits())

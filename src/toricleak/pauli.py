@@ -42,8 +42,9 @@ PAULI4 = (PAULI_I,) + PAULI1_ERRORS  # uniform partner draw alphabet
 
 # --- Clifford conjugation rules -------------------------------------------
 # Each rule mutates (x, z) in place; the last axis indexes qubits so the same
-# code handles a single frame (1-D) or a batch of frames (2-D).  A ``mask``
-# (0/1 or bool, one entry per frame) limits a rule to the frames it selects;
+# code handles a single frame (1-D) or a batch of frames (2-D).  Qubits may be
+# arrays of pairwise-disjoint indices.  A ``mask`` (0/1 or bool, shaped like
+# the selected qubits' entries) limits a rule to the entries it selects;
 # swaps are XOR exchanges, so masked and unmasked rules share one code path.
 
 
@@ -60,7 +61,7 @@ def propagate_cnot(
     x: np.ndarray, z: np.ndarray, control: int, target: int, mask: np.ndarray | None = None
 ) -> None:
     """CNOT copies X from control to target and Z from target to control."""
-    if control == target:
+    if np.any(np.equal(control, target)):
         raise ValueError("control and target must differ")
     if mask is None:
         x[..., target] ^= x[..., control]
@@ -190,8 +191,8 @@ def batch_uniforms(master_seed: int, shot_start: int, n_shots: int, n_draws: int
     which draws the shot's row into a small block, and the block is copied
     into the matrix.  Only one block's states exist as Python ints at once.
 
-    The matrix is column-major, so the executor's per-gate read of one
-    column, ``U[:, offset]``, is contiguous.  It lives in its own anonymous
+    The matrix is column-major, so every draw column that the executor
+    reads is contiguous.  It lives in its own anonymous
     memory mapping, so freeing it unmaps its pages.  A heap block of that
     size would stay with the process after each batch, and the allocations
     made between batches would split it, so the next batch's matrix could

@@ -331,9 +331,10 @@ def _spec_sides(compiled: CompiledProgram, specs: list[FaultSpec]):
     two-qubit Pauli is the XOR of its two single-qubit parts and Y is X xor
     Z.  Each distinct unit of ``_pauli_units`` is replayed once up front,
     as the ``FaultSpec`` its key spells, and a spec's base is the XOR of its
-    units' points.  A leak spec's trajectory is its own, so it keeps its
-    baseline replay and one replay per unit-effect generator
-    (``_leak_sides``).  Replays run ``_CHUNK_ROWS`` rows per executor batch.
+    units' points, which are dropped once the last such spec is composed.
+    A leak spec's trajectory is its own, so it keeps its baseline replay
+    and one replay per unit-effect generator (``_leak_sides``).  Replays
+    run ``_CHUNK_ROWS`` rows per executor batch.
     """
     lat = compiled.lattice
     width = (compiled.program.n_rounds + 1) * lat.d**2
@@ -343,13 +344,16 @@ def _spec_sides(compiled: CompiledProgram, specs: list[FaultSpec]):
         scripts = [script_for(compiled, FaultSpec(*unit)) for unit in chunk]
         points.update(zip(chunk, _points(lat, width, execute(compiled, len(chunk), scripts=scripts))))
     leak_sides = _leak_sides(compiled, [spec for spec in specs if spec.kind == "leak"], width)
-    for spec in specs:
+    last = max((i for i, spec in enumerate(specs) if spec.kind != "leak"), default=-1)
+    for i, spec in enumerate(specs):
         if spec.kind == "leak":
             yield spec, next(leak_sides)
             continue
         base = [0, 0]
         for unit in _pauli_units(spec):
             base = [b ^ p for b, p in zip(base, points[unit])]
+        if i == last:
+            points.clear()  # no later spec reads a unit point
         yield spec, _span_sides([], base, width)
 
 

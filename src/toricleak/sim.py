@@ -2,13 +2,20 @@
 
 ``compile_program`` fixes a static draw-slot layout: every gate owns a fixed
 span of the shot's uniform stream, and the final data readout owns two slots
-per edge.  A :class:`Script` lists deterministic fault injections for the
-executor, :func:`toricleak.vector.execute`, to replay.
+per edge.  It also splits the gates into layers (:class:`GateLayer`):
+maximal runs of consecutive gates of one kind and one leak-victim tuple on
+pairwise-disjoint qubits.  Such gates commute and each reads only its own
+draws, so the executor, :func:`toricleak.vector.execute`, may resolve a
+layer at once; gate j's draws start ``DRAWS_PER_KIND[kind]·j`` after the
+layer's first.  A :class:`Script` lists deterministic fault injections for
+the executor to replay; they land after their gate's layer.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from .circuits import CNOT, H, MEAS_Z, PREP_Z, SWAP, CircuitProgram, FaultLocation
 from .noise import NoiseModel
@@ -36,6 +43,18 @@ class CompiledGate:
     label: FaultLocation
 
 
+@dataclass(eq=False)
+class GateLayer:
+    kind: str
+    leak_victims: tuple[int, ...]
+    start: int  # index of the first gate
+    draw_offset: int  # of the first gate
+    q0: np.ndarray  # per gate, like CompiledGate's fields
+    q1: np.ndarray
+    leak_prob: np.ndarray
+    slot: np.ndarray  # flat syndrome index (round·2 + check_type)·d² + check_site
+
+
 @dataclass
 class CompiledProgram:
     program: CircuitProgram
@@ -43,6 +62,7 @@ class CompiledProgram:
     gates: list[CompiledGate]
     n_draws: int  # total stream length including readout slots
     readout_offset: int
+    layers: list[GateLayer]
 
     @property
     def lattice(self):
@@ -84,5 +104,21 @@ def compile_program(program: CircuitProgram, noise: NoiseModel) -> CompiledProgr
         offset += DRAWS_PER_KIND[g.kind]
     readout_offset = offset
     n_draws = offset + 2 * program.lattice.n_data
-    return CompiledProgram(program, noise, gates, n_draws, readout_offset)
+    layers = _layers(gates, program.lattice.d**2)
+    return CompiledProgram(program, noise, gates, n_draws, readout_offset, layers)
 
+
+def _layers(gates: list[CompiledGate], n_sites: int) -> list[GateLayer]:
+    starts, used, key = [], set(), None
+    for gi, g in enumerate(gates):
+        if (g.kind, g.leak_victims) != key or g.q0 in used or g.q1 in used:
+            starts.append(gi)
+            key, used = (g.kind, g.leak_victims), set()
+        used.update((g.q0, g.q1) if g.q1 >= 0 else (g.q0,))
+    # every gate's q0, q1, leak_prob and slot; each layer holds a slice
+    columns = [np.array(column) for column in zip(*[
+        (g.q0, g.q1, g.leak_prob, (g.round_index * 2 + g.check_type) * n_sites + g.check_site)
+        for g in gates])]
+    return [GateLayer(gates[lo].kind, gates[lo].leak_victims, lo, gates[lo].draw_offset,
+                      *(column[lo:hi] for column in columns))
+            for lo, hi in zip(starts, starts[1:] + [len(gates)])]

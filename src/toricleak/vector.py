@@ -6,10 +6,13 @@ the leading axis of every array.  Measured bits are the ideal reference
 (always 0) XORed with the frame, so syndrome records start from the all-zero
 baseline and detection events are differences of consecutive rounds.
 
-``execute`` resolves a batch gate by gate.  Given a matrix of uniform draws,
-every row resolves its stochastic events from the static draw-slot layout of
-:func:`toricleak.sim.compile_program`; given none, every draw resolves to its
-null outcome, so per-row scripted fault injections replay deterministically.
+``execute`` resolves a batch layer by layer (``CompiledProgram.layers``),
+one numpy pass per rule over a (rows × layer gates) block; which Pauli,
+victim or partner Pauli a draw picks is decoded only where it fires.
+Frames, leak flags and syndromes are qubit-contiguous (column-major), so a
+layer's gather of its qubits reads whole columns.  Without a draw matrix
+every draw takes its null outcome, so scripted fault injections replay
+deterministically.
 ``run_batch`` is the Monte-Carlo entry point; the scanner calls ``execute``
 directly for its scripted replays.
 """
@@ -18,15 +21,13 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .circuits import CNOT, H, MEAS_Z, PREP_Z, SWAP
 from .pauli import PAULI2_ERRORS, PAULI4, batch_uniforms, propagate_cnot, propagate_h, propagate_swap
-
-if TYPE_CHECKING:
-    from .sim import CompiledProgram, Script
+from .sim import DRAWS_PER_KIND, CompiledProgram, Script
 
 # component tables for vectorized sub-decodes
 _X3 = np.array([1, 1, 0], dtype=np.uint8)  # X, Y, Z
@@ -59,9 +60,10 @@ def run_batch(
 
 
 def _index_scripts(compiled: CompiledProgram, scripts: Sequence[Script | None]):
-    """Per-row injections regrouped by where they land, as (row, ...) lists."""
+    """Per-row injections regrouped by the layer after which they land."""
     leaks, paulis, meas_flips = defaultdict(list), defaultdict(list), defaultdict(list)
     readout_flips = []
+    layer_of = [li for li, layer in enumerate(compiled.layers) for _ in layer.q0]
     for row, script in enumerate(scripts):
         if script is None:
             continue
@@ -69,14 +71,15 @@ def _index_scripts(compiled: CompiledProgram, scripts: Sequence[Script | None]):
             g = compiled.gates[gi]
             if pos not in (0, 1) or (pos == 1 and g.q1 < 0):
                 raise ValueError(f"gate {gi} has no qubit at position {pos} to leak")
-            leaks[gi].append((row, (g.q0, g.q1)[pos]))
+            leaks[layer_of[gi]].append((row, (g.q0, g.q1)[pos]))
         for gi, per_qubit in script.paulis.items():
             g = compiled.gates[gi]
             touched = (g.q0,) if g.q1 < 0 else (g.q0, g.q1)
             for q, (px, pz) in zip(touched, per_qubit):
-                paulis[gi].append((row, q, px, pz))
+                paulis[layer_of[gi]].append((row, q, px, pz))
         for gi in script.meas_flips:
-            meas_flips[gi].append(row)
+            if compiled.gates[gi].kind == MEAS_Z:  # a flip elsewhere has no outcome to flip
+                meas_flips[layer_of[gi]].append((row, gi - compiled.layers[layer_of[gi]].start))
         for e, (dx, dz) in script.readout_flips.items():
             readout_flips.append((row, e, dx, dz))
     return leaks, paulis, meas_flips, readout_flips
@@ -95,7 +98,7 @@ def execute(
 
     ``uniforms`` holds one draw row per shot; without it every draw takes its
     null outcome.  ``scripts`` gives each row its own injections, which land
-    after their gate's resolved action.  ``initial_x``/``initial_z`` seed the
+    after their gate's layer.  ``initial_x``/``initial_z`` seed the
     frames of the leading qubits.  ``traces``, when given one list per row,
     collects the stochastic consequence slots a leak opens up:
     ``("pair", gate, partner_position)`` for each two-qubit gate with exactly
@@ -105,19 +108,21 @@ def execute(
     """
     program = compiled.program
     lat = program.lattice
-    noise = compiled.noise
+    p = compiled.noise.p
     n_sites = lat.d * lat.d
     U = uniforms
     stochastic = U is not None
 
-    x = np.zeros((n_rows, lat.n_qubits), dtype=np.uint8)
+    x = np.zeros((n_rows, lat.n_qubits), dtype=np.uint8, order="F")
     z = np.zeros_like(x)
     if initial_x is not None:
         x[:, : np.shape(initial_x)[-1]] |= np.asarray(initial_x, dtype=np.uint8)
     if initial_z is not None:
         z[:, : np.shape(initial_z)[-1]] |= np.asarray(initial_z, dtype=np.uint8)
-    leak = np.zeros((n_rows, lat.n_qubits), dtype=np.uint8)
-    syndromes = np.zeros((n_rows, program.n_rounds + 1, 2, n_sites), dtype=np.uint8)
+    leak = np.zeros_like(x)
+    # one column per measurement slot; the 4-D view below is what callers get
+    flat = np.zeros((n_rows, (program.n_rounds + 1) * 2 * n_sites), dtype=np.uint8, order="F")
+    syndromes = flat.reshape(n_rows, program.n_rounds + 1, 2, n_sites)
     scripted = scripts is not None
     if scripted:
         leak_at, pauli_at, flip_at, readout_at = _index_scripts(compiled, scripts)
@@ -127,89 +132,81 @@ def execute(
         # per (row, gate): 1/2 = pair slot at partner position 0/1, 3 = junk measurement
         slot_codes = np.zeros((n_rows, len(compiled.gates)), dtype=np.uint8)
 
-    for gi, g in enumerate(compiled.gates):
-        q0, q1, off = g.q0, g.q1, g.draw_offset
-        if g.kind == PREP_Z:
-            x[:, q0] = 0
+    for li, layer in enumerate(compiled.layers):
+        kind, q0, q1, lp = layer.kind, layer.q0, layer.q1, layer.leak_prob
+        span = slice(layer.start, layer.start + len(q0))
+        if stochastic:  # draw j of every gate of the layer: one strided view of U
+            width = DRAWS_PER_KIND[kind]
+            u = [U[:, layer.draw_offset + j :: width][:, : len(q0)] for j in range(width)]
+        leak_draws = stochastic and bool(layer.leak_victims) and lp.any()
+        if kind == PREP_Z:
+            x[:, q0] = u[0] < p if stochastic else 0
             z[:, q0] = 0
-            leak[:, q0] = 0
-            if stochastic and noise.p > 0:
-                x[:, q0] ^= (U[:, off] < noise.p).astype(np.uint8)
-            if stochastic and g.leak_victims and g.leak_prob > 0:
-                leak[:, q0] = (U[:, off + 1] < g.leak_prob).astype(np.uint8)
-        elif g.kind == H:
+            leak[:, q0] = u[1] < lp if leak_draws else 0
+        elif kind == H:
             active = 1 - leak[:, q0] if leaky else None
             propagate_h(x, z, q0, mask=active)
-            if stochastic and noise.p > 0:
-                u = U[:, off]
-                sel = active & (u < noise.p)
-                idx = np.minimum((u / noise.p * 3).astype(np.int64), 2)
-                x[:, q0] ^= sel & _X3[idx]
-                z[:, q0] ^= sel & _Z3[idx]
-            if stochastic and g.leak_victims and g.leak_prob > 0:
-                leak[:, q0] |= active & (U[:, off + 1] < g.leak_prob)
-        elif g.kind in (CNOT, SWAP):
+            if stochastic and p > 0:
+                rows, cols = np.nonzero(active & (u[0] < p))
+                idx = np.minimum((u[0][rows, cols] / p * 3).astype(np.int64), 2)
+                x[rows, q0[cols]] ^= _X3[idx]
+                z[rows, q0[cols]] ^= _Z3[idx]
+            if leak_draws:
+                leak[:, q0] |= active & (u[1] < lp)
+        elif kind in (CNOT, SWAP):
+            pair = np.stack((q0, q1))
             lk0, lk1 = leak[:, q0], leak[:, q1]
             neither = (1 - lk0) & (1 - lk1) if leaky else None
-            if g.kind == CNOT:
-                propagate_cnot(x, z, q0, q1, mask=neither)
-            else:
-                propagate_swap(x, z, q0, q1, mask=neither)
+            propagate = propagate_cnot if kind == CNOT else propagate_swap
+            propagate(x, z, q0, q1, mask=neither)
             if leaky and (stochastic or traces is not None):
-                only0 = lk0 & (1 - lk1)
-                only1 = lk1 & (1 - lk0)
+                # 1/2: the partner at position 0/1 is blocked by a leaked one
+                blocked = (lk0 & (1 - lk1)) << 1 | lk1 & (1 - lk0)
                 if traces is not None:
-                    slot_codes[:, gi] = (only0 << 1) | only1
+                    slot_codes[:, span] = blocked
             if stochastic:
                 # a single leaked participant scrambles its partner
-                u_pair = U[:, off + 2]
-                idx4 = np.minimum((u_pair * 4).astype(np.int64), 3)
-                x[:, q1] ^= only0 & _X4[idx4]
-                z[:, q1] ^= only0 & _Z4[idx4]
-                x[:, q0] ^= only1 & _X4[idx4]
-                z[:, q0] ^= only1 & _Z4[idx4]
-            if stochastic and noise.p > 0:
-                u = U[:, off]
-                sel = neither & (u < noise.p)
-                idx = np.minimum((u / noise.p * 15).astype(np.int64), 14)
-                x[:, q0] ^= sel & _X15A[idx]
-                z[:, q0] ^= sel & _Z15A[idx]
-                x[:, q1] ^= sel & _X15B[idx]
-                z[:, q1] ^= sel & _Z15B[idx]
-            if stochastic and g.leak_victims and g.leak_prob > 0:
-                u = U[:, off + 1]
-                hit = neither & (u < g.leak_prob)
-                nv = len(g.leak_victims)
-                vic = np.minimum((u / g.leak_prob * nv).astype(np.int64), nv - 1)
-                for j, pos in enumerate(g.leak_victims):
-                    leak[:, (q0, q1)[pos]] |= hit & (vic == j)
-        elif g.kind == MEAS_Z:
-            bit = x[:, q0].copy()
-            if stochastic and noise.p > 0:
-                bit ^= (U[:, off] < noise.p).astype(np.uint8)
+                rows, cols = np.nonzero(blocked)
+                partner = pair[blocked[rows, cols] - 1, cols]
+                idx = np.minimum((u[2][rows, cols] * 4).astype(np.int64), 3)
+                x[rows, partner] ^= _X4[idx]
+                z[rows, partner] ^= _Z4[idx]
+            if stochastic and p > 0:
+                rows, cols = np.nonzero(neither & (u[0] < p))
+                idx = np.minimum((u[0][rows, cols] / p * 15).astype(np.int64), 14)
+                x[rows, q0[cols]] ^= _X15A[idx]
+                z[rows, q0[cols]] ^= _Z15A[idx]
+                x[rows, q1[cols]] ^= _X15B[idx]
+                z[rows, q1[cols]] ^= _Z15B[idx]
+            if leak_draws:
+                rows, cols = np.nonzero(neither & (u[1] < lp))
+                nv = len(layer.leak_victims)
+                vic = np.minimum((u[1][rows, cols] / lp[cols] * nv).astype(np.int64), nv - 1)
+                leak[rows, pair[np.array(layer.leak_victims)[vic], cols]] = 1
+        elif kind == MEAS_Z:
+            bit = x[:, q0] ^ (u[0] < p) if stochastic else x[:, q0]
             if leaky:
                 lk = leak[:, q0].astype(bool)
                 if traces is not None:
-                    slot_codes[:, gi] = lk * np.uint8(3)
-                junk = (U[:, off + 1] < 0.5).astype(np.uint8) if stochastic else np.uint8(0)
+                    slot_codes[:, span] = lk * np.uint8(3)
+                junk = (u[1] < 0.5).astype(np.uint8) if stochastic else np.uint8(0)
                 bit = np.where(lk, junk, bit)
-            if scripted:
-                for row in flip_at.get(gi, ()):
-                    bit[row] ^= 1
-            syndromes[:, g.round_index, g.check_type, g.check_site] ^= bit
+            flat[:, layer.slot] ^= bit
             # measure-and-reset clears the frame and any leakage before reuse
             x[:, q0] = 0
             z[:, q0] = 0
             leak[:, q0] = 0
         else:  # pragma: no cover - build_program emits only the kinds above
-            raise ValueError(f"unknown gate kind {g.kind}")
+            raise ValueError(f"unknown gate kind {kind}")
 
         if scripted:
-            for row, q in leak_at.get(gi, ()):
+            for row, q in leak_at.get(li, ()):
                 leak[row, q] = 1
-            for row, q, px, pz in pauli_at.get(gi, ()):
+            for row, q, px, pz in pauli_at.get(li, ()):
                 x[row, q] ^= px
                 z[row, q] ^= pz
+            for row, j in flip_at.get(li, ()):
+                flat[row, layer.slot[j]] ^= 1
 
     # final transversal readout of the data carriers
     carrier = program.final_data_carrier

@@ -277,6 +277,17 @@ def test_composed_pauli_points_equal_their_own_replays(variant):
         assert sum(map(any, own)) > len(specs) // 2
 
 
+def test_unit_points_are_released_before_the_leak_specs():
+    """``_spec_sides`` holds no unit point once the last Pauli or meas_flip
+    spec is yielded, so none lives through the leak phase of a scan."""
+    compiled = _compiled("standard", rounds=1)
+    universe = enumerate_fault_universe(compiled)
+    specs = [s for s in universe if s.kind != "leak"][::11] + [s for s in universe if s.kind == "leak"][:3]
+    sides = scanner._spec_sides(compiled, specs)
+    held = [len(sides.gi_frame.f_locals["points"]) for _ in sides]
+    assert held[0] > 0 and held[-4:] == [0, 0, 0, 0]
+
+
 @pytest.mark.parametrize("case", ["exhaustive", "sampled"])
 def test_scan_verdict_agrees_with_failure_fraction(case, monkeypatch):
     """The scan fails a leak spec exactly when its failure fraction is

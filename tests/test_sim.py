@@ -8,7 +8,7 @@ import pytest
 from oracles import NULL_NOISE, find_gates, run_shot, shot_uniforms, site
 from toricleak.circuits import CNOT, MEAS_Z, PREP_Z, SWAP, VARIANTS, build_program
 from toricleak.noise import NoiseModel
-from toricleak.sim import Script, compile_program
+from toricleak.sim import DRAWS_PER_KIND, Script, compile_program
 
 
 def _compiled(variant="standard", d=3, rounds=3, noise=NULL_NOISE):
@@ -276,3 +276,39 @@ def test_noise_model_validation():
         NoiseModel(p=1.5)
     with pytest.raises(ValueError, match="p_leak"):
         NoiseModel(p=0.2, r=10)
+
+
+@pytest.mark.parametrize("d", [3, 5])
+@pytest.mark.parametrize("variant", VARIANTS)
+@pytest.mark.parametrize("noise", [
+    NoiseModel(p=1e-3, r=1.0, side_policy="control_only", p_init_leak=1e-3),
+    NoiseModel(p=1e-3, r=1.0, site_filter="data_only"),
+    NoiseModel(p=1e-3, r=1.0, site_filter="cnot_ordinal:2"),
+], ids=["control_only", "data_only", "cnot_ordinal:2"])
+def test_layers_partition_the_gates_into_commuting_runs(variant, d, noise):
+    """Layers cover gates 0..n-1 once and in order; each holds one kind and
+    one leak-victim tuple on pairwise-disjoint qubits, copies its gates'
+    fields, and steps its draw offsets by the kind's draw count.  Each is
+    maximal: the next gate would break one of these rules."""
+    compiled = compile_program(build_program(variant, d, d), noise)
+    gates, n_sites = compiled.gates, d * d
+    covered = []
+    for layer, after in zip(compiled.layers, compiled.layers[1:] + [None]):
+        run = gates[layer.start : layer.start + len(layer.q0)]
+        covered += range(layer.start, layer.start + len(run))
+        assert {(g.kind, g.leak_victims) for g in run} == {(layer.kind, layer.leak_victims)}
+        qubits = [q for g in run for q in (g.q0, g.q1) if q >= 0]
+        assert len(qubits) == len(set(qubits))
+        assert layer.q0.tolist() == [g.q0 for g in run]
+        assert layer.q1.tolist() == [g.q1 for g in run]
+        assert layer.leak_prob.tolist() == [g.leak_prob for g in run]
+        width = DRAWS_PER_KIND[layer.kind]
+        assert [g.draw_offset for g in run] == [layer.draw_offset + width * j for j in range(len(run))]
+        if layer.kind == MEAS_Z:
+            slots = [(g.round_index * 2 + g.check_type) * n_sites + g.check_site for g in run]
+            assert layer.slot.tolist() == slots and len(set(slots)) == len(slots)
+        if after is not None:
+            nxt = gates[after.start]
+            assert ((nxt.kind, nxt.leak_victims) != (layer.kind, layer.leak_victims)
+                    or {nxt.q0, nxt.q1} & set(qubits))
+    assert covered == list(range(len(gates)))

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from oracles import leak_consequences, run_shot, shot_uniforms
-from toricleak.circuits import VARIANTS, build_program
+from toricleak.circuits import CNOT, MEAS_Z, SWAP, VARIANTS, build_program
 from toricleak.noise import NoiseModel
 from toricleak.pauli import batch_uniforms
 from toricleak.scanner import enumerate_fault_universe, script_for
@@ -172,14 +172,24 @@ def _random_script(compiled, rng):
     return script
 
 
-@pytest.mark.parametrize("variant", VARIANTS)
-@pytest.mark.parametrize("noise", [REFERENCE_NOISE], ids=["random_bit"])
-def test_execute_matches_gate_by_gate_reference(variant, noise):
-    """Stochastic and noise-free rows, with scripts and traces, against an
-    independent per-gate executor."""
-    compiled = compile_program(build_program(variant, 3, 2), noise)
-    rng = np.random.default_rng(17)
-    scripts = [_random_script(compiled, rng) for _ in range(16)]
+def _layer_neighbour_script(compiled, rng):
+    """Injections on neighbouring gates of one layer: a leak on gate j and a
+    Pauli on gate j+1 of a two-qubit layer, and flips of two neighbouring
+    measurements of a measurement layer."""
+    paulis = [(0, 0), (1, 0), (0, 1), (1, 1)]
+    two = [layer for layer in compiled.layers if layer.kind in (CNOT, SWAP)]
+    meas = [layer for layer in compiled.layers if layer.kind == MEAS_Z]
+    layer, flips = two[rng.integers(len(two))], meas[rng.integers(len(meas))]
+    j = layer.start + int(rng.integers(len(layer.q0) - 1))
+    k = flips.start + int(rng.integers(len(flips.q0) - 1))
+    return Script(leaks={(j, int(rng.integers(2)))},
+                  paulis={j + 1: (paulis[rng.integers(1, 4)], paulis[rng.integers(4)])},
+                  meas_flips={k, k + 1})
+
+
+def _check_against_reference(compiled, scripts):
+    """Stochastic and noise-free rows of ``execute``, with scripts and
+    traces, equal the gate-by-gate reference row for row."""
     draws = np.stack([shot_uniforms(5, shot, compiled.n_draws) for shot in range(len(scripts))])
     for uniforms in (draws, None):
         traces = [[] for _ in scripts]
@@ -191,3 +201,27 @@ def test_execute_matches_gate_by_gate_reference(variant, noise):
             for name, a, b in zip(("syndromes", "data_x", "data_z", "leak_final"), got, ref):
                 np.testing.assert_array_equal(a, b, err_msg=f"row {row} {name}")
             assert traces[row] == ref[4]
+        assert any(traces)
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+@pytest.mark.parametrize("noise", [REFERENCE_NOISE], ids=["random_bit"])
+def test_execute_matches_gate_by_gate_reference(variant, noise):
+    """Stochastic and noise-free rows, with scripts and traces, against an
+    independent per-gate executor."""
+    compiled = compile_program(build_program(variant, 3, 2), noise)
+    rng = np.random.default_rng(17)
+    scripts = [_random_script(compiled, rng) for _ in range(16)]
+    _check_against_reference(compiled, scripts + [_layer_neighbour_script(compiled, rng)])
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_execute_matches_reference_at_d5_on_layer_neighbours(variant):
+    """At d=5 a CNOT layer holds 50 gates; injections on neighbouring gates
+    of one layer land after the whole layer, which the per-gate reference
+    must not be able to tell."""
+    compiled = compile_program(build_program(variant, 5, 2), REFERENCE_NOISE)
+    assert max(len(layer.q0) for layer in compiled.layers if layer.kind == CNOT) == 50
+    rng = np.random.default_rng(23)
+    scripts = [_layer_neighbour_script(compiled, rng) for _ in range(12)]
+    _check_against_reference(compiled, scripts + [_random_script(compiled, rng) for _ in range(4)])
