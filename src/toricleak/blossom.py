@@ -3,13 +3,30 @@
 A port of NetworkX 3.6.1's ``max_weight_matching(G, maxcardinality=True)``
 (Galil's O(n^3) primal-dual blossom algorithm, after Van Rantwijk) for the
 one graph the decoder builds: nodes ``0..n-1``, every pair an edge of weight
-``-dist[i][j]``, neighbours in ascending order.  Statement for statement it
-takes the same steps, so it returns NetworkX's matching, equal-weight tie
-choices included.  What changed: ``G[v][w]`` reads become ``dist`` reads,
-blossoms are ints ``>= n`` (numbered in creation order, which is NetworkX's
-dict order), per-vertex state lives in lists, the trampolines are plain
-recursion, and the branches for ``maxcardinality=False`` and non-integer
-weights are gone.  The optimality check runs on every call.
+``-dist[i][j]``, neighbours in ascending order.  It returns NetworkX's
+matching, equal-weight tie choices included, because it keeps NetworkX's
+order of work: the same queue, the same ascending neighbour scan, the same
+strict ``<`` comparisons and the same order of the delta2, delta3 and
+delta4 candidates.  Only the representation differs:
+
+* ``G[v][w]`` reads become reads of ``dist2``, the weights doubled once per
+  call; blossoms are ints ``>= n`` (numbered in creation order, which is
+  NetworkX's dict order); per-vertex state lives in lists; the trampolines
+  are plain recursion; the branches for ``maxcardinality=False`` and
+  non-integer weights are gone.
+* A tight edge is stamped with its stage (``allowed[v][w] == stage``), so a
+  stage starts without clearing an n x n table.
+* ``bestslack`` holds the slack of each ``bestedge``, written with it and
+  refreshed after each dual update, the only place where duals move; a scan
+  compares against it instead of recomputing the incumbent's slack.
+  ``add_blossom`` keeps the slack of each least-slack edge it collects.
+* At a stage's start, a free vertex that is its own blossom is labelled S
+  and queued directly.
+* With every weight off the diagonal positive, stage 1 runs in bulk: its
+  first substage only records each vertex's first least-weight partner, so
+  ``min`` and ``index`` per row give its outcome (see ``_solve``).
+
+The optimality check runs on every call.
 
 Adapted from NetworkX's algorithms/matching.py, which carries this notice:
 
@@ -52,6 +69,8 @@ from __future__ import annotations
 
 from itertools import chain
 
+_INF = float("inf")  # the incumbent slack while a blossom has no least-slack edge
+
 
 def min_weight_perfect_matching(dist: list[list[int]]) -> list[int]:
     """Partner of each vertex in a minimum-weight perfect matching of the
@@ -68,14 +87,24 @@ def _solve(dist: list[list[int]]):
     blossomdual, edges)``, the state that ``_check_optimum`` reads.
 
     Vertex and blossom ids index ``label`` (0 free, 1 S, 2 T, 5 breadcrumb),
-    ``labeledge``, ``bestedge``, ``blossomparent`` and ``blossombase``; -1 is
-    "no vertex".  ``dualvar`` holds 2u(v), starting at the largest weight,
-    which is 0 because every weight -dist is at most 0."""
+    ``labeledge``, ``bestedge``, ``bestslack``, ``blossomparent`` and
+    ``blossombase``; -1 is "no vertex".  ``dualvar`` holds 2u(v), starting at
+    the largest weight, which is 0 because every weight -dist is at most 0.
+    ``dist2`` holds the doubled weights; its diagonal, never an edge, holds a
+    value above every weight.  ``allowed[v][w] == stage`` marks an edge found
+    tight in the current stage.  ``bestslack[b]`` is the slack of
+    ``bestedge[b]`` while that is set: it is written with it and refreshed
+    after each dual update, the only place where duals move."""
     n = len(dist)
+    dist2 = [[x + x for x in row] for row in dist]
+    top = max(map(max, dist2)) + 1
+    for v, row in enumerate(dist2):
+        row[v] = top
     mate = [-1] * n
     label: list[int] = [0] * n
     labeledge: list = [None] * n
     bestedge: list = [None] * n
+    bestslack = [0] * n
     inblossom = list(range(n))
     blossomparent = [-1] * n
     blossombase = list(range(n))
@@ -84,11 +113,8 @@ def _solve(dist: list[list[int]]):
     mybestedges: list = [None] * n  # least-slack edges to other S-blossoms
     dualvar = [0] * n
     blossomdual: dict[int, int] = {}  # live blossoms in creation order
-    allowed = [bytearray(n) for _ in range(n)]  # edges known to have zero slack
+    allowed = [[0] * n for _ in range(n)]
     queue: list[int] = []
-
-    def slack(v, w):  # 2 * slack of edge (v, w); not inside blossoms
-        return dualvar[v] + dualvar[w] + 2 * dist[v][w]
 
     def leaves(b):
         stack, out = [*childs[b]], []
@@ -141,8 +167,8 @@ def _solve(dist: list[list[int]]):
     def add_blossom(base, v, w):
         bb, bv, bw = inblossom[base], inblossom[v], inblossom[w]
         b = len(blossombase)
-        for state, value in ((label, 0), (labeledge, None), (bestedge, None), (blossomparent, -1),
-                             (blossombase, base), (mybestedges, None)):
+        for state, value in ((label, 0), (labeledge, None), (bestedge, None), (bestslack, 0),
+                             (blossomparent, -1), (blossombase, base), (mybestedges, None)):
             state.append(value)
         blossomparent[bb] = b
         path = []
@@ -171,30 +197,37 @@ def _solve(dist: list[list[int]]):
             if label[inblossom[v]] == 2:
                 queue.append(v)
             inblossom[v] = b
-        bestedgeto: dict = {}
+        bestedgeto: dict = {}  # S-blossom -> (least-slack edge to it, that slack)
         for bv in path:
-            if bv < n:
-                nblist = [(bv, w) for w in range(n) if bv != w]
-            elif mybestedges[bv] is not None:
-                nblist, mybestedges[bv] = mybestedges[bv], None
-            else:
-                nblist = [(v, w) for v in leaves(bv) for w in range(n) if v != w]
-            for k in nblist:
-                i, j = k
-                if inblossom[j] == b:
-                    i, j = j, i
-                bj = inblossom[j]
-                if (bj != b and label[bj] == 1
-                        and (bj not in bestedgeto or slack(i, j) < slack(*bestedgeto[bj]))):
-                    bestedgeto[bj] = k
+            if bv >= n and mybestedges[bv] is not None:
+                for k in mybestedges[bv]:
+                    i, j = k
+                    if inblossom[j] == b:
+                        i, j = j, i
+                    bj = inblossom[j]
+                    if bj != b and label[bj] == 1:
+                        s = dualvar[i] + dualvar[j] + dist2[i][j]
+                        hit = bestedgeto.get(bj)
+                        if hit is None or s < hit[1]:
+                            bestedgeto[bj] = (k, s)
+                mybestedges[bv] = None
+            else:  # every edge from the sub-blossom's vertices, neighbours ascending
+                for i in leaves(bv) if bv >= n else (bv,):
+                    di = dualvar[i]
+                    for j, bj, dj, d2 in zip(range(n), inblossom, dualvar, dist2[i]):
+                        if bj != b and label[bj] == 1:
+                            s = di + dj + d2
+                            hit = bestedgeto.get(bj)
+                            if hit is None or s < hit[1]:
+                                bestedgeto[bj] = ((i, j), s)
             bestedge[bv] = None
-        mybestedges[b] = list(bestedgeto.values())
+        mybestedges[b] = [k for k, _ in bestedgeto.values()]
         mybestedge = None
-        for k in mybestedges[b]:
-            kslack = slack(*k)
+        for k, kslack in bestedgeto.values():
             if mybestedge is None or kslack < mybestslack:
                 mybestedge, mybestslack = k, kslack
-        bestedge[b] = mybestedge
+        if mybestedge is not None:
+            bestedge[b], bestslack[b] = mybestedge, mybestslack
 
     def expand_blossom(b, endstage):
         for s in childs[b]:
@@ -224,13 +257,13 @@ def _solve(dist: list[list[int]]):
                     q, p = ed[j - 1]
                 label[w] = label[q] = 0
                 assign_label(w, 2, v)
-                allowed[p][q] = allowed[q][p] = 1
+                allowed[p][q] = allowed[q][p] = stage
                 j += jstep
                 if jstep == 1:
                     v, w = ed[j]
                 else:
                     w, v = ed[j - 1]
-                allowed[v][w] = allowed[w][v] = 1
+                allowed[v][w] = allowed[w][v] = stage
                 j += jstep
             bw = ch[j]
             label[w] = label[bw] = 2
@@ -303,51 +336,75 @@ def _solve(dist: list[list[int]]):
                     augment_blossom(bt, j)
                 mate[j] = s
 
+    lows = list(map(min, dist2))  # each vertex's least doubled weight
+    low = min(lows)
+    stage = 0
+    if low > 0:
+        # Stage 1 in bulk.  Every vertex is a lone free S-vertex with zero
+        # dual and no edge is tight, so its first substage only records each
+        # vertex's first least-weight partner; delta3 then picks the first
+        # vertex v with the least of these, every dual drops by half of it,
+        # and the rescan of v augments along its partner edge, the first
+        # tight edge it meets.
+        v = lows.index(low)
+        w = dist2[v].index(low)
+        mate[v], mate[w] = w, v
+        dualvar[:] = [-(low // 2)] * n
+        stage = 1
+
     while True:  # each stage augments the matching by one edge
+        stage += 1
         m = len(label)
         label[:] = [0] * m
         labeledge[:] = [None] * m
         bestedge[:] = [None] * m
         for b in blossomdual:
             mybestedges[b] = None
-        for row in allowed:
-            row[:] = bytes(n)
         queue.clear()
         for v in range(n):
-            if mate[v] == -1 and label[inblossom[v]] == 0:
-                assign_label(v, 1, -1)
+            if mate[v] == -1:
+                if inblossom[v] == v:  # a lone free vertex: S, with nothing else to reset
+                    label[v] = 1
+                    queue.append(v)
+                elif label[inblossom[v]] == 0:
+                    assign_label(v, 1, -1)
         augmented = False
         while True:  # each substage labels what it can, then moves the duals
             while queue and not augmented:
                 v = queue.pop()
-                bv, dv, row, allow = inblossom[v], dualvar[v], dist[v], allowed[v]
-                for w in range(n):
-                    bw = inblossom[w]
-                    if bw == bv:
-                        continue  # w == v, or the edge is inside a blossom
-                    if not allow[w]:
-                        kslack = dv + dualvar[w] + 2 * row[w]
+                bv, dv, allow = inblossom[v], dualvar[v], allowed[v]
+                best = bestslack[bv] if bestedge[bv] is not None else _INF
+                # live lists: only inblossom and allow[w] change during the scan
+                for w, bw, dw, d2, a in zip(range(n), inblossom, dualvar, dist2[v], allow):
+                    if a != stage:
+                        kslack = dv + dw + d2
                         if kslack > 0:  # track the least-slack edges instead
                             if label[bw] == 1:
-                                e = bestedge[bv]
-                                if e is None or kslack < dualvar[e[0]] + dualvar[e[1]] + 2 * dist[e[0]][e[1]]:
-                                    bestedge[bv] = (v, w)
-                            elif label[w] == 0:
-                                e = bestedge[w]  # (u, w) for some S-vertex u
-                                if e is None or kslack < dualvar[e[0]] + dualvar[w] + 2 * dist[e[0]][w]:
-                                    bestedge[w] = (v, w)
+                                if kslack < best and bw != bv:
+                                    bestedge[bv], bestslack[bv] = (v, w), kslack
+                                    best = kslack
+                            elif label[w] == 0:  # bestedge[w] is (u, w) for some S-vertex u
+                                if bestedge[w] is None or kslack < bestslack[w]:
+                                    bestedge[w], bestslack[w] = (v, w), kslack
                             continue
-                        allow[w] = allowed[w][v] = 1
-                    if label[bw] == 0:
+                        if bw == bv:
+                            continue
+                        allow[w] = allowed[w][v] = stage
+                    elif bw == bv:
+                        continue  # w == v, or the edge is inside a blossom
+                    lab = label[bw]
+                    if lab == 0:
                         assign_label(w, 2, v)
-                    elif label[bw] == 1:
+                    elif lab == 1:
                         base = scan_blossom(v, w)
                         if base == -1:
                             augment_matching(v, w)
                             augmented = True
                             break
                         add_blossom(base, v, w)
+                        # of the actions, only a new blossom changes bv and its incumbent
                         bv = inblossom[v]
+                        best = bestslack[bv] if bestedge[bv] is not None else _INF
                     elif label[w] == 0:
                         label[w] = 2
                         labeledge[w] = (v, w)
@@ -356,14 +413,14 @@ def _solve(dist: list[list[int]]):
 
             deltatype = -1
             delta = deltaedge = deltablossom = None
-            for v in range(n):  # delta2: least slack from an S-vertex to a free one
-                if label[inblossom[v]] == 0 and bestedge[v] is not None:
-                    d = slack(*bestedge[v])
+            for v, e, bv in zip(range(n), bestedge, inblossom):  # delta2: S to free vertex
+                if e is not None and label[bv] == 0:
+                    d = bestslack[v]
                     if deltatype == -1 or d < delta:
-                        delta, deltatype, deltaedge = d, 2, bestedge[v]
+                        delta, deltatype, deltaedge = d, 2, e
             for b in chain(range(n), blossomdual):  # delta3: half the least S-S slack
                 if blossomparent[b] == -1 and label[b] == 1 and bestedge[b] is not None:
-                    d = slack(*bestedge[b]) // 2
+                    d = bestslack[b] // 2
                     if deltatype == -1 or d < delta:
                         delta, deltatype, deltaedge = d, 3, bestedge[b]
             for b, z in blossomdual.items():  # delta4: least dual of a T-blossom
@@ -373,12 +430,8 @@ def _solve(dist: list[list[int]]):
                 deltatype = 1
                 delta = max(0, min(dualvar))
 
-            for v in range(n):
-                lab = label[inblossom[v]]
-                if lab == 1:
-                    dualvar[v] -= delta
-                elif lab == 2:
-                    dualvar[v] += delta
+            shift = (0, -delta, delta)  # by the label of the top-level blossom
+            dualvar[:] = [y + shift[label[b]] for y, b in zip(dualvar, inblossom)]
             for b in blossomdual:
                 if blossomparent[b] == -1:
                     if label[b] == 1:
@@ -388,11 +441,15 @@ def _solve(dist: list[list[int]]):
 
             if deltatype == 1:
                 break
+            for x, e in enumerate(bestedge):
+                if e is not None:
+                    v, w = e
+                    bestslack[x] = dualvar[v] + dualvar[w] + dist2[v][w]
             if deltatype == 4:
                 expand_blossom(deltablossom, False)
             else:
                 v, w = deltaedge
-                allowed[v][w] = allowed[w][v] = 1
+                allowed[v][w] = allowed[w][v] = stage
                 queue.append(v)
 
         if not augmented:
@@ -409,31 +466,39 @@ def _check_optimum(dist, mate, dualvar, blossomparent, blossomdual, edges) -> No
     """NetworkX's ``verifyOptimum``: raise unless the matching is perfect,
     every edge has non-negative slack, every matched edge is tight and every
     blossom with a positive dual is full.  (A perfect matching leaves no
-    single vertex, so the check on their duals has nothing to read.)"""
+    single vertex, so the check on their duals has nothing to read.)
+
+    An edge's slack is its raw slack ``dualvar[i] + dualvar[j] + 2*dist[i][j]``
+    plus twice the dual of each blossom holding both ends.  Those duals are
+    checked non-negative first, so an unmatched edge with a non-negative raw
+    slack cannot fail; the blossom nest is walked only for the other edges.
+    Edges are read in (i, j) order, so the first failing edge is the one that
+    a walk over every edge would report."""
     n = len(dist)
     if -1 in mate or any(mate[mate[v]] != v for v in range(n)):
         raise RuntimeError("blossom: the matching is not perfect")
     if any(z < 0 for z in blossomdual.values()):
         raise RuntimeError("blossom: a blossom dual is negative")
-    # each vertex's nested blossoms, outermost first
-    nest = []
-    for v in range(n):
-        up = [v]
-        while blossomparent[up[-1]] != -1:
-            up.append(blossomparent[up[-1]])
-        nest.append(up[::-1])
     for i in range(n):
+        di, k, row = dualvar[i], mate[i], dist[i]
         for j in range(i + 1, n):
-            s = dualvar[i] + dualvar[j] + 2 * dist[i][j]
-            if nest[i][0] == nest[j][0]:
-                for bi, bj in zip(nest[i], nest[j]):
-                    if bi != bj:
-                        break
-                    s += 2 * blossomdual[bi]
-            if s < 0:
-                raise RuntimeError(f"blossom: edge ({i}, {j}) has negative slack")
-            if mate[i] == j and s != 0:
-                raise RuntimeError(f"blossom: matched edge ({i}, {j}) is not tight")
+            s = di + dualvar[j] + 2 * row[j]
+            if s < 0 or j == k:
+                b = blossomparent[i]
+                if b != -1 and blossomparent[j] != -1:
+                    holding_i = set()
+                    while b != -1:
+                        holding_i.add(b)
+                        b = blossomparent[b]
+                    b = blossomparent[j]
+                    while b != -1:
+                        if b in holding_i:
+                            s += 2 * blossomdual[b]
+                        b = blossomparent[b]
+                if s < 0:
+                    raise RuntimeError(f"blossom: edge ({i}, {j}) has negative slack")
+                if j == k and s != 0:
+                    raise RuntimeError(f"blossom: matched edge ({i}, {j}) is not tight")
     for b, z in blossomdual.items():
         if z > 0 and (len(edges[b]) % 2 != 1
                       or any(mate[i] != j or mate[j] != i for i, j in edges[b][1::2])):

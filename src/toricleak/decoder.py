@@ -75,6 +75,11 @@ class Decoder:
         # [check type][s1][s2] -> (torus distance, crossing parities), filled on first use
         self._pairs = [[[None] * lat.d**2 for _ in range(lat.d**2)] for _ in (0, 1)]
         self._sites = lat.d**2
+        # [s1, s2] -> torus distance, the length of either check type's repair path
+        row, col = np.divmod(np.arange(lat.d**2), lat.d)
+        gap_r = np.abs(row[:, None] - row)
+        gap_c = np.abs(col[:, None] - col)
+        self._site_dist = np.minimum(gap_r, lat.d - gap_r) + np.minimum(gap_c, lat.d - gap_c)
 
     def _pair(self, check_type: int, s1: int, s2: int) -> tuple[int, int]:
         """Torus distance and the two logical-crossing parities of the repair
@@ -134,26 +139,19 @@ class Decoder:
         return best
 
     def _blossom(self, check_type: int, mask: int) -> tuple[int, int]:
-        pairs = self._pairs[check_type]
-        times, sites = [], []
+        cells = []
         while mask:
             low = mask & -mask
             mask ^= low
-            t, s = divmod(low.bit_length() - 1, self._sites)
-            times.append(t)
-            sites.append(s)
-        n = len(sites)
-        w = [[0] * n for _ in range(n)]
-        for i, (t1, s1) in enumerate(zip(times, sites)):
-            row = pairs[s1]
-            for j in range(i + 1, n):
-                s2 = sites[j]
-                w[i][j] = w[j][i] = (row[s2] or self._pair(check_type, s1, s2))[0] + abs(t1 - times[j])
+            cells.append(low.bit_length() - 1)
+        times, sites = np.divmod(np.array(cells), self._sites)
+        w = (self._site_dist[sites[:, None], sites] + np.abs(times[:, None] - times)).tolist()
+        sites = sites.tolist()
         weight = par = 0
         for i, j in enumerate(min_weight_perfect_matching(w)):
             if i < j:  # the earlier defect leads its path
                 weight += w[i][j]
-                par ^= pairs[sites[i]][sites[j]][1]
+                par ^= self._pair(check_type, sites[i], sites[j])[1]
         return weight, par
 
     def judge_batch(self, syndromes: np.ndarray, data_x: np.ndarray, data_z: np.ndarray) -> np.ndarray:

@@ -75,11 +75,14 @@ def _index_scripts(compiled: CompiledProgram, scripts: Sequence[Script | None]):
         for gi, per_qubit in script.paulis.items():
             g = compiled.gates[gi]
             touched = (g.q0,) if g.q1 < 0 else (g.q0, g.q1)
+            if len(per_qubit) > len(touched):
+                raise ValueError(f"gate {gi} has no qubit at position {len(touched)} for a Pauli")
             for q, (px, pz) in zip(touched, per_qubit):
                 paulis[layer_of[gi]].append((row, q, px, pz))
         for gi in script.meas_flips:
-            if compiled.gates[gi].kind == MEAS_Z:  # a flip elsewhere has no outcome to flip
-                meas_flips[layer_of[gi]].append((row, gi - compiled.layers[layer_of[gi]].start))
+            if compiled.gates[gi].kind != MEAS_Z:
+                raise ValueError(f"gate {gi} is no measurement, so it has no outcome to flip")
+            meas_flips[layer_of[gi]].append((row, gi - compiled.layers[layer_of[gi]].start))
         for e, (dx, dz) in script.readout_flips.items():
             readout_flips.append((row, e, dx, dz))
     return leaks, paulis, meas_flips, readout_flips

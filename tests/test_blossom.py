@@ -41,6 +41,44 @@ def test_same_matching_as_networkx_on_tie_heavy_complete_graphs():
             assert _pairs(min_weight_perfect_matching(w)) == _match_blossom(w), (n, w)
 
 
+def test_same_matching_as_networkx_on_positive_tie_heavy_graphs():
+    """Weights in 1..3: every off-diagonal weight is positive, so stage 1 is
+    taken in bulk, and ties are everywhere, so its argmins must be the first
+    ones."""
+    rng = np.random.default_rng(13)
+    for n in range(2, 41, 2):
+        for _ in range(3):
+            w = np.triu(rng.integers(1, 4, (n, n)), 1)
+            w = (w + w.T).tolist()
+            assert _pairs(min_weight_perfect_matching(w)) == _match_blossom(w), (n, w)
+
+
+def test_same_matching_as_networkx_with_some_zero_weights():
+    """A few zero-weight edges among positive ones: stage 1 runs as a loop and
+    meets tight edges at its first scans."""
+    rng = np.random.default_rng(14)
+    for n in range(4, 41, 4):
+        for zeros in (1, 3, n):
+            w = np.triu(rng.integers(1, 5, (n, n)), 1)
+            for _ in range(zeros):
+                i, j = sorted(rng.choice(n, 2, replace=False))
+                w[i, j] = 0
+            w = (w + w.T).tolist()
+            assert _pairs(min_weight_perfect_matching(w)) == _match_blossom(w), (n, w)
+
+
+@pytest.mark.parametrize("n", [2, 4])
+def test_same_matching_as_networkx_on_the_smallest_graphs(n):
+    """Every weight assignment in 0..2 of the complete graph on n vertices."""
+    cells = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    for code in range(3 ** len(cells)):
+        w = [[0] * n for _ in range(n)]
+        for i, j in cells:
+            code, w[i][j] = divmod(code, 3)
+            w[j][i] = w[i][j]
+        assert _pairs(min_weight_perfect_matching(w)) == _match_blossom(w), w
+
+
 def test_same_matching_as_networkx_on_torus_defect_sets():
     """Spacetime defect sets on the d=5 torus: the weights the decoder builds."""
     rng = np.random.default_rng(12)

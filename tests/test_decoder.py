@@ -161,6 +161,33 @@ def test_path_edges_flip_exactly_the_endpoints(d):
 
 
 @pytest.mark.parametrize("d", [3, 5])
+def test_site_distance_table_is_the_repair_path_length(d):
+    """The closed-form table that blossom weights read, against the repair
+    path of every site pair, for both check types."""
+    lat = build_lattice(d)
+    table = Decoder(lat)._site_dist.tolist()
+    for check_type in (0, 1):
+        assert table == [[len(path_edges(lat, check_type, s1, s2)) for s2 in range(d * d)]
+                         for s1 in range(d * d)]
+
+
+def test_blossom_route_on_a_fresh_decoder():
+    """Each decoder's first call is a blossom matching, so no pair is cached
+    yet: its weight and parities are those of networkx's pairs repaired along
+    ``path_edges``."""
+    rng = np.random.default_rng(31)
+    lat = build_lattice(5)
+    for trial in range(20):
+        check_type = trial % 2
+        defects = random_defects(rng, 5, 4, 16)
+        pairs = match_defects(lat, defects)
+        w = weight_matrix(lat, defects)
+        weight = sum(w[defects.index(a), defects.index(b)] for a, b in pairs)
+        got = Decoder(lat).matching(check_type, defect_mask(lat, defects))
+        assert got == (weight, crossing_parities(lat, check_type, pairs)), defects
+
+
+@pytest.mark.parametrize("d", [3, 5])
 def test_every_single_data_error_is_corrected(d):
     compiled = compile_program(build_program("standard", d, 2), NULL_NOISE)
     singles = np.eye(compiled.lattice.n_data, dtype=np.uint8)

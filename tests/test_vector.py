@@ -139,6 +139,20 @@ def test_scripted_batches_do_not_depend_on_chunk_boundaries():
         assert traces == whole_traces
 
 
+def test_a_measurement_flip_on_another_gate_is_refused():
+    compiled = compile_program(build_program("standard", 3, 1), NoiseModel(p=1e-3))
+    gi = next(gi for gi, g in enumerate(compiled.gates) if g.kind == CNOT)
+    with pytest.raises(ValueError, match=f"gate {gi} is no measurement"):
+        execute(compiled, 1, scripts=[Script(meas_flips={gi})])
+
+
+def test_a_pauli_beyond_the_gates_qubits_is_refused():
+    compiled = compile_program(build_program("standard", 3, 1), NoiseModel(p=1e-3))
+    gi = next(gi for gi, g in enumerate(compiled.gates) if g.kind == MEAS_Z)
+    with pytest.raises(ValueError, match=f"gate {gi} has no qubit at position 1"):
+        execute(compiled, 1, scripts=[Script(paulis={gi: ((1, 0), (0, 1))})])
+
+
 @pytest.mark.parametrize("variant", VARIANTS)
 @pytest.mark.parametrize("noise", [SCRIPTED_NOISE], ids=["random_bit"])
 def test_batch_traces_match_leak_consequences(variant, noise):
@@ -167,7 +181,8 @@ def _random_script(compiled, rng):
         gi = int(rng.integers(len(compiled.gates)))
         width = 2 if compiled.gates[gi].q1 >= 0 else 1
         script.paulis[gi] = tuple(paulis[k] for k in rng.integers(4, size=width))
-    script.meas_flips.update(int(g) for g in rng.integers(len(compiled.gates), size=2))
+    meas = [gi for gi, g in enumerate(compiled.gates) if g.kind == MEAS_Z]
+    script.meas_flips.update(meas[k] for k in rng.integers(len(meas), size=2))
     script.readout_flips[int(rng.integers(compiled.lattice.n_data))] = paulis[rng.integers(4)]
     return script
 
