@@ -76,7 +76,9 @@ def min_weight_perfect_matching(dist: list[list[int]]) -> list[int]:
     """Partner of each vertex in a minimum-weight perfect matching of the
     complete graph on an even number of vertices with symmetric non-negative
     int edge weights ``dist``; raises if the result fails the optimality
-    check."""
+    check.  The empty graph's matching is empty."""
+    if not dist:
+        return []
     state = _solve(dist)
     _check_optimum(dist, *state)
     return state[0]

@@ -8,15 +8,14 @@ work on any array whose last axis indexes qubits, so the same rules act on
 one frame or on a batch of frames.
 
 Shot i of a run draws its uniforms from numpy's PCG64 seeded with
-``SeedSequence([master_seed, i])``.  ``batch_uniforms`` returns a batch's
-draws as one column-major matrix in an anonymous memory mapping.  It hashes
-every shot's seed at once in numpy uint32 arithmetic instead of building a
-seed sequence and a generator per shot, and returns the same bits.
+``SeedSequence([master_seed, i])``.  ``batch_uniforms`` fills a column-major
+matrix with the draws of a run of consecutive shots, into the caller's
+buffer when it is given one.  It hashes every shot's seed at once in numpy
+uint32 arithmetic instead of building a seed sequence and a generator per
+shot, and returns the same bits.
 """
 
 from __future__ import annotations
-
-import mmap
 
 import numpy as np
 
@@ -178,7 +177,9 @@ def _pcg64_states(seed_states: np.ndarray) -> list[tuple[int, int]]:
     return states
 
 
-def batch_uniforms(master_seed: int, shot_start: int, n_shots: int, n_draws: int) -> np.ndarray:
+def batch_uniforms(
+    master_seed: int, shot_start: int, n_shots: int, n_draws: int, *, out: np.ndarray | None = None
+) -> np.ndarray:
     """Draw rows of shots ``shot_start ..``: row i is the first ``n_draws``
     ``Generator.random`` values of ``PCG64(SeedSequence([master_seed,
     shot_start + i]))``.
@@ -191,16 +192,19 @@ def batch_uniforms(master_seed: int, shot_start: int, n_shots: int, n_draws: int
     which draws the shot's row into a small block, and the block is copied
     into the matrix.  Only one block's states exist as Python ints at once.
 
-    The matrix is column-major, so every draw column that the executor
-    reads is contiguous.  It lives in its own anonymous
-    memory mapping, so freeing it unmaps its pages.  A heap block of that
-    size would stay with the process after each batch, and the allocations
-    made between batches would split it, so the next batch's matrix could
-    grow the heap again: a sweep's peak memory would then depend on heap
-    layout alone.  The price is a first touch of fresh pages per batch.
+    ``out`` is the caller's float64 (n_shots × n_draws) buffer to fill and
+    return, for example the leading rows of a larger column-major buffer
+    reused from one call to the next.  Without it a new column-major matrix
+    is allocated, so every draw column that the executor reads is
+    contiguous.
     """
-    mapping = mmap.mmap(-1, max(8 * n_shots * n_draws, 1))
-    out = np.ndarray((n_shots, n_draws), dtype=np.float64, buffer=mapping, order="F")
+    if out is None:
+        out = np.empty((n_shots, n_draws), order="F")
+    elif out.shape != (n_shots, n_draws) or out.dtype != np.float64:
+        raise ValueError(
+            f"out is a {out.dtype} array of shape {out.shape}, "
+            f"not float64 of shape {(n_shots, n_draws)}"
+        )
     bitgen = np.random.PCG64(0)
     gen = np.random.Generator(bitgen)
     block = np.empty((min(n_shots, _BLOCK_ROWS), n_draws))

@@ -13,14 +13,17 @@ Frames, leak flags and syndromes are qubit-contiguous (column-major), so a
 layer's gather of its qubits reads whole columns.  Without a draw matrix
 every draw takes its null outcome, so scripted fault injections replay
 deterministically.
-``run_batch`` is the Monte-Carlo entry point; the scanner calls ``execute``
-directly for its scripted replays.
+``run_batch`` is the Monte-Carlo entry point.  It draws and executes a batch
+``_CHUNK_ROWS`` rows at a time through one reused draw buffer, so its memory
+is bounded by the chunk, not the batch, and every row is the one a
+whole-batch draw would give it.  The scanner calls ``execute`` directly for
+its scripted replays.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Sequence
 
 import numpy as np
@@ -39,6 +42,10 @@ _Z15A = np.array([a[1] for a, b in PAULI2_ERRORS], dtype=np.uint8)
 _X15B = np.array([b[0] for a, b in PAULI2_ERRORS], dtype=np.uint8)
 _Z15B = np.array([b[1] for a, b in PAULI2_ERRORS], dtype=np.uint8)
 
+# Monte-Carlo rows drawn and executed at once.  Fewer rows save little more
+# memory, and below about 256 the executor's per-layer overhead costs time.
+_CHUNK_ROWS = 512
+
 
 @dataclass
 class BatchResult:
@@ -54,9 +61,23 @@ def run_batch(
     shot_start: int,
     n_shots: int,
 ) -> BatchResult:
-    """Monte-Carlo shots ``shot_start ..`` of the deterministic per-shot streams."""
-    U = batch_uniforms(master_seed, shot_start, n_shots, compiled.n_draws)
-    return execute(compiled, n_shots, uniforms=U)
+    """Monte-Carlo shots ``shot_start ..`` of the deterministic per-shot streams.
+
+    The rows run in chunks of ``_CHUNK_ROWS``.  Each chunk's draws fill the
+    leading rows of one column-major buffer, allocated once per call, and
+    the chunks' results are stacked into one ``BatchResult``.  A row depends
+    only on ``(master_seed, shot_index)``, so the chunking changes no bit.
+    """
+    n_draws = compiled.n_draws
+    buf = np.empty((min(n_shots, _CHUNK_ROWS), n_draws), order="F")
+    parts = []
+    # at least one chunk, so that an empty batch keeps its shapes
+    for lo in range(0, max(n_shots, 1), _CHUNK_ROWS):
+        m = min(n_shots - lo, _CHUNK_ROWS)
+        U = batch_uniforms(master_seed, shot_start + lo, m, n_draws, out=buf[:m])
+        parts.append(execute(compiled, m, uniforms=U))
+    return BatchResult(*(np.concatenate([getattr(part, f.name) for part in parts])
+                         for f in fields(BatchResult)))
 
 
 def _index_scripts(compiled: CompiledProgram, scripts: Sequence[Script | None]):

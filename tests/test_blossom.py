@@ -67,9 +67,10 @@ def test_same_matching_as_networkx_with_some_zero_weights():
             assert _pairs(min_weight_perfect_matching(w)) == _match_blossom(w), (n, w)
 
 
-@pytest.mark.parametrize("n", [2, 4])
+@pytest.mark.parametrize("n", [0, 2, 4])
 def test_same_matching_as_networkx_on_the_smallest_graphs(n):
-    """Every weight assignment in 0..2 of the complete graph on n vertices."""
+    """Every weight assignment in 0..2 of the complete graph on n vertices;
+    at n = 0 the one empty graph, whose matching is empty."""
     cells = [(i, j) for i in range(n) for j in range(i + 1, n)]
     for code in range(3 ** len(cells)):
         w = [[0] * n for _ in range(n)]

@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from oracles import leak_consequences, run_shot, shot_uniforms
+from toricleak import vector
 from toricleak.circuits import CNOT, MEAS_Z, SWAP, VARIANTS, build_program
 from toricleak.noise import NoiseModel
 from toricleak.pauli import batch_uniforms
@@ -81,10 +83,64 @@ def test_batch_rows_independent_of_chunking():
 
 def test_batch_shapes():
     compiled = compile_program(build_program("mixed_lrc", 3, 2), NoiseModel(p=0.01))
-    batch = run_batch(compiled, 1, 0, 5)
-    assert batch.syndromes.shape == (5, 3, 2, 9)
-    assert batch.data_x.shape == (5, 18)
-    assert batch.leak_final.shape == (5, 54)
+    for n_shots in (5, 0):  # an empty batch keeps its shapes
+        batch = run_batch(compiled, 1, 0, n_shots)
+        assert batch.syndromes.shape == (n_shots, 3, 2, 9)
+        assert batch.data_x.shape == batch.data_z.shape == (n_shots, 18)
+        assert batch.leak_final.shape == (n_shots, 54)
+
+
+def test_chunked_batch_equals_one_whole_batch_execution(monkeypatch):
+    """Chunks of 3 rows, from shot 5: three full chunks and a partial last
+    one give the rows of one execution over the whole batch's draws."""
+    compiled = compile_program(build_program("mixed_lrc", 3, 2), REFERENCE_NOISE)
+    monkeypatch.setattr(vector, "_CHUNK_ROWS", 3)
+    chunked = run_batch(compiled, 7, 5, 10)
+    whole = execute(compiled, 10, uniforms=batch_uniforms(7, 5, 10, compiled.n_draws))
+    assert whole.leak_final.any() and whole.syndromes.any()
+    for name in RESULT_FIELDS:
+        np.testing.assert_array_equal(getattr(chunked, name), getattr(whole, name), err_msg=name)
+
+
+def test_draws_into_the_leading_rows_of_a_larger_buffer():
+    n_draws = 37
+    buf = np.full((8, n_draws), np.nan, order="F")
+    drawn = batch_uniforms(3, 11, 5, n_draws, out=buf[:5])
+    assert np.shares_memory(drawn, buf)
+    np.testing.assert_array_equal(buf[:5].view(np.uint64),
+                                  batch_uniforms(3, 11, 5, n_draws).view(np.uint64))
+    assert np.isnan(buf[5:]).all()
+
+
+@pytest.mark.parametrize("out", [np.empty((4, 6), order="F"), np.empty((5, 7), order="F"),
+                                 np.empty((5, 6), dtype=np.float32, order="F")],
+                         ids=["rows", "draws", "dtype"])
+def test_draws_into_a_mismatched_buffer_are_refused(out):
+    with pytest.raises(ValueError, match="not float64 of shape"):
+        batch_uniforms(3, 11, 5, 6, out=out)
+
+
+def test_a_batch_draws_at_most_one_chunk_at_a_time(monkeypatch):
+    """Four chunks of mixed_lrc d=3: no draw call asks for more than a chunk
+    of rows, and the traced peak stays below half of the whole batch's draw
+    matrix (one chunk's draws are a quarter of it)."""
+    compiled = compile_program(build_program("mixed_lrc", 3, 3), NoiseModel(p=3e-3, r=1.0))
+    n_shots = 4 * vector._CHUNK_ROWS
+    asked = []
+
+    def spy(master_seed, shot_start, n_shots, n_draws, **kwargs):
+        asked.append(n_shots)
+        return batch_uniforms(master_seed, shot_start, n_shots, n_draws, **kwargs)
+
+    monkeypatch.setattr(vector, "batch_uniforms", spy)
+    tracemalloc.start()
+    try:
+        run_batch(compiled, 5, 0, n_shots)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sum(asked) == n_shots and max(asked) <= vector._CHUNK_ROWS
+    assert peak < n_shots * compiled.n_draws * 8 / 2, peak
 
 
 def _mixed_scripts(compiled, n_each=10, seed=3):
