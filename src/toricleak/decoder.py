@@ -8,9 +8,22 @@ ascending ``(t, site)``.  Events of each check type are matched in spacetime
 with weight = torus Manhattan distance + time separation, exactly: a
 memoised top-down subset DP on sub-masks for up to 10 defects, an exact
 blossom matching (``blossom``, a port of NetworkX's) of the mask's cells in
-bit order beyond that.  Matched pairs are repaired along deterministic
-shortest torus paths, rows before columns, wrapping toward the shorter side
-(odd distance leaves no axis ties).
+bit order beyond that.
+
+A matched pair is repaired along a shortest torus path, of which the decoder
+needs only the length and the two logical-crossing parities: one pair table
+holds them for every site pair, built in closed form.  On one axis the
+shorter walk from ``a`` to ``b`` is unique (odd ``d`` leaves no tie between
+the two directions), so its length is ``min(delta, d - delta)`` and it steps
+over the boundary between ``k`` and ``k + 1`` exactly when that boundary
+lies on the chosen side.  A logical's support cuts across one such boundary:
+star repairs cross Z_L1 between columns 0 and 1 and Z_L2 between rows 0 and
+1, plaquette repairs X_L1 between rows d-1 and 0 and X_L2 between columns
+d-1 and 0.  All shortest paths between two checks take the same steps per
+axis, in some order, so any two differ by a homologically trivial cycle,
+which meets every logical's support evenly: they all have the table's
+parities.
+
 The decoder is the one matcher and returns verdicts, not corrections: the
 crossing parities of ``Decoder.matching`` are the rule that the Monte-Carlo
 judge and the scanner both read.  The decoder keeps no matching cache; a
@@ -27,39 +40,6 @@ from .lattice import ToricLattice
 _DP_LIMIT = 10  # top-down subset DP up to here, blossom matching above
 
 
-def path_edges(lat: ToricLattice, check_type: int, s1: int, s2: int) -> list[int]:
-    """Shortest torus path between two same-type check sites, as edge ids.
-
-    Rows are traversed before columns; each axis wraps toward the shorter
-    side.  For Z checks the path lives on the primal lattice (edges flip the
-    two endpoint stars); for X checks on the dual (endpoint plaquettes).
-    """
-    d = lat.d
-    r, c = divmod(s1, d)
-    r2, c2 = divmod(s2, d)
-    edges = []
-
-    def signed_step(a, b):
-        delta = (b - a) % d
-        return 1 if 0 < delta <= d // 2 else (-1 if delta else 0)
-
-    while r != r2:
-        step = signed_step(r, r2)
-        if check_type == 0:  # stars: vertical edge between (r, c) and (r+1, c)
-            edges.append(lat.v(r if step == 1 else r - 1, c))
-        else:  # plaquettes: shared horizontal edge
-            edges.append(lat.h(r + 1 if step == 1 else r, c))
-        r = (r + step) % d
-    while c != c2:
-        step = signed_step(c, c2)
-        if check_type == 0:
-            edges.append(lat.h(r, c if step == 1 else c - 1))
-        else:
-            edges.append(lat.v(r, c + 1 if step == 1 else c))
-        c = (c + step) % d
-    return edges
-
-
 class Decoder:
     """Judges shots by the logical-crossing parities of their matchings.
 
@@ -70,28 +50,22 @@ class Decoder:
 
     def __init__(self, lat: ToricLattice):
         self.lat = lat
-        # star repairs flip X frames, read by the Z logicals; plaquette repairs Z, by X
-        self._crossed = tuple(tuple(map(frozenset, ls)) for ls in (lat.z_logicals, lat.x_logicals))
-        # [check type][s1][s2] -> (torus distance, crossing parities), filled on first use
-        self._pairs = [[[None] * lat.d**2 for _ in range(lat.d**2)] for _ in (0, 1)]
-        self._sites = lat.d**2
-        # [s1, s2] -> torus distance, the length of either check type's repair path
-        row, col = np.divmod(np.arange(lat.d**2), lat.d)
-        gap_r = np.abs(row[:, None] - row)
-        gap_c = np.abs(col[:, None] - col)
-        self._site_dist = np.minimum(gap_r, lat.d - gap_r) + np.minimum(gap_c, lat.d - gap_c)
-
-    def _pair(self, check_type: int, s1: int, s2: int) -> tuple[int, int]:
-        """Torus distance and the two logical-crossing parities of the repair
-        path from ``s1`` to ``s2``."""
-        row = self._pairs[check_type][s1]
-        hit = row[s2]
-        if hit is None:
-            path = path_edges(self.lat, check_type, s1, s2)
-            par = sum((sum(e in support for e in path) & 1) << bit
-                      for bit, support in enumerate(self._crossed[check_type]))
-            hit = row[s2] = (len(path), par)
-        return hit
+        d = lat.d
+        self._sites = d * d
+        # one axis, a -> b: the shorter walk's length, and whether it steps over
+        # the boundary k | k + 1, for k = 0 (low) and k = d - 1 (high)
+        a, b = np.arange(d)[:, None], np.arange(d)
+        ahead = (b - a) % d
+        steps = np.minimum(ahead, d - ahead)
+        low, high = ((((k - a) % d < ahead) == (ahead <= d // 2)).astype(int) for k in (0, d - 1))
+        row, col = np.divmod(np.arange(d * d), d)
+        rows, cols = np.ix_(row, row), np.ix_(col, col)
+        dist = steps[rows] + steps[cols]
+        # bits (Z_L1, Z_L2) of star repairs, (X_L1, X_L2) of plaquette ones, as the docstring says
+        parities = (low[cols] | low[rows] << 1, high[rows] | high[cols] << 1)
+        # [check type, s1, s2] -> (torus distance, crossing parities); the DP reads its list form
+        self._table = np.stack([np.stack((dist, par), axis=-1) for par in parities])
+        self._pairs = self._table.tolist()
 
     def matching(self, check_type: int, mask: int, memo: dict | None = None) -> tuple[int, int]:
         """Weight and crossing parities of the minimum-weight perfect matching
@@ -131,7 +105,7 @@ class Decoder:
             t, s = divmod(bit.bit_length() - 1, self._sites)
             sub = rest ^ bit
             weight, sub_par = scope.get(sub) or self._subset_match(check_type, sub, scope)
-            dist, par = row[s] or self._pair(check_type, s0, s)
+            dist, par = row[s]
             weight += dist + abs(t - t0)
             if best is None or weight < best[0]:
                 best = (weight, sub_par ^ par)
@@ -145,13 +119,14 @@ class Decoder:
             mask ^= low
             cells.append(low.bit_length() - 1)
         times, sites = np.divmod(np.array(cells), self._sites)
-        w = (self._site_dist[sites[:, None], sites] + np.abs(times[:, None] - times)).tolist()
-        sites = sites.tolist()
+        dist = self._table[check_type, sites[:, None], sites, 0]
+        w = (dist + np.abs(times[:, None] - times)).tolist()
+        sites, pairs = sites.tolist(), self._pairs[check_type]
         weight = par = 0
         for i, j in enumerate(min_weight_perfect_matching(w)):
-            if i < j:  # the earlier defect leads its path
+            if i < j:
                 weight += w[i][j]
-                par ^= self._pair(check_type, sites[i], sites[j])[1]
+                par ^= pairs[sites[i]][sites[j]][1]
         return weight, par
 
     def judge_batch(self, syndromes: np.ndarray, data_x: np.ndarray, data_z: np.ndarray) -> np.ndarray:

@@ -63,7 +63,7 @@ class ConfigError(ValueError):
 
 
 class InsufficientData(ValueError):
-    """Fewer qualifying points than a fit needs (CLI exit code 3)."""
+    """Too few qualifying points, or distinct p, for a fit (CLI exit code 3)."""
 
 
 # ---------------------------------------------------------------------------
@@ -388,6 +388,8 @@ def fit_exponent(rows: list[SweepRow], variant: str | None = None,
             f"{len(pts)} qualifying points "
             f"(need >= {MIN_FIT_POINTS}: p > 0, failures >= {FIT_MIN_FAILURES} "
             f"and P_L < {FIT_MAX_RATE})")
+    if len({r.p for r in pts}) < 2:
+        raise InsufficientData(f"{len(pts)} qualifying points share one p, so no slope is defined")
     xs = np.array([math.log(r.p) for r in pts])
     ys = np.array([math.log(r.p_logical) for r in pts])
     ws = []

@@ -175,10 +175,10 @@ def spec_location(compiled: CompiledProgram, spec: FaultSpec) -> SpecLocation:
         role = "+".join(label.roles)
     phase = "-"
     if label.kind == H:
-        first, last = _round_cnot_bounds(compiled)[label.round]
-        if label.gate_index < first:
+        kinds = [op.kind for op in compiled.program.rounds[label.round]]
+        if label.gate_index < kinds.index(CNOT):
             phase = "pre"
-        elif label.gate_index > last:
+        elif CNOT not in kinds[label.gate_index:]:
             phase = "post"
         else:
             phase = "mid"
@@ -191,19 +191,6 @@ def spec_location(compiled: CompiledProgram, spec: FaultSpec) -> SpecLocation:
         phase=phase,
         check=label.check,
     )
-
-
-def _round_cnot_bounds(compiled: CompiledProgram) -> dict[int, tuple[int, int]]:
-    bounds = getattr(compiled, "_cnot_bounds", None)
-    if bounds is None:
-        bounds = {}
-        for g in compiled.gates:
-            if g.kind == CNOT:
-                r = g.label.round
-                lo, hi = bounds.get(r, (g.label.gate_index, g.label.gate_index))
-                bounds[r] = (min(lo, g.label.gate_index), max(hi, g.label.gate_index))
-        compiled._cnot_bounds = bounds
-    return bounds
 
 
 # ---------------------------------------------------------------------------

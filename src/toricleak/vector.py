@@ -85,26 +85,35 @@ def _index_scripts(compiled: CompiledProgram, scripts: Sequence[Script | None]):
     leaks, paulis, meas_flips = defaultdict(list), defaultdict(list), defaultdict(list)
     readout_flips = []
     layer_of = [li for li, layer in enumerate(compiled.layers) for _ in layer.q0]
+    n_gates, n_data = len(compiled.gates), compiled.lattice.n_data
+
+    def gate(gi):
+        if not 0 <= gi < n_gates:
+            raise ValueError(f"gate {gi} is not one of the program's {n_gates} gates")
+        return compiled.gates[gi]
+
     for row, script in enumerate(scripts):
         if script is None:
             continue
         for gi, pos in script.leaks:
-            g = compiled.gates[gi]
+            g = gate(gi)
             if pos not in (0, 1) or (pos == 1 and g.q1 < 0):
                 raise ValueError(f"gate {gi} has no qubit at position {pos} to leak")
             leaks[layer_of[gi]].append((row, (g.q0, g.q1)[pos]))
         for gi, per_qubit in script.paulis.items():
-            g = compiled.gates[gi]
+            g = gate(gi)
             touched = (g.q0,) if g.q1 < 0 else (g.q0, g.q1)
             if len(per_qubit) > len(touched):
                 raise ValueError(f"gate {gi} has no qubit at position {len(touched)} for a Pauli")
             for q, (px, pz) in zip(touched, per_qubit):
                 paulis[layer_of[gi]].append((row, q, px, pz))
         for gi in script.meas_flips:
-            if compiled.gates[gi].kind != MEAS_Z:
+            if gate(gi).kind != MEAS_Z:
                 raise ValueError(f"gate {gi} is no measurement, so it has no outcome to flip")
             meas_flips[layer_of[gi]].append((row, gi - compiled.layers[layer_of[gi]].start))
         for e, (dx, dz) in script.readout_flips.items():
+            if not 0 <= e < n_data:
+                raise ValueError(f"edge {e} is not one of the {n_data} data edges to flip")
             readout_flips.append((row, e, dx, dz))
     return leaks, paulis, meas_flips, readout_flips
 

@@ -1,6 +1,8 @@
 """Test-side oracles: structural checks, text forms, a zero-noise model,
 lattice coordinates, the per-shot reference draws, one-shot and scripted
-replays, the torus metric, a reference matcher and residual-weight analysis.
+replays, the torus metric, rows-first repair paths (``path_edges``, the
+reference for the decoder's closed-form pair table), a reference matcher and
+residual-weight analysis.
 
 None of this is on a production path.  The tests use it to check circuits,
 lattices, configs, matchings and the batch draws, to replay single shots and
@@ -19,7 +21,7 @@ import networkx as nx
 import numpy as np
 
 from toricleak.circuits import H, MEAS_Z, PREP_Z, SWAP, CircuitProgram
-from toricleak.decoder import _DP_LIMIT, Decoder, path_edges
+from toricleak.decoder import _DP_LIMIT, Decoder
 from toricleak.experiments import _LIST_KEYS, CONFIG_VERSION, ExperimentConfig, _fmt
 from toricleak.lattice import Z, ToricLattice
 from toricleak.noise import NoiseModel
@@ -315,6 +317,39 @@ def replay_spec(compiled: CompiledProgram, decoder: Decoder, spec: FaultSpec):
 # reference matcher
 
 
+def path_edges(lat: ToricLattice, check_type: int, s1: int, s2: int) -> list[int]:
+    """Shortest torus path between two same-type check sites, as edge ids.
+
+    Rows are traversed before columns; each axis wraps toward the shorter
+    side.  For Z checks the path lives on the primal lattice (edges flip the
+    two endpoint stars); for X checks on the dual (endpoint plaquettes).
+    """
+    d = lat.d
+    r, c = divmod(s1, d)
+    r2, c2 = divmod(s2, d)
+    edges = []
+
+    def signed_step(a, b):
+        delta = (b - a) % d
+        return 1 if 0 < delta <= d // 2 else (-1 if delta else 0)
+
+    while r != r2:
+        step = signed_step(r, r2)
+        if check_type == 0:  # stars: vertical edge between (r, c) and (r+1, c)
+            edges.append(lat.v(r if step == 1 else r - 1, c))
+        else:  # plaquettes: shared horizontal edge
+            edges.append(lat.h(r + 1 if step == 1 else r, c))
+        r = (r + step) % d
+    while c != c2:
+        step = signed_step(c, c2)
+        if check_type == 0:
+            edges.append(lat.h(r, c if step == 1 else c - 1))
+        else:
+            edges.append(lat.v(r, c + 1 if step == 1 else c))
+        c = (c + step) % d
+    return edges
+
+
 def torus_distance(lat: ToricLattice, site_a: int, site_b: int) -> int:
     """Min over periodic images of |Δrow| + |Δcol| between two check sites."""
     ra, ca = divmod(site_a, lat.d)
@@ -431,10 +466,16 @@ def match_defects(
 def crossing_parities(lat: ToricLattice, check_type: int, pairs) -> int:
     """Logical-crossing parities of matched pairs, read from the frame their
     repair paths flip: bits 0-1 of the judge for stars, 2-3 for plaquettes."""
+    edges = [e for a, b in pairs for e in path_edges(lat, check_type, a[1], b[1])]
+    return edge_parities(lat, check_type, edges)
+
+
+def edge_parities(lat: ToricLattice, check_type: int, edges) -> int:
+    """The two logical parities of the frame that flipping ``edges`` (X flips
+    for stars, Z flips for plaquettes) leaves, as in ``crossing_parities``."""
     frame = np.zeros(lat.n_data, dtype=np.uint8)
-    for a, b in pairs:
-        for e in path_edges(lat, check_type, a[1], b[1]):
-            frame[e] ^= 1
+    for e in edges:
+        frame[e] ^= 1
     zero = np.zeros_like(frame)
     bits = lat.logical_parities(frame, zero) if check_type == 0 else lat.logical_parities(zero, frame)
     return int(bits[2 * check_type]) | int(bits[2 * check_type + 1]) << 1

@@ -115,6 +115,17 @@ def test_fit_with_too_few_points_is_exit_3(tmp_path, capsys):
     assert "insufficient data" in capsys.readouterr().err
 
 
+def test_fit_at_a_single_p_is_exit_3(tmp_path, capsys):
+    rows = [SweepRow("standard", 3, 3, 1e-3, 1.0, "two_sided", "all", 0.0, 10**5, failures, 0)
+            for failures in (200, 201, 202)]
+    csv = tmp_path / "one_p.csv"
+    csv.write_text(rows_to_csv(rows))
+    assert main(["fit", str(csv)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "insufficient data: 3 qualifying points share one p" in captured.err
+
+
 def test_fit_with_no_matching_rows_is_exit_2(tmp_path):
     csv = _quadratic_csv(tmp_path)
     assert main(["fit", str(csv), "--d", "5"]) == 2

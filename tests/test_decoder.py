@@ -3,8 +3,8 @@
 The decoder judges shots from the logical-crossing parities of its matched
 pairs.  The tests keep the frame route as its reference: build each shot's
 correction frame from the reference matcher's pairs (``oracles.match_defects``)
-and ``path_edges``, apply it, and read the logical parities of the corrected
-frame.
+and ``oracles.path_edges``, apply it, and read the logical parities of the
+corrected frame.
 """
 
 from __future__ import annotations
@@ -17,7 +17,9 @@ from oracles import (
     _match_dp,
     crossing_parities,
     defect_mask,
+    edge_parities,
     match_defects,
+    path_edges,
     random_defects,
     run_shot,
     torus_distance,
@@ -25,7 +27,7 @@ from oracles import (
 )
 from toricleak.blossom import min_weight_perfect_matching
 from toricleak.circuits import build_program
-from toricleak.decoder import Decoder, extract_events_batch, path_edges
+from toricleak.decoder import Decoder, extract_events_batch
 from toricleak.lattice import build_lattice
 from toricleak.noise import NoiseModel
 from toricleak.sim import compile_program
@@ -160,21 +162,66 @@ def test_path_edges_flip_exactly_the_endpoints(d):
             )
 
 
-@pytest.mark.parametrize("d", [3, 5])
-def test_site_distance_table_is_the_repair_path_length(d):
-    """The closed-form table that blossom weights read, against the repair
-    path of every site pair, for both check types."""
+@pytest.mark.parametrize("d", [3, 5, 7])
+def test_pair_table_is_the_rows_first_repair_path(d):
+    """The closed-form table, against the rows-first repair path of every
+    site pair, for both check types: its length and the parities of the
+    frame it flips."""
     lat = build_lattice(d)
-    table = Decoder(lat)._site_dist.tolist()
+    decoder = Decoder(lat)
     for check_type in (0, 1):
-        assert table == [[len(path_edges(lat, check_type, s1, s2)) for s2 in range(d * d)]
-                         for s1 in range(d * d)]
+        for s1 in range(d * d):
+            for s2 in range(d * d):
+                dist, par = decoder._pairs[check_type][s1][s2]
+                assert dist == len(path_edges(lat, check_type, s1, s2)), (check_type, s1, s2)
+                assert par == crossing_parities(lat, check_type, [((0, s1), (0, s2))]), (
+                    check_type, s1, s2)
+
+
+def _reordered_path(lat, check_type, s1, s2, rng):
+    """A shortest repair path from ``s1`` to ``s2`` that takes its column
+    steps first (``rng`` None) or its row and column steps shuffled."""
+    d = lat.d
+
+    def walk(a, b):  # the unit steps of the shorter walk a -> b on one axis
+        ahead = (b - a) % d
+        return [1] * ahead if ahead <= d // 2 else [-1] * (d - ahead)
+
+    (r, c), (r2, c2) = divmod(s1, d), divmod(s2, d)
+    moves = [(0, step) for step in walk(c, c2)] + [(step, 0) for step in walk(r, r2)]
+    if rng is not None:
+        rng.shuffle(moves)
+    edges, site = [], s1
+    for dr, dc in moves:
+        r, c = (r + dr) % d, (c + dc) % d
+        edges += path_edges(lat, check_type, site, r * d + c)  # the one edge between neighbours
+        site = r * d + c
+    assert site == s2
+    return edges
+
+
+@pytest.mark.parametrize("order", ["columns_first", "shuffled"])
+@pytest.mark.parametrize("d", [3, 5, 7])
+def test_pair_table_parities_hold_for_any_shortest_path(d, order):
+    """The table rests on every shortest path having the same crossing
+    parities: repaired along a path that takes its steps in another order,
+    each pair leaves the table's parities."""
+    lat = build_lattice(d)
+    decoder = Decoder(lat)
+    rng = np.random.default_rng(d) if order == "shuffled" else None
+    for check_type in (0, 1):
+        for s1 in range(d * d):
+            for s2 in range(d * d):
+                dist, par = decoder._pairs[check_type][s1][s2]
+                edges = _reordered_path(lat, check_type, s1, s2, rng)
+                assert len(edges) == dist
+                assert edge_parities(lat, check_type, edges) == par, (check_type, s1, s2)
 
 
 def test_blossom_route_on_a_fresh_decoder():
-    """Each decoder's first call is a blossom matching, so no pair is cached
-    yet: its weight and parities are those of networkx's pairs repaired along
-    ``path_edges``."""
+    """Each decoder's first call is a blossom matching, with no memo of
+    earlier calls: its weight and parities are those of networkx's pairs
+    repaired along ``path_edges``."""
     rng = np.random.default_rng(31)
     lat = build_lattice(5)
     for trial in range(20):

@@ -167,6 +167,16 @@ def test_fit_needs_three_qualifying_points():
         fit_exponent(rows)
 
 
+def test_fit_needs_two_distinct_p():
+    """Three qualifying rows at one p (two seeds' tables joined, say) leave
+    the slope to float noise in the spread of log p; no fit is made."""
+    rows = [_fake_row(1e-3, 10**5, failures) for failures in (200, 201, 202)]
+    with pytest.raises(InsufficientData, match="share one p"):
+        fit_exponent(rows)
+    fit = fit_exponent(rows + [_fake_row(2e-3, 10**5, 800)])
+    assert fit.points_used == 4 and fit.window == (1e-3, 2e-3)
+
+
 def test_fit_refuses_mixed_series():
     rows = [_fake_row(0.01, 10**6, 1000, d=3), _fake_row(0.01, 10**6, 1000, d=5)]
     with pytest.raises(ConfigError):

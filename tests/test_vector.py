@@ -209,6 +209,28 @@ def test_a_pauli_beyond_the_gates_qubits_is_refused():
         execute(compiled, 1, scripts=[Script(paulis={gi: ((1, 0), (0, 1))})])
 
 
+@pytest.mark.parametrize("field,index", [
+    ("leaks", -1), ("leaks", "n"),
+    ("paulis", -2), ("paulis", "n"),
+    ("meas_flips", -1), ("meas_flips", "n"),
+    ("readout_flips", -1), ("readout_flips", "n_data"),
+])
+def test_an_index_outside_the_program_is_refused(field, index):
+    """Negative indices would wrap onto the last gates or edges, and the
+    first index past the end would raise an ``IndexError``."""
+    compiled = compile_program(build_program("standard", 3, 1), NoiseModel(p=1e-3))
+    index = {"n": len(compiled.gates), "n_data": compiled.lattice.n_data}.get(index, index)
+    script = {
+        "leaks": Script(leaks={(index, 0)}),
+        "paulis": Script(paulis={index: ((1, 0),)}),
+        "meas_flips": Script(meas_flips={index}),
+        "readout_flips": Script(readout_flips={index: (1, 0)}),
+    }[field]
+    what = "edge" if field == "readout_flips" else "gate"
+    with pytest.raises(ValueError, match=f"{what} {index} is not one of the"):
+        execute(compiled, 1, scripts=[script])
+
+
 @pytest.mark.parametrize("variant", VARIANTS)
 @pytest.mark.parametrize("noise", [SCRIPTED_NOISE], ids=["random_bit"])
 def test_batch_traces_match_leak_consequences(variant, noise):
