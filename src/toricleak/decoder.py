@@ -24,20 +24,35 @@ axis, in some order, so any two differ by a homologically trivial cycle,
 which meets every logical's support evenly: they all have the table's
 parities.
 
-The decoder is the one matcher and returns verdicts, not corrections: the
-crossing parities of ``Decoder.matching`` are the rule that the Monte-Carlo
-judge and the scanner both read.  The decoder keeps no matching cache; a
-memo belongs to the caller that passes it.
+The decoder returns verdicts, not corrections: the crossing parities of the
+minimum-weight matching, with one tie rule, are what the Monte-Carlo judge
+and the scanner both read.  The scanner asks ``Decoder.matching`` one mask
+at a time; a memo belongs to the caller that passes it, and the decoder
+keeps no matching cache.  The Monte-Carlo judge, ``Decoder.judge_batch``,
+matches every row of at most 10 defects of a batch at once, one numpy pass
+per defect count n: it weighs all (n-1)!! perfect matchings of the row's
+cells, listed as the DP tries them (the lowest index pairs with each
+partner in ascending order, the rest listed so recursively), and takes the
+first of minimum weight.  That is the DP's matching: at each pivot the DP
+keeps the first partner that reaches the minimum (only a strictly lower
+weight replaces its incumbent), then the sub-mask's own matching; the
+listing groups matchings by the pivot's partner in that order, so its
+first minimal matching has the same partner followed by the first minimal
+matching of the rest, which is by induction the DP's.  Larger rows go to
+``Decoder.matching``; tests pin the two routes equal.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
 from .blossom import min_weight_perfect_matching
 from .lattice import ToricLattice
 
-_DP_LIMIT = 10  # top-down subset DP up to here, blossom matching above
+_DP_LIMIT = 10  # subset DP (batched in judge_batch) up to here, blossom matching above
+_PASS_SUMS = 1 << 16  # matching weights summed per batched pass (rows x matchings)
 
 
 class Decoder:
@@ -130,16 +145,79 @@ class Decoder:
         return weight, par
 
     def judge_batch(self, syndromes: np.ndarray, data_x: np.ndarray, data_z: np.ndarray) -> np.ndarray:
-        """Per-shot judge bits (X_L1, X_L2, Z_L1, Z_L2) for a stacked batch;
-        the batch's matchings share one memo."""
+        """Per-shot judge bits (X_L1, X_L2, Z_L1, Z_L2) for a stacked batch.
+
+        Rows of at most ``_DP_LIMIT`` defects are matched together, one numpy
+        pass per defect count n: every perfect matching of the row's n cells
+        (ascending bits, the DP's defect order) is weighed from ``_table``,
+        and the first of minimum weight in ``_perfect_matchings(n)`` order
+        decides: the subset DP's matching, as the module docstring argues.
+        Larger rows go to ``matching`` one at a time, with no memo shared
+        across the batch.  A row with an odd number of defects raises
+        ``ValueError``.
+        """
         judge = self.lat.logical_parities(data_x, data_z)
-        memo: dict = {}
-        par = np.array([[self.matching(ct, mask, memo)[1] if mask else 0
-                         for ct, mask in enumerate(masks)]
-                        for masks in event_masks(syndromes)], dtype=np.uint8).reshape(-1, 2)
+        events = _event_rows(syndromes)
+        shots, types, _ = events.shape
+        counts = events.sum(axis=2)
+        if (counts % 2).any():
+            raise ValueError("odd number of defects cannot be matched")
+        par = np.zeros((shots, types), dtype=np.uint8)
+        for ct in range(types):
+            for n in range(2, _DP_LIMIT + 1, 2):
+                rows = np.flatnonzero(counts[:, ct] == n)
+                step = _PASS_SUMS // len(_perfect_matchings(n))
+                for lo in range(0, len(rows), step):
+                    part = rows[lo : lo + step]
+                    par[part, ct] = self._match_rows(ct, events[part, ct], n)
+            large = np.flatnonzero(counts[:, ct] > _DP_LIMIT)
+            for row, mask in zip(large, _masks(events[large, ct])):
+                par[row, ct] = self.matching(ct, mask)[1]
         judge[:, 0::2] ^= par & 1
         judge[:, 1::2] ^= par >> 1
         return judge
+
+    def _match_rows(self, check_type: int, cells: np.ndarray, n: int) -> np.ndarray:
+        """Crossing parities of the DP's matchings of rows of n events each."""
+        times, sites = np.divmod(np.nonzero(cells)[1].reshape(-1, n), self._sites)
+        i, j = np.triu_indices(n, 1)
+        pair = self._table[check_type, sites[:, i], sites[:, j]]
+        weight = (pair[..., 0] + np.abs(times[:, i] - times[:, j])).astype(np.int32)
+        table = _perfect_matchings(n)
+        total = weight[:, table[:, 0]]
+        for k in range(1, n // 2):
+            total += weight[:, table[:, k]]
+        chosen = table[total.argmin(axis=1)]
+        return np.bitwise_xor.reduce(np.take_along_axis(pair[..., 1], chosen, axis=1), axis=1)
+
+
+@functools.cache
+def _perfect_matchings(n: int) -> np.ndarray:
+    """Every perfect matching of n indices, one row of n/2 pair numbers each
+    (pair ``(i, j)``, ``i < j``, numbered in ``np.triu_indices(n, 1)``
+    order), listed as the subset DP tries them: the lowest index pairs with
+    each partner in ascending order, and the rest are listed so recursively."""
+    number = np.zeros((n, n), dtype=np.intp)
+    number[np.triu_indices(n, 1)] = np.arange(n * (n - 1) // 2)
+
+    def listing(rest):
+        if not rest:
+            yield ()
+        for k in range(1, len(rest)):
+            for tail in listing(rest[1:k] + rest[k + 1 :]):
+                yield (number[rest[0], rest[k]],) + tail
+
+    table = np.array(list(listing(tuple(range(n)))), dtype=np.intp).reshape(-1, n // 2)
+    table.flags.writeable = False
+    return table
+
+
+def _masks(rows: np.ndarray) -> list[int]:
+    """One int per row of 0/1 cells: bit k is the row's cell k."""
+    packed = np.packbits(rows, axis=-1, bitorder="little")
+    size = packed.shape[1]
+    blob = packed.tobytes()
+    return [int.from_bytes(blob[k : k + size], "little") for k in range(0, len(blob), size)]
 
 
 def extract_events_batch(syndromes: np.ndarray) -> np.ndarray:
@@ -149,12 +227,14 @@ def extract_events_batch(syndromes: np.ndarray) -> np.ndarray:
     return events
 
 
+def _event_rows(syndromes: np.ndarray) -> np.ndarray:
+    """Per shot and check type, its events as one row of cells in mask bit order."""
+    shots, times, types, sites = syndromes.shape
+    return extract_events_batch(syndromes).transpose(0, 2, 1, 3).reshape(shots, types, times * sites)
+
+
 def event_masks(syndromes: np.ndarray) -> list[tuple[int, int]]:
     """Per shot, the star and the plaquette defect masks of its events."""
-    shots, times, types, sites = syndromes.shape
-    events = extract_events_batch(syndromes).transpose(0, 2, 1, 3)
-    packed = np.packbits(events.reshape(shots * types, times * sites), axis=-1, bitorder="little")
-    size = packed.shape[1]
-    blob = packed.tobytes()
-    masks = iter([int.from_bytes(blob[k : k + size], "little") for k in range(0, len(blob), size)])
+    events = _event_rows(syndromes)
+    masks = iter(_masks(events.reshape(-1, events.shape[2])))
     return list(zip(masks, masks))

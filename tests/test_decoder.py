@@ -9,6 +9,13 @@ corrected frame.
 
 from __future__ import annotations
 
+import itertools
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -25,9 +32,10 @@ from oracles import (
     torus_distance,
     weight_matrix,
 )
+import toricleak
 from toricleak.blossom import min_weight_perfect_matching
 from toricleak.circuits import build_program
-from toricleak.decoder import Decoder, extract_events_batch
+from toricleak.decoder import _DP_LIMIT, Decoder, _perfect_matchings, extract_events_batch
 from toricleak.lattice import build_lattice
 from toricleak.noise import NoiseModel
 from toricleak.sim import compile_program
@@ -73,6 +81,34 @@ def _brute_min_weight(w: np.ndarray) -> int:
         )
 
     return rec(idx)
+
+
+def _all_matchings(idx):
+    """Every perfect matching of ``idx``, as pair lists: the first index
+    pairs with each later one in turn, the rest recursively."""
+    if not idx:
+        yield []
+    for k in range(1, len(idx)):
+        for tail in _all_matchings(idx[1:k] + idx[k + 1 :]):
+            yield [(idx[0], idx[k])] + tail
+
+
+def _judge_defect_sets(decoder, sets, n_times):
+    """``judge_batch`` of noiseless-frame shots whose events are exactly the
+    given (star defects, plaquette defects) per row, and the judge bits that
+    ``Decoder.matching`` gives each row's masks."""
+    lat = decoder.lat
+    events = np.zeros((len(sets), n_times, 2, lat.d**2), dtype=np.uint8)
+    want = np.zeros((len(sets), 4), dtype=np.uint8)
+    for row, per_type in enumerate(sets):
+        for check_type, defects in enumerate(per_type):
+            for t, s in defects:
+                events[row, t, check_type, s] = 1
+            par = decoder.matching(check_type, defect_mask(lat, defects))[1]
+            want[row, 2 * check_type : 2 * check_type + 2] = par & 1, par >> 1
+    syndromes = np.bitwise_xor.accumulate(events, axis=1)  # events are XORs of consecutive rows
+    frames = np.zeros((len(sets), lat.n_data), dtype=np.uint8)
+    return decoder.judge_batch(syndromes, frames, frames), want
 
 
 def test_extract_events_static_and_flipped():
@@ -136,6 +172,100 @@ def test_match_rejects_odd_defects():
     decoder = Decoder(build_lattice(3))
     with pytest.raises(ValueError, match="odd"):
         decoder.matching(0, defect_mask(decoder.lat, ((0, 0),)))
+
+
+def test_judge_batch_rejects_odd_defects():
+    """A batch with one odd row is refused, not judged with parity 0."""
+    syndromes = np.zeros((3, 4, 2, 9), dtype=np.uint8)
+    syndromes[1, 3, 1, 4] = 1  # one plaquette event in the last round
+    frames = np.zeros((3, 18), dtype=np.uint8)
+    with pytest.raises(ValueError, match="odd number of defects cannot be matched"):
+        Decoder(build_lattice(3)).judge_batch(syndromes, frames, frames)
+
+
+@pytest.mark.parametrize("n", range(2, _DP_LIMIT + 1, 2))
+def test_perfect_matching_tables_list_the_dp_order(n):
+    """Each table holds the (n-1)!! distinct perfect matchings of n indices,
+    in the DP's order: the lowest index's partner ascending, then the rest's
+    matching in the same order."""
+    table = _perfect_matchings(n)
+    first, second = np.triu_indices(n, 1)
+    got = [[(first[k], second[k]) for k in row] for row in table.tolist()]
+    assert len(got) == math.prod(range(n - 1, 0, -2))
+    assert got == list(_all_matchings(list(range(n))))
+    assert len({frozenset(m) for m in got}) == len(got)
+
+
+def test_decoder_import_builds_no_matching_table():
+    src = Path(toricleak.__file__).parents[1]
+    code = ("from toricleak.decoder import Decoder, _perfect_matchings; "
+            "from toricleak.lattice import build_lattice; Decoder(build_lattice(3)); "
+            "print(_perfect_matchings.cache_info().currsize)")
+    out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(src)},
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "0"
+
+
+def test_judge_batch_equals_per_mask_matching_on_random_sets():
+    """About 1,000 random defect sets of 0 to 10 defects, both check types,
+    at d=3 and d=5: the batched route's parities are ``Decoder.matching``'s."""
+    rng = np.random.default_rng(19)
+    for d in (3, 5):
+        decoder = Decoder(build_lattice(d))
+        sets = [tuple(random_defects(rng, d, 4, 2 * int(rng.integers(0, 6))) for _ in range(2))
+                for _ in range(250)]
+        got, want = _judge_defect_sets(decoder, sets, 5)
+        np.testing.assert_array_equal(got, want)
+
+
+def _tie_sets(lat, candidates):
+    """The 4-defect single-round sets among ``candidates`` whose minimum-weight
+    matchings tie with different crossing parities, per check type."""
+    ties = []
+    for sites in candidates:
+        defects = tuple((0, s) for s in sites)
+        w = weight_matrix(lat, defects)
+        weights = {tuple(m): sum(w[i, j] for i, j in m) for m in _all_matchings([0, 1, 2, 3])}
+        best = min(weights.values())
+        for check_type in (0, 1):
+            parities = {crossing_parities(lat, check_type, [(defects[i], defects[j]) for i, j in m])
+                        for m, weight in weights.items() if weight == best}
+            if len(parities) > 1:
+                ties.append((check_type, defects))
+    return ties
+
+
+@pytest.mark.parametrize("d", [3, 5])
+def test_judge_batch_keeps_the_dp_tie_choice(d):
+    """Sets whose tied minimum matchings cross the logicals differently: the
+    batched route picks the DP's matching.  At d=3 every single-round set of
+    four checks is tried, at d=5 every one holding two neighbours at (0, 0)
+    and (0, 1); each tie also sits twice in one 8-defect set, far apart in time."""
+    lat = build_lattice(d)
+    if d == 3:
+        candidates = itertools.combinations(range(9), 4)
+    else:
+        candidates = ((0, 1) + rest for rest in itertools.combinations(range(2, 25), 2))
+    ties = _tie_sets(lat, candidates)
+    assert len(ties) > 20
+    sets = []
+    for check_type, defects in ties:
+        for group in (defects, defects + tuple((t + 2 * d, s) for t, s in defects)):
+            sets.append((group, ()) if check_type == 0 else ((), group))
+    got, want = _judge_defect_sets(Decoder(lat), sets, 2 * d + 1)
+    np.testing.assert_array_equal(got, want)
+
+
+def test_judge_batch_mixes_both_routes_in_one_batch():
+    """Rows above ``_DP_LIMIT`` defects go to ``Decoder.matching`` beside
+    batched rows of every small count, in one call."""
+    rng = np.random.default_rng(23)
+    decoder = Decoder(build_lattice(5))
+    sets = [tuple(random_defects(rng, 5, 5, int(rng.choice([0, 4, 10, 12, 16]))) for _ in range(2))
+            for _ in range(60)]
+    assert any(len(star) > _DP_LIMIT for star, _ in sets)
+    got, want = _judge_defect_sets(decoder, sets, 6)
+    np.testing.assert_array_equal(got, want)
 
 
 @pytest.mark.parametrize("d", [3, 5])
