@@ -29,17 +29,20 @@ minimum-weight matching, with one tie rule, are what the Monte-Carlo judge
 and the scanner both read.  The scanner asks ``Decoder.matching`` one mask
 at a time; a memo belongs to the caller that passes it, and the decoder
 keeps no matching cache.  The Monte-Carlo judge, ``Decoder.judge_batch``,
-matches every row of at most 10 defects of a batch at once, one numpy pass
-per defect count n: it weighs all (n-1)!! perfect matchings of the row's
-cells, listed as the DP tries them (the lowest index pairs with each
-partner in ascending order, the rest listed so recursively), and takes the
-first of minimum weight.  That is the DP's matching: at each pivot the DP
-keeps the first partner that reaches the minimum (only a strictly lower
-weight replaces its incumbent), then the sub-mask's own matching; the
-listing groups matchings by the pivot's partner in that order, so its
-first minimal matching has the same partner followed by the first minimal
-matching of the rest, which is by induction the DP's.  Larger rows go to
-``Decoder.matching``; tests pin the two routes equal.
+runs every row of at most 16 defects of a batch through the same subset DP
+laid out in layers (``_dp_layers``): its states are the sub-masks the
+top-down DP reaches from a row's n cells, and one numpy pass per state size
+settles every state of that size for all rows of n defects at once.  Each
+state keeps its minimum weight, the parities of the DP's own choice (the
+first partner that reaches the minimum), and an ambiguous bit: set when a
+tied partner leads to other parities or to an ambiguous sub-state, so by
+induction on the state size it is clear exactly when all the state's
+minimum-weight matchings have one parity.  Up to 10 defects the judge reads
+the DP's parities, as ``matching`` would.  Above, ``matching`` takes
+blossom's matching, which is of minimum weight (``blossom._check_optimum``
+proves it), so when the bit is clear it has the DP's parities; only
+ambiguous rows and rows above 16 go to ``matching``.  Tests pin the routes
+equal.
 """
 
 from __future__ import annotations
@@ -51,8 +54,9 @@ import numpy as np
 from .blossom import min_weight_perfect_matching
 from .lattice import ToricLattice
 
-_DP_LIMIT = 10  # subset DP (batched in judge_batch) up to here, blossom matching above
-_PASS_SUMS = 1 << 16  # matching weights summed per batched pass (rows x matchings)
+_DP_LIMIT = 10  # subset DP up to here, blossom matching above
+_CERTIFY_LIMIT = 16  # judge_batch's batched DP takes rows up to here; partner ranks fit 4 key bits
+_PASS_CELLS = 1 << 18  # (row, step) cells of one DP layer pass: memory follows the pass, not the batch
 
 
 class Decoder:
@@ -147,14 +151,16 @@ class Decoder:
     def judge_batch(self, syndromes: np.ndarray, data_x: np.ndarray, data_z: np.ndarray) -> np.ndarray:
         """Per-shot judge bits (X_L1, X_L2, Z_L1, Z_L2) for a stacked batch.
 
-        Rows of at most ``_DP_LIMIT`` defects are matched together, one numpy
-        pass per defect count n: every perfect matching of the row's n cells
-        (ascending bits, the DP's defect order) is weighed from ``_table``,
-        and the first of minimum weight in ``_perfect_matchings(n)`` order
-        decides: the subset DP's matching, as the module docstring argues.
-        Larger rows go to ``matching`` one at a time, with no memo shared
-        across the batch.  A row with an odd number of defects raises
-        ``ValueError``.
+        Rows of at most ``_CERTIFY_LIMIT`` defects run through the layered
+        subset DP together (``_match_rows``), one numpy pass per state size
+        for all rows of one defect count, or for as many of them as keep a
+        pass within ``_PASS_CELLS`` (row, step) cells.  Up to ``_DP_LIMIT``
+        defects a row takes the DP's parities; above, it takes them when
+        its ambiguous bit is clear, so that every minimum-weight matching,
+        blossom's included, has them (the module docstring's argument).
+        Ambiguous rows and rows above ``_CERTIFY_LIMIT`` go to ``matching``
+        one at a time, with no memo shared across the batch.  A row with an
+        odd number of defects raises ``ValueError``.
         """
         judge = self.lat.logical_parities(data_x, data_z)
         events = _event_rows(syndromes)
@@ -164,52 +170,84 @@ class Decoder:
             raise ValueError("odd number of defects cannot be matched")
         par = np.zeros((shots, types), dtype=np.uint8)
         for ct in range(types):
-            for n in range(2, _DP_LIMIT + 1, 2):
+            one_by_one = [np.flatnonzero(counts[:, ct] > _CERTIFY_LIMIT)]
+            for n in range(2, _CERTIFY_LIMIT + 1, 2):
                 rows = np.flatnonzero(counts[:, ct] == n)
-                step = _PASS_SUMS // len(_perfect_matchings(n))
+                if not len(rows):
+                    continue
+                widest = max(len(sub) for _, _, sub, _ in _dp_layers(n)[1])
+                step = max(1, _PASS_CELLS // widest)
                 for lo in range(0, len(rows), step):
                     part = rows[lo : lo + step]
-                    par[part, ct] = self._match_rows(ct, events[part, ct], n)
-            large = np.flatnonzero(counts[:, ct] > _DP_LIMIT)
-            for row, mask in zip(large, _masks(events[large, ct])):
+                    _, par[part, ct], ambiguous = self._match_rows(ct, events[part, ct], n)
+                    if n > _DP_LIMIT:
+                        one_by_one.append(part[ambiguous])
+            one_by_one = np.concatenate(one_by_one)
+            for row, mask in zip(one_by_one, _masks(events[one_by_one, ct])):
                 par[row, ct] = self.matching(ct, mask)[1]
         judge[:, 0::2] ^= par & 1
         judge[:, 1::2] ^= par >> 1
         return judge
 
-    def _match_rows(self, check_type: int, cells: np.ndarray, n: int) -> np.ndarray:
-        """Crossing parities of the DP's matchings of rows of n events each."""
-        times, sites = np.divmod(np.nonzero(cells)[1].reshape(-1, n), self._sites)
+    def _match_rows(self, check_type: int, cells: np.ndarray, n: int) -> tuple[np.ndarray, ...]:
+        """For rows of n events each: the minimum matching weight, the subset
+        DP's crossing parities, and whether the row's minimum-weight
+        matchings disagree in parity (its ambiguous bit)."""
+        times, sites = np.divmod(np.nonzero(cells)[1].reshape(-1, n).T, self._sites)
         i, j = np.triu_indices(n, 1)
-        pair = self._table[check_type, sites[:, i], sites[:, j]]
-        weight = (pair[..., 0] + np.abs(times[:, i] - times[:, j])).astype(np.int32)
-        table = _perfect_matchings(n)
-        total = weight[:, table[:, 0]]
-        for k in range(1, n // 2):
-            total += weight[:, table[:, k]]
-        chosen = table[total.argmin(axis=1)]
-        return np.bitwise_xor.reduce(np.take_along_axis(pair[..., 1], chosen, axis=1), axis=1)
+        pair = self._table[check_type, sites[i], sites[j]]  # (pairs, rows, 2)
+        pair_weight = (pair[..., 0] + np.abs(times[i] - times[j])).astype(np.int32)
+        pair_par = pair[..., 1].astype(np.uint8)
+        n_states, layers = _dp_layers(n)
+        # per state and row: minimum weight, and the first minimum's parity | ambiguous << 2
+        weight = np.zeros((n_states, len(cells)), dtype=np.int32)
+        state = np.zeros((n_states, len(cells)), dtype=np.uint8)
+        for lo, hi, sub, pivot_pair in layers:
+            shape = (hi - lo, -1, len(cells))
+            cand = (weight[sub] + pair_weight[pivot_pair]).reshape(shape)
+            # strict < keeps the first minimum: the lowest partner rank breaks ties
+            key = (cand << 4 | np.arange(cand.shape[1], dtype=np.int32)[:, None]).min(axis=1)
+            best = key >> 4
+            steps = (state[sub] ^ pair_par[pivot_pair]).reshape(shape)
+            chosen = np.take_along_axis(steps, (key & 15)[:, None], axis=1)[:, 0]
+            # a tied step with another parity, or with an ambiguous sub-state, splits the state
+            split = ((cand == best[:, None]) & (steps != chosen[:, None])).any(axis=1)
+            weight[lo:hi] = best
+            state[lo:hi] = chosen | split << np.uint8(2)
+        return weight[-1], state[-1] & 3, state[-1] >> 2 != 0
 
 
 @functools.cache
-def _perfect_matchings(n: int) -> np.ndarray:
-    """Every perfect matching of n indices, one row of n/2 pair numbers each
-    (pair ``(i, j)``, ``i < j``, numbered in ``np.triu_indices(n, 1)``
-    order), listed as the subset DP tries them: the lowest index pairs with
-    each partner in ascending order, and the rest are listed so recursively."""
+def _dp_layers(n: int) -> tuple[int, list[tuple[int, int, np.ndarray, np.ndarray]]]:
+    """The states and steps of the top-down subset DP on n indices, by layer.
+
+    The states are the sub-masks the DP reaches from all n indices: a
+    state's pivot is its lowest index, which pairs with each other index in
+    ascending order (its steps), leaving a sub-state two smaller.  States
+    are numbered by size, the empty one 0 and the full one last.  Each layer
+    (one state size) is ``(lo, hi, sub, pivot_pair)``: its states are numbers
+    ``lo .. hi - 1`` and its steps run state by state, partner by partner,
+    giving each step's sub-state number and the number of its pivot pair
+    ``(i, j)``, ``i < j``, in ``np.triu_indices(n, 1)`` order.
+    """
     number = np.zeros((n, n), dtype=np.intp)
     number[np.triu_indices(n, 1)] = np.arange(n * (n - 1) // 2)
-
-    def listing(rest):
-        if not rest:
-            yield ()
-        for k in range(1, len(rest)):
-            for tail in listing(rest[1:k] + rest[k + 1 :]):
-                yield (number[rest[0], rest[k]],) + tail
-
-    table = np.array(list(listing(tuple(range(n)))), dtype=np.intp).reshape(-1, n // 2)
-    table.flags.writeable = False
-    return table
+    steps = {}  # state mask -> its (sub-state mask, pivot pair number) steps, in order
+    by_size = [[(1 << n) - 1]]
+    while len(by_size) <= n // 2:
+        for mask in by_size[-1]:
+            pivot = (mask & -mask).bit_length() - 1
+            steps[mask] = [(mask ^ 1 << pivot ^ 1 << k, number[pivot, k])
+                           for k in range(pivot + 1, n) if mask >> k & 1]
+        by_size.append(sorted({sub for mask in by_size[-1] for sub, _ in steps[mask]}))
+    by_size.reverse()
+    index = {mask: k for k, mask in enumerate(m for size in by_size for m in size)}
+    layers = []
+    for masks in by_size[1:]:
+        subs, pairs = zip(*(step for mask in masks for step in steps[mask]))
+        lo = index[masks[0]]
+        layers.append((lo, lo + len(masks), np.array([index[m] for m in subs]), np.array(pairs)))
+    return len(index), layers
 
 
 def _masks(rows: np.ndarray) -> list[int]:

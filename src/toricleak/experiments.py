@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from functools import lru_cache
 
@@ -264,6 +263,9 @@ def run_sweep(config: ExperimentConfig, workers: int = 1,
     rows = []
     pool = None
     if workers > 1:
+        # imported here: the pool pulls in multiprocessing, which a one-process sweep never needs
+        from concurrent.futures import ProcessPoolExecutor
+
         pool = ProcessPoolExecutor(max_workers=min(workers, os.cpu_count() or 1))
     try:
         for d in config.d:

@@ -9,6 +9,7 @@ corrected frame.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import os
@@ -33,9 +34,10 @@ from oracles import (
     weight_matrix,
 )
 import toricleak
+import toricleak.decoder as decoder_module
 from toricleak.blossom import min_weight_perfect_matching
 from toricleak.circuits import build_program
-from toricleak.decoder import _DP_LIMIT, Decoder, _perfect_matchings, extract_events_batch
+from toricleak.decoder import _CERTIFY_LIMIT, _DP_LIMIT, Decoder, _dp_layers, extract_events_batch
 from toricleak.lattice import build_lattice
 from toricleak.noise import NoiseModel
 from toricleak.sim import compile_program
@@ -98,17 +100,26 @@ def _judge_defect_sets(decoder, sets, n_times):
     given (star defects, plaquette defects) per row, and the judge bits that
     ``Decoder.matching`` gives each row's masks."""
     lat = decoder.lat
-    events = np.zeros((len(sets), n_times, 2, lat.d**2), dtype=np.uint8)
     want = np.zeros((len(sets), 4), dtype=np.uint8)
+    for row, per_type in enumerate(sets):
+        for check_type, defects in enumerate(per_type):
+            par = decoder.matching(check_type, defect_mask(lat, defects))[1]
+            want[row, 2 * check_type : 2 * check_type + 2] = par & 1, par >> 1
+    return _judge_quiet_frames(decoder, sets, n_times), want
+
+
+def _judge_quiet_frames(decoder, sets, n_times):
+    """``judge_batch`` of noiseless-frame shots whose events are exactly the
+    given (star defects, plaquette defects) per row."""
+    lat = decoder.lat
+    events = np.zeros((len(sets), n_times, 2, lat.d**2), dtype=np.uint8)
     for row, per_type in enumerate(sets):
         for check_type, defects in enumerate(per_type):
             for t, s in defects:
                 events[row, t, check_type, s] = 1
-            par = decoder.matching(check_type, defect_mask(lat, defects))[1]
-            want[row, 2 * check_type : 2 * check_type + 2] = par & 1, par >> 1
     syndromes = np.bitwise_xor.accumulate(events, axis=1)  # events are XORs of consecutive rows
     frames = np.zeros((len(sets), lat.n_data), dtype=np.uint8)
-    return decoder.judge_batch(syndromes, frames, frames), want
+    return decoder.judge_batch(syndromes, frames, frames)
 
 
 def test_extract_events_static_and_flipped():
@@ -185,12 +196,32 @@ def test_judge_batch_rejects_odd_defects():
 
 @pytest.mark.parametrize("n", range(2, _DP_LIMIT + 1, 2))
 def test_perfect_matching_tables_list_the_dp_order(n):
-    """Each table holds the (n-1)!! distinct perfect matchings of n indices,
-    in the DP's order: the lowest index's partner ascending, then the rest's
-    matching in the same order."""
-    table = _perfect_matchings(n)
+    """The batched DP's table holds each sub-mask the top-down DP reaches
+    once, with its steps in the DP's order: walked from the full state, each
+    state taking its steps in turn, it lists the (n-1)!! perfect matchings
+    of n indices in ``_all_matchings``'s order, each once."""
+    n_states, layers = _dp_layers(n)
     first, second = np.triu_indices(n, 1)
-    got = [[(first[k], second[k]) for k in row] for row in table.tolist()]
+    steps = {0: []}  # state number -> its (pivot pair, sub-state) steps
+    for lo, hi, sub, pivot_pair in layers:
+        per_state = len(sub) // (hi - lo)
+        for k in range(hi - lo):
+            part = slice(k * per_state, (k + 1) * per_state)
+            steps[lo + k] = list(zip(pivot_pair[part].tolist(), sub[part].tolist()))
+    rests = {}
+
+    def listing(state, rest):
+        assert rests.setdefault(state, rest) == rest
+        if not rest:
+            yield []
+        for pair in steps[state]:
+            i, j = first[pair[0]], second[pair[0]]
+            assert i == min(rest) and j in rest
+            for tail in listing(pair[1], rest - {i, j}):
+                yield [(i, j)] + tail
+
+    got = list(listing(n_states - 1, frozenset(range(n))))
+    assert len(steps) == n_states == len(rests) == len(set(rests.values()))
     assert len(got) == math.prod(range(n - 1, 0, -2))
     assert got == list(_all_matchings(list(range(n))))
     assert len({frozenset(m) for m in got}) == len(got)
@@ -198,9 +229,9 @@ def test_perfect_matching_tables_list_the_dp_order(n):
 
 def test_decoder_import_builds_no_matching_table():
     src = Path(toricleak.__file__).parents[1]
-    code = ("from toricleak.decoder import Decoder, _perfect_matchings; "
+    code = ("from toricleak.decoder import Decoder, _dp_layers; "
             "from toricleak.lattice import build_lattice; Decoder(build_lattice(3)); "
-            "print(_perfect_matchings.cache_info().currsize)")
+            "print(_dp_layers.cache_info().currsize)")
     out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(src)},
                          capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "0"
@@ -257,15 +288,186 @@ def test_judge_batch_keeps_the_dp_tie_choice(d):
 
 
 def test_judge_batch_mixes_both_routes_in_one_batch():
-    """Rows above ``_DP_LIMIT`` defects go to ``Decoder.matching`` beside
-    batched rows of every small count, in one call."""
+    """Rows above ``_CERTIFY_LIMIT`` defects go to ``Decoder.matching``
+    beside batched rows of every small and certified count, in one call."""
     rng = np.random.default_rng(23)
     decoder = Decoder(build_lattice(5))
-    sets = [tuple(random_defects(rng, 5, 5, int(rng.choice([0, 4, 10, 12, 16]))) for _ in range(2))
+    sets = [tuple(random_defects(rng, 5, 5, int(rng.choice([0, 4, 10, 12, 16, 20]))) for _ in range(2))
             for _ in range(60)]
-    assert any(len(star) > _DP_LIMIT for star, _ in sets)
+    assert any(len(star) > _CERTIFY_LIMIT for star, _ in sets)
     got, want = _judge_defect_sets(decoder, sets, 6)
     np.testing.assert_array_equal(got, want)
+
+
+# --- the certified route: 12 to 16 defects ----------------------------------
+
+
+_PAD_TIMES = (_CERTIFY_LIMIT - 4) // 2 + 1  # slots of a padded tie of up to 16 defects
+
+
+@functools.cache
+def _matching_table(n):
+    """Every perfect matching of ``range(n)`` as rows of n/2 ``(i, j)``
+    pairs, in ``_all_matchings``'s order (the subset DP's), built in numpy."""
+    if n == 0:
+        return np.zeros((1, 0, 2), dtype=np.intp)
+    tail = _matching_table(n - 2)
+    parts = []
+    for k in range(1, n):
+        others = np.array([i for i in range(1, n) if i != k], dtype=np.intp)
+        head = np.broadcast_to(np.array([0, k]), (len(tail), 1, 2))
+        parts.append(np.concatenate([head, others[tail]], axis=1))
+    return np.concatenate(parts)
+
+
+def _brute_force(lat, check_type, defects):
+    """Over all (n-1)!! perfect matchings: the minimum weight, the parities
+    of the first minimum-weight matching in the DP's order, and whether the
+    minimum-weight matchings disagree in parity."""
+    table = _matching_table(len(defects))
+    w = weight_matrix(lat, defects)
+    par = np.array([[crossing_parities(lat, check_type, [(a, b)]) for b in defects] for a in defects])
+    total = w[table[..., 0], table[..., 1]].sum(axis=1)
+    parities = np.bitwise_xor.reduce(par[table[..., 0], table[..., 1]], axis=1)
+    best = total.min()
+    return int(best), int(parities[total.argmin()]), len(set(parities[total == best].tolist())) > 1
+
+
+def _padded_ties(lat, n, rng, count):
+    """Rows of n defects of one check type whose minimum-weight matchings tie
+    with different crossing parities: a tied 4-check set (``_tie_sets``),
+    placed at a random time among (n-4)/2 pads, each a time-like pair far in
+    time from the rest, which every minimum-weight matching keeps."""
+    d = lat.d
+    if d == 3:
+        candidates = itertools.combinations(range(9), 4)
+    else:
+        candidates = ((0, 1) + rest for rest in itertools.combinations(range(2, 25), 2))
+    ties = _tie_sets(lat, candidates)
+    rows = []
+    for k in rng.choice(len(ties), count, replace=False):
+        check_type, group = ties[k]
+        slots = (n - 4) // 2 + 1
+        at = int(rng.integers(0, slots))
+        defects = []
+        for slot in range(slots):
+            t = slot * (d + 1)  # a slot apart is farther than any torus distance
+            if slot == at:
+                defects += [(t, s) for _, s in group]
+            else:
+                s = int(rng.integers(0, d * d))
+                defects += [(t, s), (t + 1, s)]
+        rows.append((check_type, tuple(sorted(defects))))
+    return rows
+
+
+def _dp_rows(decoder, check_type, rows):
+    """``Decoder._match_rows`` on same-size defect sets: per row its weight,
+    parities and ambiguous bit."""
+    lat = decoder.lat
+    n_cells = (max(t for defects in rows for t, _ in defects) + 1) * lat.d**2
+    cells = np.zeros((len(rows), n_cells), dtype=np.uint8)
+    for row, defects in enumerate(rows):
+        for t, s in defects:
+            cells[row, t * lat.d**2 + s] = 1
+    weight, par, ambiguous = decoder._match_rows(check_type, cells, len(rows[0]))
+    return list(zip(weight.tolist(), par.tolist(), ambiguous.tolist()))
+
+
+@pytest.mark.parametrize("d", [3, 5])
+def test_ambiguous_bit_equals_brute_force(d):
+    """Random rows of 12 defects, a few of 14, and padded ties of 12 and 14,
+    against every one of their perfect matchings: the DP's weight is the
+    minimum, its parities are those of the first minimum-weight matching in
+    the DP's order, and its ambiguous bit is set exactly when the
+    minimum-weight matchings disagree in parity."""
+    rng = np.random.default_rng(100 + d)
+    lat = build_lattice(d)
+    decoder = Decoder(lat)
+    cases = [(trial % 2, random_defects(rng, d, 4, 12)) for trial in range(30)]
+    cases += [(trial % 2, random_defects(rng, d, 4, 14)) for trial in range(3)]
+    cases += _padded_ties(lat, 12, rng, 6) + _padded_ties(lat, 14, rng, 2)
+    seen = set()
+    for check_type, defects in cases:
+        want = _brute_force(lat, check_type, defects)
+        assert _dp_rows(decoder, check_type, [defects]) == [want], defects
+        seen.add(want[2])
+    assert seen == {False, True}
+
+
+def _certified_sets(lat, rng):
+    """Rows of 12, 14 and 16 defects for both check types: random ones and
+    padded ties, each as a (star, plaquette) pair of defect sets."""
+    sets = [tuple(random_defects(rng, lat.d, 5, n) for _ in range(2))
+            for n in (12, 14, 16) for _ in range(15)]
+    for n in (12, 14, 16):
+        for check_type, defects in _padded_ties(lat, n, rng, 12):
+            sets.append((defects, ()) if check_type == 0 else ((), defects))
+    return sets
+
+
+@pytest.mark.parametrize("d", [3, 5])
+def test_judge_batch_equals_per_mask_matching_on_certified_rows(d):
+    """On rows of 12 to 16 defects, ambiguous ones included, the batched
+    route gives ``Decoder.matching``'s parities, and the DP's weight is
+    blossom's.  Some ambiguous rows have DP parities other than blossom's,
+    so a judge that trusted the DP there would differ."""
+    rng = np.random.default_rng(40 + d)
+    lat = build_lattice(d)
+    decoder = Decoder(lat)
+    sets = _certified_sets(lat, rng)
+    got, want = _judge_defect_sets(decoder, sets, _PAD_TIMES * (d + 1))
+    np.testing.assert_array_equal(got, want)
+    overruled = 0
+    for check_type in (0, 1):
+        for n in (12, 14, 16):
+            rows = [per_type[check_type] for per_type in sets if len(per_type[check_type]) == n]
+            for defects, (weight, par, ambiguous) in zip(rows, _dp_rows(decoder, check_type, rows)):
+                blossom_weight, blossom_par = decoder.matching(check_type, defect_mask(lat, defects))
+                assert weight == blossom_weight, defects
+                assert ambiguous or par == blossom_par, defects
+                overruled += par != blossom_par
+    assert overruled > 0
+
+
+def test_judge_batch_is_the_same_in_passes_of_one_row(monkeypatch):
+    """The DP's passes bound memory, not results: with room for one row per
+    pass, every row of every count, ambiguous ones included, is judged as
+    in one pass."""
+    rng = np.random.default_rng(53)
+    decoder = Decoder(build_lattice(5))
+    sets = _certified_sets(decoder.lat, rng)
+    sets += [tuple(random_defects(rng, 5, 5, n) for _ in range(2)) for n in (2, 6, 10, 20)]
+    whole = _judge_quiet_frames(decoder, sets, _PAD_TIMES * 6)
+    monkeypatch.setattr(decoder_module, "_PASS_CELLS", 1)
+    np.testing.assert_array_equal(_judge_quiet_frames(decoder, sets, _PAD_TIMES * 6), whole)
+
+
+def test_only_ambiguous_rows_and_rows_above_the_limit_reach_blossom(monkeypatch):
+    """``judge_batch`` calls blossom once for each ambiguous row of 12 to 16
+    defects and each row above ``_CERTIFY_LIMIT``, and for no other row."""
+    rng = np.random.default_rng(47)
+    lat = build_lattice(5)
+    decoder = Decoder(lat)
+    sets = _certified_sets(lat, rng)
+    sets += [tuple(random_defects(rng, 5, 5, n) for _ in range(2)) for n in (2, 8, 10, 18, 20)]
+    expected = []
+    for check_type in (0, 1):
+        for n in (12, 14, 16, 18, 20):
+            rows = [per_type[check_type] for per_type in sets if len(per_type[check_type]) == n]
+            flags = [n > _CERTIFY_LIMIT or row[2] for row in _dp_rows(decoder, check_type, rows)]
+            expected += [(check_type, defect_mask(lat, r)) for r, flag in zip(rows, flags) if flag]
+    assert 0 < sum(mask.bit_count() <= _CERTIFY_LIMIT for _, mask in expected) < len(expected)
+    called = []
+    blossom = Decoder._blossom
+
+    def counted(self, check_type, mask):
+        called.append((check_type, mask))
+        return blossom(self, check_type, mask)
+
+    monkeypatch.setattr(Decoder, "_blossom", counted)
+    _judge_quiet_frames(decoder, sets, _PAD_TIMES * 6)
+    assert sorted(called) == sorted(expected)
 
 
 @pytest.mark.parametrize("d", [3, 5])

@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+import concurrent.futures
+import json
 import math
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -245,11 +249,21 @@ def test_sweep_pool_holds_at_most_one_process_per_cpu(monkeypatch):
         def shutdown(self):
             pass
 
-    monkeypatch.setattr(experiments, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     cfg = _cfg(p=(3e-3, 5e-3), shots=4000)
     assert rows_to_csv(run_sweep(cfg, workers=8)) == rows_to_csv(run_sweep(cfg, workers=1))
     assert pools == [2]
+
+
+def test_importing_experiments_imports_no_multiprocessing():
+    """The process pool is imported only by a sweep that runs one, so a
+    one-process sweep pays no ``multiprocessing`` import."""
+    src = Path(experiments.__file__).parents[1]
+    code = "import sys, toricleak.experiments; print('multiprocessing' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(src)},
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
 
 
 @pytest.mark.parametrize("workers", [0, -1])
@@ -292,6 +306,19 @@ def test_sweep_reproduces_golden_csv():
                               r=1.0, shots=2500, master_seed=7)
     golden = (GOLDEN / "sweep_mixed_lrc_d3_seed7.csv").read_text()
     assert rows_to_csv(run_sweep(config)) == golden
+
+
+def test_sweep_reproduces_the_frozen_d5_benchmark_csv():
+    """Frozen d=5 verdicts, where most decodes take 12 or more defects: the
+    ``sweep_d5`` benchmark's 2,000 standard d=5 shots at master seed 7,
+    rebuilt byte for byte against ``perfbench/reference.json``, which this
+    test only reads."""
+    reference = json.loads((Path(__file__).parents[1] / "perfbench" / "reference.json").read_text())
+    table = reference["sweep_d5"]
+    fields = {k: tuple(v) if isinstance(v, list) else v for k, v in table["config"].items()}
+    config = ExperimentConfig(**fields, master_seed=7)
+    assert config.d == (5,)
+    assert rows_to_csv(run_sweep(config)) == table["7"]
 
 
 def test_csv_round_trip_is_lossless():
