@@ -27,22 +27,22 @@ parities.
 The decoder returns verdicts, not corrections: the crossing parities of the
 minimum-weight matching, with one tie rule, are what the Monte-Carlo judge
 and the scanner both read.  The scanner asks ``Decoder.matching`` one mask
-at a time; a memo belongs to the caller that passes it, and the decoder
-keeps no matching cache.  The Monte-Carlo judge, ``Decoder.judge_batch``,
-runs every row of at most 16 defects of a batch through the same subset DP
-laid out in layers (``_dp_layers``): its states are the sub-masks the
-top-down DP reaches from a row's n cells, and one numpy pass per state size
-settles every state of that size for all rows of n defects at once.  Each
+at a time for leak span points, with a memo of its own; the decoder keeps
+no matching cache.  Rows of event cells (the shots of ``judge_batch``, the
+scanner's Pauli specs and pairs) go to ``Decoder.parities``, which runs
+every row of at most 16 defects through the same subset DP laid out in
+layers (``_dp_layers``): its states are the sub-masks the top-down DP
+reaches from a row's n cells, and one numpy pass per state size settles
+every state of that size for all rows of n defects at once.  Each
 state keeps its minimum weight, the parities of the DP's own choice (the
 first partner that reaches the minimum), and an ambiguous bit: set when a
 tied partner leads to other parities or to an ambiguous sub-state, so by
 induction on the state size it is clear exactly when all the state's
-minimum-weight matchings have one parity.  Up to 10 defects the judge reads
-the DP's parities, as ``matching`` would.  Above, ``matching`` takes
-blossom's matching, which is of minimum weight (``blossom._check_optimum``
-proves it), so when the bit is clear it has the DP's parities; only
-ambiguous rows and rows above 16 go to ``matching``.  Tests pin the routes
-equal.
+minimum-weight matchings have one parity.  Up to 10 defects a row takes the
+DP's parities, as ``matching`` would.  Above, ``matching`` takes blossom's
+matching, which is of minimum weight (``blossom._check_optimum`` proves it),
+so when the bit is clear it has the DP's parities; only ambiguous rows and
+rows above 16 go to blossom.  Tests pin the routes equal.
 """
 
 from __future__ import annotations
@@ -149,45 +149,46 @@ class Decoder:
         return weight, par
 
     def judge_batch(self, syndromes: np.ndarray, data_x: np.ndarray, data_z: np.ndarray) -> np.ndarray:
-        """Per-shot judge bits (X_L1, X_L2, Z_L1, Z_L2) for a stacked batch.
-
-        Rows of at most ``_CERTIFY_LIMIT`` defects run through the layered
-        subset DP together (``_match_rows``), one numpy pass per state size
-        for all rows of one defect count, or for as many of them as keep a
-        pass within ``_PASS_CELLS`` (row, step) cells.  Up to ``_DP_LIMIT``
-        defects a row takes the DP's parities; above, it takes them when
-        its ambiguous bit is clear, so that every minimum-weight matching,
-        blossom's included, has them (the module docstring's argument).
-        Ambiguous rows and rows above ``_CERTIFY_LIMIT`` go to ``matching``
-        one at a time, with no memo shared across the batch.  A row with an
-        odd number of defects raises ``ValueError``.
-        """
+        """Per-shot judge bits (X_L1, X_L2, Z_L1, Z_L2) for a stacked batch:
+        the readout parities XOR each check type's ``parities`` of the
+        shots' event rows."""
         judge = self.lat.logical_parities(data_x, data_z)
-        events = _event_rows(syndromes)
-        shots, types, _ = events.shape
-        counts = events.sum(axis=2)
-        if (counts % 2).any():
-            raise ValueError("odd number of defects cannot be matched")
-        par = np.zeros((shots, types), dtype=np.uint8)
-        for ct in range(types):
-            one_by_one = [np.flatnonzero(counts[:, ct] > _CERTIFY_LIMIT)]
-            for n in range(2, _CERTIFY_LIMIT + 1, 2):
-                rows = np.flatnonzero(counts[:, ct] == n)
-                if not len(rows):
-                    continue
-                widest = max(len(sub) for _, _, sub, _ in _dp_layers(n)[1])
-                step = max(1, _PASS_CELLS // widest)
-                for lo in range(0, len(rows), step):
-                    part = rows[lo : lo + step]
-                    _, par[part, ct], ambiguous = self._match_rows(ct, events[part, ct], n)
-                    if n > _DP_LIMIT:
-                        one_by_one.append(part[ambiguous])
-            one_by_one = np.concatenate(one_by_one)
-            for row, mask in zip(one_by_one, _masks(events[one_by_one, ct])):
-                par[row, ct] = self.matching(ct, mask)[1]
+        events = event_rows(syndromes)
+        par = np.stack([self.parities(ct, events[:, ct]) for ct in range(events.shape[1])], axis=1)
         judge[:, 0::2] ^= par & 1
         judge[:, 1::2] ^= par >> 1
         return judge
+
+    def parities(self, check_type: int, cells: np.ndarray) -> np.ndarray:
+        """``matching``'s crossing parities for each row of 0/1 event cells
+        of one check type, in mask bit order.
+
+        Rows of at most ``_CERTIFY_LIMIT`` defects run through the layered
+        subset DP (``_match_rows``) per defect count, as many per pass as
+        fit ``_PASS_CELLS`` (row, step) cells, and take its parities up to
+        ``_DP_LIMIT`` defects, above when their ambiguous bit is clear; the
+        rest go to blossom one at a time.  An odd row raises ``ValueError``.
+        """
+        counts = cells.sum(axis=1)
+        if (counts % 2).any():
+            raise ValueError("odd number of defects cannot be matched")
+        par = np.zeros(len(cells), dtype=np.uint8)
+        one_by_one = [np.flatnonzero(counts > _CERTIFY_LIMIT)]
+        for n in range(2, _CERTIFY_LIMIT + 1, 2):
+            rows = np.flatnonzero(counts == n)
+            if not len(rows):
+                continue
+            widest = max(len(sub) for _, _, sub, _ in _dp_layers(n)[1])
+            step = max(1, _PASS_CELLS // widest)
+            for lo in range(0, len(rows), step):
+                part = rows[lo : lo + step]
+                _, par[part], ambiguous = self._match_rows(check_type, cells[part], n)
+                if n > _DP_LIMIT:
+                    one_by_one.append(part[ambiguous])
+        one_by_one = np.concatenate(one_by_one)
+        for row, mask in zip(one_by_one, _masks(cells[one_by_one])):
+            par[row] = self._blossom(check_type, mask)[1]
+        return par
 
     def _match_rows(self, check_type: int, cells: np.ndarray, n: int) -> tuple[np.ndarray, ...]:
         """For rows of n events each: the minimum matching weight, the subset
@@ -265,7 +266,7 @@ def extract_events_batch(syndromes: np.ndarray) -> np.ndarray:
     return events
 
 
-def _event_rows(syndromes: np.ndarray) -> np.ndarray:
+def event_rows(syndromes: np.ndarray) -> np.ndarray:
     """Per shot and check type, its events as one row of cells in mask bit order."""
     shots, times, types, sites = syndromes.shape
     return extract_events_batch(syndromes).transpose(0, 2, 1, 3).reshape(shots, types, times * sites)
@@ -273,6 +274,6 @@ def _event_rows(syndromes: np.ndarray) -> np.ndarray:
 
 def event_masks(syndromes: np.ndarray) -> list[tuple[int, int]]:
     """Per shot, the star and the plaquette defect masks of its events."""
-    events = _event_rows(syndromes)
+    events = event_rows(syndromes)
     masks = iter(_masks(events.reshape(-1, events.shape[2])))
     return list(zip(masks, masks))

@@ -27,30 +27,25 @@ the two judge bits of the data X frame) and a plaquette side (plaquette
 events + the Z frame's two), which the decoder also judges independently.
 A span point is one int: the check type's defect mask over the program's
 ``(rounds+1)·d²`` event cells, bit ``t·d² + site`` as in
-``decoder.event_masks``, with the two judge bits above it.  Every point is
-judged by the production matcher itself, ``Decoder.matching`` on the
-point's mask, with one sub-matching memo per side, so a verdict is exact
-with respect to the decoder that the Monte-Carlo path runs.
+``decoder.event_masks``, with the two judge bits above it.  One judge,
+``_failing_points``, yields the failing bit of each span point of a leak
+spec's side from ``Decoder.matching`` on its mask, with one sub-matching
+memo per side.  ``scan`` fails the spec at its first failing point;
+``leak_failure_fractions`` counts them.  A side whose rank exceeds
+``SPAN_BUDGET_BITS`` is judged on ``SAMPLE_COUNT`` seeded random points
+instead, and the spec is reported as sampled rather than exact.
 
-Every spec goes through the same pipeline (``_spec_sides``): a Pauli or
-``meas_flip`` spec opens no consequence slots, so its sides have rank 0
-and their only point is that of its own replay.  That point is composed,
-not replayed: a noise-free, leak-free replay is GF(2)-linear in the
-injected frame and the fault-free point is 0, so the point is the XOR of
-the points of its single-qubit units (an X or Z at one gate position, or
-one measurement flip), each replayed once per call.  One judge,
-``_failing_points``, yields the failing bit of each span point of a side.
-``scan`` fails the spec at its first failing point;
-``leak_failure_fractions`` counts them.
-A side whose rank exceeds ``SPAN_BUDGET_BITS`` is judged on
-``SAMPLE_COUNT`` seeded random points instead, and the spec is reported as
-sampled rather than exact.
-
-Pair scanning (``max_faults=2``) judges each pair of Pauli specs at the
-XOR of their two rank-0 points, which is exact by frame linearity, under
-one memo for the whole pair scan; leak specs take part only singly
-because their worst-case assignment already spans multi-error
-combinations.
+A Pauli or ``meas_flip`` spec opens no consequence slots: its span is the
+one point of its own replay, composed, not replayed.  A noise-free,
+leak-free replay is GF(2)-linear in the injected frame and the fault-free
+point is 0, so it is the XOR of the points of its single-qubit units (an X
+or Z at one gate position, or one measurement flip), each replayed once
+per call.  These points are rows of event cells (``_pauli_rows``); all
+specs' rows, then every pair's XOR of two rows ``_PAIR_ROWS`` at a time,
+are judged by ``Decoder.parities``, the Monte-Carlo judge's row route.
+Both routes give the production matcher's parities, so every verdict is
+exact for the decoder that the Monte-Carlo path runs.  Only Pauli specs
+pair: a leak spec's worst case already spans multi-error combinations.
 
 Every verdict is a judge-bit verdict: the scanner does no residual-weight
 analysis of the data error a replay leaves behind.
@@ -58,13 +53,14 @@ analysis of the data error a replay leaves behind.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
-from itertools import islice
+from itertools import compress, islice
 
 import numpy as np
 
 from .circuits import CNOT, H, MEAS_Z, PREP_Z, SWAP
-from .decoder import Decoder, event_masks
+from .decoder import Decoder, event_masks, event_rows
 from .experiments import ConfigError
 from .lattice import ToricLattice
 from .pauli import PAULI1_ERRORS, PAULI2_ERRORS, PAULI_BY_NAME, PAULI_I, PAULI_X, PAULI_Z
@@ -76,6 +72,7 @@ SPAN_BUDGET_BITS = 16  # max basis rank enumerated exhaustively per side
 SAMPLE_COUNT = 4096  # assignments drawn when a span exceeds the budget
 PAIR_CAP = 1200  # max single-fault specs admitted into pair scanning
 _CHUNK_ROWS = 256  # scripted replays per executor batch
+_PAIR_ROWS = 1 << 15  # pairs judged per pass: memory follows the pass, not the pairs
 
 
 @dataclass(frozen=True)
@@ -296,55 +293,86 @@ def _unit_generators(slots: list[tuple]) -> list[tuple]:
     return generators
 
 
-def _pauli_units(spec: FaultSpec) -> list[tuple]:
-    """``(kind, gate, paulis)`` of each single-qubit unit whose points XOR to
-    a Pauli or ``meas_flip`` spec's point: an X or a Z at one gate position
-    per component of its Paulis, or the measurement flip itself."""
-    if spec.kind == "meas_flip":
-        return [("meas_flip", spec.gate_index, ())]
-    n = len(spec.paulis)
-    return [("pauli", spec.gate_index, tuple(unit if j == pos else PAULI_I for j in range(n)))
-            for pos, pauli in enumerate(spec.paulis)
-            for unit, bit in zip((PAULI_X, PAULI_Z), pauli) if bit]
+@functools.cache
+def _unit_slots(kind: str, paulis: tuple) -> tuple[int, ...]:
+    """Slots on its gate of the units whose rows XOR to a Pauli or
+    ``meas_flip`` spec's row, -1 past the last: ``2·position + component``
+    per X (component 0) or Z (1) of its Paulis, or 4 for its measurement
+    flip.  A unit's key ``5·gate + slot`` names no other gate's unit: a
+    position past 1, which no gate has, is refused here."""
+    if kind == "meas_flip":
+        return (4, -1, -1, -1)
+    if len(paulis) > 2:
+        raise ValueError(f"no gate has a qubit at position {len(paulis) - 1} for a Pauli")
+    slots = tuple(2 * pos + comp
+                  for pos, (x, z) in enumerate(paulis) for comp, bit in ((0, x), (1, z)) if bit)
+    return slots + (-1,) * (4 - len(slots))
 
 
-def _spec_sides(compiled: CompiledProgram, specs: list[FaultSpec]):
-    """Per spec, in order: ``(spec, sides)``, the span sides of its consequences.
-
-    A Pauli or ``meas_flip`` spec opens no consequence slots, so its sides
-    have rank 0.  Their base is composed, not replayed: a noise-free,
-    leak-free replay is GF(2)-linear in the injected frame (events, final
-    syndrome and judge bits alike) and the fault-free point is 0, so a
-    two-qubit Pauli is the XOR of its two single-qubit parts and Y is X xor
-    Z.  Each distinct unit of ``_pauli_units`` is replayed once up front,
-    as the ``FaultSpec`` its key spells, and a spec's base is the XOR of its
-    units' points, which are dropped once the last such spec is composed.
-    A leak spec's trajectory is its own, so it keeps its baseline replay
-    and one replay per unit-effect generator (``_leak_sides``).  Replays
-    run ``_CHUNK_ROWS`` rows per executor batch.
-    """
-    lat = compiled.lattice
-    width = (compiled.program.n_rounds + 1) * lat.d**2
-    units = dict.fromkeys(u for spec in specs if spec.kind != "leak" for u in _pauli_units(spec))
-    points = {}
-    for chunk in _chunks(units, _CHUNK_ROWS):
-        scripts = [script_for(compiled, FaultSpec(*unit)) for unit in chunk]
-        points.update(zip(chunk, _points(lat, width, execute(compiled, len(chunk), scripts=scripts))))
-    leak_sides = _leak_sides(compiled, [spec for spec in specs if spec.kind == "leak"], width)
-    last = max((i for i, spec in enumerate(specs) if spec.kind != "leak"), default=-1)
-    for i, spec in enumerate(specs):
-        if spec.kind == "leak":
-            yield spec, next(leak_sides)
-            continue
-        base = [0, 0]
-        for unit in _pauli_units(spec):
-            base = [b ^ p for b, p in zip(base, points[unit])]
-        if i == last:
-            points.clear()  # no later spec reads a unit point
-        yield spec, _span_sides([], base, width)
+def _rows(lat: ToricLattice, res) -> np.ndarray:
+    """Per replay row, its star and its plaquette point as uint8 rows: the
+    check type's event cells in mask bit order, then its two judge bits as
+    one value 0-3, as a point holds them above its mask."""
+    judge = lat.logical_parities(res.data_x, res.data_z).reshape(-1, 2, 2)  # [row, type, bit]
+    return np.concatenate([event_rows(res.syndromes), judge[..., :1] | judge[..., 1:] << 1], axis=2)
 
 
-def _leak_sides(compiled: CompiledProgram, specs: list[FaultSpec], width: int):
+def _unit_rows(compiled: CompiledProgram, keys: list[int]) -> np.ndarray:
+    """The rows of the units that ``keys`` name, each replayed once,
+    ``_CHUNK_ROWS`` per executor batch, then one zero row.  The executor
+    refuses a unit on a gate, position or measurement the program lacks."""
+    width = (compiled.program.n_rounds + 1) * compiled.lattice.d**2
+    rows = np.zeros((len(keys) + 1, 2, width + 1), dtype=np.uint8)
+    for lo in range(0, len(keys), _CHUNK_ROWS):
+        scripts = [Script(meas_flips={gi}) if slot == 4 else
+                   Script(paulis={gi: (PAULI_I,) * (slot // 2) + ((PAULI_X, PAULI_Z)[slot % 2],)})
+                   for gi, slot in (divmod(key, 5) for key in keys[lo : lo + _CHUNK_ROWS])]
+        res = execute(compiled, len(scripts), scripts=scripts)
+        rows[lo : lo + len(scripts)] = _rows(compiled.lattice, res)
+    return rows
+
+
+def _pauli_rows(compiled: CompiledProgram, specs: list[FaultSpec]) -> np.ndarray:
+    """Per Pauli or ``meas_flip`` spec, its rank-0 point as ``_rows`` lays
+    it out: the XOR of its at most four unit rows (frame linearity),
+    gathered one slot at a time, an empty slot reading the zero row."""
+    gates = np.array([spec.gate_index for spec in specs], dtype=np.intp)
+    slots = np.array([_unit_slots(s.kind, s.paulis) for s in specs], dtype=np.intp).reshape(-1, 4)
+    used = slots >= 0
+    keys = (5 * gates[:, None] + slots)[used].tolist()
+    index = {key: k for k, key in enumerate(dict.fromkeys(keys))}
+    slots[used] = [index[key] for key in keys]
+    slots[~used] = len(index)
+    units = _unit_rows(compiled, list(index))
+    rows = units[slots[:, 0]]
+    for slot in slots.T[1:]:
+        rows ^= units[slot]
+    return rows
+
+
+def _failing_rows(decoder: Decoder, rows: np.ndarray) -> np.ndarray:
+    """Whether each row of points fails: on some check type, its judge
+    bits differ from ``Decoder.parities`` of its cells."""
+    star, plaquette = (rows[:, ct, -1] != decoder.parities(ct, rows[:, ct, :-1]) for ct in (0, 1))
+    return star | plaquette
+
+
+def _pair_failures(decoder: Decoder, specs: list[FaultSpec], rows: np.ndarray) -> list[tuple]:
+    """The pairs ``(specs[i], specs[j])``, ``i < j`` in order, whose point,
+    the XOR of their two rows, fails; ``_PAIR_ROWS`` pairs per pass."""
+    n, total = len(specs), len(specs) * (len(specs) - 1) // 2
+    first = np.arange(n) * (2 * n - 1 - np.arange(n)) // 2  # flat number of pair (i, i + 1)
+    failures = []
+    for lo in range(0, total, _PAIR_ROWS):
+        k = np.arange(lo, min(lo + _PAIR_ROWS, total))
+        i = np.searchsorted(first, k, side="right") - 1
+        j = k - first[i] + i + 1
+        fail = _failing_rows(decoder, rows[i] ^ rows[j])
+        failures += [(specs[a], specs[b]) for a, b in zip(i[fail].tolist(), j[fail].tolist())]
+    return failures
+
+
+def _leak_sides(compiled: CompiledProgram, specs: list[FaultSpec]):
     """Per leak spec, in order: its span sides.
 
     The baselines of ``_CHUNK_ROWS`` specs share one replay batch; the
@@ -352,6 +380,7 @@ def _leak_sides(compiled: CompiledProgram, specs: list[FaultSpec], width: int):
     batches of ``_CHUNK_ROWS`` rows.  A spec's own assignment is ignored.
     """
     lat = compiled.lattice
+    width = (compiled.program.n_rounds + 1) * lat.d**2
 
     def leak(spec: FaultSpec, assignment: tuple = ()) -> FaultSpec:
         return FaultSpec("leak", spec.gate_index, victim=spec.victim, assignment=assignment)
@@ -423,8 +452,15 @@ def leak_failure_fractions(
     sides, so its fraction is exactly 0 or 1.
     """
     decoder = Decoder(compiled.lattice)
+    paulis = [s for s in specs if s.kind != "leak"]
+    failing = iter(_failing_rows(decoder, _pauli_rows(compiled, paulis)).tolist())  # rows freed here
+    leak_sides = _leak_sides(compiled, [s for s in specs if s.kind == "leak"])
     out = []
-    for spec, sides in _spec_sides(compiled, specs):
+    for spec in specs:
+        if spec.kind != "leak":
+            out.append((float(next(failing)), True))
+            continue
+        sides = next(leak_sides)
         survive = 1.0
         for side in sides:
             bits = list(_failing_points(decoder, spec, side))
@@ -458,26 +494,19 @@ def scan(
             f"got {len(pauli_specs)}; pass a restricted universe"
         )
 
-    pauli_failures: list[FaultSpec] = []
+    rows = _pauli_rows(compiled, pauli_specs)
+    pauli_failures = list(compress(pauli_specs, _failing_rows(decoder, rows)))
+    pair_failures = _pair_failures(decoder, pauli_specs, rows) if max_faults == 2 else []
+    del rows  # no Pauli row lives through the leak walk
+
     leak_failures: list[FaultSpec] = []
     sampled: list[FaultSpec] = []
-    paired = []  # (spec, sides) of every Pauli spec, for the pair scan
-    for spec, sides in _spec_sides(compiled, pauli_specs + leak_specs):
+    for spec, sides in zip(leak_specs, _leak_sides(compiled, leak_specs)):
         if any(any(_failing_points(decoder, spec, side)) for side in sides):
-            (leak_failures if spec.kind == "leak" else pauli_failures).append(spec)
+            leak_failures.append(spec)
         if not all(side.exact for side in sides):
             sampled.append(spec)
-        if max_faults == 2 and spec.kind != "leak":
-            paired.append((spec, sides))
-
-    # a pair's point is the XOR of its two rank-0 points (frame linearity)
-    pair_failures: list[tuple[FaultSpec, FaultSpec]] = []
-    memo: dict = {}
-    for i, (spec, sides) in enumerate(paired):
-        for other, other_sides in paired[i + 1 :]:
-            if any(side.failing(decoder, o.base, memo) for side, o in zip(sides, other_sides)):
-                pair_failures.append((spec, other))
-    n_pairs = len(paired) * (len(paired) - 1) // 2
+    n_pairs = len(pauli_specs) * (len(pauli_specs) - 1) // 2 if max_faults == 2 else 0
 
     program = compiled.program
     return ScanVerdict(

@@ -70,8 +70,10 @@ def test_every_noise_knob_is_a_config_field():
 
 
 def test_the_scanner_judges_span_points_only():
-    """Every spec and every pair is judged at span points by
-    ``Decoder.matching``: the scanner makes no ``judge_batch`` call."""
+    """Every spec and every pair is judged at span points: a leak spec's
+    by ``Decoder.matching`` mask by mask, the rank-0 points of Pauli specs
+    and pairs as rows by ``Decoder.parities``, the row route that
+    ``judge_batch`` shares.  The scanner makes no ``judge_batch`` call."""
     tree = ast.parse((SRC / "scanner.py").read_text())
     calls = [node.lineno for node in ast.walk(tree)
              if isinstance(node, ast.Attribute) and node.attr == "judge_batch"]

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import replace
 from fractions import Fraction
 from functools import lru_cache
@@ -234,8 +235,9 @@ def test_pair_scan_is_deterministic_and_flags_uncorrectable_pairs():
 
 
 def test_scan_does_not_depend_on_replay_chunk_size(monkeypatch):
-    """Replays are batched internally; every batch size gives the same scan
-    verdict, the same failure fractions and the same pair verdicts."""
+    """Replays and pair judgements are batched internally; every batch size
+    gives the same scan verdict, the same failure fractions and the same
+    pair verdicts."""
     compiled = _compiled("standard", rounds=2)
     universe = enumerate_fault_universe(compiled)[::5]
     mixed = universe[::-1]  # leak specs first, then Pauli specs
@@ -256,36 +258,108 @@ def test_scan_does_not_depend_on_replay_chunk_size(monkeypatch):
         assert leak_failure_fractions(compiled, mixed) == fractions
         again = scan(pair_compiled, universe=pair_universe, decoder=dec, max_faults=2)
         assert again.pair_failures == pairs.pair_failures
+    for rows in (1, 7, pairs.n_pairs + 1):
+        monkeypatch.setattr(scanner, "_PAIR_ROWS", rows)
+        again = scan(pair_compiled, universe=pair_universe, decoder=dec, max_faults=2)
+        assert again.pair_failures == pairs.pair_failures
+
+
+def _mask(cells):
+    """The defect mask of one row of 0/1 event cells."""
+    return int.from_bytes(np.packbits(cells, bitorder="little").tobytes(), "little")
 
 
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_composed_pauli_points_equal_their_own_replays(variant):
-    """A Pauli or meas_flip spec's rank-0 point is composed from the replays
-    of its single-qubit units; it equals the point of the spec's own
+    """A Pauli or meas_flip spec's rank-0 row is composed from the replays
+    of its single-qubit units; it equals the row of the spec's own
     ``script_for`` replay bit for bit, for every such spec at one round and
-    a slice at three."""
+    a slice at three, and it holds the span point of that replay."""
     for rounds, step in ((1, 1), (3, 7)):
         compiled = _compiled(variant, rounds=rounds)
         specs = [s for s in enumerate_fault_universe(compiled) if s.kind != "leak"][::step]
         width = (rounds + 1) * compiled.lattice.d**2
         res = execute(compiled, len(specs), scripts=[script_for(compiled, s) for s in specs])
-        own = scanner._points(compiled.lattice, width, res)
-        yielded = list(scanner._spec_sides(compiled, specs))
-        assert [spec for spec, _ in yielded] == specs
-        assert all(side.basis == [] for _, sides in yielded for side in sides)
-        assert [[side.base for side in sides] for _, sides in yielded] == own
-        assert sum(map(any, own)) > len(specs) // 2
+        own = scanner._rows(compiled.lattice, res)
+        composed = scanner._pauli_rows(compiled, specs)
+        assert composed.dtype == own.dtype == np.uint8
+        np.testing.assert_array_equal(composed, own)
+        points = [[_mask(side[:-1]) | int(side[-1]) << width for side in row] for row in composed]
+        assert points == scanner._points(compiled.lattice, width, res)
+        assert sum(map(any, points)) > len(specs) // 2
 
 
-def test_unit_points_are_released_before_the_leak_specs():
-    """``_spec_sides`` holds no unit point once the last Pauli or meas_flip
-    spec is yielded, so none lives through the leak phase of a scan."""
+def test_unit_points_are_released_before_the_leak_specs(monkeypatch):
+    """No unit row and no Pauli spec row is alive while the leak specs'
+    spans are walked, in a single-fault scan, a pair scan and the failure
+    fractions."""
     compiled = _compiled("standard", rounds=1)
     universe = enumerate_fault_universe(compiled)
     specs = [s for s in universe if s.kind != "leak"][::11] + [s for s in universe if s.kind == "leak"][:3]
-    sides = scanner._spec_sides(compiled, specs)
-    held = [len(sides.gi_frame.f_locals["points"]) for _ in sides]
-    assert held[0] > 0 and held[-4:] == [0, 0, 0, 0]
+    made = []  # weak references to every unit and spec row array built
+
+    def recording(build):
+        def wrapped(*args):
+            rows = build(*args)
+            made.append(weakref.ref(rows))
+            return rows
+        return wrapped
+
+    for name in ("_unit_rows", "_pauli_rows"):
+        monkeypatch.setattr(scanner, name, recording(getattr(scanner, name)))
+    alive = []  # per walked leak side: how many recorded arrays are alive
+    walk = scanner._failing_points
+
+    def watched(*args):
+        alive.append(sum(ref() is not None for ref in made))
+        return walk(*args)
+
+    monkeypatch.setattr(scanner, "_failing_points", watched)
+    for max_faults in (1, 2):
+        scan(compiled, universe=specs, max_faults=max_faults)
+    leak_failure_fractions(compiled, specs)
+    assert len(made) == 6 and len(alive) >= 9 and not any(alive)
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_row_verdicts_equal_per_mask_matching_on_every_pauli_spec(variant):
+    """On every Pauli and meas_flip spec at one and three rounds, the
+    batched row route gives ``Decoder.matching``'s parities on the spec's
+    masks, and the scan fails exactly the specs that the per-mask judge
+    fails."""
+    for rounds in (1, 3):
+        compiled = _compiled(variant, rounds=rounds)
+        specs = [s for s in enumerate_fault_universe(compiled) if s.kind != "leak"]
+        decoder = Decoder(compiled.lattice)
+        rows = scanner._pauli_rows(compiled, specs)
+        memo = {}
+        want = np.array([[decoder.matching(ct, _mask(cells), memo)[1] for cells in rows[:, ct, :-1]]
+                         for ct in (0, 1)], dtype=np.uint8).T
+        for ct in (0, 1):
+            np.testing.assert_array_equal(decoder.parities(ct, rows[:, ct, :-1]), want[:, ct])
+        failing = [spec for spec, row, par in zip(specs, rows, want) if (row[:, -1] != par).any()]
+        assert scan(compiled, universe=specs, decoder=decoder).pauli_failures == failing
+
+
+def test_pair_verdicts_equal_per_mask_matching():
+    """On every pair of a slice of the standard d=3, one-round universe,
+    failing pairs included, the pair scan fails exactly the pairs whose
+    XORed point fails ``Decoder.matching`` mask by mask."""
+    compiled = _compiled("standard", rounds=1)
+    specs = [s for s in enumerate_fault_universe(compiled) if s.kind != "leak"][::6]
+    decoder = Decoder(compiled.lattice)
+    rows = scanner._pauli_rows(compiled, specs)
+    memo = {}
+    failing = []
+    for i, a in enumerate(specs):
+        for j in range(i + 1, len(specs)):
+            point = rows[i] ^ rows[j]
+            bits = [decoder.matching(ct, _mask(point[ct, :-1]), memo)[1] for ct in (0, 1)]
+            if bits != point[:, -1].tolist():
+                failing.append((a, specs[j]))
+    verdict = scan(compiled, universe=specs, decoder=decoder, max_faults=2)
+    assert verdict.n_pairs == len(specs) * (len(specs) - 1) // 2
+    assert failing and verdict.pair_failures == failing
 
 
 @pytest.mark.parametrize("case", ["exhaustive", "sampled"])
@@ -323,13 +397,74 @@ def test_a_leak_spec_needs_its_victim_on_the_gate(victim):
             spec_location(compiled, spec)
 
 
+def _refusal(compiled, spec):
+    """The executor's ``ValueError`` message for a replay of ``spec`` alone."""
+    with pytest.raises(ValueError) as refused:
+        execute(compiled, 1, scripts=[script_for(compiled, spec)])
+    return str(refused.value)
+
+
+def test_malformed_pauli_specs_are_refused_as_the_executor_refuses_them():
+    """A Pauli on a position the gate lacks, a measurement flip on another
+    gate and a gate outside the program are the executor's ``ValueError``
+    in a scan, a pair scan and the failure fractions, never a composed
+    point of some other gate's unit."""
+    compiled = _compiled("standard", rounds=1)
+    gates = compiled.gates
+    h = next(gi for gi, g in enumerate(gates) if g.kind == "H")
+    cnot = next(gi for gi, g in enumerate(gates) if g.kind == "CNOT")
+    x = (1, 0)
+    bad = [FaultSpec("pauli", h, paulis=((0, 0), x)),
+           FaultSpec("pauli", h, paulis=((0, 0), (0, 0), x)),  # a third position on a one-qubit gate
+           FaultSpec("pauli", cnot, paulis=(x, x, x)),
+           FaultSpec("meas_flip", cnot),
+           FaultSpec("pauli", len(gates), paulis=(x,)),
+           FaultSpec("pauli", -1, paulis=(x,)),
+           FaultSpec("meas_flip", len(gates))]
+    good = [s for s in enumerate_fault_universe(compiled) if s.kind != "leak"][:5]
+    for spec in bad:
+        message = _refusal(compiled, spec)
+        if len(spec.paulis) > 2:
+            message = "qubit at position 2 for a Pauli"  # no gate has one: refused before any replay
+        for max_faults in (1, 2):
+            with pytest.raises(ValueError, match=message):
+                scan(compiled, universe=good + [spec], max_faults=max_faults)
+        with pytest.raises(ValueError, match=message):
+            leak_failure_fractions(compiled, good + [spec])
+    assert _refusal(compiled, bad[0]) == f"gate {h} has no qubit at position 1 for a Pauli"
+
+
+def test_empty_and_leak_only_universes_scan_as_before():
+    """With no Pauli spec there is no row to judge and no pair: an empty
+    universe fails nothing, and a leak-only one fails the leak specs it
+    fails beside Pauli specs, at one and two faults."""
+    compiled = _compiled("standard", rounds=1)
+    universe = enumerate_fault_universe(compiled)
+    leaks = [s for s in universe if s.kind == "leak"][::7]
+    mixed = scan(compiled, universe=[s for s in universe if s.kind != "leak"][::7] + leaks)
+    assert mixed.leak_failures and not mixed.pauli_failures
+    assert leak_failure_fractions(compiled, []) == []
+    for max_faults in (1, 2):
+        empty = scan(compiled, universe=[], max_faults=max_faults)
+        assert (empty.n_pauli_specs, empty.n_leak_specs, empty.n_pairs) == (0, 0, 0)
+        assert empty.distance_preserving and empty.exhaustive and not empty.pair_failures
+        only = scan(compiled, universe=leaks, max_faults=max_faults)
+        assert only.leak_failures == mixed.leak_failures and only.sampled == mixed.sampled
+        assert (only.pauli_failures, only.pair_failures, only.n_pairs) == ([], [], 0)
+        text = verdict_to_text(compiled, only).splitlines()
+        assert ("pairs_scanned=0 pairs_failing=0" in text) == (max_faults == 2)
+
+
 class _MisjudgingStars(Decoder):
     """The production matcher, with the parities of every nonempty star
-    matching flipped."""
+    matching flipped, mask by mask and row by row."""
 
     def matching(self, check_type, mask, memo=None):
         weight, par = super().matching(check_type, mask, memo)
         return weight, par ^ (check_type == 0 and mask != 0)
+
+    def parities(self, check_type, cells):
+        return super().parities(check_type, cells) ^ ((check_type == 0) & cells.any(axis=1))
 
 
 @pytest.mark.parametrize("decoder", [Decoder, _MisjudgingStars])
@@ -528,7 +663,7 @@ def test_control_only_leaks_split_into_star_and_plaquette_sides(variant):
     compiled = _compiled(variant, noise, rounds=1)
     leaks = [s for s in enumerate_fault_universe(compiled) if s.kind == "leak"]
     assert leaks
-    for _, sides in scanner._spec_sides(compiled, leaks):
+    for sides in scanner._leak_sides(compiled, leaks):
         assert [side.check_type for side in sides] == [0, 1]
 
 
