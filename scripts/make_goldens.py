@@ -1,6 +1,6 @@
 """Regenerate, or check, the versioned golden fixtures under tests/golden/.
 
-Three families:
+Five families:
   * circuit_<variant>_d3_r1.txt  -- one-round circuit text dumps
   * scan_<variant>_d3.txt        -- single-fault scan reports at d=3,
     rounds=3, with the documentary policy (two-sided leakage at every
@@ -9,6 +9,11 @@ Three families:
   * scan_standard_d3_r1_pairs.txt -- a fault-pair scan report
     (``max_faults=2``) of standard d=3, one round, same policy, which pins
     the pair verdicts.
+  * fractions_d3.txt -- exact ``leak_failure_fractions`` of every leak
+    spec of each variant at d=3, rounds=3, same policy: per variant a
+    header with its count of zero-fraction specs, then one line per spec
+    with a nonzero fraction (gate, victim, ``float.hex`` fraction, exact);
+    ``--which scans`` builds it with the scan reports.
   * sweep_mixed_lrc_d3_seed7.csv -- a Monte-Carlo sweep CSV (mixed_lrc,
     d=3, four p, 2500 shots each, master seed 7), which pins the decoder's
     verdicts on stochastic shots; only ``--which all`` builds it.
@@ -50,7 +55,7 @@ from toricleak.cli import SCAN_INIT_LEAK, SCAN_P, SCAN_R
 from toricleak.decoder import Decoder
 from toricleak.experiments import ExperimentConfig, rows_to_csv, run_sweep
 from toricleak.noise import NoiseModel
-from toricleak.scanner import scan, verdict_to_text
+from toricleak.scanner import enumerate_fault_universe, leak_failure_fractions, scan, verdict_to_text
 from toricleak.sim import compile_program
 
 GOLDEN = ROOT / "tests" / "golden"
@@ -73,14 +78,32 @@ def _circuit(variant: str) -> str:
 def scans() -> dict[Path, Callable[[], str]]:
     out = {GOLDEN / f"scan_{variant}_d3.txt": partial(_scan, variant, 3, 1) for variant in VARIANTS}
     out[GOLDEN / "scan_standard_d3_r1_pairs.txt"] = partial(_scan, "standard", 1, 2)
+    out[GOLDEN / "fractions_d3.txt"] = _fractions
     return out
 
 
-def _scan(variant: str, rounds: int, max_faults: int) -> str:
+def _compiled(variant: str, rounds: int):
     noise = NoiseModel(p=SCAN_P, r=SCAN_R, p_init_leak=SCAN_INIT_LEAK)
-    compiled = compile_program(build_program(variant, 3, rounds), noise)
+    return compile_program(build_program(variant, 3, rounds), noise)
+
+
+def _scan(variant: str, rounds: int, max_faults: int) -> str:
+    compiled = _compiled(variant, rounds)
     verdict = scan(compiled, decoder=Decoder(compiled.lattice), max_faults=max_faults)
     return verdict_to_text(compiled, verdict)
+
+
+def _fractions() -> str:
+    lines = ["toricleak-fractions v1"]
+    for variant in VARIANTS:
+        compiled = _compiled(variant, 3)
+        leaks = [s for s in enumerate_fault_universe(compiled) if s.kind == "leak"]
+        rows = list(zip(leaks, leak_failure_fractions(compiled, leaks)))
+        zero = sum(q == 0 for _, (q, _) in rows)
+        lines.append(f"variant={variant} d=3 rounds=3 leak_specs={len(leaks)} zero={zero}")
+        lines += [f"gate={s.gate_index} victim={s.victim} fraction={q.hex()} exact={int(exact)}"
+                  for s, (q, exact) in rows if q]
+    return "\n".join(lines) + "\n"
 
 
 def sweeps() -> dict[Path, Callable[[], str]]:

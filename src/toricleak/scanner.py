@@ -16,9 +16,18 @@ program and judges every spec with all other noise switched off:
 Worst-case leak semantics are evaluated exactly.  The leak trajectory is
 fixed by the location alone (outcome choices never create or move leaks),
 so the consequence slots are a fixed list and the map from outcome choices
-to (detection events, readout frame) is GF(2)-linear.  Unit effects per
-choice are measured by noise-free scripted replays, up to ``_CHUNK_ROWS``
-(256) rows per executor batch, reduced to a basis, and the whole span is
+to (detection events, readout frame) is GF(2)-linear.  Each unit outcome
+choice's effect is replayed once per call and shared by every spec whose
+trace opens its slot, as a detector error model shares a fault's effect.
+The sharing is exact.  A ``measbit`` or ``readout`` unit is a plain bit
+flip, so its effect is its replay alone.  A ``("pair", g, pos)`` slot opens
+only while the other qubit of gate g is leaked.  One fault opens one leak,
+and that qubit stays leaked (SWAPs leave leak flags in place) until its
+next measurement or preparation, so the leak pattern after g is fixed by
+``(g, pos)``.  With it fixed the executor is GF(2)-linear in the frame, so
+the unit's effect is the replay of the leak ``(g, 1 - pos)`` plus the
+partner Pauli at g, XOR the replay of that leak alone.  A spec's effects,
+in its trace's order, are reduced to a basis, and the whole span is
 enumerated.
 The code is CSS and CNOT never mixes X and Z frame sectors, so every unit
 effect lands on one check type (``_span_sides`` raises ``ValueError`` if
@@ -194,31 +203,27 @@ def spec_location(compiled: CompiledProgram, spec: FaultSpec) -> SpecLocation:
 # scripted replays
 
 
-def script_for(compiled: CompiledProgram, spec: FaultSpec) -> Script:
-    """Translate a spec (plus any assignment) into executor injections."""
-    if spec.kind == "pauli":
-        return Script(paulis={spec.gate_index: spec.paulis})
-    if spec.kind == "meas_flip":
-        return Script(meas_flips={spec.gate_index})
-    script = Script(leaks={(spec.gate_index, spec.victim)})
-    for slot, choice in spec.assignment:
-        tag = slot[0]
+def _unit_script(leak: tuple | None, unit: tuple | None) -> Script:
+    """One replay's injections: a leak ``(gate, position)`` and one unit
+    generator ``(slot, choice)`` of ``_unit_generators``, each optional."""
+    script = Script(leaks={leak} if leak else set())
+    if unit:
+        (tag, *at), choice = unit
         if tag == "pair":
-            _, gi, pos = slot
-            g = compiled.gates[gi]
-            paulis = [PAULI_I, PAULI_I] if g.q1 >= 0 else [PAULI_I]
-            paulis[pos] = PAULI_BY_NAME[choice]
-            script.paulis[gi] = tuple(paulis)
+            script.paulis[at[0]] = (PAULI_I,) * at[1] + (PAULI_BY_NAME[choice],)
         elif tag == "measbit":
-            if choice:
-                script.meas_flips.add(slot[1])
-        elif tag == "readout":
-            dx = 1 if choice in ("x", "y") else 0
-            dz = 1 if choice in ("z", "y") else 0
-            script.readout_flips[slot[1]] = (dx, dz)
-        else:
-            raise ValueError(f"unknown assignment slot {slot!r}")
+            script.meas_flips.add(at[0])
+        else:  # readout erasure
+            script.readout_flips[at[0]] = (int(choice == "x"), int(choice == "z"))
     return script
+
+
+def _replays(unit: tuple) -> tuple:
+    """The two ``(leak, unit)`` replays whose points XOR to a unit's effect:
+    the unit on top of the one leak its slot implies, and that leak alone."""
+    slot = unit[0]
+    leak = (slot[1], 1 - slot[2]) if slot[0] == "pair" else None
+    return (leak, unit), (leak, None)
 
 
 def _chunks(items, size: int):
@@ -280,17 +285,12 @@ def _points(lat: ToricLattice, width: int, res) -> list[list[int]]:
             for masks, bits in zip(event_masks(res.syndromes), judge)]
 
 
+_UNIT_CHOICES = {"pair": ("X", "Z"), "measbit": (1,), "readout": ("x", "z")}
+
+
 def _unit_generators(slots: list[tuple]) -> list[tuple]:
     """One (slot, choice) per unit outcome choice of each consequence slot."""
-    generators = []
-    for slot in slots:
-        if slot[0] == "pair":
-            generators += [(slot, "X"), (slot, "Z")]
-        elif slot[0] == "measbit":
-            generators.append((slot, 1))
-        else:  # readout erasure
-            generators += [(slot, "x"), (slot, "z")]
-    return generators
+    return [(slot, choice) for slot in slots for choice in _UNIT_CHOICES[slot[0]]]
 
 
 @functools.cache
@@ -350,24 +350,39 @@ def _pauli_rows(compiled: CompiledProgram, specs: list[FaultSpec]) -> np.ndarray
     return rows
 
 
-def _failing_rows(decoder: Decoder, rows: np.ndarray) -> np.ndarray:
+def _cell_ids(rows: np.ndarray) -> np.ndarray:
+    """Per check type and row, the rank of the row's cells among the
+    distinct ones: rows with equal ids have equal cells."""
+    packed = np.packbits(rows[..., :-1], axis=2)
+    cells = packed.view(np.dtype((np.void, packed.shape[2])))[..., 0]  # one bytes key per row and type
+    return np.array([np.unique(cells[:, ct], return_inverse=True)[1] for ct in (0, 1)])
+
+
+def _failing_rows(decoder: Decoder, rows: np.ndarray, ids: np.ndarray | None = None) -> np.ndarray:
     """Whether each row of points fails: on some check type, its judge
-    bits differ from ``Decoder.parities`` of its cells."""
-    star, plaquette = (rows[:, ct, -1] != decoder.parities(ct, rows[:, ct, :-1]) for ct in (0, 1))
-    return star | plaquette
+    bits differ from ``Decoder.parities`` of its cells, which judges the
+    first row of each distinct id of ``ids[type]`` (equal ids, equal
+    cells; by default the rows' own ``_cell_ids``)."""
+    ids = _cell_ids(rows) if ids is None else ids
+    fail = np.zeros(len(rows), dtype=bool)
+    for ct in (0, 1):
+        _, first, inverse = np.unique(ids[ct], return_index=True, return_inverse=True)
+        fail |= rows[:, ct, -1] != decoder.parities(ct, rows[first, ct, :-1])[inverse]
+    return fail
 
 
 def _pair_failures(decoder: Decoder, specs: list[FaultSpec], rows: np.ndarray) -> list[tuple]:
     """The pairs ``(specs[i], specs[j])``, ``i < j`` in order, whose point,
-    the XOR of their two rows, fails; ``_PAIR_ROWS`` pairs per pass."""
-    n, total = len(specs), len(specs) * (len(specs) - 1) // 2
+    the XOR of their two rows, fails; ``_PAIR_ROWS`` pairs per pass.  The
+    rows' ``_cell_ids`` key the pairs: equal id pairs, equal XORed cells."""
+    n, total, ids = len(specs), len(specs) * (len(specs) - 1) // 2, _cell_ids(rows)
     first = np.arange(n) * (2 * n - 1 - np.arange(n)) // 2  # flat number of pair (i, i + 1)
     failures = []
     for lo in range(0, total, _PAIR_ROWS):
         k = np.arange(lo, min(lo + _PAIR_ROWS, total))
         i = np.searchsorted(first, k, side="right") - 1
         j = k - first[i] + i + 1
-        fail = _failing_rows(decoder, rows[i] ^ rows[j])
+        fail = _failing_rows(decoder, rows[i] ^ rows[j], ids[:, i] * n + ids[:, j])
         failures += [(specs[a], specs[b]) for a, b in zip(i[fail].tolist(), j[fail].tolist())]
     return failures
 
@@ -375,29 +390,30 @@ def _pair_failures(decoder: Decoder, specs: list[FaultSpec], rows: np.ndarray) -
 def _leak_sides(compiled: CompiledProgram, specs: list[FaultSpec]):
     """Per leak spec, in order: its span sides.
 
-    The baselines of ``_CHUNK_ROWS`` specs share one replay batch; the
-    unit-effect generators of their consequence slots are then replayed in
-    batches of ``_CHUNK_ROWS`` rows.  A spec's own assignment is ignored.
+    The baselines of ``_CHUNK_ROWS`` specs share one replay batch, which
+    also yields their traces.  The ``_replays`` of unit generators that no
+    earlier batch met follow, ``_CHUNK_ROWS`` per batch; each generator's
+    effect is taken once and shared by every spec whose trace opens it.
+    A spec's own assignment is ignored.
     """
     lat = compiled.lattice
     width = (compiled.program.n_rounds + 1) * lat.d**2
-
-    def leak(spec: FaultSpec, assignment: tuple = ()) -> FaultSpec:
-        return FaultSpec("leak", spec.gate_index, victim=spec.victim, assignment=assignment)
-
+    points = {(None, None): [0, 0]}  # per (leak, unit) replay; the fault-free one is 0
+    effects: dict = {}  # per unit generator: its star and plaquette effect
     for group in _chunks(specs, _CHUNK_ROWS):
         traces: list[list] = [[] for _ in group]
-        scripts = [script_for(compiled, leak(spec)) for spec in group]
+        scripts = [Script(leaks={(spec.gate_index, spec.victim)}) for spec in group]
         base = _points(lat, width, execute(compiled, len(group), scripts=scripts, traces=traces))
-        units = ((k, gen) for k, trace in enumerate(traces) for gen in _unit_generators(trace))
-        effects: list[list] = [[] for _ in group]
-        for chunk in _chunks(units, _CHUNK_ROWS):
-            scripts = [script_for(compiled, leak(group[k], (gen,))) for k, gen in chunk]
-            points = _points(lat, width, execute(compiled, len(chunk), scripts=scripts))
-            for (k, _), unit in zip(chunk, points):
-                effects[k].append([p ^ q for p, q in zip(unit, base[k])])
-        for spec_base, spec_effects in zip(base, effects):
-            yield _span_sides(spec_effects, spec_base, width)
+        units = [_unit_generators(trace) for trace in traces]
+        fresh = dict.fromkeys(gen for gens in units for gen in gens if gen not in effects)
+        keys = dict.fromkeys(key for gen in fresh for key in _replays(gen) if key not in points)
+        for chunk in _chunks(keys, _CHUNK_ROWS):
+            res = execute(compiled, len(chunk), scripts=[_unit_script(*key) for key in chunk])
+            points.update(zip(chunk, _points(lat, width, res)))
+        for gen in fresh:
+            effects[gen] = [p ^ q for p, q in zip(*map(points.get, _replays(gen)))]
+        for spec_base, gens in zip(base, units):
+            yield _span_sides([effects[gen] for gen in gens], spec_base, width)
 
 
 def _span_sides(effects: list, base: list[int], width: int) -> list[_SpanSide]:

@@ -1,8 +1,9 @@
 """Test-side oracles: structural checks, text forms, a zero-noise model,
 lattice coordinates, the per-shot reference draws, one-shot and scripted
-replays, the torus metric, rows-first repair paths (``path_edges``, the
-reference for the decoder's closed-form pair table), a reference matcher and
-residual-weight analysis.
+replays, per-spec leak span sides (``leak_sides``, the reference for the
+scanner's shared unit effects), the torus metric, rows-first repair paths
+(``path_edges``, the reference for the decoder's closed-form pair table), a
+reference matcher and residual-weight analysis.
 
 None of this is on a production path.  The tests use it to check circuits,
 lattices, configs, matchings and the batch draws, to replay single shots and
@@ -25,7 +26,8 @@ from toricleak.decoder import _DP_LIMIT, Decoder
 from toricleak.experiments import _LIST_KEYS, CONFIG_VERSION, ExperimentConfig, _fmt
 from toricleak.lattice import Z, ToricLattice
 from toricleak.noise import NoiseModel
-from toricleak.scanner import FaultSpec, script_for
+from toricleak.pauli import PAULI_BY_NAME, PAULI_I
+from toricleak.scanner import FaultSpec, _chunks, _points, _span_sides, _unit_generators
 from toricleak.sim import CompiledProgram, Script
 from toricleak.vector import execute
 
@@ -249,6 +251,60 @@ def run_shot(
         compiled.lattice.logical_parities(res.data_x, res.data_z)[0],
         res.leak_final[0],
     )
+
+
+def script_for(compiled: CompiledProgram, spec: FaultSpec) -> Script:
+    """Translate a spec (plus any assignment) into executor injections."""
+    if spec.kind == "pauli":
+        return Script(paulis={spec.gate_index: spec.paulis})
+    if spec.kind == "meas_flip":
+        return Script(meas_flips={spec.gate_index})
+    script = Script(leaks={(spec.gate_index, spec.victim)})
+    for slot, choice in spec.assignment:
+        tag = slot[0]
+        if tag == "pair":
+            _, gi, pos = slot
+            g = compiled.gates[gi]
+            paulis = [PAULI_I, PAULI_I] if g.q1 >= 0 else [PAULI_I]
+            paulis[pos] = PAULI_BY_NAME[choice]
+            script.paulis[gi] = tuple(paulis)
+        elif tag == "measbit":
+            if choice:
+                script.meas_flips.add(slot[1])
+        elif tag == "readout":
+            dx = 1 if choice in ("x", "y") else 0
+            dz = 1 if choice in ("z", "y") else 0
+            script.readout_flips[slot[1]] = (dx, dz)
+        else:
+            raise ValueError(f"unknown assignment slot {slot!r}")
+    return script
+
+
+def leak_sides(compiled: CompiledProgram, specs: list[FaultSpec]):
+    """Per leak spec, in order: its span sides, with every unit effect
+    measured on the spec's own leak, the reference for the scanner's
+    shared units.  A unit's effect is the replay of the spec with that one
+    unit assigned XOR the spec's baseline replay; 256 rows share an
+    executor batch."""
+    lat = compiled.lattice
+    width = (compiled.program.n_rounds + 1) * lat.d**2
+
+    def leak(spec: FaultSpec, assignment: tuple = ()) -> FaultSpec:
+        return FaultSpec("leak", spec.gate_index, victim=spec.victim, assignment=assignment)
+
+    for group in _chunks(specs, 256):
+        traces: list[list] = [[] for _ in group]
+        scripts = [script_for(compiled, leak(spec)) for spec in group]
+        base = _points(lat, width, execute(compiled, len(group), scripts=scripts, traces=traces))
+        units = ((k, gen) for k, trace in enumerate(traces) for gen in _unit_generators(trace))
+        effects: list[list] = [[] for _ in group]
+        for chunk in _chunks(units, 256):
+            scripts = [script_for(compiled, leak(group[k], (gen,))) for k, gen in chunk]
+            points = _points(lat, width, execute(compiled, len(chunk), scripts=scripts))
+            for (k, _), unit in zip(chunk, points):
+                effects[k].append([p ^ q for p, q in zip(unit, base[k])])
+        for spec_base, spec_effects in zip(base, effects):
+            yield _span_sides(spec_effects, spec_base, width)
 
 
 # valid outcome choices per consequence-slot tag

@@ -18,10 +18,12 @@ from oracles import (
     crossing_parities,
     defect_mask,
     leak_consequences,
+    leak_sides,
     random_defects,
     replay_spec,
     residual_weight,
     run_shot,
+    script_for,
     support,
     weight_matrix,
 )
@@ -35,7 +37,6 @@ from toricleak.scanner import (
     enumerate_fault_universe,
     leak_failure_fractions,
     scan,
-    script_for,
     spec_location,
     verdict_to_text,
 )
@@ -680,3 +681,114 @@ def test_assignment_slots_outside_the_program_are_rejected():
         with pytest.raises(ValueError):
             replay_spec(compiled, Decoder(compiled.lattice),
                         replace(spec, assignment=((slot, choice),)))
+
+
+_POLICIES = [DOC_NOISE, replace(DOC_NOISE, site_filter="data_only"),
+             replace(DOC_NOISE, side_policy="control_only")]
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_shared_unit_sides_equal_per_spec_replays(variant):
+    """Every leak spec's sides, with unit effects shared between specs,
+    equal the per-spec reference bit for bit (check type, base, basis in
+    order), under two-sided, data-only and control-only leakage at one and
+    three rounds."""
+    for noise, rounds in product(_POLICIES, (1, 3)):
+        compiled = _compiled(variant, noise, rounds=rounds)
+        specs = [s for s in enumerate_fault_universe(compiled) if s.kind == "leak"]
+        assert specs
+        assert list(scanner._leak_sides(compiled, specs)) == list(leak_sides(compiled, specs))
+
+
+def test_shared_unit_sides_equal_per_spec_replays_at_d5():
+    """The same on a slice of standard d=5 at three rounds, where sides
+    reach rank 9 and more."""
+    compiled = _compiled("standard", d=5, rounds=3)
+    specs = [s for s in enumerate_fault_universe(compiled) if s.kind == "leak"][::12]
+    sides = list(scanner._leak_sides(compiled, specs))
+    assert sides == list(leak_sides(compiled, specs))
+    assert max(len(side.basis) for spec_sides in sides for side in spec_sides) > 8
+
+
+def test_pair_units_are_replayed_on_the_leak_their_slot_implies():
+    """In the variants' schedules a partner's Pauli never meets the leaked
+    qubit again, so a pair unit's effect would come out the same without
+    the leak.  Repeating every CNOT makes it meet the still-leaked qubit at
+    once, where only a replay that carries the leak blocks it."""
+    program = build_program("standard", 3, 1)
+    doubled = [[op for op in ops for _ in range(1 + (op.kind == "CNOT"))] for ops in program.rounds]
+    compiled = compile_program(replace(program, rounds=doubled), DOC_NOISE)
+    specs = [s for s in enumerate_fault_universe(compiled) if s.kind == "leak"]
+    assert list(scanner._leak_sides(compiled, specs)) == list(leak_sides(compiled, specs))
+
+
+def test_leak_walk_replays_each_distinct_unit_once(monkeypatch):
+    """On standard d=3 at three rounds, the leak walk of a scan and of the
+    failure fractions replays each spec's baseline, each distinct unit
+    generator and, per pair slot, the leak it implies alone, once: not one
+    row per spec and unit."""
+    compiled = _compiled("standard")
+    specs = [s for s in enumerate_fault_universe(compiled) if s.kind == "leak"]
+    traces = [[] for _ in specs]
+    execute(compiled, len(specs), scripts=[script_for(compiled, s) for s in specs], traces=traces)
+    units = {gen for trace in traces for gen in scanner._unit_generators(trace)}
+    pair_slots = {slot for slot, _ in units if slot[0] == "pair"}
+    per_spec = len(specs) + sum(len(scanner._unit_generators(trace)) for trace in traces)
+    assert (len(specs), len(units), len(pair_slots), per_spec) == (540, 918, 414, 4968)
+    rows = []
+
+    def counting(compiled, n_rows, *args, **kwargs):
+        rows.append(n_rows)
+        return execute(compiled, n_rows, *args, **kwargs)
+
+    monkeypatch.setattr(scanner, "execute", counting)
+    for walk in (lambda: scan(compiled, universe=specs), lambda: leak_failure_fractions(compiled, specs)):
+        rows.clear()
+        walk()
+        assert sum(rows) <= len(specs) + len(units) + len(pair_slots) + 1 == 1873
+
+
+def test_leak_fractions_match_the_frozen_fixture():
+    """A third of the standard slice of the frozen fractions fixture: each
+    leak spec's exact failure fraction, bit for bit, zero where the fixture
+    lists none.  ``make_goldens.py --check`` diffs all of it."""
+    lines = (GOLDEN / "fractions_d3.txt").read_text().splitlines()
+    start = next(k for k, line in enumerate(lines) if line.startswith("variant=standard "))
+    header = dict(field.split("=") for field in lines[start].split())
+    listed = {}
+    for line in lines[start + 1 :]:
+        if not line.startswith("gate="):
+            break
+        f = dict(field.split("=") for field in line.split())
+        listed[int(f["gate"]), int(f["victim"])] = (float.fromhex(f["fraction"]), f["exact"] == "1")
+    compiled = _compiled("standard")
+    specs = [s for s in enumerate_fault_universe(compiled) if s.kind == "leak"]
+    assert (header["d"], header["rounds"], int(header["leak_specs"])) == ("3", "3", len(specs))
+    assert len(listed) + int(header["zero"]) == len(specs)
+    keys = [(s.gate_index, s.victim) for s in specs[::3]]
+    got = leak_failure_fractions(compiled, specs[::3])
+    assert got == [listed.get(key, (0.0, got[k][1])) for k, key in enumerate(keys)]
+    assert 0 < sum(q > 0 for q, _ in got) < len(got)
+
+
+@pytest.mark.parametrize("width", [18, 64, 65, 100])
+def test_cell_ids_are_equal_exactly_where_cells_are(width):
+    """``_cell_ids`` gives two rows of one check type the same id exactly
+    when their cells are equal, also where rows differ only in their first
+    or last cell, on either side of a 64-cell word boundary; the judge
+    bits and the other type's cells play no part."""
+    rng = np.random.default_rng(width)
+    pool = rng.integers(0, 2, size=(40, width), dtype=np.uint8)
+    pool[1], pool[2] = pool[0], pool[0]
+    pool[1, 0] ^= 1
+    pool[2, -1] ^= 1
+    rows = np.concatenate([pool[rng.integers(0, len(pool), size=(1000, 2))],
+                           rng.integers(0, 4, size=(1000, 2, 1), dtype=np.uint8)], axis=2)
+    ids = scanner._cell_ids(rows)
+    assert ids.shape == (2, 1000)
+    for ct in (0, 1):
+        cells = rows[:, ct, :-1]
+        _, first, inverse = np.unique(ids[ct], return_index=True, return_inverse=True)
+        np.testing.assert_array_equal(cells[first][inverse], cells)
+        assert len(first) == len({row.tobytes() for row in cells}) == len(pool)
+    assert scanner._cell_ids(rows[:0]).shape == (2, 0)

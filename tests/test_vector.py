@@ -8,12 +8,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from oracles import leak_consequences, run_shot, shot_uniforms
+from oracles import leak_consequences, run_shot, script_for, shot_uniforms
 from toricleak import vector
 from toricleak.circuits import CNOT, MEAS_Z, SWAP, VARIANTS, build_program
 from toricleak.noise import NoiseModel
 from toricleak.pauli import batch_uniforms
-from toricleak.scanner import enumerate_fault_universe, script_for
+from toricleak.scanner import enumerate_fault_universe
 from toricleak.sim import Script, compile_program
 from toricleak.vector import execute, run_batch
 
