@@ -2,13 +2,13 @@
 
 Detection events are differences of consecutive syndrome rounds (round -1 is
 the all-zero baseline; the last row is the noiseless readout round).  One
-check type's events are one int, its defect mask: bit ``t * d*d + site`` is
-the event of the check at ``site`` in round ``t``, so ascending bits are
-ascending ``(t, site)``.  Events of each check type are matched in spacetime
-with weight = torus Manhattan distance + time separation, exactly: a
-memoised top-down subset DP on sub-masks for up to 10 defects, an exact
-blossom matching (``blossom``, a port of NetworkX's) of the mask's cells in
-bit order beyond that.
+check type's events are one row of cells: cell ``t * d*d + site`` is the
+event of the check at ``site`` in round ``t``, so ascending cells are
+ascending ``(t, site)``.  Events of each check type are matched in
+spacetime with weight = torus Manhattan distance + time separation,
+exactly: a subset DP for up to 16 defects, an exact blossom matching
+(``blossom``, a port of NetworkX's) of the row's cells in order where the
+DP cannot decide.
 
 A matched pair is repaired along a shortest torus path, of which the decoder
 needs only the length and the two logical-crossing parities: one pair table
@@ -26,23 +26,23 @@ parities.
 
 The decoder returns verdicts, not corrections: the crossing parities of the
 minimum-weight matching, with one tie rule, are what the Monte-Carlo judge
-and the scanner both read.  The scanner asks ``Decoder.matching`` one mask
-at a time for leak span points, with a memo of its own; the decoder keeps
-no matching cache.  Rows of event cells (the shots of ``judge_batch``, the
-scanner's Pauli specs and pairs) go to ``Decoder.parities``, which runs
-every row of at most 16 defects through the same subset DP laid out in
-layers (``_dp_layers``): its states are the sub-masks the top-down DP
-reaches from a row's n cells, and one numpy pass per state size settles
-every state of that size for all rows of n defects at once.  Each
-state keeps its minimum weight, the parities of the DP's own choice (the
-first partner that reaches the minimum), and an ambiguous bit: set when a
-tied partner leads to other parities or to an ambiguous sub-state, so by
+and the scanner both read, and ``Decoder.parities`` is their one route.  It
+takes rows of event cells (the shots of ``judge_batch``, the scanner's span
+points) and runs every row of at most 16 defects through a subset DP laid
+out in layers (``_dp_layers``).  The DP is top down: a state's pivot is its
+lowest defect, which pairs with each other defect in ascending order, and
+only a strictly lower weight replaces the incumbent, so ties go to the
+lowest partner.  Its states are the sub-masks it reaches from a row's n
+cells, and one numpy pass per state size settles every state of that size
+for all rows of n defects at once.  Each state keeps its minimum weight,
+the parities of the DP's own choice, and an ambiguous bit: set when a tied
+partner leads to other parities or to an ambiguous sub-state, so by
 induction on the state size it is clear exactly when all the state's
 minimum-weight matchings have one parity.  Up to 10 defects a row takes the
-DP's parities, as ``matching`` would.  Above, ``matching`` takes blossom's
-matching, which is of minimum weight (``blossom._check_optimum`` proves it),
-so when the bit is clear it has the DP's parities; only ambiguous rows and
-rows above 16 go to blossom.  Tests pin the routes equal.
+DP's parities.  Above, the rule is blossom's matching, which is of minimum
+weight (``blossom._check_optimum`` proves it), so when the bit is clear it
+has the DP's parities; only ambiguous rows and rows above 16 go to blossom.
+The decoder keeps no matching cache.
 """
 
 from __future__ import annotations
@@ -54,8 +54,8 @@ import numpy as np
 from .blossom import min_weight_perfect_matching
 from .lattice import ToricLattice
 
-_DP_LIMIT = 10  # subset DP up to here, blossom matching above
-_CERTIFY_LIMIT = 16  # judge_batch's batched DP takes rows up to here; partner ranks fit 4 key bits
+_DP_LIMIT = 10  # the subset DP's parities up to here, blossom's matching above
+_CERTIFY_LIMIT = 16  # the batched DP takes rows up to here; partner ranks fit 4 key bits
 _PASS_CELLS = 1 << 18  # (row, step) cells of one DP layer pass: memory follows the pass, not the batch
 
 
@@ -82,71 +82,21 @@ class Decoder:
         dist = steps[rows] + steps[cols]
         # bits (Z_L1, Z_L2) of star repairs, (X_L1, X_L2) of plaquette ones, as the docstring says
         parities = (low[cols] | low[rows] << 1, high[rows] | high[cols] << 1)
-        # [check type, s1, s2] -> (torus distance, crossing parities); the DP reads its list form
+        # [check type, s1, s2] -> (torus distance, crossing parities); blossom reads its list form
         self._table = np.stack([np.stack((dist, par), axis=-1) for par in parities])
         self._pairs = self._table.tolist()
 
-    def matching(self, check_type: int, mask: int, memo: dict | None = None) -> tuple[int, int]:
-        """Weight and crossing parities of the minimum-weight perfect matching
-        of one check type's defect mask, a pair weighing its torus distance
-        plus its time separation; bits 0-1 of the parities are the check
-        type's two judge bits.
-
-        Up to ``_DP_LIMIT`` defects a top-down subset DP decides: the lowest
-        defect is the pivot, its partners are tried in ascending bit order,
-        and only a strictly lower weight replaces the incumbent.  Larger
-        sets go to blossom matching.  ``memo`` keeps the matchings of masks
-        across the calls that share it (by default, one call); it is a cache
-        scope and never changes a result.
-        """
-        n = mask.bit_count()
-        if n % 2:
-            raise ValueError("odd number of defects cannot be matched")
-        scope = ({} if memo is None else memo).setdefault(check_type, {0: (0, 0)})
-        hit = scope.get(mask)
-        if hit is None:
-            if n <= _DP_LIMIT:
-                hit = self._subset_match(check_type, mask, scope)
-            else:
-                hit = scope[mask] = self._blossom(check_type, mask)
-        return hit
-
-    def _subset_match(self, check_type: int, mask: int, scope: dict) -> tuple[int, int]:
-        """The DP step for a mask missing from ``scope``; fills ``scope``."""
-        low = mask & -mask
-        rest = bits = mask ^ low
-        t0, s0 = divmod(low.bit_length() - 1, self._sites)
-        row = self._pairs[check_type][s0]
-        best = None
-        while bits:
-            bit = bits & -bits
-            bits ^= bit
-            t, s = divmod(bit.bit_length() - 1, self._sites)
-            sub = rest ^ bit
-            weight, sub_par = scope.get(sub) or self._subset_match(check_type, sub, scope)
-            dist, par = row[s]
-            weight += dist + abs(t - t0)
-            if best is None or weight < best[0]:
-                best = (weight, sub_par ^ par)
-        scope[mask] = best
-        return best
-
-    def _blossom(self, check_type: int, mask: int) -> tuple[int, int]:
-        cells = []
-        while mask:
-            low = mask & -mask
-            mask ^= low
-            cells.append(low.bit_length() - 1)
-        times, sites = np.divmod(np.array(cells), self._sites)
+    def _blossom(self, check_type: int, cells: np.ndarray) -> int:
+        """The crossing parities of blossom's matching of one row of cells."""
+        times, sites = np.divmod(np.flatnonzero(cells), self._sites)
         dist = self._table[check_type, sites[:, None], sites, 0]
         w = (dist + np.abs(times[:, None] - times)).tolist()
         sites, pairs = sites.tolist(), self._pairs[check_type]
-        weight = par = 0
+        par = 0
         for i, j in enumerate(min_weight_perfect_matching(w)):
             if i < j:
-                weight += w[i][j]
                 par ^= pairs[sites[i]][sites[j]][1]
-        return weight, par
+        return par
 
     def judge_batch(self, syndromes: np.ndarray, data_x: np.ndarray, data_z: np.ndarray) -> np.ndarray:
         """Per-shot judge bits (X_L1, X_L2, Z_L1, Z_L2) for a stacked batch:
@@ -160,8 +110,10 @@ class Decoder:
         return judge
 
     def parities(self, check_type: int, cells: np.ndarray) -> np.ndarray:
-        """``matching``'s crossing parities for each row of 0/1 event cells
-        of one check type, in mask bit order.
+        """The crossing parities of the minimum-weight perfect matching of
+        each row of 0/1 event cells of one check type, a pair weighing its
+        torus distance plus its time separation; bits 0-1 are the check
+        type's two judge bits.
 
         Rows of at most ``_CERTIFY_LIMIT`` defects run through the layered
         subset DP (``_match_rows``) per defect count, as many per pass as
@@ -186,8 +138,8 @@ class Decoder:
                 if n > _DP_LIMIT:
                     one_by_one.append(part[ambiguous])
         one_by_one = np.concatenate(one_by_one)
-        for row, mask in zip(one_by_one, _masks(cells[one_by_one])):
-            par[row] = self._blossom(check_type, mask)[1]
+        for row in one_by_one:
+            par[row] = self._blossom(check_type, cells[row])
         return par
 
     def _match_rows(self, check_type: int, cells: np.ndarray, n: int) -> tuple[np.ndarray, ...]:
@@ -251,14 +203,6 @@ def _dp_layers(n: int) -> tuple[int, list[tuple[int, int, np.ndarray, np.ndarray
     return len(index), layers
 
 
-def _masks(rows: np.ndarray) -> list[int]:
-    """One int per row of 0/1 cells: bit k is the row's cell k."""
-    packed = np.packbits(rows, axis=-1, bitorder="little")
-    size = packed.shape[1]
-    blob = packed.tobytes()
-    return [int.from_bytes(blob[k : k + size], "little") for k in range(0, len(blob), size)]
-
-
 def extract_events_batch(syndromes: np.ndarray) -> np.ndarray:
     """Per shot, the XOR of consecutive syndrome rows from the zero baseline."""
     events = syndromes.copy()
@@ -267,13 +211,6 @@ def extract_events_batch(syndromes: np.ndarray) -> np.ndarray:
 
 
 def event_rows(syndromes: np.ndarray) -> np.ndarray:
-    """Per shot and check type, its events as one row of cells in mask bit order."""
+    """Per shot and check type, its events as one row of cells."""
     shots, times, types, sites = syndromes.shape
     return extract_events_batch(syndromes).transpose(0, 2, 1, 3).reshape(shots, types, times * sites)
-
-
-def event_masks(syndromes: np.ndarray) -> list[tuple[int, int]]:
-    """Per shot, the star and the plaquette defect masks of its events."""
-    events = event_rows(syndromes)
-    masks = iter(_masks(events.reshape(-1, events.shape[2])))
-    return list(zip(masks, masks))

@@ -34,13 +34,15 @@ effect lands on one check type (``_span_sides`` raises ``ValueError`` if
 one does not).  The span therefore splits into a star side (star events +
 the two judge bits of the data X frame) and a plaquette side (plaquette
 events + the Z frame's two), which the decoder also judges independently.
-A span point is one int: the check type's defect mask over the program's
-``(rounds+1)·d²`` event cells, bit ``t·d² + site`` as in
-``decoder.event_masks``, with the two judge bits above it.  One judge,
-``_failing_points``, yields the failing bit of each span point of a leak
-spec's side from ``Decoder.matching`` on its mask, with one sub-matching
-memo per side.  ``scan`` fails the spec at its first failing point;
-``leak_failure_fractions`` counts them.  A side whose rank exceeds
+A side keeps its points as ints: bit ``t·d² + site`` is the check type's
+event cell, over the program's ``(rounds+1)·d²`` cells, with the two judge
+bits above.  One judge, ``_failing_counts``, counts each side's failing
+points, judging each as a row of event cells (``_rows``'s layout) by
+``Decoder.parities``, in stages by doubling: stage 0 is each side's base
+point, stage k the points ``2^(k-1) .. 2^k - 1``, the earlier points XOR
+basis vector k - 1 (an XOR of rows is GF(2)-correct, judge value
+included).  ``scan`` drops a spec from later stages once a point fails;
+``leak_failure_fractions`` reads the counts.  A side whose rank exceeds
 ``SPAN_BUDGET_BITS`` is judged on ``SAMPLE_COUNT`` seeded random points
 instead, and the spec is reported as sampled rather than exact.
 
@@ -50,11 +52,11 @@ leak-free replay is GF(2)-linear in the injected frame and the fault-free
 point is 0, so it is the XOR of the points of its single-qubit units (an X
 or Z at one gate position, or one measurement flip), each replayed once
 per call.  These points are rows of event cells (``_pauli_rows``); all
-specs' rows, then every pair's XOR of two rows ``_PAIR_ROWS`` at a time,
-are judged by ``Decoder.parities``, the Monte-Carlo judge's row route.
-Both routes give the production matcher's parities, so every verdict is
-exact for the decoder that the Monte-Carlo path runs.  Only Pauli specs
-pair: a leak spec's worst case already spans multi-error combinations.
+specs' rows, then every pair's XOR of two rows ``_PASS_ROWS`` at a time,
+are judged by ``Decoder.parities`` too, the Monte-Carlo judge's row route,
+so every verdict is exact for the decoder that the Monte-Carlo path runs.
+Only Pauli specs pair: a leak spec's worst case already spans multi-error
+combinations.
 
 Every verdict is a judge-bit verdict: the scanner does no residual-weight
 analysis of the data error a replay leaves behind.
@@ -69,7 +71,7 @@ from itertools import compress, islice
 import numpy as np
 
 from .circuits import CNOT, H, MEAS_Z, PREP_Z, SWAP
-from .decoder import Decoder, event_masks, event_rows
+from .decoder import Decoder, event_rows
 from .experiments import ConfigError
 from .lattice import ToricLattice
 from .pauli import PAULI1_ERRORS, PAULI2_ERRORS, PAULI_BY_NAME, PAULI_I, PAULI_X, PAULI_Z
@@ -81,27 +83,17 @@ SPAN_BUDGET_BITS = 16  # max basis rank enumerated exhaustively per side
 SAMPLE_COUNT = 4096  # assignments drawn when a span exceeds the budget
 PAIR_CAP = 1200  # max single-fault specs admitted into pair scanning
 _CHUNK_ROWS = 256  # scripted replays per executor batch
-_PAIR_ROWS = 1 << 15  # pairs judged per pass: memory follows the pass, not the pairs
+_PASS_ROWS = 1 << 15  # rows judged per pass: memory follows the pass, not the pairs or spans
 
 
 @dataclass(frozen=True)
 class FaultSpec:
-    """One element of the fault universe.
-
-    ``assignment`` fixes the downstream stochastic outcomes of a leak spec:
-    a tuple of ``(slot, choice)`` pairs, each slot at most once, where slots
-    are the executor's consequence slots and choices are the slot's
-    outcome: a partner Pauli "X"/"Y"/"Z" for ``("pair", gate, position)``,
-    a junk bit 0/1 for ``("measbit", gate)``, and an erasure component
-    "x"/"y"/"z" for ``("readout", edge)``.  A slot left out takes the null
-    outcome; an empty assignment means "enumerate".
-    """
+    """One element of the fault universe."""
 
     kind: str  # "pauli" | "meas_flip" | "leak"
     gate_index: int
     paulis: tuple = ()
     victim: int = -1
-    assignment: tuple = ()
 
 
 @dataclass(frozen=True)
@@ -255,9 +247,9 @@ def _gf2_basis(vecs: list[int]) -> list[int]:
 class _SpanSide:
     """One check type's side of a spec's span.
 
-    A point is that type's defect mask over the program's ``width`` event
-    cells (``decoder.event_masks``), with its two judge bits above them;
-    ``base`` is the baseline replay's point.
+    A point is one int: bit k is the type's event cell k of the program's
+    ``width`` cells, in ``_rows``'s order, and the two judge bits sit above
+    them; ``base`` is the baseline replay's point.
     """
 
     check_type: int
@@ -270,19 +262,15 @@ class _SpanSide:
         """True when the side is small enough to enumerate exhaustively."""
         return len(self.basis) <= SPAN_BUDGET_BITS
 
-    def failing(self, decoder: Decoder, vec: int, memo: dict) -> bool:
-        """Whether the span point ``vec`` fails this side's judge bits."""
-        vec ^= self.base
-        judge = vec >> self.width
-        return judge != decoder.matching(self.check_type, vec ^ judge << self.width, memo)[1]
 
-
-def _points(lat: ToricLattice, width: int, res) -> list[list[int]]:
-    """Per replay row: its star point and its plaquette point."""
-    judge = lat.logical_parities(res.data_x, res.data_z).tolist()
-    return [[mask | (bits[2 * ct] | bits[2 * ct + 1] << 1) << width
-             for ct, mask in enumerate(masks)]
-            for masks, bits in zip(event_masks(res.syndromes), judge)]
+def _points(lat: ToricLattice, res) -> list[list[int]]:
+    """Per replay row: its star point and its plaquette point, as ints."""
+    rows = _rows(lat, res)
+    bits = np.concatenate([rows[..., :-1], rows[..., -1:] & 1, rows[..., -1:] >> 1], axis=2)
+    packed = np.packbits(bits, axis=2, bitorder="little")
+    size, blob = packed.shape[2], packed.tobytes()
+    ints = [int.from_bytes(blob[k : k + size], "little") for k in range(0, len(blob), size)]
+    return [ints[k : k + 2] for k in range(0, len(ints), 2)]
 
 
 _UNIT_CHOICES = {"pair": ("X", "Z"), "measbit": (1,), "readout": ("x", "z")}
@@ -373,13 +361,13 @@ def _failing_rows(decoder: Decoder, rows: np.ndarray, ids: np.ndarray | None = N
 
 def _pair_failures(decoder: Decoder, specs: list[FaultSpec], rows: np.ndarray) -> list[tuple]:
     """The pairs ``(specs[i], specs[j])``, ``i < j`` in order, whose point,
-    the XOR of their two rows, fails; ``_PAIR_ROWS`` pairs per pass.  The
+    the XOR of their two rows, fails; ``_PASS_ROWS`` pairs per pass.  The
     rows' ``_cell_ids`` key the pairs: equal id pairs, equal XORed cells."""
     n, total, ids = len(specs), len(specs) * (len(specs) - 1) // 2, _cell_ids(rows)
     first = np.arange(n) * (2 * n - 1 - np.arange(n)) // 2  # flat number of pair (i, i + 1)
     failures = []
-    for lo in range(0, total, _PAIR_ROWS):
-        k = np.arange(lo, min(lo + _PAIR_ROWS, total))
+    for lo in range(0, total, _PASS_ROWS):
+        k = np.arange(lo, min(lo + _PASS_ROWS, total))
         i = np.searchsorted(first, k, side="right") - 1
         j = k - first[i] + i + 1
         fail = _failing_rows(decoder, rows[i] ^ rows[j], ids[:, i] * n + ids[:, j])
@@ -394,7 +382,6 @@ def _leak_sides(compiled: CompiledProgram, specs: list[FaultSpec]):
     also yields their traces.  The ``_replays`` of unit generators that no
     earlier batch met follow, ``_CHUNK_ROWS`` per batch; each generator's
     effect is taken once and shared by every spec whose trace opens it.
-    A spec's own assignment is ignored.
     """
     lat = compiled.lattice
     width = (compiled.program.n_rounds + 1) * lat.d**2
@@ -403,13 +390,13 @@ def _leak_sides(compiled: CompiledProgram, specs: list[FaultSpec]):
     for group in _chunks(specs, _CHUNK_ROWS):
         traces: list[list] = [[] for _ in group]
         scripts = [Script(leaks={(spec.gate_index, spec.victim)}) for spec in group]
-        base = _points(lat, width, execute(compiled, len(group), scripts=scripts, traces=traces))
+        base = _points(lat, execute(compiled, len(group), scripts=scripts, traces=traces))
         units = [_unit_generators(trace) for trace in traces]
         fresh = dict.fromkeys(gen for gens in units for gen in gens if gen not in effects)
         keys = dict.fromkeys(key for gen in fresh for key in _replays(gen) if key not in points)
         for chunk in _chunks(keys, _CHUNK_ROWS):
             res = execute(compiled, len(chunk), scripts=[_unit_script(*key) for key in chunk])
-            points.update(zip(chunk, _points(lat, width, res)))
+            points.update(zip(chunk, _points(lat, res)))
         for gen in fresh:
             effects[gen] = [p ^ q for p, q in zip(*map(points.get, _replays(gen)))]
         for spec_base, gens in zip(base, units):
@@ -425,31 +412,105 @@ def _span_sides(effects: list, base: list[int], width: int) -> list[_SpanSide]:
             for ct in (0, 1)]
 
 
-def _failing_points(decoder: Decoder, spec: FaultSpec, side: _SpanSide):
-    """The one judge: the failing bit of each span point of one side.
+def _stacked(batch: list[_SpanSide]) -> tuple[np.ndarray, ...]:
+    """Sides of one check type, their points as ``_rows`` lays them out:
+    their ranks, their bases ``(side, 1, cell)``, and their basis vectors,
+    one row each, side after side."""
+    width = batch[0].width
+    points = [side.base for side in batch] + [vec for side in batch for vec in side.basis]
+    size = (width + 9) // 8  # bytes that hold bit width + 1
+    blob = b"".join(point.to_bytes(size, "little") for point in points)
+    bits = np.unpackbits(np.frombuffer(blob, dtype=np.uint8).reshape(-1, size), axis=1,
+                         count=width + 2, bitorder="little")
+    rows = np.concatenate([bits[:, :width], bits[:, width:-1] | bits[:, -1:] << 1], axis=1)
+    return np.array([len(side.basis) for side in batch]), rows[: len(batch), None], rows[len(batch) :]
 
-    An exact side yields the zero point and then every other point in
-    Gray-code order; an over-budget side yields ``SAMPLE_COUNT`` random basis
-    combinations, seeded by the spec and the side's rank.  The side's points
-    share one sub-matching memo.
+
+def _sampled_points(spec: FaultSpec, side: _SpanSide) -> np.ndarray:
+    """An over-budget side's ``SAMPLE_COUNT`` random basis combinations,
+    seeded by the spec and the side's rank, as one block ``(point, cell)``."""
+    _, base, vectors = _stacked([side])
+    rank = len(side.basis)
+    rng = np.random.default_rng(np.random.SeedSequence([spec.gate_index, spec.victim, rank, 1]))
+    bits = rng.integers(0, 2, size=(SAMPLE_COUNT, rank)).astype(np.uint8)
+    points = np.repeat(base[0], SAMPLE_COUNT, axis=0)
+    for j in range(rank):
+        points ^= bits[:, j, None] * vectors[j]
+    return points
+
+
+def _judged(decoder: Decoder, check_type: int, stage: np.ndarray) -> np.ndarray:
+    """Per side of a stage ``(side, point, cell)`` of one check type, how
+    many of its points fail, by ``Decoder.parities``, ``_PASS_ROWS`` rows
+    per call."""
+    rows = stage.reshape(-1, stage.shape[2])
+    fail = np.empty(len(rows), dtype=bool)
+    for lo in range(0, len(rows), _PASS_ROWS):
+        part = rows[lo : lo + _PASS_ROWS]
+        fail[lo : lo + _PASS_ROWS] = part[:, -1] != decoder.parities(check_type, part[:, :-1])
+    return fail.reshape(stage.shape[:2]).sum(axis=1)
+
+
+def _kept(stacks: dict, keep) -> dict:
+    """The stacks with only the sides that ``keep(owners, ranks)`` selects."""
+    return {ct: tuple(a[mask] for a in stack) for ct, stack in stacks.items()
+            if (mask := keep(*stack[:2])).any()}
+
+
+def _failing_counts(decoder: Decoder, specs: list[FaultSpec], sides: list[list[_SpanSide]],
+                    stop_early: bool = False) -> np.ndarray:
+    """The one judge: per leak spec and check type, how many of that side's
+    span points fail.
+
+    Exact sides go in stages: stage 0 is each side's base point, stage k
+    the points ``2^(k-1) .. 2^k - 1`` of the sides of rank k or more, the
+    earlier points XOR basis vector k - 1.  Each side then holds ``2^(k-1)``
+    earlier points, whatever its rank, so one stack per check type holds
+    them, judged in one ``_judged`` call per stage.  A stage after which
+    they would hold more than ``_PASS_ROWS`` points first splits off its
+    later open specs, which resume there once the rest are done.  An over-budget side is judged on its
+    ``_sampled_points``.  With ``stop_early`` a spec leaves after its first
+    failing stage, so only whether its counts are zero holds.
     """
-    memo: dict = {}
-    basis = side.basis
-    if side.exact:
-        vec = 0
-        yield side.failing(decoder, vec, memo)
-        for k in range(1, 1 << len(basis)):
-            vec ^= basis[(k & -k).bit_length() - 1]
-            yield side.failing(decoder, vec, memo)
-        return
-    rng = np.random.default_rng(np.random.SeedSequence([spec.gate_index, spec.victim, len(basis), 1]))
-    for _ in range(SAMPLE_COUNT):
-        bits = rng.integers(0, 2, size=len(basis))
-        vec = 0
-        for j in range(len(basis)):
-            if bits[j]:
-                vec ^= basis[j]
-        yield side.failing(decoder, vec, memo)
+    counts = np.zeros((len(sides), 2), dtype=np.int64)
+    todo = [(range(len(sides)), 0)]  # (spec numbers, the stage they resume at)
+    while todo:
+        members, j = todo.pop()
+        # per check type: its open sides' spec numbers, ranks, earlier points and
+        # the row of their first basis vector (stacks), and the basis vectors' rows
+        stacks, vectors = {}, {}
+        for ct in (0, 1):
+            owners = [k for k in members if sides[k][ct].exact and len(sides[k][ct].basis) >= j]
+            if owners:
+                ranks, prefix, vectors[ct] = _stacked([sides[k][ct] for k in owners])
+                first = ranks.cumsum() - ranks
+                for i in range(j - 1):  # rebuild the points 0 .. 2^(j-1) - 1
+                    prefix = np.concatenate([prefix, prefix ^ vectors[ct][first + i, None]], axis=1)
+                stacks[ct] = np.array(owners), ranks, prefix, first
+        while stacks := _kept(stacks, lambda owners, ranks:
+                              (ranks >= j) & ~(stop_early & counts[owners].any(axis=1))):
+            held = sum(len(stack[0]) for stack in stacks.values()) << j  # points held after stage j
+            open_specs = sorted({k for stack in stacks.values() for k in stack[0].tolist()})
+            if held > _PASS_ROWS and len(open_specs) > 1:
+                cut = open_specs[len(open_specs) // 2]
+                todo.append((open_specs[len(open_specs) // 2 :], j))
+                stacks = _kept(stacks, lambda owners, _: owners < cut)
+                continue
+            for ct, (owners, ranks, prefix, first) in stacks.items():
+                stage = prefix ^ vectors[ct][first + j - 1, None] if j else prefix
+                counts[owners, ct] += _judged(decoder, ct, stage)
+                prefix = np.concatenate([prefix, stage], axis=1) if j else prefix
+                stacks[ct] = owners, ranks, prefix, first
+            j += 1
+    step = max(1, _PASS_ROWS // SAMPLE_COUNT)
+    for ct in (0, 1):
+        over = [k for k, spec_sides in enumerate(sides) if not spec_sides[ct].exact]
+        for lo in range(0, len(over), step):
+            batch = [k for k in over[lo : lo + step] if not (stop_early and counts[k].any())]
+            if batch:
+                stage = np.stack([_sampled_points(specs[k], sides[k][ct]) for k in batch])
+                counts[batch, ct] = _judged(decoder, ct, stage)
+    return counts
 
 
 def leak_failure_fractions(
@@ -470,18 +531,19 @@ def leak_failure_fractions(
     decoder = Decoder(compiled.lattice)
     paulis = [s for s in specs if s.kind != "leak"]
     failing = iter(_failing_rows(decoder, _pauli_rows(compiled, paulis)).tolist())  # rows freed here
-    leak_sides = _leak_sides(compiled, [s for s in specs if s.kind == "leak"])
+    leaks = [s for s in specs if s.kind == "leak"]
+    sides = list(_leak_sides(compiled, leaks))
+    judged = zip(sides, _failing_counts(decoder, leaks, sides).tolist())
     out = []
     for spec in specs:
         if spec.kind != "leak":
             out.append((float(next(failing)), True))
             continue
-        sides = next(leak_sides)
+        spec_sides, counts = next(judged)
         survive = 1.0
-        for side in sides:
-            bits = list(_failing_points(decoder, spec, side))
-            survive *= 1.0 - sum(bits) / len(bits)
-        out.append((1.0 - survive, all(side.exact for side in sides)))
+        for side, count in zip(spec_sides, counts):
+            survive *= 1.0 - count / (1 << len(side.basis) if side.exact else SAMPLE_COUNT)
+        out.append((1.0 - survive, all(side.exact for side in spec_sides)))
     return out
 
 
@@ -515,13 +577,11 @@ def scan(
     pair_failures = _pair_failures(decoder, pauli_specs, rows) if max_faults == 2 else []
     del rows  # no Pauli row lives through the leak walk
 
-    leak_failures: list[FaultSpec] = []
-    sampled: list[FaultSpec] = []
-    for spec, sides in zip(leak_specs, _leak_sides(compiled, leak_specs)):
-        if any(any(_failing_points(decoder, spec, side)) for side in sides):
-            leak_failures.append(spec)
-        if not all(side.exact for side in sides):
-            sampled.append(spec)
+    sides = list(_leak_sides(compiled, leak_specs))
+    failing = _failing_counts(decoder, leak_specs, sides, stop_early=True).any(axis=1)
+    leak_failures = list(compress(leak_specs, failing))
+    sampled = [spec for spec, spec_sides in zip(leak_specs, sides)
+               if not all(side.exact for side in spec_sides)]
     n_pairs = len(pauli_specs) * (len(pauli_specs) - 1) // 2 if max_faults == 2 else 0
 
     program = compiled.program

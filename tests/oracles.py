@@ -3,7 +3,8 @@ lattice coordinates, the per-shot reference draws, one-shot and scripted
 replays, per-spec leak span sides (``leak_sides``, the reference for the
 scanner's shared unit effects), the torus metric, rows-first repair paths
 (``path_edges``, the reference for the decoder's closed-form pair table), a
-reference matcher and residual-weight analysis.
+reference matcher (``match_defects`` and ``reference_parities``, the scalar
+reference for ``Decoder.parities``) and residual-weight analysis.
 
 None of this is on a production path.  The tests use it to check circuits,
 lattices, configs, matchings and the batch draws, to replay single shots and
@@ -16,7 +17,7 @@ decoder's port of it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import networkx as nx
 import numpy as np
@@ -253,14 +254,23 @@ def run_shot(
     )
 
 
-def script_for(compiled: CompiledProgram, spec: FaultSpec) -> Script:
-    """Translate a spec (plus any assignment) into executor injections."""
+def script_for(compiled: CompiledProgram, spec: FaultSpec, assignment: tuple = ()) -> Script:
+    """Translate a spec into executor injections, a leak spec's with the
+    downstream outcomes that ``assignment`` fixes.
+
+    An assignment is a tuple of ``(slot, choice)`` pairs, each slot at most
+    once, where slots are the executor's consequence slots and choices are
+    the slot's outcome: a partner Pauli "X"/"Y"/"Z" for ``("pair", gate,
+    position)``, a junk bit 0/1 for ``("measbit", gate)``, and an erasure
+    component "x"/"y"/"z" for ``("readout", edge)``.  A slot left out takes
+    the null outcome.
+    """
     if spec.kind == "pauli":
         return Script(paulis={spec.gate_index: spec.paulis})
     if spec.kind == "meas_flip":
         return Script(meas_flips={spec.gate_index})
     script = Script(leaks={(spec.gate_index, spec.victim)})
-    for slot, choice in spec.assignment:
+    for slot, choice in assignment:
         tag = slot[0]
         if tag == "pair":
             _, gi, pos = slot
@@ -288,19 +298,15 @@ def leak_sides(compiled: CompiledProgram, specs: list[FaultSpec]):
     executor batch."""
     lat = compiled.lattice
     width = (compiled.program.n_rounds + 1) * lat.d**2
-
-    def leak(spec: FaultSpec, assignment: tuple = ()) -> FaultSpec:
-        return FaultSpec("leak", spec.gate_index, victim=spec.victim, assignment=assignment)
-
     for group in _chunks(specs, 256):
         traces: list[list] = [[] for _ in group]
-        scripts = [script_for(compiled, leak(spec)) for spec in group]
-        base = _points(lat, width, execute(compiled, len(group), scripts=scripts, traces=traces))
+        scripts = [script_for(compiled, spec) for spec in group]
+        base = _points(lat, execute(compiled, len(group), scripts=scripts, traces=traces))
         units = ((k, gen) for k, trace in enumerate(traces) for gen in _unit_generators(trace))
         effects: list[list] = [[] for _ in group]
         for chunk in _chunks(units, 256):
-            scripts = [script_for(compiled, leak(group[k], (gen,))) for k, gen in chunk]
-            points = _points(lat, width, execute(compiled, len(chunk), scripts=scripts))
+            scripts = [script_for(compiled, group[k], (gen,)) for k, gen in chunk]
+            points = _points(lat, execute(compiled, len(chunk), scripts=scripts))
             for (k, _), unit in zip(chunk, points):
                 effects[k].append([p ^ q for p, q in zip(unit, base[k])])
         for spec_base, spec_effects in zip(base, effects):
@@ -316,9 +322,7 @@ def leak_consequences(compiled: CompiledProgram, spec: FaultSpec):
     if spec.kind != "leak":
         raise ValueError("consequence slots exist only for leak specs")
     trace: list = []
-    base = run_shot(
-        compiled, script=script_for(compiled, replace(spec, assignment=())), trace=trace
-    )
+    base = run_shot(compiled, script=script_for(compiled, spec), trace=trace)
     return base, tuple(trace)
 
 
@@ -333,37 +337,37 @@ def _program_slots(compiled: CompiledProgram) -> set[tuple]:
     return slots
 
 
-def _check_assignment(compiled: CompiledProgram, spec: FaultSpec) -> None:
+def _check_assignment(compiled: CompiledProgram, spec: FaultSpec, assignment: tuple) -> None:
     """Reject, before any replay, an assignment on a non-leak spec, a slot
     listed twice or absent from the program, or a choice outside its slot's
     outcomes."""
-    if not spec.assignment:
+    if not assignment:
         return
     if spec.kind != "leak":
         raise ValueError(f"a {spec.kind} spec takes no assignment")
-    listed = [slot for slot, _ in spec.assignment]
+    listed = [slot for slot, _ in assignment]
     if len(set(listed)) < len(listed):
         raise ValueError("an assignment slot is listed twice")
     known = _program_slots(compiled)
-    for slot, choice in spec.assignment:
+    for slot, choice in assignment:
         if slot not in known:
             raise ValueError(f"assignment slot {slot!r} is not in the program")
         if choice not in _CHOICES[slot[0]]:
             raise ValueError(f"choice {choice!r} is not an outcome of slot {slot!r}")
 
 
-def replay_spec(compiled: CompiledProgram, decoder: Decoder, spec: FaultSpec):
-    """Run a fully specified spec (other noise off); return the shot and its
-    4 judge bits.
+def replay_spec(compiled: CompiledProgram, decoder: Decoder, spec: FaultSpec, assignment: tuple = ()):
+    """Run a spec with the outcomes ``assignment`` fixes (``script_for``;
+    other noise off); return the shot and its 4 judge bits.
 
     Outcome choices never move a leak, so the replay's own trace lists the
     slots the leak opens up, and every assigned slot must be among them.
     """
-    _check_assignment(compiled, spec)
+    _check_assignment(compiled, spec, assignment)
     trace: list = []
-    res = run_shot(compiled, script=script_for(compiled, spec), trace=trace)
+    res = run_shot(compiled, script=script_for(compiled, spec, assignment), trace=trace)
     opened = set(trace)
-    for slot, _ in spec.assignment:
+    for slot, _ in assignment:
         if slot not in opened:
             raise ValueError(f"assignment slot {slot!r} is not downstream of the leak")
     return res, decoder.judge_batch(res.syndromes[None], res.data_x[None], res.data_z[None])[0]
@@ -505,6 +509,28 @@ def defect_mask(lat: ToricLattice, defects) -> int:
     return mask
 
 
+def defect_rows(lat: ToricLattice, sets, n_cells: int) -> np.ndarray:
+    """One row of 0/1 event cells per set of (t, site) defects: cell
+    ``t * d*d + site``, as ``Decoder.parities`` reads them."""
+    rows = np.zeros((len(sets), n_cells), dtype=np.uint8)
+    for row, defects in zip(rows, sets):
+        for t, s in defects:
+            row[t * lat.d**2 + s] = 1
+    return rows
+
+
+def row_defects(lat: ToricLattice, cells) -> tuple[tuple[int, int], ...]:
+    """The sorted (t, site) defects of one row of 0/1 event cells."""
+    times, sites = np.divmod(np.flatnonzero(cells), lat.d**2)
+    return tuple(zip(times.tolist(), sites.tolist()))
+
+
+def reference_parities(lat: ToricLattice, check_type: int, defects) -> int:
+    """The reference matcher's crossing parities of a defect set: what
+    ``Decoder.parities`` must give its row."""
+    return crossing_parities(lat, check_type, match_defects(lat, tuple(defects)))
+
+
 def match_defects(
     lat: ToricLattice, defects: tuple[tuple[int, int], ...]
 ) -> list[tuple[tuple[int, int], tuple[int, int]]]:
@@ -642,7 +668,8 @@ def residual_frames_to_weight(lat: ToricLattice, data_x, data_z) -> ResidualWeig
     )
 
 
-def residual_weight(compiled: CompiledProgram, spec: FaultSpec) -> ResidualWeight:
-    """Residual data error left at readout by a fully specified spec."""
-    res, _ = replay_spec(compiled, Decoder(compiled.lattice), spec)
+def residual_weight(compiled: CompiledProgram, spec: FaultSpec, assignment: tuple = ()) -> ResidualWeight:
+    """Residual data error left at readout by a spec with the outcomes
+    ``assignment`` fixes."""
+    res, _ = replay_spec(compiled, Decoder(compiled.lattice), spec, assignment)
     return residual_frames_to_weight(compiled.lattice, res.data_x, res.data_z)

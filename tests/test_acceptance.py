@@ -224,9 +224,7 @@ def test_criterion_09_hook_spreads_to_four_errors_with_aligned_pair():
     loc = spec_location(compiled, spec0)
     _, slots = leak_consequences(compiled, spec0)
     pair_slots = [s for s in slots if s[0] == "pair"]
-    rw = residual_weight(compiled, FaultSpec(
-        kind="leak", gate_index=gi, victim=0,
-        assignment=tuple(zip(pair_slots, "XYYX"))))
+    rw = residual_weight(compiled, spec0, tuple(zip(pair_slots, "XYYX")))
     assert rw.raw_x == 4, rw
     assert set(rw.support_x) == set(support(compiled.lattice, "X", loc.check[1]).tolist())
     assert rw.reduced_z == 2 and rw.aligned_z, rw

@@ -91,10 +91,10 @@ def test_same_matching_as_networkx_on_torus_defect_sets():
 
 
 def test_same_matching_as_networkx_on_recorded_sweep_d5_instances(monkeypatch):
-    """Every blossom call ``Decoder.matching`` makes on the defect masks above
-    ``_DP_LIMIT`` defects of shots 0..499 of the standard d=5 sweep at
-    p = 3e-3, r = 1, master seed 7 (the ``sweep_d5`` benchmark's first
-    shots)."""
+    """Every blossom call the decoder's blossom route makes on the event
+    rows above ``_DP_LIMIT`` defects of shots 0..499 of the standard d=5
+    sweep at p = 3e-3, r = 1, master seed 7 (the ``sweep_d5`` benchmark's
+    first shots)."""
     recorded = []
 
     def record(w):
@@ -105,10 +105,10 @@ def test_same_matching_as_networkx_on_recorded_sweep_d5_instances(monkeypatch):
     compiled = compile_program(build_program("standard", 5, 5), NoiseModel(p=3e-3, r=1.0))
     res = run_batch(compiled, 7, 0, 500)
     decoder = decoder_module.Decoder(compiled.program.lattice)
-    for masks in decoder_module.event_masks(res.syndromes):
-        for check_type, mask in enumerate(masks):
-            if mask.bit_count() > decoder_module._DP_LIMIT:
-                decoder.matching(check_type, mask)
+    for rows in decoder_module.event_rows(res.syndromes):
+        for check_type, cells in enumerate(rows):
+            if cells.sum() > decoder_module._DP_LIMIT:
+                decoder._blossom(check_type, cells)
     assert len(recorded) > 500
     for w, mate in recorded:
         assert _pairs(mate) == _match_blossom(w), w

@@ -25,10 +25,12 @@ from oracles import (
     _match_dp,
     crossing_parities,
     defect_mask,
+    defect_rows,
     edge_parities,
     match_defects,
     path_edges,
     random_defects,
+    reference_parities,
     run_shot,
     torus_distance,
     weight_matrix,
@@ -98,12 +100,12 @@ def _all_matchings(idx):
 def _judge_defect_sets(decoder, sets, n_times):
     """``judge_batch`` of noiseless-frame shots whose events are exactly the
     given (star defects, plaquette defects) per row, and the judge bits that
-    ``Decoder.matching`` gives each row's masks."""
+    the reference matcher gives each row's defect sets."""
     lat = decoder.lat
     want = np.zeros((len(sets), 4), dtype=np.uint8)
     for row, per_type in enumerate(sets):
         for check_type, defects in enumerate(per_type):
-            par = decoder.matching(check_type, defect_mask(lat, defects))[1]
+            par = reference_parities(lat, check_type, defects)
             want[row, 2 * check_type : 2 * check_type + 2] = par & 1, par >> 1
     return _judge_quiet_frames(decoder, sets, n_times), want
 
@@ -150,22 +152,22 @@ def test_detection_event_parity_is_even(variant, noise):
 
 def test_exact_matching_against_brute_force_oracle():
     """1000 random spacetime defect sets of up to 10 defects: the decoder's
-    matching weight is the brute-force minimum, and its crossing parities are
-    those of the reference subset DP's pairs (same pivot, same tie-break)."""
+    DP weight is the brute-force minimum, and its crossing parities, by the
+    DP and by ``Decoder.parities``, are those of the reference subset DP's
+    pairs (same pivot, same tie-break)."""
     rng = np.random.default_rng(2024)
     decoders = {d: Decoder(build_lattice(d)) for d in (3, 5)}
-    memos = {3: {}, 5: {}}
     for trial in range(1000):
         decoder = decoders[5 if trial % 2 else 3]
         lat, check_type = decoder.lat, trial // 2 % 2
         n = int(rng.choice([2, 4, 6, 8, 10]))
         defects = random_defects(rng, lat.d, 4, n)
         w = weight_matrix(lat, defects)
-        weight, parities = decoder.matching(check_type, defect_mask(lat, defects))
+        [(weight, parities, _)] = _dp_rows(decoder, check_type, [defects])
         assert weight == _brute_min_weight(w), f"trial {trial}: {defects}"
         pairs = [(defects[i], defects[j]) for i, j in _match_dp(w)]
         assert parities == crossing_parities(lat, check_type, pairs), f"trial {trial}: {defects}"
-        assert decoder.matching(check_type, defect_mask(lat, defects), memos[lat.d])[1] == parities
+        assert decoder.parities(check_type, defect_rows(lat, [defects], 5 * lat.d**2))[0] == parities
 
 
 def test_blossom_route_agrees_with_dp_route():
@@ -182,7 +184,7 @@ def test_blossom_route_agrees_with_dp_route():
 def test_match_rejects_odd_defects():
     decoder = Decoder(build_lattice(3))
     with pytest.raises(ValueError, match="odd"):
-        decoder.matching(0, defect_mask(decoder.lat, ((0, 0),)))
+        decoder.parities(0, defect_rows(decoder.lat, [((0, 0),)], 9))
 
 
 def test_judge_batch_rejects_odd_defects():
@@ -239,7 +241,7 @@ def test_decoder_import_builds_no_matching_table():
 
 def test_judge_batch_equals_per_mask_matching_on_random_sets():
     """About 1,000 random defect sets of 0 to 10 defects, both check types,
-    at d=3 and d=5: the batched route's parities are ``Decoder.matching``'s."""
+    at d=3 and d=5: the batched route's parities are the reference matcher's."""
     rng = np.random.default_rng(19)
     for d in (3, 5):
         decoder = Decoder(build_lattice(d))
@@ -288,8 +290,9 @@ def test_judge_batch_keeps_the_dp_tie_choice(d):
 
 
 def test_judge_batch_mixes_both_routes_in_one_batch():
-    """Rows above ``_CERTIFY_LIMIT`` defects go to ``Decoder.matching``
-    beside batched rows of every small and certified count, in one call."""
+    """Rows above ``_CERTIFY_LIMIT`` defects go to blossom beside batched
+    rows of every small and certified count, in one call, and all get the
+    reference matcher's parities."""
     rng = np.random.default_rng(23)
     decoder = Decoder(build_lattice(5))
     sets = [tuple(random_defects(rng, 5, 5, int(rng.choice([0, 4, 10, 12, 16, 20]))) for _ in range(2))
@@ -366,10 +369,7 @@ def _dp_rows(decoder, check_type, rows):
     parities and ambiguous bit."""
     lat = decoder.lat
     n_cells = (max(t for defects in rows for t, _ in defects) + 1) * lat.d**2
-    cells = np.zeros((len(rows), n_cells), dtype=np.uint8)
-    for row, defects in enumerate(rows):
-        for t, s in defects:
-            cells[row, t * lat.d**2 + s] = 1
+    cells = defect_rows(lat, rows, n_cells)
     weight, par, ambiguous = decoder._match_rows(check_type, cells, len(rows[0]))
     return list(zip(weight.tolist(), par.tolist(), ambiguous.tolist()))
 
@@ -409,7 +409,7 @@ def _certified_sets(lat, rng):
 @pytest.mark.parametrize("d", [3, 5])
 def test_judge_batch_equals_per_mask_matching_on_certified_rows(d):
     """On rows of 12 to 16 defects, ambiguous ones included, the batched
-    route gives ``Decoder.matching``'s parities, and the DP's weight is
+    route gives the reference matcher's parities, and the DP's weight is
     blossom's.  Some ambiguous rows have DP parities other than blossom's,
     so a judge that trusted the DP there would differ."""
     rng = np.random.default_rng(40 + d)
@@ -423,7 +423,10 @@ def test_judge_batch_equals_per_mask_matching_on_certified_rows(d):
         for n in (12, 14, 16):
             rows = [per_type[check_type] for per_type in sets if len(per_type[check_type]) == n]
             for defects, (weight, par, ambiguous) in zip(rows, _dp_rows(decoder, check_type, rows)):
-                blossom_weight, blossom_par = decoder.matching(check_type, defect_mask(lat, defects))
+                pairs = match_defects(lat, defects)  # networkx's blossom matching above 10 defects
+                w = weight_matrix(lat, defects)
+                blossom_weight = sum(w[defects.index(a), defects.index(b)] for a, b in pairs)
+                blossom_par = crossing_parities(lat, check_type, pairs)
                 assert weight == blossom_weight, defects
                 assert ambiguous or par == blossom_par, defects
                 overruled += par != blossom_par
@@ -461,9 +464,9 @@ def test_only_ambiguous_rows_and_rows_above_the_limit_reach_blossom(monkeypatch)
     called = []
     blossom = Decoder._blossom
 
-    def counted(self, check_type, mask):
-        called.append((check_type, mask))
-        return blossom(self, check_type, mask)
+    def counted(self, check_type, cells):
+        called.append((check_type, sum(1 << int(c) for c in np.flatnonzero(cells))))
+        return blossom(self, check_type, cells)
 
     monkeypatch.setattr(Decoder, "_blossom", counted)
     _judge_quiet_frames(decoder, sets, _PAD_TIMES * 6)
@@ -551,19 +554,17 @@ def test_pair_table_parities_hold_for_any_shortest_path(d, order):
 
 
 def test_blossom_route_on_a_fresh_decoder():
-    """Each decoder's first call is a blossom matching, with no memo of
-    earlier calls: its weight and parities are those of networkx's pairs
-    repaired along ``path_edges``."""
+    """Each decoder's first call is a blossom matching, with nothing kept
+    from earlier calls: its parities are those of networkx's pairs repaired
+    along ``path_edges``."""
     rng = np.random.default_rng(31)
     lat = build_lattice(5)
     for trial in range(20):
         check_type = trial % 2
         defects = random_defects(rng, 5, 4, 16)
         pairs = match_defects(lat, defects)
-        w = weight_matrix(lat, defects)
-        weight = sum(w[defects.index(a), defects.index(b)] for a, b in pairs)
-        got = Decoder(lat).matching(check_type, defect_mask(lat, defects))
-        assert got == (weight, crossing_parities(lat, check_type, pairs)), defects
+        got = Decoder(lat)._blossom(check_type, defect_rows(lat, [defects], 5 * lat.d**2)[0])
+        assert got == crossing_parities(lat, check_type, pairs), defects
 
 
 @pytest.mark.parametrize("d", [3, 5])

@@ -7,8 +7,9 @@ grows.  Public names are the only way across a module boundary.
 Three shape checks keep ``src/`` to what production runs: the draw layout
 knows exactly the gate kinds the circuits emit, the noise model has no
 field that a config cannot set, and networkx, the blossom port's test
-oracle, is no runtime dependency.  One more keeps the scanner to one judge:
-it judges span points, never replayed batches.
+oracle, is no runtime dependency.  One more keeps the scanner to one
+judge: every span point, of a leak spec, a Pauli spec or a pair, reaches
+the matcher through ``Decoder.parities``.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import dataclasses
 from pathlib import Path
 
 from toricleak.circuits import VARIANTS, build_program
+from toricleak.decoder import Decoder
 from toricleak.experiments import ExperimentConfig
 from toricleak.noise import NoiseModel
 from toricleak.sim import DRAWS_PER_KIND
@@ -70,11 +72,12 @@ def test_every_noise_knob_is_a_config_field():
 
 
 def test_the_scanner_judges_span_points_only():
-    """Every spec and every pair is judged at span points: a leak spec's
-    by ``Decoder.matching`` mask by mask, the rank-0 points of Pauli specs
-    and pairs as rows by ``Decoder.parities``, the row route that
-    ``judge_batch`` shares.  The scanner makes no ``judge_batch`` call."""
+    """Every spec and every pair is judged at span points, as rows of event
+    cells, by ``Decoder.parities``, the row route that ``judge_batch``
+    shares: it is the only ``Decoder`` method the scanner names.  It makes
+    no ``judge_batch`` call on replayed batches and has no scalar
+    ``matching`` route."""
+    methods = {name for name, value in vars(Decoder).items() if callable(value)} | {"matching"}
     tree = ast.parse((SRC / "scanner.py").read_text())
-    calls = [node.lineno for node in ast.walk(tree)
-             if isinstance(node, ast.Attribute) and node.attr == "judge_batch"]
-    assert not calls, calls
+    named = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute) and node.attr in methods}
+    assert named == {"parities"}, named

@@ -20,8 +20,10 @@ from oracles import (
     leak_consequences,
     leak_sides,
     random_defects,
+    reference_parities,
     replay_spec,
     residual_weight,
+    row_defects,
     run_shot,
     script_for,
     support,
@@ -188,8 +190,7 @@ def test_fraction_matches_manual_assignment_enumeration():
         for mbits in product((0, 1), repeat=len(meas_slots)):
             assign = tuple((s, c) for s, c in zip(pair_slots, combo) if c != "I")
             assign += tuple((s, 1) for s, b in zip(meas_slots, mbits) if b)
-            _, judge = replay_spec(compiled, dec, FaultSpec(
-                kind="leak", gate_index=gi, victim=1, assignment=assign))
+            _, judge = replay_spec(compiled, dec, spec0, assign)
             n_tot += 1
             n_fail += bool(judge.any())
     [(q, exact)] = leak_failure_fractions(compiled, [spec0])
@@ -213,8 +214,7 @@ def test_hook_spreads_four_x_and_reduces_to_aligned_pair():
     assert len(pair_slots) == 4  # one partner draw per coupling gate
 
     assign = tuple(zip(pair_slots, "XYYX"))
-    rw = residual_weight(compiled, FaultSpec(kind="leak", gate_index=gi,
-                                             victim=0, assignment=assign))
+    rw = residual_weight(compiled, spec0, assign)
     assert rw.raw_x == 4
     assert set(rw.support_x) == set(support(lat, "X", loc.check[1]).tolist())
     assert rw.reduced_x == 0  # the X spray is the measured stabilizer itself
@@ -260,9 +260,62 @@ def test_scan_does_not_depend_on_replay_chunk_size(monkeypatch):
         again = scan(pair_compiled, universe=pair_universe, decoder=dec, max_faults=2)
         assert again.pair_failures == pairs.pair_failures
     for rows in (1, 7, pairs.n_pairs + 1):
-        monkeypatch.setattr(scanner, "_PAIR_ROWS", rows)
+        monkeypatch.setattr(scanner, "_PASS_ROWS", rows)
         again = scan(pair_compiled, universe=pair_universe, decoder=dec, max_faults=2)
         assert again.pair_failures == pairs.pair_failures
+
+
+@pytest.mark.parametrize("budget", [16, 3])
+def test_scan_does_not_depend_on_the_judge_pass_bound(budget, monkeypatch):
+    """The span judge splits its stages and its sampled blocks to fit
+    ``_PASS_ROWS`` rows per pass: with 64, the scan's verdicts and sampled
+    specs and the failure fractions of a mixed standard d=3 universe equal
+    those of the default bound, on exact spans and, with the budget cut to
+    3 bits and 200 samples a side, on sampled ones."""
+    monkeypatch.setattr(scanner, "SPAN_BUDGET_BITS", budget)
+    monkeypatch.setattr(scanner, "SAMPLE_COUNT", 200)
+    compiled = _compiled("standard", rounds=2)
+    universe = enumerate_fault_universe(compiled)[::4]
+    reference = scan(compiled, universe=universe)
+    fractions = leak_failure_fractions(compiled, universe)
+    assert reference.leak_failures and bool(reference.sampled) == (budget == 3)
+    monkeypatch.setattr(scanner, "_PASS_ROWS", 64)
+    verdict = scan(compiled, universe=universe)
+    assert (verdict.pauli_failures, verdict.leak_failures, verdict.sampled) == (
+        reference.pauli_failures, reference.leak_failures, reference.sampled)
+    got = leak_failure_fractions(compiled, universe)
+    assert [(q.hex(), exact) for q, exact in got] == [(q.hex(), exact) for q, exact in fractions]
+
+
+# A slice of the standard d=3, two-round leak specs with the span budget cut
+# to 3 bits, judged on their seeded samples: (gate, victim, fraction as
+# float.hex, exact).  Any change to the drawn combinations changes these.
+SAMPLED_PINS = [
+    (3, 0, "0x1.c980000000000p-3", False), (26, 0, "0x1.c600000000000p-3", False),
+    (38, 0, "0x1.0a80000000000p-3", False), (49, 1, "0x0.0p+0", True),
+    (61, 0, "0x0.0p+0", True), (72, 1, "0x1.d800000000000p-6", False),
+    (84, 0, "0x1.0600000000000p-5", False), (95, 1, "0x1.dc00000000000p-6", False),
+    (133, 0, "0x1.b600000000000p-3", False), (154, 1, "0x1.0c80000000000p-3", False),
+    (166, 0, "0x1.0d80000000000p-3", False), (177, 1, "0x0.0p+0", True),
+    (189, 0, "0x0.0p+0", True), (200, 1, "0x0.0p+0", True),
+    (212, 0, "0x0.0p+0", True), (223, 1, "0x0.0p+0", True),
+]
+
+
+def test_sampled_spans_keep_their_seeded_combinations(monkeypatch):
+    """With the span budget at 3 bits most of these specs have a sampled
+    side: their failure fractions equal the pinned values bit for bit, and
+    the scan samples and fails exactly the pinned inexact, nonzero ones."""
+    monkeypatch.setattr(scanner, "SPAN_BUDGET_BITS", 3)
+    compiled = _compiled("standard", rounds=2)
+    specs = [s for s in enumerate_fault_universe(compiled) if s.kind == "leak"][3::23]
+    got = [(s.gate_index, s.victim, q.hex(), exact)
+           for s, (q, exact) in zip(specs, leak_failure_fractions(compiled, specs))]
+    assert got == SAMPLED_PINS
+    verdict = scan(compiled, universe=specs)
+    assert [(s.gate_index, s.victim) for s in verdict.sampled] == [pin[:2] for pin in SAMPLED_PINS if not pin[3]]
+    assert [(s.gate_index, s.victim) for s in verdict.leak_failures] == [
+        pin[:2] for pin in SAMPLED_PINS if pin[2] != "0x0.0p+0"]
 
 
 def _mask(cells):
@@ -286,7 +339,7 @@ def test_composed_pauli_points_equal_their_own_replays(variant):
         assert composed.dtype == own.dtype == np.uint8
         np.testing.assert_array_equal(composed, own)
         points = [[_mask(side[:-1]) | int(side[-1]) << width for side in row] for row in composed]
-        assert points == scanner._points(compiled.lattice, width, res)
+        assert points == scanner._points(compiled.lattice, res)
         assert sum(map(any, points)) > len(specs) // 2
 
 
@@ -308,33 +361,45 @@ def test_unit_points_are_released_before_the_leak_specs(monkeypatch):
 
     for name in ("_unit_rows", "_pauli_rows"):
         monkeypatch.setattr(scanner, name, recording(getattr(scanner, name)))
-    alive = []  # per walked leak side: how many recorded arrays are alive
-    walk = scanner._failing_points
+    alive = []  # per leak walk: how many recorded arrays are alive
+    walk = scanner._failing_counts
 
-    def watched(*args):
+    def watched(*args, **kwargs):
         alive.append(sum(ref() is not None for ref in made))
-        return walk(*args)
+        return walk(*args, **kwargs)
 
-    monkeypatch.setattr(scanner, "_failing_points", watched)
+    monkeypatch.setattr(scanner, "_failing_counts", watched)
     for max_faults in (1, 2):
         scan(compiled, universe=specs, max_faults=max_faults)
     leak_failure_fractions(compiled, specs)
-    assert len(made) == 6 and len(alive) >= 9 and not any(alive)
+    assert len(made) == 6 and len(alive) == 3 and not any(alive)
+
+
+_REFERENCE: dict = {}  # (d, check type, cell bytes) -> the reference matcher's parities
+
+
+def _reference(lat, check_type, cells):
+    """``oracles.reference_parities`` of one row of event cells, kept per
+    distinct row."""
+    key = (lat.d, check_type, cells.tobytes())
+    if key not in _REFERENCE:
+        _REFERENCE[key] = reference_parities(lat, check_type, row_defects(lat, cells))
+    return _REFERENCE[key]
 
 
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_row_verdicts_equal_per_mask_matching_on_every_pauli_spec(variant):
     """On every Pauli and meas_flip spec at one and three rounds, the
-    batched row route gives ``Decoder.matching``'s parities on the spec's
-    masks, and the scan fails exactly the specs that the per-mask judge
+    batched row route gives the reference matcher's parities on the spec's
+    defect sets, and the scan fails exactly the specs that the reference
     fails."""
     for rounds in (1, 3):
         compiled = _compiled(variant, rounds=rounds)
+        lat = compiled.lattice
         specs = [s for s in enumerate_fault_universe(compiled) if s.kind != "leak"]
-        decoder = Decoder(compiled.lattice)
+        decoder = Decoder(lat)
         rows = scanner._pauli_rows(compiled, specs)
-        memo = {}
-        want = np.array([[decoder.matching(ct, _mask(cells), memo)[1] for cells in rows[:, ct, :-1]]
+        want = np.array([[_reference(lat, ct, cells) for cells in rows[:, ct, :-1]]
                          for ct in (0, 1)], dtype=np.uint8).T
         for ct in (0, 1):
             np.testing.assert_array_equal(decoder.parities(ct, rows[:, ct, :-1]), want[:, ct])
@@ -345,17 +410,16 @@ def test_row_verdicts_equal_per_mask_matching_on_every_pauli_spec(variant):
 def test_pair_verdicts_equal_per_mask_matching():
     """On every pair of a slice of the standard d=3, one-round universe,
     failing pairs included, the pair scan fails exactly the pairs whose
-    XORed point fails ``Decoder.matching`` mask by mask."""
+    XORed point fails the reference matcher defect set by defect set."""
     compiled = _compiled("standard", rounds=1)
     specs = [s for s in enumerate_fault_universe(compiled) if s.kind != "leak"][::6]
     decoder = Decoder(compiled.lattice)
     rows = scanner._pauli_rows(compiled, specs)
-    memo = {}
     failing = []
     for i, a in enumerate(specs):
         for j in range(i + 1, len(specs)):
             point = rows[i] ^ rows[j]
-            bits = [decoder.matching(ct, _mask(point[ct, :-1]), memo)[1] for ct in (0, 1)]
+            bits = [_reference(compiled.lattice, ct, point[ct, :-1]) for ct in (0, 1)]
             if bits != point[:, -1].tolist():
                 failing.append((a, specs[j]))
     verdict = scan(compiled, universe=specs, decoder=decoder, max_faults=2)
@@ -435,18 +499,31 @@ def test_malformed_pauli_specs_are_refused_as_the_executor_refuses_them():
     assert _refusal(compiled, bad[0]) == f"gate {h} has no qubit at position 1 for a Pauli"
 
 
-def test_empty_and_leak_only_universes_scan_as_before():
+def test_empty_and_leak_only_universes_scan_as_before(monkeypatch):
     """With no Pauli spec there is no row to judge and no pair: an empty
     universe fails nothing, and a leak-only one fails the leak specs it
-    fails beside Pauli specs, at one and two faults."""
+    fails beside Pauli specs, at one and two faults.  A universe without
+    leak specs judges no span stage."""
     compiled = _compiled("standard", rounds=1)
     universe = enumerate_fault_universe(compiled)
     leaks = [s for s in universe if s.kind == "leak"][::7]
-    mixed = scan(compiled, universe=[s for s in universe if s.kind != "leak"][::7] + leaks)
+    paulis = [s for s in universe if s.kind != "leak"][::7]
+    mixed = scan(compiled, universe=paulis + leaks)
     assert mixed.leak_failures and not mixed.pauli_failures
+    judged = []  # every stage the span judge judges
+    stage_judge = scanner._judged
+
+    def recording(*args):
+        judged.append(args[2].shape)
+        return stage_judge(*args)
+
+    monkeypatch.setattr(scanner, "_judged", recording)
     assert leak_failure_fractions(compiled, []) == []
     for max_faults in (1, 2):
+        judged.clear()
         empty = scan(compiled, universe=[], max_faults=max_faults)
+        assert scan(compiled, universe=paulis, max_faults=max_faults).pauli_failures == []
+        assert not judged
         assert (empty.n_pauli_specs, empty.n_leak_specs, empty.n_pairs) == (0, 0, 0)
         assert empty.distance_preserving and empty.exhaustive and not empty.pair_failures
         only = scan(compiled, universe=leaks, max_faults=max_faults)
@@ -458,11 +535,7 @@ def test_empty_and_leak_only_universes_scan_as_before():
 
 class _MisjudgingStars(Decoder):
     """The production matcher, with the parities of every nonempty star
-    matching flipped, mask by mask and row by row."""
-
-    def matching(self, check_type, mask, memo=None):
-        weight, par = super().matching(check_type, mask, memo)
-        return weight, par ^ (check_type == 0 and mask != 0)
+    matching flipped."""
 
     def parities(self, check_type, cells):
         return super().parities(check_type, cells) ^ ((check_type == 0) & cells.any(axis=1))
@@ -514,53 +587,94 @@ def test_pair_verdicts_equal_joint_replays(variant):
     assert failing and failing == verdict.pair_failures
 
 
-def _gray_points(side):
-    """Every point of an exact side in ``_failing_points`` order."""
-    for k in range(1 << len(side.basis)):
-        gray, vec = k ^ (k >> 1), side.base
-        for j, vector in enumerate(side.basis):
-            if gray >> j & 1:
-                vec ^= vector
-        yield vec
+def _span_points(side):
+    """Every point of an exact side: point i is the base XOR the basis
+    vectors that i's bits select."""
+    points = [side.base]
+    for vec in side.basis:
+        points += [point ^ vec for point in points]
+    return points
 
 
-def test_span_points_follow_the_production_matcher_above_ten_defects():
-    """Span points are judged by ``Decoder.matching``, also on a 12-defect
-    set where its blossom route and the reference subset DP break a tie
-    into different crossing parities; sharing one memo across a side's
-    points gives the bits of a fresh decoder per point."""
+def _with_empty_side(side):
+    """A spec's two sides: ``side`` and a rank-0 zero side of the other type."""
+    other = scanner._SpanSide(1 - side.check_type, side.width, 0, [])
+    return sorted([side, other], key=lambda s: s.check_type)
+
+
+def _judge_bits(decoder, side):
+    """The span judge's failing bit of each of ``_span_points(side)``: each
+    point judged alone, as the base of a rank-0 side."""
+    lone = [_with_empty_side(replace(side, base=point, basis=[])) for point in _span_points(side)]
+    counts = scanner._failing_counts(decoder, [FaultSpec("leak", 0, victim=0)] * len(lone), lone)
+    return (counts[:, side.check_type] > 0).tolist()
+
+
+def _reference_bits(lat, side):
+    """The reference matcher's failing bit of each of ``_span_points(side)``."""
+    cells = range(side.width)
+    return [point >> side.width != reference_parities(
+                lat, side.check_type, [divmod(c, lat.d**2) for c in cells if point >> c & 1])
+            for point in _span_points(side)]
+
+
+def test_span_points_follow_the_production_matcher_above_ten_defects(monkeypatch):
+    """The span judge fails a point exactly when the reference matcher does
+    (``oracles.match_defects``: its subset DP up to ten defects, networkx's
+    blossom above), on every point of hand-built d=3 sides and of two real
+    d=5 sides of rank 12.  The points include a 12-defect set where blossom
+    and the DP break a tie into different parities, other 12-16-defect rows
+    whose ambiguous bit is set, and rows above 16.  Each side's staged
+    count, in passes of any size, is its number of failing points, and its
+    stop-early verdict is whether there is one."""
     lat = build_lattice(3)
-    decoder = Decoder(lat)
-    spec = FaultSpec(kind="leak", gate_index=0, victim=0)
     width = 5 * lat.d**2  # event cells of rounds 0-4
     rng = np.random.default_rng(12)
     for _ in range(200):
         defects = random_defects(rng, 3, 4, 12)
         w = weight_matrix(lat, defects)
-        reference = crossing_parities(lat, 0, [(defects[i], defects[j]) for i, j in _match_dp(w)])
-        if reference != decoder.matching(0, defect_mask(lat, defects))[1]:
+        dp = crossing_parities(lat, 0, [(defects[i], defects[j]) for i, j in _match_dp(w)])
+        if dp != reference_parities(lat, 0, defects):
             break
     else:
         raise AssertionError("no 12-defect set splits the two matchers")
-    production = decoder.matching(0, defect_mask(lat, defects))[1]
-    for judge in range(4):
-        side = scanner._SpanSide(0, width, 0, [judge << width | defect_mask(lat, defects)])
-        assert list(scanner._failing_points(decoder, spec, side)) == [False, judge != production]
-
-    cells = list(random_defects(rng, 3, 4, 14))
-    even = [m for m in rng.integers(0, 1 << 14, size=40).tolist() if m.bit_count() % 2 == 0]
+    hand = [scanner._SpanSide(0, width, 0, [judge << width | defect_mask(lat, defects)]) for judge in range(4)]
+    pool = random_defects(rng, 3, 4, 22)
 
     def spread(m):
-        """The defect mask of the cells that ``m`` selects."""
-        return defect_mask(lat, [c for j, c in enumerate(cells) if m >> j & 1])
+        """The defect mask of the pool cells that ``m`` selects."""
+        return defect_mask(lat, [c for j, c in enumerate(pool) if m >> j & 1])
 
-    base = spread((1 << 12) - 1)  # twelve events, so the walk crosses the DP limit both ways
-    side = scanner._SpanSide(1, width, base, [int(rng.integers(4)) << width | spread(m) for m in even[:6]])
-    points = list(_gray_points(side))
-    counts = [(vec & (1 << width) - 1).bit_count() for vec in points]
-    assert min(counts) <= 10 < max(counts)
-    want = [(vec >> width) != Decoder(lat).matching(1, vec & (1 << width) - 1)[1] for vec in points]
-    assert list(scanner._failing_points(decoder, spec, side)) == want
+    even = [m for m in rng.integers(0, 1 << 22, size=40).tolist() if m.bit_count() % 2 == 0]
+    hand.append(scanner._SpanSide(1, width, int(rng.integers(4)) << width | spread((1 << 18) - 1),
+                                  [int(rng.integers(4)) << width | spread(m) for m in even[:7]]))
+    compiled = _compiled("standard", d=5, rounds=3)
+    specs = [s for s in enumerate_fault_universe(compiled) if s.kind == "leak"][::12]
+    real = [side for pair in scanner._leak_sides(compiled, specs) for side in pair if len(side.basis) >= 12]
+    spec = FaultSpec("leak", 0, victim=0)
+    by_count = {}  # (check type, defect count) -> defect sets of the points judged
+    for lat, sides in ((lat, hand), (compiled.lattice, real[:2])):
+        decoder = Decoder(lat)
+        for side in sides:
+            bits = _reference_bits(lat, side)
+            assert _judge_bits(decoder, side) == bits
+            for rows in (64, 1 << 15):
+                monkeypatch.setattr(scanner, "_PASS_ROWS", rows)
+                assert scanner._failing_counts(decoder, [spec], [_with_empty_side(side)])[0, side.check_type] == sum(bits)
+            verdict = scanner._failing_counts(decoder, [spec], [_with_empty_side(side)], stop_early=True)
+            assert verdict[0].any() == any(bits)
+            for point in _span_points(side):
+                found = tuple(divmod(c, lat.d**2) for c in range(side.width) if point >> c & 1)
+                by_count.setdefault((lat.d, side.check_type, len(found)), []).append(found)
+    assert len(real) >= 2 and all(len(side.basis) == 12 for side in real[:2])
+    ambiguous = 0
+    for (d, ct, n), sets in by_count.items():
+        if 12 <= n <= 16:
+            decoder = Decoder(build_lattice(d))
+            n_cells = (1 + max(t for found in sets for t, _ in found)) * d * d
+            ambiguous += decoder._match_rows(ct, oracles.defect_rows(decoder.lat, sets, n_cells), n)[2].sum()
+    counts = {n for _, _, n in by_count}
+    assert ambiguous > 1 and max(counts) > 16 and min(counts) <= 10
 
 
 def _leak_slot(compiled, tag):
@@ -591,17 +705,18 @@ def test_bad_assignments_are_rejected(tag, choices):
     if tag in ("pauli", "meas_flip"):  # a valid leak choice on a leak-free spec
         _, slot = _leak_slot(compiled, "pair")
         good = next(s for s in enumerate_fault_universe(compiled) if s.kind == tag)
-        bad = replace(good, assignment=tuple((slot, c) for c in choices))
+        bad = (good, tuple((slot, c) for c in choices))
+        good = (good, ())
     else:
         spec, slot = _leak_slot(compiled, tag)
-        bad = replace(spec, assignment=tuple((slot, c) for c in choices))
-        good = replace(spec, assignment=((slot, _VALID_CHOICE[tag]),))
+        bad = (spec, tuple((slot, c) for c in choices))
+        good = (spec, ((slot, _VALID_CHOICE[tag]),))
     with pytest.raises(ValueError):
-        replay_spec(compiled, Decoder(compiled.lattice), bad)
+        replay_spec(compiled, Decoder(compiled.lattice), *bad)
     with pytest.raises(ValueError):
-        residual_weight(compiled, bad)
-    replay_spec(compiled, Decoder(compiled.lattice), good)
-    residual_weight(compiled, good)
+        residual_weight(compiled, *bad)
+    replay_spec(compiled, Decoder(compiled.lattice), *good)
+    residual_weight(compiled, *good)
 
 
 def test_assigned_replay_runs_the_executor_once(monkeypatch):
@@ -617,7 +732,7 @@ def test_assigned_replay_runs_the_executor_once(monkeypatch):
 
     monkeypatch.setattr(oracles, "execute", counting)
     monkeypatch.setattr(scanner, "execute", counting)
-    replay_spec(compiled, Decoder(compiled.lattice), replace(spec, assignment=((slot, "Y"),)))
+    replay_spec(compiled, Decoder(compiled.lattice), spec, ((slot, "Y"),))
     assert calls == [1]
 
 
@@ -632,8 +747,7 @@ def test_outcome_choices_never_move_a_leak(variant):
         choices = [oracles._CHOICES[slot[0]] for slot in slots]
         assignment = tuple((slot, c[rng.integers(len(c))]) for slot, c in zip(slots, choices))
         trace = []
-        run_shot(compiled, script=script_for(compiled, replace(spec, assignment=assignment)),
-                 trace=trace)
+        run_shot(compiled, script=script_for(compiled, spec, assignment), trace=trace)
         assert tuple(trace) == slots, spec
 
 
@@ -679,8 +793,7 @@ def test_assignment_slots_outside_the_program_are_rejected():
                          (("pair", cnot, 2), "X"), (("measbit", cnot), 1),
                          (("readout", compiled.lattice.n_data), "x"), (("swap", cnot), "X")]:
         with pytest.raises(ValueError):
-            replay_spec(compiled, Decoder(compiled.lattice),
-                        replace(spec, assignment=((slot, choice),)))
+            replay_spec(compiled, Decoder(compiled.lattice), spec, ((slot, choice),))
 
 
 _POLICIES = [DOC_NOISE, replace(DOC_NOISE, site_filter="data_only"),

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import tracemalloc
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -149,7 +148,7 @@ def _mixed_scripts(compiled, n_each=10, seed=3):
     universe = enumerate_fault_universe(compiled)
     paulis = [s for s in universe if s.kind != "leak"]
     leaks = [s for s in universe if s.kind == "leak"]
-    specs = [paulis[i] for i in rng.choice(len(paulis), n_each, replace=False)]
+    specs = [(paulis[i], ()) for i in rng.choice(len(paulis), n_each, replace=False)]
     for i in rng.choice(len(leaks), n_each, replace=False):
         spec = leaks[i]
         _, slots = leak_consequences(compiled, spec)
@@ -157,9 +156,9 @@ def _mixed_scripts(compiled, n_each=10, seed=3):
         assignment = tuple(
             (slot, choices[slot[0]][rng.integers(len(choices[slot[0]]))]) for slot in slots[::2]
         )
-        specs += [spec, replace(spec, assignment=assignment)]
+        specs += [(spec, ()), (spec, assignment)]
     rng.shuffle(specs)
-    return [script_for(compiled, spec) for spec in specs] + [None]
+    return [script_for(compiled, spec, assignment) for spec, assignment in specs] + [None]
 
 
 @pytest.mark.parametrize("variant", ["standard", "swap_lrc", "mixed_lrc"])
