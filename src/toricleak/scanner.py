@@ -58,6 +58,10 @@ so every verdict is exact for the decoder that the Monte-Carlo path runs.
 Only Pauli specs pair: a leak spec's worst case already spans multi-error
 combinations.
 
+Replays run in three phases, each one executor call on ``sim.Injections``
+columns, split only above ``_CHUNK_ROWS`` rows: the Pauli units, the leak
+baselines with their traces, and the leak units.
+
 Every verdict is a judge-bit verdict: the scanner does no residual-weight
 analysis of the data error a replay leaves behind.
 """
@@ -74,15 +78,15 @@ from .circuits import CNOT, H, MEAS_Z, PREP_Z, SWAP
 from .decoder import Decoder, event_rows
 from .experiments import ConfigError
 from .lattice import ToricLattice
-from .pauli import PAULI1_ERRORS, PAULI2_ERRORS, PAULI_BY_NAME, PAULI_I, PAULI_X, PAULI_Z
-from .sim import CompiledProgram, Script
+from .pauli import PAULI1_ERRORS, PAULI2_ERRORS, PAULI_X
+from .sim import CompiledProgram, Injections
 from .vector import execute
 
 # read at call time, so tests can patch them
 SPAN_BUDGET_BITS = 16  # max basis rank enumerated exhaustively per side
 SAMPLE_COUNT = 4096  # assignments drawn when a span exceeds the budget
 PAIR_CAP = 1200  # max single-fault specs admitted into pair scanning
-_CHUNK_ROWS = 256  # scripted replays per executor batch
+_CHUNK_ROWS = 4096  # replay rows per executor call: a replay phase is split only above it
 _PASS_ROWS = 1 << 15  # rows judged per pass: memory follows the pass, not the pairs or spans
 
 
@@ -195,19 +199,23 @@ def spec_location(compiled: CompiledProgram, spec: FaultSpec) -> SpecLocation:
 # scripted replays
 
 
-def _unit_script(leak: tuple | None, unit: tuple | None) -> Script:
-    """One replay's injections: a leak ``(gate, position)`` and one unit
-    generator ``(slot, choice)`` of ``_unit_generators``, each optional."""
-    script = Script(leaks={leak} if leak else set())
-    if unit:
-        (tag, *at), choice = unit
-        if tag == "pair":
-            script.paulis[at[0]] = (PAULI_I,) * at[1] + (PAULI_BY_NAME[choice],)
-        elif tag == "measbit":
-            script.meas_flips.add(at[0])
-        else:  # readout erasure
-            script.readout_flips[at[0]] = (int(choice == "x"), int(choice == "z"))
-    return script
+def _unit_injections(keys: list[tuple]) -> Injections:
+    """One replay row per ``(leak, unit)`` key of ``_replays``: the leak
+    ``(gate, position)`` and the unit generator ``(slot, choice)`` of
+    ``_unit_generators``, each optional."""
+    columns: dict[str, list] = {"leaks": [], "paulis": [], "meas_flips": [], "readout_flips": []}
+    for row, (leak, unit) in enumerate(keys):
+        if leak:
+            columns["leaks"].append((row, *leak))
+        if unit:
+            (tag, *at), choice = unit
+            if tag == "pair":  # the partner's X or Z
+                columns["paulis"].append((row, *at, choice == "X", choice == "Z"))
+            elif tag == "measbit":
+                columns["meas_flips"].append((row, *at))
+            else:  # readout erasure, its x or z component
+                columns["readout_flips"].append((row, *at, choice == "x", choice == "z"))
+    return Injections(**columns)
 
 
 def _replays(unit: tuple) -> tuple:
@@ -306,17 +314,23 @@ def _rows(lat: ToricLattice, res) -> np.ndarray:
 
 
 def _unit_rows(compiled: CompiledProgram, keys: list[int]) -> np.ndarray:
-    """The rows of the units that ``keys`` name, each replayed once,
-    ``_CHUNK_ROWS`` per executor batch, then one zero row.  The executor
-    refuses a unit on a gate, position or measurement the program lacks."""
+    """The rows of the units that ``keys`` name, then one zero row.  Key
+    ``5·gate + slot`` is, by ``divmod``, an X (even slot) or a Z (odd) at
+    position ``slot // 2`` of the gate, or its measurement flip (slot 4);
+    one executor call replays them all, split only above ``_CHUNK_ROWS``
+    rows.  The executor refuses a unit on a gate, position or measurement
+    the program lacks."""
     width = (compiled.program.n_rounds + 1) * compiled.lattice.d**2
     rows = np.zeros((len(keys) + 1, 2, width + 1), dtype=np.uint8)
+    keys = np.asarray(keys, dtype=np.int64)
     for lo in range(0, len(keys), _CHUNK_ROWS):
-        scripts = [Script(meas_flips={gi}) if slot == 4 else
-                   Script(paulis={gi: (PAULI_I,) * (slot // 2) + ((PAULI_X, PAULI_Z)[slot % 2],)})
-                   for gi, slot in (divmod(key, 5) for key in keys[lo : lo + _CHUNK_ROWS])]
-        res = execute(compiled, len(scripts), scripts=scripts)
-        rows[lo : lo + len(scripts)] = _rows(compiled.lattice, res)
+        gate, slot = np.divmod(keys[lo : lo + _CHUNK_ROWS], 5)
+        row, component, flip = np.arange(len(gate)), slot % 2, slot == 4
+        injections = Injections(
+            paulis=np.stack([row, gate, slot // 2, 1 - component, component], axis=1)[~flip],
+            meas_flips=np.stack([row, gate], axis=1)[flip])
+        res = execute(compiled, len(gate), injections=injections)
+        rows[lo : lo + len(gate)] = _rows(compiled.lattice, res)
     return rows
 
 
@@ -378,29 +392,30 @@ def _pair_failures(decoder: Decoder, specs: list[FaultSpec], rows: np.ndarray) -
 def _leak_sides(compiled: CompiledProgram, specs: list[FaultSpec]):
     """Per leak spec, in order: its span sides.
 
-    The baselines of ``_CHUNK_ROWS`` specs share one replay batch, which
-    also yields their traces.  The ``_replays`` of unit generators that no
-    earlier batch met follow, ``_CHUNK_ROWS`` per batch; each generator's
-    effect is taken once and shared by every spec whose trace opens it.
+    Two replay phases, each one executor call, split only above
+    ``_CHUNK_ROWS`` rows: every spec's baseline, which also yields its
+    trace, then the ``_replays`` of every distinct unit generator that the
+    traces open.  Each generator's effect is taken once and shared by every
+    spec whose trace opens it.
     """
     lat = compiled.lattice
     width = (compiled.program.n_rounds + 1) * lat.d**2
-    points = {(None, None): [0, 0]}  # per (leak, unit) replay; the fault-free one is 0
-    effects: dict = {}  # per unit generator: its star and plaquette effect
+    base, units = [], []
     for group in _chunks(specs, _CHUNK_ROWS):
         traces: list[list] = [[] for _ in group]
-        scripts = [Script(leaks={(spec.gate_index, spec.victim)}) for spec in group]
-        base = _points(lat, execute(compiled, len(group), scripts=scripts, traces=traces))
-        units = [_unit_generators(trace) for trace in traces]
-        fresh = dict.fromkeys(gen for gens in units for gen in gens if gen not in effects)
-        keys = dict.fromkeys(key for gen in fresh for key in _replays(gen) if key not in points)
-        for chunk in _chunks(keys, _CHUNK_ROWS):
-            res = execute(compiled, len(chunk), scripts=[_unit_script(*key) for key in chunk])
-            points.update(zip(chunk, _points(lat, res)))
-        for gen in fresh:
-            effects[gen] = [p ^ q for p, q in zip(*map(points.get, _replays(gen)))]
-        for spec_base, gens in zip(base, units):
-            yield _span_sides([effects[gen] for gen in gens], spec_base, width)
+        leaks = Injections(leaks=[(row, s.gate_index, s.victim) for row, s in enumerate(group)])
+        base += _points(lat, execute(compiled, len(group), injections=leaks, traces=traces))
+        units += map(_unit_generators, traces)
+    generators = dict.fromkeys(gen for gens in units for gen in gens)
+    points = {(None, None): [0, 0]}  # per (leak, unit) replay; the fault-free one is 0
+    keys = dict.fromkeys(key for gen in generators for key in _replays(gen) if key not in points)
+    for chunk in _chunks(keys, _CHUNK_ROWS):
+        res = execute(compiled, len(chunk), injections=_unit_injections(chunk))
+        points.update(zip(chunk, _points(lat, res)))
+    effects = {gen: [p ^ q for p, q in zip(*map(points.get, _replays(gen)))] for gen in generators}
+    del points  # only the effects live on through the yields
+    for spec_base, gens in zip(base, units):
+        yield _span_sides([effects[gen] for gen in gens], spec_base, width)
 
 
 def _span_sides(effects: list, base: list[int], width: int) -> list[_SpanSide]:
@@ -414,7 +429,7 @@ def _span_sides(effects: list, base: list[int], width: int) -> list[_SpanSide]:
 
 def _stacked(batch: list[_SpanSide]) -> tuple[np.ndarray, ...]:
     """Sides of one check type, their points as ``_rows`` lays them out:
-    their ranks, their bases ``(side, 1, cell)``, and their basis vectors,
+    their ranks, their bases ``(1, side, cell)``, and their basis vectors,
     one row each, side after side."""
     width = batch[0].width
     points = [side.base for side in batch] + [vec for side in batch for vec in side.basis]
@@ -423,7 +438,8 @@ def _stacked(batch: list[_SpanSide]) -> tuple[np.ndarray, ...]:
     bits = np.unpackbits(np.frombuffer(blob, dtype=np.uint8).reshape(-1, size), axis=1,
                          count=width + 2, bitorder="little")
     rows = np.concatenate([bits[:, :width], bits[:, width:-1] | bits[:, -1:] << 1], axis=1)
-    return np.array([len(side.basis) for side in batch]), rows[: len(batch), None], rows[len(batch) :]
+    ranks = np.array([len(side.basis) for side in batch])
+    return ranks, rows[None, : len(batch)], rows[len(batch) :]
 
 
 def _sampled_points(spec: FaultSpec, side: _SpanSide) -> np.ndarray:
@@ -433,14 +449,14 @@ def _sampled_points(spec: FaultSpec, side: _SpanSide) -> np.ndarray:
     rank = len(side.basis)
     rng = np.random.default_rng(np.random.SeedSequence([spec.gate_index, spec.victim, rank, 1]))
     bits = rng.integers(0, 2, size=(SAMPLE_COUNT, rank)).astype(np.uint8)
-    points = np.repeat(base[0], SAMPLE_COUNT, axis=0)
+    points = np.repeat(base[:, 0], SAMPLE_COUNT, axis=0)
     for j in range(rank):
         points ^= bits[:, j, None] * vectors[j]
     return points
 
 
 def _judged(decoder: Decoder, check_type: int, stage: np.ndarray) -> np.ndarray:
-    """Per side of a stage ``(side, point, cell)`` of one check type, how
+    """Per side of a stage ``(point, side, cell)`` of one check type, how
     many of its points fail, by ``Decoder.parities``, ``_PASS_ROWS`` rows
     per call."""
     rows = stage.reshape(-1, stage.shape[2])
@@ -448,13 +464,31 @@ def _judged(decoder: Decoder, check_type: int, stage: np.ndarray) -> np.ndarray:
     for lo in range(0, len(rows), _PASS_ROWS):
         part = rows[lo : lo + _PASS_ROWS]
         fail[lo : lo + _PASS_ROWS] = part[:, -1] != decoder.parities(check_type, part[:, :-1])
-    return fail.reshape(stage.shape[:2]).sum(axis=1)
+    return fail.reshape(stage.shape[:2]).sum(axis=0)
+
+
+def _doubled(points: np.ndarray, vectors: np.ndarray) -> np.ndarray:
+    """Points ``(point, side, cell)`` and then each XOR its side's row of
+    ``vectors``, in one array of twice the points: the second half is the
+    next stage, contiguous, so judging it copies nothing."""
+    grown = np.empty((2 * len(points), *points.shape[1:]), dtype=points.dtype)
+    grown[: len(points)] = points
+    np.bitwise_xor(points, vectors, out=grown[len(points) :])
+    return grown
 
 
 def _kept(stacks: dict, keep) -> dict:
-    """The stacks with only the sides that ``keep(owners, ranks)`` selects."""
-    return {ct: tuple(a[mask] for a in stack) for ct, stack in stacks.items()
-            if (mask := keep(*stack[:2])).any()}
+    """The stacks with only the sides that ``keep(owners, ranks)`` selects;
+    a stack that keeps every side is kept as it is, not copied."""
+    kept = {}
+    for ct, (owners, ranks, points, first) in stacks.items():
+        mask = keep(owners, ranks)
+        if mask.all():
+            kept[ct] = stacks[ct]
+        elif mask.any():
+            # compress, unlike points[:, mask], keeps the stage contiguous for _judged
+            kept[ct] = owners[mask], ranks[mask], np.compress(mask, points, axis=1), first[mask]
+    return kept
 
 
 def _failing_counts(decoder: Decoder, specs: list[FaultSpec], sides: list[list[_SpanSide]],
@@ -465,12 +499,16 @@ def _failing_counts(decoder: Decoder, specs: list[FaultSpec], sides: list[list[_
     Exact sides go in stages: stage 0 is each side's base point, stage k
     the points ``2^(k-1) .. 2^k - 1`` of the sides of rank k or more, the
     earlier points XOR basis vector k - 1.  Each side then holds ``2^(k-1)``
-    earlier points, whatever its rank, so one stack per check type holds
-    them, judged in one ``_judged`` call per stage.  A stage after which
-    they would hold more than ``_PASS_ROWS`` points first splits off its
-    later open specs, which resume there once the rest are done.  An over-budget side is judged on its
-    ``_sampled_points``.  With ``stop_early`` a spec leaves after its first
-    failing stage, so only whether its counts are zero holds.
+    earlier points, whatever its rank, so one stack ``(point, side, cell)``
+    per check type holds them.  A stage grows the stack once, into an array
+    of twice the points whose second half it is (``_doubled``), or, when it
+    is the last stage of every side in the stack, overwrites the earlier
+    points; one ``_judged`` call judges it.  A stage after which the stacks
+    would hold more than ``_PASS_ROWS`` points first splits off its later
+    open specs, which resume there once the rest are done.  An over-budget
+    side is judged on its ``_sampled_points``.  With ``stop_early`` a spec
+    leaves after its first failing stage, so only whether its counts are
+    zero holds.
     """
     counts = np.zeros((len(sides), 2), dtype=np.int64)
     todo = [(range(len(sides)), 0)]  # (spec numbers, the stage they resume at)
@@ -482,11 +520,11 @@ def _failing_counts(decoder: Decoder, specs: list[FaultSpec], sides: list[list[_
         for ct in (0, 1):
             owners = [k for k in members if sides[k][ct].exact and len(sides[k][ct].basis) >= j]
             if owners:
-                ranks, prefix, vectors[ct] = _stacked([sides[k][ct] for k in owners])
+                ranks, points, vectors[ct] = _stacked([sides[k][ct] for k in owners])
                 first = ranks.cumsum() - ranks
                 for i in range(j - 1):  # rebuild the points 0 .. 2^(j-1) - 1
-                    prefix = np.concatenate([prefix, prefix ^ vectors[ct][first + i, None]], axis=1)
-                stacks[ct] = np.array(owners), ranks, prefix, first
+                    points = _doubled(points, vectors[ct][first + i])
+                stacks[ct] = np.array(owners), ranks, points, first
         while stacks := _kept(stacks, lambda owners, ranks:
                               (ranks >= j) & ~(stop_early & counts[owners].any(axis=1))):
             held = sum(len(stack[0]) for stack in stacks.values()) << j  # points held after stage j
@@ -496,19 +534,27 @@ def _failing_counts(decoder: Decoder, specs: list[FaultSpec], sides: list[list[_
                 todo.append((open_specs[len(open_specs) // 2 :], j))
                 stacks = _kept(stacks, lambda owners, _: owners < cut)
                 continue
-            for ct, (owners, ranks, prefix, first) in stacks.items():
-                stage = prefix ^ vectors[ct][first + j - 1, None] if j else prefix
-                counts[owners, ct] += _judged(decoder, ct, stage)
-                prefix = np.concatenate([prefix, stage], axis=1) if j else prefix
-                stacks[ct] = owners, ranks, prefix, first
+            for ct in stacks:  # not .items(), whose iterator keeps the last stack alive
+                owners, ranks, points, first = stacks[ct]
+                if j and ranks.max() > j:  # the earlier points leave with the stack they grew from
+                    points = _doubled(points, vectors[ct][first + j - 1])
+                    stacks[ct] = owners, ranks, points, first
+                    points = points[len(points) // 2 :]
+                elif j:  # every side's last stage: no later stage reads the earlier points
+                    np.bitwise_xor(points, vectors[ct][first + j - 1], out=points)
+                counts[owners, ct] += _judged(decoder, ct, points)
+            del points  # so that a stack the next stage drops frees its points
             j += 1
     step = max(1, _PASS_ROWS // SAMPLE_COUNT)
     for ct in (0, 1):
         over = [k for k, spec_sides in enumerate(sides) if not spec_sides[ct].exact]
         for lo in range(0, len(over), step):
             batch = [k for k in over[lo : lo + step] if not (stop_early and counts[k].any())]
-            if batch:
-                stage = np.stack([_sampled_points(specs[k], sides[k][ct]) for k in batch])
+            if batch:  # filled side by side, so that only one side's block is extra
+                width = sides[batch[0]][ct].width + 1
+                stage = np.empty((SAMPLE_COUNT, len(batch), width), dtype=np.uint8)
+                for i, k in enumerate(batch):
+                    stage[:, i] = _sampled_points(specs[k], sides[k][ct])
                 counts[batch, ct] = _judged(decoder, ct, stage)
     return counts
 

@@ -1,4 +1,4 @@
-"""Compiled circuits and scripted fault injections.
+"""Compiled circuits and the columns of injected faults.
 
 ``compile_program`` fixes a static draw-slot layout: every gate owns a fixed
 span of the shot's uniform stream, and the final data readout owns two slots
@@ -7,13 +7,15 @@ maximal runs of consecutive gates of one kind and one leak-victim tuple on
 pairwise-disjoint qubits.  Such gates commute and each reads only its own
 draws, so the executor, :func:`toricleak.vector.execute`, may resolve a
 layer at once; gate j's draws start ``DRAWS_PER_KIND[kind]·j`` after the
-layer's first.  A :class:`Script` lists deterministic fault injections for
-the executor to replay; they land after their gate's layer.
+layer's first.  :class:`Injections` lists deterministic fault injections
+for the executor to replay as int columns, one entry per injection naming
+its row, so a whole replay phase is one batch; they land after their
+gate's layer.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -69,17 +71,37 @@ class CompiledProgram:
         return self.program.lattice
 
 
-@dataclass
-class Script:
-    """Deterministic fault injections for replay runs.
+@dataclass(frozen=True)
+class Injections:
+    """Deterministic fault injections for replay runs, as int columns.
 
-    Keys are global gate indices into ``CompiledProgram.gates``.
+    Each kind is a 2-D int array with one entry (array row) per injection;
+    an entry's first column is the executor row it lands in, and ``gate``
+    is a global index into ``CompiledProgram.gates``:
+
+    * ``leaks``: ``(row, gate, position)``, the gate's qubit at
+      ``position`` leaks;
+    * ``paulis``: ``(row, gate, position, x, z)``, that qubit's frame is
+      XORed with ``(x, z)``;
+    * ``meas_flips``: ``(row, gate)``, the measurement's outcome flips;
+    * ``readout_flips``: ``(row, edge, x, z)``, the final readout of data
+      edge ``edge`` is XORed with ``(x, z)``.
+
+    Any sequence of such tuples converts; leaving a kind out injects none.
     """
 
-    leaks: set[tuple[int, int]] = field(default_factory=set)  # (gate, position)
-    paulis: dict[int, tuple] = field(default_factory=dict)  # gate -> per-qubit paulis
-    meas_flips: set[int] = field(default_factory=set)
-    readout_flips: dict[int, tuple[int, int]] = field(default_factory=dict)  # edge -> (dx, dz)
+    leaks: np.ndarray = field(default=(), metadata={"width": 3})
+    paulis: np.ndarray = field(default=(), metadata={"width": 5})
+    meas_flips: np.ndarray = field(default=(), metadata={"width": 2})
+    readout_flips: np.ndarray = field(default=(), metadata={"width": 4})
+
+    def __post_init__(self):
+        for f in fields(self):
+            width, column = f.metadata["width"], np.asarray(getattr(self, f.name), dtype=np.int64)
+            column = column.reshape(0, width) if column.size == 0 else column
+            if column.shape[1:] != (width,):
+                raise ValueError(f"{f.name} entries have {width} columns, got shape {column.shape}")
+            object.__setattr__(self, f.name, column)
 
 
 def compile_program(program: CircuitProgram, noise: NoiseModel) -> CompiledProgram:

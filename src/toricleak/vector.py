@@ -11,26 +11,28 @@ one numpy pass per rule over a (rows × layer gates) block; which Pauli,
 victim or partner Pauli a draw picks is decoded only where it fires.
 Frames, leak flags and syndromes are qubit-contiguous (column-major), so a
 layer's gather of its qubits reads whole columns.  Without a draw matrix
-every draw takes its null outcome, so scripted fault injections replay
-deterministically.
+every draw takes its null outcome, so injected faults replay
+deterministically.  Injections (``sim.Injections``) come as int columns
+whose entries name their rows; they are checked with one vectorised test
+per rule, grouped by layer with one stable sort per kind, and applied with
+one fancy update per kind and layer, so the rows of a whole replay phase
+cost one call.
 ``run_batch`` is the Monte-Carlo entry point.  It draws and executes a batch
 ``_CHUNK_ROWS`` rows at a time through one reused draw buffer, so its memory
 is bounded by the chunk, not the batch, and every row is the one a
-whole-batch draw would give it.  The scanner calls ``execute`` directly for
-its scripted replays.
+whole-batch draw would give it.  The scanner calls ``execute`` directly,
+once per replay phase.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass, fields
-from typing import Sequence
 
 import numpy as np
 
 from .circuits import CNOT, H, MEAS_Z, PREP_Z, SWAP
 from .pauli import PAULI2_ERRORS, PAULI4, batch_uniforms, propagate_cnot, propagate_h, propagate_swap
-from .sim import DRAWS_PER_KIND, CompiledProgram, Script
+from .sim import DRAWS_PER_KIND, CompiledProgram, Injections
 
 # component tables for vectorized sub-decodes
 _X3 = np.array([1, 1, 0], dtype=np.uint8)  # X, Y, Z
@@ -80,42 +82,66 @@ def run_batch(
                          for f in fields(BatchResult)))
 
 
-def _index_scripts(compiled: CompiledProgram, scripts: Sequence[Script | None]):
-    """Per-row injections regrouped by the layer after which they land."""
-    leaks, paulis, meas_flips = defaultdict(list), defaultdict(list), defaultdict(list)
-    readout_flips = []
-    layer_of = [li for li, layer in enumerate(compiled.layers) for _ in layer.q0]
-    n_gates, n_data = len(compiled.gates), compiled.lattice.n_data
+def _refuse(bad: np.ndarray, message: str, *columns: np.ndarray) -> None:
+    """Raise ``ValueError`` with ``message`` formatted from the columns'
+    values at the first entry that ``bad`` flags, if any."""
+    if bad.any():
+        k = int(np.argmax(bad))
+        raise ValueError(message.format(*(int(column[k]) for column in columns)))
 
-    def gate(gi):
-        if not 0 <= gi < n_gates:
-            raise ValueError(f"gate {gi} is not one of the program's {n_gates} gates")
-        return compiled.gates[gi]
 
-    for row, script in enumerate(scripts):
-        if script is None:
-            continue
-        for gi, pos in script.leaks:
-            g = gate(gi)
-            if pos not in (0, 1) or (pos == 1 and g.q1 < 0):
-                raise ValueError(f"gate {gi} has no qubit at position {pos} to leak")
-            leaks[layer_of[gi]].append((row, (g.q0, g.q1)[pos]))
-        for gi, per_qubit in script.paulis.items():
-            g = gate(gi)
-            touched = (g.q0,) if g.q1 < 0 else (g.q0, g.q1)
-            if len(per_qubit) > len(touched):
-                raise ValueError(f"gate {gi} has no qubit at position {len(touched)} for a Pauli")
-            for q, (px, pz) in zip(touched, per_qubit):
-                paulis[layer_of[gi]].append((row, q, px, pz))
-        for gi in script.meas_flips:
-            if gate(gi).kind != MEAS_Z:
-                raise ValueError(f"gate {gi} is no measurement, so it has no outcome to flip")
-            meas_flips[layer_of[gi]].append((row, gi - compiled.layers[layer_of[gi]].start))
-        for e, (dx, dz) in script.readout_flips.items():
-            if not 0 <= e < n_data:
-                raise ValueError(f"edge {e} is not one of the {n_data} data edges to flip")
-            readout_flips.append((row, e, dx, dz))
-    return leaks, paulis, meas_flips, readout_flips
+def _by_layer(layer: np.ndarray, n_layers: int, *columns: np.ndarray) -> list:
+    """Per layer: the columns' entries that land after it, in their given
+    order (one stable sort), or None where none do."""
+    order = np.argsort(layer, kind="stable")
+    bounds = np.searchsorted(layer[order], np.arange(n_layers + 1)).tolist()
+    columns = [column[order] for column in columns]
+    return [tuple(column[lo:hi] for column in columns) if hi > lo else None
+            for lo, hi in zip(bounds, bounds[1:])]
+
+
+def _landing(compiled: CompiledProgram, injections: Injections, n_rows: int):
+    """The injections checked against the program and the call, the first
+    bad entry of a kind refused by name: per layer, the leaks as ``(row,
+    qubit)``, the Paulis as ``(row, qubit, x, z)`` and the measurement flips
+    as ``(row, slot)`` that land after it; then the readout flips as
+    ``(row, edge, x, z)``."""
+    layers, n_data = compiled.layers, compiled.lattice.n_data
+    q0, q1, slot = (np.concatenate([getattr(layer, name) for layer in layers])
+                    for name in ("q0", "q1", "slot"))
+    sizes = [len(layer.q0) for layer in layers]
+    layer_of = np.repeat(np.arange(len(layers)), sizes)
+    is_meas = np.repeat([layer.kind == MEAS_Z for layer in layers], sizes)
+    n_gates = len(q0)
+    for f in fields(injections):
+        entries = getattr(injections, f.name)
+        _refuse((entries[:, 0] < 0) | (entries[:, 0] >= n_rows),
+                f"row {{}} is not one of the call's {n_rows} rows", entries[:, 0])
+        if f.name in ("paulis", "readout_flips"):
+            _refuse((entries[:, -2:] & ~1).any(axis=1),
+                    "row {} flips a frame bit by a value other than 0 or 1", entries[:, 0])
+        if f.name != "readout_flips":
+            gate = entries[:, 1]
+            _refuse((gate < 0) | (gate >= n_gates),
+                    f"gate {{}} is not one of the program's {n_gates} gates", gate)
+
+    def qubits(gate, pos, what):
+        _refuse((pos != 0) & ((pos != 1) | (q1[gate] < 0)),
+                f"gate {{}} has no qubit at position {{}} {what}", gate, pos)
+        return np.where(pos == 1, q1[gate], q0[gate])
+
+    rows, gate, pos = injections.leaks.T
+    leaks = _by_layer(layer_of[gate], len(layers), rows, qubits(gate, pos, "to leak"))
+    rows, gate, pos, px, pz = injections.paulis.T
+    paulis = _by_layer(layer_of[gate], len(layers), rows, qubits(gate, pos, "for a Pauli"),
+                       px.astype(np.uint8), pz.astype(np.uint8))
+    rows, gate = injections.meas_flips.T
+    _refuse(~is_meas[gate], "gate {} is no measurement, so it has no outcome to flip", gate)
+    flips = _by_layer(layer_of[gate], len(layers), rows, slot[gate])
+    rows, edge, dx, dz = injections.readout_flips.T
+    _refuse((edge < 0) | (edge >= n_data),
+            f"edge {{}} is not one of the {n_data} data edges to flip", edge)
+    return leaks, paulis, flips, (rows, edge, dx.astype(np.uint8), dz.astype(np.uint8))
 
 
 def _fired(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -132,7 +158,7 @@ def execute(
     compiled: CompiledProgram,
     n_rows: int,
     uniforms: np.ndarray | None = None,
-    scripts: Sequence[Script | None] | None = None,
+    injections: Injections | None = None,
     initial_x: np.ndarray | None = None,
     initial_z: np.ndarray | None = None,
     traces: list[list] | None = None,
@@ -140,10 +166,11 @@ def execute(
     """Execute ``n_rows`` shots side by side.
 
     ``uniforms`` holds one draw row per shot; without it every draw takes its
-    null outcome.  ``scripts`` gives each row its own injections, which land
-    after their gate's layer.  ``initial_x``/``initial_z`` seed the
-    frames of the leading qubits.  ``traces``, when given one list per row,
-    collects the stochastic consequence slots a leak opens up:
+    null outcome.  ``injections`` gives rows their own faults, which land
+    after their gate's layer: each layer's entries of a kind in one fancy
+    update, and two Paulis or flips on one target XOR twice.
+    ``initial_x``/``initial_z`` seed the frames of the leading qubits.
+    ``traces``, which must hold one list per row when given, collects the stochastic consequence slots a leak opens up:
     ``("pair", gate, partner_position)`` for each two-qubit gate with exactly
     one leaked participant, ``("measbit", gate)`` for each measurement of a
     leaked qubit, and ``("readout", edge)`` for each leaked
@@ -166,12 +193,15 @@ def execute(
     # one column per measurement slot; the 4-D view below is what callers get
     flat = np.zeros((n_rows, (program.n_rounds + 1) * 2 * n_sites), dtype=np.uint8, order="F")
     syndromes = flat.reshape(n_rows, program.n_rounds + 1, 2, n_sites)
-    scripted = scripts is not None
-    if scripted:
-        leak_at, pauli_at, flip_at, readout_at = _index_scripts(compiled, scripts)
-    # without draws or scripted leaks nothing ever leaks, and no gate needs a mask
-    leaky = stochastic or (scripted and bool(leak_at))
+    injected = injections is not None
+    if injected:
+        leak_at, pauli_at, flip_at, (ro_rows, ro_edges, ro_x, ro_z) = _landing(
+            compiled, injections, n_rows)
+    # without draws or injected leaks nothing ever leaks, and no gate needs a mask
+    leaky = stochastic or (injected and len(injections.leaks) > 0)
     if traces is not None:
+        if len(traces) != n_rows:
+            raise ValueError(f"need one trace list per row: {n_rows} rows, {len(traces)} lists")
         # per (row, gate): 1/2 = pair slot at partner position 0/1, 3 = junk measurement
         slot_codes = np.zeros((n_rows, len(compiled.gates)), dtype=np.uint8)
 
@@ -242,14 +272,15 @@ def execute(
         else:  # pragma: no cover - build_program emits only the kinds above
             raise ValueError(f"unknown gate kind {kind}")
 
-        if scripted:
-            for row, q in leak_at.get(li, ()):
-                leak[row, q] = 1
-            for row, q, px, pz in pauli_at.get(li, ()):
-                x[row, q] ^= px
-                z[row, q] ^= pz
-            for row, j in flip_at.get(li, ()):
-                flat[row, layer.slot[j]] ^= 1
+        if injected:
+            if leak_at[li]:
+                leak[leak_at[li]] = 1
+            if pauli_at[li]:
+                rows, qubits, px, pz = pauli_at[li]
+                np.bitwise_xor.at(x, (rows, qubits), px)
+                np.bitwise_xor.at(z, (rows, qubits), pz)
+            if flip_at[li]:
+                np.bitwise_xor.at(flat, flip_at[li], 1)
 
     # final transversal readout of the data carriers
     carrier = program.final_data_carrier
@@ -268,10 +299,9 @@ def execute(
             traces[row].append(("measbit", gi) if code == 3 else ("pair", gi, code - 1))
         for row, e in zip(*(a.tolist() for a in np.nonzero(leak_c))):
             traces[row].append(("readout", e))
-    if scripted:
-        for row, e, dx, dz in readout_at:
-            data_x[row, e] ^= dx
-            data_z[row, e] ^= dz
+    if injected:
+        np.bitwise_xor.at(data_x, (ro_rows, ro_edges), ro_x)
+        np.bitwise_xor.at(data_z, (ro_rows, ro_edges), ro_z)
 
     z_syn, x_syn = lat.syndrome_of(data_x, data_z)
     syndromes[:, program.n_rounds, 0] = z_syn

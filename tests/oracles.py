@@ -1,10 +1,12 @@
 """Test-side oracles: structural checks, text forms, a zero-noise model,
-lattice coordinates, the per-shot reference draws, one-shot and scripted
-replays, per-spec leak span sides (``leak_sides``, the reference for the
-scanner's shared unit effects), the torus metric, rows-first repair paths
-(``path_edges``, the reference for the decoder's closed-form pair table), a
-reference matcher (``match_defects`` and ``reference_parities``, the scalar
-reference for ``Decoder.parities``) and residual-weight analysis.
+per-row fault scripts (``Script``, and ``columns_of``, which turns them
+into the executor's injection columns), lattice coordinates, the per-shot
+reference draws, one-shot and scripted replays, per-spec leak span sides
+(``leak_sides``, the reference for the scanner's shared unit effects), the
+torus metric, rows-first repair paths (``path_edges``, the reference for
+the decoder's closed-form pair table), a reference matcher
+(``match_defects`` and ``reference_parities``, the scalar reference for
+``Decoder.parities``) and residual-weight analysis.
 
 None of this is on a production path.  The tests use it to check circuits,
 lattices, configs, matchings and the batch draws, to replay single shots and
@@ -17,7 +19,7 @@ decoder's port of it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import networkx as nx
 import numpy as np
@@ -29,11 +31,45 @@ from toricleak.lattice import Z, ToricLattice
 from toricleak.noise import NoiseModel
 from toricleak.pauli import PAULI_BY_NAME, PAULI_I
 from toricleak.scanner import FaultSpec, _chunks, _points, _span_sides, _unit_generators
-from toricleak.sim import CompiledProgram, Script
+from toricleak.sim import CompiledProgram, Injections
 from toricleak.vector import execute
 
 
 NULL_NOISE = NoiseModel(p=0.0)
+
+
+# ---------------------------------------------------------------------------
+# per-row scripts
+
+
+@dataclass
+class Script:
+    """One row's deterministic fault injections, the form tests write by
+    hand; ``columns_of`` gives the executor's columns.
+
+    Keys are global gate indices into ``CompiledProgram.gates``.
+    """
+
+    leaks: set[tuple[int, int]] = field(default_factory=set)  # (gate, position)
+    paulis: dict[int, tuple] = field(default_factory=dict)  # gate -> per-qubit paulis
+    meas_flips: set[int] = field(default_factory=set)
+    readout_flips: dict[int, tuple[int, int]] = field(default_factory=dict)  # edge -> (dx, dz)
+
+
+def columns_of(scripts: list[Script | None]) -> Injections:
+    """The executor's injection columns for one script per row, None
+    injecting nothing; a Pauli tuple gives one entry per position, identities
+    included, so that a tuple longer than its gate's qubits is refused."""
+    columns: dict[str, list] = {"leaks": [], "paulis": [], "meas_flips": [], "readout_flips": []}
+    for row, script in enumerate(scripts):
+        if script is None:
+            continue
+        columns["leaks"] += [(row, gi, pos) for gi, pos in sorted(script.leaks)]
+        columns["paulis"] += [(row, gi, pos, px, pz) for gi, per_qubit in script.paulis.items()
+                              for pos, (px, pz) in enumerate(per_qubit)]
+        columns["meas_flips"] += [(row, gi) for gi in sorted(script.meas_flips)]
+        columns["readout_flips"] += [(row, e, dx, dz) for e, (dx, dz) in script.readout_flips.items()]
+    return Injections(**columns)
 
 
 # ---------------------------------------------------------------------------
@@ -242,9 +278,9 @@ def run_shot(
         if len(uniforms) != compiled.n_draws:
             raise ValueError(f"need {compiled.n_draws} uniform draws, got {len(uniforms)}")
         uniforms = np.asarray(uniforms, dtype=np.float64)[None, :]
-    scripts = None if script is None else [script]
+    injections = None if script is None else columns_of([script])
     traces = None if trace is None else [trace]
-    res = execute(compiled, 1, uniforms, scripts, initial_x, initial_z, traces)
+    res = execute(compiled, 1, uniforms, injections, initial_x, initial_z, traces)
     return ShotResult(
         res.syndromes[0],
         res.data_x[0],
@@ -301,12 +337,13 @@ def leak_sides(compiled: CompiledProgram, specs: list[FaultSpec]):
     for group in _chunks(specs, 256):
         traces: list[list] = [[] for _ in group]
         scripts = [script_for(compiled, spec) for spec in group]
-        base = _points(lat, execute(compiled, len(group), scripts=scripts, traces=traces))
+        res = execute(compiled, len(group), injections=columns_of(scripts), traces=traces)
+        base = _points(lat, res)
         units = ((k, gen) for k, trace in enumerate(traces) for gen in _unit_generators(trace))
         effects: list[list] = [[] for _ in group]
         for chunk in _chunks(units, 256):
             scripts = [script_for(compiled, group[k], (gen,)) for k, gen in chunk]
-            points = _points(lat, execute(compiled, len(chunk), scripts=scripts))
+            points = _points(lat, execute(compiled, len(chunk), injections=columns_of(scripts)))
             for (k, _), unit in zip(chunk, points):
                 effects[k].append([p ^ q for p, q in zip(unit, base[k])])
         for spec_base, spec_effects in zip(base, effects):

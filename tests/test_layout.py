@@ -9,7 +9,8 @@ knows exactly the gate kinds the circuits emit, the noise model has no
 field that a config cannot set, and networkx, the blossom port's test
 oracle, is no runtime dependency.  One more keeps the scanner to one
 judge: every span point, of a leak spec, a Pauli spec or a pair, reaches
-the matcher through ``Decoder.parities``.
+the matcher through ``Decoder.parities``; another keeps the executor to one
+injection form, the ``sim.Injections`` columns.
 """
 
 from __future__ import annotations
@@ -81,3 +82,17 @@ def test_the_scanner_judges_span_points_only():
     tree = ast.parse((SRC / "scanner.py").read_text())
     named = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute) and node.attr in methods}
     assert named == {"parities"}, named
+
+
+def test_no_module_defines_or_imports_a_per_row_script():
+    """Replays reach the executor as ``sim.Injections`` columns only: the
+    per-row ``Script`` lives in the tests' oracles, which convert it with
+    ``columns_of``."""
+    named = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            names = {getattr(node, key, None) for key in ("name", "id", "attr")}
+            if isinstance(node, ast.alias):
+                names |= {node.name, node.asname}
+            named += [f"{path.name}:{node.lineno}" for name in names if name == "Script"]
+    assert not named, named

@@ -15,6 +15,7 @@ import pytest
 import oracles
 from oracles import (
     _match_dp,
+    columns_of,
     crossing_parities,
     defect_mask,
     leak_consequences,
@@ -333,7 +334,8 @@ def test_composed_pauli_points_equal_their_own_replays(variant):
         compiled = _compiled(variant, rounds=rounds)
         specs = [s for s in enumerate_fault_universe(compiled) if s.kind != "leak"][::step]
         width = (rounds + 1) * compiled.lattice.d**2
-        res = execute(compiled, len(specs), scripts=[script_for(compiled, s) for s in specs])
+        injections = columns_of([script_for(compiled, s) for s in specs])
+        res = execute(compiled, len(specs), injections=injections)
         own = scanner._rows(compiled.lattice, res)
         composed = scanner._pauli_rows(compiled, specs)
         assert composed.dtype == own.dtype == np.uint8
@@ -465,7 +467,7 @@ def test_a_leak_spec_needs_its_victim_on_the_gate(victim):
 def _refusal(compiled, spec):
     """The executor's ``ValueError`` message for a replay of ``spec`` alone."""
     with pytest.raises(ValueError) as refused:
-        execute(compiled, 1, scripts=[script_for(compiled, spec)])
+        execute(compiled, 1, injections=columns_of([script_for(compiled, spec)]))
     return str(refused.value)
 
 
@@ -580,7 +582,7 @@ def test_pair_verdicts_equal_joint_replays(variant):
     verdict = scan(compiled, universe=sample, max_faults=2)
     pairs = [(a, b) for i, a in enumerate(sample) for b in sample[i + 1 :]]
     scripts = [_joint_script(compiled, a, b) for a, b in pairs]
-    res = execute(compiled, len(scripts), scripts=scripts)
+    res = execute(compiled, len(scripts), injections=columns_of(scripts))
     judge = Decoder(compiled.lattice).judge_batch(res.syndromes, res.data_x, res.data_z)
     failing = [pair for pair, bits in zip(pairs, judge) if bits.any()]
     assert verdict.n_pairs == len(pairs)
@@ -835,6 +837,28 @@ def test_pair_units_are_replayed_on_the_leak_their_slot_implies():
     assert list(scanner._leak_sides(compiled, specs)) == list(leak_sides(compiled, specs))
 
 
+def test_each_replay_phase_is_one_executor_call(monkeypatch):
+    """The standard d=3, three-round scan replays in three executor calls:
+    its 1,080 Pauli units, its 540 leak baselines with their traces, and
+    its 1,332 leak units.  With the row bound cut to 500 the phases split
+    into 3, 2 and 3 calls and the report is the same."""
+    compiled = _compiled("standard")
+    rows = []
+
+    def counting(compiled, n_rows, *args, **kwargs):
+        rows.append(n_rows)
+        return execute(compiled, n_rows, *args, **kwargs)
+
+    monkeypatch.setattr(scanner, "execute", counting)
+    report = verdict_to_text(compiled, scan(compiled))
+    assert rows == [1080, 540, 1332]
+    assert report == verdict_to_text(compiled, _doc_scan("standard")[1])
+    rows.clear()
+    monkeypatch.setattr(scanner, "_CHUNK_ROWS", 500)
+    assert verdict_to_text(compiled, scan(compiled)) == report
+    assert rows == [500, 500, 80, 500, 40, 500, 500, 332]
+
+
 def test_leak_walk_replays_each_distinct_unit_once(monkeypatch):
     """On standard d=3 at three rounds, the leak walk of a scan and of the
     failure fractions replays each spec's baseline, each distinct unit
@@ -843,7 +867,8 @@ def test_leak_walk_replays_each_distinct_unit_once(monkeypatch):
     compiled = _compiled("standard")
     specs = [s for s in enumerate_fault_universe(compiled) if s.kind == "leak"]
     traces = [[] for _ in specs]
-    execute(compiled, len(specs), scripts=[script_for(compiled, s) for s in specs], traces=traces)
+    injections = columns_of([script_for(compiled, s) for s in specs])
+    execute(compiled, len(specs), injections=injections, traces=traces)
     units = {gen for trace in traces for gen in scanner._unit_generators(trace)}
     pair_slots = {slot for slot, _ in units if slot[0] == "pair"}
     per_spec = len(specs) + sum(len(scanner._unit_generators(trace)) for trace in traces)

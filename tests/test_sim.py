@@ -5,10 +5,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from oracles import NULL_NOISE, find_gates, run_shot, shot_uniforms, site
+from oracles import NULL_NOISE, Script, find_gates, run_shot, shot_uniforms, site
 from toricleak.circuits import CNOT, MEAS_Z, PREP_Z, SWAP, VARIANTS, build_program
 from toricleak.noise import NoiseModel
-from toricleak.sim import DRAWS_PER_KIND, Script, compile_program
+from toricleak.sim import DRAWS_PER_KIND, compile_program
 
 
 def _compiled(variant="standard", d=3, rounds=3, noise=NULL_NOISE):

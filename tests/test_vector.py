@@ -7,13 +7,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from oracles import leak_consequences, run_shot, script_for, shot_uniforms
+from oracles import Script, columns_of, leak_consequences, run_shot, script_for, shot_uniforms
 from toricleak import vector
 from toricleak.circuits import CNOT, MEAS_Z, SWAP, VARIANTS, build_program
 from toricleak.noise import NoiseModel
 from toricleak.pauli import batch_uniforms
 from toricleak.scanner import enumerate_fault_universe
-from toricleak.sim import Script, compile_program
+from toricleak.sim import Injections, compile_program
 from toricleak.vector import execute, run_batch
 
 from scalar_reference import reference_shot
@@ -167,7 +167,7 @@ def test_scripted_batch_rows_match_single_replays(variant, noise):
     compiled = compile_program(build_program(variant, 3, 2), noise)
     scripts = _mixed_scripts(compiled)
     traces = [[] for _ in scripts]
-    batch = execute(compiled, len(scripts), scripts=scripts, traces=traces)
+    batch = execute(compiled, len(scripts), injections=columns_of(scripts), traces=traces)
     assert any(traces) and not all(traces)
     for row, script in enumerate(scripts):
         trace = []
@@ -183,11 +183,12 @@ def test_scripted_batches_do_not_depend_on_chunk_boundaries():
     compiled = compile_program(build_program("swap_lrc", 3, 2), NoiseModel(p=1e-3, r=1.0))
     scripts = _mixed_scripts(compiled, seed=11)
     whole_traces = [[] for _ in scripts]
-    whole = execute(compiled, len(scripts), scripts=scripts, traces=whole_traces)
+    whole = execute(compiled, len(scripts), injections=columns_of(scripts), traces=whole_traces)
     for cut in (1, 9, len(scripts) - 2):
         parts, traces = [], [[] for _ in scripts]
         for lo, hi in ((0, cut), (cut, len(scripts))):
-            parts.append(execute(compiled, hi - lo, scripts=scripts[lo:hi], traces=traces[lo:hi]))
+            parts.append(execute(compiled, hi - lo, injections=columns_of(scripts[lo:hi]),
+                                 traces=traces[lo:hi]))
         for name in RESULT_FIELDS:
             merged = np.concatenate([getattr(part, name) for part in parts])
             np.testing.assert_array_equal(merged, getattr(whole, name), err_msg=f"cut {cut}")
@@ -198,14 +199,14 @@ def test_a_measurement_flip_on_another_gate_is_refused():
     compiled = compile_program(build_program("standard", 3, 1), NoiseModel(p=1e-3))
     gi = next(gi for gi, g in enumerate(compiled.gates) if g.kind == CNOT)
     with pytest.raises(ValueError, match=f"gate {gi} is no measurement"):
-        execute(compiled, 1, scripts=[Script(meas_flips={gi})])
+        execute(compiled, 1, injections=columns_of([Script(meas_flips={gi})]))
 
 
 def test_a_pauli_beyond_the_gates_qubits_is_refused():
     compiled = compile_program(build_program("standard", 3, 1), NoiseModel(p=1e-3))
     gi = next(gi for gi, g in enumerate(compiled.gates) if g.kind == MEAS_Z)
     with pytest.raises(ValueError, match=f"gate {gi} has no qubit at position 1"):
-        execute(compiled, 1, scripts=[Script(paulis={gi: ((1, 0), (0, 1))})])
+        execute(compiled, 1, injections=columns_of([Script(paulis={gi: ((1, 0), (0, 1))})]))
 
 
 @pytest.mark.parametrize("field,index", [
@@ -227,7 +228,79 @@ def test_an_index_outside_the_program_is_refused(field, index):
     }[field]
     what = "edge" if field == "readout_flips" else "gate"
     with pytest.raises(ValueError, match=f"{what} {index} is not one of the"):
-        execute(compiled, 1, scripts=[script])
+        execute(compiled, 1, injections=columns_of([script]))
+
+
+def _stub_entry(compiled, field, row):
+    """One valid entry of each injection kind, landing in ``row``."""
+    cnot = next(gi for gi, g in enumerate(compiled.gates) if g.kind == CNOT)
+    meas = next(gi for gi, g in enumerate(compiled.gates) if g.kind == MEAS_Z)
+    return {"leaks": (row, cnot, 1), "paulis": (row, cnot, 0, 1, 0),
+            "meas_flips": (row, meas), "readout_flips": (row, 0, 1, 0)}[field]
+
+
+@pytest.mark.parametrize("field", ["leaks", "paulis", "meas_flips", "readout_flips"])
+@pytest.mark.parametrize("row", [-1, 2, 3])
+def test_an_injection_row_outside_the_call_is_refused(field, row):
+    """A negative row would land on another shot and a row past the last
+    would raise an ``IndexError`` partway through the run."""
+    compiled = compile_program(build_program("standard", 3, 1), NoiseModel(p=1e-3))
+    entries = [_stub_entry(compiled, field, 0), _stub_entry(compiled, field, row)]
+    injections = Injections(**{field: entries})
+    with pytest.raises(ValueError, match=f"row {row} is not one of the call's 2 rows"):
+        execute(compiled, 2, injections=injections)
+
+
+def test_scripts_for_more_rows_than_the_call_are_refused():
+    compiled = compile_program(build_program("standard", 3, 1), NoiseModel(p=1e-3))
+    scripts = [Script(meas_flips={_stub_entry(compiled, "meas_flips", 0)[1]})] * 3
+    with pytest.raises(ValueError, match="row 2 is not one of the call's 2 rows"):
+        execute(compiled, 2, injections=columns_of(scripts))
+
+
+@pytest.mark.parametrize("n_traces", [0, 1, 3])
+def test_a_trace_list_per_row_is_required(n_traces):
+    compiled = compile_program(build_program("standard", 3, 1), NoiseModel(p=1e-3))
+    injections = Injections(leaks=[_stub_entry(compiled, "leaks", 1)])
+    traces = [[] for _ in range(n_traces)]
+    with pytest.raises(ValueError, match=f"2 rows, {n_traces} lists"):
+        execute(compiled, 2, injections=injections, traces=traces)
+
+
+@pytest.mark.parametrize("field", ["paulis", "readout_flips"])
+def test_frame_bits_other_than_0_or_1_are_refused(field):
+    compiled = compile_program(build_program("standard", 3, 1), NoiseModel(p=1e-3))
+    entry = _stub_entry(compiled, field, 0)[:-2] + (2, 0)
+    with pytest.raises(ValueError, match="row 0 flips a frame bit by a value other than 0 or 1"):
+        execute(compiled, 1, injections=Injections(**{field: [entry]}))
+
+
+def test_injection_columns_of_the_wrong_width_are_refused():
+    with pytest.raises(ValueError, match="leaks entries have 3 columns"):
+        Injections(leaks=[(0, 1)])
+    with pytest.raises(ValueError, match="paulis entries have 5 columns"):
+        Injections(paulis=(0, 1, 0, 1, 0))
+    assert Injections().leaks.shape == (0, 3) and Injections(meas_flips=[]).meas_flips.shape == (0, 2)
+
+
+def test_repeated_entries_on_one_target_apply_each_time():
+    """Two X entries on one qubit of one row and layer cancel, three act as
+    one, and an X and a Z make a Y; repeated measurement and readout flips
+    cancel alike.  A plain fancy ``^=`` would apply only one of each."""
+    compiled = compile_program(build_program("standard", 3, 2), NoiseModel(p=1e-3))
+    cnot = next(gi for gi, g in enumerate(compiled.gates) if g.kind == CNOT)
+    meas = next(gi for gi, g in enumerate(compiled.gates) if g.kind == MEAS_Z)
+    x, z = (0, cnot, 0, 1, 0), (0, cnot, 0, 0, 1)
+    rows = [Injections(),  # 0: nothing
+            Injections(paulis=[x, x], meas_flips=[(0, meas)] * 2, readout_flips=[(0, 4, 1, 1)] * 2),
+            Injections(paulis=[x]), Injections(paulis=[x, x, x]),  # 2, 3: one X
+            Injections(paulis=[(0, cnot, 0, 1, 1)]), Injections(paulis=[x, z])]  # 4, 5: one Y
+    results = [execute(compiled, 1, injections=injections) for injections in rows]
+    assert results[2].syndromes.any() and results[4].syndromes.any()
+    for a, b in ((0, 1), (2, 3), (4, 5)):
+        for name in RESULT_FIELDS:
+            np.testing.assert_array_equal(getattr(results[a], name), getattr(results[b], name),
+                                          err_msg=f"rows {a} and {b}: {name}")
 
 
 @pytest.mark.parametrize("variant", VARIANTS)
@@ -236,8 +309,8 @@ def test_batch_traces_match_leak_consequences(variant, noise):
     compiled = compile_program(build_program(variant, 3, 2), noise)
     leaks = [s for s in enumerate_fault_universe(compiled) if s.kind == "leak"][::3]
     traces = [[] for _ in leaks]
-    batch = execute(compiled, len(leaks), scripts=[script_for(compiled, s) for s in leaks],
-                    traces=traces)
+    injections = columns_of([script_for(compiled, s) for s in leaks])
+    batch = execute(compiled, len(leaks), injections=injections, traces=traces)
     kinds = set()
     for row, spec in enumerate(leaks):
         base, slots = leak_consequences(compiled, spec)
@@ -285,7 +358,8 @@ def _check_against_reference(compiled, scripts):
     draws = np.stack([shot_uniforms(5, shot, compiled.n_draws) for shot in range(len(scripts))])
     for uniforms in (draws, None):
         traces = [[] for _ in scripts]
-        batch = execute(compiled, len(scripts), uniforms=uniforms, scripts=scripts, traces=traces)
+        batch = execute(compiled, len(scripts), uniforms=uniforms, injections=columns_of(scripts),
+                        traces=traces)
         for row, script in enumerate(scripts):
             ref = reference_shot(compiled, None if uniforms is None else uniforms[row], script)
             got = (batch.syndromes[row], batch.data_x[row], batch.data_z[row],
