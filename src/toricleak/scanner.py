@@ -16,28 +16,32 @@ program and judges every spec with all other noise switched off:
 Worst-case leak semantics are evaluated exactly.  The leak trajectory is
 fixed by the location alone (outcome choices never create or move leaks),
 so the consequence slots are a fixed list and the map from outcome choices
-to (detection events, readout frame) is GF(2)-linear.  Each unit outcome
-choice's effect is replayed once per call and shared by every spec whose
-trace opens its slot, as a detector error model shares a fault's effect.
-The sharing is exact.  A ``measbit`` or ``readout`` unit is a plain bit
-flip, so its effect is its replay alone.  A ``("pair", g, pos)`` slot opens
-only while the other qubit of gate g is leaked.  One fault opens one leak,
-and that qubit stays leaked (SWAPs leave leak flags in place) until its
-next measurement or preparation, so the leak pattern after g is fixed by
-``(g, pos)``.  With it fixed the executor is GF(2)-linear in the frame, so
-the unit's effect is the replay of the leak ``(g, 1 - pos)`` plus the
-partner Pauli at g, XOR the replay of that leak alone.  A spec's effects,
-in its trace's order, are reduced to a basis, and the whole span is
-enumerated.
+to (detection events, readout frame) is GF(2)-linear.  A traced executor
+call reports the slots as codes per row and gate, and the leaked final
+carriers as readout slots; each opens one or two units, named by int keys
+(``_generators``).  Each unit's effect is replayed once per call and shared
+by every spec whose trace opens it, as a detector error model shares a
+fault's effect.  The sharing is exact.  A junk measurement or readout unit
+is a plain bit flip, so its effect is its replay alone.  A pair slot at
+gate g and partner position pos opens only while the other qubit of gate
+g is leaked.  One fault opens one leak, and that qubit stays leaked (SWAPs
+leave leak flags in place) until its next measurement or preparation, so
+the leak pattern after g is fixed by ``(g, pos)``.  With it fixed the
+executor is GF(2)-linear in the frame, so the unit's effect is the replay
+of the leak ``(g, 1 - pos)`` plus the partner Pauli at g, XOR the replay of
+that leak alone.  A spec's effects, in its trace's order, are reduced to a
+basis, and the whole span is enumerated.
 The code is CSS and CNOT never mixes X and Z frame sectors, so every unit
-effect lands on one check type (``_span_sides`` raises ``ValueError`` if
-one does not).  The span therefore splits into a star side (star events +
-the two judge bits of the data X frame) and a plaquette side (plaquette
-events + the Z frame's two), which the decoder also judges independently.
-A side keeps its points as ints: bit ``t·d² + site`` is the check type's
-event cell, over the program's ``(rounds+1)·d²`` cells, with the two judge
-bits above.  One judge, ``_failing_counts``, counts each side's failing
-points, judging each as a row of event cells (``_rows``'s layout) by
+effect lands on one check type (``_sides`` raises ``ValueError`` if one
+does not).  The span therefore splits into a star side (star events + the
+two judge bits of the data X frame) and a plaquette side (plaquette events
++ the Z frame's two), which the decoder also judges independently.  Points
+are rows (``_rows``'s layout): the check type's event cell ``t·d² + site``
+over the program's ``(rounds+1)·d²`` cells, then its two judge bits as one
+value 0-3.  Each check type's sides are three arrays: base rows, ranks and
+basis rows.  Points are ints, with the cells as bits and the judge bits
+above them, only inside the one basis step, to reduce bases.  One judge,
+``_failing_counts``, counts each side's failing points by
 ``Decoder.parities``, in stages by doubling: stage 0 is each side's base
 point, stage k the points ``2^(k-1) .. 2^k - 1``, the earlier points XOR
 basis vector k - 1 (an XOR of rows is GF(2)-correct, judge value
@@ -60,7 +64,9 @@ combinations.
 
 Replays run in three phases, each one executor call on ``sim.Injections``
 columns, split only above ``_CHUNK_ROWS`` rows: the Pauli units, the leak
-baselines with their traces, and the leak units.
+baselines with their traces, and the leak units.  Every replay row is a
+leak ``(gate, position)`` and/or one unit key, and one builder,
+``_injections``, turns such columns into the executor's.
 
 Every verdict is a judge-bit verdict: the scanner does no residual-weight
 analysis of the data error a replay leaves behind.
@@ -70,7 +76,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
-from itertools import compress, islice
+from itertools import compress
 
 import numpy as np
 
@@ -196,97 +202,67 @@ def spec_location(compiled: CompiledProgram, spec: FaultSpec) -> SpecLocation:
 
 
 # ---------------------------------------------------------------------------
-# scripted replays
+# replays
 
 
-def _unit_injections(keys: list[tuple]) -> Injections:
-    """One replay row per ``(leak, unit)`` key of ``_replays``: the leak
-    ``(gate, position)`` and the unit generator ``(slot, choice)`` of
-    ``_unit_generators``, each optional."""
-    columns: dict[str, list] = {"leaks": [], "paulis": [], "meas_flips": [], "readout_flips": []}
-    for row, (leak, unit) in enumerate(keys):
-        if leak:
-            columns["leaks"].append((row, *leak))
-        if unit:
-            (tag, *at), choice = unit
-            if tag == "pair":  # the partner's X or Z
-                columns["paulis"].append((row, *at, choice == "X", choice == "Z"))
-            elif tag == "measbit":
-                columns["meas_flips"].append((row, *at))
-            else:  # readout erasure, its x or z component
-                columns["readout_flips"].append((row, *at, choice == "x", choice == "z"))
-    return Injections(**columns)
+def _split(compiled: CompiledProgram, specs: list[FaultSpec]) -> tuple[list, list]:
+    """The Pauli and ``meas_flip`` specs, then the leak specs.  A spec of
+    another kind, or on a gate outside the program, is refused before any
+    replay: a unit key at or above ``5·len(gates)`` names a readout unit,
+    and gate -1 names no leak (``_injections``)."""
+    n_gates = len(compiled.gates)
+    for spec in specs:
+        if spec.kind not in ("pauli", "meas_flip", "leak"):
+            raise ValueError(f"unknown fault kind {spec.kind!r}")
+        if not 0 <= spec.gate_index < n_gates:
+            raise ValueError(f"gate {spec.gate_index} is not one of the program's {n_gates} gates")
+    return [s for s in specs if s.kind != "leak"], [s for s in specs if s.kind == "leak"]
 
 
-def _replays(unit: tuple) -> tuple:
-    """The two ``(leak, unit)`` replays whose points XOR to a unit's effect:
-    the unit on top of the one leak its slot implies, and that leak alone."""
-    slot = unit[0]
-    leak = (slot[1], 1 - slot[2]) if slot[0] == "pair" else None
-    return (leak, unit), (leak, None)
+def _injections(n_gates: int, leaks: np.ndarray, keys: np.ndarray) -> Injections:
+    """The executor columns of replay rows: row k leaks ``leaks[k]``, a
+    ``(gate, position)``, unless its gate is -1, and carries the unit that
+    ``keys[k]`` names unless it is -1.  Key ``5·gate + slot`` is, by
+    ``divmod``, an X (even slot) or a Z (odd) at position ``slot // 2`` of
+    the gate, or its measurement flip (slot 4); key ``5·n_gates + 2·edge +
+    component`` flips the x (0) or z (1) component of a data edge's final
+    readout."""
+    row = np.arange(len(keys))
+    gate, slot = np.divmod(keys, 5)
+    edge, component = np.divmod(keys - 5 * n_gates, 2)
+    on_gate = (keys != -1) & (keys < 5 * n_gates)
+    return Injections(
+        leaks=np.column_stack([row, leaks])[leaks[:, 0] != -1],
+        paulis=np.column_stack([row, gate, slot // 2, 1 - slot % 2, slot % 2])[on_gate & (slot < 4)],
+        meas_flips=np.column_stack([row, gate])[on_gate & (slot == 4)],
+        readout_flips=np.column_stack([row, edge, 1 - component, component])[keys >= 5 * n_gates])
 
 
-def _chunks(items, size: int):
-    """Lists of up to ``size`` consecutive items of any iterable."""
-    it = iter(items)
-    while chunk := list(islice(it, size)):
-        yield chunk
+def _replayed(compiled: CompiledProgram, leaks: np.ndarray, keys: np.ndarray, trace: bool = False):
+    """The replay rows of ``_injections``, one executor call split only
+    above ``_CHUNK_ROWS`` rows: per part, its first row and its result."""
+    for lo in range(0, len(keys), _CHUNK_ROWS):
+        hi = min(lo + _CHUNK_ROWS, len(keys))
+        injections = _injections(len(compiled.gates), leaks[lo:hi], keys[lo:hi])
+        yield lo, execute(compiled, hi - lo, injections=injections, trace=trace)
 
 
-# ---------------------------------------------------------------------------
-# GF(2) spans of leak consequences
-
-
-def _gf2_basis(vecs: list[int]) -> list[int]:
-    """Row-reduce GF(2) vectors to a basis of their span, in insertion order."""
-    by_lead: dict[int, int] = {}
-    for v in vecs:
-        while v:
-            lead = v.bit_length() - 1
-            hit = by_lead.get(lead)
-            if hit is None:
-                by_lead[lead] = v
-                break
-            v ^= hit
-    return list(by_lead.values())
-
-
-@dataclass
-class _SpanSide:
-    """One check type's side of a spec's span.
-
-    A point is one int: bit k is the type's event cell k of the program's
-    ``width`` cells, in ``_rows``'s order, and the two judge bits sit above
-    them; ``base`` is the baseline replay's point.
-    """
-
-    check_type: int
-    width: int
-    base: int
-    basis: list[int]
-
-    @property
-    def exact(self) -> bool:
-        """True when the side is small enough to enumerate exhaustively."""
-        return len(self.basis) <= SPAN_BUDGET_BITS
-
-
-def _points(lat: ToricLattice, res) -> list[list[int]]:
-    """Per replay row: its star point and its plaquette point, as ints."""
-    rows = _rows(lat, res)
-    bits = np.concatenate([rows[..., :-1], rows[..., -1:] & 1, rows[..., -1:] >> 1], axis=2)
-    packed = np.packbits(bits, axis=2, bitorder="little")
-    size, blob = packed.shape[2], packed.tobytes()
-    ints = [int.from_bytes(blob[k : k + size], "little") for k in range(0, len(blob), size)]
-    return [ints[k : k + 2] for k in range(0, len(ints), 2)]
-
-
-_UNIT_CHOICES = {"pair": ("X", "Z"), "measbit": (1,), "readout": ("x", "z")}
-
-
-def _unit_generators(slots: list[tuple]) -> list[tuple]:
-    """One (slot, choice) per unit outcome choice of each consequence slot."""
-    return [(slot, choice) for slot in slots for choice in _UNIT_CHOICES[slot[0]]]
+def _generators(res, carrier: np.ndarray, n_gates: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per unit outcome choice that a traced result's rows open, in trace
+    order (row by row: gate slots in gate order, then readout slots in
+    edge order): its row and its unit key.  A pair slot, code ``pos + 1``,
+    opens the partner's X and Z, keys ``5·gate + 2·pos`` and one more; a
+    junk measurement, code 3, its flip, key ``5·gate + 4``; a leaked final
+    carrier of edge e its x and z readout flips."""
+    rows, gates = np.nonzero(res.slots)
+    codes = res.slots[rows, gates].astype(np.int64)
+    edge_rows, edges = np.nonzero(res.leak_final[:, carrier])
+    order = np.argsort(np.concatenate([rows, edge_rows]), kind="stable")
+    row = np.concatenate([rows, edge_rows])[order]
+    first = np.concatenate([5 * gates + 2 * codes - 2, 5 * n_gates + 2 * edges])[order]
+    count = np.concatenate([np.where(codes == 3, 1, 2), np.full(len(edges), 2)])[order]
+    offset = np.arange(count.sum()) - np.repeat(count.cumsum() - count, count)
+    return np.repeat(row, count), np.repeat(first, count) + offset
 
 
 @functools.cache
@@ -307,30 +283,20 @@ def _unit_slots(kind: str, paulis: tuple) -> tuple[int, ...]:
 
 def _rows(lat: ToricLattice, res) -> np.ndarray:
     """Per replay row, its star and its plaquette point as uint8 rows: the
-    check type's event cells in mask bit order, then its two judge bits as
-    one value 0-3, as a point holds them above its mask."""
+    check type's event cells, cell ``t·d² + site``, then its two judge bits
+    as one value 0-3."""
     judge = lat.logical_parities(res.data_x, res.data_z).reshape(-1, 2, 2)  # [row, type, bit]
     return np.concatenate([event_rows(res.syndromes), judge[..., :1] | judge[..., 1:] << 1], axis=2)
 
 
-def _unit_rows(compiled: CompiledProgram, keys: list[int]) -> np.ndarray:
-    """The rows of the units that ``keys`` name, then one zero row.  Key
-    ``5·gate + slot`` is, by ``divmod``, an X (even slot) or a Z (odd) at
-    position ``slot // 2`` of the gate, or its measurement flip (slot 4);
-    one executor call replays them all, split only above ``_CHUNK_ROWS``
-    rows.  The executor refuses a unit on a gate, position or measurement
-    the program lacks."""
+def _unit_rows(compiled: CompiledProgram, leaks: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """The rows of the replays that ``leaks`` and ``keys`` describe
+    (``_injections``), then one zero row.  The executor refuses a unit on a
+    gate, position or measurement the program lacks."""
     width = (compiled.program.n_rounds + 1) * compiled.lattice.d**2
     rows = np.zeros((len(keys) + 1, 2, width + 1), dtype=np.uint8)
-    keys = np.asarray(keys, dtype=np.int64)
-    for lo in range(0, len(keys), _CHUNK_ROWS):
-        gate, slot = np.divmod(keys[lo : lo + _CHUNK_ROWS], 5)
-        row, component, flip = np.arange(len(gate)), slot % 2, slot == 4
-        injections = Injections(
-            paulis=np.stack([row, gate, slot // 2, 1 - component, component], axis=1)[~flip],
-            meas_flips=np.stack([row, gate], axis=1)[flip])
-        res = execute(compiled, len(gate), injections=injections)
-        rows[lo : lo + len(gate)] = _rows(compiled.lattice, res)
+    for lo, res in _replayed(compiled, leaks, keys):
+        rows[lo : lo + len(res.data_x)] = _rows(compiled.lattice, res)
     return rows
 
 
@@ -338,18 +304,17 @@ def _pauli_rows(compiled: CompiledProgram, specs: list[FaultSpec]) -> np.ndarray
     """Per Pauli or ``meas_flip`` spec, its rank-0 point as ``_rows`` lays
     it out: the XOR of its at most four unit rows (frame linearity),
     gathered one slot at a time, an empty slot reading the zero row."""
-    gates = np.array([spec.gate_index for spec in specs], dtype=np.intp)
-    slots = np.array([_unit_slots(s.kind, s.paulis) for s in specs], dtype=np.intp).reshape(-1, 4)
+    gates = np.array([spec.gate_index for spec in specs], dtype=np.int64)
+    slots = np.array([_unit_slots(s.kind, s.paulis) for s in specs], dtype=np.int64).reshape(-1, 4)
     used = slots >= 0
-    keys = (5 * gates[:, None] + slots)[used].tolist()
-    index = {key: k for k, key in enumerate(dict.fromkeys(keys))}
-    slots[used] = [index[key] for key in keys]
-    slots[~used] = len(index)
-    units = _unit_rows(compiled, list(index))
-    rows = units[slots[:, 0]]
+    units, index = np.unique((5 * gates[:, None] + slots)[used], return_inverse=True)
+    slots[used] = index
+    slots[~used] = len(units)
+    rows = _unit_rows(compiled, np.full((len(units), 2), -1), units)
+    points = rows[slots[:, 0]]
     for slot in slots.T[1:]:
-        rows ^= units[slot]
-    return rows
+        points ^= rows[slot]
+    return points
 
 
 def _cell_ids(rows: np.ndarray) -> np.ndarray:
@@ -389,67 +354,109 @@ def _pair_failures(decoder: Decoder, specs: list[FaultSpec], rows: np.ndarray) -
     return failures
 
 
-def _leak_sides(compiled: CompiledProgram, specs: list[FaultSpec]):
-    """Per leak spec, in order: its span sides.
+# ---------------------------------------------------------------------------
+# GF(2) spans of leak consequences
+
+
+def _gf2_basis(vecs: list[int]) -> list[int]:
+    """Row-reduce GF(2) vectors to a basis of their span, in insertion order."""
+    by_lead: dict[int, int] = {}
+    for v in vecs:
+        while v:
+            lead = v.bit_length() - 1
+            hit = by_lead.get(lead)
+            if hit is None:
+                by_lead[lead] = v
+                break
+            v ^= hit
+    return list(by_lead.values())
+
+
+def _baselines(compiled: CompiledProgram, specs: list[FaultSpec]) -> tuple[np.ndarray, ...]:
+    """The leak specs' baseline rows, one traced replay phase, and their
+    generators (``_generators``): per generator, its spec and its unit key,
+    spec by spec in trace order.  No part's slot codes outlive it."""
+    n_gates = len(compiled.gates)
+    width = (compiled.program.n_rounds + 1) * compiled.lattice.d**2
+    leaks = np.array([(s.gate_index, s.victim) for s in specs], dtype=np.int64).reshape(-1, 2)
+    base = np.empty((len(specs), 2, width + 1), dtype=np.uint8)
+    owners, keys = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
+    for lo, res in _replayed(compiled, leaks, np.full(len(specs), -1), trace=True):
+        base[lo : lo + len(res.data_x)] = _rows(compiled.lattice, res)
+        owner, key = _generators(res, compiled.program.final_data_carrier, n_gates)
+        owners.append(owner + lo)
+        keys.append(key)
+    return base, np.concatenate(owners), np.concatenate(keys)
+
+
+def _leak_sides(compiled: CompiledProgram, specs: list[FaultSpec]) -> list:
+    """The leak specs' span sides, as ``_sides`` lays them out.
 
     Two replay phases, each one executor call, split only above
-    ``_CHUNK_ROWS`` rows: every spec's baseline, which also yields its
-    trace, then the ``_replays`` of every distinct unit generator that the
-    traces open.  Each generator's effect is taken once and shared by every
-    spec whose trace opens it.
+    ``_CHUNK_ROWS`` rows: every spec's baseline, traced, which gives its
+    generators (``_baselines``), then every distinct unit that they name
+    and, per pair slot, the leak it implies alone.  Each unit's effect is
+    taken once and shared by every spec whose trace opens it.
     """
-    lat = compiled.lattice
-    width = (compiled.program.n_rounds + 1) * lat.d**2
-    base, units = [], []
-    for group in _chunks(specs, _CHUNK_ROWS):
-        traces: list[list] = [[] for _ in group]
-        leaks = Injections(leaks=[(row, s.gate_index, s.victim) for row, s in enumerate(group)])
-        base += _points(lat, execute(compiled, len(group), injections=leaks, traces=traces))
-        units += map(_unit_generators, traces)
-    generators = dict.fromkeys(gen for gens in units for gen in gens)
-    points = {(None, None): [0, 0]}  # per (leak, unit) replay; the fault-free one is 0
-    keys = dict.fromkeys(key for gen in generators for key in _replays(gen) if key not in points)
-    for chunk in _chunks(keys, _CHUNK_ROWS):
-        res = execute(compiled, len(chunk), injections=_unit_injections(chunk))
-        points.update(zip(chunk, _points(lat, res)))
-    effects = {gen: [p ^ q for p, q in zip(*map(points.get, _replays(gen)))] for gen in generators}
-    del points  # only the effects live on through the yields
-    for spec_base, gens in zip(base, units):
-        yield _span_sides([effects[gen] for gen in gens], spec_base, width)
+    n_gates = len(compiled.gates)
+    base, owner, keys = _baselines(compiled, specs)
+    units, unit_of = np.unique(keys, return_inverse=True)
+    gate, slot = np.divmod(units, 5)
+    pair = (units < 5 * n_gates) & (slot < 4)
+    implied = 2 * gate + 1 - slot // 2  # the leak (gate, 1 - pos), as 2·gate + position
+    alone, partner = np.unique(implied[pair], return_inverse=True)
+    unit_leaks = np.where(pair[:, None], np.column_stack(np.divmod(implied, 2)), -1)
+    rows = _unit_rows(compiled, np.concatenate([unit_leaks, np.column_stack(np.divmod(alone, 2))]),
+                      np.concatenate([units, np.full(len(alone), -1)]))
+    partners = np.full(len(units), len(rows) - 1)  # the zero row
+    partners[pair] = len(units) + partner
+    effects = rows[: len(units)] ^ rows[partners]
+    del rows  # only the effects live on into the sides
+    return _sides(base, effects, owner, unit_of)
 
 
-def _span_sides(effects: list, base: list[int], width: int) -> list[_SpanSide]:
-    """The star side and then the plaquette side of one spec's span, from
-    the star and plaquette points of its unit effects and of its baseline."""
-    if any(all(unit) for unit in effects):
+def _sides(base: np.ndarray, effects: np.ndarray, owner: np.ndarray, unit_of: np.ndarray) -> list:
+    """Per check type, star then plaquette, the sides of the specs' spans
+    as three arrays in ``_rows``'s layout: each spec's base row, its rank,
+    and the basis rows, spec k's at offset ``ranks.cumsum() - ranks``.
+
+    ``base`` holds each spec's baseline rows and ``effects`` each distinct
+    unit's; generator i, in trace order, is unit ``unit_of[i]`` of spec
+    ``owner[i]``.  A basis is reduced as ints, cell k at bit k and the two
+    judge bits above the cells, the one place points are ints: pack the
+    effects, reduce each spec's with ``_gf2_basis`` in trace order, unpack.
+    """
+    if effects.any(axis=2).all(axis=1).any():
         raise ValueError("a unit effect touches both check types")
-    return [_SpanSide(ct, width, base[ct], _gf2_basis([unit[ct] for unit in effects]))
-            for ct in (0, 1)]
-
-
-def _stacked(batch: list[_SpanSide]) -> tuple[np.ndarray, ...]:
-    """Sides of one check type, their points as ``_rows`` lays them out:
-    their ranks, their bases ``(1, side, cell)``, and their basis vectors,
-    one row each, side after side."""
-    width = batch[0].width
-    points = [side.base for side in batch] + [vec for side in batch for vec in side.basis]
+    width = base.shape[2] - 1
     size = (width + 9) // 8  # bytes that hold bit width + 1
-    blob = b"".join(point.to_bytes(size, "little") for point in points)
-    bits = np.unpackbits(np.frombuffer(blob, dtype=np.uint8).reshape(-1, size), axis=1,
-                         count=width + 2, bitorder="little")
-    rows = np.concatenate([bits[:, :width], bits[:, width:-1] | bits[:, -1:] << 1], axis=1)
-    ranks = np.array([len(side.basis) for side in batch])
-    return ranks, rows[None, : len(batch)], rows[len(batch) :]
+    starts = np.searchsorted(owner, np.arange(len(base) + 1)).tolist()
+    sides = []
+    for ct in (0, 1):
+        rows = effects[:, ct]
+        bits = np.concatenate([rows[:, :-1], rows[:, -1:] & 1, rows[:, -1:] >> 1], axis=1)
+        blob = np.packbits(bits, axis=1, bitorder="little").tobytes()
+        ints = [int.from_bytes(blob[k : k + size], "little") for k in range(0, len(blob), size)]
+        bases = [_gf2_basis([ints[u] for u in unit_of[lo:hi].tolist()])
+                 for lo, hi in zip(starts, starts[1:])]
+        ranks = np.array([len(vecs) for vecs in bases], dtype=np.int64)
+        blob = b"".join(vec.to_bytes(size, "little") for vecs in bases for vec in vecs)
+        del bases
+        bits = np.unpackbits(np.frombuffer(blob, dtype=np.uint8).reshape(-1, size), axis=1,
+                             count=width + 2, bitorder="little")
+        bits[:, width] |= bits[:, -1] << 1  # the judge bits as one value, in place
+        sides.append((base[:, ct].copy(), ranks, bits[:, :-1]))
+    return sides
 
 
-def _sampled_points(spec: FaultSpec, side: _SpanSide) -> np.ndarray:
-    """An over-budget side's ``SAMPLE_COUNT`` random basis combinations,
-    seeded by the spec and the side's rank, as one block ``(point, cell)``."""
-    _, base, vectors = _stacked([side])
-    rank = len(side.basis)
+def _sampled_points(spec: FaultSpec, base: np.ndarray, vectors: np.ndarray) -> np.ndarray:
+    """An over-budget side's ``SAMPLE_COUNT`` random combinations of its
+    basis rows ``vectors`` on its base row, seeded by the spec and the
+    side's rank, as one block ``(point, cell)``."""
+    rank = len(vectors)
     rng = np.random.default_rng(np.random.SeedSequence([spec.gate_index, spec.victim, rank, 1]))
     bits = rng.integers(0, 2, size=(SAMPLE_COUNT, rank)).astype(np.uint8)
-    points = np.repeat(base[:, 0], SAMPLE_COUNT, axis=0)
+    points = np.repeat(base[None], SAMPLE_COUNT, axis=0)
     for j in range(rank):
         points ^= bits[:, j, None] * vectors[j]
     return points
@@ -491,10 +498,10 @@ def _kept(stacks: dict, keep) -> dict:
     return kept
 
 
-def _failing_counts(decoder: Decoder, specs: list[FaultSpec], sides: list[list[_SpanSide]],
+def _failing_counts(decoder: Decoder, specs: list[FaultSpec], sides: list,
                     stop_early: bool = False) -> np.ndarray:
     """The one judge: per leak spec and check type, how many of that side's
-    span points fail.
+    span points fail; ``sides`` are ``_sides``'s arrays.
 
     Exact sides go in stages: stage 0 is each side's base point, stage k
     the points ``2^(k-1) .. 2^k - 1`` of the sides of rank k or more, the
@@ -510,25 +517,23 @@ def _failing_counts(decoder: Decoder, specs: list[FaultSpec], sides: list[list[_
     leaves after its first failing stage, so only whether its counts are
     zero holds.
     """
-    counts = np.zeros((len(sides), 2), dtype=np.int64)
-    todo = [(range(len(sides)), 0)]  # (spec numbers, the stage they resume at)
+    counts = np.zeros((len(specs), 2), dtype=np.int64)
+    firsts = [ranks.cumsum() - ranks for _, ranks, _ in sides]  # each side's first basis row
+    todo = [(np.arange(len(specs)), 0)]  # (spec numbers, the stage they resume at)
     while todo:
         members, j = todo.pop()
-        # per check type: its open sides' spec numbers, ranks, earlier points and
-        # the row of their first basis vector (stacks), and the basis vectors' rows
-        stacks, vectors = {}, {}
-        for ct in (0, 1):
-            owners = [k for k in members if sides[k][ct].exact and len(sides[k][ct].basis) >= j]
-            if owners:
-                ranks, points, vectors[ct] = _stacked([sides[k][ct] for k in owners])
-                first = ranks.cumsum() - ranks
+        stacks = {}  # per check type: its open sides' spec numbers, ranks, earlier points, first rows
+        for ct, (base, ranks, basis) in enumerate(sides):
+            owners = members[(ranks[members] >= j) & (ranks[members] <= SPAN_BUDGET_BITS)]
+            if len(owners):
+                points, first = base[owners][None], firsts[ct][owners]
                 for i in range(j - 1):  # rebuild the points 0 .. 2^(j-1) - 1
-                    points = _doubled(points, vectors[ct][first + i])
-                stacks[ct] = np.array(owners), ranks, points, first
+                    points = _doubled(points, basis[first + i])
+                stacks[ct] = owners, ranks[owners], points, first
         while stacks := _kept(stacks, lambda owners, ranks:
                               (ranks >= j) & ~(stop_early & counts[owners].any(axis=1))):
             held = sum(len(stack[0]) for stack in stacks.values()) << j  # points held after stage j
-            open_specs = sorted({k for stack in stacks.values() for k in stack[0].tolist()})
+            open_specs = np.array(sorted({k for stack in stacks.values() for k in stack[0].tolist()}))
             if held > _PASS_ROWS and len(open_specs) > 1:
                 cut = open_specs[len(open_specs) // 2]
                 todo.append((open_specs[len(open_specs) // 2 :], j))
@@ -536,25 +541,26 @@ def _failing_counts(decoder: Decoder, specs: list[FaultSpec], sides: list[list[_
                 continue
             for ct in stacks:  # not .items(), whose iterator keeps the last stack alive
                 owners, ranks, points, first = stacks[ct]
+                vectors = sides[ct][2][first + j - 1] if j else None
                 if j and ranks.max() > j:  # the earlier points leave with the stack they grew from
-                    points = _doubled(points, vectors[ct][first + j - 1])
+                    points = _doubled(points, vectors)
                     stacks[ct] = owners, ranks, points, first
                     points = points[len(points) // 2 :]
                 elif j:  # every side's last stage: no later stage reads the earlier points
-                    np.bitwise_xor(points, vectors[ct][first + j - 1], out=points)
+                    np.bitwise_xor(points, vectors, out=points)
                 counts[owners, ct] += _judged(decoder, ct, points)
-            del points  # so that a stack the next stage drops frees its points
+            del points, vectors  # so that a stack the next stage drops frees its points
             j += 1
     step = max(1, _PASS_ROWS // SAMPLE_COUNT)
-    for ct in (0, 1):
-        over = [k for k, spec_sides in enumerate(sides) if not spec_sides[ct].exact]
+    for ct, (base, ranks, basis) in enumerate(sides):
+        over = np.flatnonzero(ranks > SPAN_BUDGET_BITS).tolist()
         for lo in range(0, len(over), step):
             batch = [k for k in over[lo : lo + step] if not (stop_early and counts[k].any())]
             if batch:  # filled side by side, so that only one side's block is extra
-                width = sides[batch[0]][ct].width + 1
-                stage = np.empty((SAMPLE_COUNT, len(batch), width), dtype=np.uint8)
+                stage = np.empty((SAMPLE_COUNT, len(batch), base.shape[1]), dtype=np.uint8)
                 for i, k in enumerate(batch):
-                    stage[:, i] = _sampled_points(specs[k], sides[k][ct])
+                    first = firsts[ct][k]
+                    stage[:, i] = _sampled_points(specs[k], base[k], basis[first : first + ranks[k]])
                 counts[batch, ct] = _judged(decoder, ct, stage)
     return counts
 
@@ -575,22 +581,14 @@ def leak_failure_fractions(
     sides, so its fraction is exactly 0 or 1.
     """
     decoder = Decoder(compiled.lattice)
-    paulis = [s for s in specs if s.kind != "leak"]
+    paulis, leaks = _split(compiled, specs)
     failing = iter(_failing_rows(decoder, _pauli_rows(compiled, paulis)).tolist())  # rows freed here
-    leaks = [s for s in specs if s.kind == "leak"]
-    sides = list(_leak_sides(compiled, leaks))
-    judged = zip(sides, _failing_counts(decoder, leaks, sides).tolist())
-    out = []
-    for spec in specs:
-        if spec.kind != "leak":
-            out.append((float(next(failing)), True))
-            continue
-        spec_sides, counts = next(judged)
-        survive = 1.0
-        for side, count in zip(spec_sides, counts):
-            survive *= 1.0 - count / (1 << len(side.basis) if side.exact else SAMPLE_COUNT)
-        out.append((1.0 - survive, all(side.exact for side in spec_sides)))
-    return out
+    sides = _leak_sides(compiled, leaks)
+    ranks = np.stack([ranks for _, ranks, _ in sides], axis=1)
+    exact = ranks <= SPAN_BUDGET_BITS
+    survive = 1.0 - _failing_counts(decoder, leaks, sides) / np.where(exact, 2.0**ranks, SAMPLE_COUNT)
+    judged = zip((1.0 - survive.prod(axis=1)).tolist(), exact.all(axis=1).tolist())
+    return [next(judged) if spec.kind == "leak" else (float(next(failing)), True) for spec in specs]
 
 
 # ---------------------------------------------------------------------------
@@ -610,8 +608,7 @@ def scan(
         universe = enumerate_fault_universe(compiled)
     decoder = decoder or Decoder(compiled.lattice)
 
-    pauli_specs = [s for s in universe if s.kind in ("pauli", "meas_flip")]
-    leak_specs = [s for s in universe if s.kind == "leak"]
+    pauli_specs, leak_specs = _split(compiled, universe)
     if max_faults == 2 and len(pauli_specs) > PAIR_CAP:
         raise ConfigError(
             f"pair scanning capped at {PAIR_CAP} single-fault specs, "
@@ -623,11 +620,11 @@ def scan(
     pair_failures = _pair_failures(decoder, pauli_specs, rows) if max_faults == 2 else []
     del rows  # no Pauli row lives through the leak walk
 
-    sides = list(_leak_sides(compiled, leak_specs))
+    sides = _leak_sides(compiled, leak_specs)
     failing = _failing_counts(decoder, leak_specs, sides, stop_early=True).any(axis=1)
     leak_failures = list(compress(leak_specs, failing))
-    sampled = [spec for spec, spec_sides in zip(leak_specs, sides)
-               if not all(side.exact for side in spec_sides)]
+    over = np.logical_or(*(ranks > SPAN_BUDGET_BITS for _, ranks, _ in sides))
+    sampled = list(compress(leak_specs, over))
     n_pairs = len(pauli_specs) * (len(pauli_specs) - 1) // 2 if max_faults == 2 else 0
 
     program = compiled.program

@@ -16,7 +16,8 @@ deterministically.  Injections (``sim.Injections``) come as int columns
 whose entries name their rows; they are checked with one vectorised test
 per rule, grouped by layer with one stable sort per kind, and applied with
 one fancy update per kind and layer, so the rows of a whole replay phase
-cost one call.
+cost one call.  A traced call also reports the consequence slots that
+leaks open, as one code per row and gate.
 ``run_batch`` is the Monte-Carlo entry point.  It draws and executes a batch
 ``_CHUNK_ROWS`` rows at a time through one reused draw buffer, so its memory
 is bounded by the chunk, not the batch, and every row is the one a
@@ -55,6 +56,7 @@ class BatchResult:
     data_x: np.ndarray  # (shots, n_data)
     data_z: np.ndarray
     leak_final: np.ndarray  # (shots, n_qubits)
+    slots: np.ndarray | None = None  # (shots, gates) consequence slot codes of a traced call
 
 
 def run_batch(
@@ -79,7 +81,7 @@ def run_batch(
         U = batch_uniforms(master_seed, shot_start + lo, m, n_draws, out=buf[:m])
         parts.append(execute(compiled, m, uniforms=U))
     return BatchResult(*(np.concatenate([getattr(part, f.name) for part in parts])
-                         for f in fields(BatchResult)))
+                         for f in fields(BatchResult) if f.name != "slots"))
 
 
 def _refuse(bad: np.ndarray, message: str, *columns: np.ndarray) -> None:
@@ -161,7 +163,7 @@ def execute(
     injections: Injections | None = None,
     initial_x: np.ndarray | None = None,
     initial_z: np.ndarray | None = None,
-    traces: list[list] | None = None,
+    trace: bool = False,
 ) -> BatchResult:
     """Execute ``n_rows`` shots side by side.
 
@@ -170,11 +172,12 @@ def execute(
     after their gate's layer: each layer's entries of a kind in one fancy
     update, and two Paulis or flips on one target XOR twice.
     ``initial_x``/``initial_z`` seed the frames of the leading qubits.
-    ``traces``, which must hold one list per row when given, collects the stochastic consequence slots a leak opens up:
-    ``("pair", gate, partner_position)`` for each two-qubit gate with exactly
-    one leaked participant, ``("measbit", gate)`` for each measurement of a
-    leaked qubit, and ``("readout", edge)`` for each leaked
-    final data carrier — in gate order, then in ascending edge order.
+    A ``trace`` call also returns the stochastic consequence slots a leak
+    opens up, as ``slots``, one code per row and gate: 1 or 2 where a
+    two-qubit gate has exactly one leaked participant and its partner at
+    position 0 or 1, 3 where a measurement reads a leaked qubit, else 0.
+    The readout slots are the leaked final data carriers,
+    ``leak_final[:, program.final_data_carrier]``.
     """
     program = compiled.program
     lat = program.lattice
@@ -199,11 +202,7 @@ def execute(
             compiled, injections, n_rows)
     # without draws or injected leaks nothing ever leaks, and no gate needs a mask
     leaky = stochastic or (injected and len(injections.leaks) > 0)
-    if traces is not None:
-        if len(traces) != n_rows:
-            raise ValueError(f"need one trace list per row: {n_rows} rows, {len(traces)} lists")
-        # per (row, gate): 1/2 = pair slot at partner position 0/1, 3 = junk measurement
-        slot_codes = np.zeros((n_rows, len(compiled.gates)), dtype=np.uint8)
+    slots = np.zeros((n_rows, len(compiled.gates)), dtype=np.uint8) if trace else None
 
     for li, layer in enumerate(compiled.layers):
         kind, q0, q1, lp = layer.kind, layer.q0, layer.q1, layer.leak_prob
@@ -232,11 +231,11 @@ def execute(
             neither = (1 - lk0) & (1 - lk1) if leaky else None
             propagate = propagate_cnot if kind == CNOT else propagate_swap
             propagate(x, z, q0, q1, mask=neither)
-            if leaky and (stochastic or traces is not None):
+            if leaky and (stochastic or trace):
                 # 1/2: the partner at position 0/1 is blocked by a leaked one
                 blocked = (lk0 & (1 - lk1)) << 1 | lk1 & (1 - lk0)
-                if traces is not None:
-                    slot_codes[:, span] = blocked
+                if trace:
+                    slots[:, span] = blocked
             if stochastic:
                 # a single leaked participant scrambles its partner
                 rows, cols = _fired(blocked)
@@ -260,8 +259,8 @@ def execute(
             bit = x[:, q0] ^ (u[0] < p) if stochastic else x[:, q0]
             if leaky:
                 lk = leak[:, q0].astype(bool)
-                if traces is not None:
-                    slot_codes[:, span] = lk * np.uint8(3)
+                if trace:
+                    slots[:, span] = lk * np.uint8(3)
                 junk = (u[1] < 0.5).astype(np.uint8) if stochastic else np.uint8(0)
                 bit = np.where(lk, junk, bit)
             flat[:, layer.slot] ^= bit
@@ -293,12 +292,6 @@ def execute(
         junk_z = (U_read[:, :, 1] < 0.5).astype(np.uint8)
     data_x = np.where(leak_c, junk_x, x[:, carrier])
     data_z = np.where(leak_c, junk_z, z[:, carrier])
-    if traces is not None:
-        for row, gi in zip(*(a.tolist() for a in np.nonzero(slot_codes))):
-            code = int(slot_codes[row, gi])
-            traces[row].append(("measbit", gi) if code == 3 else ("pair", gi, code - 1))
-        for row, e in zip(*(a.tolist() for a in np.nonzero(leak_c))):
-            traces[row].append(("readout", e))
     if injected:
         np.bitwise_xor.at(data_x, (ro_rows, ro_edges), ro_x)
         np.bitwise_xor.at(data_z, (ro_rows, ro_edges), ro_z)
@@ -312,4 +305,5 @@ def execute(
         data_x=data_x,
         data_z=data_z,
         leak_final=leak.astype(bool),
+        slots=slots,
     )

@@ -1,8 +1,10 @@
 """Test-side oracles: structural checks, text forms, a zero-noise model,
 per-row fault scripts (``Script``, and ``columns_of``, which turns them
 into the executor's injection columns), lattice coordinates, the per-shot
-reference draws, one-shot and scripted replays, per-spec leak span sides
-(``leak_sides``, the reference for the scanner's shared unit effects), the
+reference draws, one-shot and scripted replays with their consequence
+slots as tuples (``trace_of``), per-spec leak span sides as ints
+(``leak_sides``, the reference for the scanner's shared unit effects,
+converted to the scanner's arrays by ``side_arrays``), the
 torus metric, rows-first repair paths (``path_edges``, the reference for
 the decoder's closed-form pair table), a reference matcher
 (``match_defects`` and ``reference_parities``, the scalar reference for
@@ -25,12 +27,12 @@ import networkx as nx
 import numpy as np
 
 from toricleak.circuits import H, MEAS_Z, PREP_Z, SWAP, CircuitProgram
-from toricleak.decoder import _DP_LIMIT, Decoder
+from toricleak.decoder import _DP_LIMIT, Decoder, event_rows
 from toricleak.experiments import _LIST_KEYS, CONFIG_VERSION, ExperimentConfig, _fmt
 from toricleak.lattice import Z, ToricLattice
 from toricleak.noise import NoiseModel
 from toricleak.pauli import PAULI_BY_NAME, PAULI_I
-from toricleak.scanner import FaultSpec, _chunks, _points, _span_sides, _unit_generators
+from toricleak.scanner import FaultSpec, _gf2_basis
 from toricleak.sim import CompiledProgram, Injections
 from toricleak.vector import execute
 
@@ -261,6 +263,20 @@ class ShotResult:
         return self.syndromes.shape[0] - 1
 
 
+def trace_of(compiled: CompiledProgram, res, row: int) -> list[tuple]:
+    """The consequence slots that row ``row`` of a traced ``execute`` call
+    opened, as tuples: ``("pair", gate, partner_position)`` for each
+    two-qubit gate with exactly one leaked participant, ``("measbit",
+    gate)`` for each measurement of a leaked qubit, and ``("readout",
+    edge)`` for each leaked final data carrier, in gate order, then in
+    ascending edge order."""
+    codes = res.slots[row]
+    trace = [("measbit", g) if codes[g] == 3 else ("pair", g, int(codes[g]) - 1)
+             for g in np.flatnonzero(codes).tolist()]
+    carrier = compiled.program.final_data_carrier
+    return trace + [("readout", e) for e in np.flatnonzero(res.leak_final[row, carrier]).tolist()]
+
+
 def run_shot(
     compiled: CompiledProgram,
     uniforms: np.ndarray | None = None,
@@ -272,15 +288,16 @@ def run_shot(
     """Execute one shot: a one-row call of :func:`toricleak.vector.execute`.
 
     ``trace``, when given a list, collects the consequence slots a leak
-    opens up, as ``execute`` describes them.
+    opens up, as ``trace_of`` lists them.
     """
     if uniforms is not None:
         if len(uniforms) != compiled.n_draws:
             raise ValueError(f"need {compiled.n_draws} uniform draws, got {len(uniforms)}")
         uniforms = np.asarray(uniforms, dtype=np.float64)[None, :]
     injections = None if script is None else columns_of([script])
-    traces = None if trace is None else [trace]
-    res = execute(compiled, 1, uniforms, injections, initial_x, initial_z, traces)
+    res = execute(compiled, 1, uniforms, injections, initial_x, initial_z, trace is not None)
+    if trace is not None:
+        trace += trace_of(compiled, res, 0)
     return ShotResult(
         res.syndromes[0],
         res.data_x[0],
@@ -326,28 +343,70 @@ def script_for(compiled: CompiledProgram, spec: FaultSpec, assignment: tuple = (
     return script
 
 
-def leak_sides(compiled: CompiledProgram, specs: list[FaultSpec]):
-    """Per leak spec, in order: its span sides, with every unit effect
-    measured on the spec's own leak, the reference for the scanner's
-    shared units.  A unit's effect is the replay of the spec with that one
-    unit assigned XOR the spec's baseline replay; 256 rows share an
-    executor batch."""
-    lat = compiled.lattice
-    width = (compiled.program.n_rounds + 1) * lat.d**2
-    for group in _chunks(specs, 256):
-        traces: list[list] = [[] for _ in group]
+# the unit outcome choices of each consequence-slot tag, whose effects span the slot's
+_UNIT_CHOICES = {"pair": ("X", "Z"), "measbit": (1,), "readout": ("x", "z")}
+
+
+def unit_generators(trace: list[tuple]) -> list[tuple]:
+    """One ``(slot, choice)`` per unit outcome choice of each slot of a trace."""
+    return [(slot, choice) for slot in trace for choice in _UNIT_CHOICES[slot[0]]]
+
+
+def points(lat: ToricLattice, res) -> list[list[int]]:
+    """Per row of an ``execute`` result: its star and its plaquette point as
+    ints, bit ``t·d² + site`` for event cell ``(t, site)`` of the check
+    type and its two judge bits above the cells."""
+    judge = lat.logical_parities(res.data_x, res.data_z).reshape(-1, 2, 2)  # [row, type, bit]
+    packed = np.packbits(np.concatenate([event_rows(res.syndromes), judge], axis=2), axis=2,
+                         bitorder="little")
+    return [[int.from_bytes(side.tobytes(), "little") for side in row] for row in packed]
+
+
+def side_arrays(sides: list, width: int) -> list:
+    """Per check type, star then plaquette, the sides of int ``(base,
+    basis)`` pairs, one list of two per spec, as the scanner's three arrays:
+    base rows, ranks, and basis rows, spec after spec; a row holds the
+    type's ``width`` event cells, then its two judge bits as one value 0-3."""
+    size = (width + 9) // 8  # bytes that hold bit width + 1
+
+    def rows(ints):
+        blob = b"".join(point.to_bytes(size, "little") for point in ints)
+        bits = np.unpackbits(np.frombuffer(blob, dtype=np.uint8).reshape(-1, size), axis=1,
+                             count=width + 2, bitorder="little")
+        return np.concatenate([bits[:, :width], bits[:, width:-1] | bits[:, -1:] << 1], axis=1)
+
+    return [(rows([spec[ct][0] for spec in sides]),
+             np.array([len(spec[ct][1]) for spec in sides], dtype=np.int64),
+             rows([vec for spec in sides for vec in spec[ct][1]])) for ct in (0, 1)]
+
+
+def leak_sides(compiled: CompiledProgram, specs: list[FaultSpec]) -> list:
+    """The leak specs' span sides, with every unit effect measured on the
+    spec's own leak, the reference for the scanner's shared units, in
+    ``side_arrays``'s form.  A unit's effect is the replay of the spec with
+    that one unit assigned XOR the spec's baseline replay; a spec's effects
+    on one check type are reduced to a basis in trace order.  256 rows
+    share an executor batch."""
+    lat, sides = compiled.lattice, []
+    for lo in range(0, len(specs), 256):
+        group = specs[lo : lo + 256]
         scripts = [script_for(compiled, spec) for spec in group]
-        res = execute(compiled, len(group), injections=columns_of(scripts), traces=traces)
-        base = _points(lat, res)
-        units = ((k, gen) for k, trace in enumerate(traces) for gen in _unit_generators(trace))
+        res = execute(compiled, len(group), injections=columns_of(scripts), trace=True)
+        base = points(lat, res)
+        units = [(k, gen) for k in range(len(group)) for gen in unit_generators(trace_of(compiled, res, k))]
         effects: list[list] = [[] for _ in group]
-        for chunk in _chunks(units, 256):
+        for at in range(0, len(units), 256):
+            chunk = units[at : at + 256]
             scripts = [script_for(compiled, group[k], (gen,)) for k, gen in chunk]
-            points = _points(lat, execute(compiled, len(chunk), injections=columns_of(scripts)))
-            for (k, _), unit in zip(chunk, points):
+            replays = points(lat, execute(compiled, len(chunk), injections=columns_of(scripts)))
+            for (k, _), unit in zip(chunk, replays):
                 effects[k].append([p ^ q for p, q in zip(unit, base[k])])
         for spec_base, spec_effects in zip(base, effects):
-            yield _span_sides(spec_effects, spec_base, width)
+            if any(all(unit) for unit in spec_effects):
+                raise ValueError("a unit effect touches both check types")
+            sides.append([(spec_base[ct], _gf2_basis([unit[ct] for unit in spec_effects]))
+                          for ct in (0, 1)])
+    return side_arrays(sides, (compiled.program.n_rounds + 1) * lat.d**2)
 
 
 # valid outcome choices per consequence-slot tag

@@ -10,7 +10,9 @@ field that a config cannot set, and networkx, the blossom port's test
 oracle, is no runtime dependency.  One more keeps the scanner to one
 judge: every span point, of a leak spec, a Pauli spec or a pair, reaches
 the matcher through ``Decoder.parities``; another keeps the executor to one
-injection form, the ``sim.Injections`` columns.
+injection form, the ``sim.Injections`` columns; and one keeps the leak path
+columnar: consequence slots and span sides are int arrays, never tuples or
+side objects.
 """
 
 from __future__ import annotations
@@ -96,3 +98,18 @@ def test_no_module_defines_or_imports_a_per_row_script():
                 names |= {node.name, node.asname}
             named += [f"{path.name}:{node.lineno}" for name in names if name == "Script"]
     assert not named, named
+
+
+def test_no_module_spells_a_consequence_slot_as_a_tuple():
+    """A leak's consequence slots reach the scanner as the executor's slot
+    codes and its spans as arrays of rows: no module defines or names a span
+    side object, ``_SpanSide``, or spells the tuple slot tags ``"pair"``,
+    ``"measbit"`` and ``"readout"``, which only the tests' oracles and
+    scalar reference build."""
+    tags, found = ("pair", "measbit", "readout"), []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            names = {getattr(node, key, None) for key in ("name", "id", "attr", "asname")}
+            if "_SpanSide" in names or isinstance(node, ast.Constant) and node.value in tags:
+                found.append(f"{path.name}:{getattr(node, 'lineno', '?')}")
+    assert not found, found

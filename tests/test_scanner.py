@@ -17,7 +17,7 @@ from oracles import (
     _match_dp,
     columns_of,
     crossing_parities,
-    defect_mask,
+    defect_rows,
     leak_consequences,
     leak_sides,
     random_defects,
@@ -28,6 +28,8 @@ from oracles import (
     run_shot,
     script_for,
     support,
+    trace_of,
+    unit_generators,
     weight_matrix,
 )
 from toricleak import scanner
@@ -341,7 +343,7 @@ def test_composed_pauli_points_equal_their_own_replays(variant):
         assert composed.dtype == own.dtype == np.uint8
         np.testing.assert_array_equal(composed, own)
         points = [[_mask(side[:-1]) | int(side[-1]) << width for side in row] for row in composed]
-        assert points == scanner._points(compiled.lattice, res)
+        assert points == oracles.points(compiled.lattice, res)
         assert sum(map(any, points)) > len(specs) // 2
 
 
@@ -374,7 +376,7 @@ def test_unit_points_are_released_before_the_leak_specs(monkeypatch):
     for max_faults in (1, 2):
         scan(compiled, universe=specs, max_faults=max_faults)
     leak_failure_fractions(compiled, specs)
-    assert len(made) == 6 and len(alive) == 3 and not any(alive)
+    assert len(made) == 9 and len(alive) == 3 and not any(alive)
 
 
 _REFERENCE: dict = {}  # (d, check type, cell bytes) -> the reference matcher's parities
@@ -447,6 +449,19 @@ def test_scan_verdict_agrees_with_failure_fraction(case, monkeypatch):
     for spec, (fraction, exact) in zip(specs, leak_failure_fractions(compiled, specs)):
         assert exact == (spec not in sampled)
         assert (spec in failing) == (fraction > 0), spec
+
+
+def test_an_unknown_fault_kind_is_refused():
+    """A spec of a kind the scanner does not know is a ``ValueError`` that
+    names it, alone or among known specs: never a spec the scan drops nor a
+    rank-0 point that the failure fractions judge as a Pauli spec's."""
+    compiled = _compiled("standard", rounds=1)
+    known = enumerate_fault_universe(compiled)[::40]
+    for specs in ([FaultSpec("leek", 5, victim=0)], known + [FaultSpec("leek", 5, victim=0)]):
+        with pytest.raises(ValueError, match="'leek'"):
+            scan(compiled, universe=specs)
+        with pytest.raises(ValueError, match="'leek'"):
+            leak_failure_fractions(compiled, specs)
 
 
 @pytest.mark.parametrize("victim", [-1, 2])
@@ -589,35 +604,45 @@ def test_pair_verdicts_equal_joint_replays(variant):
     assert failing and failing == verdict.pair_failures
 
 
-def _span_points(side):
-    """Every point of an exact side: point i is the base XOR the basis
-    vectors that i's bits select."""
-    points = [side.base]
-    for vec in side.basis:
-        points += [point ^ vec for point in points]
+def _span_points(base, basis):
+    """Every point of an exact side, as rows: point i is the base row XOR
+    the basis rows that i's bits select."""
+    points = base[None]
+    for vec in basis:
+        points = np.concatenate([points, points ^ vec])
     return points
 
 
-def _with_empty_side(side):
-    """A spec's two sides: ``side`` and a rank-0 zero side of the other type."""
-    other = scanner._SpanSide(1 - side.check_type, side.width, 0, [])
-    return sorted([side, other], key=lambda s: s.check_type)
+def _one_sided(check_type, base, ranks, basis):
+    """``_sides`` arrays of specs whose sides of ``check_type`` are the
+    given ones and whose other sides are rank-0 zero points."""
+    side, empty = (base, ranks, basis), (np.zeros_like(base), np.zeros_like(ranks), basis[:0])
+    return [side, empty] if check_type == 0 else [empty, side]
 
 
-def _judge_bits(decoder, side):
-    """The span judge's failing bit of each of ``_span_points(side)``: each
-    point judged alone, as the base of a rank-0 side."""
-    lone = [_with_empty_side(replace(side, base=point, basis=[])) for point in _span_points(side)]
-    counts = scanner._failing_counts(decoder, [FaultSpec("leak", 0, victim=0)] * len(lone), lone)
-    return (counts[:, side.check_type] > 0).tolist()
+def _judge_bits(decoder, check_type, base, basis):
+    """The span judge's failing bit of each of ``_span_points``: each point
+    judged alone, as the base of a rank-0 side."""
+    points = _span_points(base, basis)
+    sides = _one_sided(check_type, points, np.zeros(len(points), dtype=np.int64), basis[:0])
+    counts = scanner._failing_counts(decoder, [FaultSpec("leak", 0, victim=0)] * len(points), sides)
+    return (counts[:, check_type] > 0).tolist()
 
 
-def _reference_bits(lat, side):
-    """The reference matcher's failing bit of each of ``_span_points(side)``."""
-    cells = range(side.width)
-    return [point >> side.width != reference_parities(
-                lat, side.check_type, [divmod(c, lat.d**2) for c in cells if point >> c & 1])
-            for point in _span_points(side)]
+def _reference_bits(lat, check_type, base, basis):
+    """The reference matcher's failing bit of each of ``_span_points``."""
+    return [int(point[-1]) != reference_parities(lat, check_type, row_defects(lat, point[:-1]))
+            for point in _span_points(base, basis)]
+
+
+def _spec_sides(sides, k):
+    """Spec k's sides in ``_sides``'s arrays: per check type, its base row
+    and its basis rows."""
+    out = []
+    for base, ranks, basis in sides:
+        first = int(ranks[:k].sum())
+        out.append((base[k], basis[first : first + ranks[k]]))
+    return out
 
 
 def test_span_points_follow_the_production_matcher_above_ten_defects(monkeypatch):
@@ -640,41 +665,49 @@ def test_span_points_follow_the_production_matcher_above_ten_defects(monkeypatch
             break
     else:
         raise AssertionError("no 12-defect set splits the two matchers")
-    hand = [scanner._SpanSide(0, width, 0, [judge << width | defect_mask(lat, defects)]) for judge in range(4)]
+
+    def point(found, judge):
+        """The row of a defect set's event cells and its judge value."""
+        return np.append(defect_rows(lat, [found], width)[0], np.uint8(judge))
+
+    hand = [(0, point((), 0), point(defects, judge)[None]) for judge in range(4)]
     pool = random_defects(rng, 3, 4, 22)
 
-    def spread(m):
-        """The defect mask of the pool cells that ``m`` selects."""
-        return defect_mask(lat, [c for j, c in enumerate(pool) if m >> j & 1])
+    def spread(m, judge):
+        """The point of the pool cells that ``m`` selects."""
+        return point([c for j, c in enumerate(pool) if m >> j & 1], judge)
 
     even = [m for m in rng.integers(0, 1 << 22, size=40).tolist() if m.bit_count() % 2 == 0]
-    hand.append(scanner._SpanSide(1, width, int(rng.integers(4)) << width | spread((1 << 18) - 1),
-                                  [int(rng.integers(4)) << width | spread(m) for m in even[:7]]))
+    base = spread((1 << 18) - 1, int(rng.integers(4)))
+    hand.append((1, base, np.array([spread(m, int(rng.integers(4))) for m in even[:7]])))
     compiled = _compiled("standard", d=5, rounds=3)
     specs = [s for s in enumerate_fault_universe(compiled) if s.kind == "leak"][::12]
-    real = [side for pair in scanner._leak_sides(compiled, specs) for side in pair if len(side.basis) >= 12]
+    sides = scanner._leak_sides(compiled, specs)
+    real = [(ct, *side) for k in range(len(specs)) for ct, side in enumerate(_spec_sides(sides, k))
+            if len(side[1]) >= 12]
     spec = FaultSpec("leak", 0, victim=0)
     by_count = {}  # (check type, defect count) -> defect sets of the points judged
-    for lat, sides in ((lat, hand), (compiled.lattice, real[:2])):
+    for lat, hand_sides in ((lat, hand), (compiled.lattice, real[:2])):
         decoder = Decoder(lat)
-        for side in sides:
-            bits = _reference_bits(lat, side)
-            assert _judge_bits(decoder, side) == bits
+        for ct, base, basis in hand_sides:
+            bits = _reference_bits(lat, ct, base, basis)
+            assert _judge_bits(decoder, ct, base, basis) == bits
+            one = _one_sided(ct, base[None], np.array([len(basis)]), basis)
             for rows in (64, 1 << 15):
                 monkeypatch.setattr(scanner, "_PASS_ROWS", rows)
-                assert scanner._failing_counts(decoder, [spec], [_with_empty_side(side)])[0, side.check_type] == sum(bits)
-            verdict = scanner._failing_counts(decoder, [spec], [_with_empty_side(side)], stop_early=True)
+                assert scanner._failing_counts(decoder, [spec], one)[0, ct] == sum(bits)
+            verdict = scanner._failing_counts(decoder, [spec], one, stop_early=True)
             assert verdict[0].any() == any(bits)
-            for point in _span_points(side):
-                found = tuple(divmod(c, lat.d**2) for c in range(side.width) if point >> c & 1)
-                by_count.setdefault((lat.d, side.check_type, len(found)), []).append(found)
-    assert len(real) >= 2 and all(len(side.basis) == 12 for side in real[:2])
+            for point in _span_points(base, basis):
+                found = row_defects(lat, point[:-1])
+                by_count.setdefault((lat.d, ct, len(found)), []).append(found)
+    assert len(real) >= 2 and all(len(basis) == 12 for _, _, basis in real[:2])
     ambiguous = 0
     for (d, ct, n), sets in by_count.items():
         if 12 <= n <= 16:
             decoder = Decoder(build_lattice(d))
             n_cells = (1 + max(t for found in sets for t, _ in found)) * d * d
-            ambiguous += decoder._match_rows(ct, oracles.defect_rows(decoder.lat, sets, n_cells), n)[2].sum()
+            ambiguous += decoder._match_rows(ct, defect_rows(decoder.lat, sets, n_cells), n)[2].sum()
     counts = {n for _, _, n in by_count}
     assert ambiguous > 1 and max(counts) > 16 and min(counts) <= 10
 
@@ -754,22 +787,30 @@ def test_outcome_choices_never_move_a_leak(variant):
 
 
 def test_span_sides_reject_a_unit_effect_on_both_check_types():
+    """A spec's units that each touch one check type reduce to one basis
+    per type; a unit effect with cells or judge bits on both types is an
+    error."""
     lat = build_lattice(3)
     width = 2 * lat.d**2
 
     def point(cells, judge):
-        return defect_mask(lat, cells) | judge << width
+        return np.append(defect_rows(lat, [cells], width)[0], np.uint8(judge))
 
-    base = [point([(0, 3)], 1), point([], 0)]
-    star = [point([(0, 1), (1, 1)], 0), 0]
-    plaq_parity = [0, point([], 2)]
-    sides = scanner._span_sides([star, plaq_parity], base, width)
-    assert [side.check_type for side in sides] == [0, 1]
-    assert sides[0].base == point([(0, 3)], 1) and sides[0].basis == [point([(0, 1), (1, 1)], 0)]
-    assert sides[1].base == 0 and sides[1].basis == [point([], 2)]
+    zero = point([], 0)
+    base = np.array([[point([(0, 3)], 1), zero]])
+    star = [point([(0, 1), (1, 1)], 0), zero]
+    plaq_parity = [zero, point([], 2)]
+    owner, unit_of = np.zeros(2, dtype=np.int64), np.arange(2)
+    (star_base, star_ranks, star_basis), (plaq_base, plaq_ranks, plaq_basis) = scanner._sides(
+        base, np.array([star, plaq_parity]), owner, unit_of)
+    np.testing.assert_array_equal(star_base, [point([(0, 3)], 1)])
+    np.testing.assert_array_equal(star_basis, [point([(0, 1), (1, 1)], 0)])
+    np.testing.assert_array_equal(plaq_base, [zero])
+    np.testing.assert_array_equal(plaq_basis, [point([], 2)])
+    assert star_ranks.tolist() == plaq_ranks.tolist() == [1]
     for both in [[point([(0, 1)], 0), point([(0, 2)], 0)], [point([], 1), point([(0, 2), (1, 2)], 0)]]:
-        with pytest.raises(ValueError):
-            scanner._span_sides([star, both], base, width)
+        with pytest.raises(ValueError, match="touches both check types"):
+            scanner._sides(base, np.array([star, both]), owner, unit_of)
 
 
 @pytest.mark.parametrize("variant", VARIANTS)
@@ -780,8 +821,12 @@ def test_control_only_leaks_split_into_star_and_plaquette_sides(variant):
     compiled = _compiled(variant, noise, rounds=1)
     leaks = [s for s in enumerate_fault_universe(compiled) if s.kind == "leak"]
     assert leaks
-    for sides in scanner._leak_sides(compiled, leaks):
-        assert [side.check_type for side in sides] == [0, 1]
+    width = 2 * compiled.lattice.d**2
+    sides = scanner._leak_sides(compiled, leaks)
+    assert len(sides) == 2
+    for base, ranks, basis in sides:
+        assert base.shape == (len(leaks), width + 1) and ranks.shape == (len(leaks),)
+        assert basis.shape == (ranks.sum(), width + 1)
 
 
 def test_assignment_slots_outside_the_program_are_rejected():
@@ -802,6 +847,16 @@ _POLICIES = [DOC_NOISE, replace(DOC_NOISE, site_filter="data_only"),
              replace(DOC_NOISE, side_policy="control_only")]
 
 
+def _assert_same_sides(got, want):
+    """Two ``_sides`` results are equal bit for bit: per check type, the
+    base rows, the ranks and the basis rows in order."""
+    assert len(got) == len(want) == 2
+    for ct, (ours, theirs) in enumerate(zip(got, want)):
+        for name, a, b in zip(("base", "ranks", "basis"), ours, theirs):
+            assert a.dtype == b.dtype, (ct, name)
+            np.testing.assert_array_equal(a, b, err_msg=f"check type {ct}: {name}")
+
+
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_shared_unit_sides_equal_per_spec_replays(variant):
     """Every leak spec's sides, with unit effects shared between specs,
@@ -812,7 +867,7 @@ def test_shared_unit_sides_equal_per_spec_replays(variant):
         compiled = _compiled(variant, noise, rounds=rounds)
         specs = [s for s in enumerate_fault_universe(compiled) if s.kind == "leak"]
         assert specs
-        assert list(scanner._leak_sides(compiled, specs)) == list(leak_sides(compiled, specs))
+        _assert_same_sides(scanner._leak_sides(compiled, specs), leak_sides(compiled, specs))
 
 
 def test_shared_unit_sides_equal_per_spec_replays_at_d5():
@@ -820,9 +875,9 @@ def test_shared_unit_sides_equal_per_spec_replays_at_d5():
     reach rank 9 and more."""
     compiled = _compiled("standard", d=5, rounds=3)
     specs = [s for s in enumerate_fault_universe(compiled) if s.kind == "leak"][::12]
-    sides = list(scanner._leak_sides(compiled, specs))
-    assert sides == list(leak_sides(compiled, specs))
-    assert max(len(side.basis) for spec_sides in sides for side in spec_sides) > 8
+    sides = scanner._leak_sides(compiled, specs)
+    _assert_same_sides(sides, leak_sides(compiled, specs))
+    assert max(ranks.max() for _, ranks, _ in sides) > 8
 
 
 def test_pair_units_are_replayed_on_the_leak_their_slot_implies():
@@ -834,7 +889,7 @@ def test_pair_units_are_replayed_on_the_leak_their_slot_implies():
     doubled = [[op for op in ops for _ in range(1 + (op.kind == "CNOT"))] for ops in program.rounds]
     compiled = compile_program(replace(program, rounds=doubled), DOC_NOISE)
     specs = [s for s in enumerate_fault_universe(compiled) if s.kind == "leak"]
-    assert list(scanner._leak_sides(compiled, specs)) == list(leak_sides(compiled, specs))
+    _assert_same_sides(scanner._leak_sides(compiled, specs), leak_sides(compiled, specs))
 
 
 def test_each_replay_phase_is_one_executor_call(monkeypatch):
@@ -866,12 +921,12 @@ def test_leak_walk_replays_each_distinct_unit_once(monkeypatch):
     row per spec and unit."""
     compiled = _compiled("standard")
     specs = [s for s in enumerate_fault_universe(compiled) if s.kind == "leak"]
-    traces = [[] for _ in specs]
     injections = columns_of([script_for(compiled, s) for s in specs])
-    execute(compiled, len(specs), injections=injections, traces=traces)
-    units = {gen for trace in traces for gen in scanner._unit_generators(trace)}
+    res = execute(compiled, len(specs), injections=injections, trace=True)
+    traces = [trace_of(compiled, res, row) for row in range(len(specs))]
+    units = {gen for trace in traces for gen in unit_generators(trace)}
     pair_slots = {slot for slot, _ in units if slot[0] == "pair"}
-    per_spec = len(specs) + sum(len(scanner._unit_generators(trace)) for trace in traces)
+    per_spec = len(specs) + sum(len(unit_generators(trace)) for trace in traces)
     assert (len(specs), len(units), len(pair_slots), per_spec) == (540, 918, 414, 4968)
     rows = []
 

@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from oracles import Script, columns_of, leak_consequences, run_shot, script_for, shot_uniforms
+from oracles import Script, columns_of, leak_consequences, run_shot, script_for, shot_uniforms, trace_of
 from toricleak import vector
 from toricleak.circuits import CNOT, MEAS_Z, SWAP, VARIANTS, build_program
 from toricleak.noise import NoiseModel
@@ -91,12 +91,14 @@ def test_batch_shapes():
 
 def test_chunked_batch_equals_one_whole_batch_execution(monkeypatch):
     """Chunks of 3 rows, from shot 5: three full chunks and a partial last
-    one give the rows of one execution over the whole batch's draws."""
+    one give the rows of one execution over the whole batch's draws.  No
+    call is traced, so neither result carries consequence slots."""
     compiled = compile_program(build_program("mixed_lrc", 3, 2), REFERENCE_NOISE)
     monkeypatch.setattr(vector, "_CHUNK_ROWS", 3)
     chunked = run_batch(compiled, 7, 5, 10)
     whole = execute(compiled, 10, uniforms=batch_uniforms(7, 5, 10, compiled.n_draws))
     assert whole.leak_final.any() and whole.syndromes.any()
+    assert chunked.slots is None and whole.slots is None
     for name in RESULT_FIELDS:
         np.testing.assert_array_equal(getattr(chunked, name), getattr(whole, name), err_msg=name)
 
@@ -166,8 +168,8 @@ def _mixed_scripts(compiled, n_each=10, seed=3):
 def test_scripted_batch_rows_match_single_replays(variant, noise):
     compiled = compile_program(build_program(variant, 3, 2), noise)
     scripts = _mixed_scripts(compiled)
-    traces = [[] for _ in scripts]
-    batch = execute(compiled, len(scripts), injections=columns_of(scripts), traces=traces)
+    batch = execute(compiled, len(scripts), injections=columns_of(scripts), trace=True)
+    traces = [trace_of(compiled, batch, row) for row in range(len(scripts))]
     assert any(traces) and not all(traces)
     for row, script in enumerate(scripts):
         trace = []
@@ -180,19 +182,18 @@ def test_scripted_batch_rows_match_single_replays(variant, noise):
 
 
 def test_scripted_batches_do_not_depend_on_chunk_boundaries():
+    """Split anywhere, a traced batch gives the same rows and the same
+    consequence slot codes."""
     compiled = compile_program(build_program("swap_lrc", 3, 2), NoiseModel(p=1e-3, r=1.0))
     scripts = _mixed_scripts(compiled, seed=11)
-    whole_traces = [[] for _ in scripts]
-    whole = execute(compiled, len(scripts), injections=columns_of(scripts), traces=whole_traces)
+    whole = execute(compiled, len(scripts), injections=columns_of(scripts), trace=True)
+    assert whole.slots.shape == (len(scripts), len(compiled.gates)) and whole.slots.any()
     for cut in (1, 9, len(scripts) - 2):
-        parts, traces = [], [[] for _ in scripts]
-        for lo, hi in ((0, cut), (cut, len(scripts))):
-            parts.append(execute(compiled, hi - lo, injections=columns_of(scripts[lo:hi]),
-                                 traces=traces[lo:hi]))
-        for name in RESULT_FIELDS:
+        parts = [execute(compiled, hi - lo, injections=columns_of(scripts[lo:hi]), trace=True)
+                 for lo, hi in ((0, cut), (cut, len(scripts)))]
+        for name in RESULT_FIELDS + ("slots",):
             merged = np.concatenate([getattr(part, name) for part in parts])
             np.testing.assert_array_equal(merged, getattr(whole, name), err_msg=f"cut {cut}")
-        assert traces == whole_traces
 
 
 def test_a_measurement_flip_on_another_gate_is_refused():
@@ -258,15 +259,6 @@ def test_scripts_for_more_rows_than_the_call_are_refused():
         execute(compiled, 2, injections=columns_of(scripts))
 
 
-@pytest.mark.parametrize("n_traces", [0, 1, 3])
-def test_a_trace_list_per_row_is_required(n_traces):
-    compiled = compile_program(build_program("standard", 3, 1), NoiseModel(p=1e-3))
-    injections = Injections(leaks=[_stub_entry(compiled, "leaks", 1)])
-    traces = [[] for _ in range(n_traces)]
-    with pytest.raises(ValueError, match=f"2 rows, {n_traces} lists"):
-        execute(compiled, 2, injections=injections, traces=traces)
-
-
 @pytest.mark.parametrize("field", ["paulis", "readout_flips"])
 def test_frame_bits_other_than_0_or_1_are_refused(field):
     compiled = compile_program(build_program("standard", 3, 1), NoiseModel(p=1e-3))
@@ -308,13 +300,12 @@ def test_repeated_entries_on_one_target_apply_each_time():
 def test_batch_traces_match_leak_consequences(variant, noise):
     compiled = compile_program(build_program(variant, 3, 2), noise)
     leaks = [s for s in enumerate_fault_universe(compiled) if s.kind == "leak"][::3]
-    traces = [[] for _ in leaks]
     injections = columns_of([script_for(compiled, s) for s in leaks])
-    batch = execute(compiled, len(leaks), injections=injections, traces=traces)
+    batch = execute(compiled, len(leaks), injections=injections, trace=True)
     kinds = set()
     for row, spec in enumerate(leaks):
         base, slots = leak_consequences(compiled, spec)
-        assert tuple(traces[row]) == slots
+        assert tuple(trace_of(compiled, batch, row)) == slots
         np.testing.assert_array_equal(batch.syndromes[row], base.syndromes)
         np.testing.assert_array_equal(batch.leak_final[row], base.leak_final)
         kinds.update(slot[0] for slot in slots)
@@ -357,9 +348,9 @@ def _check_against_reference(compiled, scripts):
     traces, equal the gate-by-gate reference row for row."""
     draws = np.stack([shot_uniforms(5, shot, compiled.n_draws) for shot in range(len(scripts))])
     for uniforms in (draws, None):
-        traces = [[] for _ in scripts]
         batch = execute(compiled, len(scripts), uniforms=uniforms, injections=columns_of(scripts),
-                        traces=traces)
+                        trace=True)
+        traces = [trace_of(compiled, batch, row) for row in range(len(scripts))]
         for row, script in enumerate(scripts):
             ref = reference_shot(compiled, None if uniforms is None else uniforms[row], script)
             got = (batch.syndromes[row], batch.data_x[row], batch.data_z[row],
