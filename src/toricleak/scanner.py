@@ -42,13 +42,16 @@ value 0-3.  Each check type's sides are three arrays: base rows, ranks and
 basis rows.  Points are ints, with the cells as bits and the judge bits
 above them, only inside the one basis step, to reduce bases.  One judge,
 ``_failing_counts``, counts each side's failing points by
-``Decoder.parities``, in stages by doubling: stage 0 is each side's base
-point, stage k the points ``2^(k-1) .. 2^k - 1``, the earlier points XOR
-basis vector k - 1 (an XOR of rows is GF(2)-correct, judge value
-included).  ``scan`` drops a spec from later stages once a point fails;
-``leak_failure_fractions`` reads the counts.  A side whose rank exceeds
-``SPAN_BUDGET_BITS`` is judged on ``SAMPLE_COUNT`` seeded random points
-instead, and the spec is reported as sampled rather than exact.
+``Decoder.parities``, in stages: stage 0 is each side's base point, stage
+k the points ``2^(k-1) .. 2^k - 1``, the base row XOR basis vector k - 1
+doubled by vectors 0 .. k - 2 (an XOR of rows is GF(2)-correct, judge
+value included).  Each stage is built afresh from the sides' arrays, for a
+number of sides at a time that bounds its rows by ``_PASS_ROWS``, so no
+point outlives its stage.  ``scan`` drops a spec from later stages once a
+point fails; ``leak_failure_fractions`` reads the counts.  A side whose
+rank exceeds ``SPAN_BUDGET_BITS`` is judged on ``SAMPLE_COUNT`` seeded
+random points instead, and the spec is reported as sampled rather than
+exact.
 
 A Pauli or ``meas_flip`` spec opens no consequence slots: its span is the
 one point of its own replay, composed, not replayed.  A noise-free,
@@ -271,11 +274,15 @@ def _unit_slots(kind: str, paulis: tuple) -> tuple[int, ...]:
     ``meas_flip`` spec's row, -1 past the last: ``2·position + component``
     per X (component 0) or Z (1) of its Paulis, or 4 for its measurement
     flip.  A unit's key ``5·gate + slot`` names no other gate's unit: a
-    position past 1, which no gate has, is refused here."""
+    position past 1, which no gate has, is refused here, as is a Pauli that
+    is not an ``(x, z)`` pair of bits."""
     if kind == "meas_flip":
         return (4, -1, -1, -1)
     if len(paulis) > 2:
         raise ValueError(f"no gate has a qubit at position {len(paulis) - 1} for a Pauli")
+    for pos, pauli in enumerate(paulis):
+        if not (isinstance(pauli, tuple) and len(pauli) == 2 and set(pauli) <= {0, 1}):
+            raise ValueError(f"the Pauli {pauli!r} at position {pos} is not an (x, z) pair of bits")
     slots = tuple(2 * pos + comp
                   for pos, (x, z) in enumerate(paulis) for comp, bit in ((0, x), (1, z)) if bit)
     return slots + (-1,) * (4 - len(slots))
@@ -476,26 +483,22 @@ def _judged(decoder: Decoder, check_type: int, stage: np.ndarray) -> np.ndarray:
 
 def _doubled(points: np.ndarray, vectors: np.ndarray) -> np.ndarray:
     """Points ``(point, side, cell)`` and then each XOR its side's row of
-    ``vectors``, in one array of twice the points: the second half is the
-    next stage, contiguous, so judging it copies nothing."""
+    ``vectors``, in one array of twice the points."""
     grown = np.empty((2 * len(points), *points.shape[1:]), dtype=points.dtype)
     grown[: len(points)] = points
     np.bitwise_xor(points, vectors, out=grown[len(points) :])
     return grown
 
 
-def _kept(stacks: dict, keep) -> dict:
-    """The stacks with only the sides that ``keep(owners, ranks)`` selects;
-    a stack that keeps every side is kept as it is, not copied."""
-    kept = {}
-    for ct, (owners, ranks, points, first) in stacks.items():
-        mask = keep(owners, ranks)
-        if mask.all():
-            kept[ct] = stacks[ct]
-        elif mask.any():
-            # compress, unlike points[:, mask], keeps the stage contiguous for _judged
-            kept[ct] = owners[mask], ranks[mask], np.compress(mask, points, axis=1), first[mask]
-    return kept
+def _stage(base: np.ndarray, basis: np.ndarray, first: np.ndarray, j: int) -> np.ndarray:
+    """Stage ``j`` of the sides with base rows ``base`` whose basis rows
+    start at rows ``first`` of ``basis``, as one block ``(point, side,
+    cell)``: the base rows, or the base rows XOR basis vector j - 1 doubled
+    by vectors 0 .. j - 2."""
+    points = (base ^ basis[first + j - 1] if j else base)[None]
+    for i in range(j - 1):
+        points = _doubled(points, basis[first + i])
+    return points
 
 
 def _failing_counts(decoder: Decoder, specs: list[FaultSpec], sides: list,
@@ -503,54 +506,26 @@ def _failing_counts(decoder: Decoder, specs: list[FaultSpec], sides: list,
     """The one judge: per leak spec and check type, how many of that side's
     span points fail; ``sides`` are ``_sides``'s arrays.
 
-    Exact sides go in stages: stage 0 is each side's base point, stage k
-    the points ``2^(k-1) .. 2^k - 1`` of the sides of rank k or more, the
-    earlier points XOR basis vector k - 1.  Each side then holds ``2^(k-1)``
-    earlier points, whatever its rank, so one stack ``(point, side, cell)``
-    per check type holds them.  A stage grows the stack once, into an array
-    of twice the points whose second half it is (``_doubled``), or, when it
-    is the last stage of every side in the stack, overwrites the earlier
-    points; one ``_judged`` call judges it.  A stage after which the stacks
-    would hold more than ``_PASS_ROWS`` points first splits off its later
-    open specs, which resume there once the rest are done.  An over-budget
-    side is judged on its ``_sampled_points``.  With ``stop_early`` a spec
-    leaves after its first failing stage, so only whether its counts are
-    zero holds.
+    Exact sides go in stages: stage 0 is each side's base point, stage j
+    the points ``2^(j-1) .. 2^j - 1`` of the sides of rank j or more, built
+    afresh from the sides' arrays (``_stage``), so no point outlives its
+    stage.  Stage j's sides go in passes of ``_PASS_ROWS >> (j + 1)`` sides,
+    at least one, each judged by one ``_judged`` call: a pass's block holds
+    at most ``_PASS_ROWS // 2`` rows, and building it at most half as many
+    more, unless it is one side's stage.  An over-budget side is judged on its
+    ``_sampled_points``.  With ``stop_early`` a spec leaves after its first
+    failing stage, so only whether its counts are zero holds.
     """
     counts = np.zeros((len(specs), 2), dtype=np.int64)
     firsts = [ranks.cumsum() - ranks for _, ranks, _ in sides]  # each side's first basis row
-    todo = [(np.arange(len(specs)), 0)]  # (spec numbers, the stage they resume at)
-    while todo:
-        members, j = todo.pop()
-        stacks = {}  # per check type: its open sides' spec numbers, ranks, earlier points, first rows
+    for j in range(SPAN_BUDGET_BITS + 1):
+        live = ~(stop_early & counts.any(axis=1))  # read over both check types before the stage
+        step = max(1, _PASS_ROWS >> (j + 1))
         for ct, (base, ranks, basis) in enumerate(sides):
-            owners = members[(ranks[members] >= j) & (ranks[members] <= SPAN_BUDGET_BITS)]
-            if len(owners):
-                points, first = base[owners][None], firsts[ct][owners]
-                for i in range(j - 1):  # rebuild the points 0 .. 2^(j-1) - 1
-                    points = _doubled(points, basis[first + i])
-                stacks[ct] = owners, ranks[owners], points, first
-        while stacks := _kept(stacks, lambda owners, ranks:
-                              (ranks >= j) & ~(stop_early & counts[owners].any(axis=1))):
-            held = sum(len(stack[0]) for stack in stacks.values()) << j  # points held after stage j
-            open_specs = np.array(sorted({k for stack in stacks.values() for k in stack[0].tolist()}))
-            if held > _PASS_ROWS and len(open_specs) > 1:
-                cut = open_specs[len(open_specs) // 2]
-                todo.append((open_specs[len(open_specs) // 2 :], j))
-                stacks = _kept(stacks, lambda owners, _: owners < cut)
-                continue
-            for ct in stacks:  # not .items(), whose iterator keeps the last stack alive
-                owners, ranks, points, first = stacks[ct]
-                vectors = sides[ct][2][first + j - 1] if j else None
-                if j and ranks.max() > j:  # the earlier points leave with the stack they grew from
-                    points = _doubled(points, vectors)
-                    stacks[ct] = owners, ranks, points, first
-                    points = points[len(points) // 2 :]
-                elif j:  # every side's last stage: no later stage reads the earlier points
-                    np.bitwise_xor(points, vectors, out=points)
-                counts[owners, ct] += _judged(decoder, ct, points)
-            del points, vectors  # so that a stack the next stage drops frees its points
-            j += 1
+            owners = np.flatnonzero(live & (ranks >= j) & (ranks <= SPAN_BUDGET_BITS))
+            for lo in range(0, len(owners), step):
+                part = owners[lo : lo + step]
+                counts[part, ct] += _judged(decoder, ct, _stage(base[part], basis, firsts[ct][part], j))
     step = max(1, _PASS_ROWS // SAMPLE_COUNT)
     for ct, (base, ranks, basis) in enumerate(sides):
         over = np.flatnonzero(ranks > SPAN_BUDGET_BITS).tolist()

@@ -87,7 +87,8 @@ class Injections:
     * ``readout_flips``: ``(row, edge, x, z)``, the final readout of data
       edge ``edge`` is XORed with ``(x, z)``.
 
-    Any sequence of such tuples converts; leaving a kind out injects none.
+    Any sequence of such int tuples converts, and a kind whose entries are
+    not integers is refused; leaving a kind out injects none.
     """
 
     leaks: np.ndarray = field(default=(), metadata={"width": 3})
@@ -97,7 +98,10 @@ class Injections:
 
     def __post_init__(self):
         for f in fields(self):
-            width, column = f.metadata["width"], np.asarray(getattr(self, f.name), dtype=np.int64)
+            width, column = f.metadata["width"], np.asarray(getattr(self, f.name))
+            if column.size and column.dtype.kind not in "biu":
+                raise ValueError(f"{f.name} entries must be integers, got {column.dtype}")
+            column = column.astype(np.int64, copy=False)
             column = column.reshape(0, width) if column.size == 0 else column
             if column.shape[1:] != (width,):
                 raise ValueError(f"{f.name} entries have {width} columns, got shape {column.shape}")

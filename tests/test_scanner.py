@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 import weakref
 from dataclasses import replace
 from fractions import Fraction
@@ -290,6 +291,39 @@ def test_scan_does_not_depend_on_the_judge_pass_bound(budget, monkeypatch):
     assert [(q.hex(), exact) for q, exact in got] == [(q.hex(), exact) for q, exact in fractions]
 
 
+def test_span_stage_blocks_stay_within_the_pass_bound(monkeypatch):
+    """On a standard d=3 slice, at ``_PASS_ROWS`` 64 and at the default,
+    every exact-stage block the span judge judges holds at most
+    ``_PASS_ROWS // 2`` rows unless it is one side's stage, no block is
+    alive when the next is judged, and the blocks hold every span point
+    once, so the counts do not depend on the bound."""
+    compiled = _compiled("standard", rounds=2)
+    specs = [s for s in enumerate_fault_universe(compiled) if s.kind == "leak"][::3]
+    sides = scanner._leak_sides(compiled, specs)
+    assert max(int(ranks.max()) for _, ranks, _ in sides) in range(7, scanner.SPAN_BUDGET_BITS + 1)
+    points = sum(int((1 << ranks).sum()) for _, ranks, _ in sides)
+    blocks = []  # per judged block: its shape and a weak reference to it
+    judge = scanner._judged
+
+    def recording(decoder, check_type, stage):
+        assert all(block() is None for _, block in blocks)
+        blocks.append((stage.shape, weakref.ref(stage)))
+        return judge(decoder, check_type, stage)
+
+    monkeypatch.setattr(scanner, "_judged", recording)
+    counts, calls = [], []
+    for rows in (64, scanner._PASS_ROWS):
+        monkeypatch.setattr(scanner, "_PASS_ROWS", rows)
+        blocks.clear()
+        counts.append(scanner._failing_counts(Decoder(compiled.lattice), specs, sides))
+        shapes = [shape for shape, _ in blocks]
+        calls.append(len(shapes))
+        assert sum(n * k for n, k, _ in shapes) == points
+        assert all(n * k <= rows // 2 or k == 1 for n, k, _ in shapes)
+        assert any(n * k > rows // 2 for n, k, _ in shapes) == (rows == 64)
+    assert calls[0] > calls[1] and (counts[0] == counts[1]).all()
+
+
 # A slice of the standard d=3, two-round leak specs with the span budget cut
 # to 3 bits, judged on their seeded samples: (gate, victim, fraction as
 # float.hex, exact).  Any change to the drawn combinations changes these.
@@ -514,6 +548,33 @@ def test_malformed_pauli_specs_are_refused_as_the_executor_refuses_them():
         with pytest.raises(ValueError, match=message):
             leak_failure_fractions(compiled, good + [spec])
     assert _refusal(compiled, bad[0]) == f"gate {h} has no qubit at position 1 for a Pauli"
+
+
+def test_paulis_that_are_not_pairs_of_bits_are_refused(monkeypatch):
+    """A Pauli component other than 0 or 1, which the executor refuses as a
+    frame bit, or a Pauli that is not an ``(x, z)`` pair is a ``ValueError``
+    that names the Pauli and its position in a scan, a pair scan and the
+    failure fractions, before any replay: never a component read as 1."""
+    compiled = _compiled("standard", rounds=1)
+    cnot = next(gi for gi, g in enumerate(compiled.gates) if g.kind == "CNOT")
+    good = [s for s in enumerate_fault_universe(compiled) if s.kind != "leak"][:5]
+    cases = [(((2, 0), (0, 0)), 0), (((-1, 0), (0, 0)), 0), (((0, 0), (1, 2)), 1),
+             (((1,),), 0), (((0, 0), 1), 1)]
+    for paulis, _ in cases[:3]:
+        assert "by a value other than 0 or 1" in _refusal(compiled, FaultSpec("pauli", cnot, paulis=paulis))
+
+    def replay(*args, **kwargs):
+        raise AssertionError("a malformed Pauli reached a replay")
+
+    monkeypatch.setattr(scanner, "execute", replay)
+    for paulis, pos in cases:
+        message = re.escape(f"the Pauli {paulis[pos]!r} at position {pos} is not an (x, z) pair of bits")
+        spec = FaultSpec("pauli", cnot, paulis=paulis)
+        for max_faults in (1, 2):
+            with pytest.raises(ValueError, match=message):
+                scan(compiled, universe=good + [spec], max_faults=max_faults)
+        with pytest.raises(ValueError, match=message):
+            leak_failure_fractions(compiled, good + [spec])
 
 
 def test_empty_and_leak_only_universes_scan_as_before(monkeypatch):

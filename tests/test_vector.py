@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import tracemalloc
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -273,6 +274,21 @@ def test_injection_columns_of_the_wrong_width_are_refused():
     with pytest.raises(ValueError, match="paulis entries have 5 columns"):
         Injections(paulis=(0, 1, 0, 1, 0))
     assert Injections().leaks.shape == (0, 3) and Injections(meas_flips=[]).meas_flips.shape == (0, 2)
+
+
+def test_injection_entries_that_are_not_integers_are_refused():
+    """A kind whose entries are not integers is refused by name, never
+    truncated to other ints; empty kinds, int entries and bool entries
+    convert to int columns."""
+    for kind, entries in (("leaks", [(0, 1.5, 0)]), ("paulis", [(0, 4, 0, 1.0, 0)]),
+                          ("meas_flips", np.array([[0.0, 2.0]])), ("readout_flips", [("0", 1, 1, 0)])):
+        with pytest.raises(ValueError, match=f"{kind} entries must be integers"):
+            Injections(**{kind: entries})
+    given = Injections(leaks=[(0, 1, 0)], paulis=[(0, 4, 1, True, False)], meas_flips=[],
+                       readout_flips=np.zeros((0, 4)))
+    assert given.leaks.tolist() == [[0, 1, 0]] and given.paulis.tolist() == [[0, 4, 1, 1, 0]]
+    assert given.meas_flips.shape == (0, 2) and given.readout_flips.shape == (0, 4)
+    assert {getattr(given, f.name).dtype for f in fields(Injections)} == {np.dtype(np.int64)}
 
 
 def test_repeated_entries_on_one_target_apply_each_time():
