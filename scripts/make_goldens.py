@@ -6,9 +6,9 @@ Five families:
     rounds=3, with the documentary policy (two-sided leakage at every
     site, p = p_leak = p_init_leak = 1e-3); matches the CLI defaults of
     ``toricleak scan``.
-  * scan_standard_d3_r1_pairs.txt -- a fault-pair scan report
-    (``max_faults=2``) of standard d=3, one round, same policy, which pins
-    the pair verdicts.
+  * scan_standard_d3_r1_pairs.txt, scan_standard_d3_pairs.txt -- fault-pair
+    scan reports (``max_faults=2``) of standard d=3 at one and at three
+    rounds, same policy, which pin the pair verdicts.
   * fractions_d3.txt -- exact ``leak_failure_fractions`` of every leak
     spec of each variant at d=3, rounds=3, same policy: per variant a
     header with its count of zero-fraction specs, then one line per spec
@@ -78,6 +78,7 @@ def _circuit(variant: str) -> str:
 def scans() -> dict[Path, Callable[[], str]]:
     out = {GOLDEN / f"scan_{variant}_d3.txt": partial(_scan, variant, 3, 1) for variant in VARIANTS}
     out[GOLDEN / "scan_standard_d3_r1_pairs.txt"] = partial(_scan, "standard", 1, 2)
+    out[GOLDEN / "scan_standard_d3_pairs.txt"] = partial(_scan, "standard", 3, 2)
     out[GOLDEN / "fractions_d3.txt"] = _fractions
     return out
 

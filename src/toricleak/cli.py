@@ -14,7 +14,6 @@ import sys
 from dataclasses import replace
 
 from .circuits import VARIANTS, build_program, program_to_text
-from .decoder import Decoder
 from .experiments import (
     ConfigError,
     ExperimentConfig,
@@ -29,7 +28,7 @@ from .experiments import (
     run_sweep,
 )
 from .noise import NoiseModel
-from .scanner import PAIR_CAP, scan, verdict_to_text
+from .scanner import scan, verdict_to_text
 from .sim import compile_program
 
 # defaults reproduced by the versioned golden scan reports
@@ -65,9 +64,7 @@ def _parser() -> argparse.ArgumentParser:
     sc.add_argument("--d", type=int, required=True)
     sc.add_argument("--rounds", type=int, help="default: d")
     sc.add_argument("--max-faults", type=int, choices=(1, 2), default=1,
-                    help="2 also judges every pair of Pauli faults; refused when "
-                         f"the circuit has more than {PAIR_CAP} Pauli specs (at d=3, "
-                         "only standard and swap_alt at --rounds 1 fit)")
+                    help="2 also judges every pair of Pauli faults")
     sc.add_argument("--config", metavar="PATH",
                     help="take the leakage policy from this config file")
     _add_common(sc)
@@ -167,8 +164,7 @@ def _cmd_scan(args) -> int:
     else:
         noise = NoiseModel(p=SCAN_P, r=SCAN_R, p_init_leak=SCAN_INIT_LEAK)
     compiled = compile_program(_build(args.variant, args.d, rounds), noise)
-    verdict = scan(compiled, decoder=Decoder(compiled.lattice),
-                   max_faults=args.max_faults)
+    verdict = scan(compiled, max_faults=args.max_faults)
     _write(verdict_to_text(compiled, verdict), args.out)
     return 0
 

@@ -58,10 +58,11 @@ one point of its own replay, composed, not replayed.  A noise-free,
 leak-free replay is GF(2)-linear in the injected frame and the fault-free
 point is 0, so it is the XOR of the points of its single-qubit units (an X
 or Z at one gate position, or one measurement flip), each replayed once
-per call.  These points are rows of event cells (``_pauli_rows``); all
-specs' rows, then every pair's XOR of two rows ``_PASS_ROWS`` at a time,
-are judged by ``Decoder.parities`` too, the Monte-Carlo judge's row route,
-so every verdict is exact for the decoder that the Monte-Carlo path runs.
+per call.  These points are rows of event cells (``_pauli_rows``); they,
+and for pairs every XOR of two of their distinct cell rows
+(``_pair_failures``), are judged by ``Decoder.parities`` too, the
+Monte-Carlo judge's row route, so every verdict is exact for the decoder
+that the Monte-Carlo path runs.
 Only Pauli specs pair: a leak spec's worst case already spans multi-error
 combinations.
 
@@ -85,7 +86,6 @@ import numpy as np
 
 from .circuits import CNOT, H, MEAS_Z, PREP_Z, SWAP
 from .decoder import Decoder, event_rows
-from .experiments import ConfigError
 from .lattice import ToricLattice
 from .pauli import PAULI1_ERRORS, PAULI2_ERRORS, PAULI_X
 from .sim import CompiledProgram, Injections
@@ -94,7 +94,6 @@ from .vector import execute
 # read at call time, so tests can patch them
 SPAN_BUDGET_BITS = 16  # max basis rank enumerated exhaustively per side
 SAMPLE_COUNT = 4096  # assignments drawn when a span exceeds the budget
-PAIR_CAP = 1200  # max single-fault specs admitted into pair scanning
 _CHUNK_ROWS = 4096  # replay rows per executor call: a replay phase is split only above it
 _PASS_ROWS = 1 << 15  # rows judged per pass: memory follows the pass, not the pairs or spans
 
@@ -138,10 +137,10 @@ class ScanVerdict:
 
     @property
     def distance_preserving(self) -> bool:
-        """No failing single fault: no Pauli and no leak spec fails.  Pair
-        failures do not count, so this is the distance claim only where one
-        fault suffices to break it (d=3)."""
-        return not self.pauli_failures and not self.leak_failures
+        """No scanned set of at most ``(d - 1) // 2`` faults fails: no Pauli
+        or leak spec, and from d=5 on no Pauli pair (at d=3, pairs do not
+        count).  Leak specs do not pair, so no leak pair is covered."""
+        return not (self.pauli_failures or self.leak_failures or (self.d >= 5 and self.pair_failures))
 
     @property
     def exhaustive(self) -> bool:
@@ -274,14 +273,18 @@ def _unit_slots(kind: str, paulis: tuple) -> tuple[int, ...]:
     ``meas_flip`` spec's row, -1 past the last: ``2·position + component``
     per X (component 0) or Z (1) of its Paulis, or 4 for its measurement
     flip.  A unit's key ``5·gate + slot`` names no other gate's unit: a
-    position past 1, which no gate has, is refused here, as is a Pauli that
-    is not an ``(x, z)`` pair of bits."""
+    position past 1, which no gate has, is refused here, as is any Pauli but
+    a tuple of ``(x, z)`` pairs of bits, and any on a ``meas_flip``."""
     if kind == "meas_flip":
+        if paulis:
+            raise ValueError(f"the Pauli {paulis[0]!r} at position 0 is on a meas_flip spec, which takes none")
         return (4, -1, -1, -1)
+    if not isinstance(paulis, tuple):
+        raise ValueError(f"the Paulis {paulis!r} are not a tuple")
     if len(paulis) > 2:
         raise ValueError(f"no gate has a qubit at position {len(paulis) - 1} for a Pauli")
     for pos, pauli in enumerate(paulis):
-        if not (isinstance(pauli, tuple) and len(pauli) == 2 and set(pauli) <= {0, 1}):
+        if not (isinstance(pauli, tuple) and len(pauli) == 2 and all(bit in (0, 1) for bit in pauli)):
             raise ValueError(f"the Pauli {pauli!r} at position {pos} is not an (x, z) pair of bits")
     slots = tuple(2 * pos + comp
                   for pos, (x, z) in enumerate(paulis) for comp, bit in ((0, x), (1, z)) if bit)
@@ -312,7 +315,11 @@ def _pauli_rows(compiled: CompiledProgram, specs: list[FaultSpec]) -> np.ndarray
     it out: the XOR of its at most four unit rows (frame linearity),
     gathered one slot at a time, an empty slot reading the zero row."""
     gates = np.array([spec.gate_index for spec in specs], dtype=np.int64)
-    slots = np.array([_unit_slots(s.kind, s.paulis) for s in specs], dtype=np.int64).reshape(-1, 4)
+    try:  # slots are cached per (kind, Paulis); Paulis that cannot key the cache are checked uncached
+        slots = [_unit_slots(s.kind, s.paulis) for s in specs]
+    except TypeError:
+        slots = [_unit_slots.__wrapped__(s.kind, s.paulis) for s in specs]
+    slots = np.array(slots, dtype=np.int64).reshape(-1, 4)
     used = slots >= 0
     units, index = np.unique((5 * gates[:, None] + slots)[used], return_inverse=True)
     slots[used] = index
@@ -332,32 +339,34 @@ def _cell_ids(rows: np.ndarray) -> np.ndarray:
     return np.array([np.unique(cells[:, ct], return_inverse=True)[1] for ct in (0, 1)])
 
 
-def _failing_rows(decoder: Decoder, rows: np.ndarray, ids: np.ndarray | None = None) -> np.ndarray:
+def _failing_rows(decoder: Decoder, rows: np.ndarray) -> np.ndarray:
     """Whether each row of points fails: on some check type, its judge
-    bits differ from ``Decoder.parities`` of its cells, which judges the
-    first row of each distinct id of ``ids[type]`` (equal ids, equal
-    cells; by default the rows' own ``_cell_ids``)."""
-    ids = _cell_ids(rows) if ids is None else ids
-    fail = np.zeros(len(rows), dtype=bool)
-    for ct in (0, 1):
-        _, first, inverse = np.unique(ids[ct], return_index=True, return_inverse=True)
-        fail |= rows[:, ct, -1] != decoder.parities(ct, rows[first, ct, :-1])[inverse]
-    return fail
+    bits differ from ``Decoder.parities`` of its cells."""
+    return np.any([rows[:, ct, -1] != decoder.parities(ct, rows[:, ct, :-1]) for ct in (0, 1)], axis=0)
 
 
 def _pair_failures(decoder: Decoder, specs: list[FaultSpec], rows: np.ndarray) -> list[tuple]:
     """The pairs ``(specs[i], specs[j])``, ``i < j`` in order, whose point,
-    the XOR of their two rows, fails; ``_PASS_ROWS`` pairs per pass.  The
-    rows' ``_cell_ids`` key the pairs: equal id pairs, equal XORed cells."""
-    n, total, ids = len(specs), len(specs) * (len(specs) - 1) // 2, _cell_ids(rows)
-    first = np.arange(n) * (2 * n - 1 - np.arange(n)) // 2  # flat number of pair (i, i + 1)
-    failures = []
-    for lo in range(0, total, _PASS_ROWS):
-        k = np.arange(lo, min(lo + _PASS_ROWS, total))
-        i = np.searchsorted(first, k, side="right") - 1
-        j = k - first[i] + i + 1
-        fail = _failing_rows(decoder, rows[i] ^ rows[j], ids[:, i] * n + ids[:, j])
-        failures += [(specs[a], specs[b]) for a, b in zip(i[fail].tolist(), j[fail].tolist())]
+    the XOR of their rows, fails: on a check type, their judge values' XOR
+    differs from the parities of their cells' XOR, which depend only on
+    their ``_cell_ids``.  Per type, a table holds the parities of every two
+    distinct cell rows, judged ``_PASS_ROWS`` at a time, and spec i's pairs
+    with later specs read both tables (star bits 0-1, plaquette 2-3)."""
+    ids, tables = _cell_ids(rows), []
+    for ct in (0, 1):
+        cells = rows[np.unique(ids[ct], return_index=True)[1], ct, :-1]  # row k: the cells of id k
+        a, b = np.triu_indices(len(cells), 1)
+        table = np.zeros((len(cells), len(cells)), dtype=np.uint8)  # a row XOR itself has no events
+        for lo in range(0, len(a), _PASS_ROWS):
+            i, j = a[lo : lo + _PASS_ROWS], b[lo : lo + _PASS_ROWS]
+            table[i, j] = table[j, i] = decoder.parities(ct, cells[i] ^ cells[j]) << 2 * ct
+        tables.append(table)
+    judge, failures = rows[:, 0, -1] | rows[:, 1, -1] << 2, []
+    for i in range(len(specs) - 1):
+        rest = slice(i + 1, None)
+        verdict = tables[0][ids[0, i]][ids[0, rest]] | tables[1][ids[1, i]][ids[1, rest]]
+        later = np.flatnonzero(verdict != judge[rest] ^ judge[i]) + i + 1
+        failures += [(specs[i], specs[j]) for j in later.tolist()]
     return failures
 
 
@@ -584,12 +593,6 @@ def scan(
     decoder = decoder or Decoder(compiled.lattice)
 
     pauli_specs, leak_specs = _split(compiled, universe)
-    if max_faults == 2 and len(pauli_specs) > PAIR_CAP:
-        raise ConfigError(
-            f"pair scanning capped at {PAIR_CAP} single-fault specs, "
-            f"got {len(pauli_specs)}; pass a restricted universe"
-        )
-
     rows = _pauli_rows(compiled, pauli_specs)
     pauli_failures = list(compress(pauli_specs, _failing_rows(decoder, rows)))
     pair_failures = _pair_failures(decoder, pauli_specs, rows) if max_faults == 2 else []

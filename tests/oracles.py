@@ -4,9 +4,10 @@ into the executor's injection columns), lattice coordinates, the per-shot
 reference draws, one-shot and scripted replays with their consequence
 slots as tuples (``trace_of``), per-spec leak span sides as ints
 (``leak_sides``, the reference for the scanner's shared unit effects,
-converted to the scanner's arrays by ``side_arrays``), the
-torus metric, rows-first repair paths (``path_edges``, the reference for
-the decoder's closed-form pair table), a reference matcher
+converted to the scanner's arrays by ``side_arrays``), a row-by-row
+Pauli-pair judge (``pair_failures``, the reference for the scanner's pair
+tables), the torus metric, rows-first repair paths (``path_edges``, the
+reference for the decoder's closed-form pair table), a reference matcher
 (``match_defects`` and ``reference_parities``, the scalar reference for
 ``Decoder.parities``) and residual-weight analysis.
 
@@ -32,7 +33,7 @@ from toricleak.experiments import _LIST_KEYS, CONFIG_VERSION, ExperimentConfig, 
 from toricleak.lattice import Z, ToricLattice
 from toricleak.noise import NoiseModel
 from toricleak.pauli import PAULI_BY_NAME, PAULI_I
-from toricleak.scanner import FaultSpec, _gf2_basis
+from toricleak.scanner import FaultSpec, _cell_ids, _gf2_basis
 from toricleak.sim import CompiledProgram, Injections
 from toricleak.vector import execute
 
@@ -407,6 +408,31 @@ def leak_sides(compiled: CompiledProgram, specs: list[FaultSpec]) -> list:
             sides.append([(spec_base[ct], _gf2_basis([unit[ct] for unit in spec_effects]))
                           for ct in (0, 1)])
     return side_arrays(sides, (compiled.program.n_rounds + 1) * lat.d**2)
+
+
+def pair_failures(decoder: Decoder, specs: list[FaultSpec], rows: np.ndarray,
+                  pass_rows: int = 1 << 15) -> list[tuple]:
+    """The pairs ``(specs[i], specs[j])``, ``i < j`` in order, whose point,
+    the XOR of their two rows, fails on some check type, judged row by row
+    in passes of ``pass_rows`` pairs: each pass gathers its XORed rows and
+    sends ``Decoder.parities`` one row per distinct pair of the two specs'
+    ``_cell_ids`` (equal id pairs, equal XORed cells)."""
+    n, ids = len(specs), _cell_ids(rows)
+    total = n * (n - 1) // 2
+    first = np.arange(n) * (2 * n - 1 - np.arange(n)) // 2  # flat number of pair (i, i + 1)
+    failures = []
+    for lo in range(0, total, pass_rows):
+        k = np.arange(lo, min(lo + pass_rows, total))
+        i = np.searchsorted(first, k, side="right") - 1
+        j = k - first[i] + i + 1
+        points = rows[i] ^ rows[j]
+        fail = np.zeros(len(k), dtype=bool)
+        for ct in (0, 1):
+            _, one, inverse = np.unique(ids[ct, i] * n + ids[ct, j], return_index=True,
+                                        return_inverse=True)
+            fail |= points[:, ct, -1] != decoder.parities(ct, points[one, ct, :-1])[inverse]
+        failures += [(specs[a], specs[b]) for a, b in zip(i[fail].tolist(), j[fail].tolist())]
+    return failures
 
 
 # valid outcome choices per consequence-slot tag

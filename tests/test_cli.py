@@ -89,7 +89,6 @@ def test_run_missing_config_file_is_exit_2(tmp_path):
     "emit --variant standard --d 3 --rounds 0",
     "scan --variant standard --d 4",
     "scan --variant standard --d 3 --rounds 0",
-    "scan --variant standard --d 3 --max-faults 2",  # 3,510 Pauli specs > PAIR_CAP
 ])
 def test_bad_emit_and_scan_inputs_are_exit_2(argv, capsys):
     assert main(argv.split()) == 2
@@ -97,6 +96,13 @@ def test_bad_emit_and_scan_inputs_are_exit_2(argv, capsys):
     assert captured.out == ""
     assert captured.err.startswith("config error: ")
     assert captured.err.count("\n") == 1
+
+
+def test_pair_scan_of_every_three_round_pair_reproduces_golden(capsys):
+    """``--max-faults 2`` judges all 6,158,295 Pauli pairs of standard d=3
+    at its default three rounds, with no cap on the Pauli specs."""
+    assert main("scan --variant standard --d 3 --max-faults 2".split()) == 0
+    assert capsys.readouterr().out == (GOLDEN / "scan_standard_d3_pairs.txt").read_text()
 
 
 def test_fit_reports_slope(tmp_path, capsys):

@@ -465,6 +465,46 @@ def test_pair_verdicts_equal_per_mask_matching():
     assert failing and verdict.pair_failures == failing
 
 
+@pytest.mark.parametrize("variant, rounds", [("standard", 1), ("swap_alt", 1)]
+                         + [(variant, 3) for variant in VARIANTS])
+def test_pair_tables_equal_the_row_by_row_judge(variant, rounds):
+    """The pair judge reads each pair's verdict from per-check-type tables
+    of cell-row pairs; it lists the same failing pairs, in the same order,
+    as the row-by-row reference: on all 683,865 pairs of a d=3, one-round
+    Pauli universe, and on every pair of a seeded sample of 201 Pauli specs
+    (20,100 pairs) of each d=3, three-round universe."""
+    compiled = _compiled(variant, rounds=rounds)
+    specs = [s for s in enumerate_fault_universe(compiled) if s.kind != "leak"]
+    if rounds == 3:
+        rng = np.random.default_rng(28)
+        specs = [specs[k] for k in sorted(rng.choice(len(specs), 201, replace=False).tolist())]
+    decoder = Decoder(compiled.lattice)
+    rows = scanner._pauli_rows(compiled, specs)
+    failing = oracles.pair_failures(decoder, specs, rows)
+    assert len(specs) * (len(specs) - 1) // 2 == (683865 if rounds == 1 else 20100)
+    assert failing and scanner._pair_failures(decoder, specs, rows) == failing
+
+
+def test_failing_pauli_pairs_break_the_distance_from_d5_on():
+    """From d=5 on the code must correct two faults, so a failing Pauli pair
+    makes a verdict not distance preserving: on the [::5] slice of the
+    standard d=5, three-round Pauli universe, no spec fails but 1,500
+    pairs do.  At d=3 one fault is all the distance promises, and failing
+    pairs leave the verdict distance preserving."""
+    compiled = _compiled("standard", d=5)
+    specs = [s for s in enumerate_fault_universe(compiled) if s.kind != "leak"][::5]
+    decoder = Decoder(compiled.lattice)
+    pairs = scan(compiled, universe=specs, decoder=decoder, max_faults=2)
+    assert (pairs.pauli_failures, len(pairs.pair_failures)) == ([], 1500)
+    assert not pairs.distance_preserving
+    assert "distance_preserving=0" in verdict_to_text(compiled, pairs).splitlines()
+    assert scan(compiled, universe=specs, decoder=decoder).distance_preserving
+    small = _compiled("standard", rounds=1)
+    specs = [s for s in enumerate_fault_universe(small) if s.kind != "leak"][::6]
+    at_d3 = scan(small, universe=specs, max_faults=2)
+    assert at_d3.pair_failures and not at_d3.pauli_failures and at_d3.distance_preserving
+
+
 @pytest.mark.parametrize("case", ["exhaustive", "sampled"])
 def test_scan_verdict_agrees_with_failure_fraction(case, monkeypatch):
     """The scan fails a leak spec exactly when its failure fraction is
@@ -574,6 +614,40 @@ def test_paulis_that_are_not_pairs_of_bits_are_refused(monkeypatch):
             with pytest.raises(ValueError, match=message):
                 scan(compiled, universe=good + [spec], max_faults=max_faults)
         with pytest.raises(ValueError, match=message):
+            leak_failure_fractions(compiled, good + [spec])
+
+
+def test_unhashable_paulis_and_a_meas_flip_with_paulis_are_refused(monkeypatch):
+    """Paulis given as a list, a Pauli given as a list and a ``meas_flip``
+    spec that carries a Pauli are each a ``ValueError`` that names the
+    Pauli and its position (a list of Paulis, the list) in a scan, a pair
+    scan and the failure fractions, before any replay: never a bare
+    ``TypeError`` from the slot cache, and never Paulis dropped."""
+    compiled = _compiled("standard", rounds=1)
+    cnot = next(gi for gi, g in enumerate(compiled.gates) if g.kind == "CNOT")
+    meas = next(gi for gi, g in enumerate(compiled.gates) if g.kind == "MeasZ")
+    good = [s for s in enumerate_fault_universe(compiled) if s.kind != "leak"][:5]
+    cases = [
+        (FaultSpec("pauli", cnot, paulis=[(1, 0), (0, 0)]), "the Paulis [(1, 0), (0, 0)] are not a tuple"),
+        (FaultSpec("pauli", cnot, paulis=((1, 0), [0, 1])),
+         "the Pauli [0, 1] at position 1 is not an (x, z) pair of bits"),
+        (FaultSpec("pauli", cnot, paulis=((1, [0]),)),
+         "the Pauli (1, [0]) at position 0 is not an (x, z) pair of bits"),
+        (FaultSpec("meas_flip", meas, paulis=((1, 0),)),
+         "the Pauli (1, 0) at position 0 is on a meas_flip spec, which takes none"),
+        (FaultSpec("meas_flip", meas, paulis=[(0, 1)]),
+         "the Pauli (0, 1) at position 0 is on a meas_flip spec, which takes none"),
+    ]
+
+    def replay(*args, **kwargs):
+        raise AssertionError("a malformed Pauli reached a replay")
+
+    monkeypatch.setattr(scanner, "execute", replay)
+    for spec, message in cases:
+        for max_faults in (1, 2):
+            with pytest.raises(ValueError, match=re.escape(message)):
+                scan(compiled, universe=good + [spec], max_faults=max_faults)
+        with pytest.raises(ValueError, match=re.escape(message)):
             leak_failure_fractions(compiled, good + [spec])
 
 
