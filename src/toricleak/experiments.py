@@ -182,11 +182,11 @@ def _fmt(value) -> str:
 # statistics
 
 
-def wilson_interval(failures: int, shots: int, z: float = 1.96) -> tuple[float, float]:
+def wilson_interval(failures: int, shots: int) -> tuple[float, float]:
     """95% Wilson score interval for a binomial rate."""
     if shots == 0:
         return 0.0, 1.0
-    phat = failures / shots
+    z, phat = 1.96, failures / shots  # z: the two-sided 95% normal quantile
     denom = 1.0 + z * z / shots
     center = (phat + z * z / (2 * shots)) / denom
     half = z * math.sqrt(phat * (1 - phat) / shots + z * z / (4 * shots * shots)) / denom
@@ -251,8 +251,7 @@ def _chunks(start: int, n: int, workers: int) -> list[tuple[int, int]]:
     return out
 
 
-def run_sweep(config: ExperimentConfig, workers: int = 1,
-              progress=None) -> list[SweepRow]:
+def run_sweep(config: ExperimentConfig, workers: int = 1) -> list[SweepRow]:
     """Run every (d, p) leg of the sweep; deterministic for fixed seed.
 
     The shots of each batch split into ``workers`` parts; the pool that runs
@@ -298,8 +297,6 @@ def run_sweep(config: ExperimentConfig, workers: int = 1,
                                      config.side_policy, config.site_filter,
                                      config.init_leak_at(p), shots, failures,
                                      config.master_seed, tuple(by_logical)))
-                if progress is not None:
-                    progress(rows[-1])
     finally:
         if pool is not None:
             pool.shutdown()

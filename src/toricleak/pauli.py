@@ -25,9 +25,6 @@ PAULI_X = (1, 0)
 PAULI_Y = (1, 1)
 PAULI_Z = (0, 1)
 
-PAULI_NAMES = {PAULI_I: "I", PAULI_X: "X", PAULI_Y: "Y", PAULI_Z: "Z"}
-PAULI_BY_NAME = {v: k for k, v in PAULI_NAMES.items()}
-
 # Fixed orders used by the noise sub-decoders.  PAULI1_ERRORS[k] is the k-th
 # nontrivial single-qubit error; PAULI2_ERRORS[k] the k-th nontrivial pair.
 PAULI1_ERRORS = (PAULI_X, PAULI_Y, PAULI_Z)

@@ -45,26 +45,27 @@ above them, only inside the one basis step, to reduce bases.  One judge,
 ``Decoder.parities``, in stages: stage 0 is each side's base point, stage
 k the points ``2^(k-1) .. 2^k - 1``, the base row XOR basis vector k - 1
 doubled by vectors 0 .. k - 2 (an XOR of rows is GF(2)-correct, judge
-value included).  Each stage is built afresh from the sides' arrays, for a
-number of sides at a time that bounds its rows by ``_PASS_ROWS``, so no
-point outlives its stage.  ``scan`` drops a spec from later stages once a
-point fails; ``leak_failure_fractions`` reads the counts.  A side whose
-rank exceeds ``SPAN_BUDGET_BITS`` is judged on ``SAMPLE_COUNT`` seeded
-random points instead, and the spec is reported as sampled rather than
-exact.
+value included).  Each stage is filled afresh into one block from the
+sides' arrays, for a number of sides at a time that bounds its rows by
+``_PASS_ROWS``, so no point outlives its stage.  A side whose rank exceeds
+``SPAN_BUDGET_BITS`` is judged on ``SAMPLE_COUNT`` seeded random points
+instead, and the spec is reported as sampled rather than exact.
 
 A Pauli or ``meas_flip`` spec opens no consequence slots: its span is the
 one point of its own replay, composed, not replayed.  A noise-free,
 leak-free replay is GF(2)-linear in the injected frame and the fault-free
 point is 0, so it is the XOR of the points of its single-qubit units (an X
 or Z at one gate position, or one measurement flip), each replayed once
-per call.  These points are rows of event cells (``_pauli_rows``); they,
-and for pairs every XOR of two of their distinct cell rows
-(``_pair_failures``), are judged by ``Decoder.parities`` too, the
-Monte-Carlo judge's row route, so every verdict is exact for the decoder
-that the Monte-Carlo path runs.
-Only Pauli specs pair: a leak spec's worst case already spans multi-error
-combinations.
+per call.  These points are rows of event cells (``_pauli_rows``), judged
+as each check type's one-point stage of rank-0 sides; they, and for pairs
+every XOR of two of their distinct cell rows (``_pair_failures``), reach
+the matcher through ``Decoder.parities``, the Monte-Carlo judge's row
+route, so every verdict is exact for the decoder that the Monte-Carlo path
+runs.  Only Pauli specs pair: a leak spec's worst case already spans
+multi-error combinations.  One walk (``_walk``) judges a universe: the
+Pauli rows and pairs, freed before the leak sides are built, then the
+stages; ``scan`` drops a spec at its first failing stage, and
+``leak_failure_fractions`` reads the counts.
 
 Replays run in three phases, each one executor call on ``sim.Injections``
 columns, split only above ``_CHUNK_ROWS`` rows: the Pauli units, the leak
@@ -132,8 +133,12 @@ class ScanVerdict:
     pauli_failures: list[FaultSpec]
     leak_failures: list[FaultSpec]
     pair_failures: list[tuple[FaultSpec, FaultSpec]] = field(default_factory=list)
-    n_pairs: int = 0
     sampled: list[FaultSpec] = field(default_factory=list)  # some side over budget
+
+    @property
+    def n_pairs(self) -> int:
+        """The Pauli pairs scanned: every two Pauli specs at two faults."""
+        return self.n_pauli_specs * (self.n_pauli_specs - 1) // 2 if self.max_faults == 2 else 0
 
     @property
     def distance_preserving(self) -> bool:
@@ -207,18 +212,25 @@ def spec_location(compiled: CompiledProgram, spec: FaultSpec) -> SpecLocation:
 # replays
 
 
-def _split(compiled: CompiledProgram, specs: list[FaultSpec]) -> tuple[list, list]:
-    """The Pauli and ``meas_flip`` specs, then the leak specs.  A spec of
-    another kind, or on a gate outside the program, is refused before any
-    replay: a unit key at or above ``5·len(gates)`` names a readout unit,
-    and gate -1 names no leak (``_injections``)."""
-    n_gates = len(compiled.gates)
+def _split(compiled: CompiledProgram, specs: list[FaultSpec]) -> tuple:
+    """Whether each spec is a leak spec, then the Pauli and ``meas_flip``
+    specs and the leak specs.  A spec of another kind, with a gate or
+    victim that is not an integer (the int columns would truncate it), or
+    on a gate outside the program, is refused before any replay: a unit key
+    at or above ``5·len(gates)`` names a readout unit, and gate -1 names no
+    leak (``_injections``)."""
+    n_gates, ints = len(compiled.gates), (int, np.integer, np.bool_)
     for spec in specs:
         if spec.kind not in ("pauli", "meas_flip", "leak"):
             raise ValueError(f"unknown fault kind {spec.kind!r}")
+        if not (isinstance(spec.gate_index, ints) and isinstance(spec.victim, ints)):
+            name, value = (("victim", spec.victim) if isinstance(spec.gate_index, ints)
+                           else ("gate", spec.gate_index))
+            raise ValueError(f"the {name} {value!r} of a {spec.kind} spec is not an integer")
         if not 0 <= spec.gate_index < n_gates:
             raise ValueError(f"gate {spec.gate_index} is not one of the program's {n_gates} gates")
-    return [s for s in specs if s.kind != "leak"], [s for s in specs if s.kind == "leak"]
+    leak = np.array([spec.kind == "leak" for spec in specs], dtype=bool)
+    return leak, list(compress(specs, ~leak)), list(compress(specs, leak))
 
 
 def _injections(n_gates: int, leaks: np.ndarray, keys: np.ndarray) -> Injections:
@@ -337,12 +349,6 @@ def _cell_ids(rows: np.ndarray) -> np.ndarray:
     packed = np.packbits(rows[..., :-1], axis=2)
     cells = packed.view(np.dtype((np.void, packed.shape[2])))[..., 0]  # one bytes key per row and type
     return np.array([np.unique(cells[:, ct], return_inverse=True)[1] for ct in (0, 1)])
-
-
-def _failing_rows(decoder: Decoder, rows: np.ndarray) -> np.ndarray:
-    """Whether each row of points fails: on some check type, its judge
-    bits differ from ``Decoder.parities`` of its cells."""
-    return np.any([rows[:, ct, -1] != decoder.parities(ct, rows[:, ct, :-1]) for ct in (0, 1)], axis=0)
 
 
 def _pair_failures(decoder: Decoder, specs: list[FaultSpec], rows: np.ndarray) -> list[tuple]:
@@ -465,48 +471,36 @@ def _sides(base: np.ndarray, effects: np.ndarray, owner: np.ndarray, unit_of: np
     return sides
 
 
-def _sampled_points(spec: FaultSpec, base: np.ndarray, vectors: np.ndarray) -> np.ndarray:
-    """An over-budget side's ``SAMPLE_COUNT`` random combinations of its
-    basis rows ``vectors`` on its base row, seeded by the spec and the
-    side's rank, as one block ``(point, cell)``."""
+def _sampled_points(spec: FaultSpec, base: np.ndarray, vectors: np.ndarray, points: np.ndarray) -> None:
+    """Fill ``points`` ``(point, cell)`` in place with an over-budget
+    side's ``SAMPLE_COUNT`` random combinations of its basis rows
+    ``vectors`` on its base row, seeded by the spec and the side's rank."""
     rank = len(vectors)
     rng = np.random.default_rng(np.random.SeedSequence([spec.gate_index, spec.victim, rank, 1]))
     bits = rng.integers(0, 2, size=(SAMPLE_COUNT, rank)).astype(np.uint8)
-    points = np.repeat(base[None], SAMPLE_COUNT, axis=0)
+    points[:] = base
     for j in range(rank):
         points ^= bits[:, j, None] * vectors[j]
-    return points
 
 
 def _judged(decoder: Decoder, check_type: int, stage: np.ndarray) -> np.ndarray:
     """Per side of a stage ``(point, side, cell)`` of one check type, how
-    many of its points fail, by ``Decoder.parities``, ``_PASS_ROWS`` rows
-    per call."""
+    many of its points fail: its judge value differs from
+    ``Decoder.parities`` of its cells."""
     rows = stage.reshape(-1, stage.shape[2])
-    fail = np.empty(len(rows), dtype=bool)
-    for lo in range(0, len(rows), _PASS_ROWS):
-        part = rows[lo : lo + _PASS_ROWS]
-        fail[lo : lo + _PASS_ROWS] = part[:, -1] != decoder.parities(check_type, part[:, :-1])
-    return fail.reshape(stage.shape[:2]).sum(axis=0)
-
-
-def _doubled(points: np.ndarray, vectors: np.ndarray) -> np.ndarray:
-    """Points ``(point, side, cell)`` and then each XOR its side's row of
-    ``vectors``, in one array of twice the points."""
-    grown = np.empty((2 * len(points), *points.shape[1:]), dtype=points.dtype)
-    grown[: len(points)] = points
-    np.bitwise_xor(points, vectors, out=grown[len(points) :])
-    return grown
+    return (rows[:, -1] != decoder.parities(check_type, rows[:, :-1])).reshape(stage.shape[:2]).sum(axis=0)
 
 
 def _stage(base: np.ndarray, basis: np.ndarray, first: np.ndarray, j: int) -> np.ndarray:
     """Stage ``j`` of the sides with base rows ``base`` whose basis rows
     start at rows ``first`` of ``basis``, as one block ``(point, side,
     cell)``: the base rows, or the base rows XOR basis vector j - 1 doubled
-    by vectors 0 .. j - 2."""
-    points = (base ^ basis[first + j - 1] if j else base)[None]
+    in place by vectors 0 .. j - 2, point k taking vector i when bit i of k
+    is set."""
+    points = np.empty((1 << max(j - 1, 0), *base.shape), dtype=base.dtype)
+    points[0] = base ^ basis[first + j - 1] if j else base
     for i in range(j - 1):
-        points = _doubled(points, basis[first + i])
+        np.bitwise_xor(points[: 1 << i], basis[first + i], out=points[1 << i : 2 << i])
     return points
 
 
@@ -520,10 +514,10 @@ def _failing_counts(decoder: Decoder, specs: list[FaultSpec], sides: list,
     afresh from the sides' arrays (``_stage``), so no point outlives its
     stage.  Stage j's sides go in passes of ``_PASS_ROWS >> (j + 1)`` sides,
     at least one, each judged by one ``_judged`` call: a pass's block holds
-    at most ``_PASS_ROWS // 2`` rows, and building it at most half as many
-    more, unless it is one side's stage.  An over-budget side is judged on its
-    ``_sampled_points``.  With ``stop_early`` a spec leaves after its first
-    failing stage, so only whether its counts are zero holds.
+    at most ``_PASS_ROWS // 2`` rows, unless it is one side's stage.  An
+    over-budget side is judged on its ``_sampled_points``.  With
+    ``stop_early`` a spec leaves after its first failing stage, so only
+    whether its counts are zero holds.
     """
     counts = np.zeros((len(specs), 2), dtype=np.int64)
     firsts = [ranks.cumsum() - ranks for _, ranks, _ in sides]  # each side's first basis row
@@ -540,13 +534,36 @@ def _failing_counts(decoder: Decoder, specs: list[FaultSpec], sides: list,
         over = np.flatnonzero(ranks > SPAN_BUDGET_BITS).tolist()
         for lo in range(0, len(over), step):
             batch = [k for k in over[lo : lo + step] if not (stop_early and counts[k].any())]
-            if batch:  # filled side by side, so that only one side's block is extra
+            if batch:  # filled in place side by side, so that no side's block is extra
                 stage = np.empty((SAMPLE_COUNT, len(batch), base.shape[1]), dtype=np.uint8)
                 for i, k in enumerate(batch):
                     first = firsts[ct][k]
-                    stage[:, i] = _sampled_points(specs[k], base[k], basis[first : first + ranks[k]])
+                    _sampled_points(specs[k], base[k], basis[first : first + ranks[k]], stage[:, i])
                 counts[batch, ct] = _judged(decoder, ct, stage)
     return counts
+
+
+def _walk(compiled: CompiledProgram, specs: list[FaultSpec], decoder: Decoder,
+          max_faults: int = 1, stop_early: bool = False) -> tuple:
+    """The one walk over a universe: per spec, in order, whether it is a
+    leak spec and, per check type, how many points of its side fail and the
+    side's rank (each type's Pauli rows are one one-point stage of rank-0
+    sides); then, at two faults, the failing Pauli pairs.  The Pauli rows
+    are freed before the leak sides are built, and the per-spec arrays are
+    filled after the stages; ``stop_early`` drops a spec at its first
+    failing stage (``_failing_counts``)."""
+    leak, paulis, leaks = _split(compiled, specs)
+    rows = _pauli_rows(compiled, paulis)
+    # a one-point stage's count per side is 0 or 1
+    judged = np.array([_judged(decoder, ct, rows[None, :, ct]) for ct in (0, 1)], dtype=np.uint8).T
+    pairs = _pair_failures(decoder, paulis, rows) if max_faults == 2 else []
+    del rows, paulis  # no Pauli row or spec list lives through the stages
+    sides = _leak_sides(compiled, leaks)
+    leak_counts = _failing_counts(decoder, leaks, sides, stop_early)
+    counts, ranks = np.zeros((2, len(specs), 2), dtype=np.int64)
+    counts[~leak], counts[leak] = judged, leak_counts
+    ranks[leak] = np.stack([side[1] for side in sides], axis=1)
+    return leak, counts, ranks, pairs
 
 
 def leak_failure_fractions(
@@ -564,15 +581,10 @@ def leak_failure_fractions(
     estimate with exact=False.  A Pauli or ``meas_flip`` spec has rank-0
     sides, so its fraction is exactly 0 or 1.
     """
-    decoder = Decoder(compiled.lattice)
-    paulis, leaks = _split(compiled, specs)
-    failing = iter(_failing_rows(decoder, _pauli_rows(compiled, paulis)).tolist())  # rows freed here
-    sides = _leak_sides(compiled, leaks)
-    ranks = np.stack([ranks for _, ranks, _ in sides], axis=1)
+    _, counts, ranks, _ = _walk(compiled, specs, Decoder(compiled.lattice))
     exact = ranks <= SPAN_BUDGET_BITS
-    survive = 1.0 - _failing_counts(decoder, leaks, sides) / np.where(exact, 2.0**ranks, SAMPLE_COUNT)
-    judged = zip((1.0 - survive.prod(axis=1)).tolist(), exact.all(axis=1).tolist())
-    return [next(judged) if spec.kind == "leak" else (float(next(failing)), True) for spec in specs]
+    survive = 1.0 - counts / np.where(exact, 2.0**ranks, SAMPLE_COUNT)
+    return list(zip((1.0 - survive.prod(axis=1)).tolist(), exact.all(axis=1).tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -590,20 +602,9 @@ def scan(
         raise ValueError("max_faults must be 1 or 2")
     if universe is None:
         universe = enumerate_fault_universe(compiled)
-    decoder = decoder or Decoder(compiled.lattice)
-
-    pauli_specs, leak_specs = _split(compiled, universe)
-    rows = _pauli_rows(compiled, pauli_specs)
-    pauli_failures = list(compress(pauli_specs, _failing_rows(decoder, rows)))
-    pair_failures = _pair_failures(decoder, pauli_specs, rows) if max_faults == 2 else []
-    del rows  # no Pauli row lives through the leak walk
-
-    sides = _leak_sides(compiled, leak_specs)
-    failing = _failing_counts(decoder, leak_specs, sides, stop_early=True).any(axis=1)
-    leak_failures = list(compress(leak_specs, failing))
-    over = np.logical_or(*(ranks > SPAN_BUDGET_BITS for _, ranks, _ in sides))
-    sampled = list(compress(leak_specs, over))
-    n_pairs = len(pauli_specs) * (len(pauli_specs) - 1) // 2 if max_faults == 2 else 0
+    leak, counts, ranks, pair_failures = _walk(
+        compiled, universe, decoder or Decoder(compiled.lattice), max_faults, stop_early=True)
+    failing = counts.any(axis=1)
 
     program = compiled.program
     return ScanVerdict(
@@ -611,13 +612,12 @@ def scan(
         d=compiled.lattice.d,
         n_rounds=program.n_rounds,
         max_faults=max_faults,
-        n_pauli_specs=len(pauli_specs),
-        n_leak_specs=len(leak_specs),
-        pauli_failures=pauli_failures,
-        leak_failures=leak_failures,
+        n_pauli_specs=int((~leak).sum()),
+        n_leak_specs=int(leak.sum()),
+        pauli_failures=list(compress(universe, failing & ~leak)),
+        leak_failures=list(compress(universe, failing & leak)),
         pair_failures=pair_failures,
-        n_pairs=n_pairs,
-        sampled=sampled,
+        sampled=list(compress(universe, (ranks > SPAN_BUDGET_BITS).any(axis=1))),
     )
 
 

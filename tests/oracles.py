@@ -1,15 +1,15 @@
 """Test-side oracles: structural checks, text forms, a zero-noise model,
-per-row fault scripts (``Script``, and ``columns_of``, which turns them
-into the executor's injection columns), lattice coordinates, the per-shot
-reference draws, one-shot and scripted replays with their consequence
-slots as tuples (``trace_of``), per-spec leak span sides as ints
-(``leak_sides``, the reference for the scanner's shared unit effects,
-converted to the scanner's arrays by ``side_arrays``), a row-by-row
-Pauli-pair judge (``pair_failures``, the reference for the scanner's pair
-tables), the torus metric, rows-first repair paths (``path_edges``, the
-reference for the decoder's closed-form pair table), a reference matcher
-(``match_defects`` and ``reference_parities``, the scalar reference for
-``Decoder.parities``) and residual-weight analysis.
+the Paulis by name, per-row fault scripts (``Script``, and ``columns_of``,
+which turns them into the executor's injection columns), lattice
+coordinates, the per-shot reference draws, one-shot and scripted replays
+with their consequence slots as tuples (``trace_of``), per-spec leak span
+sides as ints (``leak_sides``, the reference for the scanner's shared unit
+effects, converted to the scanner's arrays by ``side_arrays``), a
+row-by-row Pauli-pair judge (``pair_failures``, the reference for the
+scanner's pair tables), the torus metric, rows-first repair paths
+(``path_edges``, the reference for the decoder's closed-form pair table),
+a reference matcher (``match_defects`` and ``reference_parities``, the
+scalar reference for ``Decoder.parities``) and residual-weight analysis.
 
 None of this is on a production path.  The tests use it to check circuits,
 lattices, configs, matchings and the batch draws, to replay single shots and
@@ -32,13 +32,16 @@ from toricleak.decoder import _DP_LIMIT, Decoder, event_rows
 from toricleak.experiments import _LIST_KEYS, CONFIG_VERSION, ExperimentConfig, _fmt
 from toricleak.lattice import Z, ToricLattice
 from toricleak.noise import NoiseModel
-from toricleak.pauli import PAULI_BY_NAME, PAULI_I
+from toricleak.pauli import PAULI_I, PAULI_X, PAULI_Y, PAULI_Z
 from toricleak.scanner import FaultSpec, _cell_ids, _gf2_basis
 from toricleak.sim import CompiledProgram, Injections
 from toricleak.vector import execute
 
 
 NULL_NOISE = NoiseModel(p=0.0)
+
+PAULI_NAMES = {PAULI_I: "I", PAULI_X: "X", PAULI_Y: "Y", PAULI_Z: "Z"}
+PAULI_BY_NAME = {v: k for k, v in PAULI_NAMES.items()}
 
 
 # ---------------------------------------------------------------------------

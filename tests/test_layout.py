@@ -79,11 +79,17 @@ def test_the_scanner_judges_span_points_only():
     cells, by ``Decoder.parities``, the row route that ``judge_batch``
     shares: it is the only ``Decoder`` method the scanner names.  It makes
     no ``judge_batch`` call on replayed batches and has no scalar
-    ``matching`` route."""
+    ``matching`` route.  Two sites call it: ``_judged``, which judges every
+    stage, the Pauli rows' one-point stages included, and
+    ``_pair_failures``, which judges the pair tables."""
     methods = {name for name, value in vars(Decoder).items() if callable(value)} | {"matching"}
     tree = ast.parse((SRC / "scanner.py").read_text())
     named = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute) and node.attr in methods}
     assert named == {"parities"}, named
+    calls = [(func.name, node.lineno) for func in ast.walk(tree) if isinstance(func, ast.FunctionDef)
+             for node in ast.walk(func)
+             if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "parities"]
+    assert sorted(name for name, _ in calls) == ["_judged", "_pair_failures"], calls
 
 
 def test_no_module_defines_or_imports_a_per_row_script():

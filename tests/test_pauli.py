@@ -9,11 +9,10 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from oracles import shot_uniforms
+from oracles import PAULI_BY_NAME, shot_uniforms
 from toricleak.pauli import (
     PAULI1_ERRORS,
     PAULI2_ERRORS,
-    PAULI_BY_NAME,
     _pcg64_states,
     _seed_states,
     batch_uniforms,

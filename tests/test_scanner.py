@@ -541,7 +541,10 @@ def test_an_unknown_fault_kind_is_refused():
 @pytest.mark.parametrize("victim", [-1, 2])
 def test_a_leak_spec_needs_its_victim_on_the_gate(victim):
     """A victim position outside the gate's qubits is an error, never a
-    fault-free replay that passes nor another qubit's reported role."""
+    fault-free replay that passes nor another qubit's reported role.  So is
+    a gate or a victim that is not an integer, before any replay: never
+    truncated to one.  Numpy ints and bools pass, as the executor's
+    columns take them."""
     compiled = _compiled("standard")
     for gi in (0, _first_gate(compiled, kind="CNOT")):
         spec = FaultSpec("leak", gi, victim=victim)
@@ -551,6 +554,15 @@ def test_a_leak_spec_needs_its_victim_on_the_gate(victim):
             leak_failure_fractions(compiled, [spec])
         with pytest.raises(ValueError, match=f"gate {gi} has no qubit at position {victim}"):
             spec_location(compiled, spec)
+        for spec, message in ((FaultSpec("leak", gi + 0.5, victim=0), f"the gate {gi + 0.5} of"),
+                              (FaultSpec("leak", gi, victim=victim / 2), f"the victim {victim / 2} of")):
+            with pytest.raises(ValueError, match=f"{message} a leak spec is not an integer"):
+                scan(compiled, universe=[spec])
+            with pytest.raises(ValueError, match=f"{message} a leak spec is not an integer"):
+                leak_failure_fractions(compiled, [spec])
+        numpy_spec = FaultSpec("leak", np.int64(gi), victim=np.False_)
+        assert leak_failure_fractions(compiled, [numpy_spec]) == \
+            leak_failure_fractions(compiled, [FaultSpec("leak", gi, victim=0)])
 
 
 def _refusal(compiled, spec):
@@ -562,9 +574,9 @@ def _refusal(compiled, spec):
 
 def test_malformed_pauli_specs_are_refused_as_the_executor_refuses_them():
     """A Pauli on a position the gate lacks, a measurement flip on another
-    gate and a gate outside the program are the executor's ``ValueError``
-    in a scan, a pair scan and the failure fractions, never a composed
-    point of some other gate's unit."""
+    gate, a gate outside the program and a gate that is not an integer
+    are the executor's ``ValueError`` in a scan, a pair scan and the
+    failure fractions, never a composed point of some other gate's unit."""
     compiled = _compiled("standard", rounds=1)
     gates = compiled.gates
     h = next(gi for gi, g in enumerate(gates) if g.kind == "H")
@@ -576,12 +588,17 @@ def test_malformed_pauli_specs_are_refused_as_the_executor_refuses_them():
            FaultSpec("meas_flip", cnot),
            FaultSpec("pauli", len(gates), paulis=(x,)),
            FaultSpec("pauli", -1, paulis=(x,)),
-           FaultSpec("meas_flip", len(gates))]
+           FaultSpec("meas_flip", len(gates)),
+           FaultSpec("pauli", h + 0.5, paulis=(x,)),
+           FaultSpec("meas_flip", cnot + 0.5)]
     good = [s for s in enumerate_fault_universe(compiled) if s.kind != "leak"][:5]
     for spec in bad:
         message = _refusal(compiled, spec)
         if len(spec.paulis) > 2:
             message = "qubit at position 2 for a Pauli"  # no gate has one: refused before any replay
+        elif isinstance(spec.gate_index, float):  # refused before any replay too, not truncated
+            assert message.endswith("entries must be integers, got float64")
+            message = f"the gate {spec.gate_index} of a {spec.kind} spec is not an integer"
         for max_faults in (1, 2):
             with pytest.raises(ValueError, match=message):
                 scan(compiled, universe=good + [spec], max_faults=max_faults)
@@ -655,7 +672,7 @@ def test_empty_and_leak_only_universes_scan_as_before(monkeypatch):
     """With no Pauli spec there is no row to judge and no pair: an empty
     universe fails nothing, and a leak-only one fails the leak specs it
     fails beside Pauli specs, at one and two faults.  A universe without
-    leak specs judges no span stage."""
+    leak specs judges one-point stages only: each check type's Pauli rows."""
     compiled = _compiled("standard", rounds=1)
     universe = enumerate_fault_universe(compiled)
     leaks = [s for s in universe if s.kind == "leak"][::7]
@@ -675,7 +692,7 @@ def test_empty_and_leak_only_universes_scan_as_before(monkeypatch):
         judged.clear()
         empty = scan(compiled, universe=[], max_faults=max_faults)
         assert scan(compiled, universe=paulis, max_faults=max_faults).pauli_failures == []
-        assert not judged
+        assert [shape[:2] for shape in judged] == [(1, 0)] * 2 + [(1, len(paulis))] * 2, judged
         assert (empty.n_pauli_specs, empty.n_leak_specs, empty.n_pairs) == (0, 0, 0)
         assert empty.distance_preserving and empty.exhaustive and not empty.pair_failures
         only = scan(compiled, universe=leaks, max_faults=max_faults)
