@@ -1,6 +1,8 @@
 """Test-side oracles: structural checks, text forms, a zero-noise model,
-the Paulis by name, per-row fault scripts (``Script``, and ``columns_of``,
-which turns them into the executor's injection columns), lattice
+the Paulis by name, the fault universe spec by spec (``reference_universe``,
+the reference for the scanner's column-built one), per-row fault scripts
+(``Script``, and ``columns_of``, which turns them into the executor's
+injection columns), lattice
 coordinates, the per-shot reference draws, one-shot and scripted replays
 with their consequence slots as tuples (``trace_of``), per-spec leak span
 sides as ints (``leak_sides``, the reference for the scanner's shared unit
@@ -27,12 +29,12 @@ from dataclasses import dataclass, field
 import networkx as nx
 import numpy as np
 
-from toricleak.circuits import H, MEAS_Z, PREP_Z, SWAP, CircuitProgram
+from toricleak.circuits import CNOT, H, MEAS_Z, PREP_Z, SWAP, CircuitProgram
 from toricleak.decoder import _DP_LIMIT, Decoder, event_rows
 from toricleak.experiments import _LIST_KEYS, CONFIG_VERSION, ExperimentConfig, _fmt
 from toricleak.lattice import Z, ToricLattice
 from toricleak.noise import NoiseModel
-from toricleak.pauli import PAULI_I, PAULI_X, PAULI_Y, PAULI_Z
+from toricleak.pauli import PAULI1_ERRORS, PAULI2_ERRORS, PAULI_I, PAULI_X, PAULI_Y, PAULI_Z
 from toricleak.scanner import FaultSpec, _cell_ids, _gf2_basis
 from toricleak.sim import CompiledProgram, Injections
 from toricleak.vector import execute
@@ -309,6 +311,28 @@ def run_shot(
         compiled.lattice.logical_parities(res.data_x, res.data_z)[0],
         res.leak_final[0],
     )
+
+
+def reference_universe(compiled: CompiledProgram) -> list[FaultSpec]:
+    """Deterministic list of all single-fault specs for this program/policy,
+    built gate by gate: the reference for ``scanner.enumerate_fault_universe``."""
+    specs: list[FaultSpec] = []
+    for gi, g in enumerate(compiled.gates):
+        if g.kind == PREP_Z:
+            specs.append(FaultSpec("pauli", gi, paulis=(PAULI_X,)))
+        elif g.kind == H:
+            for p in PAULI1_ERRORS:
+                specs.append(FaultSpec("pauli", gi, paulis=(p,)))
+        elif g.kind in (CNOT, SWAP):
+            for pair in PAULI2_ERRORS:
+                specs.append(FaultSpec("pauli", gi, paulis=pair))
+        elif g.kind == MEAS_Z:
+            specs.append(FaultSpec("meas_flip", gi))
+    for gi, g in enumerate(compiled.gates):
+        if g.leak_prob > 0:
+            for pos in g.leak_victims:
+                specs.append(FaultSpec("leak", gi, victim=pos))
+    return specs
 
 
 def script_for(compiled: CompiledProgram, spec: FaultSpec, assignment: tuple = ()) -> Script:

@@ -37,7 +37,7 @@ from toricleak import scanner
 from toricleak.circuits import VARIANTS, build_program
 from toricleak.decoder import Decoder
 from toricleak.lattice import build_lattice
-from toricleak.noise import NoiseModel
+from toricleak.noise import SIDE_POLICIES, NoiseModel
 from toricleak.scanner import (
     FaultSpec,
     enumerate_fault_universe,
@@ -78,6 +78,29 @@ def _first_gate(compiled, **want):
     raise AssertionError(f"no leaking gate matching {want}")
 
 
+def _leak_sides(compiled, specs):
+    """The scanner's span sides of leak specs, as its walk builds them: the
+    traced baselines, the unit table's effects and the basis step."""
+    leaks = np.array([(s.gate_index, s.victim) for s in specs], dtype=np.int64).reshape(-1, 2)
+    base, owner, generators = scanner._baselines(compiled, leaks)
+    _, _, effects, unit_of = scanner._unit_table(compiled, np.zeros((0, 4), dtype=np.int64), generators)
+    return scanner._sides(base, effects, owner, unit_of)
+
+
+def _pauli_rows(compiled, specs):
+    """The scanner's rank-0 rows of Pauli and meas_flip specs, gathered
+    from its unit table."""
+    universe = scanner._from_specs(compiled, specs)
+    keys = universe.keys(np.arange(len(specs)))
+    table, index, _, _ = scanner._unit_table(compiled, keys, np.zeros(0, dtype=np.int64))
+    return scanner._pauli_rows(table, index)
+
+
+def _no_leaks(n):
+    """``(gate, victim)`` seeds of n leak specs whose sides are never sampled."""
+    return np.zeros((n, 2), dtype=np.int64)
+
+
 @pytest.mark.parametrize("variant", ["standard", "swap_lrc", "gate_biased"])
 def test_universe_counts_follow_gate_arithmetic(variant):
     compiled = _compiled(variant)
@@ -89,6 +112,49 @@ def test_universe_counts_follow_gate_arithmetic(variant):
     assert n_pauli == want_pauli
     assert n_leak == want_leak
     assert universe == enumerate_fault_universe(compiled)
+
+
+@pytest.mark.parametrize("d", [3, 5])
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_column_universe_equals_the_per_gate_enumeration(variant, d):
+    """The universe that the scanner builds as columns equals the gate by
+    gate reference spec for spec, in order, under every side policy and
+    site filter, with initialization leakage on and off: two rounds at
+    d=3, so that swap_alt's odd-round SWAPs are in, and one at d=5."""
+    program = build_program(variant, d, 2 if d == 3 else 1)
+    filters = ["all", "data_only", "ancilla_only"] + [f"cnot_ordinal:{k}" for k in range(1, 5)]
+    for side_policy, site_filter, p_init_leak in product(SIDE_POLICIES, filters, (0.0, 1e-3)):
+        noise = NoiseModel(p=1e-3, r=1.0, side_policy=side_policy, site_filter=site_filter,
+                           p_init_leak=p_init_leak)
+        compiled = compile_program(program, noise)
+        assert enumerate_fault_universe(compiled) == oracles.reference_universe(compiled), noise
+
+
+def test_a_scan_builds_fault_specs_only_for_what_it_reports(monkeypatch):
+    """Without a universe a scan judges columns: on standard d=3 at three
+    rounds it builds one ``FaultSpec`` per failing leak spec, the golden's
+    297, not one per spec of the 4,050.  A one-round pair scan builds each
+    spec that it lists once: every spec in its failing pairs is one shared
+    object."""
+    compiled, golden = _doc_scan("standard")
+    pair_compiled = _compiled("standard", rounds=1)
+    built = []
+    construct = FaultSpec.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(args)
+        construct(self, *args, **kwargs)
+
+    monkeypatch.setattr(FaultSpec, "__init__", counting)
+    verdict = scan(compiled)
+    assert len(built) == len(verdict.leak_failures) == 297
+    assert verdict_to_text(compiled, verdict) == verdict_to_text(compiled, golden)
+    built.clear()
+    pairs = scan(pair_compiled, max_faults=2)
+    shared = {}
+    for spec in [spec for pair in pairs.pair_failures for spec in pair] + pairs.leak_failures:
+        assert shared.setdefault(spec, spec) is spec
+    assert pairs.pair_failures and len(built) == len(shared)
 
 
 def test_site_filter_prunes_leak_specs_only():
@@ -299,7 +365,7 @@ def test_span_stage_blocks_stay_within_the_pass_bound(monkeypatch):
     once, so the counts do not depend on the bound."""
     compiled = _compiled("standard", rounds=2)
     specs = [s for s in enumerate_fault_universe(compiled) if s.kind == "leak"][::3]
-    sides = scanner._leak_sides(compiled, specs)
+    sides = _leak_sides(compiled, specs)
     assert max(int(ranks.max()) for _, ranks, _ in sides) in range(7, scanner.SPAN_BUDGET_BITS + 1)
     points = sum(int((1 << ranks).sum()) for _, ranks, _ in sides)
     blocks = []  # per judged block: its shape and a weak reference to it
@@ -315,7 +381,7 @@ def test_span_stage_blocks_stay_within_the_pass_bound(monkeypatch):
     for rows in (64, scanner._PASS_ROWS):
         monkeypatch.setattr(scanner, "_PASS_ROWS", rows)
         blocks.clear()
-        counts.append(scanner._failing_counts(Decoder(compiled.lattice), specs, sides))
+        counts.append(scanner._failing_counts(Decoder(compiled.lattice), _no_leaks(len(specs)), sides))
         shapes = [shape for shape, _ in blocks]
         calls.append(len(shapes))
         assert sum(n * k for n, k, _ in shapes) == points
@@ -373,7 +439,7 @@ def test_composed_pauli_points_equal_their_own_replays(variant):
         injections = columns_of([script_for(compiled, s) for s in specs])
         res = execute(compiled, len(specs), injections=injections)
         own = scanner._rows(compiled.lattice, res)
-        composed = scanner._pauli_rows(compiled, specs)
+        composed = _pauli_rows(compiled, specs)
         assert composed.dtype == own.dtype == np.uint8
         np.testing.assert_array_equal(composed, own)
         points = [[_mask(side[:-1]) | int(side[-1]) << width for side in row] for row in composed]
@@ -384,7 +450,8 @@ def test_composed_pauli_points_equal_their_own_replays(variant):
 def test_unit_points_are_released_before_the_leak_specs(monkeypatch):
     """No unit row and no Pauli spec row is alive while the leak specs'
     spans are walked, in a single-fault scan, a pair scan and the failure
-    fractions."""
+    fractions: each walk builds one unit table and one pass of Pauli rows,
+    and the pair scan the rows of every Pauli spec for its pair tables."""
     compiled = _compiled("standard", rounds=1)
     universe = enumerate_fault_universe(compiled)
     specs = [s for s in universe if s.kind != "leak"][::11] + [s for s in universe if s.kind == "leak"][:3]
@@ -410,7 +477,7 @@ def test_unit_points_are_released_before_the_leak_specs(monkeypatch):
     for max_faults in (1, 2):
         scan(compiled, universe=specs, max_faults=max_faults)
     leak_failure_fractions(compiled, specs)
-    assert len(made) == 9 and len(alive) == 3 and not any(alive)
+    assert len(made) == 7 and len(alive) == 3 and not any(alive)
 
 
 _REFERENCE: dict = {}  # (d, check type, cell bytes) -> the reference matcher's parities
@@ -436,7 +503,7 @@ def test_row_verdicts_equal_per_mask_matching_on_every_pauli_spec(variant):
         lat = compiled.lattice
         specs = [s for s in enumerate_fault_universe(compiled) if s.kind != "leak"]
         decoder = Decoder(lat)
-        rows = scanner._pauli_rows(compiled, specs)
+        rows = _pauli_rows(compiled, specs)
         want = np.array([[_reference(lat, ct, cells) for cells in rows[:, ct, :-1]]
                          for ct in (0, 1)], dtype=np.uint8).T
         for ct in (0, 1):
@@ -452,7 +519,7 @@ def test_pair_verdicts_equal_per_mask_matching():
     compiled = _compiled("standard", rounds=1)
     specs = [s for s in enumerate_fault_universe(compiled) if s.kind != "leak"][::6]
     decoder = Decoder(compiled.lattice)
-    rows = scanner._pauli_rows(compiled, specs)
+    rows = _pauli_rows(compiled, specs)
     failing = []
     for i, a in enumerate(specs):
         for j in range(i + 1, len(specs)):
@@ -479,10 +546,11 @@ def test_pair_tables_equal_the_row_by_row_judge(variant, rounds):
         rng = np.random.default_rng(28)
         specs = [specs[k] for k in sorted(rng.choice(len(specs), 201, replace=False).tolist())]
     decoder = Decoder(compiled.lattice)
-    rows = scanner._pauli_rows(compiled, specs)
+    rows = _pauli_rows(compiled, specs)
     failing = oracles.pair_failures(decoder, specs, rows)
     assert len(specs) * (len(specs) - 1) // 2 == (683865 if rounds == 1 else 20100)
-    assert failing and scanner._pair_failures(decoder, specs, rows) == failing
+    first, second = scanner._pair_failures(decoder, rows)
+    assert failing and [(specs[i], specs[j]) for i, j in zip(first.tolist(), second.tolist())] == failing
 
 
 def test_failing_pauli_pairs_break_the_distance_from_d5_on():
@@ -543,8 +611,8 @@ def test_a_leak_spec_needs_its_victim_on_the_gate(victim):
     """A victim position outside the gate's qubits is an error, never a
     fault-free replay that passes nor another qubit's reported role.  So is
     a gate or a victim that is not an integer, before any replay: never
-    truncated to one.  Numpy ints and bools pass, as the executor's
-    columns take them."""
+    truncated to one, and never a ``TypeError`` where a report locates the
+    spec.  Numpy ints and bools pass, as the executor's columns take them."""
     compiled = _compiled("standard")
     for gi in (0, _first_gate(compiled, kind="CNOT")):
         spec = FaultSpec("leak", gi, victim=victim)
@@ -560,6 +628,8 @@ def test_a_leak_spec_needs_its_victim_on_the_gate(victim):
                 scan(compiled, universe=[spec])
             with pytest.raises(ValueError, match=f"{message} a leak spec is not an integer"):
                 leak_failure_fractions(compiled, [spec])
+            with pytest.raises(ValueError, match=f"{message} a leak spec is not an integer"):
+                spec_location(compiled, spec)
         numpy_spec = FaultSpec("leak", np.int64(gi), victim=np.False_)
         assert leak_failure_fractions(compiled, [numpy_spec]) == \
             leak_failure_fractions(compiled, [FaultSpec("leak", gi, victim=0)])
@@ -672,7 +742,8 @@ def test_empty_and_leak_only_universes_scan_as_before(monkeypatch):
     """With no Pauli spec there is no row to judge and no pair: an empty
     universe fails nothing, and a leak-only one fails the leak specs it
     fails beside Pauli specs, at one and two faults.  A universe without
-    leak specs judges one-point stages only: each check type's Pauli rows."""
+    leak specs judges one-point stages only: each check type's Pauli rows,
+    in passes of ``_PASS_ROWS // 4`` specs."""
     compiled = _compiled("standard", rounds=1)
     universe = enumerate_fault_universe(compiled)
     leaks = [s for s in universe if s.kind == "leak"][::7]
@@ -700,6 +771,11 @@ def test_empty_and_leak_only_universes_scan_as_before(monkeypatch):
         assert (only.pauli_failures, only.pair_failures, only.n_pairs) == ([], [], 0)
         text = verdict_to_text(compiled, only).splitlines()
         assert ("pairs_scanned=0 pairs_failing=0" in text) == (max_faults == 2)
+    monkeypatch.setattr(scanner, "_PASS_ROWS", 64)  # Pauli passes of 16 specs: 32 rows a block
+    judged.clear()
+    scan(compiled, universe=paulis)
+    assert [shape[:2] for shape in judged] == [
+        (1, min(16, len(paulis) - lo)) for lo in range(0, len(paulis), 16) for _ in (0, 1)]
 
 
 class _MisjudgingStars(Decoder):
@@ -715,7 +791,8 @@ def test_pauli_spec_fractions_are_exactly_zero_or_one(decoder, monkeypatch):
     """A Pauli or meas_flip spec is a rank-0 span: its failure fraction is
     exactly 0 or 1, and 1 exactly for the specs the scan fails.  No single
     Pauli fault fails the production decoder at d=3, so a decoder that
-    misjudges star matchings supplies failing specs."""
+    misjudges star matchings supplies failing specs.  Judged in passes of
+    16 specs, the scan fails the same ones."""
     monkeypatch.setattr(scanner, "Decoder", decoder)
     compiled = _compiled("standard", rounds=1)
     specs = [s for s in enumerate_fault_universe(compiled) if s.kind != "leak"][::5]
@@ -725,6 +802,8 @@ def test_pauli_spec_fractions_are_exactly_zero_or_one(decoder, monkeypatch):
     assert [s for s, (q, _) in zip(specs, fractions) if q == 1.0] == verdict.pauli_failures
     assert bool(verdict.pauli_failures) == (decoder is _MisjudgingStars)
     assert len(verdict.pauli_failures) < len(specs)
+    monkeypatch.setattr(scanner, "_PASS_ROWS", 64)  # Pauli passes of 16 specs
+    assert scan(compiled, universe=specs).pauli_failures == verdict.pauli_failures
 
 
 def _joint_script(compiled, a, b):
@@ -777,7 +856,7 @@ def _judge_bits(decoder, check_type, base, basis):
     judged alone, as the base of a rank-0 side."""
     points = _span_points(base, basis)
     sides = _one_sided(check_type, points, np.zeros(len(points), dtype=np.int64), basis[:0])
-    counts = scanner._failing_counts(decoder, [FaultSpec("leak", 0, victim=0)] * len(points), sides)
+    counts = scanner._failing_counts(decoder, _no_leaks(len(points)), sides)
     return (counts[:, check_type] > 0).tolist()
 
 
@@ -834,10 +913,9 @@ def test_span_points_follow_the_production_matcher_above_ten_defects(monkeypatch
     hand.append((1, base, np.array([spread(m, int(rng.integers(4))) for m in even[:7]])))
     compiled = _compiled("standard", d=5, rounds=3)
     specs = [s for s in enumerate_fault_universe(compiled) if s.kind == "leak"][::12]
-    sides = scanner._leak_sides(compiled, specs)
+    sides = _leak_sides(compiled, specs)
     real = [(ct, *side) for k in range(len(specs)) for ct, side in enumerate(_spec_sides(sides, k))
             if len(side[1]) >= 12]
-    spec = FaultSpec("leak", 0, victim=0)
     by_count = {}  # (check type, defect count) -> defect sets of the points judged
     for lat, hand_sides in ((lat, hand), (compiled.lattice, real[:2])):
         decoder = Decoder(lat)
@@ -847,8 +925,8 @@ def test_span_points_follow_the_production_matcher_above_ten_defects(monkeypatch
             one = _one_sided(ct, base[None], np.array([len(basis)]), basis)
             for rows in (64, 1 << 15):
                 monkeypatch.setattr(scanner, "_PASS_ROWS", rows)
-                assert scanner._failing_counts(decoder, [spec], one)[0, ct] == sum(bits)
-            verdict = scanner._failing_counts(decoder, [spec], one, stop_early=True)
+                assert scanner._failing_counts(decoder, _no_leaks(1), one)[0, ct] == sum(bits)
+            verdict = scanner._failing_counts(decoder, _no_leaks(1), one, stop_early=True)
             assert verdict[0].any() == any(bits)
             for point in _span_points(base, basis):
                 found = row_defects(lat, point[:-1])
@@ -974,7 +1052,7 @@ def test_control_only_leaks_split_into_star_and_plaquette_sides(variant):
     leaks = [s for s in enumerate_fault_universe(compiled) if s.kind == "leak"]
     assert leaks
     width = 2 * compiled.lattice.d**2
-    sides = scanner._leak_sides(compiled, leaks)
+    sides = _leak_sides(compiled, leaks)
     assert len(sides) == 2
     for base, ranks, basis in sides:
         assert base.shape == (len(leaks), width + 1) and ranks.shape == (len(leaks),)
@@ -1019,7 +1097,7 @@ def test_shared_unit_sides_equal_per_spec_replays(variant):
         compiled = _compiled(variant, noise, rounds=rounds)
         specs = [s for s in enumerate_fault_universe(compiled) if s.kind == "leak"]
         assert specs
-        _assert_same_sides(scanner._leak_sides(compiled, specs), leak_sides(compiled, specs))
+        _assert_same_sides(_leak_sides(compiled, specs), leak_sides(compiled, specs))
 
 
 def test_shared_unit_sides_equal_per_spec_replays_at_d5():
@@ -1027,28 +1105,63 @@ def test_shared_unit_sides_equal_per_spec_replays_at_d5():
     reach rank 9 and more."""
     compiled = _compiled("standard", d=5, rounds=3)
     specs = [s for s in enumerate_fault_universe(compiled) if s.kind == "leak"][::12]
-    sides = scanner._leak_sides(compiled, specs)
+    sides = _leak_sides(compiled, specs)
     _assert_same_sides(sides, leak_sides(compiled, specs))
     assert max(ranks.max() for _, ranks, _ in sides) > 8
 
 
-def test_pair_units_are_replayed_on_the_leak_their_slot_implies():
+def _pair_units(compiled):
+    """The distinct pair unit keys that the program's leak specs open."""
+    specs = [s for s in enumerate_fault_universe(compiled) if s.kind == "leak"]
+    leaks = np.array([(s.gate_index, s.victim) for s in specs], dtype=np.int64)
+    units = np.unique(scanner._baselines(compiled, leaks)[2])
+    return units[(units < 5 * len(compiled.gates)) & (units % 5 < 4)]
+
+
+def test_pair_units_are_replayed_on_the_leak_their_slot_implies(monkeypatch):
     """In the variants' schedules a partner's Pauli never meets the leaked
-    qubit again, so a pair unit's effect would come out the same without
-    the leak.  Repeating every CNOT makes it meet the still-leaked qubit at
-    once, where only a replay that carries the leak blocks it."""
+    qubit again, and the light cone proves it: at d=3, one round, every
+    pair unit of every variant is inert.  Repeating every CNOT makes the
+    Pauli meet the still-leaked qubit at once, where only a replay that
+    carries the leak blocks it: the cone cannot prove 126 of those 540
+    units inert, the unit table replays each of them on its leak, and each
+    such leak alone, and the sides equal the per-spec reference bit for
+    bit.  Taken as inert, those units would give other sides."""
+    for variant in VARIANTS:
+        compiled = _compiled(variant, rounds=1)
+        units = _pair_units(compiled)
+        assert len(units) and scanner._inert(compiled, units).all(), variant
     program = build_program("standard", 3, 1)
     doubled = [[op for op in ops for _ in range(1 + (op.kind == "CNOT"))] for ops in program.rounds]
     compiled = compile_program(replace(program, rounds=doubled), DOC_NOISE)
+    units = _pair_units(compiled)
+    inert = scanner._inert(compiled, units)
+    leaky = []  # per unit table, its rows that carry a leak
+    unit_rows = scanner._unit_rows
+
+    def recording(compiled, leaks, keys):
+        leaky.append(int((leaks[:, 0] != -1).sum()))
+        return unit_rows(compiled, leaks, keys)
+
+    monkeypatch.setattr(scanner, "_unit_rows", recording)
     specs = [s for s in enumerate_fault_universe(compiled) if s.kind == "leak"]
-    _assert_same_sides(scanner._leak_sides(compiled, specs), leak_sides(compiled, specs))
+    want = leak_sides(compiled, specs)
+    _assert_same_sides(_leak_sides(compiled, specs), want)
+    replayed = units[~inert]
+    assert (len(replayed), len(units)) == (126, 540)
+    assert leaky == [len(replayed) + len(np.unique(replayed // 5 * 2 + 1 - replayed % 5 // 2))]
+    monkeypatch.setattr(scanner, "_inert", lambda compiled, units: np.ones(len(units), dtype=bool))
+    with pytest.raises(AssertionError):
+        _assert_same_sides(_leak_sides(compiled, specs), want)
 
 
 def test_each_replay_phase_is_one_executor_call(monkeypatch):
-    """The standard d=3, three-round scan replays in three executor calls:
-    its 1,080 Pauli units, its 540 leak baselines with their traces, and
-    its 1,332 leak units.  With the row bound cut to 500 the phases split
-    into 3, 2 and 3 calls and the report is the same."""
+    """The standard d=3, three-round scan replays in two executor calls:
+    its 540 leak baselines with their traces, then its unit table of 1,116
+    rows: the 1,080 units of its Pauli specs and the 36 readout units of
+    its leak specs, every pair unit being inert and every junk measurement
+    unit a Pauli spec's too.  With the row bound cut to 500 the phases
+    split into 2 and 3 calls and the report is the same."""
     compiled = _compiled("standard")
     rows = []
 
@@ -1058,19 +1171,19 @@ def test_each_replay_phase_is_one_executor_call(monkeypatch):
 
     monkeypatch.setattr(scanner, "execute", counting)
     report = verdict_to_text(compiled, scan(compiled))
-    assert rows == [1080, 540, 1332]
+    assert rows == [540, 1116]
     assert report == verdict_to_text(compiled, _doc_scan("standard")[1])
     rows.clear()
     monkeypatch.setattr(scanner, "_CHUNK_ROWS", 500)
     assert verdict_to_text(compiled, scan(compiled)) == report
-    assert rows == [500, 500, 80, 500, 40, 500, 500, 332]
+    assert rows == [500, 40, 500, 500, 116]
 
 
 def test_leak_walk_replays_each_distinct_unit_once(monkeypatch):
     """On standard d=3 at three rounds, the leak walk of a scan and of the
-    failure fractions replays each spec's baseline, each distinct unit
-    generator and, per pair slot, the leak it implies alone, once: not one
-    row per spec and unit."""
+    failure fractions replays each spec's baseline and each distinct unit
+    generator once: not one row per spec and unit.  Every pair unit is
+    inert, so none is replayed on its leak and no leak is replayed alone."""
     compiled = _compiled("standard")
     specs = [s for s in enumerate_fault_universe(compiled) if s.kind == "leak"]
     injections = columns_of([script_for(compiled, s) for s in specs])
@@ -1090,7 +1203,7 @@ def test_leak_walk_replays_each_distinct_unit_once(monkeypatch):
     for walk in (lambda: scan(compiled, universe=specs), lambda: leak_failure_fractions(compiled, specs)):
         rows.clear()
         walk()
-        assert sum(rows) <= len(specs) + len(units) + len(pair_slots) + 1 == 1873
+        assert sum(rows) <= len(specs) + len(units) == 1458
 
 
 def test_leak_fractions_match_the_frozen_fixture():
