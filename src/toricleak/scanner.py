@@ -72,22 +72,25 @@ one point of its own replay, composed, not replayed.  A noise-free,
 leak-free replay is GF(2)-linear in the injected frame and the fault-free
 point is 0, so it is the XOR of the rows of its single-qubit units (an X
 or Z at one gate position, or one measurement flip): gathers from the unit
-table (``_pauli_rows``), ``_PASS_ROWS // 4`` specs at a time, each pass judged
-as each check type's one-point stage of rank-0 sides.  For pairs every XOR
-of two of their distinct cell rows (``_pair_failures``) reaches the matcher
-through ``Decoder.parities``, the Monte-Carlo judge's row route, so every
-verdict is exact for the decoder that the Monte-Carlo path runs.  Only
-Pauli specs pair: a leak spec's worst case already spans multi-error
-combinations.  One walk (``_walk``) judges a universe: the Pauli passes
-and pairs, with the unit table freed before the leak sides are built,
-then the stages; ``scan`` drops a spec at its first failing stage, and
-``leak_failure_fractions`` reads the counts.
+table (``_pauli_rows``), built once per walk.  A point's verdict depends
+only on its judge value and its cells, so ``_pauli_verdicts`` keys each
+check type's rows once by their cells (``_cell_ids``) and judges each
+distinct cell row once; at two faults it judges every XOR of two distinct
+cell rows, in one table per check type that every pair reads.  Every row
+reaches the matcher through ``Decoder.parities``, the Monte-Carlo judge's
+row route, so every verdict is exact for the decoder that the Monte-Carlo
+path runs.  Only Pauli specs pair: a leak spec's worst case already spans
+multi-error combinations.  One walk (``_walk``) judges a universe: the
+Pauli specs and pairs, with the unit table and the Pauli rows freed before
+the leak sides are built, then the stages; ``scan`` drops a spec at its
+first failing stage, and ``leak_failure_fractions`` reads the counts.
 
-Replays run in two phases, each one executor call on ``sim.Injections``
-columns, split only above ``_CHUNK_ROWS`` rows: the leak baselines with
-their traces, then the unit table (``_unit_table``): every unit that a
-Pauli spec or a leak generator names, once, and the leaks of the pair
-units that ``_inert`` does not prove inert.  Every replay row is a leak
+Replays run in two phases through one function, ``_replays``: each phase
+is one executor call on ``sim.Injections`` columns, split only above
+``_CHUNK_ROWS`` rows.  First the leak baselines, traced, then the unit
+table (``_unit_table``): every unit that a Pauli spec or a leak generator
+names, once, the leaks of the pair units that ``_inert`` does not prove
+inert, and one fault-free row, the table's 0.  Every replay row is a leak
 ``(gate, position)`` and/or one unit key, and one builder, ``_injections``,
 turns such columns into the executor's.
 
@@ -261,12 +264,17 @@ def _template_of(kind, paulis) -> int | None:
         return None
 
 
-def _not_integer(spec: FaultSpec) -> str | None:
-    """Why a spec's gate or victim cannot be a column entry: it is not an
-    integer.  None if both are."""
+def _refused(spec: FaultSpec, n_gates: int) -> str | None:
+    """Why a spec has no place in a program of ``n_gates`` gates: its kind
+    is unknown, its gate or victim is not an integer (the int columns would
+    truncate it), or its gate is outside the program.  None if it has one."""
+    if spec.kind not in _KINDS:
+        return f"unknown fault kind {spec.kind!r}"
     for name, value in (("gate", spec.gate_index), ("victim", spec.victim)):
         if not isinstance(value, _INTS):
             return f"the {name} {value!r} of a {spec.kind} spec is not an integer"
+    if not 0 <= spec.gate_index < n_gates:
+        return f"gate {spec.gate_index} is not one of the program's {n_gates} gates"
     return None
 
 
@@ -287,11 +295,10 @@ def _refusal(kind: str, paulis) -> str:
 
 def _from_specs(compiled: CompiledProgram, specs: list[FaultSpec]) -> _Universe:
     """A ``FaultSpec`` list as columns, converted once.  Before any replay
-    the first spec of another kind, with a gate or victim that is not an
-    integer (the int columns would truncate it) or on a gate outside the
-    program is refused, and then the first whose Paulis have no template
-    (``_refusal``): a unit key at or above ``5·len(gates)`` names a readout
-    unit, and gate -1 names no leak (``_injections``)."""
+    the first spec that ``_refused`` refuses is refused, and then the first
+    whose Paulis have no template (``_refusal``): a unit key at or above
+    ``5·len(gates)`` names a readout unit, and gate -1 names no leak
+    (``_injections``)."""
     n, n_gates = len(specs), len(compiled.gates)
     kind, gate, victim = (np.fromiter((getattr(s, name) for s in specs), dtype=object, count=n)
                           for name in ("kind", "gate_index", "victim"))
@@ -300,10 +307,7 @@ def _from_specs(compiled: CompiledProgram, specs: list[FaultSpec]) -> _Universe:
     gate = np.where(is_int[0], gate, -1)
     bad = ~known | ~is_int[0] | ~is_int[1] | (gate < 0) | (gate >= n_gates)
     if bad.any():
-        spec = specs[int(np.argmax(bad))]
-        if spec.kind not in _KINDS:
-            raise ValueError(f"unknown fault kind {spec.kind!r}")
-        raise ValueError(_not_integer(spec) or f"gate {spec.gate_index} is not one of the program's {n_gates} gates")
+        raise ValueError(_refused(specs[int(np.argmax(bad))], n_gates))
     template = [_template_of(s.kind, s.paulis) for s in specs]
     if None in template:
         spec = specs[template.index(None)]
@@ -319,7 +323,9 @@ def enumerate_fault_universe(compiled: CompiledProgram) -> list[FaultSpec]:
 
 
 def spec_location(compiled: CompiledProgram, spec: FaultSpec) -> SpecLocation:
-    if refusal := _not_integer(spec):
+    """Where a spec sits.  A spec that a scan refuses (``_refused``), or a
+    leak spec whose victim is not on its gate, is a ``ValueError``."""
+    if refusal := _refused(spec, len(compiled.gates)):
         raise ValueError(refusal)
     label = compiled.gates[spec.gate_index].label
     if spec.kind == "leak":
@@ -373,15 +379,6 @@ def _injections(n_gates: int, leaks: np.ndarray, keys: np.ndarray) -> Injections
         readout_flips=np.column_stack([row, edge, 1 - component, component])[keys >= 5 * n_gates])
 
 
-def _replayed(compiled: CompiledProgram, leaks: np.ndarray, keys: np.ndarray, trace: bool = False):
-    """The replay rows of ``_injections``, one executor call split only
-    above ``_CHUNK_ROWS`` rows: per part, its first row and its result."""
-    for lo in range(0, len(keys), _CHUNK_ROWS):
-        hi = min(lo + _CHUNK_ROWS, len(keys))
-        injections = _injections(len(compiled.gates), leaks[lo:hi], keys[lo:hi])
-        yield lo, execute(compiled, hi - lo, injections=injections, trace=trace)
-
-
 def _generators(res, carrier: np.ndarray, n_gates: int) -> tuple[np.ndarray, np.ndarray]:
     """Per unit outcome choice that a traced result's rows open, in trace
     order (row by row: gate slots in gate order, then readout slots in
@@ -408,15 +405,28 @@ def _rows(lat: ToricLattice, res) -> np.ndarray:
     return np.concatenate([event_rows(res.syndromes), judge[..., :1] | judge[..., 1:] << 1], axis=2)
 
 
-def _unit_rows(compiled: CompiledProgram, leaks: np.ndarray, keys: np.ndarray) -> np.ndarray:
-    """The rows of the replays that ``leaks`` and ``keys`` describe
-    (``_injections``), then one zero row.  The executor refuses a unit on a
-    gate, position or measurement the program lacks."""
+def _replays(compiled: CompiledProgram, leaks: np.ndarray, keys: np.ndarray, trace: bool = False):
+    """The rows (``_rows``) of the replays that ``leaks`` and ``keys``
+    describe (``_injections``), one executor call split only above
+    ``_CHUNK_ROWS`` rows.  The executor refuses a unit on a gate, position
+    or measurement the program lacks.  Traced, the rows come with the
+    generators that their traces open (``_generators``), row by row in
+    trace order: per generator, its row and its unit key.  No part's slot
+    codes outlive it."""
+    n_gates = len(compiled.gates)
     width = (compiled.program.n_rounds + 1) * compiled.lattice.d**2
-    rows = np.zeros((len(keys) + 1, 2, width + 1), dtype=np.uint8)
-    for lo, res in _replayed(compiled, leaks, keys):
-        rows[lo : lo + len(res.data_x)] = _rows(compiled.lattice, res)
-    return rows
+    rows = np.empty((len(keys), 2, width + 1), dtype=np.uint8)
+    owners, units = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
+    for lo in range(0, len(keys), _CHUNK_ROWS):
+        hi = min(lo + _CHUNK_ROWS, len(keys))
+        injections = _injections(n_gates, leaks[lo:hi], keys[lo:hi])
+        res = execute(compiled, hi - lo, injections=injections, trace=trace)
+        rows[lo:hi] = _rows(compiled.lattice, res)
+        if trace:
+            owner, unit = _generators(res, compiled.program.final_data_carrier, n_gates)
+            owners.append(owner + lo)
+            units.append(unit)
+    return (rows, np.concatenate(owners), np.concatenate(units)) if trace else rows
 
 
 def _inert(compiled: CompiledProgram, units: np.ndarray) -> np.ndarray:
@@ -470,14 +480,15 @@ def _inert(compiled: CompiledProgram, units: np.ndarray) -> np.ndarray:
 def _unit_table(compiled: CompiledProgram, keys: np.ndarray, generators: np.ndarray) -> tuple:
     """The second replay phase, one executor call: the rows of every unit
     that the Pauli specs' unit keys ``keys`` (-1 padded) or the leak
-    generators' keys ``generators`` name, each once, and for each pair
-    unit that ``_inert`` does not prove inert, its replay on the leak ``(g,
-    1 - pos)`` that its slot implies and, per such leak, that leak alone.
+    generators' keys ``generators`` name, each once, for each pair unit
+    that ``_inert`` does not prove inert, its replay on the leak ``(g, 1 -
+    pos)`` that its slot implies and, per such leak, that leak alone, and
+    last one fault-free replay, whose row is 0 (frame linearity).
 
-    Returns the table (its last row the zero row), each key's row in it
-    (-1: the zero row), and the distinct generator units' effects with each
-    generator's unit among them.  An inert unit's effect is its plain row,
-    any other pair unit's its leaky replay XOR its leak's."""
+    Returns the table, each key's row in it (-1: the zero row), and the
+    distinct generator units' effects with each generator's unit among
+    them.  An inert unit's effect is its plain row, any other pair unit's
+    its leaky replay XOR its leak's."""
     n_gates = len(compiled.gates)
     units, unit_of = np.unique(generators, return_inverse=True)
     gate, slot = np.divmod(units, 5)
@@ -490,8 +501,8 @@ def _unit_table(compiled: CompiledProgram, keys: np.ndarray, generators: np.ndar
     implied = 2 * gate[leaky] + 1 - slot[leaky] // 2  # the leak (gate, 1 - pos), as 2·gate + position
     alone, partner = np.unique(implied, return_inverse=True)
     leaks = np.concatenate([np.full((len(plain), 2), -1), np.column_stack(np.divmod(implied, 2)),
-                            np.column_stack(np.divmod(alone, 2))])
-    table = _unit_rows(compiled, leaks, np.concatenate([plain, units[leaky], np.full(len(alone), -1)]))
+                            np.column_stack(np.divmod(alone, 2)), np.full((1, 2), -1)])
+    table = _replays(compiled, leaks, np.concatenate([plain, units[leaky], np.full(len(alone) + 1, -1)]))
     index = np.where(keys >= 0, row[keys], len(table) - 1)
     first = row[units]
     second = np.full(len(units), len(table) - 1)
@@ -518,32 +529,6 @@ def _cell_ids(rows: np.ndarray) -> np.ndarray:
     return np.array([np.unique(cells[:, ct], return_inverse=True)[1] for ct in (0, 1)])
 
 
-def _pair_failures(decoder: Decoder, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The pairs ``(i, j)``, ``i < j`` in order, of rows whose point, their
-    XOR, fails: on a check type, their judge values' XOR differs from the
-    parities of their cells' XOR, which depend only on their
-    ``_cell_ids``.  Per type, a table holds the parities of every two
-    distinct cell rows, judged ``_PASS_ROWS`` at a time, and row i's pairs
-    with later rows read both tables (star bits 0-1, plaquette 2-3)."""
-    ids, tables = _cell_ids(rows), []
-    for ct in (0, 1):
-        cells = rows[np.unique(ids[ct], return_index=True)[1], ct, :-1]  # row k: the cells of id k
-        a, b = np.triu_indices(len(cells), 1)
-        table = np.zeros((len(cells), len(cells)), dtype=np.uint8)  # a row XOR itself has no events
-        for lo in range(0, len(a), _PASS_ROWS):
-            i, j = a[lo : lo + _PASS_ROWS], b[lo : lo + _PASS_ROWS]
-            table[i, j] = table[j, i] = decoder.parities(ct, cells[i] ^ cells[j]) << 2 * ct
-        tables.append(table)
-    judge, firsts, seconds = rows[:, 0, -1] | rows[:, 1, -1] << 2, [], []
-    for i in range(len(rows) - 1):
-        rest = slice(i + 1, None)
-        verdict = tables[0][ids[0, i]][ids[0, rest]] | tables[1][ids[1, i]][ids[1, rest]]
-        seconds.append(np.flatnonzero(verdict != judge[rest] ^ judge[i]) + i + 1)
-        firsts.append(np.full(len(seconds[-1]), i))
-    empty = [np.zeros(0, dtype=np.int64)]
-    return np.concatenate(empty + firsts), np.concatenate(empty + seconds)
-
-
 # ---------------------------------------------------------------------------
 # GF(2) spans of leak consequences
 
@@ -560,23 +545,6 @@ def _gf2_basis(vecs: list[int]) -> list[int]:
                 break
             v ^= hit
     return list(by_lead.values())
-
-
-def _baselines(compiled: CompiledProgram, leaks: np.ndarray) -> tuple[np.ndarray, ...]:
-    """The first replay phase: the baseline rows of the leak specs ``leaks``
-    ``(gate, victim)``, traced, and their generators (``_generators``): per
-    generator, its spec and its unit key, spec by spec in trace order.  No
-    part's slot codes outlive it."""
-    n_gates = len(compiled.gates)
-    width = (compiled.program.n_rounds + 1) * compiled.lattice.d**2
-    base = np.empty((len(leaks), 2, width + 1), dtype=np.uint8)
-    owners, keys = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
-    for lo, res in _replayed(compiled, leaks, np.full(len(leaks), -1), trace=True):
-        base[lo : lo + len(res.data_x)] = _rows(compiled.lattice, res)
-        owner, key = _generators(res, compiled.program.final_data_carrier, n_gates)
-        owners.append(owner + lo)
-        keys.append(key)
-    return base, np.concatenate(owners), np.concatenate(keys)
 
 
 def _sides(base: np.ndarray, effects: np.ndarray, owner: np.ndarray, unit_of: np.ndarray) -> list:
@@ -687,39 +655,63 @@ def _failing_counts(decoder: Decoder, leaks: np.ndarray, sides: list,
     return counts
 
 
-def _pauli_verdicts(decoder: Decoder, table: np.ndarray, index: np.ndarray, max_faults: int) -> tuple:
-    """Per Pauli spec, whose unit rows ``index`` names in ``table``, and
-    check type, whether its point fails; then, at two faults, the failing
-    pairs of spec positions (``_pair_failures``).  The specs go in passes
-    of ``_PASS_ROWS // 4``, at least one pass, each judged as each check
-    type's one-point stage: a pass's block holds at most ``_PASS_ROWS // 2``
-    rows, as a stage's does."""
-    judged = np.zeros((len(index), 2), dtype=np.uint8)  # a one-point stage's count is 0 or 1
-    step = max(1, _PASS_ROWS // 4)
-    for lo in range(0, max(len(index), 1), step):
-        rows = _pauli_rows(table, index[lo : lo + step])
-        judged[lo : lo + len(rows)] = np.array([_judged(decoder, ct, rows[None, :, ct]) for ct in (0, 1)]).T
-    if max_faults == 2:
-        return judged, _pair_failures(decoder, _pauli_rows(table, index))
-    return judged, (np.zeros(0, dtype=np.int64),) * 2
+def _pauli_verdicts(decoder: Decoder, rows: np.ndarray, max_faults: int) -> tuple:
+    """Per Pauli spec, whose rank-0 point is its row of ``rows``, and check
+    type, whether its point fails; then, at two faults, the pairs ``(i,
+    j)``, ``i < j`` in order, whose point, the XOR of their rows, fails.
+
+    A point's parities depend only on its cells, and a pair's only on the
+    ``_cell_ids`` of its two rows.  So each check type's rows are keyed
+    once, id 0 for a zero row put before the distinct cell rows, and only
+    XORs of two distinct ids reach ``Decoder.parities``, ``_PASS_ROWS`` at
+    a time: the pairs ``(0, k)`` first, each distinct row once, and at two
+    faults every other pair too, kept in a table per type.  Row i's pairs
+    with later rows read both tables (star bits 0-1, plaquette 2-3)."""
+    ids, judge = _cell_ids(rows) + 1, rows[..., -1]
+    fails, tables = np.zeros((len(rows), 2), dtype=np.uint8), []
+    for ct in (0, 1):
+        distinct = rows[np.unique(ids[ct], return_index=True)[1], ct, :-1]
+        cells = np.pad(distinct, ((1, 0), (0, 0)))  # row k: the cells of id k
+        n = len(cells)
+        a, b = np.triu_indices(n, 1) if max_faults == 2 else (np.zeros(n - 1, dtype=np.int64), np.arange(1, n))
+        parities = np.zeros(len(a), dtype=np.uint8)
+        for lo in range(0, len(a), _PASS_ROWS):
+            i, j = a[lo : lo + _PASS_ROWS], b[lo : lo + _PASS_ROWS]
+            parities[lo : lo + len(i)] = decoder.parities(ct, cells[i] ^ cells[j])
+        fails[:, ct] = judge[:, ct] != parities[ids[ct] - 1]  # pair (0, k) is pair k - 1
+        if max_faults == 2:
+            tables.append(np.zeros((n, n), dtype=np.uint8))  # a row XOR itself has no events
+            tables[ct][a, b] = tables[ct][b, a] = parities << 2 * ct
+    if max_faults == 1:
+        return fails, (np.zeros(0, dtype=np.int64),) * 2
+    judge, firsts, seconds = judge[:, 0] | judge[:, 1] << 2, [], []
+    for i in range(len(rows) - 1):
+        rest = slice(i + 1, None)
+        verdict = tables[0][ids[0, i]][ids[0, rest]] | tables[1][ids[1, i]][ids[1, rest]]
+        seconds.append(np.flatnonzero(verdict != judge[rest] ^ judge[i]) + i + 1)
+        firsts.append(np.full(len(seconds[-1]), i))
+    empty = [np.zeros(0, dtype=np.int64)]
+    return fails, (np.concatenate(empty + firsts), np.concatenate(empty + seconds))
 
 
 def _walk(compiled: CompiledProgram, universe: _Universe, decoder: Decoder,
           max_faults: int = 1, stop_early: bool = False) -> tuple:
     """The one walk over a universe: per spec, in order, whether it is a
     leak spec and, per check type, how many points of its side fail and the
-    side's rank (each type's Pauli rows are one-point stages of rank-0
-    sides); then, at two faults, the failing Pauli pairs as two arrays of
-    spec indices.  Two replay phases, the leak baselines and the unit
-    table; the table is freed before the leak sides are built, and
-    ``stop_early`` drops a spec at its first failing stage
-    (``_failing_counts``)."""
+    side's rank (a Pauli spec's sides have rank 0 and one point, judged by
+    ``_pauli_verdicts``); then, at two faults, the failing Pauli pairs as
+    two arrays of spec indices.  Two replay phases, the leak baselines and
+    the unit table; the table and the Pauli rows are freed before the leak
+    sides are built, and ``stop_early`` drops a spec at its first failing
+    stage (``_failing_counts``)."""
     leak = universe.template == _LEAK
     paulis, leaks = np.flatnonzero(~leak), np.column_stack([universe.gate, universe.victim])[leak]
-    base, owner, generators = _baselines(compiled, leaks)
+    base, owner, generators = _replays(compiled, leaks, np.full(len(leaks), -1), trace=True)
     table, index, effects, unit_of = _unit_table(compiled, universe.keys(paulis), generators)
-    judged, (first, second) = _pauli_verdicts(decoder, table, index, max_faults)
-    del table, index  # no unit row lives through the stages
+    rows = _pauli_rows(table, index)
+    del table, index
+    judged, (first, second) = _pauli_verdicts(decoder, rows, max_faults)
+    del rows  # no unit or Pauli row lives through the stages
     sides = _sides(base, effects, owner, unit_of)
     del base, effects, owner, generators, unit_of  # only the sides live through the stages
     counts, ranks = np.zeros((2, len(leak), 2), dtype=np.int64)

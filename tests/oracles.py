@@ -35,7 +35,7 @@ from toricleak.experiments import _LIST_KEYS, CONFIG_VERSION, ExperimentConfig, 
 from toricleak.lattice import Z, ToricLattice
 from toricleak.noise import NoiseModel
 from toricleak.pauli import PAULI1_ERRORS, PAULI2_ERRORS, PAULI_I, PAULI_X, PAULI_Y, PAULI_Z
-from toricleak.scanner import FaultSpec, _cell_ids, _gf2_basis
+from toricleak.scanner import FaultSpec, _gf2_basis
 from toricleak.sim import CompiledProgram, Injections
 from toricleak.vector import execute
 
@@ -443,8 +443,12 @@ def pair_failures(decoder: Decoder, specs: list[FaultSpec], rows: np.ndarray,
     the XOR of their two rows, fails on some check type, judged row by row
     in passes of ``pass_rows`` pairs: each pass gathers its XORed rows and
     sends ``Decoder.parities`` one row per distinct pair of the two specs'
-    ``_cell_ids`` (equal id pairs, equal XORed cells)."""
-    n, ids = len(specs), _cell_ids(rows)
+    cell ids, each row's first-seen order among its check type's distinct
+    cell bytes (equal id pairs, equal XORed cells)."""
+    n, ids = len(specs), np.zeros((2, len(rows)), dtype=np.int64)
+    for ct in (0, 1):
+        seen: dict[bytes, int] = {}
+        ids[ct] = [seen.setdefault(cells.tobytes(), len(seen)) for cells in rows[:, ct, :-1]]
     total = n * (n - 1) // 2
     first = np.arange(n) * (2 * n - 1 - np.arange(n)) // 2  # flat number of pair (i, i + 1)
     failures = []

@@ -82,7 +82,7 @@ def _leak_sides(compiled, specs):
     """The scanner's span sides of leak specs, as its walk builds them: the
     traced baselines, the unit table's effects and the basis step."""
     leaks = np.array([(s.gate_index, s.victim) for s in specs], dtype=np.int64).reshape(-1, 2)
-    base, owner, generators = scanner._baselines(compiled, leaks)
+    base, owner, generators = scanner._replays(compiled, leaks, np.full(len(leaks), -1), trace=True)
     _, _, effects, unit_of = scanner._unit_table(compiled, np.zeros((0, 4), dtype=np.int64), generators)
     return scanner._sides(base, effects, owner, unit_of)
 
@@ -448,23 +448,24 @@ def test_composed_pauli_points_equal_their_own_replays(variant):
 
 
 def test_unit_points_are_released_before_the_leak_specs(monkeypatch):
-    """No unit row and no Pauli spec row is alive while the leak specs'
+    """No replay row and no Pauli spec row is alive while the leak specs'
     spans are walked, in a single-fault scan, a pair scan and the failure
-    fractions: each walk builds one unit table and one pass of Pauli rows,
-    and the pair scan the rows of every Pauli spec for its pair tables."""
+    fractions: each walk replays the leak baselines and one unit table and
+    builds the rows of every Pauli spec once, for its verdicts and its pair
+    tables."""
     compiled = _compiled("standard", rounds=1)
     universe = enumerate_fault_universe(compiled)
     specs = [s for s in universe if s.kind != "leak"][::11] + [s for s in universe if s.kind == "leak"][:3]
     made = []  # weak references to every unit and spec row array built
 
     def recording(build):
-        def wrapped(*args):
-            rows = build(*args)
-            made.append(weakref.ref(rows))
-            return rows
+        def wrapped(*args, **kwargs):
+            built = build(*args, **kwargs)
+            made.append(weakref.ref(built[0] if isinstance(built, tuple) else built))
+            return built
         return wrapped
 
-    for name in ("_unit_rows", "_pauli_rows"):
+    for name in ("_replays", "_pauli_rows"):
         monkeypatch.setattr(scanner, name, recording(getattr(scanner, name)))
     alive = []  # per leak walk: how many recorded arrays are alive
     walk = scanner._failing_counts
@@ -477,7 +478,7 @@ def test_unit_points_are_released_before_the_leak_specs(monkeypatch):
     for max_faults in (1, 2):
         scan(compiled, universe=specs, max_faults=max_faults)
     leak_failure_fractions(compiled, specs)
-    assert len(made) == 7 and len(alive) == 3 and not any(alive)
+    assert len(made) == 9 and len(alive) == 3 and not any(alive)
 
 
 _REFERENCE: dict = {}  # (d, check type, cell bytes) -> the reference matcher's parities
@@ -535,11 +536,11 @@ def test_pair_verdicts_equal_per_mask_matching():
 @pytest.mark.parametrize("variant, rounds", [("standard", 1), ("swap_alt", 1)]
                          + [(variant, 3) for variant in VARIANTS])
 def test_pair_tables_equal_the_row_by_row_judge(variant, rounds):
-    """The pair judge reads each pair's verdict from per-check-type tables
-    of cell-row pairs; it lists the same failing pairs, in the same order,
-    as the row-by-row reference: on all 683,865 pairs of a d=3, one-round
-    Pauli universe, and on every pair of a seeded sample of 201 Pauli specs
-    (20,100 pairs) of each d=3, three-round universe."""
+    """The keyed Pauli judge reads each pair's verdict from per-check-type
+    tables of cell-row pairs; it lists the same failing pairs, in the same
+    order, as the row-by-row reference: on all 683,865 pairs of a d=3,
+    one-round Pauli universe, and on every pair of a seeded sample of 201
+    Pauli specs (20,100 pairs) of each d=3, three-round universe."""
     compiled = _compiled(variant, rounds=rounds)
     specs = [s for s in enumerate_fault_universe(compiled) if s.kind != "leak"]
     if rounds == 3:
@@ -549,7 +550,7 @@ def test_pair_tables_equal_the_row_by_row_judge(variant, rounds):
     rows = _pauli_rows(compiled, specs)
     failing = oracles.pair_failures(decoder, specs, rows)
     assert len(specs) * (len(specs) - 1) // 2 == (683865 if rounds == 1 else 20100)
-    first, second = scanner._pair_failures(decoder, rows)
+    _, (first, second) = scanner._pauli_verdicts(decoder, rows, 2)
     assert failing and [(specs[i], specs[j]) for i, j in zip(first.tolist(), second.tolist())] == failing
 
 
@@ -596,14 +597,19 @@ def test_scan_verdict_agrees_with_failure_fraction(case, monkeypatch):
 def test_an_unknown_fault_kind_is_refused():
     """A spec of a kind the scanner does not know is a ``ValueError`` that
     names it, alone or among known specs: never a spec the scan drops nor a
-    rank-0 point that the failure fractions judge as a Pauli spec's."""
+    rank-0 point that the failure fractions judge as a Pauli spec's, and
+    never a location that reports the unknown kind."""
     compiled = _compiled("standard", rounds=1)
     known = enumerate_fault_universe(compiled)[::40]
-    for specs in ([FaultSpec("leek", 5, victim=0)], known + [FaultSpec("leek", 5, victim=0)]):
-        with pytest.raises(ValueError, match="'leek'"):
-            scan(compiled, universe=specs)
-        with pytest.raises(ValueError, match="'leek'"):
-            leak_failure_fractions(compiled, specs)
+    for unknown in (FaultSpec("leek", 5, victim=0), FaultSpec("bogus", 3)):
+        message = f"unknown fault kind '{unknown.kind}'"
+        for specs in ([unknown], known + [unknown]):
+            with pytest.raises(ValueError, match=message):
+                scan(compiled, universe=specs)
+            with pytest.raises(ValueError, match=message):
+                leak_failure_fractions(compiled, specs)
+        with pytest.raises(ValueError, match=message):
+            spec_location(compiled, unknown)
 
 
 @pytest.mark.parametrize("victim", [-1, 2])
@@ -646,7 +652,10 @@ def test_malformed_pauli_specs_are_refused_as_the_executor_refuses_them():
     """A Pauli on a position the gate lacks, a measurement flip on another
     gate, a gate outside the program and a gate that is not an integer
     are the executor's ``ValueError`` in a scan, a pair scan and the
-    failure fractions, never a composed point of some other gate's unit."""
+    failure fractions, never a composed point of some other gate's unit.
+    ``spec_location`` refuses a gate outside the program or not an integer
+    with the same message: never the last gate's location for gate -1, nor
+    a bare ``IndexError``."""
     compiled = _compiled("standard", rounds=1)
     gates = compiled.gates
     h = next(gi for gi, g in enumerate(gates) if g.kind == "H")
@@ -674,7 +683,11 @@ def test_malformed_pauli_specs_are_refused_as_the_executor_refuses_them():
                 scan(compiled, universe=good + [spec], max_faults=max_faults)
         with pytest.raises(ValueError, match=message):
             leak_failure_fractions(compiled, good + [spec])
+        if not 0 <= spec.gate_index < len(gates) or isinstance(spec.gate_index, float):
+            with pytest.raises(ValueError, match=message):
+                spec_location(compiled, spec)
     assert _refusal(compiled, bad[0]) == f"gate {h} has no qubit at position 1 for a Pauli"
+    assert _refusal(compiled, bad[5]) == f"gate -1 is not one of the program's {len(gates)} gates"
 
 
 def test_paulis_that_are_not_pairs_of_bits_are_refused(monkeypatch):
@@ -741,9 +754,9 @@ def test_unhashable_paulis_and_a_meas_flip_with_paulis_are_refused(monkeypatch):
 def test_empty_and_leak_only_universes_scan_as_before(monkeypatch):
     """With no Pauli spec there is no row to judge and no pair: an empty
     universe fails nothing, and a leak-only one fails the leak specs it
-    fails beside Pauli specs, at one and two faults.  A universe without
-    leak specs judges one-point stages only: each check type's Pauli rows,
-    in passes of ``_PASS_ROWS // 4`` specs."""
+    fails beside Pauli specs, at one and two faults.  Pauli rows never
+    reach the span judge: an empty or Pauli-only universe judges no stage,
+    and a mixed one's stages hold exactly its leak specs' span points."""
     compiled = _compiled("standard", rounds=1)
     universe = enumerate_fault_universe(compiled)
     leaks = [s for s in universe if s.kind == "leak"][::7]
@@ -763,7 +776,7 @@ def test_empty_and_leak_only_universes_scan_as_before(monkeypatch):
         judged.clear()
         empty = scan(compiled, universe=[], max_faults=max_faults)
         assert scan(compiled, universe=paulis, max_faults=max_faults).pauli_failures == []
-        assert [shape[:2] for shape in judged] == [(1, 0)] * 2 + [(1, len(paulis))] * 2, judged
+        assert judged == []
         assert (empty.n_pauli_specs, empty.n_leak_specs, empty.n_pairs) == (0, 0, 0)
         assert empty.distance_preserving and empty.exhaustive and not empty.pair_failures
         only = scan(compiled, universe=leaks, max_faults=max_faults)
@@ -771,11 +784,39 @@ def test_empty_and_leak_only_universes_scan_as_before(monkeypatch):
         assert (only.pauli_failures, only.pair_failures, only.n_pairs) == ([], [], 0)
         text = verdict_to_text(compiled, only).splitlines()
         assert ("pairs_scanned=0 pairs_failing=0" in text) == (max_faults == 2)
-    monkeypatch.setattr(scanner, "_PASS_ROWS", 64)  # Pauli passes of 16 specs: 32 rows a block
     judged.clear()
-    scan(compiled, universe=paulis)
-    assert [shape[:2] for shape in judged] == [
-        (1, min(16, len(paulis) - lo)) for lo in range(0, len(paulis), 16) for _ in (0, 1)]
+    leak_failure_fractions(compiled, paulis + leaks)
+    points = sum(int((1 << ranks).sum()) for _, ranks, _ in _leak_sides(compiled, leaks))
+    assert sum(n * k for n, k, _ in judged) == points
+
+
+def test_each_distinct_pauli_row_is_judged_once(monkeypatch):
+    """The standard d=3, three-round scan keys its 3,510 Pauli rows by their
+    cells before any span stage: ``Decoder.parities`` gets 181 rows per
+    check type for them, no row twice in one call, and the report is the
+    golden one."""
+    compiled = _compiled("standard")
+    calls = []  # per call before the first span stage: its check type and rows
+
+    class Recording(Decoder):
+        def parities(self, check_type, cells):
+            calls.append((check_type, cells.copy()))
+            return super().parities(check_type, cells)
+
+    stage_judge = scanner._judged
+
+    def first_stage(*args):
+        calls.append(None)
+        return stage_judge(*args)
+
+    monkeypatch.setattr(scanner, "_judged", first_stage)
+    verdict = scan(compiled, decoder=Recording(compiled.lattice))
+    assert verdict.n_pauli_specs == 3510
+    assert verdict_to_text(compiled, verdict) == verdict_to_text(compiled, _doc_scan("standard")[1])
+    keyed = calls[: calls.index(None)]
+    assert [(ct, len(cells)) for ct, cells in keyed] == [(0, 181), (1, 181)]
+    for ct, cells in keyed:
+        assert len(np.unique(cells, axis=0)) == len(cells), ct
 
 
 class _MisjudgingStars(Decoder):
@@ -791,8 +832,9 @@ def test_pauli_spec_fractions_are_exactly_zero_or_one(decoder, monkeypatch):
     """A Pauli or meas_flip spec is a rank-0 span: its failure fraction is
     exactly 0 or 1, and 1 exactly for the specs the scan fails.  No single
     Pauli fault fails the production decoder at d=3, so a decoder that
-    misjudges star matchings supplies failing specs.  Judged in passes of
-    16 specs, the scan fails the same ones."""
+    misjudges star matchings supplies failing specs.  The keyed judge, at
+    one fault and at two, fails exactly the specs whose own rows fail when
+    judged row by row."""
     monkeypatch.setattr(scanner, "Decoder", decoder)
     compiled = _compiled("standard", rounds=1)
     specs = [s for s in enumerate_fault_universe(compiled) if s.kind != "leak"][::5]
@@ -802,8 +844,11 @@ def test_pauli_spec_fractions_are_exactly_zero_or_one(decoder, monkeypatch):
     assert [s for s, (q, _) in zip(specs, fractions) if q == 1.0] == verdict.pauli_failures
     assert bool(verdict.pauli_failures) == (decoder is _MisjudgingStars)
     assert len(verdict.pauli_failures) < len(specs)
-    monkeypatch.setattr(scanner, "_PASS_ROWS", 64)  # Pauli passes of 16 specs
-    assert scan(compiled, universe=specs).pauli_failures == verdict.pauli_failures
+    judge = decoder(compiled.lattice)
+    fails = [any(row[ct, -1] != judge.parities(ct, row[None, ct, :-1])[0] for ct in (0, 1))
+             for row in _pauli_rows(compiled, specs)]
+    assert verdict.pauli_failures == [s for s, fail in zip(specs, fails) if fail]
+    assert scan(compiled, universe=specs, max_faults=2).pauli_failures == verdict.pauli_failures
 
 
 def _joint_script(compiled, a, b):
@@ -1114,7 +1159,7 @@ def _pair_units(compiled):
     """The distinct pair unit keys that the program's leak specs open."""
     specs = [s for s in enumerate_fault_universe(compiled) if s.kind == "leak"]
     leaks = np.array([(s.gate_index, s.victim) for s in specs], dtype=np.int64)
-    units = np.unique(scanner._baselines(compiled, leaks)[2])
+    units = np.unique(scanner._replays(compiled, leaks, np.full(len(leaks), -1), trace=True)[2])
     return units[(units < 5 * len(compiled.gates)) & (units % 5 < 4)]
 
 
@@ -1137,13 +1182,14 @@ def test_pair_units_are_replayed_on_the_leak_their_slot_implies(monkeypatch):
     units = _pair_units(compiled)
     inert = scanner._inert(compiled, units)
     leaky = []  # per unit table, its rows that carry a leak
-    unit_rows = scanner._unit_rows
+    replays = scanner._replays
 
-    def recording(compiled, leaks, keys):
-        leaky.append(int((leaks[:, 0] != -1).sum()))
-        return unit_rows(compiled, leaks, keys)
+    def recording(compiled, leaks, keys, trace=False):
+        if not trace:  # the unit table, not the traced baselines
+            leaky.append(int((leaks[:, 0] != -1).sum()))
+        return replays(compiled, leaks, keys, trace)
 
-    monkeypatch.setattr(scanner, "_unit_rows", recording)
+    monkeypatch.setattr(scanner, "_replays", recording)
     specs = [s for s in enumerate_fault_universe(compiled) if s.kind == "leak"]
     want = leak_sides(compiled, specs)
     _assert_same_sides(_leak_sides(compiled, specs), want)
@@ -1157,11 +1203,12 @@ def test_pair_units_are_replayed_on_the_leak_their_slot_implies(monkeypatch):
 
 def test_each_replay_phase_is_one_executor_call(monkeypatch):
     """The standard d=3, three-round scan replays in two executor calls:
-    its 540 leak baselines with their traces, then its unit table of 1,116
-    rows: the 1,080 units of its Pauli specs and the 36 readout units of
-    its leak specs, every pair unit being inert and every junk measurement
-    unit a Pauli spec's too.  With the row bound cut to 500 the phases
-    split into 2 and 3 calls and the report is the same."""
+    its 540 leak baselines with their traces, then its unit table of 1,117
+    rows: the 1,080 units of its Pauli specs, the 36 readout units of its
+    leak specs, every pair unit being inert and every junk measurement
+    unit a Pauli spec's too, and one fault-free row.  With the row bound
+    cut to 500 the phases split into 2 and 3 calls and the report is the
+    same."""
     compiled = _compiled("standard")
     rows = []
 
@@ -1171,18 +1218,18 @@ def test_each_replay_phase_is_one_executor_call(monkeypatch):
 
     monkeypatch.setattr(scanner, "execute", counting)
     report = verdict_to_text(compiled, scan(compiled))
-    assert rows == [540, 1116]
+    assert rows == [540, 1117]
     assert report == verdict_to_text(compiled, _doc_scan("standard")[1])
     rows.clear()
     monkeypatch.setattr(scanner, "_CHUNK_ROWS", 500)
     assert verdict_to_text(compiled, scan(compiled)) == report
-    assert rows == [500, 40, 500, 500, 116]
+    assert rows == [500, 40, 500, 500, 117]
 
 
 def test_leak_walk_replays_each_distinct_unit_once(monkeypatch):
     """On standard d=3 at three rounds, the leak walk of a scan and of the
     failure fractions replays each spec's baseline and each distinct unit
-    generator once: not one row per spec and unit.  Every pair unit is
+    generator once, and one fault-free row: not one row per spec and unit.  Every pair unit is
     inert, so none is replayed on its leak and no leak is replayed alone."""
     compiled = _compiled("standard")
     specs = [s for s in enumerate_fault_universe(compiled) if s.kind == "leak"]
@@ -1203,7 +1250,7 @@ def test_leak_walk_replays_each_distinct_unit_once(monkeypatch):
     for walk in (lambda: scan(compiled, universe=specs), lambda: leak_failure_fractions(compiled, specs)):
         rows.clear()
         walk()
-        assert sum(rows) <= len(specs) + len(units) == 1458
+        assert sum(rows) <= len(specs) + len(units) + 1 == 1459
 
 
 def test_leak_fractions_match_the_frozen_fixture():
