@@ -98,11 +98,12 @@ class Decoder:
                 par ^= pairs[sites[i]][sites[j]][1]
         return par
 
-    def judge_batch(self, syndromes: np.ndarray, data_x: np.ndarray, data_z: np.ndarray) -> np.ndarray:
+    def judge_batch(self, syndromes: np.ndarray, readout: np.ndarray) -> np.ndarray:
         """Per-shot judge bits (X_L1, X_L2, Z_L1, Z_L2) for a stacked batch:
-        the readout parities XOR each check type's ``parities`` of the
+        the readout parities (``ToricLattice.logical_parities`` of the
+        shots' readout frames) XOR each check type's ``parities`` of the
         shots' event rows."""
-        judge = self.lat.logical_parities(data_x, data_z)
+        judge = np.array(readout, dtype=np.uint8)
         events = event_rows(syndromes)
         par = np.stack([self.parities(ct, events[:, ct]) for ct in range(events.shape[1])], axis=1)
         judge[:, 0::2] ^= par & 1
@@ -146,7 +147,8 @@ class Decoder:
         """For rows of n events each: the minimum matching weight, the subset
         DP's crossing parities, and whether the row's minimum-weight
         matchings disagree in parity (its ambiguous bit)."""
-        times, sites = np.divmod(np.nonzero(cells)[1].reshape(-1, n).T, self._sites)
+        # one flat search: each row's cells in order, as the 2-D ``np.nonzero`` gives them
+        times, sites = np.divmod((np.flatnonzero(cells) % cells.shape[1]).reshape(-1, n).T, self._sites)
         i, j = np.triu_indices(n, 1)
         pair = self._table[check_type, sites[i], sites[j]]  # (pairs, rows, 2)
         pair_weight = (pair[..., 0] + np.abs(times[i] - times[j])).astype(np.int32)

@@ -5,7 +5,11 @@ failures with the vectorized simulator and the exact matching decoder.
 Determinism contract: every shot draws its randomness from
 ``(master_seed, shot_index)`` alone and the stopping rule is evaluated on
 cumulative counts at fixed batch boundaries, so the emitted CSV is
-byte-identical for any worker count.
+byte-identical for any worker count.  The legs of one distance share a
+program and so the draws of each shot: they run as one group on common
+draws (``vector.run_group``), each chunk drawn once for every active leg.
+Their estimates are therefore positively correlated, which
+``fit_exponent`` does not model.
 
 The logical error rate of a distance-d memory follows ``P_L = A * p**s``
 with ``s = ceil(d/2)`` when every single fault is correctable and a
@@ -27,7 +31,7 @@ from .circuits import VARIANTS, build_program
 from .decoder import Decoder
 from .noise import NoiseModel
 from .sim import compile_program
-from .vector import run_batch
+from .vector import run_group
 
 CONFIG_VERSION = "toricleak-config v1"
 COMPARE_VERSION = "toricleak-compare v1"
@@ -222,20 +226,28 @@ class SweepRow:
         return wilson_interval(self.failures, self.shots)
 
 
+@lru_cache(maxsize=8)
+def _built(variant: str, d: int, rounds: int):
+    """The program and the decoder that every leg of ``(variant, d, rounds)`` shares."""
+    program = build_program(variant, d, rounds)
+    return program, Decoder(program.lattice)
+
+
 @lru_cache(maxsize=32)
 def _compiled_leg(variant: str, d: int, rounds: int, noise: NoiseModel):
-    compiled = compile_program(build_program(variant, d, rounds), noise)
-    return compiled, Decoder(compiled.program.lattice)
+    program, decoder = _built(variant, d, rounds)
+    return compile_program(program, noise), decoder
 
 
-def _count_failures(leg: tuple, master_seed: int, start: int,
-                    n_shots: int) -> tuple[int, tuple[int, int, int, int]]:
-    """Failures in one part of a batch of ``leg`` = (variant, d, rounds, noise)."""
-    compiled, decoder = _compiled_leg(*leg)
-    res = run_batch(compiled, master_seed, start, n_shots)
-    judge = decoder.judge_batch(res.syndromes, res.data_x, res.data_z)
-    per_logical = tuple(int(c) for c in judge.sum(axis=0))
-    return int(judge.any(axis=1).sum()), per_logical
+def _count_failures(legs: tuple, master_seed: int, start: int, n_shots: int) -> np.ndarray:
+    """Per leg of ``legs``, each ``(variant, d, rounds, noise)`` of one
+    program, one row of counts in one part of a batch: its failures, then
+    its failures per logical parity.  All legs run on common draws, in one
+    ``run_group`` call."""
+    compiled = [_compiled_leg(*leg) for leg in legs]
+    inputs = run_group([program for program, _ in compiled], master_seed, start, n_shots)
+    judges = [decoder.judge_batch(*leg_inputs) for (_, decoder), leg_inputs in zip(compiled, inputs)]
+    return np.array([[judge.any(axis=1).sum(), *judge.sum(axis=0)] for judge in judges], dtype=np.int64)
 
 
 def _chunks(start: int, n: int, workers: int) -> list[tuple[int, int]]:
@@ -254,11 +266,15 @@ def _chunks(start: int, n: int, workers: int) -> list[tuple[int, int]]:
 def run_sweep(config: ExperimentConfig, workers: int = 1) -> list[SweepRow]:
     """Run every (d, p) leg of the sweep; deterministic for fixed seed.
 
-    The shots of each batch split into ``workers`` parts; the pool that runs
+    The legs of one distance share a program, so they run as one group:
+    batch by batch in lockstep, each batch's draws made once for all of its
+    legs (``run_group``), until each leg's own stopping rule ends it.  The
+    shots of each batch split into ``workers`` parts; the pool that runs
     them holds at most one process per CPU.
     """
     if workers < 1:
         raise ConfigError("workers: must be >= 1")
+    budget = config.shots if config.shots is not None else config.max_shots
     rows = []
     pool = None
     if workers > 1:
@@ -269,34 +285,32 @@ def run_sweep(config: ExperimentConfig, workers: int = 1) -> list[SweepRow]:
     try:
         for d in config.d:
             rounds = config.rounds if config.rounds is not None else d
-            for p in config.p:
-                leg = (config.variant, d, rounds, config.noise_at(p))
-                budget = config.shots if config.shots is not None else config.max_shots
-                shots = failures = 0
-                by_logical = [0, 0, 0, 0]
-                while shots < budget:
-                    batch = min(BATCH_SHOTS, budget - shots)
-                    parts = _chunks(shots, batch, workers)
-                    if pool is None:
-                        counts = [_count_failures(leg, config.master_seed, s, n)
-                                  for s, n in parts]
-                    else:
-                        counts = list(pool.map(
-                            _count_failures,
-                            *zip(*((leg, config.master_seed, s, n) for s, n in parts)),
-                        ))
-                    for total, per_logical in counts:
-                        failures += total
-                        for i in range(4):
-                            by_logical[i] += per_logical[i]
-                    shots += batch
-                    if (config.target_failures is not None
-                            and failures >= config.target_failures):
-                        break
-                rows.append(SweepRow(config.variant, d, rounds, p, config.r,
-                                     config.side_policy, config.site_filter,
-                                     config.init_leak_at(p), shots, failures,
-                                     config.master_seed, tuple(by_logical)))
+            legs = [(config.variant, d, rounds, config.noise_at(p)) for p in config.p]
+            counts = np.zeros((len(legs), 5), dtype=np.int64)  # per leg: failures, then per logical
+            shots = np.zeros(len(legs), dtype=np.int64)
+            active = np.arange(len(legs))
+            done = 0  # shots every active leg has run
+            while len(active) and done < budget:
+                batch = min(BATCH_SHOTS, budget - done)
+                group = tuple(legs[k] for k in active)
+                parts = _chunks(done, batch, workers)
+                if pool is None:
+                    counted = [_count_failures(group, config.master_seed, s, n) for s, n in parts]
+                else:
+                    counted = pool.map(
+                        _count_failures,
+                        *zip(*((group, config.master_seed, s, n) for s, n in parts)),
+                    )
+                counts[active] += sum(counted)
+                done += batch
+                shots[active] = done
+                if config.target_failures is not None:
+                    active = active[counts[active, 0] < config.target_failures]
+            rows += [SweepRow(config.variant, d, rounds, p, config.r, config.side_policy,
+                              config.site_filter, config.init_leak_at(p), int(shots[k]),
+                              int(counts[k, 0]), config.master_seed,
+                              tuple(int(c) for c in counts[k, 1:]))
+                     for k, p in enumerate(config.p)]
     finally:
         if pool is not None:
             pool.shutdown()

@@ -323,19 +323,31 @@ def enumerate_fault_universe(compiled: CompiledProgram) -> list[FaultSpec]:
 
 
 def spec_location(compiled: CompiledProgram, spec: FaultSpec) -> SpecLocation:
-    """Where a spec sits.  A spec that a scan refuses (``_refused``), or a
-    leak spec whose victim is not on its gate, is a ``ValueError``."""
-    if refusal := _refused(spec, len(compiled.gates)):
+    """Where a spec sits.  A spec that a scan refuses is a ``ValueError``
+    with the scan's message: what ``_refused`` refuses, then Paulis without
+    a template (``_refusal``), then what the executor refuses of the spec's
+    replay rows: a leak or a Pauli at a position that its gate lacks, or a
+    measurement flip on a gate that is no measurement."""
+    n_gates = len(compiled.gates)
+    if refusal := _refused(spec, n_gates):
         raise ValueError(refusal)
-    label = compiled.gates[spec.gate_index].label
-    if spec.kind == "leak":
-        if not 0 <= spec.victim < len(label.roles):
-            raise ValueError(
-                f"gate {spec.gate_index} has no qubit at position {spec.victim} to leak"
-            )
-        role = label.roles[spec.victim]
+    template = _template_of(spec.kind, spec.paulis)
+    if template is None:
+        raise ValueError(_refusal(spec.kind, spec.paulis))
+    if template == _LEAK:
+        leaks, keys = np.array([[spec.gate_index, spec.victim]]), np.array([-1])
     else:
-        role = "+".join(label.roles)
+        slots = _TEMPLATE_SLOTS[template]
+        keys = 5 * int(spec.gate_index) + slots[slots >= 0]
+        leaks = np.full((len(keys), 2), -1)
+    execute(compiled, len(keys), injections=_injections(n_gates, leaks, keys))
+    return _location(compiled, spec)
+
+
+def _location(compiled: CompiledProgram, spec: FaultSpec) -> SpecLocation:
+    """Where a spec that a scan placed sits."""
+    label = compiled.gates[spec.gate_index].label
+    role = label.roles[spec.victim] if spec.kind == "leak" else "+".join(label.roles)
     phase = "-"
     if label.kind == H:
         kinds = [op.kind for op in compiled.program.rounds[label.round]]
@@ -800,7 +812,7 @@ def verdict_to_text(compiled: CompiledProgram, verdict: ScanVerdict) -> str:
     ]
     groups: dict[tuple, list[int]] = {}
     for spec in verdict.pauli_failures + verdict.leak_failures:
-        loc = spec_location(compiled, spec)
+        loc = _location(compiled, spec)
         key = (loc.fault, loc.kind, loc.ordinal, loc.role, loc.phase)
         groups.setdefault(key, []).append(loc.round)
     for key in sorted(groups, key=str):

@@ -18,16 +18,20 @@ per rule, grouped by layer with one stable sort per kind, and applied with
 one fancy update per kind and layer, so the rows of a whole replay phase
 cost one call.  A traced call also reports the consequence slots that
 leaks open, as one code per row and gate.
-``run_batch`` is the Monte-Carlo entry point.  It draws and executes a batch
-``_CHUNK_ROWS`` rows at a time through one reused draw buffer, so its memory
-is bounded by the chunk, not the batch, and every row is the one a
-whole-batch draw would give it.  The scanner calls ``execute`` directly,
-once per replay phase.
+``run_group`` is the Monte-Carlo entry point, over a group of programs
+that share one draw layout (a sweep's legs of one circuit at several
+noise models).  It draws a batch ``_CHUNK_ROWS`` rows at a time through
+one reused draw buffer and executes every program on each chunk, so the
+draws are made once for the group, its memory is bounded by the chunk,
+not the batch, and every row is the one a whole-batch draw would give
+it.  Of each row it keeps only what the judge reads.  The scanner calls
+``execute`` directly, once per replay phase.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
+from typing import NamedTuple
 
 import numpy as np
 
@@ -59,29 +63,47 @@ class BatchResult:
     slots: np.ndarray | None = None  # (shots, gates) consequence slot codes of a traced call
 
 
-def run_batch(
-    compiled: CompiledProgram,
+class JudgeInputs(NamedTuple):
+    """What the Monte-Carlo judge (``Decoder.judge_batch``) reads of a
+    program's shots."""
+
+    syndromes: np.ndarray  # (shots, rounds + 1, 2, d*d)
+    readout: np.ndarray  # (shots, 4) readout parities (X_L1, X_L2, Z_L1, Z_L2)
+
+
+def run_group(
+    programs: list[CompiledProgram],
     master_seed: int,
     shot_start: int,
     n_shots: int,
-) -> BatchResult:
-    """Monte-Carlo shots ``shot_start ..`` of the deterministic per-shot streams.
+) -> list[JudgeInputs]:
+    """Per program, the judge inputs of Monte-Carlo shots ``shot_start ..``
+    of the deterministic per-shot streams, all programs on common draws.
 
-    The rows run in chunks of ``_CHUNK_ROWS``.  Each chunk's draws fill the
-    leading rows of one column-major buffer, allocated once per call, and
-    the chunks' results are stacked into one ``BatchResult``.  A row depends
-    only on ``(master_seed, shot_index)``, so the chunking changes no bit.
+    A row's draws depend only on ``(master_seed, shot_index)`` and the
+    number of draws, so programs of one ``n_draws`` read the same rows;
+    programs whose ``n_draws`` differ are refused.  The rows run in chunks
+    of ``_CHUNK_ROWS``: each chunk's draws fill the leading rows of one
+    column-major buffer, allocated once per call, and every program
+    executes on them and writes its chunk's syndromes and readout parities
+    into its own arrays.  The chunking changes no bit.
     """
-    n_draws = compiled.n_draws
+    layouts = sorted({compiled.n_draws for compiled in programs})
+    if len(layouts) != 1:
+        raise ValueError(f"a group's programs share one draw layout, but they draw {layouts} uniforms")
+    n_draws = layouts[0]
     buf = np.empty((min(n_shots, _CHUNK_ROWS), n_draws), order="F")
-    parts = []
-    # at least one chunk, so that an empty batch keeps its shapes
-    for lo in range(0, max(n_shots, 1), _CHUNK_ROWS):
-        m = min(n_shots - lo, _CHUNK_ROWS)
-        U = batch_uniforms(master_seed, shot_start + lo, m, n_draws, out=buf[:m])
-        parts.append(execute(compiled, m, uniforms=U))
-    return BatchResult(*(np.concatenate([getattr(part, f.name) for part in parts])
-                         for f in fields(BatchResult) if f.name != "slots"))
+    out = [JudgeInputs(np.empty((n_shots, compiled.program.n_rounds + 1, 2, compiled.lattice.d**2),
+                                dtype=np.uint8),
+                       np.empty((n_shots, 4), dtype=np.uint8)) for compiled in programs]
+    for lo in range(0, n_shots, _CHUNK_ROWS):
+        hi = min(n_shots, lo + _CHUNK_ROWS)
+        U = batch_uniforms(master_seed, shot_start + lo, hi - lo, n_draws, out=buf[: hi - lo])
+        for compiled, inputs in zip(programs, out):
+            res = execute(compiled, hi - lo, uniforms=U)
+            inputs.syndromes[lo:hi] = res.syndromes
+            inputs.readout[lo:hi] = compiled.lattice.logical_parities(res.data_x, res.data_z)
+    return out
 
 
 def _refuse(bad: np.ndarray, message: str, *columns: np.ndarray) -> None:

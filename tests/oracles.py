@@ -34,7 +34,7 @@ from toricleak.decoder import _DP_LIMIT, Decoder, event_rows
 from toricleak.experiments import _LIST_KEYS, CONFIG_VERSION, ExperimentConfig, _fmt
 from toricleak.lattice import Z, ToricLattice
 from toricleak.noise import NoiseModel
-from toricleak.pauli import PAULI1_ERRORS, PAULI2_ERRORS, PAULI_I, PAULI_X, PAULI_Y, PAULI_Z
+from toricleak.pauli import PAULI1_ERRORS, PAULI2_ERRORS, PAULI_I, PAULI_X, PAULI_Y, PAULI_Z, batch_uniforms
 from toricleak.scanner import FaultSpec, _gf2_basis
 from toricleak.sim import CompiledProgram, Injections
 from toricleak.vector import execute
@@ -254,6 +254,19 @@ def shot_uniforms(master_seed: int, shot_index: int, n_draws: int) -> np.ndarray
     reference that every row of ``pauli.batch_uniforms`` must equal."""
     gen = np.random.Generator(np.random.PCG64(np.random.SeedSequence([master_seed, shot_index])))
     return gen.random(n_draws)
+
+
+def monte_carlo(compiled: CompiledProgram, master_seed: int, shot_start: int, n_shots: int):
+    """Every field of Monte-Carlo shots ``shot_start ..``: one executor call
+    on the whole batch's draws, whose syndromes and readout parities the
+    chunked ``vector.run_group`` must give."""
+    return execute(compiled, n_shots, uniforms=batch_uniforms(master_seed, shot_start, n_shots,
+                                                              compiled.n_draws))
+
+
+def judged(decoder: Decoder, res) -> np.ndarray:
+    """``Decoder.judge_batch`` of an executor result's rows."""
+    return decoder.judge_batch(res.syndromes, decoder.lat.logical_parities(res.data_x, res.data_z))
 
 
 @dataclass
@@ -523,7 +536,7 @@ def replay_spec(compiled: CompiledProgram, decoder: Decoder, spec: FaultSpec, as
     for slot, _ in assignment:
         if slot not in opened:
             raise ValueError(f"assignment slot {slot!r} is not downstream of the leak")
-    return res, decoder.judge_batch(res.syndromes[None], res.data_x[None], res.data_z[None])[0]
+    return res, decoder.judge_batch(res.syndromes[None], res.logical_parities[None])[0]
 
 
 # ---------------------------------------------------------------------------

@@ -13,13 +13,12 @@ import numpy as np
 import pytest
 
 import toricleak.decoder as decoder_module
-from oracles import _match_blossom, random_defects, weight_matrix
+from oracles import _match_blossom, monte_carlo, random_defects, weight_matrix
 from toricleak.blossom import _check_optimum, _solve, min_weight_perfect_matching
 from toricleak.circuits import build_program
 from toricleak.lattice import build_lattice
 from toricleak.noise import NoiseModel
 from toricleak.sim import compile_program
-from toricleak.vector import run_batch
 
 
 def _pairs(mate: list[int]) -> list[tuple[int, int]]:
@@ -103,7 +102,7 @@ def test_same_matching_as_networkx_on_recorded_sweep_d5_instances(monkeypatch):
 
     monkeypatch.setattr(decoder_module, "min_weight_perfect_matching", record)
     compiled = compile_program(build_program("standard", 5, 5), NoiseModel(p=3e-3, r=1.0))
-    res = run_batch(compiled, 7, 0, 500)
+    res = monte_carlo(compiled, 7, 0, 500)
     decoder = decoder_module.Decoder(compiled.program.lattice)
     for rows in decoder_module.event_rows(res.syndromes):
         for check_type, cells in enumerate(rows):

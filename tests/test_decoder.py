@@ -27,7 +27,9 @@ from oracles import (
     defect_mask,
     defect_rows,
     edge_parities,
+    judged,
     match_defects,
+    monte_carlo,
     path_edges,
     random_defects,
     reference_parities,
@@ -43,7 +45,7 @@ from toricleak.decoder import _CERTIFY_LIMIT, _DP_LIMIT, Decoder, _dp_layers, ex
 from toricleak.lattice import build_lattice
 from toricleak.noise import NoiseModel
 from toricleak.sim import compile_program
-from toricleak.vector import execute, run_batch
+from toricleak.vector import execute
 
 
 def _defects(events: np.ndarray, check_type: int) -> tuple[tuple[int, int], ...]:
@@ -68,7 +70,7 @@ def _judge_frames(compiled, frames_x=None, frames_z=None):
     """Judge bits of noiseless shots seeded with one data frame per row."""
     n_rows = len(frames_x if frames_x is not None else frames_z)
     res = execute(compiled, n_rows, initial_x=frames_x, initial_z=frames_z)
-    return Decoder(compiled.lattice).judge_batch(res.syndromes, res.data_x, res.data_z)
+    return judged(Decoder(compiled.lattice), res)
 
 
 def _brute_min_weight(w: np.ndarray) -> int:
@@ -120,8 +122,7 @@ def _judge_quiet_frames(decoder, sets, n_times):
             for t, s in defects:
                 events[row, t, check_type, s] = 1
     syndromes = np.bitwise_xor.accumulate(events, axis=1)  # events are XORs of consecutive rows
-    frames = np.zeros((len(sets), lat.n_data), dtype=np.uint8)
-    return decoder.judge_batch(syndromes, frames, frames)
+    return decoder.judge_batch(syndromes, np.zeros((len(sets), 4), dtype=np.uint8))
 
 
 def test_extract_events_static_and_flipped():
@@ -144,7 +145,7 @@ def test_extract_events_static_and_flipped():
 )
 def test_detection_event_parity_is_even(variant, noise):
     compiled = compile_program(build_program(variant, 3, 3), noise)
-    batch = run_batch(compiled, 31, 0, 200)
+    batch = monte_carlo(compiled, 31, 0, 200)
     events = extract_events_batch(batch.syndromes)
     counts = events.sum(axis=(1, 3))  # per shot, per check type
     assert not (counts % 2).any()
@@ -191,9 +192,9 @@ def test_judge_batch_rejects_odd_defects():
     """A batch with one odd row is refused, not judged with parity 0."""
     syndromes = np.zeros((3, 4, 2, 9), dtype=np.uint8)
     syndromes[1, 3, 1, 4] = 1  # one plaquette event in the last round
-    frames = np.zeros((3, 18), dtype=np.uint8)
+    readout = np.zeros((3, 4), dtype=np.uint8)
     with pytest.raises(ValueError, match="odd number of defects cannot be matched"):
-        Decoder(build_lattice(3)).judge_batch(syndromes, frames, frames)
+        Decoder(build_lattice(3)).judge_batch(syndromes, readout)
 
 
 @pytest.mark.parametrize("n", range(2, _DP_LIMIT + 1, 2))
@@ -594,7 +595,7 @@ def test_undetectable_logical_error_is_judged():
         frame[lat.h(0, c)] = 1  # a full horizontal X logical: zero syndrome
     res = run_shot(compiled, initial_x=frame)
     assert not res.syndromes.any()
-    judge = decoder.judge_batch(res.syndromes[None], res.data_x[None], res.data_z[None])[0]
+    judge = decoder.judge_batch(res.syndromes[None], res.logical_parities[None])[0]
     np.testing.assert_array_equal(judge, [1, 0, 0, 0])
     assert judge.any()
 
@@ -604,14 +605,14 @@ def test_judge_batch_matches_per_shot_decode_and_handles_quiet_shots():
     compiled = compile_program(build_program("swap_lrc", 3, 3), noise)
     lat = compiled.lattice
     decoder = Decoder(lat)
-    batch = run_batch(compiled, 77, 0, 150)
+    batch = monte_carlo(compiled, 77, 0, 150)
     # two event-free shots: a clean frame and an undetectable X logical
     quiet_x = np.zeros((2, lat.n_data), dtype=np.uint8)
     quiet_x[1, [lat.h(0, c) for c in range(3)]] = 1
     syndromes = np.concatenate([batch.syndromes, np.zeros_like(batch.syndromes[:2])])
     data_x = np.concatenate([batch.data_x, quiet_x])
     data_z = np.concatenate([batch.data_z, np.zeros_like(quiet_x)])
-    judges = decoder.judge_batch(syndromes, data_x, data_z)
+    judges = decoder.judge_batch(syndromes, lat.logical_parities(data_x, data_z))
     np.testing.assert_array_equal(judges[150:], [[0, 0, 0, 0], [1, 0, 0, 0]])
     for shot in range(152):
         one = slice(shot, shot + 1)
@@ -631,8 +632,8 @@ def test_judge_batch_equals_reference_frame_route(variant, d, noise, n_shots):
     """Crossing parities and corrected frames give the same verdict bit for
     bit, on both matcher routes (d=5 shots exceed the DP's 10 defects)."""
     compiled = compile_program(build_program(variant, d, d), noise)
-    batch = run_batch(compiled, 2025, 0, n_shots)
-    judges = Decoder(compiled.lattice).judge_batch(batch.syndromes, batch.data_x, batch.data_z)
+    batch = monte_carlo(compiled, 2025, 0, n_shots)
+    judges = judged(Decoder(compiled.lattice), batch)
     _, _, ref = _reference_frames(compiled.lattice, batch.syndromes, batch.data_x, batch.data_z)
     np.testing.assert_array_equal(judges, ref)
     assert ref.any(axis=1).any() and not ref.any(axis=1).all()
@@ -650,7 +651,7 @@ def test_judge_batch_equals_reference_frame_route(variant, d, noise, n_shots):
 )
 def test_corrected_frame_has_zero_syndrome(variant, noise):
     compiled = compile_program(build_program(variant, 3, 3), noise)
-    batch = run_batch(compiled, 13, 0, 120)
+    batch = monte_carlo(compiled, 13, 0, 120)
     corrected_x, corrected_z, _ = _reference_frames(
         compiled.lattice, batch.syndromes, batch.data_x, batch.data_z)
     for shot in range(120):
@@ -666,7 +667,7 @@ def test_pure_measurement_error_needs_no_data_correction():
     frames = np.zeros((1, 18), dtype=np.uint8)
     corrected_x, corrected_z, _ = _reference_frames(lat, syn, frames, frames)
     assert not corrected_x.any() and not corrected_z.any()
-    assert not decoder.judge_batch(syn, frames, frames).any()
+    assert not decoder.judge_batch(syn, lat.logical_parities(frames, frames)).any()
 
 
 def test_collinear_adjacent_pair_wraps_into_a_logical_at_d3_only():
@@ -683,7 +684,7 @@ def test_collinear_adjacent_pair_wraps_into_a_logical_at_d3_only():
 def test_decode_is_deterministic_across_decoder_instances():
     noise = NoiseModel(p=0.08, r=2.0)
     compiled = compile_program(build_program("swap_lrc", 3, 3), noise)
-    batch = run_batch(compiled, 3, 0, 60)
-    a = Decoder(compiled.lattice).judge_batch(batch.syndromes, batch.data_x, batch.data_z)
-    b = Decoder(compiled.lattice).judge_batch(batch.syndromes, batch.data_x, batch.data_z)
+    batch = monte_carlo(compiled, 3, 0, 60)
+    a = judged(Decoder(compiled.lattice), batch)
+    b = judged(Decoder(compiled.lattice), batch)
     np.testing.assert_array_equal(a, b)

@@ -8,6 +8,7 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import serialize_config
-from toricleak import experiments
+from toricleak import experiments, vector
 from toricleak.experiments import (
     BATCH_SHOTS,
     ConfigError,
@@ -32,6 +33,7 @@ from toricleak.experiments import (
     run_sweep,
     wilson_interval,
 )
+from toricleak.pauli import batch_uniforms
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -232,6 +234,40 @@ def test_sweep_is_deterministic_across_worker_counts():
     cfg = _cfg(p=(3e-3, 5e-3), shots=4000)
     assert rows_to_csv(run_sweep(cfg, workers=1)) == \
         rows_to_csv(run_sweep(cfg, workers=3))
+
+
+def test_a_sweep_equals_its_one_leg_sweeps_byte_for_byte():
+    """A sweep runs each distance's legs as one group on common draws, and
+    its CSV is still the rows of the one-leg sweeps, at 1 and 2 workers:
+    with legs that leave the group at different batches (20,000, 10,000
+    and 10,000 shots), and over two distances."""
+    configs = [
+        (ExperimentConfig(variant="swap_lrc", d=(3,), p=(2e-3, 5e-3, 1e-2), target_failures=900,
+                          max_shots=30_000), [20_000, 10_000, 10_000]),
+        (ExperimentConfig(variant="mixed_lrc", d=(3, 5), rounds=2, p=(3e-3, 6e-3), shots=700,
+                          master_seed=11), [700] * 4),
+    ]
+    for config, shots in configs:
+        alone = [row for d in config.d for p in config.p
+                 for row in run_sweep(replace(config, d=(d,), p=(p,)))]
+        assert [row.shots for row in alone] == shots
+        for workers in (1, 2):
+            assert rows_to_csv(run_sweep(config, workers=workers)) == rows_to_csv(alone)
+
+
+def test_a_sweep_draws_each_shot_once_for_all_its_legs(monkeypatch):
+    """Four legs of 2,500 shots on one program ask for 2,500 rows of draws
+    in total, not 10,000: every chunk is drawn once for the group."""
+    asked = []
+
+    def spy(master_seed, shot_start, n_shots, n_draws, **kwargs):
+        asked.append(n_shots)
+        return batch_uniforms(master_seed, shot_start, n_shots, n_draws, **kwargs)
+
+    monkeypatch.setattr(vector, "batch_uniforms", spy)
+    rows = run_sweep(_cfg(p=(1e-3, 2e-3, 3e-3, 5e-3), rounds=1, shots=2500))
+    assert [row.shots for row in rows] == [2500] * 4
+    assert sum(asked) == 2500
 
 
 def test_sweep_pool_holds_at_most_one_process_per_cpu(monkeypatch):

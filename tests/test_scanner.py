@@ -19,6 +19,7 @@ from oracles import (
     columns_of,
     crossing_parities,
     defect_rows,
+    judged,
     leak_consequences,
     leak_sides,
     random_defects,
@@ -653,9 +654,10 @@ def test_malformed_pauli_specs_are_refused_as_the_executor_refuses_them():
     gate, a gate outside the program and a gate that is not an integer
     are the executor's ``ValueError`` in a scan, a pair scan and the
     failure fractions, never a composed point of some other gate's unit.
-    ``spec_location`` refuses a gate outside the program or not an integer
-    with the same message: never the last gate's location for gate -1, nor
-    a bare ``IndexError``."""
+    ``spec_location`` refuses each with the same message: never a CNOT's
+    location for a measurement flip or a Pauli on a one-qubit gate's
+    missing position, never the last gate's location for gate -1, nor a
+    bare ``IndexError``."""
     compiled = _compiled("standard", rounds=1)
     gates = compiled.gates
     h = next(gi for gi, g in enumerate(gates) if g.kind == "H")
@@ -683,9 +685,8 @@ def test_malformed_pauli_specs_are_refused_as_the_executor_refuses_them():
                 scan(compiled, universe=good + [spec], max_faults=max_faults)
         with pytest.raises(ValueError, match=message):
             leak_failure_fractions(compiled, good + [spec])
-        if not 0 <= spec.gate_index < len(gates) or isinstance(spec.gate_index, float):
-            with pytest.raises(ValueError, match=message):
-                spec_location(compiled, spec)
+        with pytest.raises(ValueError, match=message):
+            spec_location(compiled, spec)
     assert _refusal(compiled, bad[0]) == f"gate {h} has no qubit at position 1 for a Pauli"
     assert _refusal(compiled, bad[5]) == f"gate -1 is not one of the program's {len(gates)} gates"
 
@@ -694,12 +695,14 @@ def test_paulis_that_are_not_pairs_of_bits_are_refused(monkeypatch):
     """A Pauli component other than 0 or 1, which the executor refuses as a
     frame bit, or a Pauli that is not an ``(x, z)`` pair is a ``ValueError``
     that names the Pauli and its position in a scan, a pair scan and the
-    failure fractions, before any replay: never a component read as 1."""
+    failure fractions, before any replay: never a component read as 1.
+    ``spec_location`` refuses each with the same message, never a CNOT's
+    location."""
     compiled = _compiled("standard", rounds=1)
     cnot = next(gi for gi, g in enumerate(compiled.gates) if g.kind == "CNOT")
     good = [s for s in enumerate_fault_universe(compiled) if s.kind != "leak"][:5]
     cases = [(((2, 0), (0, 0)), 0), (((-1, 0), (0, 0)), 0), (((0, 0), (1, 2)), 1),
-             (((1,),), 0), (((0, 0), 1), 1)]
+             (((1,),), 0), (((0, 0), 1), 1), (((2, 0),), 0)]
     for paulis, _ in cases[:3]:
         assert "by a value other than 0 or 1" in _refusal(compiled, FaultSpec("pauli", cnot, paulis=paulis))
 
@@ -715,14 +718,17 @@ def test_paulis_that_are_not_pairs_of_bits_are_refused(monkeypatch):
                 scan(compiled, universe=good + [spec], max_faults=max_faults)
         with pytest.raises(ValueError, match=message):
             leak_failure_fractions(compiled, good + [spec])
+        with pytest.raises(ValueError, match=message):
+            spec_location(compiled, spec)
 
 
 def test_unhashable_paulis_and_a_meas_flip_with_paulis_are_refused(monkeypatch):
     """Paulis given as a list, a Pauli given as a list and a ``meas_flip``
     spec that carries a Pauli are each a ``ValueError`` that names the
     Pauli and its position (a list of Paulis, the list) in a scan, a pair
-    scan and the failure fractions, before any replay: never a bare
-    ``TypeError`` from the slot cache, and never Paulis dropped."""
+    scan, the failure fractions and ``spec_location``, before any replay:
+    never a bare ``TypeError`` from the slot cache, and never Paulis
+    dropped."""
     compiled = _compiled("standard", rounds=1)
     cnot = next(gi for gi, g in enumerate(compiled.gates) if g.kind == "CNOT")
     meas = next(gi for gi, g in enumerate(compiled.gates) if g.kind == "MeasZ")
@@ -749,6 +755,8 @@ def test_unhashable_paulis_and_a_meas_flip_with_paulis_are_refused(monkeypatch):
                 scan(compiled, universe=good + [spec], max_faults=max_faults)
         with pytest.raises(ValueError, match=re.escape(message)):
             leak_failure_fractions(compiled, good + [spec])
+        with pytest.raises(ValueError, match=re.escape(message)):
+            spec_location(compiled, spec)
 
 
 def test_empty_and_leak_only_universes_scan_as_before(monkeypatch):
@@ -874,7 +882,7 @@ def test_pair_verdicts_equal_joint_replays(variant):
     pairs = [(a, b) for i, a in enumerate(sample) for b in sample[i + 1 :]]
     scripts = [_joint_script(compiled, a, b) for a, b in pairs]
     res = execute(compiled, len(scripts), injections=columns_of(scripts))
-    judge = Decoder(compiled.lattice).judge_batch(res.syndromes, res.data_x, res.data_z)
+    judge = judged(Decoder(compiled.lattice), res)
     failing = [pair for pair, bits in zip(pairs, judge) if bits.any()]
     assert verdict.n_pairs == len(pairs)
     assert failing and failing == verdict.pair_failures

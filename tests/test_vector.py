@@ -8,14 +8,15 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from oracles import Script, columns_of, leak_consequences, run_shot, script_for, shot_uniforms, trace_of
+from oracles import (Script, columns_of, leak_consequences, monte_carlo, run_shot, script_for, shot_uniforms,
+                     trace_of)
 from toricleak import vector
 from toricleak.circuits import CNOT, MEAS_Z, SWAP, VARIANTS, build_program
 from toricleak.noise import NoiseModel
 from toricleak.pauli import batch_uniforms
 from toricleak.scanner import enumerate_fault_universe
 from toricleak.sim import Injections, compile_program
-from toricleak.vector import execute, run_batch
+from toricleak.vector import execute, run_group
 
 from scalar_reference import reference_shot
 
@@ -41,9 +42,15 @@ CASES = [
 
 @pytest.mark.parametrize("variant,d,rounds,noise", CASES)
 def test_batch_matches_scalar_bitwise(variant, d, rounds, noise):
+    """Every field of a batch execution on the batch's draws equals the
+    shots run alone, and ``run_group``'s judge inputs are the batch's."""
     compiled = compile_program(build_program(variant, d, rounds), noise)
     master_seed, n_shots = 424242, 40
-    batch = run_batch(compiled, master_seed, 0, n_shots)
+    batch = monte_carlo(compiled, master_seed, 0, n_shots)
+    [inputs] = run_group([compiled], master_seed, 0, n_shots)
+    np.testing.assert_array_equal(inputs.syndromes, batch.syndromes)
+    np.testing.assert_array_equal(inputs.readout,
+                                  compiled.lattice.logical_parities(batch.data_x, batch.data_z))
     for shot in range(n_shots):
         u = shot_uniforms(master_seed, shot, compiled.n_draws)
         ref = run_shot(compiled, uniforms=u)
@@ -73,18 +80,22 @@ def test_draw_layout_does_not_change_results(variant):
 def test_batch_rows_independent_of_chunking():
     noise = NoiseModel(p=0.1, r=2.0)
     compiled = compile_program(build_program("swap_lrc", 3, 3), noise)
-    whole = run_batch(compiled, 7, 0, 12)
-    parts = [run_batch(compiled, 7, start, 4) for start in (0, 4, 8)]
-    merged = np.concatenate([p.syndromes for p in parts])
-    np.testing.assert_array_equal(whole.syndromes, merged)
-    single = run_batch(compiled, 7, 5, 1)
+    [whole] = run_group([compiled], 7, 0, 12)
+    parts = [run_group([compiled], 7, start, 4)[0] for start in (0, 4, 8)]
+    for name in ("syndromes", "readout"):
+        merged = np.concatenate([getattr(part, name) for part in parts])
+        np.testing.assert_array_equal(getattr(whole, name), merged)
+    [single] = run_group([compiled], 7, 5, 1)
     np.testing.assert_array_equal(whole.syndromes[5], single.syndromes[0])
 
 
 def test_batch_shapes():
     compiled = compile_program(build_program("mixed_lrc", 3, 2), NoiseModel(p=0.01))
     for n_shots in (5, 0):  # an empty batch keeps its shapes
-        batch = run_batch(compiled, 1, 0, n_shots)
+        [inputs] = run_group([compiled], 1, 0, n_shots)
+        assert inputs.syndromes.shape == (n_shots, 3, 2, 9)
+        assert inputs.readout.shape == (n_shots, 4)
+        batch = monte_carlo(compiled, 1, 0, n_shots)
         assert batch.syndromes.shape == (n_shots, 3, 2, 9)
         assert batch.data_x.shape == batch.data_z.shape == (n_shots, 18)
         assert batch.leak_final.shape == (n_shots, 54)
@@ -92,16 +103,32 @@ def test_batch_shapes():
 
 def test_chunked_batch_equals_one_whole_batch_execution(monkeypatch):
     """Chunks of 3 rows, from shot 5: three full chunks and a partial last
-    one give the rows of one execution over the whole batch's draws.  No
-    call is traced, so neither result carries consequence slots."""
-    compiled = compile_program(build_program("mixed_lrc", 3, 2), REFERENCE_NOISE)
+    one give, for each program of a group on common draws, the judge
+    inputs of one execution over the whole batch's draws."""
+    program = build_program("mixed_lrc", 3, 2)
+    group = [compile_program(program, noise) for noise in (REFERENCE_NOISE, NoiseModel(p=0.2, r=0.5))]
     monkeypatch.setattr(vector, "_CHUNK_ROWS", 3)
-    chunked = run_batch(compiled, 7, 5, 10)
-    whole = execute(compiled, 10, uniforms=batch_uniforms(7, 5, 10, compiled.n_draws))
-    assert whole.leak_final.any() and whole.syndromes.any()
-    assert chunked.slots is None and whole.slots is None
-    for name in RESULT_FIELDS:
-        np.testing.assert_array_equal(getattr(chunked, name), getattr(whole, name), err_msg=name)
+    chunked = run_group(group, 7, 5, 10)
+    assert len(chunked) == len(group)
+    for compiled, inputs in zip(group, chunked):
+        whole = execute(compiled, 10, uniforms=batch_uniforms(7, 5, 10, compiled.n_draws))
+        assert whole.leak_final.any() and whole.syndromes.any()
+        np.testing.assert_array_equal(inputs.syndromes, whole.syndromes)
+        np.testing.assert_array_equal(inputs.readout,
+                                      compiled.lattice.logical_parities(whole.data_x, whole.data_z))
+    assert not np.array_equal(chunked[0].syndromes, chunked[1].syndromes)
+
+
+def test_a_group_of_different_draw_layouts_is_refused():
+    """Programs that draw different numbers of uniforms per shot cannot
+    share a chunk's draws, so a group of them is refused before any draw."""
+    noise = NoiseModel(p=0.01)
+    group = [compile_program(build_program("standard", 3, rounds), noise) for rounds in (2, 3)]
+    assert group[0].n_draws != group[1].n_draws
+    with pytest.raises(ValueError, match="share one draw layout"):
+        run_group(group, 1, 0, 5)
+    with pytest.raises(ValueError, match="share one draw layout"):
+        run_group([], 1, 0, 5)
 
 
 def test_draws_into_the_leading_rows_of_a_larger_buffer():
@@ -137,7 +164,7 @@ def test_a_batch_draws_at_most_one_chunk_at_a_time(monkeypatch):
     monkeypatch.setattr(vector, "batch_uniforms", spy)
     tracemalloc.start()
     try:
-        run_batch(compiled, 5, 0, n_shots)
+        run_group([compiled], 5, 0, n_shots)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
