@@ -4,11 +4,13 @@ Detection events are differences of consecutive syndrome rounds (round -1 is
 the all-zero baseline; the last row is the noiseless readout round).  One
 check type's events are one row of cells: cell ``t * d*d + site`` is the
 event of the check at ``site`` in round ``t``, so ascending cells are
-ascending ``(t, site)``.  Events of each check type are matched in
-spacetime with weight = torus Manhattan distance + time separation,
-exactly: a subset DP for up to 16 defects, an exact blossom matching
-(``blossom``, a port of NetworkX's) of the row's cells in order where the
-DP cannot decide.
+ascending ``(t, site)``.  ``judge_rows`` lays out the one judged row that
+the Monte-Carlo path and the scanner both build: per shot and check type,
+its event cells, then its two readout bits as one value 0-3.  Events of
+each check type are matched in spacetime with weight = torus Manhattan
+distance + time separation, exactly: a subset DP for up to 16 defects, an
+exact blossom matching (``blossom``, a port of NetworkX's) of the row's
+cells in order where the DP cannot decide.
 
 A matched pair is repaired along a shortest torus path, of which the decoder
 needs only the length and the two logical-crossing parities: one pair table
@@ -27,15 +29,15 @@ parities.
 The decoder returns verdicts, not corrections: the crossing parities of the
 minimum-weight matching, with one tie rule, are what the Monte-Carlo judge
 and the scanner both read, and ``Decoder.parities`` is their one route.  It
-takes rows of event cells (the shots of ``judge_batch``, the scanner's span
-points) and runs every row of at most 16 defects through a subset DP laid
-out in layers (``_dp_layers``).  The DP is top down: a state's pivot is its
-lowest defect, which pairs with each other defect in ascending order, and
-only a strictly lower weight replaces the incumbent, so ties go to the
+takes rows of event cells (the judged rows of ``judge_batch``, the scanner's
+span points) and runs every row of at most 16 defects through a subset DP
+laid out in layers (``_dp_layers``).  The DP is top down: a state's pivot is
+its lowest defect, which pairs with each other defect in ascending order,
+and only a strictly lower weight replaces the incumbent, so ties go to the
 lowest partner.  Its states are the sub-masks it reaches from a row's n
 cells, and one numpy pass per state size settles every state of that size
-for all rows of n defects at once.  Each state keeps its minimum weight,
-the parities of the DP's own choice, and an ambiguous bit: set when a tied
+for all rows of n defects at once.  Each state keeps its minimum weight, the
+parities of the DP's own choice, and an ambiguous bit: set when a tied
 partner leads to other parities or to an ambiguous sub-state, so by
 induction on the state size it is clear exactly when all the state's
 minimum-weight matchings have one parity.  Up to 10 defects a row takes the
@@ -98,17 +100,12 @@ class Decoder:
                 par ^= pairs[sites[i]][sites[j]][1]
         return par
 
-    def judge_batch(self, syndromes: np.ndarray, readout: np.ndarray) -> np.ndarray:
-        """Per-shot judge bits (X_L1, X_L2, Z_L1, Z_L2) for a stacked batch:
-        the readout parities (``ToricLattice.logical_parities`` of the
-        shots' readout frames) XOR each check type's ``parities`` of the
-        shots' event rows."""
-        judge = np.array(readout, dtype=np.uint8)
-        events = event_rows(syndromes)
-        par = np.stack([self.parities(ct, events[:, ct]) for ct in range(events.shape[1])], axis=1)
-        judge[:, 0::2] ^= par & 1
-        judge[:, 1::2] ^= par >> 1
-        return judge
+    def judge_batch(self, rows: np.ndarray) -> np.ndarray:
+        """Per judged row (``judge_rows``) and check type, its judge value
+        XOR the ``parities`` of its cells: a nonzero value is a logical
+        failure, its bits the check type's two judge bits."""
+        return np.stack([rows[:, ct, -1] ^ self.parities(ct, rows[:, ct, :-1])
+                         for ct in range(rows.shape[1])], axis=1)
 
     def parities(self, check_type: int, cells: np.ndarray) -> np.ndarray:
         """The crossing parities of the minimum-weight perfect matching of
@@ -205,14 +202,15 @@ def _dp_layers(n: int) -> tuple[int, list[tuple[int, int, np.ndarray, np.ndarray
     return len(index), layers
 
 
-def extract_events_batch(syndromes: np.ndarray) -> np.ndarray:
-    """Per shot, the XOR of consecutive syndrome rows from the zero baseline."""
+def judge_rows(lat: ToricLattice, res) -> np.ndarray:
+    """The judged rows of an executor result, per shot and check type (star,
+    then plaquette): its event cells, cell ``t * d*d + site`` the XOR of
+    rounds t and t - 1 of the check at ``site``, then as one value 0-3 its
+    two bits of ``ToricLattice.logical_parities`` of the readout frame."""
+    syndromes = res.syndromes
+    shots, times, types, sites = syndromes.shape
     events = syndromes.copy()
     events[:, 1:] ^= syndromes[:, :-1]
-    return events
-
-
-def event_rows(syndromes: np.ndarray) -> np.ndarray:
-    """Per shot and check type, its events as one row of cells."""
-    shots, times, types, sites = syndromes.shape
-    return extract_events_batch(syndromes).transpose(0, 2, 1, 3).reshape(shots, types, times * sites)
+    bits = lat.logical_parities(res.data_x, res.data_z).reshape(shots, types, 2)
+    return np.concatenate([events.transpose(0, 2, 1, 3).reshape(shots, types, times * sites),
+                           bits[..., :1] | bits[..., 1:] << 1], axis=2)

@@ -245,9 +245,10 @@ def _count_failures(legs: tuple, master_seed: int, start: int, n_shots: int) -> 
     its failures per logical parity.  All legs run on common draws, in one
     ``run_group`` call."""
     compiled = [_compiled_leg(*leg) for leg in legs]
-    inputs = run_group([program for program, _ in compiled], master_seed, start, n_shots)
-    judges = [decoder.judge_batch(*leg_inputs) for (_, decoder), leg_inputs in zip(compiled, inputs)]
-    return np.array([[judge.any(axis=1).sum(), *judge.sum(axis=0)] for judge in judges], dtype=np.int64)
+    rows = run_group([program for program, _ in compiled], master_seed, start, n_shots)
+    judges = [decoder.judge_batch(leg_rows) for (_, decoder), leg_rows in zip(compiled, rows)]
+    return np.array([[judge.any(axis=1).sum(), *(judge[..., None] >> np.arange(2) & 1).sum(axis=0).ravel()]
+                     for judge in judges], dtype=np.int64)
 
 
 def _chunks(start: int, n: int, workers: int) -> list[tuple[int, int]]:

@@ -19,7 +19,9 @@ unit keys follow.  ``_enumerated`` builds them from per-gate-kind templates
 with ``np.repeat``; a given ``FaultSpec`` list is converted once
 (``_from_specs``), its refusals tested column by column.  A ``FaultSpec``
 is built only for what a caller reads: ``enumerate_fault_universe``, and a
-scan's failures, sampled specs and pair members, each built once.
+scan's failures, sampled specs and pair members, each built once.  A
+verdict keeps its failing pairs as two index arrays and builds their
+tuples only when ``pair_failures`` is read.
 
 Worst-case leak semantics are evaluated exactly.  The leak trajectory is
 fixed by the location alone (outcome choices never create or move leaks),
@@ -48,24 +50,25 @@ unit's effect is its plain row; any other is replayed with its leak.
 A spec's effects, in its trace's order, are reduced to a basis, and the
 whole span is enumerated.
 The code is CSS and CNOT never mixes X and Z frame sectors, so every unit
-effect lands on one check type (``_sides`` raises ``ValueError`` if one
-does not).  The span therefore splits into a star side (star events + the
-two judge bits of the data X frame) and a plaquette side (plaquette events
-+ the Z frame's two), which the decoder also judges independently.  Points
-are rows (``_rows``'s layout): the check type's event cell ``t·d² + site``
-over the program's ``(rounds+1)·d²`` cells, then its two judge bits as one
-value 0-3.  Each check type's sides are three arrays: base rows, ranks and
-basis rows.  Points are ints, with the cells as bits and the judge bits
-above them, only inside the one basis step, to reduce bases.  One judge,
-``_failing_counts``, counts each side's failing points by
-``Decoder.parities``, in stages: stage 0 is each side's base point, stage
-k the points ``2^(k-1) .. 2^k - 1``, the base row XOR basis vector k - 1
-doubled by vectors 0 .. k - 2 (an XOR of rows is GF(2)-correct, judge
-value included).  Each stage is filled afresh into one block from the
-sides' arrays, for a number of sides at a time that bounds its rows by
-``_PASS_ROWS``, so no point outlives its stage.  A side whose rank exceeds
-``SPAN_BUDGET_BITS`` is judged on ``SAMPLE_COUNT`` seeded random points
-instead, and the spec is reported as sampled rather than exact.
+effect lands on one check type (``_sides`` raises ``ValueError`` if one does
+not).  The span therefore splits into a star side (star events + the two
+judge bits of the data X frame) and a plaquette side (plaquette events + the
+Z frame's two), which the decoder also judges independently.  Points are
+judged rows (``decoder.judge_rows``, the Monte-Carlo judge's rows too): the
+check type's event cell ``t·d² + site`` over the program's ``(rounds+1)·d²``
+cells, then its two judge bits as one value 0-3.  Each check type's sides
+are three arrays: base rows, ranks and basis rows.  Points are ints, with
+the cells as bits and the judge bits above them, only inside the one basis
+step, to reduce bases.  One judge, ``_failing_counts``, counts each side's
+failing points by ``Decoder.parities``, in stages: stage 0 is each side's
+base point, stage k the points ``2^(k-1) .. 2^k - 1``, the base row XOR
+basis vector k - 1 doubled by vectors 0 .. k - 2 (an XOR of rows is
+GF(2)-correct, judge value included).  Each stage is filled afresh into one
+block from the sides' arrays, for a number of sides at a time that bounds
+its rows by ``_PASS_ROWS``, so no point outlives its stage.  A side whose
+rank exceeds ``SPAN_BUDGET_BITS`` is judged on ``SAMPLE_COUNT`` seeded
+random points instead, and the spec is reported as sampled rather than
+exact.
 
 A Pauli or ``meas_flip`` spec opens no consequence slots: its span is the
 one point of its own replay, composed, not replayed.  A noise-free,
@@ -106,8 +109,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .circuits import CNOT, H, MEAS_Z, PREP_Z, SWAP
-from .decoder import Decoder, event_rows
-from .lattice import ToricLattice
+from .decoder import Decoder, judge_rows
 from .pauli import PAULI1_ERRORS, PAULI2_ERRORS, PAULI4, PAULI_X
 from .sim import CompiledProgram, Injections
 from .vector import execute
@@ -152,8 +154,19 @@ class ScanVerdict:
     n_leak_specs: int
     pauli_failures: list[FaultSpec]
     leak_failures: list[FaultSpec]
-    pair_failures: list[tuple[FaultSpec, FaultSpec]] = field(default_factory=list)
+    pair_index: tuple[np.ndarray, np.ndarray]  # the failing Pauli pairs as two arrays of universe indices
+    pair_specs: dict[int, FaultSpec]  # the spec at each index that the verdict lists
     sampled: list[FaultSpec] = field(default_factory=list)  # some side over budget
+
+    @property
+    def pair_failures(self) -> list[tuple[FaultSpec, FaultSpec]]:
+        """The failing Pauli pairs as spec tuples, built on each read."""
+        first, second = self.pair_index
+        return [(self.pair_specs[i], self.pair_specs[j]) for i, j in zip(first.tolist(), second.tolist())]
+
+    @property
+    def n_pair_failures(self) -> int:
+        return len(self.pair_index[0])
 
     @property
     def n_pairs(self) -> int:
@@ -165,7 +178,7 @@ class ScanVerdict:
         """No scanned set of at most ``(d - 1) // 2`` faults fails: no Pauli
         or leak spec, and from d=5 on no Pauli pair (at d=3, pairs do not
         count).  Leak specs do not pair, so no leak pair is covered."""
-        return not (self.pauli_failures or self.leak_failures or (self.d >= 5 and self.pair_failures))
+        return not (self.pauli_failures or self.leak_failures or (self.d >= 5 and self.n_pair_failures))
 
     @property
     def exhaustive(self) -> bool:
@@ -409,17 +422,9 @@ def _generators(res, carrier: np.ndarray, n_gates: int) -> tuple[np.ndarray, np.
     return np.repeat(row, count), np.repeat(first, count) + offset
 
 
-def _rows(lat: ToricLattice, res) -> np.ndarray:
-    """Per replay row, its star and its plaquette point as uint8 rows: the
-    check type's event cells, cell ``t·d² + site``, then its two judge bits
-    as one value 0-3."""
-    judge = lat.logical_parities(res.data_x, res.data_z).reshape(-1, 2, 2)  # [row, type, bit]
-    return np.concatenate([event_rows(res.syndromes), judge[..., :1] | judge[..., 1:] << 1], axis=2)
-
-
 def _replays(compiled: CompiledProgram, leaks: np.ndarray, keys: np.ndarray, trace: bool = False):
-    """The rows (``_rows``) of the replays that ``leaks`` and ``keys``
-    describe (``_injections``), one executor call split only above
+    """The judged rows (``judge_rows``) of the replays that ``leaks`` and
+    ``keys`` describe (``_injections``), one executor call split only above
     ``_CHUNK_ROWS`` rows.  The executor refuses a unit on a gate, position
     or measurement the program lacks.  Traced, the rows come with the
     generators that their traces open (``_generators``), row by row in
@@ -433,7 +438,7 @@ def _replays(compiled: CompiledProgram, leaks: np.ndarray, keys: np.ndarray, tra
         hi = min(lo + _CHUNK_ROWS, len(keys))
         injections = _injections(n_gates, leaks[lo:hi], keys[lo:hi])
         res = execute(compiled, hi - lo, injections=injections, trace=trace)
-        rows[lo:hi] = _rows(compiled.lattice, res)
+        rows[lo:hi] = judge_rows(compiled.lattice, res)
         if trace:
             owner, unit = _generators(res, compiled.program.final_data_carrier, n_gates)
             owners.append(owner + lo)
@@ -524,9 +529,9 @@ def _unit_table(compiled: CompiledProgram, keys: np.ndarray, generators: np.ndar
 
 
 def _pauli_rows(table: np.ndarray, index: np.ndarray) -> np.ndarray:
-    """Per Pauli or ``meas_flip`` spec, its rank-0 point as ``_rows`` lays
-    it out: the XOR of the table rows that its row of ``index`` names
-    (frame linearity), an empty slot reading the zero row."""
+    """Per Pauli or ``meas_flip`` spec, its rank-0 point as a judged row:
+    the XOR of the table rows that its row of ``index`` names (frame
+    linearity), an empty slot reading the zero row."""
     points = table[index[:, 0]]
     for column in index.T[1:]:
         points ^= table[column]
@@ -561,8 +566,8 @@ def _gf2_basis(vecs: list[int]) -> list[int]:
 
 def _sides(base: np.ndarray, effects: np.ndarray, owner: np.ndarray, unit_of: np.ndarray) -> list:
     """Per check type, star then plaquette, the sides of the specs' spans
-    as three arrays in ``_rows``'s layout: each spec's base row, its rank,
-    and the basis rows, spec k's at offset ``ranks.cumsum() - ranks``.
+    as three arrays: each spec's base row, its rank, and the basis rows,
+    spec k's at offset ``ranks.cumsum() - ranks``, all judged rows.
 
     ``base`` holds each spec's baseline rows and ``effects`` each distinct
     unit's; generator i, in trace order, is unit ``unit_of[i]`` of spec
@@ -791,7 +796,8 @@ def scan(
         n_leak_specs=int(leak.sum()),
         pauli_failures=specs(np.flatnonzero(failing & ~leak)),
         leak_failures=specs(np.flatnonzero(failing & leak)),
-        pair_failures=list(zip(specs(first), specs(second))),
+        pair_index=(first, second),
+        pair_specs=spec,
         sampled=specs(np.flatnonzero(sampled)),
     )
 
@@ -824,7 +830,7 @@ def verdict_to_text(compiled: CompiledProgram, verdict: ScanVerdict) -> str:
         )
     if verdict.max_faults == 2:
         lines.append(
-            f"pairs_scanned={verdict.n_pairs} pairs_failing={len(verdict.pair_failures)}"
+            f"pairs_scanned={verdict.n_pairs} pairs_failing={verdict.n_pair_failures}"
         )
     lines.append(f"sampled={len(verdict.sampled)}")
     lines.append(f"distance_preserving={int(verdict.distance_preserving)}")

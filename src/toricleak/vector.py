@@ -24,18 +24,19 @@ noise models).  It draws a batch ``_CHUNK_ROWS`` rows at a time through
 one reused draw buffer and executes every program on each chunk, so the
 draws are made once for the group, its memory is bounded by the chunk,
 not the batch, and every row is the one a whole-batch draw would give
-it.  Of each row it keeps only what the judge reads.  The scanner calls
-``execute`` directly, once per replay phase.
+it.  Of each shot it keeps only what the judge reads, its judged rows
+(``decoder.judge_rows``).  The scanner calls ``execute`` directly, once
+per replay phase, and builds the same rows.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from typing import NamedTuple
 
 import numpy as np
 
 from .circuits import CNOT, H, MEAS_Z, PREP_Z, SWAP
+from .decoder import judge_rows
 from .pauli import PAULI2_ERRORS, PAULI4, batch_uniforms, propagate_cnot, propagate_h, propagate_swap
 from .sim import DRAWS_PER_KIND, CompiledProgram, Injections
 
@@ -63,46 +64,36 @@ class BatchResult:
     slots: np.ndarray | None = None  # (shots, gates) consequence slot codes of a traced call
 
 
-class JudgeInputs(NamedTuple):
-    """What the Monte-Carlo judge (``Decoder.judge_batch``) reads of a
-    program's shots."""
-
-    syndromes: np.ndarray  # (shots, rounds + 1, 2, d*d)
-    readout: np.ndarray  # (shots, 4) readout parities (X_L1, X_L2, Z_L1, Z_L2)
-
-
 def run_group(
     programs: list[CompiledProgram],
     master_seed: int,
     shot_start: int,
     n_shots: int,
-) -> list[JudgeInputs]:
-    """Per program, the judge inputs of Monte-Carlo shots ``shot_start ..``
-    of the deterministic per-shot streams, all programs on common draws.
+) -> list[np.ndarray]:
+    """Per program, the judged rows (``decoder.judge_rows``) of Monte-Carlo
+    shots ``shot_start ..`` of the deterministic per-shot streams, all
+    programs on common draws.
 
     A row's draws depend only on ``(master_seed, shot_index)`` and the
     number of draws, so programs of one ``n_draws`` read the same rows;
     programs whose ``n_draws`` differ are refused.  The rows run in chunks
     of ``_CHUNK_ROWS``: each chunk's draws fill the leading rows of one
     column-major buffer, allocated once per call, and every program
-    executes on them and writes its chunk's syndromes and readout parities
-    into its own arrays.  The chunking changes no bit.
+    executes on them and writes its chunk's judged rows into its own
+    array.  The chunking changes no bit.
     """
     layouts = sorted({compiled.n_draws for compiled in programs})
     if len(layouts) != 1:
         raise ValueError(f"a group's programs share one draw layout, but they draw {layouts} uniforms")
     n_draws = layouts[0]
     buf = np.empty((min(n_shots, _CHUNK_ROWS), n_draws), order="F")
-    out = [JudgeInputs(np.empty((n_shots, compiled.program.n_rounds + 1, 2, compiled.lattice.d**2),
-                                dtype=np.uint8),
-                       np.empty((n_shots, 4), dtype=np.uint8)) for compiled in programs]
+    out = [np.empty((n_shots, 2, (compiled.program.n_rounds + 1) * compiled.lattice.d**2 + 1), dtype=np.uint8)
+           for compiled in programs]
     for lo in range(0, n_shots, _CHUNK_ROWS):
         hi = min(n_shots, lo + _CHUNK_ROWS)
         U = batch_uniforms(master_seed, shot_start + lo, hi - lo, n_draws, out=buf[: hi - lo])
-        for compiled, inputs in zip(programs, out):
-            res = execute(compiled, hi - lo, uniforms=U)
-            inputs.syndromes[lo:hi] = res.syndromes
-            inputs.readout[lo:hi] = compiled.lattice.logical_parities(res.data_x, res.data_z)
+        for compiled, rows in zip(programs, out):
+            rows[lo:hi] = judge_rows(compiled.lattice, execute(compiled, hi - lo, uniforms=U))
     return out
 
 

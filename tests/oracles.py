@@ -1,17 +1,19 @@
-"""Test-side oracles: structural checks, text forms, a zero-noise model,
-the Paulis by name, the fault universe spec by spec (``reference_universe``,
-the reference for the scanner's column-built one), per-row fault scripts
+"""Test-side oracles: structural checks, text forms, a zero-noise model, the
+Paulis by name, the fault universe spec by spec (``reference_universe``, the
+reference for the scanner's column-built one), per-row fault scripts
 (``Script``, and ``columns_of``, which turns them into the executor's
-injection columns), lattice
-coordinates, the per-shot reference draws, one-shot and scripted replays
-with their consequence slots as tuples (``trace_of``), per-spec leak span
-sides as ints (``leak_sides``, the reference for the scanner's shared unit
-effects, converted to the scanner's arrays by ``side_arrays``), a
-row-by-row Pauli-pair judge (``pair_failures``, the reference for the
-scanner's pair tables), the torus metric, rows-first repair paths
-(``path_edges``, the reference for the decoder's closed-form pair table),
-a reference matcher (``match_defects`` and ``reference_parities``, the
-scalar reference for ``Decoder.parities``) and residual-weight analysis.
+injection columns), lattice coordinates, the per-shot reference draws, the
+bare detection events of a batch (``detection_events``, the reference for
+the events inside ``decoder.judge_rows``) and its four judge bits
+(``judged``), one-shot and scripted replays with their consequence slots as
+tuples (``trace_of``), per-spec leak span sides as ints (``leak_sides``, the
+reference for the scanner's shared unit effects, converted to the scanner's
+arrays by ``side_arrays``), a row-by-row Pauli-pair judge
+(``pair_failures``, the reference for the scanner's pair tables), the torus
+metric, rows-first repair paths (``path_edges``, the reference for the
+decoder's closed-form pair table), a reference matcher (``match_defects``
+and ``reference_parities``, the scalar reference for ``Decoder.parities``)
+and residual-weight analysis.
 
 None of this is on a production path.  The tests use it to check circuits,
 lattices, configs, matchings and the batch draws, to replay single shots and
@@ -30,14 +32,14 @@ import networkx as nx
 import numpy as np
 
 from toricleak.circuits import CNOT, H, MEAS_Z, PREP_Z, SWAP, CircuitProgram
-from toricleak.decoder import _DP_LIMIT, Decoder, event_rows
+from toricleak.decoder import _DP_LIMIT, Decoder, judge_rows
 from toricleak.experiments import _LIST_KEYS, CONFIG_VERSION, ExperimentConfig, _fmt
 from toricleak.lattice import Z, ToricLattice
 from toricleak.noise import NoiseModel
 from toricleak.pauli import PAULI1_ERRORS, PAULI2_ERRORS, PAULI_I, PAULI_X, PAULI_Y, PAULI_Z, batch_uniforms
 from toricleak.scanner import FaultSpec, _gf2_basis
 from toricleak.sim import CompiledProgram, Injections
-from toricleak.vector import execute
+from toricleak.vector import BatchResult, execute
 
 
 NULL_NOISE = NoiseModel(p=0.0)
@@ -258,15 +260,26 @@ def shot_uniforms(master_seed: int, shot_index: int, n_draws: int) -> np.ndarray
 
 def monte_carlo(compiled: CompiledProgram, master_seed: int, shot_start: int, n_shots: int):
     """Every field of Monte-Carlo shots ``shot_start ..``: one executor call
-    on the whole batch's draws, whose syndromes and readout parities the
-    chunked ``vector.run_group`` must give."""
+    on the whole batch's draws, whose judged rows the chunked
+    ``vector.run_group`` must give."""
     return execute(compiled, n_shots, uniforms=batch_uniforms(master_seed, shot_start, n_shots,
                                                               compiled.n_draws))
 
 
 def judged(decoder: Decoder, res) -> np.ndarray:
-    """``Decoder.judge_batch`` of an executor result's rows."""
-    return decoder.judge_batch(res.syndromes, decoder.lat.logical_parities(res.data_x, res.data_z))
+    """The four judge bits (X_L1, X_L2, Z_L1, Z_L2) per shot of an executor
+    result: ``Decoder.judge_batch`` of its judged rows, each check type's
+    value 0-3 split into its two bits."""
+    judge = decoder.judge_batch(judge_rows(decoder.lat, res))
+    return (judge[..., None] >> np.arange(2) & 1).reshape(len(judge), -1).astype(np.uint8)
+
+
+def detection_events(syndromes: np.ndarray) -> np.ndarray:
+    """Per shot, the XOR of consecutive syndrome rows from the zero
+    baseline, shaped as the syndromes: ``(shot, t, check type, site)``."""
+    events = syndromes.copy()
+    events[:, 1:] ^= syndromes[:, :-1]
+    return events
 
 
 @dataclass
@@ -397,9 +410,10 @@ def points(lat: ToricLattice, res) -> list[list[int]]:
     """Per row of an ``execute`` result: its star and its plaquette point as
     ints, bit ``t·d² + site`` for event cell ``(t, site)`` of the check
     type and its two judge bits above the cells."""
+    shots, times, types, sites = res.syndromes.shape
+    cells = detection_events(res.syndromes).transpose(0, 2, 1, 3).reshape(shots, types, times * sites)
     judge = lat.logical_parities(res.data_x, res.data_z).reshape(-1, 2, 2)  # [row, type, bit]
-    packed = np.packbits(np.concatenate([event_rows(res.syndromes), judge], axis=2), axis=2,
-                         bitorder="little")
+    packed = np.packbits(np.concatenate([cells, judge], axis=2), axis=2, bitorder="little")
     return [[int.from_bytes(side.tobytes(), "little") for side in row] for row in packed]
 
 
@@ -536,7 +550,7 @@ def replay_spec(compiled: CompiledProgram, decoder: Decoder, spec: FaultSpec, as
     for slot, _ in assignment:
         if slot not in opened:
             raise ValueError(f"assignment slot {slot!r} is not downstream of the leak")
-    return res, decoder.judge_batch(res.syndromes[None], res.logical_parities[None])[0]
+    return res, judged(decoder, BatchResult(res.syndromes[None], res.data_x[None], res.data_z[None], None))[0]
 
 
 # ---------------------------------------------------------------------------

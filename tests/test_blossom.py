@@ -104,7 +104,7 @@ def test_same_matching_as_networkx_on_recorded_sweep_d5_instances(monkeypatch):
     compiled = compile_program(build_program("standard", 5, 5), NoiseModel(p=3e-3, r=1.0))
     res = monte_carlo(compiled, 7, 0, 500)
     decoder = decoder_module.Decoder(compiled.program.lattice)
-    for rows in decoder_module.event_rows(res.syndromes):
+    for rows in decoder_module.judge_rows(compiled.lattice, res)[..., :-1]:
         for check_type, cells in enumerate(rows):
             if cells.sum() > decoder_module._DP_LIMIT:
                 decoder._blossom(check_type, cells)

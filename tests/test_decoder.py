@@ -26,6 +26,7 @@ from oracles import (
     crossing_parities,
     defect_mask,
     defect_rows,
+    detection_events,
     edge_parities,
     judged,
     match_defects,
@@ -41,11 +42,11 @@ import toricleak
 import toricleak.decoder as decoder_module
 from toricleak.blossom import min_weight_perfect_matching
 from toricleak.circuits import build_program
-from toricleak.decoder import _CERTIFY_LIMIT, _DP_LIMIT, Decoder, _dp_layers, extract_events_batch
+from toricleak.decoder import _CERTIFY_LIMIT, _DP_LIMIT, Decoder, _dp_layers, judge_rows
 from toricleak.lattice import build_lattice
 from toricleak.noise import NoiseModel
 from toricleak.sim import compile_program
-from toricleak.vector import execute
+from toricleak.vector import BatchResult, execute
 
 
 def _defects(events: np.ndarray, check_type: int) -> tuple[tuple[int, int], ...]:
@@ -58,7 +59,7 @@ def _reference_frames(lat, syndromes, data_x, data_z):
     """The frame route, per shot: corrected X and Z frames and their 4 judge
     bits, from reference-matcher pairs repaired along ``path_edges``."""
     corrected_x, corrected_z = data_x.copy(), data_z.copy()
-    for shot, events in enumerate(extract_events_batch(syndromes)):
+    for shot, events in enumerate(detection_events(syndromes)):
         for check_type, frame in ((0, corrected_x[shot]), (1, corrected_z[shot])):
             for a, b in match_defects(lat, _defects(events, check_type)):
                 for e in path_edges(lat, check_type, a[1], b[1]):
@@ -122,17 +123,24 @@ def _judge_quiet_frames(decoder, sets, n_times):
             for t, s in defects:
                 events[row, t, check_type, s] = 1
     syndromes = np.bitwise_xor.accumulate(events, axis=1)  # events are XORs of consecutive rows
-    return decoder.judge_batch(syndromes, np.zeros((len(sets), 4), dtype=np.uint8))
+    frames = np.zeros((len(sets), lat.n_data), dtype=np.uint8)
+    return judged(decoder, BatchResult(syndromes, frames, frames, None))
 
 
 def test_extract_events_static_and_flipped():
+    """A judged row's cell ``t * 9 + site`` is the XOR of rounds t and t - 1
+    of its check, and its judge value is 0 on a clean frame."""
     syn = np.zeros((4, 2, 9), dtype=np.uint8)
     syn[:, 0, 3] = 1  # defect present from round 0 on
     syn[1, 1, 5] = 1  # one-round blip: a measurement error
-    ev = extract_events_batch(syn[None])[0]
+    frames = np.zeros((1, 18), dtype=np.uint8)
+    rows = judge_rows(build_lattice(3), BatchResult(syn[None], frames, frames, None))[0]
+    assert rows.shape == (2, 4 * 9 + 1) and not rows[:, -1].any()
+    ev = rows[:, :-1].reshape(2, 4, 9).transpose(1, 0, 2)  # (t, check type, site)
     assert ev[0, 0, 3] == 1 and not ev[1:, 0, 3].any()
     assert ev[1, 1, 5] == 1 and ev[2, 1, 5] == 1 and ev[0, 1, 5] == 0
     assert _defects(ev, 1) == ((1, 5), (2, 5))
+    np.testing.assert_array_equal(ev, detection_events(syn[None])[0])
 
 
 @pytest.mark.parametrize(
@@ -146,8 +154,7 @@ def test_extract_events_static_and_flipped():
 def test_detection_event_parity_is_even(variant, noise):
     compiled = compile_program(build_program(variant, 3, 3), noise)
     batch = monte_carlo(compiled, 31, 0, 200)
-    events = extract_events_batch(batch.syndromes)
-    counts = events.sum(axis=(1, 3))  # per shot, per check type
+    counts = judge_rows(compiled.lattice, batch)[..., :-1].sum(axis=2)  # per shot, per check type
     assert not (counts % 2).any()
 
 
@@ -190,11 +197,10 @@ def test_match_rejects_odd_defects():
 
 def test_judge_batch_rejects_odd_defects():
     """A batch with one odd row is refused, not judged with parity 0."""
-    syndromes = np.zeros((3, 4, 2, 9), dtype=np.uint8)
-    syndromes[1, 3, 1, 4] = 1  # one plaquette event in the last round
-    readout = np.zeros((3, 4), dtype=np.uint8)
+    rows = np.zeros((3, 2, 4 * 9 + 1), dtype=np.uint8)
+    rows[1, 1, 3 * 9 + 4] = 1  # one plaquette event in the last round
     with pytest.raises(ValueError, match="odd number of defects cannot be matched"):
-        Decoder(build_lattice(3)).judge_batch(syndromes, readout)
+        Decoder(build_lattice(3)).judge_batch(rows)
 
 
 @pytest.mark.parametrize("n", range(2, _DP_LIMIT + 1, 2))
@@ -595,7 +601,7 @@ def test_undetectable_logical_error_is_judged():
         frame[lat.h(0, c)] = 1  # a full horizontal X logical: zero syndrome
     res = run_shot(compiled, initial_x=frame)
     assert not res.syndromes.any()
-    judge = decoder.judge_batch(res.syndromes[None], res.logical_parities[None])[0]
+    judge = judged(decoder, BatchResult(res.syndromes[None], res.data_x[None], res.data_z[None], None))[0]
     np.testing.assert_array_equal(judge, [1, 0, 0, 0])
     assert judge.any()
 
@@ -612,7 +618,7 @@ def test_judge_batch_matches_per_shot_decode_and_handles_quiet_shots():
     syndromes = np.concatenate([batch.syndromes, np.zeros_like(batch.syndromes[:2])])
     data_x = np.concatenate([batch.data_x, quiet_x])
     data_z = np.concatenate([batch.data_z, np.zeros_like(quiet_x)])
-    judges = decoder.judge_batch(syndromes, lat.logical_parities(data_x, data_z))
+    judges = judged(decoder, BatchResult(syndromes, data_x, data_z, None))
     np.testing.assert_array_equal(judges[150:], [[0, 0, 0, 0], [1, 0, 0, 0]])
     for shot in range(152):
         one = slice(shot, shot + 1)
@@ -638,7 +644,7 @@ def test_judge_batch_equals_reference_frame_route(variant, d, noise, n_shots):
     np.testing.assert_array_equal(judges, ref)
     assert ref.any(axis=1).any() and not ref.any(axis=1).all()
     if d == 5:
-        defects = extract_events_batch(batch.syndromes).sum(axis=(1, 3))
+        defects = detection_events(batch.syndromes).sum(axis=(1, 3))
         assert (defects > 10).any()
 
 
@@ -667,7 +673,7 @@ def test_pure_measurement_error_needs_no_data_correction():
     frames = np.zeros((1, 18), dtype=np.uint8)
     corrected_x, corrected_z, _ = _reference_frames(lat, syn, frames, frames)
     assert not corrected_x.any() and not corrected_z.any()
-    assert not decoder.judge_batch(syn, lat.logical_parities(frames, frames)).any()
+    assert not judged(decoder, BatchResult(syn, frames, frames, None)).any()
 
 
 def test_collinear_adjacent_pair_wraps_into_a_logical_at_d3_only():

@@ -341,7 +341,11 @@ def test_sweep_reproduces_golden_csv():
     config = ExperimentConfig(variant="mixed_lrc", d=(3,), p=(1e-3, 2e-3, 3e-3, 5e-3),
                               r=1.0, shots=2500, master_seed=7)
     golden = (GOLDEN / "sweep_mixed_lrc_d3_seed7.csv").read_text()
-    assert rows_to_csv(run_sweep(config)) == golden
+    rows = run_sweep(config)
+    assert rows_to_csv(rows) == golden
+    # the per-logical counts (X_L1, X_L2, Z_L1, Z_L2), which the CSV does not carry
+    assert [row.failures_by_logical for row in rows] == [
+        (17, 10, 8, 12), (57, 40, 46, 68), (137, 108, 110, 121), (312, 241, 239, 313)]
 
 
 def test_sweep_reproduces_the_frozen_d5_benchmark_csv():
@@ -354,7 +358,9 @@ def test_sweep_reproduces_the_frozen_d5_benchmark_csv():
     fields = {k: tuple(v) if isinstance(v, list) else v for k, v in table["config"].items()}
     config = ExperimentConfig(**fields, master_seed=7)
     assert config.d == (5,)
-    assert rows_to_csv(run_sweep(config)) == table["7"]
+    [row] = run_sweep(config)
+    assert rows_to_csv([row]) == table["7"]
+    assert row.failures_by_logical == (200, 145, 166, 201)  # not in the CSV
 
 
 def test_csv_round_trip_is_lossless():

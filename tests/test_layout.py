@@ -12,7 +12,9 @@ judge: every span point, of a leak spec, a Pauli spec or a pair, reaches
 the matcher through ``Decoder.parities``; another keeps the executor to one
 injection form, the ``sim.Injections`` columns; and one keeps the leak path
 columnar: consequence slots and span sides are int arrays, never tuples or
-side objects.
+side objects.  The judged row, a shot's event cells and readout bits per
+check type, has one builder, which the Monte-Carlo path and the scanner
+both call.
 """
 
 from __future__ import annotations
@@ -119,3 +121,33 @@ def test_no_module_spells_a_consequence_slot_as_a_tuple():
             if "_SpanSide" in names or isinstance(node, ast.Constant) and node.value in tags:
                 found.append(f"{path.name}:{getattr(node, 'lineno', '?')}")
     assert not found, found
+
+
+def _owners(name: str, calls_only: bool = False) -> set[str]:
+    """Where ``src/`` names ``name``, as ``module.function`` of the
+    innermost enclosing function, or ``module`` at module level: as an
+    attribute, a variable, an import or a definition, or with
+    ``calls_only`` only as the callee of a call."""
+    owners = set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        funcs = [f for f in ast.walk(tree) if isinstance(f, ast.FunctionDef)]
+        for node in ast.walk(tree):
+            if calls_only and not isinstance(node, ast.Call):
+                continue
+            named = node.func if calls_only else node
+            if name not in {getattr(named, key, None) for key in ("attr", "id", "name")}:
+                continue
+            inside = [f for f in funcs if f.lineno <= node.lineno <= f.end_lineno]
+            owners.add(f"{path.stem}.{max(inside, key=lambda f: f.lineno).name}" if inside else path.stem)
+    return owners
+
+
+def test_the_judged_row_layout_has_one_owner():
+    """One function lays out the rows that both judges read:
+    ``decoder.judge_rows`` is the only place outside its definition that
+    names ``logical_parities``, and the Monte-Carlo path
+    (``vector.run_group``) and the scanner (``scanner._replays``) build
+    their rows by calling it."""
+    assert _owners("logical_parities") == {"lattice.logical_parities", "decoder.judge_rows"}
+    assert _owners("judge_rows", calls_only=True) == {"vector.run_group", "scanner._replays"}

@@ -36,7 +36,7 @@ from oracles import (
 )
 from toricleak import scanner
 from toricleak.circuits import VARIANTS, build_program
-from toricleak.decoder import Decoder
+from toricleak.decoder import Decoder, judge_rows
 from toricleak.lattice import build_lattice
 from toricleak.noise import SIDE_POLICIES, NoiseModel
 from toricleak.scanner import (
@@ -439,7 +439,7 @@ def test_composed_pauli_points_equal_their_own_replays(variant):
         width = (rounds + 1) * compiled.lattice.d**2
         injections = columns_of([script_for(compiled, s) for s in specs])
         res = execute(compiled, len(specs), injections=injections)
-        own = scanner._rows(compiled.lattice, res)
+        own = judge_rows(compiled.lattice, res)
         composed = _pauli_rows(compiled, specs)
         assert composed.dtype == own.dtype == np.uint8
         np.testing.assert_array_equal(composed, own)

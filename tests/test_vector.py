@@ -12,6 +12,7 @@ from oracles import (Script, columns_of, leak_consequences, monte_carlo, run_sho
                      trace_of)
 from toricleak import vector
 from toricleak.circuits import CNOT, MEAS_Z, SWAP, VARIANTS, build_program
+from toricleak.decoder import judge_rows
 from toricleak.noise import NoiseModel
 from toricleak.pauli import batch_uniforms
 from toricleak.scanner import enumerate_fault_universe
@@ -43,14 +44,12 @@ CASES = [
 @pytest.mark.parametrize("variant,d,rounds,noise", CASES)
 def test_batch_matches_scalar_bitwise(variant, d, rounds, noise):
     """Every field of a batch execution on the batch's draws equals the
-    shots run alone, and ``run_group``'s judge inputs are the batch's."""
+    shots run alone, and ``run_group``'s judged rows are the batch's."""
     compiled = compile_program(build_program(variant, d, rounds), noise)
     master_seed, n_shots = 424242, 40
     batch = monte_carlo(compiled, master_seed, 0, n_shots)
-    [inputs] = run_group([compiled], master_seed, 0, n_shots)
-    np.testing.assert_array_equal(inputs.syndromes, batch.syndromes)
-    np.testing.assert_array_equal(inputs.readout,
-                                  compiled.lattice.logical_parities(batch.data_x, batch.data_z))
+    [rows] = run_group([compiled], master_seed, 0, n_shots)
+    np.testing.assert_array_equal(rows, judge_rows(compiled.lattice, batch))
     for shot in range(n_shots):
         u = shot_uniforms(master_seed, shot, compiled.n_draws)
         ref = run_shot(compiled, uniforms=u)
@@ -82,19 +81,16 @@ def test_batch_rows_independent_of_chunking():
     compiled = compile_program(build_program("swap_lrc", 3, 3), noise)
     [whole] = run_group([compiled], 7, 0, 12)
     parts = [run_group([compiled], 7, start, 4)[0] for start in (0, 4, 8)]
-    for name in ("syndromes", "readout"):
-        merged = np.concatenate([getattr(part, name) for part in parts])
-        np.testing.assert_array_equal(getattr(whole, name), merged)
+    np.testing.assert_array_equal(whole, np.concatenate(parts))
     [single] = run_group([compiled], 7, 5, 1)
-    np.testing.assert_array_equal(whole.syndromes[5], single.syndromes[0])
+    np.testing.assert_array_equal(whole[5], single[0])
 
 
 def test_batch_shapes():
     compiled = compile_program(build_program("mixed_lrc", 3, 2), NoiseModel(p=0.01))
     for n_shots in (5, 0):  # an empty batch keeps its shapes
-        [inputs] = run_group([compiled], 1, 0, n_shots)
-        assert inputs.syndromes.shape == (n_shots, 3, 2, 9)
-        assert inputs.readout.shape == (n_shots, 4)
+        [rows] = run_group([compiled], 1, 0, n_shots)
+        assert rows.shape == (n_shots, 2, 3 * 9 + 1) and rows.dtype == np.uint8
         batch = monte_carlo(compiled, 1, 0, n_shots)
         assert batch.syndromes.shape == (n_shots, 3, 2, 9)
         assert batch.data_x.shape == batch.data_z.shape == (n_shots, 18)
@@ -103,20 +99,18 @@ def test_batch_shapes():
 
 def test_chunked_batch_equals_one_whole_batch_execution(monkeypatch):
     """Chunks of 3 rows, from shot 5: three full chunks and a partial last
-    one give, for each program of a group on common draws, the judge
-    inputs of one execution over the whole batch's draws."""
+    one give, for each program of a group on common draws, the judged
+    rows of one execution over the whole batch's draws."""
     program = build_program("mixed_lrc", 3, 2)
     group = [compile_program(program, noise) for noise in (REFERENCE_NOISE, NoiseModel(p=0.2, r=0.5))]
     monkeypatch.setattr(vector, "_CHUNK_ROWS", 3)
     chunked = run_group(group, 7, 5, 10)
     assert len(chunked) == len(group)
-    for compiled, inputs in zip(group, chunked):
+    for compiled, rows in zip(group, chunked):
         whole = execute(compiled, 10, uniforms=batch_uniforms(7, 5, 10, compiled.n_draws))
         assert whole.leak_final.any() and whole.syndromes.any()
-        np.testing.assert_array_equal(inputs.syndromes, whole.syndromes)
-        np.testing.assert_array_equal(inputs.readout,
-                                      compiled.lattice.logical_parities(whole.data_x, whole.data_z))
-    assert not np.array_equal(chunked[0].syndromes, chunked[1].syndromes)
+        np.testing.assert_array_equal(rows, judge_rows(compiled.lattice, whole))
+    assert not np.array_equal(chunked[0], chunked[1])
 
 
 def test_a_group_of_different_draw_layouts_is_refused():
