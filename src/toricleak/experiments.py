@@ -355,10 +355,13 @@ def csv_to_rows(text: str) -> list[SweepRow]:
         if len(f) != len(TABLE_COLUMNS):
             raise ConfigError(f"malformed CSV row: {ln!r}")
         try:
+            shots, failures = int(f[8]), int(f[9])
+            if not 0 <= failures <= shots:  # counts that no sweep produces
+                raise ValueError(f"{failures} failures in {shots} shots")
             rows.append(SweepRow(
                 variant=f[0], d=int(f[1]), rounds=int(f[2]), p=float(f[3]),
                 r=float(f[4]), side_policy=f[5], site_filter=f[6],
-                p_init_leak=float(f[7]), shots=int(f[8]), failures=int(f[9]),
+                p_init_leak=float(f[7]), shots=shots, failures=failures,
                 master_seed=int(f[13]),
             ))
         except ValueError as exc:

@@ -15,13 +15,14 @@ program and judges every spec with all other noise switched off:
 
 The universe is columns (``_Universe``): per spec a template (its kind and
 Paulis, ``_TEMPLATES``), a gate and a victim, from which its up to four
-unit keys follow.  ``_enumerated`` builds them from per-gate-kind templates
-with ``np.repeat``; a given ``FaultSpec`` list is converted once
-(``_from_specs``), its refusals tested column by column.  A ``FaultSpec``
-is built only for what a caller reads: ``enumerate_fault_universe``, and a
-scan's failures, sampled specs and pair members, each built once.  A
-verdict keeps its failing pairs as two index arrays and builds their
-tuples only when ``pair_failures`` is read.
+unit keys follow.  ``_enumerated`` builds them from the gate table's leak
+columns and per-gate-kind templates with ``np.repeat``; a given
+``FaultSpec`` list is converted once (``_from_specs``), each spec checked
+by ``_refused`` and then by the templates.  A ``FaultSpec`` is built only
+for what a caller reads: ``enumerate_fault_universe``, and a scan's
+failures, sampled specs and pair members, each built once.  A verdict
+keeps its failing pairs as two index arrays and builds their tuples only
+when ``pair_failures`` is read.
 
 Worst-case leak semantics are evaluated exactly.  The leak trajectory is
 fixed by the location alone (outcome choices never create or move leaks),
@@ -252,14 +253,10 @@ def _enumerated(compiled: CompiledProgram) -> _Universe:
     """The program's universe as columns, in ``enumerate_fault_universe``'s
     order: per gate its kind's Pauli or ``meas_flip`` templates, then per
     leaking gate one leak spec per eligible victim."""
-    layers = compiled.layers
-    layer = np.repeat(np.arange(len(layers)), [len(layer.q0) for layer in layers])  # per gate
-    kind = np.array([_GATE_KINDS.index(layer.kind) for layer in layers])[layer]
-    victims = np.array([layer.leak_victims + (-1,) * (2 - len(layer.leak_victims)) for layer in layers],
-                       dtype=np.int64).reshape(-1, 2)[layer]  # per gate, -1 padded
-    leaking = np.concatenate([layer.leak_prob for layer in layers]) > 0
+    kind = np.array([_GATE_KINDS.index(layer.kind) for layer in compiled.layers])[compiled.layer]
+    victims = compiled.victims  # per gate, -1 padded
     pauli_gate, pauli_rank = _expand((_KIND_TEMPLATES[kind] >= 0).sum(axis=1))
-    leak_gate, leak_rank = _expand(np.where(leaking, (victims >= 0).sum(axis=1), 0))
+    leak_gate, leak_rank = _expand(np.where(compiled.leak_prob > 0, (victims >= 0).sum(axis=1), 0))
     return _Universe(
         template=np.concatenate([_KIND_TEMPLATES[kind[pauli_gate], pauli_rank],
                                  np.full(len(leak_gate), _LEAK)]),
@@ -310,23 +307,19 @@ def _from_specs(compiled: CompiledProgram, specs: list[FaultSpec]) -> _Universe:
     """A ``FaultSpec`` list as columns, converted once.  Before any replay
     the first spec that ``_refused`` refuses is refused, and then the first
     whose Paulis have no template (``_refusal``): a unit key at or above
-    ``5·len(gates)`` names a readout unit, and gate -1 names no leak
+    ``5·n_gates`` names a readout unit, and gate -1 names no leak
     (``_injections``)."""
-    n, n_gates = len(specs), len(compiled.gates)
-    kind, gate, victim = (np.fromiter((getattr(s, name) for s in specs), dtype=object, count=n)
-                          for name in ("kind", "gate_index", "victim"))
-    known = (kind == "pauli") | (kind == "meas_flip") | (kind == "leak")
-    is_int = [np.fromiter((isinstance(v, _INTS) for v in column), dtype=bool, count=n) for column in (gate, victim)]
-    gate = np.where(is_int[0], gate, -1)
-    bad = ~known | ~is_int[0] | ~is_int[1] | (gate < 0) | (gate >= n_gates)
-    if bad.any():
-        raise ValueError(_refused(specs[int(np.argmax(bad))], n_gates))
+    n_gates = len(compiled.labels)
+    for spec in specs:
+        if refusal := _refused(spec, n_gates):
+            raise ValueError(refusal)
     template = [_template_of(s.kind, s.paulis) for s in specs]
     if None in template:
         spec = specs[template.index(None)]
         raise ValueError(_refusal(spec.kind, spec.paulis))
-    return _Universe(np.array(template, dtype=np.int64).reshape(-1), gate.astype(np.int64),
-                     victim.astype(np.int64), specs)
+    gate, victim = (np.fromiter((getattr(s, name) for s in specs), dtype=np.int64, count=len(specs))
+                    for name in ("gate_index", "victim"))
+    return _Universe(np.array(template, dtype=np.int64).reshape(-1), gate, victim, specs)
 
 
 def enumerate_fault_universe(compiled: CompiledProgram) -> list[FaultSpec]:
@@ -337,29 +330,24 @@ def enumerate_fault_universe(compiled: CompiledProgram) -> list[FaultSpec]:
 
 def spec_location(compiled: CompiledProgram, spec: FaultSpec) -> SpecLocation:
     """Where a spec sits.  A spec that a scan refuses is a ``ValueError``
-    with the scan's message: what ``_refused`` refuses, then Paulis without
-    a template (``_refusal``), then what the executor refuses of the spec's
-    replay rows: a leak or a Pauli at a position that its gate lacks, or a
-    measurement flip on a gate that is no measurement."""
-    n_gates = len(compiled.gates)
-    if refusal := _refused(spec, n_gates):
-        raise ValueError(refusal)
-    template = _template_of(spec.kind, spec.paulis)
-    if template is None:
-        raise ValueError(_refusal(spec.kind, spec.paulis))
-    if template == _LEAK:
-        leaks, keys = np.array([[spec.gate_index, spec.victim]]), np.array([-1])
+    with the scan's message: what ``_from_specs`` refuses, then what the
+    executor refuses of the spec's replay rows: a leak or a Pauli at a
+    position that its gate lacks, or a measurement flip on a gate that is
+    no measurement."""
+    universe = _from_specs(compiled, [spec])
+    keys = universe.keys(np.arange(1))[0]
+    if universe.template[0] == _LEAK:
+        leaks, keys = np.column_stack([universe.gate, universe.victim]), keys[:1]
     else:
-        slots = _TEMPLATE_SLOTS[template]
-        keys = 5 * int(spec.gate_index) + slots[slots >= 0]
+        keys = keys[keys >= 0]
         leaks = np.full((len(keys), 2), -1)
-    execute(compiled, len(keys), injections=_injections(n_gates, leaks, keys))
+    execute(compiled, len(keys), injections=_injections(len(compiled.labels), leaks, keys))
     return _location(compiled, spec)
 
 
 def _location(compiled: CompiledProgram, spec: FaultSpec) -> SpecLocation:
     """Where a spec that a scan placed sits."""
-    label = compiled.gates[spec.gate_index].label
+    label = compiled.labels[spec.gate_index]
     role = label.roles[spec.victim] if spec.kind == "leak" else "+".join(label.roles)
     phase = "-"
     if label.kind == H:
@@ -430,7 +418,7 @@ def _replays(compiled: CompiledProgram, leaks: np.ndarray, keys: np.ndarray, tra
     generators that their traces open (``_generators``), row by row in
     trace order: per generator, its row and its unit key.  No part's slot
     codes outlive it."""
-    n_gates = len(compiled.gates)
+    n_gates = len(compiled.labels)
     width = (compiled.program.n_rounds + 1) * compiled.lattice.d**2
     rows = np.empty((len(keys), 2, width + 1), dtype=np.uint8)
     owners, units = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
@@ -465,15 +453,13 @@ def _inert(compiled: CompiledProgram, units: np.ndarray) -> np.ndarray:
     is exactly its plain replay; a unit that meets its leak may still be
     inert, and is replayed."""
     layers, n_qubits = compiled.layers, compiled.lattice.n_qubits
-    qubits = np.stack([np.concatenate([layer.q0 for layer in layers]),
-                       np.concatenate([layer.q1 for layer in layers])])
     gate, slot = np.divmod(units, 5)
     pos, component = slot // 2, slot % 2
-    partner, leaked = qubits[pos, gate], qubits[1 - pos, gate]
+    partner, leaked = compiled.qubits[pos, gate], compiled.qubits[1 - pos, gate]
     reach = np.zeros((2, n_qubits, len(units)), dtype=bool)  # [component, qubit, unit]
     held = np.zeros((n_qubits, len(units)), dtype=bool)  # [qubit, unit]: the leaked qubit, while leaked
     met = np.zeros(len(units), dtype=bool)
-    opened = np.searchsorted(gate, [layer.start + len(layer.q0) for layer in layers]).tolist()
+    opened = np.searchsorted(compiled.layer[gate], np.arange(len(layers)), side="right").tolist()
     for layer, lo, hi in zip(layers, [0] + opened, opened):
         a, b = layer.q0, layer.q1
         if layer.kind == CNOT:
@@ -506,7 +492,7 @@ def _unit_table(compiled: CompiledProgram, keys: np.ndarray, generators: np.ndar
     distinct generator units' effects with each generator's unit among
     them.  An inert unit's effect is its plain row, any other pair unit's
     its leaky replay XOR its leak's."""
-    n_gates = len(compiled.gates)
+    n_gates = len(compiled.labels)
     units, unit_of = np.unique(generators, return_inverse=True)
     gate, slot = np.divmod(units, 5)
     leaky = (units < 5 * n_gates) & (slot < 4)
@@ -644,9 +630,10 @@ def _failing_counts(decoder: Decoder, leaks: np.ndarray, sides: list,
     stage.  Stage j's sides go in passes of ``_PASS_ROWS >> (j + 1)`` sides,
     at least one, each judged by one ``_judged`` call: a pass's block holds
     at most ``_PASS_ROWS // 2`` rows, unless it is one side's stage.  An
-    over-budget side is judged on its ``_sampled_points``.  With
-    ``stop_early`` a spec leaves after its first failing stage, so only
-    whether its counts are zero holds.
+    over-budget side is judged on its ``_sampled_points``, up to
+    ``_PASS_ROWS // 2 // SAMPLE_COUNT`` sides a block, to the same bound.
+    With ``stop_early`` a spec leaves after its first failing stage, so
+    only whether its counts are zero holds.
     """
     counts = np.zeros((len(leaks), 2), dtype=np.int64)
     firsts = [ranks.cumsum() - ranks for _, ranks, _ in sides]  # each side's first basis row
@@ -658,7 +645,7 @@ def _failing_counts(decoder: Decoder, leaks: np.ndarray, sides: list,
             for lo in range(0, len(owners), step):
                 part = owners[lo : lo + step]
                 counts[part, ct] += _judged(decoder, ct, _stage(base[part], basis, firsts[ct][part], j))
-    step = max(1, _PASS_ROWS // SAMPLE_COUNT)
+    step = max(1, _PASS_ROWS // 2 // SAMPLE_COUNT)
     for ct, (base, ranks, basis) in enumerate(sides):
         over = np.flatnonzero(ranks > SPAN_BUDGET_BITS).tolist()
         for lo in range(0, len(over), step):

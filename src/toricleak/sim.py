@@ -1,16 +1,18 @@
 """Compiled circuits and the columns of injected faults.
 
-``compile_program`` fixes a static draw-slot layout: every gate owns a fixed
-span of the shot's uniform stream, and the final data readout owns two slots
-per edge.  It also splits the gates into layers (:class:`GateLayer`):
-maximal runs of consecutive gates of one kind and one leak-victim tuple on
-pairwise-disjoint qubits.  Such gates commute and each reads only its own
-draws, so the executor, :func:`toricleak.vector.execute`, may resolve a
-layer at once; gate j's draws start ``DRAWS_PER_KIND[kind]·j`` after the
-layer's first.  :class:`Injections` lists deterministic fault injections
-for the executor to replay as int columns, one entry per injection naming
-its row, so a whole replay phase is one batch; they land after their
-gate's layer.
+``compile_program`` builds one gate table, :class:`CompiledProgram`: per
+gate its label and its columns, each built once, here.  It fixes a static
+draw-slot layout: every gate owns a fixed span of the shot's uniform
+stream, and the final data readout owns two slots per edge.  The gates
+split into layers (:class:`GateLayer`, whose columns are views of the
+table's): maximal runs of consecutive gates of one kind and one
+leak-victim tuple on pairwise-disjoint qubits.  Such gates commute and
+each reads only its own draws, so the executor,
+:func:`toricleak.vector.execute`, may resolve a layer at once; gate j's
+draws start ``DRAWS_PER_KIND[kind]·j`` after the layer's first.
+:class:`Injections` lists deterministic fault injections for the executor
+to replay as int columns, one entry per injection naming its row, so a
+whole replay phase is one batch; they land after their gate's layer.
 """
 
 from __future__ import annotations
@@ -31,37 +33,30 @@ DRAWS_PER_KIND = {
 }
 
 
-@dataclass(frozen=True)
-class CompiledGate:
-    kind: str
-    q0: int
-    q1: int  # -1 for single-qubit gates
-    round_index: int
-    draw_offset: int
-    leak_victims: tuple[int, ...]  # positions eligible for the leak draw
-    leak_prob: float
-    check_type: int  # 0 = Z check, 1 = X check
-    check_site: int
-    label: FaultLocation
-
-
 @dataclass(eq=False)
 class GateLayer:
     kind: str
     leak_victims: tuple[int, ...]
     start: int  # index of the first gate
     draw_offset: int  # of the first gate
-    q0: np.ndarray  # per gate, like CompiledGate's fields
+    q0: np.ndarray  # views of the program's gate columns over the layer's gates
     q1: np.ndarray
     leak_prob: np.ndarray
-    slot: np.ndarray  # flat syndrome index (round·2 + check_type)·d² + check_site
+    slot: np.ndarray
 
 
 @dataclass
 class CompiledProgram:
+    """One gate table: per gate, in ``program.all_gates()`` order, its label and columns."""
+
     program: CircuitProgram
     noise: NoiseModel
-    gates: list[CompiledGate]
+    labels: list[FaultLocation]
+    qubits: np.ndarray  # (2, gates): q0, and q1 or -1 for single-qubit gates
+    leak_prob: np.ndarray
+    victims: np.ndarray  # (gates, 2): the positions eligible for the leak draw, -1 padded
+    slot: np.ndarray  # flat syndrome index (round·2 + check_type)·d² + check_site, check_type 0 = Z
+    layer: np.ndarray  # the index of the gate's layer
     n_draws: int  # total stream length including readout slots
     readout_offset: int
     layers: list[GateLayer]
@@ -77,7 +72,7 @@ class Injections:
 
     Each kind is a 2-D int array with one entry (array row) per injection;
     an entry's first column is the executor row it lands in, and ``gate``
-    is a global index into ``CompiledProgram.gates``:
+    is a global gate index, a row of the ``CompiledProgram`` table:
 
     * ``leaks``: ``(row, gate, position)``, the gate's qubit at
       ``position`` leaks;
@@ -109,42 +104,27 @@ class Injections:
 
 
 def compile_program(program: CircuitProgram, noise: NoiseModel) -> CompiledProgram:
-    gates: list[CompiledGate] = []
-    offset = 0
-    for _, g in program.all_gates():
-        check_type, check_site = g.label.check
-        gates.append(
-            CompiledGate(
-                kind=g.kind,
-                q0=g.qubits[0],
-                q1=g.qubits[1] if len(g.qubits) > 1 else -1,
-                round_index=g.label.round,
-                draw_offset=offset,
-                leak_victims=noise.leak_victims(g.label),
-                leak_prob=noise.leak_prob(g.label),
-                check_type={"Z": 0, "X": 1}[check_type],
-                check_site=check_site,
-                label=g.label,
-            )
-        )
-        offset += DRAWS_PER_KIND[g.kind]
-    readout_offset = offset
-    n_draws = offset + 2 * program.lattice.n_data
-    layers = _layers(gates, program.lattice.d**2)
-    return CompiledProgram(program, noise, gates, n_draws, readout_offset, layers)
-
-
-def _layers(gates: list[CompiledGate], n_sites: int) -> list[GateLayer]:
-    starts, used, key = [], set(), None
-    for gi, g in enumerate(gates):
-        if (g.kind, g.leak_victims) != key or g.q0 in used or g.q1 in used:
+    labels, qubits, victims, starts, used, key = [], [], [], [], set(), None
+    for gi, (_, g) in enumerate(program.all_gates()):
+        victims.append(noise.leak_victims(g.label))
+        if (g.kind, victims[-1]) != key or used & set(g.qubits):
             starts.append(gi)
-            key, used = (g.kind, g.leak_victims), set()
-        used.update((g.q0, g.q1) if g.q1 >= 0 else (g.q0,))
-    # every gate's q0, q1, leak_prob and slot; each layer holds a slice
-    columns = [np.array(column) for column in zip(*[
-        (g.q0, g.q1, g.leak_prob, (g.round_index * 2 + g.check_type) * n_sites + g.check_site)
-        for g in gates])]
-    return [GateLayer(gates[lo].kind, gates[lo].leak_victims, lo, gates[lo].draw_offset,
-                      *(column[lo:hi] for column in columns))
-            for lo, hi in zip(starts, starts[1:] + [len(gates)])]
+            key, used = (g.kind, victims[-1]), set()
+        used.update(g.qubits)
+        labels.append(g.label)
+        qubits.append(g.qubits + (-1,) * (2 - len(g.qubits)))
+    offsets = np.cumsum([0] + [DRAWS_PER_KIND[label.kind] for label in labels]).tolist()
+    n_sites = program.lattice.d**2
+    qubits = np.array(qubits, dtype=np.int64).reshape(-1, 2).T.copy()
+    leak_prob = np.array([noise.leak_prob(label) for label in labels], dtype=float)
+    slot = np.array([(label.round * 2 + "ZX".index(label.check[0])) * n_sites + label.check[1]
+                     for label in labels], dtype=np.int64)
+    bounds = starts + [len(labels)]
+    layers = [GateLayer(labels[lo].kind, victims[lo], lo, offsets[lo],
+                        qubits[0, lo:hi], qubits[1, lo:hi], leak_prob[lo:hi], slot[lo:hi])
+              for lo, hi in zip(bounds, bounds[1:])]
+    return CompiledProgram(
+        program, noise, labels, qubits, leak_prob,
+        victims=np.array([v + (-1,) * (2 - len(v)) for v in victims], dtype=np.int64).reshape(-1, 2),
+        slot=slot, layer=np.repeat(np.arange(len(starts)), np.diff(bounds)),
+        n_draws=offsets[-1] + 2 * program.lattice.n_data, readout_offset=offsets[-1], layers=layers)

@@ -13,11 +13,11 @@ Frames, leak flags and syndromes are qubit-contiguous (column-major), so a
 layer's gather of its qubits reads whole columns.  Without a draw matrix
 every draw takes its null outcome, so injected faults replay
 deterministically.  Injections (``sim.Injections``) come as int columns
-whose entries name their rows; they are checked with one vectorised test
-per rule, grouped by layer with one stable sort per kind, and applied with
-one fancy update per kind and layer, so the rows of a whole replay phase
-cost one call.  A traced call also reports the consequence slots that
-leaks open, as one code per row and gate.
+whose entries name their rows; they are checked against the gate table
+with one vectorised test per rule, grouped by layer with one stable sort
+per kind, and applied with one fancy update per kind and layer, so the
+rows of a whole replay phase cost one call.  A traced call also reports
+the consequence slots that leaks open, as one code per row and gate.
 ``run_group`` is the Monte-Carlo entry point, over a group of programs
 that share one draw layout (a sweep's legs of one circuit at several
 noise models).  It draws a batch ``_CHUNK_ROWS`` rows at a time through
@@ -121,13 +121,9 @@ def _landing(compiled: CompiledProgram, injections: Injections, n_rows: int):
     qubit)``, the Paulis as ``(row, qubit, x, z)`` and the measurement flips
     as ``(row, slot)`` that land after it; then the readout flips as
     ``(row, edge, x, z)``."""
-    layers, n_data = compiled.layers, compiled.lattice.n_data
-    q0, q1, slot = (np.concatenate([getattr(layer, name) for layer in layers])
-                    for name in ("q0", "q1", "slot"))
-    sizes = [len(layer.q0) for layer in layers]
-    layer_of = np.repeat(np.arange(len(layers)), sizes)
-    is_meas = np.repeat([layer.kind == MEAS_Z for layer in layers], sizes)
-    n_gates = len(q0)
+    layers, n_data, n_gates = compiled.layers, compiled.lattice.n_data, len(compiled.labels)
+    (q0, q1), slot, layer_of = compiled.qubits, compiled.slot, compiled.layer
+    is_meas = np.array([layer.kind == MEAS_Z for layer in layers])[layer_of]
     for f in fields(injections):
         entries = getattr(injections, f.name)
         _refuse((entries[:, 0] < 0) | (entries[:, 0] >= n_rows),
@@ -215,7 +211,7 @@ def execute(
             compiled, injections, n_rows)
     # without draws or injected leaks nothing ever leaks, and no gate needs a mask
     leaky = stochastic or (injected and len(injections.leaks) > 0)
-    slots = np.zeros((n_rows, len(compiled.gates)), dtype=np.uint8) if trace else None
+    slots = np.zeros((n_rows, len(compiled.labels)), dtype=np.uint8) if trace else None
 
     for li, layer in enumerate(compiled.layers):
         kind, q0, q1, lp = layer.kind, layer.q0, layer.q1, layer.leak_prob

@@ -1,6 +1,8 @@
 """Test-side oracles: structural checks, text forms, a zero-noise model, the
-Paulis by name, the fault universe spec by spec (``reference_universe``, the
-reference for the scanner's column-built one), per-row fault scripts
+Paulis by name, a compiled program's gates as records (``gate_records``,
+the reference for its gate table and layers), the fault universe spec by
+spec (``reference_universe``, the reference for the scanner's
+column-built one), per-row fault scripts
 (``Script``, and ``columns_of``, which turns them into the executor's
 injection columns), lattice coordinates, the per-shot reference draws, the
 bare detection events of a batch (``detection_events``, the reference for
@@ -31,14 +33,14 @@ from dataclasses import dataclass, field
 import networkx as nx
 import numpy as np
 
-from toricleak.circuits import CNOT, H, MEAS_Z, PREP_Z, SWAP, CircuitProgram
+from toricleak.circuits import CNOT, H, MEAS_Z, PREP_Z, SWAP, CircuitProgram, FaultLocation
 from toricleak.decoder import _DP_LIMIT, Decoder, judge_rows
 from toricleak.experiments import _LIST_KEYS, CONFIG_VERSION, ExperimentConfig, _fmt
 from toricleak.lattice import Z, ToricLattice
 from toricleak.noise import NoiseModel
 from toricleak.pauli import PAULI1_ERRORS, PAULI2_ERRORS, PAULI_I, PAULI_X, PAULI_Y, PAULI_Z, batch_uniforms
 from toricleak.scanner import FaultSpec, _gf2_basis
-from toricleak.sim import CompiledProgram, Injections
+from toricleak.sim import DRAWS_PER_KIND, CompiledProgram, Injections
 from toricleak.vector import BatchResult, execute
 
 
@@ -57,7 +59,7 @@ class Script:
     """One row's deterministic fault injections, the form tests write by
     hand; ``columns_of`` gives the executor's columns.
 
-    Keys are global gate indices into ``CompiledProgram.gates``.
+    Keys are global gate indices, as in ``gate_records``.
     """
 
     leaks: set[tuple[int, int]] = field(default_factory=set)  # (gate, position)
@@ -160,6 +162,38 @@ def parse_program_text(text: str) -> dict:
     return out
 
 
+@dataclass(frozen=True)
+class GateRecord:
+    """One gate of a compiled program, field by field."""
+
+    kind: str
+    q0: int
+    q1: int  # -1 for single-qubit gates
+    round_index: int
+    draw_offset: int
+    leak_victims: tuple[int, ...]  # positions eligible for the leak draw
+    leak_prob: float
+    check_type: int  # 0 = Z check, 1 = X check
+    check_site: int
+    label: FaultLocation
+
+
+def gate_records(compiled: CompiledProgram) -> list[GateRecord]:
+    """Per gate of ``compiled``, in ``program.all_gates()`` order, its record,
+    read from the program and the noise model alone, never from the gate
+    table or the layers: each draw offset is the running sum of
+    ``DRAWS_PER_KIND``."""
+    records, offset, noise = [], 0, compiled.noise
+    for _, g in compiled.program.all_gates():
+        check_type, check_site = g.label.check
+        records.append(GateRecord(
+            g.kind, g.qubits[0], g.qubits[1] if len(g.qubits) > 1 else -1, g.label.round, offset,
+            noise.leak_victims(g.label), noise.leak_prob(g.label), {"Z": 0, "X": 1}[check_type],
+            check_site, g.label))
+        offset += DRAWS_PER_KIND[g.kind]
+    return records
+
+
 def find_gates(
     compiled: CompiledProgram,
     kind: str | None = None,
@@ -169,7 +203,7 @@ def find_gates(
 ) -> list[int]:
     """Global indices of gates matching all the given criteria."""
     out = []
-    for gi, g in enumerate(compiled.gates):
+    for gi, g in enumerate(gate_records(compiled)):
         if kind is not None and g.kind != kind:
             continue
         if round_index is not None and g.round_index != round_index:
@@ -343,7 +377,8 @@ def reference_universe(compiled: CompiledProgram) -> list[FaultSpec]:
     """Deterministic list of all single-fault specs for this program/policy,
     built gate by gate: the reference for ``scanner.enumerate_fault_universe``."""
     specs: list[FaultSpec] = []
-    for gi, g in enumerate(compiled.gates):
+    gates = gate_records(compiled)
+    for gi, g in enumerate(gates):
         if g.kind == PREP_Z:
             specs.append(FaultSpec("pauli", gi, paulis=(PAULI_X,)))
         elif g.kind == H:
@@ -354,7 +389,7 @@ def reference_universe(compiled: CompiledProgram) -> list[FaultSpec]:
                 specs.append(FaultSpec("pauli", gi, paulis=pair))
         elif g.kind == MEAS_Z:
             specs.append(FaultSpec("meas_flip", gi))
-    for gi, g in enumerate(compiled.gates):
+    for gi, g in enumerate(gates):
         if g.leak_prob > 0:
             for pos in g.leak_victims:
                 specs.append(FaultSpec("leak", gi, victim=pos))
@@ -381,8 +416,7 @@ def script_for(compiled: CompiledProgram, spec: FaultSpec, assignment: tuple = (
         tag = slot[0]
         if tag == "pair":
             _, gi, pos = slot
-            g = compiled.gates[gi]
-            paulis = [PAULI_I, PAULI_I] if g.q1 >= 0 else [PAULI_I]
+            paulis = [PAULI_I] * len(compiled.labels[gi].roles)  # one per qubit of the gate
             paulis[pos] = PAULI_BY_NAME[choice]
             script.paulis[gi] = tuple(paulis)
         elif tag == "measbit":
@@ -509,8 +543,8 @@ def leak_consequences(compiled: CompiledProgram, spec: FaultSpec):
 def _program_slots(compiled: CompiledProgram) -> set[tuple]:
     """Every consequence slot that some leak of the program could open."""
     slots = {("readout", e) for e in range(compiled.lattice.n_data)}
-    for gi, g in enumerate(compiled.gates):
-        if g.q1 >= 0:
+    for gi, (_, g) in enumerate(compiled.program.all_gates()):
+        if len(g.qubits) == 2:
             slots |= {("pair", gi, 0), ("pair", gi, 1)}
         elif g.kind == MEAS_Z:
             slots.add(("measbit", gi))

@@ -5,12 +5,15 @@ code with :mod:`toricleak.vector`, so comparing the two bit for bit checks
 the vectorised executor against an independent reading of the same rules:
 each gate's action, then its draws from the static slot layout (none: every
 draw takes its null outcome), then the scripted injections at that gate.
+Its gates are ``oracles.gate_records``, read from the program and the
+noise model, not from the compiled gate table.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from oracles import gate_records
 from toricleak.circuits import CNOT, H, MEAS_Z, PREP_Z, SWAP
 from toricleak.pauli import PAULI1_ERRORS, PAULI2_ERRORS, PAULI4, PAULI_X
 
@@ -32,7 +35,7 @@ def reference_shot(compiled, uniforms=None, script=None):
         x[q] ^= pauli[0]
         z[q] ^= pauli[1]
 
-    for gi, g in enumerate(compiled.gates):
+    for gi, g in enumerate(gate_records(compiled)):
         q0, q1, off = g.q0, g.q1, g.draw_offset
         if g.kind == PREP_Z:
             x[q0] = z[q0] = 0

@@ -19,7 +19,7 @@ import pytest
 
 import test_decoder
 import test_pauli
-from oracles import leak_consequences, residual_weight, support, x_check_single_qubit_gates
+from oracles import gate_records, leak_consequences, residual_weight, support, x_check_single_qubit_gates
 from toricleak.circuits import build_program
 from toricleak.decoder import Decoder
 from toricleak.experiments import (
@@ -77,9 +77,10 @@ def _first_order_coefficient(compiled):
     p = compiled.noise.p
     a1 = 0.0
     specs = [spec for spec in enumerate_fault_universe(compiled) if spec.kind == "leak"]
+    gates = gate_records(compiled)
     for spec, (fraction, exact) in zip(specs, leak_failure_fractions(compiled, specs)):
         assert exact, spec
-        gate = compiled.gates[spec.gate_index]
+        gate = gates[spec.gate_index]
         a1 += fraction * gate.leak_prob / len(gate.leak_victims) / p
     return a1
 
@@ -217,7 +218,7 @@ def test_criterion_08b_reduction_variants_scan_clean():
 def test_criterion_09_hook_spreads_to_four_errors_with_aligned_pair():
     noise = NoiseModel(p=1e-3, r=1.0, p_init_leak=1e-3)
     compiled = compile_program(build_program("standard", 3, 3), noise)
-    gi = next(i for i, g in enumerate(compiled.gates)
+    gi = next(i for i, g in enumerate(gate_records(compiled))
               if g.kind == "PrepZ" and g.check_type == 1
               and g.round_index == 1 and g.leak_prob > 0)
     spec0 = FaultSpec(kind="leak", gate_index=gi, victim=0)

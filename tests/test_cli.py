@@ -180,14 +180,24 @@ def test_fit_ignores_a_p_zero_row(tmp_path, capsys):
 
 
 def test_non_numeric_csv_field_is_exit_2(tmp_path, capsys):
-    csv = _quadratic_csv(tmp_path)
-    lines = csv.read_text().splitlines()
-    lines[2] = lines[2].replace("standard,3,", "standard,three,", 1)
-    csv.write_text("\n".join(lines) + "\n")
-    assert main(["fit", str(csv)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("config error: malformed CSV row: 'standard,three,")
-    assert err.count("\n") == 1
+    """A non-numeric field, and counts that no sweep produces (negative
+    shots or failures, more failures than shots), make a malformed row."""
+    other = str(_quadratic_csv(tmp_path, "other.csv"))
+    for shots, failures in [(None, None), (0, 200), (-5, 3), (100, -1), (100, 101)]:
+        csv = _quadratic_csv(tmp_path)
+        lines = csv.read_text().splitlines()
+        if shots is None:
+            lines[2] = lines[2].replace("standard,3,", "standard,three,", 1)
+        else:
+            fields = lines[2].split(",")
+            fields[8:10] = str(shots), str(failures)
+            lines[2] = ",".join(fields)
+        csv.write_text("\n".join(lines) + "\n")
+        for argv in (["fit", str(csv)], ["compare", str(csv), other]):
+            assert main(argv) == 2
+            err = capsys.readouterr().err
+            assert err.startswith(f"config error: malformed CSV row: {lines[2]!r}")
+            assert err.count("\n") == 1
 
 
 @pytest.mark.parametrize("command", ["emit", "plot-data", "run", "scan"])

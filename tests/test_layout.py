@@ -14,7 +14,8 @@ injection form, the ``sim.Injections`` columns; and one keeps the leak path
 columnar: consequence slots and span sides are int arrays, never tuples or
 side objects.  The judged row, a shot's event cells and readout bits per
 check type, has one builder, which the Monte-Carlo path and the scanner
-both call.
+both call.  A compiled program is one gate table, whose per-gate columns
+only ``compile_program`` builds.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from toricleak.circuits import VARIANTS, build_program
 from toricleak.decoder import Decoder
 from toricleak.experiments import ExperimentConfig
 from toricleak.noise import NoiseModel
-from toricleak.sim import DRAWS_PER_KIND
+from toricleak.sim import DRAWS_PER_KIND, CompiledProgram
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "toricleak"
 
@@ -151,3 +152,30 @@ def test_the_judged_row_layout_has_one_owner():
     their rows by calling it."""
     assert _owners("logical_parities") == {"lattice.logical_parities", "decoder.judge_rows"}
     assert _owners("judge_rows", calls_only=True) == {"vector.run_group", "scanner._replays"}
+
+
+def test_the_gate_table_has_one_builder():
+    """``compile_program`` builds each gate's columns once, and the other
+    modules read them.  ``CompiledProgram`` holds no per-gate records:
+    no module names ``CompiledGate`` or a ``.gates`` attribute, but for
+    ``circuits.py``, whose round builder lists its own ``GateOp``s as
+    ``gates``.  No function outside ``sim.py`` concatenates or stacks
+    ``GateLayer`` columns over the layers, which would rebuild a column
+    that the table holds."""
+    assert "gates" not in {f.name for f in dataclasses.fields(CompiledProgram)}
+    named, rebuilt = [], []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            names = {getattr(node, key, None) for key in ("name", "id", "attr", "asname")}
+            if "CompiledGate" in names or (
+                    path.name != "circuits.py" and isinstance(node, ast.Attribute) and node.attr == "gates"):
+                named.append(f"{path.name}:{node.lineno}")
+            callee = getattr(node, "func", None)
+            if (path.name != "sim.py" and isinstance(node, ast.Call)
+                    and {getattr(callee, "attr", None), getattr(callee, "id", None)}
+                    & {"concatenate", "stack", "hstack", "vstack"}):
+                loops = [gen.iter for arg in node.args for gen in ast.walk(arg) if isinstance(gen, ast.comprehension)]
+                if any("layers" in {getattr(it, "id", None), getattr(it, "attr", None)} for it in loops):
+                    rebuilt.append(f"{path.name}:{node.lineno}")
+    assert not named, named
+    assert not rebuilt, rebuilt

@@ -19,6 +19,7 @@ from oracles import (
     columns_of,
     crossing_parities,
     defect_rows,
+    gate_records,
     judged,
     leak_consequences,
     leak_sides,
@@ -73,7 +74,7 @@ def _doc_scan(variant):
 
 
 def _first_gate(compiled, **want):
-    for gi, g in enumerate(compiled.gates):
+    for gi, g in enumerate(gate_records(compiled)):
         if all(getattr(g, k) == v for k, v in want.items()) and g.leak_prob > 0:
             return gi
     raise AssertionError(f"no leaking gate matching {want}")
@@ -98,7 +99,8 @@ def _pauli_rows(compiled, specs):
 
 
 def _no_leaks(n):
-    """``(gate, victim)`` seeds of n leak specs whose sides are never sampled."""
+    """``(gate, victim)`` seeds of n leak specs, all zero: only a sampled
+    side reads its seed."""
     return np.zeros((n, 2), dtype=np.int64)
 
 
@@ -108,8 +110,9 @@ def test_universe_counts_follow_gate_arithmetic(variant):
     universe = enumerate_fault_universe(compiled)
     n_pauli = sum(1 for s in universe if s.kind in ("pauli", "meas_flip"))
     n_leak = sum(1 for s in universe if s.kind == "leak")
-    want_pauli = sum(SPECS_PER_KIND[g.kind] for g in compiled.gates)
-    want_leak = sum(len(g.leak_victims) for g in compiled.gates if g.leak_prob > 0)
+    gates = gate_records(compiled)
+    want_pauli = sum(SPECS_PER_KIND[g.kind] for g in gates)
+    want_leak = sum(len(g.leak_victims) for g in gates if g.leak_prob > 0)
     assert n_pauli == want_pauli
     assert n_leak == want_leak
     assert universe == enumerate_fault_universe(compiled)
@@ -360,15 +363,15 @@ def test_scan_does_not_depend_on_the_judge_pass_bound(budget, monkeypatch):
 
 def test_span_stage_blocks_stay_within_the_pass_bound(monkeypatch):
     """On a standard d=3 slice, at ``_PASS_ROWS`` 64 and at the default,
-    every exact-stage block the span judge judges holds at most
-    ``_PASS_ROWS // 2`` rows unless it is one side's stage, no block is
-    alive when the next is judged, and the blocks hold every span point
-    once, so the counts do not depend on the bound."""
+    every block the span judge judges holds at most ``_PASS_ROWS // 2``
+    rows unless it is one side's stage, no block is alive when the next is
+    judged, and the blocks hold every span point once, so the counts do not
+    depend on the bound.  With the span budget cut to 3 bits, the sampled
+    blocks, several sides' samples each, keep to the same bound."""
     compiled = _compiled("standard", rounds=2)
     specs = [s for s in enumerate_fault_universe(compiled) if s.kind == "leak"][::3]
     sides = _leak_sides(compiled, specs)
     assert max(int(ranks.max()) for _, ranks, _ in sides) in range(7, scanner.SPAN_BUDGET_BITS + 1)
-    points = sum(int((1 << ranks).sum()) for _, ranks, _ in sides)
     blocks = []  # per judged block: its shape and a weak reference to it
     judge = scanner._judged
 
@@ -378,17 +381,20 @@ def test_span_stage_blocks_stay_within_the_pass_bound(monkeypatch):
         return judge(decoder, check_type, stage)
 
     monkeypatch.setattr(scanner, "_judged", recording)
-    counts, calls = [], []
-    for rows in (64, scanner._PASS_ROWS):
+    counts, calls, default = [], [], (scanner._PASS_ROWS, scanner.SPAN_BUDGET_BITS)
+    for rows, budget in ((64, default[1]), default, (default[0], 3)):
         monkeypatch.setattr(scanner, "_PASS_ROWS", rows)
+        monkeypatch.setattr(scanner, "SPAN_BUDGET_BITS", budget)
         blocks.clear()
         counts.append(scanner._failing_counts(Decoder(compiled.lattice), _no_leaks(len(specs)), sides))
         shapes = [shape for shape, _ in blocks]
         calls.append(len(shapes))
+        points = sum(int(np.where(ranks > budget, scanner.SAMPLE_COUNT, 1 << ranks).sum()) for _, ranks, _ in sides)
         assert sum(n * k for n, k, _ in shapes) == points
         assert all(n * k <= rows // 2 or k == 1 for n, k, _ in shapes)
         assert any(n * k > rows // 2 for n, k, _ in shapes) == (rows == 64)
     assert calls[0] > calls[1] and (counts[0] == counts[1]).all()
+    assert any(n == scanner.SAMPLE_COUNT and k > 1 for n, k, _ in shapes)  # the cut run's sampled blocks
 
 
 # A slice of the standard d=3, two-round leak specs with the span budget cut
@@ -659,7 +665,7 @@ def test_malformed_pauli_specs_are_refused_as_the_executor_refuses_them():
     missing position, never the last gate's location for gate -1, nor a
     bare ``IndexError``."""
     compiled = _compiled("standard", rounds=1)
-    gates = compiled.gates
+    gates = gate_records(compiled)
     h = next(gi for gi, g in enumerate(gates) if g.kind == "H")
     cnot = next(gi for gi, g in enumerate(gates) if g.kind == "CNOT")
     x = (1, 0)
@@ -699,7 +705,7 @@ def test_paulis_that_are_not_pairs_of_bits_are_refused(monkeypatch):
     ``spec_location`` refuses each with the same message, never a CNOT's
     location."""
     compiled = _compiled("standard", rounds=1)
-    cnot = next(gi for gi, g in enumerate(compiled.gates) if g.kind == "CNOT")
+    cnot = next(gi for gi, g in enumerate(gate_records(compiled)) if g.kind == "CNOT")
     good = [s for s in enumerate_fault_universe(compiled) if s.kind != "leak"][:5]
     cases = [(((2, 0), (0, 0)), 0), (((-1, 0), (0, 0)), 0), (((0, 0), (1, 2)), 1),
              (((1,),), 0), (((0, 0), 1), 1), (((2, 0),), 0)]
@@ -730,8 +736,8 @@ def test_unhashable_paulis_and_a_meas_flip_with_paulis_are_refused(monkeypatch):
     never a bare ``TypeError`` from the slot cache, and never Paulis
     dropped."""
     compiled = _compiled("standard", rounds=1)
-    cnot = next(gi for gi, g in enumerate(compiled.gates) if g.kind == "CNOT")
-    meas = next(gi for gi, g in enumerate(compiled.gates) if g.kind == "MeasZ")
+    cnot = next(gi for gi, g in enumerate(gate_records(compiled)) if g.kind == "CNOT")
+    meas = next(gi for gi, g in enumerate(gate_records(compiled)) if g.kind == "MeasZ")
     good = [s for s in enumerate_fault_universe(compiled) if s.kind != "leak"][:5]
     cases = [
         (FaultSpec("pauli", cnot, paulis=[(1, 0), (0, 0)]), "the Paulis [(1, 0), (0, 0)] are not a tuple"),
@@ -1117,9 +1123,9 @@ def test_assignment_slots_outside_the_program_are_rejected():
     a ValueError before any replay, never an IndexError from the executor."""
     compiled = _compiled("standard")
     spec, _ = _leak_slot(compiled, "pair")
-    single = next(gi for gi, g in enumerate(compiled.gates) if g.kind == "H")
-    cnot = next(gi for gi, g in enumerate(compiled.gates) if g.kind == "CNOT")
-    for slot, choice in [(("pair", len(compiled.gates), 0), "X"), (("pair", single, 1), "X"),
+    single = next(gi for gi, g in enumerate(gate_records(compiled)) if g.kind == "H")
+    cnot = next(gi for gi, g in enumerate(gate_records(compiled)) if g.kind == "CNOT")
+    for slot, choice in [(("pair", len(gate_records(compiled)), 0), "X"), (("pair", single, 1), "X"),
                          (("pair", cnot, 2), "X"), (("measbit", cnot), 1),
                          (("readout", compiled.lattice.n_data), "x"), (("swap", cnot), "X")]:
         with pytest.raises(ValueError):
@@ -1168,7 +1174,7 @@ def _pair_units(compiled):
     specs = [s for s in enumerate_fault_universe(compiled) if s.kind == "leak"]
     leaks = np.array([(s.gate_index, s.victim) for s in specs], dtype=np.int64)
     units = np.unique(scanner._replays(compiled, leaks, np.full(len(leaks), -1), trace=True)[2])
-    return units[(units < 5 * len(compiled.gates)) & (units % 5 < 4)]
+    return units[(units < 5 * len(gate_records(compiled))) & (units % 5 < 4)]
 
 
 def test_pair_units_are_replayed_on_the_leak_their_slot_implies(monkeypatch):

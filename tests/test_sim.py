@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from oracles import NULL_NOISE, Script, find_gates, run_shot, shot_uniforms, site
+from oracles import NULL_NOISE, Script, find_gates, gate_records, run_shot, shot_uniforms, site
 from toricleak.circuits import CNOT, MEAS_Z, PREP_Z, SWAP, VARIANTS, build_program
 from toricleak.noise import NoiseModel
 from toricleak.sim import DRAWS_PER_KIND, compile_program
@@ -63,7 +63,7 @@ def test_scripted_pauli_injection_after_last_layer():
     compiled = _compiled(rounds=2)
     assert not run_shot(compiled, script=Script()).syndromes.any()
     cnot = find_gates(compiled, kind=CNOT, round_index=0, check=("Z", 0), ordinal=4)[0]
-    g = compiled.gates[cnot]
+    g = gate_records(compiled)[cnot]
     assert g.label.roles == ("data", "ancillaZ")
     # X on the data side lands after every round-0 CNOT touching that edge,
     # so round 0 stays clean and the defect pair appears from round 1 on
@@ -92,7 +92,7 @@ def test_leak_lifetime_standard_data_is_permanent():
     compiled = _compiled(rounds=3)
     lat = compiled.lattice
     cnot = find_gates(compiled, kind=CNOT, round_index=0, check=("Z", 0), ordinal=2)[0]
-    g = compiled.gates[cnot]
+    g = gate_records(compiled)[cnot]
     data_pos = g.label.roles.index("data")
     data_qubit = (g.q0, g.q1)[data_pos]
     result = run_shot(compiled, script=Script(leaks={(cnot, data_pos)}))
@@ -117,7 +117,7 @@ def test_leak_lifetime_swap_lrc_data_cleared_next_round():
     lat = compiled.lattice
     partner_edge = lat.z_support[0][0]  # the N data neighbour of Z check 0
     cnot = find_gates(compiled, kind=CNOT, round_index=0, check=("Z", 0), ordinal=1)[0]
-    g = compiled.gates[cnot]
+    g = gate_records(compiled)[cnot]
     assert (g.q0, g.q1)[0] == partner_edge  # N is the 1st CNOT in canonical order
     result = run_shot(compiled, script=Script(leaks={(cnot, 0)}))
     assert not result.leak_final.any()
@@ -154,7 +154,7 @@ def test_swap_onset_leak_occupies_the_data_role_for_one_round():
     ix = np.zeros(18, dtype=np.uint8)
     ix[partner_edge] = 1
     swap = find_gates(compiled, kind=SWAP, round_index=0, check=("Z", 0))[0]
-    g = compiled.gates[swap]
+    g = gate_records(compiled)[swap]
     assert g.label.roles[0] == "ancillaZ"
     res = run_shot(compiled, initial_x=ix, script=Script(leaks={(swap, 0)}))
     assert res.leak_final.sum() == 1  # never reprepared within the window
@@ -167,7 +167,7 @@ def test_leaked_data_randomizes_neighbour_checks():
     lat = compiled.lattice
     edge = lat.h(0, 0)
     onset = find_gates(compiled, kind=CNOT, round_index=0, check=("X", 0), ordinal=1)[0]
-    g = compiled.gates[onset]
+    g = gate_records(compiled)[onset]
     assert (g.q0, g.q1)[1] == edge  # h(0,0) is the N target of X check 0
     script = Script(leaks={(onset, 1)})
     fires = np.zeros((2, 9))
@@ -216,8 +216,10 @@ def test_draw_layout_is_static():
     other = compile_program(
         build_program("swap_lrc", 3, 2), NoiseModel(p=0.1, r=5.0, site_filter="data_only")
     )
-    assert base.n_draws == other.n_draws
-    assert [g.draw_offset for g in base.gates] == [g.draw_offset for g in other.gates]
+    assert (base.n_draws, base.readout_offset) == (other.n_draws, other.readout_offset)
+    offsets = [g.draw_offset for g in gate_records(base)]  # read from the gate kinds alone
+    for compiled in (base, other):
+        assert [layer.draw_offset for layer in compiled.layers] == [offsets[layer.start] for layer in compiled.layers]
     with pytest.raises(ValueError, match="uniform draws"):
         run_shot(base, uniforms=np.zeros(3))
 
@@ -289,9 +291,20 @@ def test_layers_partition_the_gates_into_commuting_runs(variant, d, noise):
     """Layers cover gates 0..n-1 once and in order; each holds one kind and
     one leak-victim tuple on pairwise-disjoint qubits, copies its gates'
     fields, and steps its draw offsets by the kind's draw count.  Each is
-    maximal: the next gate would break one of these rules."""
+    maximal: the next gate would break one of these rules.  The gate table
+    holds every gate's fields, and the layers' columns are views of it."""
     compiled = compile_program(build_program(variant, d, d), noise)
-    gates, n_sites = compiled.gates, d * d
+    gates, n_sites = gate_records(compiled), d * d
+    assert compiled.labels == [g.label for g in gates]
+    assert compiled.qubits.tolist() == [[g.q0 for g in gates], [g.q1 for g in gates]]
+    assert compiled.leak_prob.tolist() == [g.leak_prob for g in gates]
+    assert compiled.victims.tolist() == [list(g.leak_victims) + [-1] * (2 - len(g.leak_victims)) for g in gates]
+    assert compiled.slot.tolist() == [(g.round_index * 2 + g.check_type) * n_sites + g.check_site for g in gates]
+    assert compiled.layer.tolist() == [li for li, layer in enumerate(compiled.layers) for _ in layer.q0]
+    for layer in compiled.layers:
+        assert all(np.shares_memory(getattr(layer, name), column) for name, column in (
+            ("q0", compiled.qubits), ("q1", compiled.qubits), ("leak_prob", compiled.leak_prob),
+            ("slot", compiled.slot)))
     covered = []
     for layer, after in zip(compiled.layers, compiled.layers[1:] + [None]):
         run = gates[layer.start : layer.start + len(layer.q0)]

@@ -8,8 +8,8 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from oracles import (Script, columns_of, leak_consequences, monte_carlo, run_shot, script_for, shot_uniforms,
-                     trace_of)
+from oracles import (Script, columns_of, gate_records, leak_consequences, monte_carlo, run_shot, script_for,
+                     shot_uniforms, trace_of)
 from toricleak import vector
 from toricleak.circuits import CNOT, MEAS_Z, SWAP, VARIANTS, build_program
 from toricleak.decoder import judge_rows
@@ -209,7 +209,7 @@ def test_scripted_batches_do_not_depend_on_chunk_boundaries():
     compiled = compile_program(build_program("swap_lrc", 3, 2), NoiseModel(p=1e-3, r=1.0))
     scripts = _mixed_scripts(compiled, seed=11)
     whole = execute(compiled, len(scripts), injections=columns_of(scripts), trace=True)
-    assert whole.slots.shape == (len(scripts), len(compiled.gates)) and whole.slots.any()
+    assert whole.slots.shape == (len(scripts), len(gate_records(compiled))) and whole.slots.any()
     for cut in (1, 9, len(scripts) - 2):
         parts = [execute(compiled, hi - lo, injections=columns_of(scripts[lo:hi]), trace=True)
                  for lo, hi in ((0, cut), (cut, len(scripts)))]
@@ -220,14 +220,14 @@ def test_scripted_batches_do_not_depend_on_chunk_boundaries():
 
 def test_a_measurement_flip_on_another_gate_is_refused():
     compiled = compile_program(build_program("standard", 3, 1), NoiseModel(p=1e-3))
-    gi = next(gi for gi, g in enumerate(compiled.gates) if g.kind == CNOT)
+    gi = next(gi for gi, g in enumerate(gate_records(compiled)) if g.kind == CNOT)
     with pytest.raises(ValueError, match=f"gate {gi} is no measurement"):
         execute(compiled, 1, injections=columns_of([Script(meas_flips={gi})]))
 
 
 def test_a_pauli_beyond_the_gates_qubits_is_refused():
     compiled = compile_program(build_program("standard", 3, 1), NoiseModel(p=1e-3))
-    gi = next(gi for gi, g in enumerate(compiled.gates) if g.kind == MEAS_Z)
+    gi = next(gi for gi, g in enumerate(gate_records(compiled)) if g.kind == MEAS_Z)
     with pytest.raises(ValueError, match=f"gate {gi} has no qubit at position 1"):
         execute(compiled, 1, injections=columns_of([Script(paulis={gi: ((1, 0), (0, 1))})]))
 
@@ -242,7 +242,7 @@ def test_an_index_outside_the_program_is_refused(field, index):
     """Negative indices would wrap onto the last gates or edges, and the
     first index past the end would raise an ``IndexError``."""
     compiled = compile_program(build_program("standard", 3, 1), NoiseModel(p=1e-3))
-    index = {"n": len(compiled.gates), "n_data": compiled.lattice.n_data}.get(index, index)
+    index = {"n": len(gate_records(compiled)), "n_data": compiled.lattice.n_data}.get(index, index)
     script = {
         "leaks": Script(leaks={(index, 0)}),
         "paulis": Script(paulis={index: ((1, 0),)}),
@@ -256,8 +256,8 @@ def test_an_index_outside_the_program_is_refused(field, index):
 
 def _stub_entry(compiled, field, row):
     """One valid entry of each injection kind, landing in ``row``."""
-    cnot = next(gi for gi, g in enumerate(compiled.gates) if g.kind == CNOT)
-    meas = next(gi for gi, g in enumerate(compiled.gates) if g.kind == MEAS_Z)
+    cnot = next(gi for gi, g in enumerate(gate_records(compiled)) if g.kind == CNOT)
+    meas = next(gi for gi, g in enumerate(gate_records(compiled)) if g.kind == MEAS_Z)
     return {"leaks": (row, cnot, 1), "paulis": (row, cnot, 0, 1, 0),
             "meas_flips": (row, meas), "readout_flips": (row, 0, 1, 0)}[field]
 
@@ -317,8 +317,8 @@ def test_repeated_entries_on_one_target_apply_each_time():
     one, and an X and a Z make a Y; repeated measurement and readout flips
     cancel alike.  A plain fancy ``^=`` would apply only one of each."""
     compiled = compile_program(build_program("standard", 3, 2), NoiseModel(p=1e-3))
-    cnot = next(gi for gi, g in enumerate(compiled.gates) if g.kind == CNOT)
-    meas = next(gi for gi, g in enumerate(compiled.gates) if g.kind == MEAS_Z)
+    cnot = next(gi for gi, g in enumerate(gate_records(compiled)) if g.kind == CNOT)
+    meas = next(gi for gi, g in enumerate(gate_records(compiled)) if g.kind == MEAS_Z)
     x, z = (0, cnot, 0, 1, 0), (0, cnot, 0, 0, 1)
     rows = [Injections(),  # 0: nothing
             Injections(paulis=[x, x], meas_flips=[(0, meas)] * 2, readout_flips=[(0, 4, 1, 1)] * 2),
@@ -351,15 +351,15 @@ def test_batch_traces_match_leak_consequences(variant, noise):
 
 def _random_script(compiled, rng):
     paulis = [(0, 0), (1, 0), (0, 1), (1, 1)]
-    script = Script()
+    script, gates = Script(), gate_records(compiled)
     for _ in range(rng.integers(0, 3)):
-        gi = int(rng.integers(len(compiled.gates)))
-        script.leaks.add((gi, int(rng.integers(2)) if compiled.gates[gi].q1 >= 0 else 0))
+        gi = int(rng.integers(len(gates)))
+        script.leaks.add((gi, int(rng.integers(2)) if gates[gi].q1 >= 0 else 0))
     for _ in range(rng.integers(0, 4)):
-        gi = int(rng.integers(len(compiled.gates)))
-        width = 2 if compiled.gates[gi].q1 >= 0 else 1
+        gi = int(rng.integers(len(gates)))
+        width = 2 if gates[gi].q1 >= 0 else 1
         script.paulis[gi] = tuple(paulis[k] for k in rng.integers(4, size=width))
-    meas = [gi for gi, g in enumerate(compiled.gates) if g.kind == MEAS_Z]
+    meas = [gi for gi, g in enumerate(gates) if g.kind == MEAS_Z]
     script.meas_flips.update(meas[k] for k in rng.integers(len(meas), size=2))
     script.readout_flips[int(rng.integers(compiled.lattice.n_data))] = paulis[rng.integers(4)]
     return script
